@@ -8,29 +8,26 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use omni_bench::{quick_mode, syslog_corpus, write_pr3_section};
 use omni_json::jsonv;
-use omni_loki::{Limits, LokiCluster};
-use omni_model::{labels, LabelSet, LogEntry, LogRecord, SimClock};
+use omni_loki::{Limits, LokiCluster, StreamFrame};
+use omni_model::{labels, SimClock};
 use omni_tsdb::{Tsdb, TsdbConfig};
 use std::time::Instant;
 
-/// PR3 before/after, fixed seed: the same corpus pushed three ways.
+/// PR3 before/after, fixed seed: the same corpus pushed two ways through
+/// the one push door.
 ///
-/// * **per-record** — `push_record`, the old hot path: every message pays
-///   the fingerprint-cache probe, its own WAL record (labels re-encoded
-///   each time), and one ingester lock round-trip.
-/// * **record-batched** — `push_record_batch`: one WAL segment append and
-///   one ingester lock per shard per batch, run-framed WAL records, and
-///   the consecutive-run fingerprint fast path.
-/// * **batched (stream-framed)** — `push_stream_batch`, the Loki push
-///   protocol's native shape (one label set + its entries, which is also
-///   exactly what a source bridge drains per pump round): the whole frame
-///   pays for labels once — fingerprint, routing, WAL framing, and the
-///   ingester lock — and each entry costs only the stream append.
+/// * **per-record** — `push_record`, a frame of one per call: every
+///   message pays the fingerprint-cache probe, its own WAL record (labels
+///   re-encoded each time), and one ingester lock round-trip.
+/// * **batched** — `push_frames` with stream frames (one label set + its
+///   entries, the Loki push protocol's native shape and exactly what a
+///   source bridge drains per pump round): the whole frame pays for
+///   labels once — fingerprint, routing, WAL framing, and the ingester
+///   lock — and each entry costs only the stream append.
 ///
 /// The corpus is stream-contiguous (what batching producers emit) and
 /// sized so no chunk seals mid-run: seal/compression cost is identical
-/// across paths and is benched separately (c2). The headline `speedup`
-/// compares stream-framed batching against per-record. Owns the `ingest`
+/// across paths and is benched separately (c2). Owns the `ingest`
 /// section of BENCH_PR3.json; quick mode shrinks the workload and only
 /// prints.
 fn pr3_ingest_report() {
@@ -44,22 +41,11 @@ fn pr3_ingest_report() {
     // Pre-built inputs so the timed region only moves records: cloning
     // line strings inside the timer is allocator traffic that would swamp
     // the path cost being measured.
-    let chunked: Vec<Vec<LogRecord>> = corpus.chunks(batch_size).map(<[_]>::to_vec).collect();
-    let frames: Vec<(LabelSet, Vec<LogEntry>)> = {
-        let mut frames = Vec::new();
-        let mut i = 0;
-        while i < corpus.len() {
-            let j = (i..corpus.len())
-                .find(|&k| corpus[k].labels != corpus[i].labels)
-                .unwrap_or(corpus.len());
-            for chunk in corpus[i..j].chunks(batch_size) {
-                let entries: Vec<LogEntry> = chunk.iter().map(|r| r.entry.clone()).collect();
-                frames.push((corpus[i].labels.clone(), entries));
-            }
-            i = j;
-        }
-        frames
-    };
+    let frames: Vec<StreamFrame> = corpus
+        .chunk_by(|a, b| a.labels == b.labels)
+        .flat_map(|run| run.chunks(batch_size))
+        .map(|chunk| (chunk[0].labels.clone(), chunk.iter().map(|r| r.entry.clone()).collect()))
+        .collect();
 
     fn timed<T: Clone>(runs: usize, n: usize, data: &T, run: impl Fn(&LokiCluster, T)) -> f64 {
         let mut best = f64::INFINITY;
@@ -79,16 +65,9 @@ fn pr3_ingest_report() {
             cluster.push_record(r).unwrap();
         }
     });
-    let record_batched = timed(runs, n, &chunked, |cluster, batches| {
-        for batch in batches {
-            for result in cluster.push_record_batch(batch) {
-                result.unwrap();
-            }
-        }
-    });
     let framed = timed(runs, n, &frames, |cluster, frames| {
-        for (labels, entries) in frames {
-            for result in cluster.push_stream_batch(labels, entries) {
+        for frame in frames {
+            for result in cluster.push_frames(None, [frame]) {
                 result.unwrap();
             }
         }
@@ -96,12 +75,9 @@ fn pr3_ingest_report() {
 
     let rate = |secs: f64| n as f64 / secs;
     let speedup = rate(framed) / rate(per_record);
-    let record_batch_speedup = rate(record_batched) / rate(per_record);
     println!(
-        "pr3 ingest: per-record {:.0} msg/s, record-batched {:.0} msg/s \
-         ({record_batch_speedup:.2}x), stream-framed batched {:.0} msg/s ({speedup:.2}x)",
+        "pr3 ingest: per-record {:.0} msg/s, stream-framed batched {:.0} msg/s ({speedup:.2}x)",
         rate(per_record),
-        rate(record_batched),
         rate(framed),
     );
     if !quick {
@@ -117,8 +93,6 @@ fn pr3_ingest_report() {
                 "per_record_msgs_per_sec": (rate(per_record)),
                 "batched_msgs_per_sec": (rate(framed)),
                 "speedup": (speedup),
-                "record_batched_msgs_per_sec": (rate(record_batched)),
-                "record_batch_speedup": (record_batch_speedup),
             }),
         );
     }

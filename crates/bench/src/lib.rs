@@ -75,25 +75,6 @@ pub fn write_pr5_section(section: &str, value: Json) {
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
 }
 
-/// Repo-root path of the machine-readable PR10 report.
-pub fn pr10_report_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_PR10.json")
-}
-
-/// Merge one named section into `BENCH_PR10.json` (read-modify-write, the
-/// same contract as [`write_pr3_section`]).
-pub fn write_pr10_section(section: &str, value: Json) {
-    let path = pr10_report_path();
-    let mut root = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| parse(&text).ok())
-        .filter(|v| matches!(v, Json::Object(_)))
-        .unwrap_or_else(|| Json::Object(Vec::new()));
-    root.set(section, value).expect("report root is an object");
-    std::fs::write(&path, root.pretty(2) + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-}
-
 /// Repo-root path of the machine-readable PR3 report.
 pub fn pr3_report_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_PR3.json")

@@ -1485,12 +1485,6 @@ fn register_self_collectors(
                     f.pushdown_queries as f64,
                 ),
                 single(
-                    "omni_frontend_pushdown_fallback_total",
-                    "Metric queries that fell back to entry shipping (not decomposable).",
-                    Counter,
-                    f.pushdown_fallbacks as f64,
-                ),
-                single(
                     "omni_frontend_pushdown_partials_total",
                     "Per-shard partial aggregates merged by the frontend.",
                     Counter,

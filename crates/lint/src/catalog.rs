@@ -105,7 +105,6 @@ impl Catalog {
             "omni_frontend_cached_entries",
             // Aggregation pushdown (shard map / frontend reduce).
             "omni_frontend_pushdown_queries_total",
-            "omni_frontend_pushdown_fallback_total",
             "omni_frontend_pushdown_partials_total",
             "omni_frontend_pushdown_entries_saved_total",
             "omni_query_records_total",

@@ -33,7 +33,7 @@ pub use matcher::{MatchOp, Matcher, Selector};
 pub use parser::{parse_expr, parse_log_query, parse_selector, ParseError};
 pub use pattern::PatternExpr;
 pub use pipeline::{Pipeline, ProcessedEntry};
-pub use pushdown::{decomposable, PartialAgg};
+pub use pushdown::PartialAgg;
 
 #[cfg(test)]
 mod paper_queries {

@@ -1,5 +1,5 @@
-//! Aggregation pushdown: decomposability analysis, per-shard partial
-//! aggregates, and the frontend-side merge.
+//! Aggregation pushdown: per-shard partial aggregates and the
+//! frontend-side merge.
 //!
 //! A fleet-wide dashboard aggregate (`sum by (...) (rate({...}[5m]))`)
 //! evaluated centrally ships every matching entry from every shard to
@@ -10,11 +10,12 @@
 //! aggregation tree on top (reduce). This module holds the pure pieces
 //! of that split:
 //!
-//! * [`decomposable`] — whether a metric query's bottom range
-//!   aggregation merges losslessly from per-shard partials;
 //! * [`PartialAgg`] — the partial state one shard contributes for one
-//!   label group (`avg_over_time` travels as its `sum`+`count`
-//!   decomposition and divides only at [`PartialAgg::finish`]);
+//!   label group. Every range aggregation has one: counts and sums
+//!   merge by addition, `min`/`max` by fold, `avg_over_time` travels as
+//!   its `sum`+`count` decomposition and divides only at
+//!   [`PartialAgg::finish`], and `first`/`last_over_time` carry the
+//!   timestamp that selected their value;
 //! * [`shard_step_partials`] — the shard-side evaluator: raw stream
 //!   entries in, per-step partials out, with a zero-allocation fast
 //!   path for filter-only pipelines;
@@ -43,18 +44,6 @@ pub fn bottom_op(mq: &MetricQuery) -> RangeAggOp {
     }
 }
 
-/// Whether the query's bottom range aggregation can be evaluated as
-/// per-shard partials merged at the frontend without changing the
-/// result. Every op except the order-selected `first_over_time` /
-/// `last_over_time` decomposes: counts and sums merge by addition
-/// (`rate`/`bytes_rate` ship the pre-division count and divide once at
-/// the end), `min`/`max` by fold, and `avg_over_time` as `sum`+`count`.
-/// The vector-aggregation tree above never blocks pushdown — it runs at
-/// the frontend over the exactly-reconstructed inner vector.
-pub fn decomposable(mq: &MetricQuery) -> bool {
-    !matches!(bottom_op(mq), RangeAggOp::FirstOverTime | RangeAggOp::LastOverTime)
-}
-
 /// One shard's partial aggregate for one label group in one step window.
 ///
 /// Rate-style ops travel *pre-division* (the raw count or byte sum);
@@ -78,6 +67,20 @@ pub enum PartialAgg {
         /// Number of unwrapped values.
         count: f64,
     },
+    /// `first_over_time`: the value at the smallest timestamp seen.
+    First {
+        /// Timestamp of the selected entry.
+        ts: Timestamp,
+        /// Its unwrapped value.
+        v: f64,
+    },
+    /// `last_over_time`: the value at the largest timestamp seen.
+    Last {
+        /// Timestamp of the selected entry.
+        ts: Timestamp,
+        /// Its unwrapped value.
+        v: f64,
+    },
 }
 
 impl PartialAgg {
@@ -95,6 +98,20 @@ impl PartialAgg {
             ) => {
                 *s += os;
                 *c += oc;
+            }
+            // Folded in arrival (then shard-id) order, these two are
+            // `min_by_key` / `max_by_key` over the concatenation: a tied
+            // timestamp keeps the earliest arrival for `first` and the
+            // latest for `last`, as `eval_range_agg` documents.
+            (PartialAgg::First { ts, v }, PartialAgg::First { ts: ots, v: ov }) => {
+                if ots < *ts {
+                    (*ts, *v) = (ots, ov);
+                }
+            }
+            (PartialAgg::Last { ts, v }, PartialAgg::Last { ts: ots, v: ov }) => {
+                if ots >= *ts {
+                    (*ts, *v) = (ots, ov);
+                }
             }
             _ => unreachable!("partials of one query share a single kind"),
         }
@@ -114,58 +131,46 @@ impl PartialAgg {
             (RangeAggOp::MinOverTime, PartialAgg::Min(v)) => v,
             (RangeAggOp::MaxOverTime, PartialAgg::Max(v)) => v,
             (RangeAggOp::AvgOverTime, PartialAgg::SumCount { sum, count }) => sum / count,
+            (RangeAggOp::FirstOverTime, PartialAgg::First { v, .. }) => v,
+            (RangeAggOp::LastOverTime, PartialAgg::Last { v, .. }) => v,
             _ => unreachable!("partial kind does not match the bottom operator"),
         }
     }
 }
 
-/// Build the partial for one non-empty group of window entries, or
-/// `None` when the group contributes nothing (an `unwrap` op whose
-/// group has no unwrapped values — absent, per the identity
-/// discipline).
+/// Build the partial for one non-empty group of window entries by
+/// folding one single-entry partial per contributing entry, or `None`
+/// when the group contributes nothing (an `unwrap` op whose group has
+/// no unwrapped values — absent, per the identity discipline).
 fn group_partial<'a>(
     op: RangeAggOp,
     group: impl Iterator<Item = &'a RangeEntry>,
 ) -> Option<PartialAgg> {
-    let mut count = 0usize;
-    let mut bytes = 0u64;
-    let mut unwrapped: Option<PartialAgg> = None;
-    let mut sum = 0.0f64;
-    let mut values = 0usize;
+    let mut acc: Option<PartialAgg> = None;
     for e in group {
-        count += 1;
-        bytes += e.line_bytes as u64;
-        if let Some(v) = e.unwrapped {
-            values += 1;
-            sum += v;
-            unwrapped = Some(match unwrapped {
-                None => match op {
+        let unit = match op {
+            RangeAggOp::CountOverTime | RangeAggOp::Rate => PartialAgg::Sum(1.0),
+            RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => {
+                PartialAgg::Sum(e.line_bytes as f64)
+            }
+            _ => {
+                let Some(v) = e.unwrapped else { continue };
+                match op {
                     RangeAggOp::MinOverTime => PartialAgg::Min(v),
                     RangeAggOp::MaxOverTime => PartialAgg::Max(v),
+                    RangeAggOp::AvgOverTime => PartialAgg::SumCount { sum: v, count: 1.0 },
+                    RangeAggOp::FirstOverTime => PartialAgg::First { ts: e.ts, v },
+                    RangeAggOp::LastOverTime => PartialAgg::Last { ts: e.ts, v },
                     _ => PartialAgg::Sum(v),
-                },
-                Some(PartialAgg::Min(m)) => PartialAgg::Min(m.min(v)),
-                Some(PartialAgg::Max(m)) => PartialAgg::Max(m.max(v)),
-                Some(p) => p,
-            });
+                }
+            }
+        };
+        match &mut acc {
+            Some(p) => p.merge(unit),
+            None => acc = Some(unit),
         }
     }
-    match op {
-        RangeAggOp::CountOverTime | RangeAggOp::Rate => {
-            (count > 0).then_some(PartialAgg::Sum(count as f64))
-        }
-        RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => {
-            (count > 0).then_some(PartialAgg::Sum(bytes as f64))
-        }
-        RangeAggOp::SumOverTime => (values > 0).then_some(PartialAgg::Sum(sum)),
-        RangeAggOp::AvgOverTime => {
-            (values > 0).then_some(PartialAgg::SumCount { sum, count: values as f64 })
-        }
-        RangeAggOp::MinOverTime | RangeAggOp::MaxOverTime => unwrapped,
-        RangeAggOp::FirstOverTime | RangeAggOp::LastOverTime => {
-            unreachable!("order-selected ops are not decomposable")
-        }
-    }
+    acc
 }
 
 /// Per-group partials over one window of pipeline-processed entries —
@@ -195,8 +200,8 @@ pub struct PushdownScan {
     pub bytes_scanned: usize,
     /// Streams whose labels matched the selector.
     pub streams_matched: usize,
-    /// Entries surviving the pipeline — what the entry-shipping path
-    /// would have shipped to the frontend (and this path did not).
+    /// Entries surviving the pipeline — what shipping entries to a
+    /// central evaluation would have moved (and this path did not).
     pub entries_matched: usize,
 }
 
@@ -387,43 +392,29 @@ mod tests {
         }
     }
 
-    #[test]
-    fn decomposability_by_bottom_op() {
-        for q in [
-            r#"count_over_time({a="b"}[1m])"#,
-            r#"sum by (x) (rate({a="b"}[1m]))"#,
-            r#"bytes_rate({a="b"}[1m])"#,
-            r#"avg(avg_over_time({a="b"} | logfmt | unwrap v [1m]))"#,
-            r#"min_over_time({a="b"} | logfmt | unwrap v [1m])"#,
-            r#"topk(3, max_over_time({a="b"} | logfmt | unwrap v [1m]))"#,
-            r#"sum(count_over_time({a="b"}[1m])) > 5"#,
-        ] {
-            assert!(decomposable(&metric(q)), "{q} should be decomposable");
-        }
-        for q in [
-            r#"first_over_time({a="b"} | logfmt | unwrap v [1m])"#,
-            r#"sum(last_over_time({a="b"} | logfmt | unwrap v [1m]))"#,
-        ] {
-            assert!(!decomposable(&metric(q)), "{q} must fall back");
-        }
-    }
-
     fn entry(ts: Timestamp, labels: LabelSet, bytes: usize, unwrapped: Option<f64>) -> RangeEntry {
         RangeEntry { ts, labels, line_bytes: bytes, unwrapped }
     }
 
-    /// Splitting entries arbitrarily across "shards", merging partials,
-    /// and finishing must equal the central single-pass evaluation.
+    /// Dealing entries across two "shards" in every order-preserving
+    /// way, merging partials in shard order, and finishing must equal
+    /// the central single-pass evaluation over the shard-order
+    /// concatenation — including `first`/`last_over_time` on tied
+    /// timestamps, where the tie-break is arrival order.
     #[test]
-    fn split_merge_equals_central_for_every_decomposable_op() {
+    fn split_merge_equals_central_for_every_op() {
         let a = labels!("loc" => "x1");
         let b = labels!("loc" => "x2");
         let entries = vec![
             entry(1, a.clone(), 10, Some(4.0)),
+            entry(1, a.clone(), 15, Some(9.0)),
             entry(2, a.clone(), 20, Some(2.0)),
             entry(3, b.clone(), 30, Some(8.0)),
             entry(4, a.clone(), 40, None),
             entry(5, b.clone(), 50, Some(6.0)),
+            entry(5, b.clone(), 55, Some(1.0)),
+            entry(5, a.clone(), 60, Some(3.0)),
+            entry(5, a.clone(), 65, Some(7.0)),
         ];
         let range = 60 * NANOS_PER_SEC;
         for op in [
@@ -435,15 +426,22 @@ mod tests {
             RangeAggOp::AvgOverTime,
             RangeAggOp::MinOverTime,
             RangeAggOp::MaxOverTime,
+            RangeAggOp::FirstOverTime,
+            RangeAggOp::LastOverTime,
         ] {
-            let central = eval_range_agg(op, &entries, range);
-            // Every split point, including all-on-one-shard.
-            for cut in 0..=entries.len() {
+            // Bit `i` of the mask sends entry `i` to shard 1; mask 0 is
+            // all-on-one-shard.
+            for mask in 0u32..1 << entries.len() {
+                let (mut left, mut right) = (Vec::new(), Vec::new());
+                for (i, e) in entries.iter().enumerate() {
+                    if mask >> i & 1 == 0 { &mut left } else { &mut right }.push(e.clone());
+                }
                 let mut acc = BTreeMap::new();
-                merge_partials(&mut acc, eval_range_partials(op, &entries[..cut]));
-                merge_partials(&mut acc, eval_range_partials(op, &entries[cut..]));
+                merge_partials(&mut acc, eval_range_partials(op, &left));
+                merge_partials(&mut acc, eval_range_partials(op, &right));
                 let merged = finish_partials(acc, op, range);
-                assert_eq!(merged, central, "{op:?} split at {cut}");
+                left.extend(right);
+                assert_eq!(merged, eval_range_agg(op, &left, range), "{op:?} mask {mask:#b}");
             }
         }
     }

@@ -4,9 +4,9 @@
 use crate::ingester::Ingester;
 use crate::stream::ReadStats;
 use omni_logql::{
-    eval::{eval_metric_at, eval_metric_range, step_grid, InstantVector, Matrix, RangeEntry},
+    eval::{step_grid, InstantVector, Matrix},
     pushdown::{self, PartialAgg},
-    Expr, LogQuery, MetricQuery, Pipeline,
+    LogQuery, MetricQuery, Pipeline,
 };
 use omni_model::{LabelSet, LogEntry, LogRecord, Sample, Timestamp};
 use std::collections::BTreeMap;
@@ -38,12 +38,12 @@ pub struct QueryStats {
     pub blocks_skipped: usize,
     /// Uncompressed bytes produced by block decodes.
     pub decompressed_bytes: usize,
-    /// Post-pipeline entries moved from the shard scans to a central
-    /// evaluation point. Zero on the aggregation-pushdown path — that is
-    /// the entire point of pushing down.
+    /// Post-pipeline entries moved from the shard scans to the merge
+    /// point. Log queries ship what they return; metric queries ship
+    /// nothing — that is the entire point of pushing aggregation down.
     pub entries_shipped: usize,
-    /// Per-shard partial aggregates merged at the reduce step. Zero on
-    /// the entry-shipping path.
+    /// Per-shard partial aggregates merged at the reduce step (metric
+    /// queries only).
     pub partials_merged: usize,
 }
 
@@ -85,57 +85,32 @@ pub enum Direction {
     Backward,
 }
 
-/// Raw (pre-pipeline) matching entries from every shard, scanned in
-/// parallel with scoped threads.
-fn gather(
-    shards: &[Arc<Ingester>],
-    query: &LogQuery,
-    start: Timestamp,
-    end: Timestamp,
-) -> (Vec<(LabelSet, Vec<LogEntry>)>, ReadStats) {
-    if shards.len() == 1 {
-        return shards[0].query_stats(&query.selector, start, end);
+/// Run `scan` over every shard — on scoped threads when there is more
+/// than one — and return the results in **shard-id order** (joining in
+/// spawn order is what makes every reduce over them deterministic).
+fn scan_shards<T: Send>(shards: &[Arc<Ingester>], scan: impl Fn(&Ingester) -> T + Sync) -> Vec<T> {
+    if let [only] = shards {
+        return vec![scan(only)];
     }
-    let mut out = Vec::new();
-    let mut read = ReadStats::default();
+    let scan = &scan;
     std::thread::scope(|s| {
-        let handles: Vec<_> = shards
-            .iter()
-            .map(|shard| {
-                let shard = Arc::clone(shard);
-                let selector = &query.selector;
-                s.spawn(move || shard.query_stats(selector, start, end))
-            })
-            .collect();
-        for h in handles {
+        let handles: Vec<_> = shards.iter().map(|shard| s.spawn(move || scan(shard))).collect();
+        handles
+            .into_iter()
             // Invariant: shard scans are read-only and must not panic; if
             // one does, the query result would be silently partial, so
             // propagating the panic is the correct behaviour here.
-            let (streams, stats) = h.join().expect("shard scan panicked"); // lint:allow(no-unwrap)
-            out.extend(streams);
-            read.absorb(stats);
-        }
-    });
-    (out, read)
+            .map(|h| h.join().expect("shard scan panicked")) // lint:allow(no-unwrap)
+            .collect()
+    })
 }
 
 /// Run a log query over `(start, end]`, returning up to `limit` records
-/// in `direction` order: `Backward` keeps the **newest** records when
+/// in `direction` order — `Backward` keeps the **newest** records when
 /// the limit bites (ties broken by labels for determinism — `Backward`
-/// is the exact reverse of the `Forward` total order).
+/// is the exact reverse of the `Forward` total order) — plus execution
+/// statistics.
 pub fn run_log_query(
-    shards: &[Arc<Ingester>],
-    query: &LogQuery,
-    start: Timestamp,
-    end: Timestamp,
-    limit: usize,
-    direction: Direction,
-) -> Vec<LogRecord> {
-    run_log_query_with_stats(shards, query, start, end, limit, direction).0
-}
-
-/// [`run_log_query`] plus execution statistics.
-pub fn run_log_query_with_stats(
     shards: &[Arc<Ingester>],
     query: &LogQuery,
     start: Timestamp,
@@ -146,15 +121,18 @@ pub fn run_log_query_with_stats(
     let pipeline = Pipeline::new(query.stages.clone());
     let mut records = Vec::new();
     let mut stats = QueryStats::default();
-    let (streams, read) = gather(shards, query, start, end);
-    stats.absorb_read(read);
-    for (labels, entries) in streams {
-        stats.streams_matched += 1;
-        for e in entries {
-            stats.entries_scanned += 1;
-            stats.bytes_scanned += e.line.len();
-            if let Some(p) = pipeline.process(&e.line, &labels) {
-                records.push(LogRecord { labels: p.labels, entry: LogEntry::new(e.ts, p.line) });
+    let scans = scan_shards(shards, |shard| shard.query_stats(&query.selector, start, end));
+    for (streams, read) in scans {
+        stats.absorb_read(read);
+        for (labels, entries) in streams {
+            stats.streams_matched += 1;
+            for e in entries {
+                stats.entries_scanned += 1;
+                stats.bytes_scanned += e.line.len();
+                if let Some(p) = pipeline.process(&e.line, &labels) {
+                    let entry = LogEntry::new(e.ts, p.line);
+                    records.push(LogRecord { labels: p.labels, entry });
+                }
             }
         }
     }
@@ -171,121 +149,15 @@ pub fn run_log_query_with_stats(
     (records, stats)
 }
 
-/// Pipeline-processed entries for metric evaluation, plus execution
-/// statistics.
-fn fetch_range_entries_with_stats(
-    shards: &[Arc<Ingester>],
-    query: &LogQuery,
-    start: Timestamp,
-    end: Timestamp,
-) -> (Vec<RangeEntry>, QueryStats) {
-    let pipeline = Pipeline::new(query.stages.clone());
-    let mut out = Vec::new();
-    let mut stats = QueryStats::default();
-    let (streams, read) = gather(shards, query, start, end);
-    stats.absorb_read(read);
-    for (labels, entries) in streams {
-        stats.streams_matched += 1;
-        for e in entries {
-            stats.entries_scanned += 1;
-            stats.bytes_scanned += e.line.len();
-            if let Some(p) = pipeline.process(&e.line, &labels) {
-                out.push(RangeEntry {
-                    ts: e.ts,
-                    line_bytes: p.line.len(),
-                    labels: p.labels,
-                    unwrapped: p.unwrapped,
-                });
-            }
-        }
-    }
-    stats.entries_returned = out.len();
-    stats.entries_shipped = out.len();
-    (out, stats)
-}
-
-/// Evaluate a metric query at one instant.
-pub fn run_instant_query(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    at: Timestamp,
-) -> InstantVector {
-    run_instant_query_with_stats(shards, query, at).0
-}
-
-/// [`run_instant_query`] plus execution statistics.
-pub fn run_instant_query_with_stats(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    at: Timestamp,
-) -> (InstantVector, QueryStats) {
-    let mut stats = QueryStats::default();
-    let mut fetch = |q: &LogQuery, s: Timestamp, e: Timestamp| {
-        let (entries, st) = fetch_range_entries_with_stats(shards, q, s, e);
-        stats.absorb(st);
-        entries
-    };
-    let vector = eval_metric_at(query, at, &mut fetch);
-    (vector, stats)
-}
-
-/// Evaluate a metric query over a range at fixed steps (Grafana graphs).
-///
-/// The bottom log query's entries are fetched and pipeline-processed
-/// **once** for the whole `[start - range, end]` span; each step then
-/// slices the prefetched entries instead of re-decoding chunks, turning
-/// an O(steps x chunks) evaluation into O(chunks + steps x entries).
-pub fn run_range_query(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    start: Timestamp,
-    end: Timestamp,
-    step_ns: i64,
-) -> Matrix {
-    run_range_query_with_stats(shards, query, start, end, step_ns).0
-}
-
-/// [`run_range_query`] plus execution statistics.
-pub fn run_range_query_with_stats(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    start: Timestamp,
-    end: Timestamp,
-    step_ns: i64,
-) -> (Matrix, QueryStats) {
-    let bottom = query.log_query();
-    let range_ns = query.range_ns();
-    // `start` may be a sentinel near `i64::MIN` (cf. `run_expr_instant`);
-    // a plain subtraction would overflow past the minimum.
-    let (mut prefetched, stats) =
-        fetch_range_entries_with_stats(shards, bottom, start.saturating_sub(range_ns), end);
-    prefetched.sort_by_key(|e| e.ts);
-    let mut fetch = |q: &LogQuery, s: Timestamp, e: Timestamp| {
-        // The prefetch covers exactly the bottom log query; an expression
-        // shape with a second selector must never silently reuse it.
-        assert!(std::ptr::eq(q, bottom), "prefetched entries reused for a different log query");
-        // Binary-search the window bounds in the sorted prefetch.
-        let lo = prefetched.partition_point(|entry| entry.ts <= s);
-        let hi = prefetched.partition_point(|entry| entry.ts <= e);
-        prefetched[lo..hi].to_vec()
-    };
-    let matrix = eval_metric_range(query, start, end, step_ns, &mut fetch);
-    (matrix, stats)
-}
-
-/// One shard's map output: per-step partial-aggregate groups plus the
-/// scan statistics that produced them.
-type ShardPartials = (Vec<Vec<(LabelSet, PartialAgg)>>, QueryStats);
-
-/// Map/reduce evaluation of a decomposable metric query over the step
-/// grid: every shard evaluates the bottom range aggregation's partials
-/// over its own streams (map, scoped threads), the partials merge at
+/// Map/reduce evaluation of a metric query over the step grid: every
+/// shard evaluates the bottom range aggregation's partials over its own
+/// streams (map, via [`scan_shards`]), the partials merge at
 /// the reduce in **shard-id order** (so repeated runs fold floats
 /// identically), and the vector-aggregation tree runs over the
 /// reconstructed inner vector. Entries never leave their shard:
 /// `entries_shipped` stays 0 and `partials_merged` counts what moved
 /// instead.
-fn pushdown_step_vectors(
+fn step_vectors(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
     steps: &[Timestamp],
@@ -300,7 +172,7 @@ fn pushdown_step_vectors(
     let fetch_start = first.saturating_sub(range_ns);
 
     // Map: one scan + partial evaluation per shard.
-    let scan = |shard: &Ingester| {
+    let per_shard = scan_shards(shards, |shard| {
         let (streams, read) = shard.query_stats(&bottom.selector, fetch_start, last);
         let (partials, pscan) =
             pushdown::shard_step_partials(&bottom.stages, op, &streams, steps, range_ns);
@@ -313,27 +185,7 @@ fn pushdown_step_vectors(
         };
         st.absorb_read(read);
         (partials, st)
-    };
-    let per_shard: Vec<ShardPartials> = if shards.len() == 1 {
-        vec![scan(&shards[0])]
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = shards
-                .iter()
-                .map(|shard| {
-                    let shard = Arc::clone(shard);
-                    s.spawn(move || scan(&shard))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // As in `gather`: a panicking shard scan would yield a
-                // silently partial result, so propagate it. Joining in
-                // spawn order is what makes the reduce deterministic.
-                .map(|h| h.join().expect("shard scan panicked")) // lint:allow(no-unwrap)
-                .collect()
-        })
-    };
+    });
 
     // Reduce: fold shard partials per step (shard-id order), finish each
     // group, then evaluate the tree above the range aggregation.
@@ -353,10 +205,9 @@ fn pushdown_step_vectors(
     (vectors, stats)
 }
 
-/// [`run_range_query_with_stats`] for decomposable queries, via
-/// aggregation pushdown: per-shard partials instead of shipped entries.
-/// Callers must check [`omni_logql::pushdown::decomposable`] first.
-pub fn run_range_query_pushdown(
+/// Evaluate a metric query over a range at fixed steps (Grafana graphs)
+/// from per-shard partials; `start` may be a sentinel near `i64::MIN`.
+pub fn run_range_query(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
     start: Timestamp,
@@ -364,7 +215,7 @@ pub fn run_range_query_pushdown(
     step_ns: i64,
 ) -> (Matrix, QueryStats) {
     let steps = step_grid(start, end, step_ns);
-    let (vectors, stats) = pushdown_step_vectors(shards, query, &steps);
+    let (vectors, stats) = step_vectors(shards, query, &steps);
     let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
     for (&t, vector) in steps.iter().zip(vectors) {
         for (labels, value) in vector {
@@ -374,35 +225,27 @@ pub fn run_range_query_pushdown(
     (series.into_iter().collect(), stats)
 }
 
-/// [`run_instant_query_with_stats`] for decomposable queries, via
-/// aggregation pushdown (a single-step reduce).
-pub fn run_instant_query_pushdown(
+/// Evaluate a metric query at one instant (a single-step reduce).
+pub fn run_instant_query(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
     at: Timestamp,
 ) -> (InstantVector, QueryStats) {
-    let (mut vectors, stats) = pushdown_step_vectors(shards, query, &[at]);
+    let (mut vectors, stats) = step_vectors(shards, query, &[at]);
     (vectors.pop().unwrap_or_default(), stats)
 }
 
-/// Evaluate a parsed expression at an instant: log queries return their
-/// match count (LogCLI-style), metric queries their vector.
-pub fn run_expr_instant(shards: &[Arc<Ingester>], expr: &Expr, at: Timestamp) -> InstantVector {
-    match expr {
-        Expr::Log(q) => {
-            // Counting only, so the direction is immaterial.
-            let records = run_log_query(shards, q, i64::MIN, at, usize::MAX, Direction::Forward);
-            vec![(LabelSet::new(), records.len() as f64)]
-        }
-        Expr::Metric(m) => run_instant_query(shards, m, at),
-    }
-}
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
 
 #[cfg(test)]
 mod tests {
+    use super::common::reference_fetch;
     use super::*;
     use crate::limits::Limits;
-    use omni_logql::parse_expr;
+    use omni_logql::eval::{eval_metric_at, eval_metric_range};
+    use omni_logql::{parse_expr, Expr, Selector};
     use omni_model::{labels, NANOS_PER_SEC};
 
     fn shard_with(n: i64) -> Vec<Arc<Ingester>> {
@@ -430,7 +273,7 @@ mod tests {
         // so a limited query silently returned the *oldest* records.
         let shards = shard_with(100);
         let q = log_query(r#"{app="x"}"#);
-        let out = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Backward);
+        let (out, _) = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Backward);
         assert_eq!(out.len(), 10);
         assert!(out.windows(2).all(|w| w[0].entry.ts >= w[1].entry.ts), "newest first");
         assert_eq!(out[0].entry.ts, 99 * NANOS_PER_SEC, "limit keeps the newest records");
@@ -441,7 +284,7 @@ mod tests {
     fn forward_direction_returns_oldest_ascending() {
         let shards = shard_with(100);
         let q = log_query(r#"{app="x"}"#);
-        let out = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Forward);
+        let (out, _) = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Forward);
         assert_eq!(out.len(), 10);
         assert!(out.windows(2).all(|w| w[0].entry.ts <= w[1].entry.ts), "oldest first");
         assert_eq!(out[0].entry.ts, 0);
@@ -465,8 +308,9 @@ mod tests {
         }
         let shards = vec![Arc::new(ing)];
         let q = log_query(r#"{app="x"}"#);
-        let fwd = run_log_query(&shards, &q, i64::MIN, i64::MAX, usize::MAX, Direction::Forward);
-        let mut bwd =
+        let (fwd, _) =
+            run_log_query(&shards, &q, i64::MIN, i64::MAX, usize::MAX, Direction::Forward);
+        let (mut bwd, _) =
             run_log_query(&shards, &q, i64::MIN, i64::MAX, usize::MAX, Direction::Backward);
         bwd.reverse();
         assert_eq!(fwd, bwd);
@@ -476,8 +320,7 @@ mod tests {
     fn entries_returned_counts_post_limit_records() {
         let shards = shard_with(100);
         let q = log_query(r#"{app="x"}"#);
-        let (out, stats) =
-            run_log_query_with_stats(&shards, &q, i64::MIN, i64::MAX, 7, Direction::Backward);
+        let (out, stats) = run_log_query(&shards, &q, i64::MIN, i64::MAX, 7, Direction::Backward);
         assert_eq!(out.len(), 7);
         assert_eq!(stats.entries_returned, 7, "returned = after the limit, not scanned");
         assert_eq!(stats.entries_scanned, 100);
@@ -511,8 +354,16 @@ mod tests {
         vec![mk(&["a", "b"]), mk(&["c"]), Arc::new(Ingester::new(Limits::default()))]
     }
 
+    /// The reference scan: every shard's raw matches, concatenated in
+    /// shard-id order — the order the reduce folds partials in.
+    fn scan_all(
+        shards: &[Arc<Ingester>],
+    ) -> impl Fn(&Selector, Timestamp, Timestamp) -> Vec<(LabelSet, Vec<LogEntry>)> + '_ {
+        |sel, s, e| shards.iter().flat_map(|shard| shard.query(sel, s, e)).collect()
+    }
+
     #[test]
-    fn pushdown_equals_entry_shipping_across_ops() {
+    fn partials_equal_reference_across_ops() {
         let shards = sharded_fleet();
         let (start, end, step) = (0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
         for q in [
@@ -527,22 +378,23 @@ mod tests {
             r#"avg_over_time({app="x"} | logfmt | unwrap v [30s])"#,
             r#"min_over_time({app="x"} | logfmt | unwrap v [30s])"#,
             r#"max_over_time({app="x"} | logfmt | unwrap v [30s])"#,
+            r#"first_over_time({app="x"} | logfmt | unwrap v [30s])"#,
+            r#"sum by (stream) (last_over_time({app="x"} | logfmt | unwrap v [30s]))"#,
             r#"topk(2, count_over_time({app="x"}[30s]))"#,
             r#"sum by (stream) (count_over_time({app="x"}[30s])) > 3"#,
         ] {
             let mq = metric_query(q);
-            assert!(omni_logql::decomposable(&mq), "{q}");
-            let (central, cstats) = run_range_query_with_stats(&shards, &mq, start, end, step);
-            let (pushed, pstats) = run_range_query_pushdown(&shards, &mq, start, end, step);
-            assert_eq!(pushed, central, "{q}");
-            assert_eq!(pstats.entries_shipped, 0, "{q}: pushdown must not ship entries");
-            assert!(cstats.entries_shipped > 0, "{q}: central path ships");
-            assert!(pstats.partials_merged > 0, "{q}: partials must be accounted");
-            assert_eq!(pstats.entries_scanned, cstats.entries_scanned, "{q}");
-            assert_eq!(pstats.bytes_scanned, cstats.bytes_scanned, "{q}");
-            // Instant evaluation decomposes identically.
-            let (vi, _) = run_instant_query_pushdown(&shards, &mq, end);
-            assert_eq!(vi, run_instant_query(&shards, &mq, end), "{q} (instant)");
+            let mut fetch = reference_fetch(scan_all(&shards));
+            let reference = eval_metric_range(&mq, start, end, step, &mut fetch);
+            let (matrix, stats) = run_range_query(&shards, &mq, start, end, step);
+            assert_eq!(matrix, reference, "{q}");
+            assert!(!matrix.is_empty(), "{q}: the fleet has matching data");
+            assert_eq!(stats.entries_shipped, 0, "{q}: metric queries must not ship entries");
+            assert!(stats.partials_merged > 0, "{q}: partials must be accounted");
+            assert_eq!(stats.entries_scanned, 60, "{q}: every entry scanned exactly once");
+            // Instant evaluation reduces identically.
+            let (vector, _) = run_instant_query(&shards, &mq, end);
+            assert_eq!(vector, eval_metric_at(&mq, end, &mut fetch), "{q} (instant)");
         }
     }
 
@@ -561,8 +413,9 @@ mod tests {
             r#"max_over_time({app="x"} | logfmt | unwrap v [30s])"#,
         ] {
             let mq = metric_query(q);
-            let (pushed, _) = run_instant_query_pushdown(&shards, &mq, at);
-            assert_eq!(pushed, run_instant_query(&shards, &mq, at), "{q}");
+            let (pushed, _) = run_instant_query(&shards, &mq, at);
+            let reference = eval_metric_at(&mq, at, &mut reference_fetch(scan_all(&shards)));
+            assert_eq!(pushed, reference, "{q}");
             assert!(!pushed.is_empty(), "{q}: the populated shards do contribute");
             assert!(pushed.iter().all(|(_, v)| v.is_finite() && *v != 0.0), "{q}: {pushed:?}");
         }
@@ -570,7 +423,7 @@ mod tests {
         // must be the empty vector, not zeros or infinities.
         let mq = metric_query(r#"sum(count_over_time({app="x"}[30s]))"#);
         let far = 10_000 * NANOS_PER_SEC;
-        assert!(run_instant_query_pushdown(&shards, &mq, far).0.is_empty());
+        assert!(run_instant_query(&shards, &mq, far).0.is_empty());
     }
 
     #[test]
@@ -585,11 +438,10 @@ mod tests {
                 .map(|(l, ss)| (l.clone(), ss.iter().map(|s| (s.ts, s.value.to_bits())).collect()))
                 .collect()
         };
-        let (first, _) =
-            run_range_query_pushdown(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
+        let (first, _) = run_range_query(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
         for _ in 0..10 {
             let (again, _) =
-                run_range_query_pushdown(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
+                run_range_query(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
             assert_eq!(bits(&first), bits(&again));
         }
     }
@@ -599,13 +451,10 @@ mod tests {
         // Regression: `start - range_ns` overflowed i64 for sentinel
         // starts near `i64::MIN` (debug builds panicked).
         let shards = shard_with(10);
-        let mq = match parse_expr(r#"count_over_time({app="x"}[1m])"#).unwrap() {
-            Expr::Metric(m) => m,
-            Expr::Log(_) => panic!("expected a metric query"),
-        };
+        let mq = metric_query(r#"count_over_time({app="x"}[1m])"#);
         let start = i64::MIN + 1;
         let step = NANOS_PER_SEC;
-        let matrix = run_range_query(&shards, &mq, start, start + 2 * step, step);
+        let (matrix, _) = run_range_query(&shards, &mq, start, start + 2 * step, step);
         assert!(matrix.is_empty(), "no data that far in the past");
     }
 }

@@ -149,16 +149,17 @@ pub struct FrontendStats {
     pub rejected_total: u64,
     /// Split results currently cached.
     pub cached_entries: usize,
-    /// Metric queries whose aggregation was pushed down into the shards
-    /// (partials merged at the frontend, no entries shipped).
+    /// Metric queries evaluated from per-shard partials (merged at the
+    /// frontend, no entries shipped) — every metric query.
     pub pushdown_queries: u64,
-    /// Metric queries that wanted pushdown (flag enabled) but fell back
-    /// to entry shipping because the query is not decomposable.
+    /// Always 0: every range aggregation has a partial, so nothing falls
+    /// back. Kept only because `omnibench/src/report.rs` still reads it;
+    /// it goes with the next benchmark PR.
     pub pushdown_fallbacks: u64,
     /// Per-shard partial aggregates merged across pushdown queries.
     pub pushdown_partials: u64,
     /// Entries pushdown queries did *not* ship to the frontend: the
-    /// post-pipeline survivors the entry-shipping path would have moved.
+    /// post-pipeline survivors a central evaluation would have moved.
     pub pushdown_entries_saved: u64,
 }
 
@@ -274,7 +275,6 @@ struct FrontendShared {
     misses: AtomicU64,
     rejected: AtomicU64,
     pushdown_queries: AtomicU64,
-    pushdown_fallbacks: AtomicU64,
     pushdown_partials: AtomicU64,
     pushdown_entries_saved: AtomicU64,
     /// `bytes_scanned` each cache hit avoided re-scanning; drained by
@@ -310,7 +310,6 @@ impl QueryFrontend {
                 misses: AtomicU64::new(0),
                 rejected: AtomicU64::new(0),
                 pushdown_queries: AtomicU64::new(0),
-                pushdown_fallbacks: AtomicU64::new(0),
                 pushdown_partials: AtomicU64::new(0),
                 pushdown_entries_saved: AtomicU64::new(0),
                 bytes_saved: OrderedMutex::new(&classes::LOKI_FRONTEND_BYTES_SAVED, Vec::new()),
@@ -331,34 +330,19 @@ impl QueryFrontend {
             rejected_total: self.shared.rejected.load(Ordering::Relaxed),
             cached_entries: self.shared.cache.lock().len(),
             pushdown_queries: self.shared.pushdown_queries.load(Ordering::Relaxed),
-            pushdown_fallbacks: self.shared.pushdown_fallbacks.load(Ordering::Relaxed),
+            pushdown_fallbacks: 0,
             pushdown_partials: self.shared.pushdown_partials.load(Ordering::Relaxed),
             pushdown_entries_saved: self.shared.pushdown_entries_saved.load(Ordering::Relaxed),
         }
     }
 
-    /// Whether a metric query will take the pushdown path under the
-    /// configured limits: the flag is on and every shard can evaluate
-    /// the query's range aggregation locally.
-    fn pushes_down(&self, query: &MetricQuery) -> bool {
-        self.limits.aggregation_pushdown && omni_logql::decomposable(query)
-    }
-
-    /// Bump the pushdown counters after a metric query resolved:
-    /// `executed` holds the freshly run splits' statistics.
-    fn note_pushdown<'a>(&self, pushdown: bool, executed: impl Iterator<Item = &'a QueryStats>) {
-        if pushdown {
-            let (mut partials, mut saved) = (0u64, 0u64);
-            for st in executed {
-                partials += st.partials_merged as u64;
-                saved += st.entries_returned as u64;
-            }
-            self.shared.pushdown_queries.fetch_add(1, Ordering::Relaxed);
-            self.shared.pushdown_partials.fetch_add(partials, Ordering::Relaxed);
-            self.shared.pushdown_entries_saved.fetch_add(saved, Ordering::Relaxed);
-        } else if self.limits.aggregation_pushdown {
-            self.shared.pushdown_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Account one freshly executed metric split (or instant): the
+    /// partials it merged and the entries it did not ship.
+    fn note_pushdown(&self, fresh: &QueryStats) {
+        self.shared.pushdown_partials.fetch_add(fresh.partials_merged as u64, Ordering::Relaxed);
+        self.shared
+            .pushdown_entries_saved
+            .fetch_add(fresh.entries_returned as u64, Ordering::Relaxed);
     }
 
     /// Drain the bytes-saved samples accumulated by cache hits since the
@@ -493,49 +477,89 @@ impl QueryFrontend {
         self.shared.scheduler.take_waits()
     }
 
-    /// Split, cache, and limit a log query over `(start, end]` as the
-    /// anonymous tenant under the cluster-wide limits.
+    /// The split protocol both cached query kinds share: resolve every
+    /// window in `bounds` from the results cache, execute the misses in
+    /// parallel through the fair scheduler, hold the fresh work to the
+    /// byte budget and the deadline, cache it, and return each split's
+    /// data with its [`SplitStat`] in ascending window order.
+    /// `lookback_ns` is how far behind its start a split's result depends
+    /// on data (a metric query's range; `0` for logs).
     #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query(
+    fn resolve_splits<T: Clone + Send>(
         &self,
-        shards: &[Arc<Ingester>],
-        text: &str,
-        query: &LogQuery,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_log_query_ctx(shards, &ctx, text, query, start, end, limit, direction)
+        ctx: &QueryContext,
+        bounds: &[(Timestamp, Timestamp)],
+        key: impl Fn(Timestamp, Timestamp) -> CacheKey,
+        lookback_ns: i64,
+        deadline: Timestamp,
+        cached: impl Fn(&CachedData) -> Option<&T>,
+        to_cache: impl Fn(T) -> CachedData,
+        exec: impl Fn(Timestamp, Timestamp) -> (T, QueryStats) + Sync,
+    ) -> Result<Vec<(T, SplitStat)>, QueryError> {
+        self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
+
+        // Resolve each split from the cache; misses collect for a
+        // parallel pass.
+        let mut parts: Vec<Option<(T, SplitStat)>> = Vec::with_capacity(bounds.len());
+        let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
+        {
+            let cache = self.shared.cache.lock();
+            let mut saved = self.shared.bytes_saved.lock();
+            for (i, &(s, e)) in bounds.iter().enumerate() {
+                let hit = cache.get(&key(s, e)).and_then(|en| Some((cached(&en.data)?, en.stats)));
+                parts.push(hit.map(|(data, stats)| {
+                    saved.push(stats.bytes_scanned as u64);
+                    let split =
+                        SplitStat { start: s, end: e, cached: true, stats, queue_wait_vns: 0 };
+                    (data.clone(), split)
+                }));
+                if parts[i].is_none() {
+                    todo.push((i, s, e));
+                }
+            }
+        }
+        self.shared.hits.fetch_add((bounds.len() - todo.len()) as u64, Ordering::Relaxed);
+        self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
+
+        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, exec);
+        self.check_bytes(
+            ctx.max_bytes_scanned,
+            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
+        )?;
+        self.check_deadline(deadline)?;
+
+        let mut cache = self.shared.cache.lock();
+        for (i, s, e, ((data, stats), wait_vns)) in executed {
+            if cache.len() >= CACHE_MAX {
+                cache.clear();
+            }
+            cache.insert(
+                key(s, e),
+                CacheEntry {
+                    data: to_cache(data.clone()),
+                    stats,
+                    data_start: s.saturating_sub(lookback_ns),
+                    end: e,
+                },
+            );
+            self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
+            let split =
+                SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns };
+            parts[i] = Some((data, split));
+        }
+        Ok(parts.into_iter().flatten().collect())
     }
 
     /// Split, cache, and limit a log query over `(start, end]` for the
     /// tenant in `ctx`. `text` is the original query string (the cache
     /// key); `query` its parsed form. Results are merged in `direction`
     /// order and truncated to `limit` — byte-identical to an unsplit
-    /// [`engine::run_log_query_with_stats`] call.
+    /// [`engine::run_log_query`] call. The returned [`QueryReport`]
+    /// carries the merged statistics plus the per-split breakdown
+    /// (window, cache hit or miss, scan statistics, scheduler queue
+    /// wait).
     #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query_ctx(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        text: &str,
-        query: &LogQuery,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        self.run_log_query_report(shards, ctx, text, query, start, end, limit, direction)
-            .map(|(records, report)| (records, report.stats))
-    }
-
-    /// [`Self::run_log_query_ctx`] returning the full [`QueryReport`]:
-    /// the merged statistics plus the per-split breakdown (window,
-    /// cache hit or miss, scan statistics, scheduler queue wait).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query_report(
+    pub fn run_log_query(
         &self,
         shards: &[Arc<Ingester>],
         ctx: &QueryContext,
@@ -556,7 +580,6 @@ impl QueryFrontend {
         self.check_deadline(deadline)?;
 
         let bounds = split_bounds(start, end, self.limits.split_interval_ns);
-        self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
         let norm = normalize_query(text);
         let key = |s: Timestamp, e: Timestamp| CacheKey {
             tenant: ctx.tenant.clone(),
@@ -567,83 +590,26 @@ impl QueryFrontend {
             limit,
             direction,
         };
-
-        // Resolve each split from the cache; misses collect for a
-        // parallel pass.
-        let mut parts: Vec<Option<(Vec<LogRecord>, SplitStat)>> = Vec::with_capacity(bounds.len());
-        let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
-        {
-            let cache = self.shared.cache.lock();
-            let mut saved = self.shared.bytes_saved.lock();
-            for (i, &(s, e)) in bounds.iter().enumerate() {
-                match cache.get(&key(s, e)) {
-                    Some(entry) => {
-                        let CachedData::Logs(records) = &entry.data else {
-                            parts.push(None);
-                            todo.push((i, s, e));
-                            continue;
-                        };
-                        saved.push(entry.stats.bytes_scanned as u64);
-                        parts.push(Some((
-                            records.clone(),
-                            SplitStat {
-                                start: s,
-                                end: e,
-                                cached: true,
-                                stats: entry.stats,
-                                queue_wait_vns: 0,
-                            },
-                        )));
-                    }
-                    None => {
-                        parts.push(None);
-                        todo.push((i, s, e));
-                    }
-                }
-            }
-        }
-        self.shared.hits.fetch_add((bounds.len() - todo.len()) as u64, Ordering::Relaxed);
-        self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
-
         // Each split keeps its own direction-ordered top-`limit`; the
         // global top-`limit` is a prefix of their concatenation, so the
         // per-split limit loses nothing.
-        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, |s, e| {
-            engine::run_log_query_with_stats(shards, query, s, e, limit, direction)
-        });
-        self.check_bytes(
-            ctx.max_bytes_scanned,
-            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
+        let resolved = self.resolve_splits(
+            ctx,
+            &bounds,
+            key,
+            0,
+            deadline,
+            |data| match data {
+                CachedData::Logs(records) => Some(records),
+                CachedData::Series(_) => None,
+            },
+            CachedData::Logs,
+            |s, e| engine::run_log_query(shards, query, s, e, limit, direction),
         )?;
-        self.check_deadline(deadline)?;
-
-        {
-            let mut cache = self.shared.cache.lock();
-            for (i, s, e, ((records, stats), wait_vns)) in executed {
-                if cache.len() >= CACHE_MAX {
-                    cache.clear();
-                }
-                cache.insert(
-                    key(s, e),
-                    CacheEntry {
-                        data: CachedData::Logs(records.clone()),
-                        stats,
-                        data_start: s,
-                        end: e,
-                    },
-                );
-                self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
-                parts[i] = Some((
-                    records,
-                    SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns },
-                ));
-            }
-        }
 
         // Splits cover disjoint ascending windows, and each is sorted in
         // `direction` order internally — concatenating them (newest
         // split first for backward) reproduces the global sort exactly.
-        let resolved: Vec<(Vec<LogRecord>, SplitStat)> = parts.into_iter().flatten().collect();
         let splits: Vec<SplitStat> = resolved.iter().map(|(_, sp)| *sp).collect();
         let ordered: Vec<(Vec<LogRecord>, SplitStat)> = match direction {
             Direction::Forward => resolved,
@@ -666,44 +632,14 @@ impl QueryFrontend {
         Ok((records, report))
     }
 
-    /// Split, cache, and limit a metric range query. The step grid is
-    /// partitioned into runs of steps sharing an aligned interval; each
-    /// run is an independent sub-query whose samples concatenate (per
-    /// series, ascending) into exactly what an unsplit
-    /// [`engine::run_range_query_with_stats`] call produces, because
-    /// every step is evaluated independently over its own lookback.
+    /// Split, cache, and limit a metric range query for the tenant in
+    /// `ctx`. The step grid is partitioned into runs of steps sharing an
+    /// aligned interval; each run is an independent sub-query whose
+    /// samples concatenate (per series, ascending) into exactly what an
+    /// unsplit [`engine::run_range_query`] call produces, because every
+    /// step is evaluated independently over its own lookback.
+    #[allow(clippy::too_many_arguments)]
     pub fn run_range_query(
-        &self,
-        shards: &[Arc<Ingester>],
-        text: &str,
-        query: &MetricQuery,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_range_query_ctx(shards, &ctx, text, query, start, end, step_ns)
-    }
-
-    /// [`Self::run_range_query`] for the tenant in `ctx`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_range_query_ctx(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        text: &str,
-        query: &MetricQuery,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        self.run_range_query_report(shards, ctx, text, query, start, end, step_ns)
-            .map(|(matrix, report)| (matrix, report.stats))
-    }
-
-    /// [`Self::run_range_query_ctx`] returning the full [`QueryReport`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_range_query_report(
         &self,
         shards: &[Arc<Ingester>],
         ctx: &QueryContext,
@@ -716,10 +652,10 @@ impl QueryFrontend {
         let deadline = self.deadline();
         self.check_deadline(deadline)?;
 
+        self.shared.pushdown_queries.fetch_add(1, Ordering::Relaxed);
+
         let groups = range_groups(start, end, step_ns, self.limits.split_interval_ns);
-        self.shared.splits.fetch_add(groups.len() as u64, Ordering::Relaxed);
         let norm = normalize_query(text);
-        let range_ns = query.range_ns();
         let key = |s: Timestamp, e: Timestamp| CacheKey {
             tenant: ctx.tenant.clone(),
             query: norm.clone(),
@@ -729,91 +665,30 @@ impl QueryFrontend {
             limit: usize::MAX,
             direction: Direction::Forward,
         };
-
-        let mut parts: Vec<Option<(Matrix, SplitStat)>> = Vec::with_capacity(groups.len());
-        let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
-        {
-            let cache = self.shared.cache.lock();
-            let mut saved = self.shared.bytes_saved.lock();
-            for (i, &(s, e)) in groups.iter().enumerate() {
-                match cache.get(&key(s, e)) {
-                    Some(entry) => {
-                        let CachedData::Series(matrix) = &entry.data else {
-                            parts.push(None);
-                            todo.push((i, s, e));
-                            continue;
-                        };
-                        saved.push(entry.stats.bytes_scanned as u64);
-                        parts.push(Some((
-                            matrix.clone(),
-                            SplitStat {
-                                start: s,
-                                end: e,
-                                cached: true,
-                                stats: entry.stats,
-                                queue_wait_vns: 0,
-                            },
-                        )));
-                    }
-                    None => {
-                        parts.push(None);
-                        todo.push((i, s, e));
-                    }
-                }
-            }
-        }
-        self.shared.hits.fetch_add((groups.len() - todo.len()) as u64, Ordering::Relaxed);
-        self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
-
-        // Decomposable aggregations run map/reduce: each shard returns
-        // per-step partial aggregates and the frontend merges them —
-        // entries never ship. Everything else ships entries for central
-        // evaluation. Both produce identical matrices (the equivalence
-        // suite pins this), so cached splits are shared between modes.
-        let pushdown = self.pushes_down(query);
-        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, |s, e| {
-            if pushdown {
-                engine::run_range_query_pushdown(shards, query, s, e, step_ns)
-            } else {
-                engine::run_range_query_with_stats(shards, query, s, e, step_ns)
-            }
-        });
-        self.note_pushdown(pushdown, executed.iter().map(|(_, _, _, ((_, st), _))| st));
-        self.check_bytes(
-            ctx.max_bytes_scanned,
-            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
+        // Map/reduce: each shard returns per-step partial aggregates and
+        // the frontend merges them — entries never ship. The first step's
+        // lookback reaches `range` behind the group start.
+        let resolved = self.resolve_splits(
+            ctx,
+            &groups,
+            key,
+            query.range_ns(),
+            deadline,
+            |data| match data {
+                CachedData::Series(matrix) => Some(matrix),
+                CachedData::Logs(_) => None,
+            },
+            CachedData::Series,
+            |s, e| {
+                let out = engine::run_range_query(shards, query, s, e, step_ns);
+                self.note_pushdown(&out.1);
+                out
+            },
         )?;
-        self.check_deadline(deadline)?;
-
-        {
-            let mut cache = self.shared.cache.lock();
-            for (i, s, e, ((matrix, stats), wait_vns)) in executed {
-                if cache.len() >= CACHE_MAX {
-                    cache.clear();
-                }
-                cache.insert(
-                    key(s, e),
-                    CacheEntry {
-                        data: CachedData::Series(matrix.clone()),
-                        stats,
-                        // The first step's lookback reaches `range`
-                        // behind the group start.
-                        data_start: s.saturating_sub(range_ns),
-                        end: e,
-                    },
-                );
-                self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
-                parts[i] = Some((
-                    matrix,
-                    SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns },
-                ));
-            }
-        }
 
         // Groups are ascending and disjoint on the step grid; appending
         // per-series samples in group order reproduces the unsplit
         // evaluation's ascending sample vectors.
-        let resolved: Vec<(Matrix, SplitStat)> = parts.into_iter().flatten().collect();
         let splits: Vec<SplitStat> = resolved.iter().map(|(_, sp)| *sp).collect();
         let mut merged = QueryStats::default();
         let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
@@ -828,38 +703,15 @@ impl QueryFrontend {
         Ok((series.into_iter().collect(), report))
     }
 
-    /// Evaluate a metric query at one instant, under the per-query
-    /// limits. Instant queries are not split or cached (every ruler
-    /// evaluation uses a fresh `now`, so cache entries would never be
-    /// reused before an append invalidated them).
-    pub fn run_instant_query(
-        &self,
-        shards: &[Arc<Ingester>],
-        query: &MetricQuery,
-        at: Timestamp,
-    ) -> Result<(InstantVector, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_instant_query_ctx(shards, &ctx, query, at)
-    }
-
-    /// [`Self::run_instant_query`] for the tenant in `ctx`.
-    pub fn run_instant_query_ctx(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        query: &MetricQuery,
-        at: Timestamp,
-    ) -> Result<(InstantVector, QueryStats), QueryError> {
-        self.run_instant_query_report(shards, ctx, query, at)
-            .map(|(vector, report)| (vector, report.stats))
-    }
-
-    /// [`Self::run_instant_query_ctx`] returning the full
-    /// [`QueryReport`]: one uncached "split" covering the instant's
-    /// lookback, with its scheduler queue wait. Instant evaluations are
-    /// not pushed into the query-record buffer — every ruler tick would
+    /// Evaluate a metric query at one instant for the tenant in `ctx`,
+    /// under the per-query limits. Instant queries are not split or
+    /// cached (every ruler evaluation uses a fresh `now`, so cache
+    /// entries would never be reused before an append invalidated
+    /// them): the report holds one uncached "split" covering the
+    /// instant's lookback, with its scheduler queue wait. Nor are they
+    /// pushed into the query-record buffer — every ruler tick would
     /// flood it with identical rule evaluations.
-    pub fn run_instant_query_report(
+    pub fn run_instant_query(
         &self,
         shards: &[Arc<Ingester>],
         ctx: &QueryContext,
@@ -870,16 +722,12 @@ impl QueryFrontend {
         self.check_deadline(deadline)?;
         // Instant evaluations contend for the same pool as splits, so
         // they are scheduled (and their waits bounded) the same way.
-        let pushdown = self.pushes_down(query);
         let ((vector, stats), wait_vns) =
             self.shared.scheduler.run_timed(&ctx.tenant, ctx.weight, || {
-                if pushdown {
-                    engine::run_instant_query_pushdown(shards, query, at)
-                } else {
-                    engine::run_instant_query_with_stats(shards, query, at)
-                }
+                engine::run_instant_query(shards, query, at)
             });
-        self.note_pushdown(pushdown, std::iter::once(&stats));
+        self.shared.pushdown_queries.fetch_add(1, Ordering::Relaxed);
+        self.note_pushdown(&stats);
         self.check_bytes(ctx.max_bytes_scanned, stats.bytes_scanned)?;
         let splits = vec![SplitStat {
             start: at.saturating_sub(query.range_ns()),

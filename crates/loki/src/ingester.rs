@@ -12,6 +12,7 @@ use crate::tenant::TenantRejection;
 use omni_logql::Selector;
 use omni_model::lockwitness::{classes, OrderedRwLock};
 use omni_model::{LabelSet, LogEntry, LogRecord, Timestamp};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -128,211 +129,80 @@ impl Ingester {
         fingerprint % self.shard.1 as u64 == self.shard.0 as u64
     }
 
-    /// Validate and append one record with the shard lock already held.
-    /// Returns `(line_bytes, sealed_a_chunk)` so callers can batch the
-    /// counter updates outside the lock.
-    fn append_locked(
-        st: &mut ShardState,
-        limits: &Limits,
-        record: LogRecord,
-        fp: u64,
-    ) -> Result<(u64, bool), IngestError> {
-        if record.labels.is_empty() {
-            return Err(IngestError::EmptyLabels);
-        }
-        if record.labels.len() > limits.max_label_names_per_series {
-            return Err(IngestError::TooManyLabels(record.labels.len()));
-        }
-        let bytes = record.entry.line.len() as u64;
-        if !st.streams.contains_key(&fp) {
-            if st.streams.len() >= limits.max_streams_per_shard {
-                return Err(IngestError::StreamLimitExceeded);
-            }
-            st.index.insert(&record.labels, fp);
-        }
-        let stream = st.streams.entry(fp).or_insert_with(|| Stream::new(record.labels.clone()));
-        match stream.append(record.entry, limits) {
-            Ok(sealed) => {
-                if sealed {
-                    if let Some(c) = stream.sealed_chunks().last() {
-                        st.seal_sizes.push(c.uncompressed as u64);
-                    }
-                }
-                Ok((bytes, sealed))
-            }
-            Err(e) => Err(IngestError::Append(e)),
-        }
-    }
-
-    /// Append one record (labels must already be validated/fingerprinted
-    /// by the distributor, but the shard re-checks its own limits).
+    /// Append one record — a frame of one (tests, single-shard callers).
     pub fn append(&self, record: LogRecord) -> Result<(), IngestError> {
         let fp = record.labels.fingerprint();
-        self.append_with_fp(record, fp)
+        // Invariant: `append_frames` returns exactly one result per entry.
+        self.append_frames([(fp, record.labels, 1)], [record.entry])
+            .pop()
+            .expect("a frame of one yields one result") // lint:allow(no-unwrap)
     }
 
-    /// [`Ingester::append`] with the label fingerprint already computed
-    /// (the distributor hashes labels for routing; no need to do it twice).
-    pub fn append_with_fp(&self, record: LogRecord, fp: u64) -> Result<(), IngestError> {
-        let mut st = self.state.write();
-        let res = Self::append_locked(&mut st, &self.limits, record, fp);
-        drop(st);
-        match res {
-            Ok((bytes, sealed)) => {
-                self.entries.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(bytes, Ordering::Relaxed);
-                if sealed {
-                    self.chunks_sealed.fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        }
-    }
-
-    /// Append a whole batch under a **single** shard-lock acquisition,
-    /// returning one result per record in input order. Per-record
-    /// validation and stream state changes are identical to calling
-    /// [`Ingester::append`] in a loop; only the locking, the per-run
-    /// stream lookup, and the counter updates are amortised: batches
-    /// arrive stream-grouped, so after the first record of a run the
-    /// stream is resolved once and the rest of the run appends straight
-    /// onto it without re-probing the stream map.
-    pub fn append_batch(&self, records: Vec<(u64, LogRecord)>) -> Vec<Result<(), IngestError>> {
-        let mut out = Vec::with_capacity(records.len());
-        let (mut entries, mut bytes, mut sealed_n, mut rejected) = (0u64, 0u64, 0u64, 0u64);
-        {
-            let mut st = self.state.write();
-            let mut it = records.into_iter().peekable();
-            while let Some((fp, record)) = it.next() {
-                // First record of a run takes the full path (it may create
-                // the stream, or fail the shard's stream cap).
-                match Self::append_locked(&mut st, &self.limits, record, fp) {
-                    Ok((b, sealed)) => {
-                        entries += 1;
-                        bytes += b;
-                        if sealed {
-                            sealed_n += 1;
-                        }
-                        out.push(Ok(()));
-                    }
-                    Err(e) => {
-                        rejected += 1;
-                        out.push(Err(e));
-                    }
-                }
-                if it.peek().map(|(f, _)| *f) != Some(fp) {
-                    continue;
-                }
-                // Rest of the run: the stream (if it exists — creation may
-                // have been rejected above, in which case every record of
-                // the run retries the full path) is borrowed once.
-                let mut run_seal_sizes: Vec<u64> = Vec::new();
-                if let Some(stream) = st.streams.get_mut(&fp) {
-                    while it.peek().map(|(f, _)| *f) == Some(fp) {
-                        let Some((_, record)) = it.next() else { break };
-                        if record.labels.is_empty() {
-                            rejected += 1;
-                            out.push(Err(IngestError::EmptyLabels));
-                            continue;
-                        }
-                        if record.labels.len() > self.limits.max_label_names_per_series {
-                            rejected += 1;
-                            out.push(Err(IngestError::TooManyLabels(record.labels.len())));
-                            continue;
-                        }
-                        let b = record.entry.line.len() as u64;
-                        match stream.append(record.entry, &self.limits) {
-                            Ok(sealed) => {
-                                entries += 1;
-                                bytes += b;
-                                if sealed {
-                                    sealed_n += 1;
-                                    if let Some(c) = stream.sealed_chunks().last() {
-                                        run_seal_sizes.push(c.uncompressed as u64);
-                                    }
-                                }
-                                out.push(Ok(()));
-                            }
-                            Err(e) => {
-                                rejected += 1;
-                                out.push(Err(IngestError::Append(e)));
-                            }
-                        }
-                    }
-                }
-                st.seal_sizes.append(&mut run_seal_sizes);
-            }
-        }
-        self.entries.fetch_add(entries, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.chunks_sealed.fetch_add(sealed_n, Ordering::Relaxed);
-        self.rejected.fetch_add(rejected, Ordering::Relaxed);
-        out
-    }
-
-    /// Append one stream-framed run — the Loki push protocol's shape: a
-    /// label set plus its entries — under a single lock acquisition. The
-    /// labels are validated once and the stream resolved once; each entry
-    /// then pays only the per-entry stream append. Returns one result per
-    /// entry in input order.
-    pub fn append_run(
+    /// Append stream frames under a **single** shard-lock acquisition.
+    /// Frames arrive in columnar form so that a frame costs no allocation
+    /// of its own: `frames` holds one `(fingerprint, labels, run length)`
+    /// header per frame — the distributor already hashed the labels for
+    /// routing — and `entries` every frame's entries back to back, which
+    /// the run lengths cut up. Each frame's labels are validated and its
+    /// stream resolved (or created) once; each entry then pays only the
+    /// stream append. Returns one result per entry in input order; the
+    /// counters are added once per call.
+    pub fn append_frames(
         &self,
-        fp: u64,
-        labels: &LabelSet,
-        entries: Vec<LogEntry>,
+        frames: impl IntoIterator<Item = (u64, LabelSet, usize)>,
+        entries: impl IntoIterator<Item = LogEntry>,
     ) -> Vec<Result<(), IngestError>> {
-        let n = entries.len();
-        if labels.is_empty() {
-            self.rejected.fetch_add(n as u64, Ordering::Relaxed);
-            return vec![Err(IngestError::EmptyLabels); n];
-        }
-        if labels.len() > self.limits.max_label_names_per_series {
-            self.rejected.fetch_add(n as u64, Ordering::Relaxed);
-            return vec![Err(IngestError::TooManyLabels(labels.len())); n];
-        }
-        let mut out = Vec::with_capacity(n);
-        let (mut entries_n, mut bytes, mut sealed_n, mut rejected) = (0u64, 0u64, 0u64, 0u64);
+        let mut entries = entries.into_iter();
+        let mut out = Vec::with_capacity(entries.size_hint().0);
+        let (mut accepted, mut bytes, mut sealed_n) = (0u64, 0u64, 0u64);
         {
-            let mut st = self.state.write();
-            if !st.streams.contains_key(&fp) {
-                if st.streams.len() >= self.limits.max_streams_per_shard {
-                    self.rejected.fetch_add(n as u64, Ordering::Relaxed);
-                    return vec![Err(IngestError::StreamLimitExceeded); n];
-                }
-                st.index.insert(labels, fp);
-            }
-            let mut run_seal_sizes: Vec<u64> = Vec::new();
-            let stream = st.streams.entry(fp).or_insert_with(|| Stream::new(labels.clone()));
-            for entry in entries {
-                let b = entry.line.len() as u64;
-                match stream.append(entry, &self.limits) {
-                    Ok(sealed) => {
-                        entries_n += 1;
-                        bytes += b;
-                        if sealed {
-                            sealed_n += 1;
-                            if let Some(c) = stream.sealed_chunks().last() {
-                                run_seal_sizes.push(c.uncompressed as u64);
-                            }
-                        }
-                        out.push(Ok(()));
+            let mut guard = self.state.write();
+            let st = &mut *guard;
+            for (fp, labels, run_len) in frames {
+                let run = entries.by_ref().take(run_len);
+                let at_cap = st.streams.len() >= self.limits.max_streams_per_shard;
+                let stream = match st.streams.entry(fp) {
+                    _ if labels.is_empty() => Err(IngestError::EmptyLabels),
+                    _ if labels.len() > self.limits.max_label_names_per_series => {
+                        Err(IngestError::TooManyLabels(labels.len()))
                     }
+                    Entry::Occupied(e) => Ok(e.into_mut()),
+                    Entry::Vacant(_) if at_cap => Err(IngestError::StreamLimitExceeded),
+                    Entry::Vacant(e) => {
+                        st.index.insert(&labels, fp);
+                        Ok(e.insert(Stream::new(labels)))
+                    }
+                };
+                let stream = match stream {
+                    Ok(stream) => stream,
                     Err(e) => {
-                        rejected += 1;
-                        out.push(Err(IngestError::Append(e)));
+                        out.extend(run.map(|_| Err(e.clone())));
+                        continue;
                     }
+                };
+                for entry in run {
+                    let line_bytes = entry.line.len() as u64;
+                    out.push(match stream.append(entry, &self.limits) {
+                        Ok(sealed) => {
+                            accepted += 1;
+                            bytes += line_bytes;
+                            if sealed {
+                                sealed_n += 1;
+                                if let Some(c) = stream.sealed_chunks().last() {
+                                    st.seal_sizes.push(c.uncompressed as u64);
+                                }
+                            }
+                            Ok(())
+                        }
+                        Err(e) => Err(IngestError::Append(e)),
+                    });
                 }
             }
-            st.seal_sizes.append(&mut run_seal_sizes);
         }
-        self.entries.fetch_add(entries_n, Ordering::Relaxed);
+        self.entries.fetch_add(accepted, Ordering::Relaxed);
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
         self.chunks_sealed.fetch_add(sealed_n, Ordering::Relaxed);
-        self.rejected.fetch_add(rejected, Ordering::Relaxed);
+        self.rejected.fetch_add(out.len() as u64 - accepted, Ordering::Relaxed);
         out
     }
 

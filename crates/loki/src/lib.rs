@@ -6,8 +6,12 @@
 //! Loki slice the paper's pipeline uses:
 //!
 //! * [`LokiCluster`] — the facade: a distributor sharding streams across
-//!   N [`Ingester`]s by label fingerprint (the paper's 8-node cluster),
-//!   push + query APIs;
+//!   N [`Ingester`]s by label fingerprint (the paper's 8-node cluster).
+//!   One push door, [`LokiCluster::push_frames`] (tenant + stream
+//!   frames; `push` / `push_record` / `push_record_batch` are sugar over
+//!   it), and one query door, [`LokiCluster::query`] (a [`QueryRequest`]
+//!   in, data + [`QueryReport`] out; `query_logs` / `query_logs_directed`
+//!   / `query_range` / `query_instant` are sugar over it);
 //! * [`chunk`] — compressed chunk storage ("logs ... are compressed and
 //!   stored in chunks");
 //! * [`index`] — the label-only inverted index;
@@ -54,6 +58,12 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 pub use wal::Wal;
 
+/// One stream frame: a label set plus a run of its entries — the shape
+/// of the Loki push protocol and the only thing the write path appends,
+/// from the distributor through the WAL to the ingester. A single record
+/// is a frame of one.
+pub type StreamFrame = (LabelSet, Vec<LogEntry>);
+
 /// Upper bound on cached label-set fingerprints; the cache is cleared
 /// wholesale when it fills (label churn past this size means the cache is
 /// not earning its memory anyway).
@@ -92,6 +102,103 @@ impl From<ParseError> for QueryError {
     fn from(e: ParseError) -> Self {
         QueryError::Parse(e)
     }
+}
+
+/// What a [`QueryRequest`] evaluates and over which window.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryShape {
+    /// A log query over `(start, end]`: up to `limit` records in
+    /// `direction` order (`Forward` keeps the oldest when the limit
+    /// bites, `Backward` the newest).
+    Logs {
+        /// Window start (exclusive).
+        start: Timestamp,
+        /// Window end (inclusive).
+        end: Timestamp,
+        /// Maximum records returned.
+        limit: usize,
+        /// Result (and limiting) order.
+        direction: Direction,
+    },
+    /// A metric query evaluated at `start, start + step_ns, ..` while
+    /// `<= end` (split and cached by the frontend).
+    Range {
+        /// First evaluation step.
+        start: Timestamp,
+        /// Upper bound of the step grid.
+        end: Timestamp,
+        /// Distance between steps.
+        step_ns: i64,
+    },
+    /// A metric query at one instant.
+    Instant {
+        /// Evaluation time.
+        at: Timestamp,
+    },
+}
+
+/// One query through [`LokiCluster::query`].
+#[derive(Debug, Clone, Copy)]
+pub struct QueryRequest<'a> {
+    /// `None` is the unscoped admin surface: cluster-wide limits, every
+    /// stream visible. `Some` admits against the tenant's query bucket,
+    /// runs under its entry/byte limits, cache partition and scheduler
+    /// weight, and confines the selector to the tenant's streams.
+    pub tenant: Option<&'a TenantId>,
+    /// LogQL text; its kind must match `shape`.
+    pub query: &'a str,
+    /// What to evaluate.
+    pub shape: QueryShape,
+}
+
+/// A query's result; the variant follows the request's [`QueryShape`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryData {
+    /// Records of a [`QueryShape::Logs`] request.
+    Logs(Vec<LogRecord>),
+    /// Series of a [`QueryShape::Range`] request.
+    Matrix(Matrix),
+    /// Samples of a [`QueryShape::Instant`] request.
+    Vector(InstantVector),
+}
+
+impl QueryData {
+    /// The records, if this is the result of a log query.
+    pub fn into_logs(self) -> Option<Vec<LogRecord>> {
+        match self {
+            QueryData::Logs(records) => Some(records),
+            _ => None,
+        }
+    }
+
+    /// The matrix, if this is the result of a range query.
+    pub fn into_matrix(self) -> Option<Matrix> {
+        match self {
+            QueryData::Matrix(matrix) => Some(matrix),
+            _ => None,
+        }
+    }
+
+    /// The vector, if this is the result of an instant query.
+    pub fn into_vector(self) -> Option<InstantVector> {
+        match self {
+            QueryData::Vector(vector) => Some(vector),
+            _ => None,
+        }
+    }
+}
+
+/// What [`LokiCluster::query`] returns: the data plus Loki's statistics
+/// object — the merged [`QueryStats`] in `report.stats` and, behind it,
+/// the per-split breakdown (cache hits and misses, per-split scan
+/// statistics, scheduler queue waits). Cached splits report the stats of
+/// the execution that filled them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryResponse {
+    /// The result, shaped by the request.
+    pub data: QueryData,
+    /// Execution statistics.
+    pub report: QueryReport,
 }
 
 /// Point-in-time crash-recovery counters for the cluster.
@@ -275,11 +382,11 @@ impl LokiCluster {
         }
         let ingester = slot.ingester.read().clone();
         let mut restored = 0;
-        if let Ok(records) = slot.wal.replay() {
-            for r in records {
-                if ingester.append(r).is_ok() {
-                    restored += 1;
-                }
+        if let Ok(runs) = slot.wal.replay() {
+            for (labels, entries) in runs {
+                let frame = (labels.fingerprint(), labels, entries.len());
+                let results = ingester.append_frames([frame], entries);
+                restored += results.iter().filter(|r| r.is_ok()).count();
             }
         }
         self.counters.replayed.fetch_add(restored as u64, Ordering::Relaxed);
@@ -351,137 +458,157 @@ impl LokiCluster {
         self.shards.len()
     }
 
-    /// Distributor push: route by label fingerprint so one stream always
-    /// lands on one shard.
+    /// Push one line: a frame of one through
+    /// [`push_frames`](Self::push_frames), unscoped.
     pub fn push(
         &self,
         labels: LabelSet,
         ts: Timestamp,
         line: impl Into<String>,
     ) -> Result<(), IngestError> {
-        let record = LogRecord::new(labels, ts, line);
-        self.push_record(record)
+        self.push_record(LogRecord::new(labels, ts, line))
     }
 
-    /// Push a pre-built record. The record is written to the serving
-    /// shard's WAL *before* the in-memory insert; when the home shard is
-    /// down the distributor reroutes to the next live shard (so its WAL
-    /// covers the entry). With every shard down the push is rejected —
-    /// callers retry.
+    /// Push a pre-built record: a frame of one, unscoped.
     pub fn push_record(&self, record: LogRecord) -> Result<(), IngestError> {
-        let n = self.shards.len();
-        let fp = self.fingerprint_cached(&record.labels);
-        let home = (fp % n as u64) as usize;
-        let serving = (0..n)
-            .map(|step| (home + step) % n)
-            .find(|&i| self.shard_up(i))
-            .ok_or(IngestError::AllShardsDown)?;
-        if serving != home {
-            self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
-        }
-        let slot = &self.shards[serving];
-        slot.wal.append(&record);
-        let ts = record.entry.ts;
-        let out = slot.ingester.read().append_with_fp(record, fp);
-        if out.is_ok() {
-            self.frontend.note_append(ts, ts);
-        }
-        out
+        // Invariant: the door returns exactly one result per entry.
+        self.push_frames(None, [(record.labels, [record.entry])])
+            .pop()
+            .expect("a frame of one yields one result") // lint:allow(no-unwrap)
     }
 
-    /// Push a batch with per-record outcomes (input order). Records are
-    /// routed as in [`push_record`](Self::push_record), then each serving
-    /// shard gets **one** WAL segment append and **one** ingester lock
-    /// acquisition for its whole share of the batch — the hot path the
-    /// paper's 400k msg/s ingest figure needs.
+    /// Push a batch of records, unscoped, with per-record outcomes in
+    /// input order: each record is a frame of one, and the door merges
+    /// consecutive frames of one stream, so a stream-grouped batch — what
+    /// the bridges drain per pump round — pays for each label set once.
     pub fn push_record_batch(&self, records: Vec<LogRecord>) -> Vec<Result<(), IngestError>> {
+        self.push_frames(None, records.into_iter().map(|r| (r.labels, [r.entry])))
+    }
+
+    /// The one push door: frames of `(labels, entries)` — a
+    /// [`StreamFrame`], or any other exact-size run of entries. Each
+    /// frame is fingerprinted and routed once — by label fingerprint, so
+    /// one stream always lands on one shard. When the home shard is down
+    /// the distributor reroutes to the next live shard (so its WAL covers
+    /// the frame); with every shard down the frame is rejected for the
+    /// caller to retry. Each serving shard then takes **one** WAL segment
+    /// lock — frames reach the WAL *before* the in-memory insert — and
+    /// **one** ingester lock for its whole share of the call, consecutive
+    /// frames of one stream merged into a single run. Returns one result
+    /// per entry, frame by frame in input order.
+    ///
+    /// `tenant: None` is the unscoped path: no admission, no tenant
+    /// label. With `Some`, each frame passes the tenant's admission
+    /// control whole (one ingest-bucket draw for all its entries, then
+    /// the active-stream cap) and lands with the reserved
+    /// [`TENANT_LABEL`] injected, which is what scopes storage, queries
+    /// and retention to the tenant. A shed frame yields a typed
+    /// [`IngestError::TenantRejected`] per entry; the admission ledger
+    /// keeps `offered == accepted + rejected` (accepted means "passed
+    /// tenant admission" — a downstream ordering/size rejection does not
+    /// retroactively un-admit).
+    pub fn push_frames<E>(
+        &self,
+        tenant: Option<&TenantId>,
+        frames: impl IntoIterator<Item = (LabelSet, E)>,
+    ) -> Vec<Result<(), IngestError>>
+    where
+        E: IntoIterator<Item = LogEntry>,
+        E::IntoIter: ExactSizeIterator,
+    {
+        /// One serving shard's share of a call, in arrival order (order
+        /// within a stream must be preserved) and columnar: a `(fingerprint,
+        /// labels, run length)` header per run, every run's entries back to
+        /// back, and where each entry's result goes.
+        #[derive(Default)]
+        struct Routed {
+            runs: Vec<(u64, LabelSet, usize)>,
+            entries: Vec<LogEntry>,
+            idxs: Vec<usize>,
+        }
         let n = self.shards.len();
-        let mut out: Vec<Result<(), IngestError>> = Vec::with_capacity(records.len());
-        // Per shard: original indices, fingerprints, and the records, in
-        // arrival order (order within a stream must be preserved).
-        let mut idxs: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut fps: Vec<Vec<u64>> = vec![Vec::new(); n];
-        let mut recs: Vec<Vec<LogRecord>> = vec![Vec::new(); n];
-        // Run fast-path: batches arrive stream-grouped (the push API and
-        // the bridges batch per source), so the previous record usually
-        // has this record's labels — an equality check against it skips
-        // the fingerprint-cache hash for the whole run.
-        let mut last: Option<(usize, u64)> = None;
-        // Conservative invalidation span for the whole batch (computed
-        // over routed records; rejects only over-invalidate).
+        let tenant = tenant.map(|id| (id, self.tenants.state(id)));
+        let shed = |id: &TenantId, reason| {
+            IngestError::TenantRejected(TenantRejection { tenant: id.clone(), reason })
+        };
+        let now = self.clock.now();
+        let frames = frames.into_iter();
+        // At least one result per frame; exact for frames of one.
+        let mut out: Vec<Result<(), IngestError>> = Vec::with_capacity(frames.size_hint().0);
+        let mut routed: Vec<Routed> = (0..n).map(|_| Routed::default()).collect();
+        // Shard that served the previous frame.
+        let mut prev = 0;
+        // Conservative invalidation span for the whole call (computed
+        // over routed entries; rejects only over-invalidate).
         let mut ts_span: Option<(Timestamp, Timestamp)> = None;
-        for (i, record) in records.into_iter().enumerate() {
-            out.push(Err(IngestError::AllShardsDown));
-            ts_span = Some(match ts_span {
-                Some((lo, hi)) => (lo.min(record.entry.ts), hi.max(record.entry.ts)),
-                None => (record.entry.ts, record.entry.ts),
-            });
-            let fp = match last {
-                Some((s, fp))
-                    if recs[s].last().is_some_and(|prev| prev.labels == record.labels) =>
-                {
-                    fp
+        for (mut labels, entries) in frames {
+            let entries = entries.into_iter();
+            let (base, k) = (out.len(), entries.len());
+            if k == 0 {
+                continue;
+            }
+            // What stands unless a shard serves the frame.
+            out.resize(base + k, Err(IngestError::AllShardsDown));
+            if let Some((id, state)) = &tenant {
+                if let Err(reason) = state.admit_ingest(now, k as u64) {
+                    out[base..].fill(Err(shed(id, reason)));
+                    continue;
                 }
-                _ => self.fingerprint_cached(&record.labels),
+                labels.insert(TENANT_LABEL, id.as_str());
+            }
+            // Run fast path: batches arrive stream-grouped (the bridges
+            // batch per source), so the previous frame usually has this
+            // frame's labels — an equality check against it skips the
+            // fingerprint-cache hash for the whole run.
+            let fp = match routed[prev].runs.last() {
+                Some((fp, prev_labels, _)) if *prev_labels == labels => *fp,
+                _ => self.fingerprint_cached(&labels),
             };
+            if let Some((id, state)) = &tenant {
+                if let Err(reason) = state.admit_stream(fp, k as u64) {
+                    out[base..].fill(Err(shed(id, reason)));
+                    continue;
+                }
+                state.note_accepted(k as u64);
+            }
             let home = (fp % n as u64) as usize;
-            let Some(serving) = (0..n).map(|step| (home + step) % n).find(|&s| self.shard_up(s))
+            let Some(serving) = (0..n).map(|step| (home + step) % n).find(|&i| self.shard_up(i))
             else {
                 continue;
             };
             if serving != home {
-                self.counters.rerouted.fetch_add(1, Ordering::Relaxed);
+                self.counters.rerouted.fetch_add(k as u64, Ordering::Relaxed);
             }
-            idxs[serving].push(i);
-            fps[serving].push(fp);
-            recs[serving].push(record);
-            last = Some((serving, fp));
+            prev = serving;
+            let shard = &mut routed[serving];
+            shard.idxs.extend(base..base + k);
+            match shard.runs.last_mut() {
+                Some((last_fp, last_labels, len)) if *last_fp == fp && *last_labels == labels => {
+                    *len += k
+                }
+                _ => shard.runs.push((fp, labels, k)),
+            }
+            for e in entries {
+                let (lo, hi) = ts_span.unwrap_or((e.ts, e.ts));
+                ts_span = Some((lo.min(e.ts), hi.max(e.ts)));
+                shard.entries.push(e);
+            }
         }
-        for (shard, records) in recs.into_iter().enumerate() {
-            if records.is_empty() {
+        for (slot, shard) in self.shards.iter().zip(routed) {
+            if shard.runs.is_empty() {
                 continue;
             }
-            let slot = &self.shards[shard];
-            slot.wal.append_batch(&records);
-            let batch: Vec<(u64, LogRecord)> = fps[shard].iter().copied().zip(records).collect();
-            let results = slot.ingester.read().append_batch(batch);
-            for (&i, res) in idxs[shard].iter().zip(results) {
+            let mut rest = shard.entries.as_slice();
+            slot.wal.append_runs(shard.runs.iter().map(|(_, labels, len)| {
+                let (run, tail) = rest.split_at(*len);
+                rest = tail;
+                (labels, run)
+            }));
+            let results = slot.ingester.read().append_frames(shard.runs, shard.entries);
+            for (i, res) in shard.idxs.into_iter().zip(results) {
                 out[i] = res;
             }
         }
-        if let Some((lo, hi)) = ts_span {
-            self.frontend.note_append(lo, hi);
-        }
-        out
-    }
-
-    /// Push one stream frame: a label set plus its entries, the shape the
-    /// Loki push protocol and the source bridges actually produce (a
-    /// bridge drains many lines from one source per pump round). The
-    /// whole frame pays for fingerprinting, routing, the WAL record, and
-    /// the ingester lock **once**; each entry then costs only the stream
-    /// append itself. Returns one result per entry in input order.
-    pub fn push_stream_batch(
-        &self,
-        labels: LabelSet,
-        entries: Vec<LogEntry>,
-    ) -> Vec<Result<(), IngestError>> {
-        let n = self.shards.len();
-        let fp = self.fingerprint_cached(&labels);
-        let home = (fp % n as u64) as usize;
-        let Some(serving) = (0..n).map(|step| (home + step) % n).find(|&i| self.shard_up(i)) else {
-            return vec![Err(IngestError::AllShardsDown); entries.len()];
-        };
-        if serving != home {
-            self.counters.rerouted.fetch_add(entries.len() as u64, Ordering::Relaxed);
-        }
-        let slot = &self.shards[serving];
-        slot.wal.append_run(&labels, &entries);
-        let ts_span = entries.iter().map(|e| e.ts).fold(None, |acc, ts| match acc {
-            Some((lo, hi)) => Some((ts.min(lo), ts.max(hi))),
-            None => Some((ts, ts)),
-        });
-        let out = slot.ingester.read().append_run(fp, &labels, entries);
         if let Some((lo, hi)) = ts_span {
             self.frontend.note_append(lo, hi);
         }
@@ -500,96 +627,60 @@ impl LokiCluster {
         self.tenants.snapshots()
     }
 
-    fn tenant_rejected_ingest(tenant: &TenantId, reason: ShedReason) -> IngestError {
-        IngestError::TenantRejected(TenantRejection { tenant: tenant.clone(), reason })
-    }
-
-    /// Tenant-scoped [`push`](Self::push): the record passes the tenant's
-    /// admission control (ingest token bucket, then the active-stream
-    /// cap) and lands with the reserved [`TENANT_LABEL`] injected, which
-    /// is what scopes storage, queries, and retention to the tenant.
-    pub fn push_as(
-        &self,
-        tenant: &TenantId,
-        labels: LabelSet,
-        ts: Timestamp,
-        line: impl Into<String>,
-    ) -> Result<(), IngestError> {
-        self.push_record_as(tenant, LogRecord::new(labels, ts, line))
-    }
-
-    /// Tenant-scoped [`push_record`](Self::push_record). Sheds with a
-    /// typed [`IngestError::TenantRejected`] when the tenant is over its
-    /// own limits; the admission ledger keeps
-    /// `offered == accepted + rejected` (accepted means "passed tenant
-    /// admission" — a downstream ordering/size rejection does not
-    /// retroactively un-admit).
-    pub fn push_record_as(
-        &self,
-        tenant: &TenantId,
-        mut record: LogRecord,
-    ) -> Result<(), IngestError> {
-        let state = self.tenants.state(tenant);
-        if let Err(reason) = state.admit_ingest(self.clock.now(), 1) {
-            return Err(Self::tenant_rejected_ingest(tenant, reason));
-        }
-        record.labels.insert(TENANT_LABEL, tenant.as_str());
-        let fp = self.fingerprint_cached(&record.labels);
-        if let Err(reason) = state.admit_stream(fp, 1) {
-            return Err(Self::tenant_rejected_ingest(tenant, reason));
-        }
-        state.note_accepted(1);
-        self.push_record(record)
-    }
-
-    /// Tenant-scoped [`push_stream_batch`](Self::push_stream_batch): the
-    /// whole frame is admitted or shed atomically (one bucket draw for
-    /// all entries, one stream-cap check), then pays the usual
-    /// once-per-frame routing costs.
-    pub fn push_stream_batch_as(
-        &self,
-        tenant: &TenantId,
-        mut labels: LabelSet,
-        entries: Vec<LogEntry>,
-    ) -> Vec<Result<(), IngestError>> {
-        let n = entries.len();
-        let state = self.tenants.state(tenant);
-        if let Err(reason) = state.admit_ingest(self.clock.now(), n as u64) {
-            return vec![Err(Self::tenant_rejected_ingest(tenant, reason)); n];
-        }
-        labels.insert(TENANT_LABEL, tenant.as_str());
-        let fp = self.fingerprint_cached(&labels);
-        if let Err(reason) = state.admit_stream(fp, n as u64) {
-            return vec![Err(Self::tenant_rejected_ingest(tenant, reason)); n];
-        }
-        state.note_accepted(n as u64);
-        self.push_stream_batch(labels, entries)
-    }
-
-    /// Push a batch (the Loki push API takes batches of streams). Every
-    /// record is attempted; returns the accepted count, or the first
-    /// error if any record was rejected.
-    pub fn push_batch(&self, records: Vec<LogRecord>) -> Result<usize, IngestError> {
-        let mut accepted = 0;
-        let mut first_err = None;
-        for r in self.push_record_batch(records) {
-            match r {
-                Ok(()) => accepted += 1,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+    /// The one query door: parse, check the query kind against the
+    /// requested shape, admit and scope the tenant (if any), then run
+    /// through the frontend (splitting, caching, limits, fair
+    /// scheduling) — each exactly once.
+    pub fn query(&self, req: QueryRequest<'_>) -> Result<QueryResponse, QueryError> {
+        let mut expr = parse_expr(req.query)?;
+        let wants_logs = matches!(req.shape, QueryShape::Logs { .. });
+        let selector = match &mut expr {
+            Expr::Log(q) if wants_logs => &mut q.selector,
+            Expr::Metric(m) if !wants_logs => &mut m.log_query_mut().selector,
+            Expr::Log(_) => return Err(QueryError::WrongQueryKind("metric query")),
+            Expr::Metric(_) => return Err(QueryError::WrongQueryKind("log query")),
+        };
+        let ctx = match req.tenant {
+            None => QueryContext::anonymous(&self.limits),
+            Some(tenant) => {
+                let state = self.tenants.state(tenant);
+                if let Err(reason) = state.admit_query(self.clock.now()) {
+                    let shed = TenantRejection { tenant: tenant.clone(), reason };
+                    return Err(QueryError::TenantRejected(shed));
                 }
+                // Isolation is structural: with this matcher injected the
+                // selector physically cannot match another tenant's
+                // streams (or unscoped legacy streams, which carry no
+                // tenant label at all).
+                selector.matchers.push(Matcher::eq(TENANT_LABEL, tenant.as_str()));
+                QueryContext::for_tenant(tenant.clone(), &state.limits())
             }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(accepted),
-        }
+        };
+        let (shards, text) = (self.shards(), req.query);
+        let (data, report) = match (&expr, req.shape) {
+            (Expr::Log(q), QueryShape::Logs { start, end, limit, direction }) => {
+                let (records, report) = self
+                    .frontend
+                    .run_log_query(&shards, &ctx, text, q, start, end, limit, direction)?;
+                (QueryData::Logs(records), report)
+            }
+            (Expr::Metric(m), QueryShape::Range { start, end, step_ns }) => {
+                let (matrix, report) =
+                    self.frontend.run_range_query(&shards, &ctx, text, m, start, end, step_ns)?;
+                (QueryData::Matrix(matrix), report)
+            }
+            (Expr::Metric(m), QueryShape::Instant { at }) => {
+                let (vector, report) = self.frontend.run_instant_query(&shards, &ctx, m, at)?;
+                (QueryData::Vector(vector), report)
+            }
+            _ => unreachable!("query kind was checked against the shape above"),
+        };
+        Ok(QueryResponse { data, report })
     }
 
     /// Run a log query string over `(start, end]` in Loki's default
     /// backward direction: up to `limit` records, **newest first**.
+    /// Unscoped sugar over [`query`](Self::query).
     pub fn query_logs(
         &self,
         query: &str,
@@ -611,65 +702,9 @@ impl LokiCluster {
         limit: usize,
         direction: Direction,
     ) -> Result<Vec<LogRecord>, QueryError> {
-        match parse_expr(query)? {
-            Expr::Log(q) => Ok(self
-                .frontend
-                .run_log_query(&self.shards(), query, &q, start, end, limit, direction)?
-                .0),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
-    }
-
-    /// Run a log query and return execution statistics alongside the
-    /// records (Loki's query-stats response). Backward direction; cached
-    /// splits report the stats of the execution that filled them.
-    pub fn query_logs_with_stats(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        match parse_expr(query)? {
-            Expr::Log(q) => self.frontend.run_log_query(
-                &self.shards(),
-                query,
-                &q,
-                start,
-                end,
-                limit,
-                Direction::default(),
-            ),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
-    }
-
-    /// [`query_logs_with_stats`](Self::query_logs_with_stats) returning
-    /// the full [`QueryReport`]: the merged statistics plus the
-    /// per-split breakdown (cache hits and misses, per-split scan
-    /// statistics, scheduler queue waits) — Loki's statistics object on
-    /// the query response.
-    pub fn query_logs_with_report(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<(Vec<LogRecord>, QueryReport), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        match parse_expr(query)? {
-            Expr::Log(q) => self.frontend.run_log_query_report(
-                &self.shards(),
-                &ctx,
-                query,
-                &q,
-                start,
-                end,
-                limit,
-                Direction::default(),
-            ),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
+        let shape = QueryShape::Logs { start, end, limit, direction };
+        let data = self.query(QueryRequest { tenant: None, query, shape })?.data;
+        data.into_logs().ok_or(QueryError::WrongQueryKind("log query"))
     }
 
     /// All stream label sets matching a bare selector (the
@@ -683,16 +718,17 @@ impl LokiCluster {
         Ok(out)
     }
 
-    /// Evaluate a metric query string at one instant.
+    /// Evaluate a metric query string at one instant. Unscoped sugar
+    /// over [`query`](Self::query).
     pub fn query_instant(&self, query: &str, at: Timestamp) -> Result<InstantVector, QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => Ok(self.frontend.run_instant_query(&self.shards(), &m, at)?.0),
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
+        let shape = QueryShape::Instant { at };
+        let data = self.query(QueryRequest { tenant: None, query, shape })?.data;
+        data.into_vector().ok_or(QueryError::WrongQueryKind("metric query"))
     }
 
     /// Evaluate a metric query string over a range at `step_ns` intervals
-    /// (split and cached by the frontend).
+    /// (split and cached by the frontend). Unscoped sugar over
+    /// [`query`](Self::query).
     pub fn query_range(
         &self,
         query: &str,
@@ -700,137 +736,9 @@ impl LokiCluster {
         end: Timestamp,
         step_ns: i64,
     ) -> Result<Matrix, QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => {
-                Ok(self.frontend.run_range_query(&self.shards(), query, &m, start, end, step_ns)?.0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// [`query_range`](Self::query_range) returning the merged
-    /// [`QueryStats`] alongside the matrix. On the aggregation-pushdown
-    /// path `entries_shipped` stays `0` and `partials_merged` counts the
-    /// per-shard partial aggregates the frontend reduced; on the
-    /// entry-shipping path the converse holds.
-    pub fn query_range_with_stats(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => {
-                self.frontend.run_range_query(&self.shards(), query, &m, start, end, step_ns)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// Admit one query for `tenant` and build its execution context, or
-    /// shed with a typed rejection.
-    fn admit_query(&self, tenant: &TenantId) -> Result<QueryContext, QueryError> {
-        let state = self.tenants.state(tenant);
-        match state.admit_query(self.clock.now()) {
-            Ok(()) => Ok(QueryContext::for_tenant(tenant.clone(), &state.limits())),
-            Err(reason) => {
-                Err(QueryError::TenantRejected(TenantRejection { tenant: tenant.clone(), reason }))
-            }
-        }
-    }
-
-    /// The scope matcher confining a parsed query to one tenant's
-    /// streams. Isolation is structural: with this matcher injected the
-    /// selector physically cannot match another tenant's streams (or
-    /// unscoped legacy streams, which carry no tenant label at all).
-    fn tenant_matcher(tenant: &TenantId) -> Matcher {
-        Matcher::eq(TENANT_LABEL, tenant.as_str())
-    }
-
-    /// Tenant-scoped [`query_logs`](Self::query_logs): admission by the
-    /// tenant's query bucket, per-tenant entry/byte limits, the
-    /// tenant-partitioned results cache, and fair-scheduled splits.
-    pub fn query_logs_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        self.query_logs_directed_as(tenant, query, start, end, limit, Direction::default())
-    }
-
-    /// [`query_logs_as`](Self::query_logs_as) with an explicit direction.
-    pub fn query_logs_directed_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Log(mut q) => {
-                q.selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self
-                    .frontend
-                    .run_log_query_ctx(
-                        &self.shards(),
-                        &ctx,
-                        query,
-                        &q,
-                        start,
-                        end,
-                        limit,
-                        direction,
-                    )?
-                    .0)
-            }
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
-    }
-
-    /// Tenant-scoped [`query_instant`](Self::query_instant).
-    pub fn query_instant_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        at: Timestamp,
-    ) -> Result<InstantVector, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Metric(mut m) => {
-                m.log_query_mut().selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self.frontend.run_instant_query_ctx(&self.shards(), &ctx, &m, at)?.0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// Tenant-scoped [`query_range`](Self::query_range).
-    pub fn query_range_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<Matrix, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Metric(mut m) => {
-                m.log_query_mut().selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self
-                    .frontend
-                    .run_range_query_ctx(&self.shards(), &ctx, query, &m, start, end, step_ns)?
-                    .0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
+        let shape = QueryShape::Range { start, end, step_ns };
+        let data = self.query(QueryRequest { tenant: None, query, shape })?.data;
+        data.into_matrix().ok_or(QueryError::WrongQueryKind("metric query"))
     }
 
     /// Periodic maintenance: seal aged head chunks on every shard.
@@ -1043,6 +951,43 @@ mod tests {
         LokiCluster::new(shards, Limits::default(), SimClock::starting_at(0))
     }
 
+    /// Backward log query through the door: records plus the report.
+    fn logs_with_report(
+        c: &LokiCluster,
+        tenant: Option<&TenantId>,
+        query: &str,
+        start: Timestamp,
+        end: Timestamp,
+        limit: usize,
+    ) -> Result<(Vec<LogRecord>, QueryReport), QueryError> {
+        let shape = QueryShape::Logs { start, end, limit, direction: Direction::default() };
+        c.query(QueryRequest { tenant, query, shape })
+            .map(|r| (r.data.into_logs().unwrap(), r.report))
+    }
+
+    /// Tenant-scoped backward log query.
+    fn tenant_logs(
+        c: &LokiCluster,
+        tenant: &TenantId,
+        query: &str,
+        start: Timestamp,
+        end: Timestamp,
+        limit: usize,
+    ) -> Result<Vec<LogRecord>, QueryError> {
+        logs_with_report(c, Some(tenant), query, start, end, limit).map(|(records, _)| records)
+    }
+
+    /// Tenant-scoped push of one line (a frame of one).
+    fn tenant_push(
+        c: &LokiCluster,
+        tenant: &TenantId,
+        labels: LabelSet,
+        ts: Timestamp,
+        line: &str,
+    ) -> Result<(), IngestError> {
+        c.push_frames(Some(tenant), [(labels, vec![LogEntry::new(ts, line)])]).pop().unwrap()
+    }
+
     #[test]
     fn push_and_query_logs() {
         let c = cluster(4);
@@ -1213,10 +1158,11 @@ mod tests {
         );
         // Cold-cache re-read must return byte-for-byte identical results.
         c.frontend().invalidate_all();
-        let (after, stats) =
-            c.query_logs_with_stats(r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let (after, report) =
+            logs_with_report(&c, None, r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX)
+                .unwrap();
         assert_eq!(before, after, "compaction must not change query results");
-        assert!(stats.cold_chunks_touched > 0, "the read was served from the cold tier");
+        assert!(report.stats.cold_chunks_touched > 0, "the read was served from the cold tier");
     }
 
     #[test]
@@ -1274,8 +1220,9 @@ mod tests {
         // (0, 1_000] sits inside one aligned split interval, so the
         // frontend executes it as a single sub-query and the per-split
         // stream accounting stays exact.
-        let (records, stats) =
-            c.query_logs_with_stats(r#"{app=~"a|b"} |= "leak""#, 0, 1_000, usize::MAX).unwrap();
+        let (records, report) =
+            logs_with_report(&c, None, r#"{app=~"a|b"} |= "leak""#, 0, 1_000, usize::MAX).unwrap();
+        let stats = report.stats;
         assert_eq!(records.len(), 50);
         assert_eq!(stats.streams_matched, 2);
         assert_eq!(stats.entries_scanned, 100);
@@ -1401,24 +1348,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_push_matches_per_record_push() {
-        let serial = cluster(4);
-        let batched = cluster(4);
-        let records: Vec<LogRecord> = (0..200)
-            .map(|i| LogRecord::new(labels!("id" => format!("{}", i % 10)), i, format!("line {i}")))
-            .collect();
-        for r in records.clone() {
-            serial.push_record(r).unwrap();
-        }
-        let results = batched.push_record_batch(records);
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert_eq!(serial.stats(), batched.stats());
-        assert_eq!(serial.resilience().wal_records, batched.resilience().wal_records);
-        let q = |c: &LokiCluster| c.query_logs(r#"{id=~".+"}"#, -1, 1_000, usize::MAX).unwrap();
-        assert_eq!(q(&serial), q(&batched));
-    }
-
-    #[test]
     fn batched_push_reports_per_record_errors() {
         let c = cluster(2);
         let good = LogRecord::new(labels!("a" => "1"), 1, "ok");
@@ -1426,10 +1355,6 @@ mod tests {
         let results = c.push_record_batch(vec![good, bad]);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(IngestError::EmptyLabels)));
-        assert!(matches!(
-            c.push_batch(vec![LogRecord::new(LabelSet::new(), 2, "x")]),
-            Err(IngestError::EmptyLabels)
-        ));
     }
 
     #[test]
@@ -1568,18 +1493,18 @@ mod tests {
         }
         let end = 150 * 60 * NANOS_PER_SEC;
         let q = r#"{app="fm"}"#;
-        let (cold, cold_stats) = c.query_logs_with_stats(q, 0, end, usize::MAX).unwrap();
+        let (cold, cold_report) = logs_with_report(&c, None, q, 0, end, usize::MAX).unwrap();
         let s = c.frontend().stats();
         assert_eq!(s.splits_total, 3, "2.5h window over 1h intervals");
         assert_eq!(s.cache_misses, 3);
         assert_eq!(s.cache_hits, 0);
 
-        let (warm, warm_stats) = c.query_logs_with_stats(q, 0, end, usize::MAX).unwrap();
+        let (warm, warm_report) = logs_with_report(&c, None, q, 0, end, usize::MAX).unwrap();
         let s = c.frontend().stats();
         assert_eq!(s.cache_hits, 3, "second refresh is all cache hits");
         assert_eq!(s.cache_misses, 3);
         assert_eq!(warm, cold, "cache must be invisible in the results");
-        assert_eq!(warm_stats, cold_stats, "cached hits report truthful stats");
+        assert_eq!(warm_report.stats, cold_report.stats, "cached hits report truthful stats");
         assert!(c.frontend().take_bytes_saved().iter().sum::<u64>() > 0);
     }
 
@@ -1593,7 +1518,7 @@ mod tests {
         let end = 150 * 60 * NANOS_PER_SEC;
         let q = r#"{app="fm"}"#;
 
-        let (cold, report) = c.query_logs_with_report(q, 0, end, usize::MAX).unwrap();
+        let (cold, report) = logs_with_report(&c, None, q, 0, end, usize::MAX).unwrap();
         assert_eq!(cold.len(), 149, "ts 0 is outside the exclusive start");
         assert_eq!(report.splits.len(), 3);
         assert_eq!(report.cache_misses, 3);
@@ -1612,7 +1537,7 @@ mod tests {
         assert_eq!(report.stats.entries_scanned, 149);
 
         // A warm refresh reports the same merged stats, now as hits.
-        let (warm, warm_report) = c.query_logs_with_report(q, 0, end, usize::MAX).unwrap();
+        let (warm, warm_report) = logs_with_report(&c, None, q, 0, end, usize::MAX).unwrap();
         assert_eq!(warm, cold);
         assert_eq!(warm_report.stats, report.stats);
         assert_eq!(warm_report.cache_hits, 3);
@@ -1739,6 +1664,31 @@ mod tests {
     }
 
     #[test]
+    fn order_selected_aggregations_run_on_shard_partials() {
+        // first/last_over_time used to ship every entry to a central
+        // evaluator; they now travel as timestamp-carrying partials.
+        let c = cluster(4);
+        for i in 0..40i64 {
+            c.push(labels!("host" => format!("n{}", i % 4)), i * NANOS_PER_SEC, format!("v={i}"))
+                .unwrap();
+        }
+        for (op, expect) in [("first_over_time", 0.0), ("last_over_time", 36.0)] {
+            // `logfmt` lifts `v` into the labels; overwriting it after the
+            // unwrap folds the stream's entries back into one group.
+            let query =
+                format!(r#"{op}({{host="n0"}} | logfmt | unwrap v | label_format v="-" [60s])"#);
+            let shape = QueryShape::Instant { at: 40 * NANOS_PER_SEC };
+            let resp = c.query(QueryRequest { tenant: None, query: &query, shape }).unwrap();
+            assert_eq!(resp.report.stats.entries_shipped, 0, "{op}");
+            assert!(resp.report.stats.partials_merged > 0, "{op}");
+            let expected = vec![(labels!("host" => "n0", "v" => "-"), expect)];
+            assert_eq!(resp.data.into_vector(), Some(expected));
+        }
+        assert_eq!(c.frontend().stats().pushdown_queries, 2);
+        assert_eq!(c.frontend().stats().pushdown_fallbacks, 0);
+    }
+
+    #[test]
     fn repeated_recovery_does_not_duplicate_entries() {
         // Regression: a supervisor retrying recovery at the same WAL
         // offset used to replay the whole WAL into the already-recovered
@@ -1767,14 +1717,14 @@ mod tests {
         let alice = TenantId::new("alice");
         let bob = TenantId::new("bob");
         for i in 0..10 {
-            c.push_as(&alice, labels!("app" => "fm"), i, format!("alice {i}")).unwrap();
+            tenant_push(&c, &alice, labels!("app" => "fm"), i, &format!("alice {i}")).unwrap();
         }
         for i in 0..5 {
-            c.push_as(&bob, labels!("app" => "fm"), i, format!("bob {i}")).unwrap();
+            tenant_push(&c, &bob, labels!("app" => "fm"), i, &format!("bob {i}")).unwrap();
         }
         // Same query text, same labels — each tenant sees only its own.
-        let a = c.query_logs_as(&alice, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
-        let b = c.query_logs_as(&bob, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
+        let a = tenant_logs(&c, &alice, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
+        let b = tenant_logs(&c, &bob, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
         assert_eq!(a.len(), 10);
         assert!(a.iter().all(|r| r.entry.line.starts_with("alice")));
         assert_eq!(b.len(), 5);
@@ -1782,11 +1732,20 @@ mod tests {
         // A tenant with no data gets nothing, even with warm caches for
         // the same query text (the cache is tenant-partitioned).
         let nobody = TenantId::new("nobody");
-        assert!(c.query_logs_as(&nobody, r#"{app="fm"}"#, -1, 1_000, 100).unwrap().is_empty());
+        assert!(tenant_logs(&c, &nobody, r#"{app="fm"}"#, -1, 1_000, 100).unwrap().is_empty());
         // The unscoped admin surface still sees everything.
         assert_eq!(c.query_logs(r#"{app="fm"}"#, -1, 1_000, 100).unwrap().len(), 15);
         // Metric queries are scoped the same way.
-        let av = c.query_instant_as(&alice, r#"count_over_time({app="fm"}[1m])"#, 999).unwrap();
+        let av = c
+            .query(QueryRequest {
+                tenant: Some(&alice),
+                query: r#"count_over_time({app="fm"}[1m])"#,
+                shape: QueryShape::Instant { at: 999 },
+            })
+            .unwrap()
+            .data
+            .into_vector()
+            .unwrap();
         assert_eq!(av.len(), 1);
         assert_eq!(av[0].1, 10.0);
     }
@@ -1802,7 +1761,7 @@ mod tests {
         );
         let mut noisy_ok = 0;
         for i in 0..10 {
-            match c.push_as(&noisy, labels!("app" => "burst"), i, "spam") {
+            match tenant_push(&c, &noisy, labels!("app" => "burst"), i, "spam") {
                 Ok(()) => noisy_ok += 1,
                 Err(IngestError::TenantRejected(r)) => {
                     assert_eq!(r.tenant, noisy);
@@ -1811,7 +1770,7 @@ mod tests {
                 Err(e) => panic!("unexpected error: {e}"),
             }
             // Tenant A's burst must never shed tenant B's ingest.
-            c.push_as(&calm, labels!("app" => "steady"), i, "fine").unwrap();
+            tenant_push(&c, &calm, labels!("app" => "steady"), i, "fine").unwrap();
         }
         assert_eq!(noisy_ok, 3, "burst capacity admits exactly the burst");
         let snaps = c.tenant_snapshots();
@@ -1834,10 +1793,10 @@ mod tests {
             TenantLimits { query_rate_per_sec: 0, query_burst: 0, ..TenantLimits::default() },
         );
         assert!(matches!(
-            c.query_logs_as(&noisy, r#"{app="burst"}"#, -1, 1_000, 10),
+            tenant_logs(&c, &noisy, r#"{app="burst"}"#, -1, 1_000, 10),
             Err(QueryError::TenantRejected(r)) if r.reason == ShedReason::QueryRateExceeded
         ));
-        assert_eq!(c.query_logs_as(&calm, r#"{app="steady"}"#, -1, 1_000, 100).unwrap().len(), 10);
+        assert_eq!(tenant_logs(&c, &calm, r#"{app="steady"}"#, -1, 1_000, 100).unwrap().len(), 10);
     }
 
     #[test]
@@ -1846,17 +1805,17 @@ mod tests {
         let off = TenantId::new("disabled");
         c.tenants().set_override(&off, TenantLimits::zero());
         assert!(matches!(
-            c.push_as(&off, labels!("app" => "x"), 0, "nope"),
+            tenant_push(&c, &off, labels!("app" => "x"), 0, "nope"),
             Err(IngestError::TenantRejected(_))
         ));
         assert!(matches!(
-            c.query_logs_as(&off, r#"{app="x"}"#, -1, 1, 1),
+            tenant_logs(&c, &off, r#"{app="x"}"#, -1, 1, 1),
             Err(QueryError::TenantRejected(_))
         ));
         // Re-enabling mid-session works (hot reload).
         c.tenants().clear_override(&off);
-        c.push_as(&off, labels!("app" => "x"), 0, "back").unwrap();
-        assert_eq!(c.query_logs_as(&off, r#"{app="x"}"#, -1, 1, 10).unwrap().len(), 1);
+        tenant_push(&c, &off, labels!("app" => "x"), 0, "back").unwrap();
+        assert_eq!(tenant_logs(&c, &off, r#"{app="x"}"#, -1, 1, 10).unwrap().len(), 1);
     }
 
     #[test]
@@ -1865,12 +1824,12 @@ mod tests {
         let t = TenantId::new("capped");
         c.tenants()
             .set_override(&t, TenantLimits { max_active_streams: 2, ..TenantLimits::default() });
-        c.push_as(&t, labels!("app" => "a"), 0, "x").unwrap();
-        c.push_as(&t, labels!("app" => "b"), 0, "x").unwrap();
+        tenant_push(&c, &t, labels!("app" => "a"), 0, "x").unwrap();
+        tenant_push(&c, &t, labels!("app" => "b"), 0, "x").unwrap();
         // Existing streams keep ingesting; a third stream is shed.
-        c.push_as(&t, labels!("app" => "a"), 1, "x").unwrap();
+        tenant_push(&c, &t, labels!("app" => "a"), 1, "x").unwrap();
         assert!(matches!(
-            c.push_as(&t, labels!("app" => "c"), 0, "x"),
+            tenant_push(&c, &t, labels!("app" => "c"), 0, "x"),
             Err(IngestError::TenantRejected(r)) if r.reason == ShedReason::MaxActiveStreams
         ));
         let snap = &c.tenant_snapshots()[0];
@@ -1889,19 +1848,20 @@ mod tests {
             TenantLimits { retention_ns: 10 * NANOS_PER_SEC, ..TenantLimits::default() },
         );
         for i in 0..5 {
-            c.push_as(&short, labels!("app" => "fm"), i * NANOS_PER_SEC, "shortlived").unwrap();
-            c.push_as(&long, labels!("app" => "fm"), i * NANOS_PER_SEC, "longlived").unwrap();
+            tenant_push(&c, &short, labels!("app" => "fm"), i * NANOS_PER_SEC, "shortlived")
+                .unwrap();
+            tenant_push(&c, &long, labels!("app" => "fm"), i * NANOS_PER_SEC, "longlived").unwrap();
         }
         c.flush();
         c.clock().set(100 * NANOS_PER_SEC);
         let (chunks, _) = c.enforce_retention();
         assert!(chunks > 0, "short tenant's chunks must age out");
         assert!(
-            c.query_logs_as(&short, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().is_empty(),
+            tenant_logs(&c, &short, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().is_empty(),
             "short tenant's data past its horizon must be gone"
         );
         assert_eq!(
-            c.query_logs_as(&long, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().len(),
+            tenant_logs(&c, &long, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().len(),
             5,
             "one tenant's retention must never delete another tenant's data"
         );
@@ -1915,16 +1875,16 @@ mod tests {
             &t,
             TenantLimits { ingest_rate_per_sec: 0, ingest_burst: 2, ..TenantLimits::default() },
         );
-        c.push_as(&t, labels!("a" => "1"), 0, "x").unwrap();
-        c.push_as(&t, labels!("a" => "1"), 1, "x").unwrap();
-        assert!(c.push_as(&t, labels!("a" => "1"), 2, "x").is_err(), "burst exhausted");
+        tenant_push(&c, &t, labels!("a" => "1"), 0, "x").unwrap();
+        tenant_push(&c, &t, labels!("a" => "1"), 1, "x").unwrap();
+        assert!(tenant_push(&c, &t, labels!("a" => "1"), 2, "x").is_err(), "burst exhausted");
         // Operator raises the limit mid-burst; the very next push admits.
         c.tenants().set_override(
             &t,
             TenantLimits { ingest_rate_per_sec: 0, ingest_burst: 8, ..TenantLimits::default() },
         );
         for i in 3..9 {
-            c.push_as(&t, labels!("a" => "1"), i, "x").unwrap();
+            tenant_push(&c, &t, labels!("a" => "1"), i, "x").unwrap();
         }
         let snap = &c.tenant_snapshots()[0];
         assert_eq!(
@@ -1943,12 +1903,12 @@ mod tests {
             TenantLimits { ingest_rate_per_sec: 0, ingest_burst: 5, ..TenantLimits::default() },
         );
         let entries: Vec<LogEntry> = (0..4).map(|i| LogEntry::new(i, format!("l{i}"))).collect();
-        let out = c.push_stream_batch_as(&t, labels!("app" => "fm"), entries);
+        let out = c.push_frames(Some(&t), [(labels!("app" => "fm"), entries)]);
         assert!(out.iter().all(|r| r.is_ok()));
         // Next frame of 4 exceeds the remaining budget of 1: the whole
         // frame sheds (no partial admit).
         let entries: Vec<LogEntry> = (4..8).map(|i| LogEntry::new(i, format!("l{i}"))).collect();
-        let out = c.push_stream_batch_as(&t, labels!("app" => "fm"), entries);
+        let out = c.push_frames(Some(&t), [(labels!("app" => "fm"), entries)]);
         assert_eq!(out.len(), 4);
         assert!(out.iter().all(|r| matches!(r, Err(IngestError::TenantRejected(_)))));
         let snap = &c.tenant_snapshots()[0];

@@ -56,14 +56,6 @@ pub struct Limits {
     /// Target uncompressed size of one compacted object ("Loki prefers
     /// handling bigger but fewer chunks", §IV-A).
     pub compacted_target_bytes: usize,
-    /// Push decomposable metric aggregations down into the shards: each
-    /// shard returns per-step partial aggregates and the frontend merges
-    /// them, instead of shipping raw entries to a central evaluation
-    /// (real Loki's `parallelise_shardable_queries`). Non-decomposable
-    /// queries fall back to entry shipping regardless of this flag.
-    /// Disabling it forces entry shipping for everything — the knob the
-    /// pushdown≡shipping equivalence suite and benches flip.
-    pub aggregation_pushdown: bool,
 }
 
 impl Default for Limits {
@@ -83,7 +75,6 @@ impl Default for Limits {
             compaction_interval_ns: 600 * NANOS_PER_SEC, // Loki's 10m default
             compact_after_ns: 2 * 3_600 * NANOS_PER_SEC,
             compacted_target_bytes: 1024 * 1024,
-            aggregation_pushdown: true,
         }
     }
 }

@@ -8,7 +8,7 @@
 //! pending → firing state machine per result series; transitions out emit
 //! resolved notifications.
 
-use crate::LokiCluster;
+use crate::{LokiCluster, QueryContext};
 use omni_logql::{parse_expr, pipeline::render_template, Expr, MetricQuery, ParseError};
 use omni_model::{LabelSet, Timestamp};
 use std::collections::HashMap;
@@ -192,12 +192,12 @@ impl Ruler {
             // Rule queries go through the frontend so per-query limits
             // apply to the ruler too; a rejected query contributes no
             // series this cycle (the frontend counts the rejection).
-            let vector =
-                match self.cluster.frontend().run_instant_query(&self.cluster.shards(), query, now)
-                {
-                    Ok((v, _)) => v,
-                    Err(_) => Vec::new(),
-                };
+            let ctx = QueryContext::anonymous(&self.cluster.limits);
+            let vector = self
+                .cluster
+                .frontend()
+                .run_instant_query(&self.cluster.shards(), &ctx, query, now)
+                .map_or_else(|_| Vec::new(), |(v, _)| v);
             let mut seen: Vec<LabelSet> = Vec::new();
             for (series_labels, value) in vector {
                 let key = (gi, ri, series_labels.clone());

@@ -13,13 +13,14 @@
 //! label_count (k_len k v_len v)* entry_count (zigzag(ts) line_len line)*
 //! ```
 //!
-//! A single append writes a run of one; a batch append writes one record
-//! per consecutive same-labels run, so the label set — often half the
-//! encoded bytes — is paid once per stream run instead of once per entry.
+//! A single record is a run of one; a stream frame is one run, so the
+//! label set — often half the encoded bytes — is paid once per frame
+//! instead of once per entry.
 
 use crate::compress::{get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock};
+use crate::StreamFrame;
 use omni_model::lockwitness::{classes, OrderedMutex};
-use omni_model::{LabelSet, LogEntry, LogRecord};
+use omni_model::{LabelSet, LogEntry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -45,89 +46,29 @@ impl Wal {
         }
     }
 
-    /// Append one record (called *before* the in-memory insert — that
-    /// ordering is what makes it a write-ahead log).
-    pub fn append(&self, record: &LogRecord) {
-        let mut buf = self.segment.lock();
-        encode_into(&mut buf, record);
-        self.records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Append a whole batch under one segment lock, one WAL record per
-    /// consecutive same-labels run (replay order equals append order).
-    pub fn append_batch(&self, records: &[LogRecord]) {
-        if records.is_empty() {
-            return;
-        }
-        let mut buf = self.segment.lock();
-        let mut i = 0;
-        while i < records.len() {
-            let mut j = i + 1;
-            while j < records.len() && records[j].labels == records[i].labels {
-                j += 1;
-            }
-            encode_labels(&mut buf, &records[i].labels);
-            put_uvarint(&mut buf, (j - i) as u64);
-            for record in &records[i..j] {
-                encode_entry(&mut buf, record);
-            }
-            i = j;
-        }
-        self.records.fetch_add(records.len() as u64, Ordering::Relaxed);
-    }
-
-    /// Append one stream-framed run — a label set plus its entries, the
-    /// shape of the Loki push protocol — as exactly one WAL record.
+    /// Append one stream frame — a label set plus its entries, the shape
+    /// of the Loki push protocol — as exactly one WAL record (called
+    /// *before* the in-memory insert — that ordering is what makes it a
+    /// write-ahead log).
     pub fn append_run(&self, labels: &LabelSet, entries: &[LogEntry]) {
-        if entries.is_empty() {
-            return;
-        }
-        let mut buf = self.segment.lock();
-        encode_labels(&mut buf, labels);
-        put_uvarint(&mut buf, entries.len() as u64);
-        for entry in entries {
-            put_uvarint(&mut buf, zigzag(entry.ts));
-            put_uvarint(&mut buf, entry.line.len() as u64);
-            buf.extend_from_slice(entry.line.as_bytes());
-        }
-        self.records.fetch_add(entries.len() as u64, Ordering::Relaxed);
+        self.append_runs([(labels, entries)]);
     }
 
-    /// Decode every record (crash-recovery replay).
-    pub fn replay(&self) -> Result<Vec<LogRecord>, CorruptBlock> {
-        let buf = self.segment.lock();
-        let mut pos = 0;
-        let mut out = Vec::new();
-        while pos < buf.len() {
-            let (n_labels, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            let mut labels = LabelSet::new();
-            for _ in 0..n_labels {
-                let (klen, n) = get_uvarint(&buf[pos..])?;
-                pos += n;
-                let k = read_str(&buf, &mut pos, klen as usize)?;
-                let (vlen, n) = get_uvarint(&buf[pos..])?;
-                pos += n;
-                let v = read_str(&buf, &mut pos, vlen as usize)?;
-                labels.insert(k, v);
-            }
-            let (entry_count, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            // A run holds at least 3 bytes per entry; a bigger count than
-            // the remaining segment cannot be honest.
-            if entry_count > (buf.len() - pos) as u64 {
-                return Err(CorruptBlock("wal run count exceeds segment size"));
-            }
-            for _ in 0..entry_count {
-                let (ts_z, n) = get_uvarint(&buf[pos..])?;
-                pos += n;
-                let (line_len, n) = get_uvarint(&buf[pos..])?;
-                pos += n;
-                let line = read_str(&buf, &mut pos, line_len as usize)?;
-                out.push(LogRecord::new(labels.clone(), unzigzag(ts_z), line));
-            }
+    /// Append several frames under one segment lock, one WAL record each
+    /// (replay order equals append order).
+    pub fn append_runs<'a>(&self, runs: impl IntoIterator<Item = (&'a LabelSet, &'a [LogEntry])>) {
+        let mut buf = self.segment.lock();
+        let mut appended = 0;
+        for (labels, entries) in runs {
+            encode_run(&mut buf, labels, entries);
+            appended += entries.len() as u64;
         }
-        Ok(out)
+        self.records.fetch_add(appended, Ordering::Relaxed);
+    }
+
+    /// Decode every run, in append order (crash-recovery replay).
+    pub fn replay(&self) -> Result<Vec<StreamFrame>, CorruptBlock> {
+        decode_runs(&self.segment.lock())
     }
 
     /// Truncate after a checkpoint (all buffered data flushed/offloaded).
@@ -136,34 +77,40 @@ impl Wal {
         self.records.store(0, Ordering::Relaxed);
     }
 
-    /// Checkpoint: drop every record strictly older than `keep_from_ts`
+    /// Checkpoint: drop every entry strictly older than `keep_from_ts`
     /// (those are durable in the chunk store and no longer needed for
-    /// crash recovery), re-encoding the survivors in place. Returns the
-    /// number of records dropped. A corrupt segment is left untouched —
-    /// better an oversized WAL than a discarded one.
+    /// crash recovery), re-encoding the survivors in place with their run
+    /// framing intact. Returns the number of entries dropped. The segment
+    /// lock is held from decode to swap, so a concurrent append lands
+    /// either before the checkpoint (and is filtered like any other) or
+    /// after it — never in between, where it would be overwritten. A
+    /// corrupt segment is left untouched — better an oversized WAL than a
+    /// discarded one.
     pub fn checkpoint(&self, keep_from_ts: i64) -> usize {
-        let survivors = match self.replay() {
-            Ok(records) => records,
-            Err(_) => return 0,
-        };
-        let total = survivors.len();
-        let keep: Vec<&LogRecord> =
-            survivors.iter().filter(|r| r.entry.ts >= keep_from_ts).collect();
-        let dropped = total - keep.len();
+        let mut buf = self.segment.lock();
+        let Ok(mut runs) = decode_runs(&buf) else { return 0 };
+        let mut dropped = 0;
+        for (_, entries) in &mut runs {
+            let before = entries.len();
+            entries.retain(|e| e.ts >= keep_from_ts);
+            dropped += before - entries.len();
+        }
         if dropped == 0 {
             return 0;
         }
+        // A fresh buffer, so the shrunken segment also gives its memory back.
         let mut fresh = Vec::new();
-        for r in &keep {
-            encode_into(&mut fresh, r);
+        let mut kept = 0;
+        for (labels, entries) in &runs {
+            encode_run(&mut fresh, labels, entries);
+            kept += entries.len() as u64;
         }
-        let mut buf = self.segment.lock();
         *buf = fresh;
-        self.records.store(keep.len() as u64, Ordering::Relaxed);
+        self.records.store(kept, Ordering::Relaxed);
         dropped
     }
 
-    /// Records currently held.
+    /// Entries currently held.
     pub fn record_count(&self) -> u64 {
         self.records.load(Ordering::Relaxed)
     }
@@ -174,13 +121,12 @@ impl Wal {
     }
 }
 
-fn encode_into(buf: &mut Vec<u8>, record: &LogRecord) {
-    encode_labels(buf, &record.labels);
-    put_uvarint(buf, 1);
-    encode_entry(buf, record);
-}
-
-fn encode_labels(buf: &mut Vec<u8>, labels: &LabelSet) {
+/// The one encoder: a label set, then its run of entries. An empty run
+/// writes nothing.
+fn encode_run(buf: &mut Vec<u8>, labels: &LabelSet, entries: &[LogEntry]) {
+    if entries.is_empty() {
+        return;
+    }
     put_uvarint(buf, labels.len() as u64);
     for (k, v) in labels.iter() {
         put_uvarint(buf, k.len() as u64);
@@ -188,12 +134,49 @@ fn encode_labels(buf: &mut Vec<u8>, labels: &LabelSet) {
         put_uvarint(buf, v.len() as u64);
         buf.extend_from_slice(v.as_bytes());
     }
+    put_uvarint(buf, entries.len() as u64);
+    for entry in entries {
+        put_uvarint(buf, zigzag(entry.ts));
+        put_uvarint(buf, entry.line.len() as u64);
+        buf.extend_from_slice(entry.line.as_bytes());
+    }
 }
 
-fn encode_entry(buf: &mut Vec<u8>, record: &LogRecord) {
-    put_uvarint(buf, zigzag(record.entry.ts));
-    put_uvarint(buf, record.entry.line.len() as u64);
-    buf.extend_from_slice(record.entry.line.as_bytes());
+fn decode_runs(buf: &[u8]) -> Result<Vec<StreamFrame>, CorruptBlock> {
+    let mut pos = 0;
+    let mut out = Vec::new();
+    while pos < buf.len() {
+        let (n_labels, n) = get_uvarint(&buf[pos..])?;
+        pos += n;
+        let mut labels = LabelSet::new();
+        for _ in 0..n_labels {
+            let (klen, n) = get_uvarint(&buf[pos..])?;
+            pos += n;
+            let k = read_str(buf, &mut pos, klen as usize)?;
+            let (vlen, n) = get_uvarint(&buf[pos..])?;
+            pos += n;
+            let v = read_str(buf, &mut pos, vlen as usize)?;
+            labels.insert(k, v);
+        }
+        let (entry_count, n) = get_uvarint(&buf[pos..])?;
+        pos += n;
+        // A run holds at least 2 bytes per entry; a bigger count than
+        // the remaining segment cannot be honest.
+        if entry_count > (buf.len() - pos) as u64 {
+            return Err(CorruptBlock("wal run count exceeds segment size"));
+        }
+        let mut entries = Vec::with_capacity(entry_count as usize);
+        for _ in 0..entry_count {
+            let (ts_z, n) = get_uvarint(&buf[pos..])?;
+            pos += n;
+            let (line_len, n) = get_uvarint(&buf[pos..])?;
+            pos += n;
+            let line = read_str(buf, &mut pos, line_len as usize)?;
+            entries.push(LogEntry::new(unzigzag(ts_z), line));
+        }
+        out.push((labels, entries));
+    }
+    Ok(out)
 }
 
 fn read_str(buf: &[u8], pos: &mut usize, len: usize) -> Result<String, CorruptBlock> {
@@ -212,10 +195,27 @@ mod tests {
     use super::*;
     use crate::{Ingester, Limits};
     use omni_logql::parse_selector;
-    use omni_model::labels;
+    use omni_model::{labels, LogRecord};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
     fn record(i: i64) -> LogRecord {
         LogRecord::new(labels!("app" => "x", "n" => format!("{}", i % 3)), i, format!("line {i}"))
+    }
+
+    /// Append one record as a run of one.
+    fn append(wal: &Wal, r: &LogRecord) {
+        wal.append_run(&r.labels, std::slice::from_ref(&r.entry));
+    }
+
+    /// Replay flattened to records, in append order.
+    fn replayed(wal: &Wal) -> Vec<LogRecord> {
+        let runs = wal.replay().unwrap();
+        runs.into_iter()
+            .flat_map(|(labels, es)| {
+                es.into_iter().map(move |entry| LogRecord { labels: labels.clone(), entry })
+            })
+            .collect()
     }
 
     #[test]
@@ -223,16 +223,16 @@ mod tests {
         let wal = Wal::new();
         let records: Vec<LogRecord> = (0..50).map(record).collect();
         for r in &records {
-            wal.append(r);
+            append(&wal, r);
         }
         assert_eq!(wal.record_count(), 50);
-        assert_eq!(wal.replay().unwrap(), records);
+        assert_eq!(replayed(&wal), records);
     }
 
     #[test]
     fn truncate_resets() {
         let wal = Wal::new();
-        wal.append(&record(1));
+        append(&wal, &record(1));
         wal.truncate();
         assert_eq!(wal.record_count(), 0);
         assert_eq!(wal.bytes(), 0);
@@ -243,7 +243,7 @@ mod tests {
     fn clones_share_segment() {
         let wal = Wal::new();
         let clone = wal.clone();
-        wal.append(&record(1));
+        append(&wal, &record(1));
         assert_eq!(clone.record_count(), 1);
     }
 
@@ -251,8 +251,8 @@ mod tests {
     fn unicode_survives() {
         let wal = Wal::new();
         let r = LogRecord::new(labels!("app" => "naïve"), 1, "日本語 line");
-        wal.append(&r);
-        assert_eq!(wal.replay().unwrap(), vec![r]);
+        append(&wal, &r);
+        assert_eq!(replayed(&wal), vec![r]);
     }
 
     #[test]
@@ -264,16 +264,18 @@ mod tests {
         let ingester = Ingester::new(Limits::default());
         for i in 0..100 {
             let r = record(i);
-            wal.append(&r); // write-ahead
+            append(&wal, &r); // write-ahead
             ingester.append(r).unwrap();
         }
         drop(ingester); // crash: head chunks lost
 
         let recovered = Ingester::new(Limits::default());
         let mut replayed = 0;
-        for r in wal.replay().unwrap() {
-            recovered.append(r).unwrap();
-            replayed += 1;
+        for (labels, entries) in wal.replay().unwrap() {
+            let frame = (labels.fingerprint(), labels, entries.len());
+            let results = recovered.append_frames([frame], entries);
+            assert!(results.iter().all(|r| r.is_ok()));
+            replayed += results.len();
         }
         assert_eq!(replayed, 100);
         let sel = parse_selector(r#"{app="x"}"#).unwrap();
@@ -285,14 +287,14 @@ mod tests {
     fn checkpoint_drops_only_persisted_prefix() {
         let wal = Wal::new();
         for i in 0..100 {
-            wal.append(&record(i));
+            append(&wal, &record(i));
         }
         let before = wal.bytes();
         let dropped = wal.checkpoint(60);
         assert_eq!(dropped, 60);
         assert_eq!(wal.record_count(), 40);
         assert!(wal.bytes() < before, "segment must shrink after checkpoint");
-        let survivors = wal.replay().unwrap();
+        let survivors = replayed(&wal);
         assert_eq!(survivors.len(), 40);
         assert!(survivors.iter().all(|r| r.entry.ts >= 60));
         // Checkpointing at an older bound is a no-op.
@@ -301,39 +303,99 @@ mod tests {
     }
 
     #[test]
-    fn append_batch_replays_identically_to_sequential_appends() {
-        let one_by_one = Wal::new();
-        let batched = Wal::new();
-        // `record(i)` cycles 3 label sets, so this batch has 50 runs of 1
-        // as well as (below) a sorted batch with 3 long runs.
-        let records: Vec<LogRecord> = (0..50).map(record).collect();
-        for r in &records {
-            one_by_one.append(r);
-        }
-        batched.append_batch(&records);
-        assert_eq!(one_by_one.record_count(), batched.record_count());
-        assert_eq!(batched.replay().unwrap(), records);
-        assert_eq!(one_by_one.replay().unwrap(), batched.replay().unwrap());
+    fn checkpoint_keeps_run_framing() {
+        // Regression: survivors used to be re-encoded as runs of one, so
+        // after the first checkpoint every entry paid its label set again
+        // and dropping a tenth of a run *grew* the segment.
+        let wal = Wal::new();
+        let labels = labels!("app" => "x", "host" => "nid001234");
+        let entries: Vec<LogEntry> =
+            (0..100).map(|i| LogEntry::new(i, format!("line {i}"))).collect();
+        wal.append_run(&labels, &entries);
+        let before = wal.bytes();
+        assert_eq!(wal.checkpoint(10), 10);
+        assert!(wal.bytes() < before, "{} -> {}", before, wal.bytes());
+        assert_eq!(wal.replay().unwrap(), vec![(labels, entries[10..].to_vec())]);
+    }
 
-        // A stream-contiguous batch encodes each label set once per run:
-        // strictly smaller segment, identical replay.
+    #[test]
+    fn checkpoint_never_loses_concurrent_appends() {
+        // Regression: checkpoint used to decode under one lock
+        // acquisition and overwrite the segment under a second; an append
+        // landing in between vanished from the WAL.
+        const APPENDERS: usize = 4;
+        const PER_APPENDER: i64 = 2_000;
+        let wal = Wal::new();
+        let start = Barrier::new(APPENDERS + 1);
+        let done = AtomicBool::new(false);
+        let dropped = std::thread::scope(|s| {
+            let appenders: Vec<_> = (0..APPENDERS)
+                .map(|t| {
+                    let (wal, start) = (&wal, &start);
+                    s.spawn(move || {
+                        let labels = labels!("app" => "x", "worker" => format!("{t}"));
+                        start.wait();
+                        for i in 0..PER_APPENDER {
+                            wal.append_run(&labels, &[LogEntry::new(i, format!("line {i}"))]);
+                        }
+                    })
+                })
+                .collect();
+            let checkpointer = s.spawn(|| {
+                start.wait();
+                let (mut dropped, mut bound) = (0, 0);
+                while !done.load(Ordering::SeqCst) {
+                    // A bound that drops nothing, then one that drops a
+                    // (rising) prefix.
+                    dropped += wal.checkpoint(i64::MIN + 1);
+                    bound += 25;
+                    dropped += wal.checkpoint(bound);
+                }
+                dropped
+            });
+            for a in appenders {
+                a.join().expect("appender panicked");
+            }
+            done.store(true, Ordering::SeqCst);
+            checkpointer.join().expect("checkpointer panicked")
+        });
+        let survivors: usize = wal.replay().unwrap().iter().map(|(_, es)| es.len()).sum();
+        assert_eq!(survivors + dropped, APPENDERS * PER_APPENDER as usize, "appends lost");
+        assert_eq!(wal.record_count(), survivors as u64);
+    }
+
+    #[test]
+    fn run_framing_amortises_label_bytes() {
+        // `record(i)` cycles 3 label sets: appended in arrival order the
+        // segment holds 50 runs of one; sorted by stream and framed, 3
+        // long runs. Same records back either way, strictly fewer bytes.
+        let records: Vec<LogRecord> = (0..50).map(record).collect();
+        let one_by_one = Wal::new();
+        for r in &records {
+            append(&one_by_one, r);
+        }
         let mut sorted = records.clone();
         sorted.sort_by_key(|r| r.labels.get("n").unwrap().to_string());
-        let run_framed = Wal::new();
-        run_framed.append_batch(&sorted);
-        assert_eq!(run_framed.replay().unwrap(), sorted);
+        let framed = Wal::new();
+        for run in sorted.chunk_by(|a, b| a.labels == b.labels) {
+            let entries: Vec<LogEntry> = run.iter().map(|r| r.entry.clone()).collect();
+            framed.append_run(&run[0].labels, &entries);
+        }
+        assert_eq!(framed.replay().unwrap().len(), 3);
+        assert_eq!(one_by_one.record_count(), framed.record_count());
+        assert_eq!(replayed(&framed), sorted);
         assert!(
-            run_framed.bytes() < batched.bytes(),
+            framed.bytes() < one_by_one.bytes(),
             "run framing must amortise label bytes: {} vs {}",
-            run_framed.bytes(),
-            batched.bytes()
+            framed.bytes(),
+            one_by_one.bytes()
         );
     }
 
     #[test]
     fn corrupt_segment_reported() {
         let wal = Wal::new();
-        wal.append(&record(1));
+        append(&wal, &record(1));
         // Truncate the underlying segment mid-record.
         {
             let mut seg = wal.segment.lock();

@@ -1,10 +1,15 @@
 //! Property tests for the query frontend: splitting a query into
 //! retention-aligned intervals, executing the splits in parallel, and
 //! serving repeats from the results cache must all be invisible — the
-//! frontend's answer is byte-identical to running the engine directly
-//! over a single unsharded ingester, cold or warm, before and after new
-//! data lands inside a cached window.
+//! frontend's answer is byte-identical to running the log engine (for
+//! metric queries: the `omni_logql::eval` reference) directly over a
+//! single unsharded ingester, cold or warm, before and after new data
+//! lands inside a cached window.
 
+mod common;
+
+use common::reference_fetch;
+use omni_logql::eval::eval_metric_range;
 use omni_logql::{parse_expr, Expr, LogQuery, MetricQuery};
 use omni_loki::{Direction, Ingester, Limits, LokiCluster};
 use omni_model::{LabelSet, LogRecord, SimClock};
@@ -78,7 +83,7 @@ proptest! {
         let direction = if backward { Direction::Backward } else { Direction::Forward };
         let text = r#"{app="x"}"#;
         let q = log_query(text);
-        let direct = omni_loki::engine::run_log_query(
+        let (direct, _) = omni_loki::engine::run_log_query(
             std::slice::from_ref(&single), &q, 0, end, limit, direction,
         );
 
@@ -100,16 +105,16 @@ proptest! {
         cluster.push_record(mid.clone()).unwrap();
         single.append(mid).unwrap();
         let refreshed = cluster.query_logs_directed(text, 0, end, limit, direction).unwrap();
-        let direct = omni_loki::engine::run_log_query(
+        let (direct, _) = omni_loki::engine::run_log_query(
             &[single], &q, 0, end, limit, direction,
         );
         prop_assert_eq!(refreshed, direct);
     }
 
-    /// Split + cached range queries equal the direct engine across
-    /// random split intervals, steps, and lookback ranges.
+    /// Split + cached range queries equal the reference evaluation
+    /// across random split intervals, steps, and lookback ranges.
     #[test]
-    fn frontend_range_query_equals_direct_engine(
+    fn frontend_range_query_equals_reference(
         records in arb_records(),
         splits in 1i64..6,
         step_s in 1i64..45,
@@ -122,9 +127,11 @@ proptest! {
         let text = format!(r#"sum by (stream) (count_over_time({{app="x"}}[{range_s}s]))"#);
         let m = metric_query(&text);
         let step_ns = step_s * 1_000_000_000;
-        let direct = omni_loki::engine::run_range_query(
-            std::slice::from_ref(&single), &m, 0, end, step_ns,
-        );
+        let reference = || {
+            let mut fetch = reference_fetch(|sel, s, e| single.query(sel, s, e));
+            eval_metric_range(&m, 0, end, step_ns, &mut fetch)
+        };
+        let direct = reference();
 
         let cold = cluster.query_range(&text, 0, end, step_ns).unwrap();
         prop_assert_eq!(&cold, &direct);
@@ -142,7 +149,6 @@ proptest! {
         cluster.push_record(mid.clone()).unwrap();
         single.append(mid).unwrap();
         let refreshed = cluster.query_range(&text, 0, end, step_ns).unwrap();
-        let direct = omni_loki::engine::run_range_query(&[single], &m, 0, end, step_ns);
-        prop_assert_eq!(refreshed, direct);
+        prop_assert_eq!(refreshed, reference());
     }
 }

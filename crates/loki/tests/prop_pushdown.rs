@@ -1,20 +1,24 @@
-//! Property tests for aggregation pushdown: for every decomposable
+//! Property tests for the metric evaluator: for every range
 //! aggregation, evaluating per-shard partials and merging them at the
-//! frontend (`aggregation_pushdown: true`) must be indistinguishable
-//! from shipping entries to a central evaluation
-//! (`aggregation_pushdown: false`) and from running the engine directly
-//! over one unsharded ingester — across random stream shapes, tenants,
-//! time splits, and cache states.
+//! frontend must be indistinguishable from the reference — the central
+//! single-pass `omni_logql::eval` over one unsharded ingester holding
+//! the same records — across random stream shapes, tenants, time
+//! splits, and cache states.
 //!
 //! Unwrapped values are integers, so every partial sum is exactly
 //! representable and float association order cannot blur the
 //! comparison — equality here is exact, not approximate.
 
-use omni_logql::{parse_expr, Expr, MetricQuery};
-use omni_loki::{Ingester, Limits, LokiCluster};
-use omni_model::{LabelSet, LogRecord, SimClock, TenantId};
+mod common;
+
+use common::reference_fetch;
+use omni_logql::eval::{eval_metric_at, eval_metric_range};
+use omni_logql::{parse_expr, Expr, Matrix, MetricQuery};
+use omni_loki::{
+    Ingester, Limits, LokiCluster, QueryReport, QueryRequest, QueryShape, TENANT_LABEL,
+};
+use omni_model::{LabelSet, LogRecord, SimClock, TenantId, Timestamp};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Records over a handful of streams with non-decreasing timestamps and
 /// logfmt lines carrying an integer `v=` for the unwrap aggregations.
@@ -36,11 +40,9 @@ fn arb_records() -> impl Strategy<Value = Vec<LogRecord>> {
         })
 }
 
-/// Every decomposable shape: all eight partial-capable range
-/// aggregations (including `avg_over_time`, decomposed as sum+count),
-/// vector aggregations and filters above them — plus the two
-/// non-decomposable ops, which must transparently fall back to entry
-/// shipping and still agree.
+/// All ten range aggregations (`avg_over_time` decomposed as
+/// sum+count, `first`/`last_over_time` as timestamp-carrying partials),
+/// with vector aggregations and filters above them.
 const QUERIES: &[&str] = &[
     r#"sum by (stream) (count_over_time({app="x"}[RANGEs]))"#,
     r#"rate({app="x"}[RANGEs])"#,
@@ -53,7 +55,11 @@ const QUERIES: &[&str] = &[
     r#"avg(count_over_time({app="x"}[RANGEs]))"#,
     r#"sum by (stream) (count_over_time({app="x"} |= "msg" [RANGEs])) > 1"#,
     r#"first_over_time({app="x"} | logfmt | unwrap v [RANGEs])"#,
-    r#"last_over_time({app="x"} | logfmt | unwrap v [RANGEs])"#,
+    r#"sum by (stream) (last_over_time({app="x"} | logfmt | unwrap v [RANGEs]))"#,
+    // Same, with each stream folded back into one group so that the
+    // timestamp actually selects among several values.
+    r#"first_over_time({app="x"} | logfmt | unwrap v | label_format v="" | label_format msg="" [RANGEs])"#,
+    r#"last_over_time({app="x"} | logfmt | unwrap v | label_format v="" | label_format msg="" [RANGEs])"#,
 ];
 
 fn metric_query(text: &str) -> MetricQuery {
@@ -63,40 +69,44 @@ fn metric_query(text: &str) -> MetricQuery {
     }
 }
 
-/// A pushdown cluster, an entry-shipping cluster, and a bare ingester
-/// holding identical records.
-fn build_triple(
-    records: &[LogRecord],
-    split_interval_ns: i64,
-) -> (LokiCluster, LokiCluster, Arc<Ingester>) {
-    let limits = Limits {
-        chunk_target_bytes: 512,
-        split_interval_ns,
-        aggregation_pushdown: true,
-        ..Default::default()
-    };
-    let pushdown = LokiCluster::new(4, limits.clone(), SimClock::starting_at(0));
-    let shipping = LokiCluster::new(
-        4,
-        Limits { aggregation_pushdown: false, ..limits.clone() },
-        SimClock::starting_at(0),
-    );
-    let single = Arc::new(Ingester::new(limits));
+/// A sharded cluster and its single-shard twin holding identical
+/// records.
+fn build_pair(records: &[LogRecord], split_interval_ns: i64) -> (LokiCluster, Ingester) {
+    let limits = Limits { chunk_target_bytes: 512, split_interval_ns, ..Default::default() };
+    let cluster = LokiCluster::new(4, limits.clone(), SimClock::starting_at(0));
+    let twin = Ingester::new(limits);
     for r in records {
-        pushdown.push_record(r.clone()).unwrap();
-        shipping.push_record(r.clone()).unwrap();
-        single.append(r.clone()).unwrap();
+        cluster.push_record(r.clone()).unwrap();
+        twin.append(r.clone()).unwrap();
     }
-    (pushdown, shipping, single)
+    (cluster, twin)
+}
+
+/// The reference matrix: central evaluation over the twin.
+fn reference_range(twin: &Ingester, m: &MetricQuery, end: Timestamp, step_ns: i64) -> Matrix {
+    eval_metric_range(m, 0, end, step_ns, &mut reference_fetch(|sel, s, e| twin.query(sel, s, e)))
+}
+
+/// A range query through the door, with its report.
+fn query_range(
+    cluster: &LokiCluster,
+    tenant: Option<&TenantId>,
+    query: &str,
+    end: Timestamp,
+    step_ns: i64,
+) -> (Matrix, QueryReport) {
+    let shape = QueryShape::Range { start: 0, end, step_ns };
+    let resp = cluster.query(QueryRequest { tenant, query, shape }).unwrap();
+    (resp.data.into_matrix().unwrap(), resp.report)
 }
 
 proptest! {
-    /// pushdown ≡ entry shipping ≡ direct engine, for every
-    /// aggregation, across random stream shapes, split intervals and
-    /// steps — cold, warm, with interleaved warm/cold splits, and after
-    /// an append invalidates part of the cache.
+    /// partials ≡ reference, for every aggregation, across random
+    /// stream shapes, split intervals and steps — cold, warm, with
+    /// interleaved warm/cold splits, and after an append invalidates
+    /// part of the cache.
     #[test]
-    fn pushdown_equals_shipping_equals_direct(
+    fn partials_equal_reference(
         records in arb_records(),
         splits in 1i64..6,
         step_s in 1i64..45,
@@ -105,42 +115,32 @@ proptest! {
     ) {
         let end = records.iter().map(|r| r.entry.ts).max().unwrap() + 1;
         let interval = (end / splits).max(1);
-        let (pushdown, shipping, single) = build_triple(&records, interval);
+        let (cluster, twin) = build_pair(&records, interval);
 
         let text = QUERIES[query_idx].replace("RANGE", &range_s.to_string());
         let m = metric_query(&text);
-        let decomposable = omni_logql::decomposable(&m);
         let step_ns = step_s * 1_000_000_000;
-        let direct = omni_loki::engine::run_range_query(
-            std::slice::from_ref(&single), &m, 0, end, step_ns,
-        );
+        let reference = reference_range(&twin, &m, end, step_ns);
 
-        // Cold: partial-merging and entry-shipping agree with the
-        // unsplit, unsharded evaluation — and the pushdown path really
-        // did move partials, not entries.
-        let (cold, stats) = pushdown.query_range_with_stats(&text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&cold, &direct);
-        let shipped = shipping.query_range(&text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&shipped, &direct);
-        if decomposable {
-            prop_assert_eq!(stats.entries_shipped, 0);
-            if !cold.is_empty() {
-                prop_assert!(stats.partials_merged > 0);
-            }
-        } else {
-            prop_assert_eq!(stats.partials_merged, 0);
+        // Cold: merged partials agree with the unsplit, unsharded
+        // central evaluation — and partials really are what moved.
+        let (cold, report) = query_range(&cluster, None, &text, end, step_ns);
+        prop_assert_eq!(&cold, &reference);
+        prop_assert_eq!(report.stats.entries_shipped, 0);
+        if !cold.is_empty() {
+            prop_assert!(report.stats.partials_merged > 0);
         }
 
         // Warm: served from the results cache, still identical.
-        let warm = pushdown.query_range(&text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&warm, &direct);
+        let warm = cluster.query_range(&text, 0, end, step_ns).unwrap();
+        prop_assert_eq!(&warm, &reference);
 
-        // Instant evaluation decomposes the same way.
+        // Instant evaluation reduces the same way.
         let at = end / 2;
-        let instant = pushdown.query_instant(&text, at).unwrap();
-        let direct_instant =
-            omni_loki::engine::run_instant_query(std::slice::from_ref(&single), &m, at);
-        prop_assert_eq!(&instant, &direct_instant);
+        let instant = cluster.query_instant(&text, at).unwrap();
+        let reference_instant =
+            eval_metric_at(&m, at, &mut reference_fetch(|sel, s, e| twin.query(sel, s, e)));
+        prop_assert_eq!(&instant, &reference_instant);
 
         // Cache interleaving: an append invalidates the splits whose
         // windows cover it, so the refresh mixes warm time-splits with
@@ -150,22 +150,18 @@ proptest! {
             end / 2,
             "v=7 msg=late",
         );
-        pushdown.push_record(mid.clone()).unwrap();
-        shipping.push_record(mid.clone()).unwrap();
-        single.append(mid).unwrap();
-        let direct = omni_loki::engine::run_range_query(&[single], &m, 0, end, step_ns);
-        let refreshed = pushdown.query_range(&text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&refreshed, &direct);
-        let reshipped = shipping.query_range(&text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&reshipped, &direct);
+        cluster.push_record(mid.clone()).unwrap();
+        twin.append(mid).unwrap();
+        let refreshed = cluster.query_range(&text, 0, end, step_ns).unwrap();
+        prop_assert_eq!(&refreshed, &reference_range(&twin, &m, end, step_ns));
     }
 
-    /// Tenant-scoped pushdown: the injected tenant matcher threads
+    /// Tenant-scoped evaluation: the injected tenant matcher threads
     /// through the shard-local evaluation, so a tenant sees exactly what
-    /// the entry-shipping path computes for its streams — and never
-    /// another tenant's data.
+    /// the reference computes over its own streams — and never another
+    /// tenant's data.
     #[test]
-    fn tenant_scoped_pushdown_equals_shipping(
+    fn tenant_scoped_partials_equal_reference(
         records in arb_records(),
         splits in 1i64..6,
         step_s in 1i64..45,
@@ -173,24 +169,27 @@ proptest! {
     ) {
         let end = records.iter().map(|r| r.entry.ts).max().unwrap() + 1;
         let interval = (end / splits).max(1);
-        let (pushdown, shipping, _) = build_triple(&[], interval);
-        let acme = TenantId::new("acme");
-        let rival = TenantId::new("rival");
+        let (cluster, _) = build_pair(&[], interval);
+        let tenants = [TenantId::new("acme"), TenantId::new("rival")];
+        // One twin per tenant, holding what the tenant's streams look
+        // like in storage (the tenant label injected).
+        let twins = [Ingester::new(Limits::default()), Ingester::new(Limits::default())];
         for (i, r) in records.iter().enumerate() {
             // Interleave two tenants over the same label shapes.
-            let t = if i % 3 == 0 { &rival } else { &acme };
-            pushdown.push_record_as(t, r.clone()).unwrap();
-            shipping.push_record_as(t, r.clone()).unwrap();
+            let t = usize::from(i % 3 == 0);
+            let frame = (r.labels.clone(), vec![r.entry.clone()]);
+            prop_assert_eq!(cluster.push_frames(Some(&tenants[t]), [frame]), vec![Ok(())]);
+            let mut scoped = r.clone();
+            scoped.labels.insert(TENANT_LABEL, tenants[t].as_str());
+            twins[t].append(scoped).unwrap();
         }
 
         let text = QUERIES[query_idx].replace("RANGE", "30");
+        let m = metric_query(&text);
         let step_ns = step_s * 1_000_000_000;
-        let a = pushdown.query_range_as(&acme, &text, 0, end, step_ns).unwrap();
-        let b = shipping.query_range_as(&acme, &text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&a, &b);
-        // And the other tenant's view is independently consistent.
-        let ra = pushdown.query_range_as(&rival, &text, 0, end, step_ns).unwrap();
-        let rb = shipping.query_range_as(&rival, &text, 0, end, step_ns).unwrap();
-        prop_assert_eq!(&ra, &rb);
+        for (tenant, twin) in tenants.iter().zip(&twins) {
+            let (matrix, _) = query_range(&cluster, Some(tenant), &text, end, step_ns);
+            prop_assert_eq!(matrix, reference_range(twin, &m, end, step_ns));
+        }
     }
 }

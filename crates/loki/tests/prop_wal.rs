@@ -2,8 +2,8 @@
 //! survive an encode → replay cycle bit-for-bit, including non-ASCII
 //! lines and negative (pre-epoch) timestamps exercising the zigzag path.
 
-use omni_loki::{Limits, LokiCluster, Wal};
-use omni_model::{LabelSet, LogRecord, SimClock};
+use omni_loki::{Limits, LokiCluster, StreamFrame, Wal};
+use omni_model::{LabelSet, LogEntry, SimClock};
 use proptest::prelude::*;
 
 /// Arbitrary label sets: 1..6 pairs, names lowercase, values spanning
@@ -18,48 +18,55 @@ fn arb_labels() -> impl Strategy<Value = LabelSet> {
     })
 }
 
-fn arb_record() -> impl Strategy<Value = LogRecord> {
-    (
-        arb_labels(),
+/// A stream frame: one label set and a run of 1..6 entries.
+fn arb_frame() -> impl Strategy<Value = StreamFrame> {
+    let entry = (
         // Timestamps on both sides of the epoch: negative values take the
         // zigzag encoder through its sign-folding branch.
         prop_oneof![-2_000_000_000i64..2_000_000_000, Just(i64::MIN / 2), Just(i64::MAX / 2),],
         // Lines mixing ASCII, escapes and multi-byte unicode.
         prop_oneof!["\\PC{0,80}", "[é中Ω→ß¥☃ \t]{0,20}", Just(String::new())],
     )
-        .prop_map(|(labels, ts, line)| LogRecord::new(labels, ts, line))
+        .prop_map(|(ts, line)| LogEntry::new(ts, line));
+    (arb_labels(), prop::collection::vec(entry, 1..6))
 }
 
 proptest! {
-    /// Encode → replay returns exactly the appended records, in order.
+    /// Encode → replay returns exactly the appended frames, in order.
     #[test]
-    fn append_replay_roundtrip(records in prop::collection::vec(arb_record(), 0..60)) {
+    fn append_replay_roundtrip(frames in prop::collection::vec(arb_frame(), 0..30)) {
         let wal = Wal::new();
-        for r in &records {
-            wal.append(r);
+        for (labels, entries) in &frames {
+            wal.append_run(labels, entries);
         }
-        prop_assert_eq!(wal.record_count(), records.len() as u64);
-        let replayed = wal.replay().unwrap();
-        prop_assert_eq!(replayed, records);
+        let total: usize = frames.iter().map(|(_, es)| es.len()).sum();
+        prop_assert_eq!(wal.record_count(), total as u64);
+        prop_assert_eq!(wal.replay().unwrap(), frames);
     }
 
-    /// Checkpointing keeps exactly the records at or after the bound and
-    /// never grows the segment.
+    /// Checkpointing keeps exactly the entries at or after the bound —
+    /// still framed as they were appended — and never grows the segment.
     #[test]
     fn checkpoint_partitions_by_timestamp(
-        records in prop::collection::vec(arb_record(), 0..60),
+        frames in prop::collection::vec(arb_frame(), 0..30),
         bound in -2_000_000_000i64..2_000_000_000,
     ) {
         let wal = Wal::new();
-        for r in &records {
-            wal.append(r);
-        }
+        wal.append_runs(frames.iter().map(|(labels, entries)| (labels, entries.as_slice())));
         let before_bytes = wal.bytes();
+        let before_count = wal.record_count();
         let dropped = wal.checkpoint(bound);
-        let expected: Vec<LogRecord> =
-            records.iter().filter(|r| r.entry.ts >= bound).cloned().collect();
-        prop_assert_eq!(dropped, records.len() - expected.len());
-        prop_assert_eq!(wal.record_count(), expected.len() as u64);
+        let expected: Vec<StreamFrame> = frames
+            .into_iter()
+            .map(|(labels, mut entries)| {
+                entries.retain(|e| e.ts >= bound);
+                (labels, entries)
+            })
+            .filter(|(_, entries)| !entries.is_empty())
+            .collect();
+        let kept: usize = expected.iter().map(|(_, es)| es.len()).sum();
+        prop_assert_eq!(dropped as u64, before_count - kept as u64);
+        prop_assert_eq!(wal.record_count(), kept as u64);
         prop_assert!(wal.bytes() <= before_bytes);
         prop_assert_eq!(wal.replay().unwrap(), expected);
     }

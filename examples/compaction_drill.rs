@@ -27,8 +27,11 @@
 
 use shasta_mon::json::{parse, Json};
 use shasta_mon::loki::chunk::SealedChunk;
-use shasta_mon::loki::{ColdTierPolicy, Limits, LokiCluster, ObjectStore, QueryStats};
-use shasta_mon::model::{LabelSet, LogEntry, SimClock, NANOS_PER_SEC};
+use shasta_mon::loki::{
+    ColdTierPolicy, Direction, Limits, LokiCluster, ObjectStore, QueryRequest, QueryShape,
+    QueryStats,
+};
+use shasta_mon::model::{LabelSet, LogEntry, LogRecord, SimClock, NANOS_PER_SEC};
 use std::time::Instant;
 
 const SEED: u64 = 7;
@@ -60,6 +63,19 @@ impl Rng {
         self.0 = x;
         x
     }
+}
+
+/// An unlimited backward log query over `(win.0, win.1]` with its merged
+/// execution statistics.
+fn logs_with_stats(c: &LokiCluster, query: &str, win: (i64, i64)) -> (Vec<LogRecord>, QueryStats) {
+    let shape = QueryShape::Logs {
+        start: win.0,
+        end: win.1,
+        limit: usize::MAX,
+        direction: Direction::default(),
+    };
+    let resp = c.query(QueryRequest { tenant: None, query, shape }).expect("archaeology query");
+    (resp.data.into_logs().expect("a log query returns records"), resp.report.stats)
 }
 
 fn write_report(section: &str, value: Json) {
@@ -165,8 +181,7 @@ fn main() {
     c.frontend().invalidate_all();
     let (_, gets0) = store.objects().op_counts();
     let t0 = Instant::now();
-    let (recs_before, stats_before) =
-        c.query_logs_with_stats(archaeology, win.0, win.1, usize::MAX).expect("cold query");
+    let (recs_before, stats_before) = logs_with_stats(&c, archaeology, win);
     let wall_before = t0.elapsed();
     let (_, gets1) = store.objects().op_counts();
     assert_eq!(recs_before.len(), 50, "the incident must be fully recovered");
@@ -211,8 +226,7 @@ fn main() {
     // ── Phase 4: the same archaeology, now against the cold tier ──────
     c.frontend().invalidate_all();
     let t1 = Instant::now();
-    let (recs_after, stats_after) =
-        c.query_logs_with_stats(archaeology, win.0, win.1, usize::MAX).expect("cold-tier query");
+    let (recs_after, stats_after) = logs_with_stats(&c, archaeology, win);
     let wall_after = t1.elapsed();
     assert_eq!(recs_before, recs_after, "compaction must not change query results");
     assert!(stats_after.cold_chunks_touched > 0, "the read came from the cold tier");

@@ -90,12 +90,9 @@ fn main() {
     // --- Part 3: the refresh moved partials, not entries --------------
     let stats = stack.omni.loki().frontend().stats();
     println!(
-        "\nfrontend pushdown: {} queries pushed down, {} fell back, \
+        "\nfrontend pushdown: {} queries pushed down, \
          {} partials merged, {} entries never shipped",
-        stats.pushdown_queries,
-        stats.pushdown_fallbacks,
-        stats.pushdown_partials,
-        stats.pushdown_entries_saved,
+        stats.pushdown_queries, stats.pushdown_partials, stats.pushdown_entries_saved,
     );
     assert!(stats.pushdown_queries > 0, "heatmap panels are decomposable — they must push down");
     assert!(stats.pushdown_partials > 0, "shards must contribute partial aggregates");

@@ -13,6 +13,7 @@
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
 use shasta_mon::logql::instant_vector_to_string;
+use shasta_mon::loki::{Direction, QueryRequest, QueryShape};
 use shasta_mon::model::{format_iso8601, NANOS_PER_SEC};
 use shasta_mon::shasta::{LeakZone, SwitchState};
 
@@ -60,8 +61,10 @@ fn main() {
 
     let query = args.join(" ");
     // Log query or metric query? Try logs first, fall back to metrics.
-    match stack.omni.loki().query_logs_with_stats(&query, 0, now, 50) {
-        Ok((records, stats)) => {
+    let shape = QueryShape::Logs { start: 0, end: now, limit: 50, direction: Direction::default() };
+    match stack.omni.loki().query(QueryRequest { tenant: None, query: &query, shape }) {
+        Ok(resp) => {
+            let (records, stats) = (resp.data.into_logs().unwrap_or_default(), resp.report.stats);
             eprintln!(
                 "{} result(s) — scanned {} entries / {} bytes across {} streams",
                 records.len(),

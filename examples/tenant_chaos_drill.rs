@@ -27,8 +27,11 @@
 //! depend on thread interleaving and are asserted as bounds).
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
-use shasta_mon::loki::{IngestError, Limits, LokiCluster, QueryError, TenantLimits};
-use shasta_mon::model::{LabelSet, SimClock, TenantId, NANOS_PER_SEC};
+use shasta_mon::logql::Matrix;
+use shasta_mon::loki::{
+    Direction, IngestError, Limits, LokiCluster, QueryError, QueryRequest, QueryShape, TenantLimits,
+};
+use shasta_mon::model::{LabelSet, LogEntry, LogRecord, SimClock, TenantId, NANOS_PER_SEC};
 use std::collections::HashMap;
 
 const SEED: u64 = 42;
@@ -82,6 +85,50 @@ impl Zipf {
 
 fn tenant(rank: usize) -> TenantId {
     TenantId::new(format!("t{rank:04}"))
+}
+
+/// Tenant-scoped push of one line: a frame of one through the push door.
+fn tenant_push(
+    c: &LokiCluster,
+    tenant: &TenantId,
+    labels: LabelSet,
+    ts: i64,
+    line: String,
+) -> Result<(), IngestError> {
+    let frame = (labels, vec![LogEntry::new(ts, line)]);
+    c.push_frames(Some(tenant), [frame]).pop().expect("a frame of one yields one result")
+}
+
+/// Tenant-scoped backward log query over `(start, end]`.
+fn tenant_logs(
+    c: &LokiCluster,
+    tenant: &TenantId,
+    query: &str,
+    start: i64,
+    end: i64,
+    limit: usize,
+) -> Result<Vec<LogRecord>, QueryError> {
+    let shape = QueryShape::Logs { start, end, limit, direction: Direction::default() };
+    Ok(c.query(QueryRequest { tenant: Some(tenant), query, shape })?
+        .data
+        .into_logs()
+        .unwrap_or_default())
+}
+
+/// Tenant-scoped range query.
+fn tenant_range(
+    c: &LokiCluster,
+    tenant: &TenantId,
+    query: &str,
+    start: i64,
+    end: i64,
+    step_ns: i64,
+) -> Result<Matrix, QueryError> {
+    let shape = QueryShape::Range { start, end, step_ns };
+    Ok(c.query(QueryRequest { tenant: Some(tenant), query, shape })?
+        .data
+        .into_matrix()
+        .unwrap_or_default())
 }
 
 fn main() {
@@ -140,7 +187,7 @@ fn main() {
     let mut push = |c: &LokiCluster, rank: usize| {
         *offered.entry(rank).or_default() += 1;
         ts += 1;
-        match c.push_as(&tenant(rank), labels(rank), ts, format!("line {ts}")) {
+        match tenant_push(c, &tenant(rank), labels(rank), ts, format!("line {ts}")) {
             Ok(()) => *accepted.entry(rank).or_default() += 1,
             Err(IngestError::TenantRejected(r)) => {
                 assert_eq!(r.tenant, tenant(0), "only the noisy tenant may ever be shed: {r}");
@@ -183,10 +230,10 @@ fn main() {
             // over its query budget is shed with a typed error. Narrow
             // ranges (one split) keep these out of the fairness numbers.
             let now = clock.now();
-            c.query_logs_as(&tenant(5), r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100)
+            tenant_logs(&c, &tenant(5), r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100)
                 .expect("calm tenant query rejected");
             for _ in 0..5 {
-                match c.query_logs_as(&noisy, r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100) {
+                match tenant_logs(&c, &noisy, r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100) {
                     Ok(_) => {}
                     Err(QueryError::TenantRejected(_)) => noisy_query_rejections += 1,
                     Err(e) => panic!("non-tenant query error: {e}"),
@@ -226,8 +273,7 @@ fn main() {
     clock.advance(NANOS_PER_SEC);
     let now = clock.now();
     for rank in [0usize, 1, 5, 100, 500] {
-        let got = c
-            .query_logs_as(&tenant(rank), r#"{app="drill"}"#, 0, now + 1, usize::MAX)
+        let got = tenant_logs(&c, &tenant(rank), r#"{app="drill"}"#, 0, now + 1, usize::MAX)
             .expect("scoped query")
             .len() as u64;
         assert_eq!(
@@ -256,7 +302,7 @@ fn main() {
             let (c, noisy) = (&c, noisy.clone());
             scope.spawn(move || {
                 let q = format!(r#"count_over_time({{app="drill"}} |= "{i}" [1s])"#);
-                c.query_range_as(&noisy, &q, 0, 48 * NANOS_PER_SEC, NANOS_PER_SEC)
+                tenant_range(c, &noisy, &q, 0, 48 * NANOS_PER_SEC, NANOS_PER_SEC)
                     .expect("noisy range query");
             });
         }
@@ -265,7 +311,7 @@ fn main() {
             std::thread::yield_now();
         }
         let probe = r#"count_over_time({app="drill"} |= "7" [1s])"#;
-        c.query_range_as(&calm, probe, 0, 8 * NANOS_PER_SEC, NANOS_PER_SEC)
+        tenant_range(&c, &calm, probe, 0, 8 * NANOS_PER_SEC, NANOS_PER_SEC)
             .expect("calm range query");
     });
     let calm_wait = c.frontend().max_wait_rounds(&calm);
@@ -281,14 +327,12 @@ fn main() {
     assert!(streams_dropped >= 10, "short-retention tenants should age out");
     let now = clock.now();
     for rank in 100..110 {
-        let left = c
-            .query_logs_as(&tenant(rank), r#"{app="drill"}"#, 0, now, usize::MAX)
+        let left = tenant_logs(&c, &tenant(rank), r#"{app="drill"}"#, 0, now, usize::MAX)
             .expect("scoped query")
             .len();
         assert_eq!(left, 0, "t{rank:04} (30s retention) must be empty after 1h");
     }
-    let t5_left = c
-        .query_logs_as(&tenant(5), r#"{app="drill"}"#, 0, now, usize::MAX)
+    let t5_left = tenant_logs(&c, &tenant(5), r#"{app="drill"}"#, 0, now, usize::MAX)
         .expect("scoped query")
         .len() as u64;
     assert_eq!(t5_left, keep_t5, "default-retention tenant must keep every record");
@@ -304,8 +348,8 @@ fn main() {
     let base = stack.clock.now();
     for i in 0..20i64 {
         let ls = LabelSet::from_pairs([("app", "billing")]);
-        let _ = stack.omni.loki().push_as(&acme, ls.clone(), base + i, format!("acme {i}"));
-        stack.omni.loki().push_as(&beta, ls, base + i, format!("beta {i}")).expect("beta");
+        let _ = tenant_push(stack.omni.loki(), &acme, ls.clone(), base + i, format!("acme {i}"));
+        tenant_push(stack.omni.loki(), &beta, ls, base + i, format!("beta {i}")).expect("beta");
     }
     let mut scraped: HashMap<(String, String), f64> = HashMap::new();
     for fam in stack.registry().gather() {
