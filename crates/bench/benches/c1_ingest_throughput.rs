@@ -6,7 +6,7 @@
 //! elements/second to compare against the paper's 400k msg/s figure.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use omni_bench::{quick_mode, syslog_corpus, write_pr3_section};
+use omni_bench::{quick_mode, syslog_corpus, write_report_section};
 use omni_json::jsonv;
 use omni_loki::{Limits, LokiCluster, StreamFrame};
 use omni_model::{labels, SimClock};
@@ -81,7 +81,8 @@ fn pr3_ingest_report() {
         rate(framed),
     );
     if !quick {
-        write_pr3_section(
+        write_report_section(
+            "BENCH_PR3.json",
             "ingest",
             jsonv!({
                 "messages": (n),

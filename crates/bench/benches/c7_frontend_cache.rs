@@ -13,7 +13,7 @@
 //! prints.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use omni_bench::{corpus_end, quick_mode, syslog_corpus, write_pr5_section};
+use omni_bench::{corpus_end, quick_mode, syslog_corpus, write_report_section};
 use omni_json::jsonv;
 use omni_loki::{Limits, LokiCluster};
 use omni_model::{LogRecord, SimClock, NANOS_PER_SEC};
@@ -99,7 +99,8 @@ fn pr5_frontend_cache_report() {
         cold, warm, stats.splits_total, stats.cache_hits, stats.cache_misses,
     );
     if !quick {
-        write_pr5_section(
+        write_report_section(
+            "BENCH_PR5.json",
             "frontend_cache",
             jsonv!({
                 "messages": (n),

@@ -3,7 +3,7 @@
 //! (range query at fixed steps).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use omni_bench::{corpus_end, loaded_cluster, quick_mode, syslog_corpus, write_pr3_section};
+use omni_bench::{corpus_end, loaded_cluster, quick_mode, syslog_corpus, write_report_section};
 use omni_core::redfish_to_loki;
 use omni_json::jsonv;
 use omni_loki::chunk::SealedChunk;
@@ -84,7 +84,8 @@ fn pr3_range_report() {
          ({speedup:.2}x, {blocks_decoded}/{blocks_total} blocks decompressed)"
     );
     if !quick {
-        write_pr3_section(
+        write_report_section(
+            "BENCH_PR3.json",
             "range_query",
             jsonv!({
                 "corpus_entries": (n),

@@ -56,35 +56,11 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// Repo-root path of the machine-readable PR5 report.
-pub fn pr5_report_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_PR5.json")
-}
-
-/// Merge one named section into `BENCH_PR5.json` (read-modify-write, the
-/// same contract as [`write_pr3_section`]).
-pub fn write_pr5_section(section: &str, value: Json) {
-    let path = pr5_report_path();
-    let mut root = std::fs::read_to_string(&path)
-        .ok()
-        .and_then(|text| parse(&text).ok())
-        .filter(|v| matches!(v, Json::Object(_)))
-        .unwrap_or_else(|| Json::Object(Vec::new()));
-    root.set(section, value).expect("report root is an object");
-    std::fs::write(&path, root.pretty(2) + "\n")
-        .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
-}
-
-/// Repo-root path of the machine-readable PR3 report.
-pub fn pr3_report_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_PR3.json")
-}
-
-/// Merge one named section into `BENCH_PR3.json` (read-modify-write, so
-/// the ingest and range-query benches can run in either order and each
-/// owns exactly one top-level key).
-pub fn write_pr3_section(section: &str, value: Json) {
-    let path = pr3_report_path();
+/// Merge one named section into the repo-root report `file` (e.g.
+/// `BENCH_PR3.json`): read-modify-write, so benches sharing a report can
+/// run in either order and each owns exactly one top-level key.
+pub fn write_report_section(file: &str, section: &str, value: Json) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").join(file);
     let mut root = std::fs::read_to_string(&path)
         .ok()
         .and_then(|text| parse(&text).ok())

@@ -18,8 +18,8 @@ use omni_exporters::{
 use omni_loki::{AlertState, AlertingRule, Limits, QueryRecord, QueryReport, RuleGroup, Ruler};
 use omni_model::{labels, SimClock, Timestamp, NANOS_PER_SEC};
 use omni_obs::{
-    format_trace_id, parse_trace_id, FamilySnapshot, InstrumentKind, Registry, Slo, SloBoard,
-    TailSampling, TraceContext, TraceStore, DEFAULT_LATENCY_BUCKETS, FAST_WINDOW, SLOW_WINDOW,
+    families as fam, format_trace_id, parse_trace_id, tabulate, FamilyKind, Registry, Slo,
+    SloBoard, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES, SLOW_WINDOW,
     TRACE_HEADER,
 };
 use omni_redfish::{HmsCollector, RedfishEvent};
@@ -126,32 +126,6 @@ impl std::fmt::Display for StackError {
 }
 
 impl std::error::Error for StackError {}
-
-/// Bucket bounds for the ingest batch-size histogram (records per
-/// batched Loki push): powers of two up to the bridge's fetch batch.
-const INGEST_BATCH_BUCKETS: &[f64] = &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0];
-
-/// Bucket bounds for the chunk fill-ratio histogram (uncompressed bytes
-/// at seal time over the configured chunk target). Ratios near 1.0 are
-/// full, size-triggered seals; low ratios are age-triggered seals.
-const CHUNK_FILL_BUCKETS: &[f64] = &[0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1.1, 1.25, 1.5, 2.0];
-
-/// Bucket bounds for the query-frontend bytes-saved histogram (line
-/// bytes a cached split avoided re-scanning): powers of four from 1 KiB
-/// to 16 MiB.
-const FRONTEND_BYTES_SAVED_BUCKETS: &[f64] =
-    &[1_024.0, 4_096.0, 16_384.0, 65_536.0, 262_144.0, 1_048_576.0, 4_194_304.0, 16_777_216.0];
-
-/// Bucket bounds for the modeled query-latency histogram (seconds).
-/// Modeled latencies live in the sub-millisecond-to-seconds range, well
-/// below alert-pipeline latencies, so this layout is much finer than
-/// [`DEFAULT_LATENCY_BUCKETS`].
-const QUERY_LATENCY_BUCKETS: &[f64] = &[0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5];
-
-/// Bucket bounds for the per-tenant fair-scheduler queue-wait histogram
-/// (virtual-clock seconds; one grant round is microseconds of virtual
-/// time, so the layout starts at 100µs).
-const QUERY_WAIT_BUCKETS: &[f64] = &[0.000_1, 0.000_5, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0];
 
 /// Modeled query execution pricing. The virtual clock does not advance
 /// while a query runs (queries are instantaneous in simulation time), so
@@ -358,14 +332,11 @@ impl MonitoringStack {
                 });
             }
         }
-        lint.buckets.push(("stack:ingest-batch-size".to_string(), INGEST_BATCH_BUCKETS.to_vec()));
-        lint.buckets.push(("stack:chunk-fill-ratio".to_string(), CHUNK_FILL_BUCKETS.to_vec()));
-        lint.buckets.push((
-            "stack:frontend-bytes-saved".to_string(),
-            FRONTEND_BYTES_SAVED_BUCKETS.to_vec(),
-        ));
-        lint.buckets.push(("stack:query-latency".to_string(), QUERY_LATENCY_BUCKETS.to_vec()));
-        lint.buckets.push(("stack:query-wait".to_string(), QUERY_WAIT_BUCKETS.to_vec()));
+        for row in SELF_FAMILIES {
+            if let FamilyKind::Histogram(bounds) = row.kind {
+                lint.buckets.push((format!("stack:{}", row.name), bounds.to_vec()));
+            }
+        }
         // The SLO burn-rate meta-alerts go through the same gate as
         // every other rule: a drifted gauge name fails the boot.
         for r in &slo_burn_rules() {
@@ -441,12 +412,7 @@ impl MonitoringStack {
             LogBridge::new(&api, &token, omni.clone(), &config.cluster_name, &broker)
                 .map_err(|e| StackError::Wire(format!("log bridge: {e}")))?;
         log_bridge.set_tracer(traces.clone());
-        log_bridge.set_batch_histogram(registry.histogram(
-            "omni_ingest_batch_size",
-            "Records per batched Loki push from the log bridge.",
-            labels!(),
-            INGEST_BATCH_BUCKETS,
-        ));
+        log_bridge.set_batch_histogram(fam::INGEST_BATCH_SIZE.histogram(&registry, labels!()));
         let log_bridge = Arc::new(parking_lot::Mutex::new(log_bridge));
         let metric_bridge = Arc::new(parking_lot::Mutex::new(
             MetricBridge::new(&api, &token, omni.tsdb().clone(), &config.cluster_name, &broker)
@@ -641,7 +607,7 @@ impl MonitoringStack {
         container_lines: usize,
     ) -> Vec<Notification> {
         let now = self.clock.advance(dt_ns);
-        self.registry.counter("omni_steps_total", "Pipeline steps driven.", labels!()).inc();
+        fam::STEPS.counter(&self.registry, labels!()).inc();
 
         // 0. Scheduled chaos fires before anything else this step.
         let actions = self.chaos.lock().as_mut().map(|c| c.poll(now)).unwrap_or_default();
@@ -716,23 +682,13 @@ impl MonitoringStack {
         // older than an hour to the disk tier ("chunks are first stored
         // in memory, and then moved to disk").
         self.omni.loki().tick();
-        let fill = self.registry.histogram(
-            "omni_chunk_fill_ratio",
-            "Uncompressed size of sealed chunks relative to the chunk target.",
-            labels!(),
-            CHUNK_FILL_BUCKETS,
-        );
+        let fill = fam::CHUNK_FILL_RATIO.histogram(&self.registry, labels!());
         for ratio in self.omni.loki().take_seal_fill_ratios() {
             fill.observe(ratio);
         }
         // Query-frontend cache effectiveness: every cache hit since the
         // last step contributes the bytes it avoided re-scanning.
-        let saved = self.registry.histogram(
-            "omni_frontend_bytes_saved",
-            "Line bytes a query-frontend cache hit avoided re-scanning.",
-            labels!(),
-            FRONTEND_BYTES_SAVED_BUCKETS,
-        );
+        let saved = fam::FRONTEND_BYTES_SAVED.histogram(&self.registry, labels!());
         for bytes in self.omni.loki().frontend().take_bytes_saved() {
             saved.observe(bytes as f64);
         }
@@ -761,12 +717,8 @@ impl MonitoringStack {
         let notifications = self.alertmanager.tick(now);
         for n in &notifications {
             self.notifications_dispatched += 1;
-            self.registry
-                .counter(
-                    "omni_notifications_total",
-                    "Alertmanager notifications dispatched, by receiver.",
-                    labels!("receiver" => n.receiver.clone()),
-                )
+            fam::NOTIFICATIONS
+                .counter(&self.registry, labels!("receiver" => n.receiver.clone()))
                 .inc();
             for id in notification_trace_ids(n) {
                 self.traces.end_span(
@@ -795,70 +747,34 @@ impl MonitoringStack {
     /// self-ingested `{job="omni-self", component="slowlog"}` stream.
     fn introspect_queries(&mut self, now: Timestamp) {
         for (tenant, wait_vns) in self.omni.loki().frontend().take_scheduler_waits() {
-            self.registry
-                .histogram(
-                    "omni_tenant_query_wait_seconds",
-                    "Fair-scheduler queue wait per split grant, by tenant (virtual-clock seconds).",
-                    labels!("tenant" => tenant.as_str()),
-                    QUERY_WAIT_BUCKETS,
-                )
+            fam::TENANT_QUERY_WAIT_SECONDS
+                .histogram(&self.registry, labels!("tenant" => tenant.as_str()))
                 .observe(wait_vns as f64 / NANOS_PER_SEC as f64);
         }
         let records = self.omni.loki().frontend().take_query_records();
         if records.is_empty() {
             return;
         }
-        let latency_hist = self.registry.histogram(
-            "omni_query_latency_seconds",
-            "Modeled query latency priced from execution statistics.",
-            labels!(),
-            QUERY_LATENCY_BUCKETS,
-        );
+        let latency_hist = fam::QUERY_LATENCY_SECONDS.histogram(&self.registry, labels!());
         for record in records {
             let latency_ns = modeled_query_latency_ns(&record.report);
             let slow = latency_ns >= self.slow_query_threshold_ns;
             let trace_id = self.trace_query(&record, latency_ns, now);
             latency_hist.observe_with_exemplar(latency_ns as f64 / NANOS_PER_SEC as f64, trace_id);
             let s = &record.report.stats;
-            for (name, help, delta) in [
-                ("omni_query_records_total", "Queries the frontend completed and recorded.", 1u64),
-                (
-                    "omni_query_chunks_touched_total",
-                    "Sealed chunks overlapping recorded query windows.",
-                    s.chunks_touched as u64,
-                ),
-                (
-                    "omni_query_blocks_decoded_total",
-                    "Chunk blocks decompressed for recorded queries.",
-                    s.blocks_decoded as u64,
-                ),
-                (
-                    "omni_query_blocks_skipped_total",
-                    "Chunk blocks skipped via timestamp headers for recorded queries.",
-                    s.blocks_skipped as u64,
-                ),
-                (
-                    "omni_query_bytes_decompressed_total",
-                    "Uncompressed bytes produced by recorded queries' block decodes.",
-                    s.decompressed_bytes as u64,
-                ),
-                (
-                    "omni_query_cold_chunks_total",
-                    "Cold-tier (compacted) chunks fetched for recorded queries.",
-                    s.cold_chunks_touched as u64,
-                ),
+            for (row, delta) in [
+                (fam::QUERY_RECORDS, 1),
+                (fam::QUERY_CHUNKS_TOUCHED, s.chunks_touched as u64),
+                (fam::QUERY_BLOCKS_DECODED, s.blocks_decoded as u64),
+                (fam::QUERY_BLOCKS_SKIPPED, s.blocks_skipped as u64),
+                (fam::QUERY_BYTES_DECOMPRESSED, s.decompressed_bytes as u64),
+                (fam::QUERY_COLD_CHUNKS, s.cold_chunks_touched as u64),
             ] {
-                self.registry.counter(name, help, labels!()).add(delta);
+                row.counter(&self.registry, labels!()).add(delta);
             }
             self.slo.record("query-latency", now, !slow);
             if slow {
-                self.registry
-                    .counter(
-                        "omni_query_slow_total",
-                        "Recorded queries at or over the slow-query threshold.",
-                        labels!(),
-                    )
-                    .inc();
+                fam::QUERY_SLOW.counter(&self.registry, labels!()).inc();
                 // Best-effort: with every shard down the line is lost,
                 // never the query itself.
                 let _ = self.omni.loki().push(
@@ -974,12 +890,7 @@ impl MonitoringStack {
         let servicenow = self.servicenow.clone();
         let traces = self.traces.clone();
         let slo = self.slo.clone();
-        let latency = self.registry.histogram(
-            "omni_event_to_incident_seconds",
-            "End-to-end latency from hardware event to ServiceNow incident.",
-            labels!(),
-            DEFAULT_LATENCY_BUCKETS,
-        );
+        let latency = fam::EVENT_TO_INCIDENT_SECONDS.histogram(&self.registry, labels!());
         let delivered = self.delivery.lock().pump(now, |n| {
             if let Some(c) = chaos.lock().as_mut() {
                 if c.should_fail_send(&n.receiver, now) {
@@ -1219,33 +1130,25 @@ fn register_introspection_collectors(
     traces: &TraceStore,
     clock: &SimClock,
 ) {
-    use InstrumentKind::{Counter, Gauge};
     {
         let slo = slo.clone();
         let clock = clock.clone();
         registry.register_collector(move || {
-            let mut burn = FamilySnapshot::new(
-                "omni_slo_burn_rate",
-                "Error-budget burn rate relative to the objective, by SLO and window.",
-                Gauge,
+            let snaps = slo.snapshot(clock.now());
+            let mut out = tabulate(
+                [fam::SLO_BURN_RATE],
+                snaps.iter().flat_map(|s| {
+                    let l = |window| labels!("slo" => s.name.clone(), "window" => window);
+                    [(l(FAST_WINDOW), [s.fast_burn]), (l(SLOW_WINDOW), [s.slow_burn])]
+                }),
             );
-            let mut objective = FamilySnapshot::new(
-                "omni_slo_objective",
-                "Configured good-fraction objective, by SLO.",
-                Gauge,
-            );
-            let mut budget = FamilySnapshot::new(
-                "omni_slo_error_budget_remaining",
-                "Fraction of the slow-window error budget unspent, by SLO.",
-                Gauge,
-            );
-            for s in slo.snapshot(clock.now()) {
-                burn.push(labels!("slo" => s.name.clone(), "window" => FAST_WINDOW), s.fast_burn);
-                burn.push(labels!("slo" => s.name.clone(), "window" => SLOW_WINDOW), s.slow_burn);
-                objective.push(labels!("slo" => s.name.clone()), s.objective);
-                budget.push(labels!("slo" => s.name), s.budget_remaining);
-            }
-            vec![burn, objective, budget]
+            out.extend(tabulate(
+                [fam::SLO_OBJECTIVE, fam::SLO_ERROR_BUDGET_REMAINING],
+                snaps
+                    .iter()
+                    .map(|s| (labels!("slo" => s.name.clone()), [s.objective, s.budget_remaining])),
+            ));
+            out
         });
     }
     {
@@ -1253,28 +1156,11 @@ fn register_introspection_collectors(
         registry.register_collector(move || {
             let s = traces.sample_stats();
             vec![
-                single(
-                    "omni_trace_kept_total",
-                    "Finished traces tail sampling retained (errored, slow, or sampled in).",
-                    Counter,
-                    (s.kept_error + s.kept_slow + s.kept_sampled) as f64,
-                ),
-                single(
-                    "omni_trace_dropped_total",
-                    "Finished traces tail sampling dropped, plus cap evictions.",
-                    Counter,
-                    (s.dropped + s.evicted) as f64,
-                ),
+                fam::TRACE_KEPT.single((s.kept_error + s.kept_slow + s.kept_sampled) as f64),
+                fam::TRACE_DROPPED.single((s.dropped + s.evicted) as f64),
             ]
         });
     }
-}
-
-/// One single-sample family with empty labels — collector shorthand.
-fn single(name: &str, help: &str, kind: InstrumentKind, value: f64) -> FamilySnapshot {
-    let mut f = FamilySnapshot::new(name, help, kind);
-    f.push(labels!(), value);
-    f
 }
 
 /// Register gather-time collectors that absorb every component's ad-hoc
@@ -1292,51 +1178,31 @@ fn register_self_collectors(
     chaos: &Arc<parking_lot::Mutex<Option<ChaosEngine>>>,
     servicenow: &ServiceNow,
 ) {
-    use InstrumentKind::{Counter, Gauge};
     {
         let broker = broker.clone();
         registry.register_collector(move || {
-            let mut msgs = FamilySnapshot::new(
-                "omni_bus_messages_in_total",
-                "Messages produced, by topic.",
-                Counter,
+            let mut out = tabulate(
+                [
+                    fam::BUS_MESSAGES_IN,
+                    fam::BUS_BYTES_OUT,
+                    fam::BUS_TAIL_DROPS,
+                    fam::BUS_PRODUCE_RETRIES,
+                    fam::BUS_CONSUMER_LAG,
+                ],
+                broker.topics().into_iter().filter_map(|topic| {
+                    let s = broker.stats(&topic).ok()?;
+                    let values = [
+                        s.messages_in as f64,
+                        s.bytes_out as f64,
+                        s.tail_drops as f64,
+                        s.produce_retries as f64,
+                        s.consumer_lag as f64,
+                    ];
+                    Some((labels!("topic" => topic), values))
+                }),
             );
-            let mut bytes = FamilySnapshot::new(
-                "omni_bus_bytes_out_total",
-                "Bytes fetched by consumers, by topic.",
-                Counter,
-            );
-            let mut drops = FamilySnapshot::new(
-                "omni_bus_tail_drops_total",
-                "Messages dropped by retention, by topic.",
-                Counter,
-            );
-            let mut retries = FamilySnapshot::new(
-                "omni_bus_produce_retries_total",
-                "Produces bounced by a brownout, by topic.",
-                Counter,
-            );
-            let mut lag = FamilySnapshot::new(
-                "omni_bus_consumer_lag",
-                "Worst consumer-group lag, by topic.",
-                Gauge,
-            );
-            for topic in broker.topics() {
-                let Ok(s) = broker.stats(&topic) else { continue };
-                let l = labels!("topic" => topic.clone());
-                msgs.push(l.clone(), s.messages_in as f64);
-                bytes.push(l.clone(), s.bytes_out as f64);
-                drops.push(l.clone(), s.tail_drops as f64);
-                retries.push(l.clone(), s.produce_retries as f64);
-                lag.push(l, s.consumer_lag as f64);
-            }
-            let mut unavailable = FamilySnapshot::new(
-                "omni_bus_unavailable",
-                "1 while a brownout window is rejecting bus traffic.",
-                Gauge,
-            );
-            unavailable.push(labels!(), if broker.brownout_active() { 1.0 } else { 0.0 });
-            vec![msgs, bytes, drops, retries, lag, unavailable]
+            out.push(fam::BUS_UNAVAILABLE.single(if broker.brownout_active() { 1.0 } else { 0.0 }));
+            out
         });
     }
     {
@@ -1344,37 +1210,12 @@ fn register_self_collectors(
         registry.register_collector(move || {
             let r = omni.loki().resilience();
             vec![
-                single(
-                    "omni_loki_shards_up",
-                    "Ingester shards currently up.",
-                    Gauge,
-                    r.shards_up as f64,
-                ),
-                single(
-                    "omni_loki_shards_down",
-                    "Ingester shards currently down.",
-                    Gauge,
-                    (r.shards_total - r.shards_up) as f64,
-                ),
-                single("omni_loki_crashes_total", "Ingester crashes.", Counter, r.crashes as f64),
-                single(
-                    "omni_loki_wal_replayed_total",
-                    "Records replayed from the WAL after crashes.",
-                    Counter,
-                    r.replayed_records as f64,
-                ),
-                single(
-                    "omni_loki_rerouted_total",
-                    "Records rerouted around downed shards.",
-                    Counter,
-                    r.rerouted_records as f64,
-                ),
-                single(
-                    "omni_loki_wal_records_total",
-                    "Records appended to the WAL.",
-                    Counter,
-                    r.wal_records as f64,
-                ),
+                fam::LOKI_SHARDS_UP.single(r.shards_up as f64),
+                fam::LOKI_SHARDS_DOWN.single((r.shards_total - r.shards_up) as f64),
+                fam::LOKI_CRASHES.single(r.crashes as f64),
+                fam::LOKI_WAL_REPLAYED.single(r.replayed_records as f64),
+                fam::LOKI_REROUTED.single(r.rerouted_records as f64),
+                fam::LOKI_WAL_RECORDS.single(r.wal_records as f64),
             ]
         });
     }
@@ -1386,60 +1227,16 @@ fn register_self_collectors(
             let c = omni.loki().compactor().stats();
             let store = omni.loki().chunk_store();
             vec![
-                single(
-                    "omni_compactor_runs_total",
-                    "Completed compaction runs.",
-                    Counter,
-                    c.runs as f64,
-                ),
-                single(
-                    "omni_compactor_chunks_merged_total",
-                    "Source sealed chunks merged into compacted objects.",
-                    Counter,
-                    c.chunks_merged as f64,
-                ),
-                single(
-                    "omni_compactor_objects_written_total",
-                    "Compacted objects written to the cold tier.",
-                    Counter,
-                    c.objects_written as f64,
-                ),
-                single(
-                    "omni_compactor_duplicates_dropped_total",
-                    "Byte-identical replayed chunks deduplicated away.",
-                    Counter,
-                    c.duplicates_dropped as f64,
-                ),
-                single(
-                    "omni_compactor_retention_deleted_total",
-                    "Objects deleted by compactor-executed retention.",
-                    Counter,
-                    c.retention_deleted as f64,
-                ),
-                single(
-                    "omni_compactor_hot_objects",
-                    "Objects currently in the hot (sealed) store tier.",
-                    Gauge,
-                    store.objects().object_count() as f64,
-                ),
-                single(
-                    "omni_compactor_cold_objects",
-                    "Objects currently in the cold (compacted) tier.",
-                    Gauge,
-                    store.cold().object_count() as f64,
-                ),
-                single(
-                    "omni_compactor_cold_bytes",
-                    "Bytes currently stored in the cold (compacted) tier.",
-                    Gauge,
-                    store.cold().stored_bytes() as f64,
-                ),
-                single(
-                    "omni_compactor_cold_transient_failures_total",
-                    "Cold-tier GETs that failed transiently and were retried.",
-                    Counter,
-                    store.cold().transient_failures() as f64,
-                ),
+                fam::COMPACTOR_RUNS.single(c.runs as f64),
+                fam::COMPACTOR_CHUNKS_MERGED.single(c.chunks_merged as f64),
+                fam::COMPACTOR_OBJECTS_WRITTEN.single(c.objects_written as f64),
+                fam::COMPACTOR_DUPLICATES_DROPPED.single(c.duplicates_dropped as f64),
+                fam::COMPACTOR_RETENTION_DELETED.single(c.retention_deleted as f64),
+                fam::COMPACTOR_HOT_OBJECTS.single(store.objects().object_count() as f64),
+                fam::COMPACTOR_COLD_OBJECTS.single(store.cold().object_count() as f64),
+                fam::COMPACTOR_COLD_BYTES.single(store.cold().stored_bytes() as f64),
+                fam::COMPACTOR_COLD_TRANSIENT_FAILURES
+                    .single(store.cold().transient_failures() as f64),
             ]
         });
     }
@@ -1448,153 +1245,78 @@ fn register_self_collectors(
         registry.register_collector(move || {
             let f = omni.loki().frontend().stats();
             vec![
-                single(
-                    "omni_frontend_splits_total",
-                    "Sub-queries the query frontend planned.",
-                    Counter,
-                    f.splits_total as f64,
-                ),
-                single(
-                    "omni_frontend_cache_hits_total",
-                    "Query splits served from the results cache.",
-                    Counter,
-                    f.cache_hits as f64,
-                ),
-                single(
-                    "omni_frontend_cache_misses_total",
-                    "Query splits executed against the ingester shards.",
-                    Counter,
-                    f.cache_misses as f64,
-                ),
-                single(
-                    "omni_frontend_rejected_total",
-                    "Queries rejected by per-query limits.",
-                    Counter,
-                    f.rejected_total as f64,
-                ),
-                single(
-                    "omni_frontend_cached_entries",
-                    "Split results currently held in the cache.",
-                    Gauge,
-                    f.cached_entries as f64,
-                ),
-                single(
-                    "omni_frontend_pushdown_queries_total",
-                    "Metric queries whose aggregation was pushed down into the shards.",
-                    Counter,
-                    f.pushdown_queries as f64,
-                ),
-                single(
-                    "omni_frontend_pushdown_partials_total",
-                    "Per-shard partial aggregates merged by the frontend.",
-                    Counter,
-                    f.pushdown_partials as f64,
-                ),
-                single(
-                    "omni_frontend_pushdown_entries_saved_total",
-                    "Entries pushdown queries did not ship to the frontend.",
-                    Counter,
-                    f.pushdown_entries_saved as f64,
-                ),
+                fam::FRONTEND_SPLITS.single(f.splits_total as f64),
+                fam::FRONTEND_CACHE_HITS.single(f.cache_hits as f64),
+                fam::FRONTEND_CACHE_MISSES.single(f.cache_misses as f64),
+                fam::FRONTEND_REJECTED.single(f.rejected_total as f64),
+                fam::FRONTEND_CACHED_ENTRIES.single(f.cached_entries as f64),
+                fam::FRONTEND_PUSHDOWN_QUERIES.single(f.pushdown_queries as f64),
+                fam::FRONTEND_PUSHDOWN_PARTIALS.single(f.pushdown_partials as f64),
+                fam::FRONTEND_PUSHDOWN_ENTRIES_SAVED.single(f.pushdown_entries_saved as f64),
             ]
         });
     }
     {
-        // Per-tenant admission ledger and fairness telemetry. Every
-        // family carries the `tenant` label (omni-lint's tenant-label
-        // rule enforces this for all omni_tenant_* metrics), which is
-        // what lets one Grafana panel show who is being shed and why.
+        // Per-tenant admission ledger and fairness telemetry.
         let omni = omni.clone();
         registry.register_collector(move || {
-            let mut offered = FamilySnapshot::new(
-                "omni_tenant_ingest_offered_total",
-                "Records offered for tenant admission, by tenant.",
-                Counter,
+            let mut out = tabulate(
+                [
+                    fam::TENANT_INGEST_OFFERED,
+                    fam::TENANT_INGEST_ACCEPTED,
+                    fam::TENANT_INGEST_REJECTED,
+                    fam::TENANT_QUERIES_OFFERED,
+                    fam::TENANT_QUERIES_REJECTED,
+                    fam::TENANT_ACTIVE_STREAMS,
+                ],
+                omni.loki().tenant_snapshots().into_iter().map(|s| {
+                    let values = [
+                        s.ingest_offered as f64,
+                        s.ingest_accepted as f64,
+                        s.ingest_rejected as f64,
+                        s.queries_offered as f64,
+                        s.queries_rejected as f64,
+                        s.active_streams as f64,
+                    ];
+                    (labels!("tenant" => s.tenant.as_str()), values)
+                }),
             );
-            let mut accepted = FamilySnapshot::new(
-                "omni_tenant_ingest_accepted_total",
-                "Records past tenant admission, by tenant.",
-                Counter,
-            );
-            let mut rejected = FamilySnapshot::new(
-                "omni_tenant_ingest_rejected_total",
-                "Records shed by tenant admission control, by tenant.",
-                Counter,
-            );
-            let mut q_offered = FamilySnapshot::new(
-                "omni_tenant_queries_offered_total",
-                "Queries offered for tenant admission, by tenant.",
-                Counter,
-            );
-            let mut q_rejected = FamilySnapshot::new(
-                "omni_tenant_queries_rejected_total",
-                "Queries shed by tenant admission control, by tenant.",
-                Counter,
-            );
-            let mut streams = FamilySnapshot::new(
-                "omni_tenant_active_streams",
-                "Active streams attributed to the tenant.",
-                Gauge,
-            );
-            for s in omni.loki().tenant_snapshots() {
-                let l = labels!("tenant" => s.tenant.as_str());
-                offered.push(l.clone(), s.ingest_offered as f64);
-                accepted.push(l.clone(), s.ingest_accepted as f64);
-                rejected.push(l.clone(), s.ingest_rejected as f64);
-                q_offered.push(l.clone(), s.queries_offered as f64);
-                q_rejected.push(l.clone(), s.queries_rejected as f64);
-                streams.push(l, s.active_streams as f64);
-            }
-            let mut waits = FamilySnapshot::new(
-                "omni_tenant_query_wait_rounds",
-                "Peak fair-scheduler queue wait (grant rounds), by tenant.",
-                Gauge,
-            );
-            for (tenant, wait) in omni.loki().frontend().scheduler_stats().max_wait_rounds {
-                waits.push(labels!("tenant" => tenant.as_str()), wait as f64);
-            }
-            vec![offered, accepted, rejected, q_offered, q_rejected, streams, waits]
+            out.extend(tabulate(
+                [fam::TENANT_QUERY_WAIT_ROUNDS],
+                omni.loki()
+                    .frontend()
+                    .scheduler_stats()
+                    .max_wait_rounds
+                    .into_iter()
+                    .map(|(tenant, wait)| (labels!("tenant" => tenant.as_str()), [wait as f64])),
+            ));
+            out
         });
     }
     {
         let log = Arc::clone(log_bridge);
         let metric = Arc::clone(metric_bridge);
         registry.register_collector(move || {
-            let mut fetch = FamilySnapshot::new(
-                "omni_bridge_fetch_retries_total",
-                "Fetch rounds deferred by a brownout, by bridge.",
-                Counter,
-            );
-            let mut resub = FamilySnapshot::new(
-                "omni_bridge_resubscribes_total",
-                "Credential re-issues after an Unauthorized, by bridge.",
-                Counter,
-            );
-            let mut ingest = FamilySnapshot::new(
-                "omni_bridge_ingest_retries_total",
-                "Transient ingest failures parked for retry, by bridge.",
-                Counter,
-            );
-            let mut dead = FamilySnapshot::new(
-                "omni_bridge_dead_letter_total",
-                "Messages produced to the dead-letter topic, by bridge.",
-                Counter,
-            );
-            let mut in_flight = FamilySnapshot::new(
-                "omni_bridge_in_flight",
-                "Records parked awaiting an ingest retry, by bridge.",
-                Gauge,
-            );
             let pairs = [("log", log.lock().resilience()), ("metric", metric.lock().resilience())];
-            for (name, r) in pairs {
-                let l = labels!("bridge" => name);
-                fetch.push(l.clone(), r.fetch_retries as f64);
-                resub.push(l.clone(), r.resubscribes as f64);
-                ingest.push(l.clone(), r.ingest_retries as f64);
-                dead.push(l.clone(), r.dead_lettered as f64);
-                in_flight.push(l, r.in_flight as f64);
-            }
-            vec![fetch, resub, ingest, dead, in_flight]
+            tabulate(
+                [
+                    fam::BRIDGE_FETCH_RETRIES,
+                    fam::BRIDGE_RESUBSCRIBES,
+                    fam::BRIDGE_INGEST_RETRIES,
+                    fam::BRIDGE_DEAD_LETTER,
+                    fam::BRIDGE_IN_FLIGHT,
+                ],
+                pairs.map(|(name, r)| {
+                    let values = [
+                        r.fetch_retries as f64,
+                        r.resubscribes as f64,
+                        r.ingest_retries as f64,
+                        r.dead_lettered as f64,
+                        r.in_flight as f64,
+                    ];
+                    (labels!("bridge" => name), values)
+                }),
+            )
         });
     }
     {
@@ -1602,54 +1324,14 @@ fn register_self_collectors(
         registry.register_collector(move || {
             let d = delivery.lock().stats();
             vec![
-                single(
-                    "omni_delivery_enqueued_total",
-                    "Notifications enqueued.",
-                    Counter,
-                    d.enqueued as f64,
-                ),
-                single(
-                    "omni_delivery_attempts_total",
-                    "Send attempts, retries included.",
-                    Counter,
-                    d.attempts as f64,
-                ),
-                single(
-                    "omni_delivery_delivered_total",
-                    "Notifications delivered.",
-                    Counter,
-                    d.delivered as f64,
-                ),
-                single(
-                    "omni_delivery_retried_total",
-                    "Failed attempts re-queued.",
-                    Counter,
-                    d.retried as f64,
-                ),
-                single(
-                    "omni_delivery_failed_total",
-                    "Notifications dead-lettered after exhausting retries.",
-                    Counter,
-                    d.permanently_failed as f64,
-                ),
-                single(
-                    "omni_delivery_circuit_opens_total",
-                    "Receiver circuit-breaker opens.",
-                    Counter,
-                    d.circuit_opens as f64,
-                ),
-                single(
-                    "omni_delivery_circuit_closes_total",
-                    "Successful half-open probes that closed a breaker.",
-                    Counter,
-                    d.circuit_closes as f64,
-                ),
-                single(
-                    "omni_delivery_queue_depth",
-                    "Notifications waiting (due or backing off).",
-                    Gauge,
-                    d.queue_depth as f64,
-                ),
+                fam::DELIVERY_ENQUEUED.single(d.enqueued as f64),
+                fam::DELIVERY_ATTEMPTS.single(d.attempts as f64),
+                fam::DELIVERY_DELIVERED.single(d.delivered as f64),
+                fam::DELIVERY_RETRIED.single(d.retried as f64),
+                fam::DELIVERY_FAILED.single(d.permanently_failed as f64),
+                fam::DELIVERY_CIRCUIT_OPENS.single(d.circuit_opens as f64),
+                fam::DELIVERY_CIRCUIT_CLOSES.single(d.circuit_closes as f64),
+                fam::DELIVERY_QUEUE_DEPTH.single(d.queue_depth as f64),
             ]
         });
     }
@@ -1658,24 +1340,9 @@ fn register_self_collectors(
         registry.register_collector(move || {
             let Some(s) = chaos.lock().as_ref().map(|c| c.stats()) else { return Vec::new() };
             vec![
-                single(
-                    "omni_chaos_actions_total",
-                    "Scheduled chaos actions fired.",
-                    Counter,
-                    s.actions_fired as f64,
-                ),
-                single(
-                    "omni_chaos_flaky_rolls_total",
-                    "Flaky-receiver coin flips.",
-                    Counter,
-                    s.flaky_rolls as f64,
-                ),
-                single(
-                    "omni_chaos_flaky_failures_total",
-                    "Coin flips that failed a send.",
-                    Counter,
-                    s.flaky_failures as f64,
-                ),
+                fam::CHAOS_ACTIONS.single(s.actions_fired as f64),
+                fam::CHAOS_FLAKY_ROLLS.single(s.flaky_rolls as f64),
+                fam::CHAOS_FLAKY_FAILURES.single(s.flaky_failures as f64),
             ]
         });
     }
@@ -1683,18 +1350,8 @@ fn register_self_collectors(
         let sn = servicenow.clone();
         registry.register_collector(move || {
             vec![
-                single(
-                    "omni_servicenow_events_total",
-                    "ServiceNow events received.",
-                    Counter,
-                    sn.events_received() as f64,
-                ),
-                single(
-                    "omni_servicenow_incidents",
-                    "ServiceNow incidents ever opened.",
-                    Gauge,
-                    sn.incidents().len() as f64,
-                ),
+                fam::SERVICENOW_EVENTS.single(sn.events_received() as f64),
+                fam::SERVICENOW_INCIDENTS.single(sn.incident_count() as f64),
             ]
         });
     }
@@ -1829,20 +1486,10 @@ mod tests {
         for _ in 0..3 {
             stack.step(minute(), 200, 50);
         }
-        let batch = stack.registry().histogram(
-            "omni_ingest_batch_size",
-            "Records per batched Loki push from the log bridge.",
-            labels!(),
-            INGEST_BATCH_BUCKETS,
-        );
+        let batch = fam::INGEST_BATCH_SIZE.histogram(stack.registry(), labels!());
         assert!(batch.count() > 0, "log bridge pushed batches");
         assert!(batch.sum() > batch.count() as f64, "batches carry more than one record");
-        let fill = stack.registry().histogram(
-            "omni_chunk_fill_ratio",
-            "Uncompressed size of sealed chunks relative to the chunk target.",
-            labels!(),
-            CHUNK_FILL_BUCKETS,
-        );
+        let fill = fam::CHUNK_FILL_RATIO.histogram(stack.registry(), labels!());
         assert!(fill.count() > 0, "sealed chunks fed the fill-ratio histogram");
     }
 

@@ -337,6 +337,53 @@ mod tests {
     }
 
     #[test]
+    fn rendered_pages_match_the_shipped_family_table() {
+        // Both directions, per exporter: every family and label key on a
+        // rendered page is a row of `shipped_exporter_families()`, and
+        // every row (matched to its exporter by name prefix) is on the
+        // page — so neither the table nor a `render` can drift alone.
+        use std::collections::{BTreeMap, BTreeSet};
+        let clock = SimClock::starting_at(0);
+        let broker = Broker::new(clock.clone());
+        broker.ensure_topic("cray-syslog", TopicConfig::default());
+        broker.produce("cray-syslog", None, "hello").unwrap();
+        // Leak sensors only report while wet.
+        let machine = machine();
+        machine.inject_leak(machine.topology().chassis()[0], 'A', omni_shasta::LeakZone::Front);
+        let fleet: Vec<(Box<dyn Exporter>, &[&str])> = vec![
+            (Box::new(NodeExporter::new(machine)), &["node_", "chassis_", "cdu_"]),
+            (
+                Box::new(BlackboxExporter::new(vec!["https://grafana".into()], clock.clone())),
+                &["probe_"],
+            ),
+            (Box::new(KafkaExporter::new(broker)), &["kafka_"]),
+            (Box::new(ArubaExporter::new(vec!["mgmt-sw1".into()], clock.clone())), &["aruba_"]),
+            (
+                Box::new(GpfsExporter::new(omni_shasta::GpfsCluster::new(
+                    "scratch", 2, 2, clock, 9,
+                ))),
+                &["gpfs_"],
+            ),
+        ];
+        let mut covered = 0;
+        for (exporter, prefixes) in fleet {
+            let declared: BTreeMap<String, BTreeSet<String>> = shipped_exporter_families()
+                .into_iter()
+                .filter(|(name, _)| prefixes.iter().any(|p| name.starts_with(p)))
+                .map(|(name, labels)| (name.into(), labels.iter().map(|l| l.to_string()).collect()))
+                .collect();
+            covered += declared.len();
+            let mut seen: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+            for r in parse_exposition(&exporter.render()).unwrap() {
+                let keys = r.labels.iter().map(|(k, _)| k.to_string()).filter(|k| k != "__name__");
+                seen.entry(r.name().unwrap().to_string()).or_default().extend(keys);
+            }
+            assert_eq!(seen, declared, "{} drifted from its table rows", exporter.job());
+        }
+        assert_eq!(covered, shipped_exporter_families().len(), "a row belongs to no exporter");
+    }
+
+    #[test]
     fn all_exporters_have_distinct_jobs() {
         let m = machine();
         let clock = SimClock::new();

@@ -11,15 +11,14 @@
 //! - the exporter fleet's families come from
 //!   [`omni_exporters::shipped_exporter_families`]; vmagent stamps every
 //!   scraped sample with `job`/`instance` and synthesizes `up` per target;
-//! - the self-telemetry registry's families (registered in `core::stack`
-//!   and its gather-time collectors) are scraped through the `omni-self`
-//!   job, histograms expanding with [`omni_obs::HISTOGRAM_SUFFIXES`]
-//!   (`_bucket` additionally carries `le`);
+//! - the self-telemetry registry's families are the rows of
+//!   [`omni_obs::SELF_FAMILIES`] — the same table `core::stack` registers
+//!   and collects through — scraped via the `omni-self` job, histogram
+//!   rows expanded by [`omni_obs::Family::gathered`];
 //! - the LogBridge's per-topic Loki stream labels, plus the `trace_id`
 //!   label the tracing path attaches and the `restored` label the archive
 //!   restore path adds.
 
-use omni_obs::HISTOGRAM_SUFFIXES;
 use omni_redfish::SensorKind;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -73,111 +72,13 @@ impl Catalog {
         }
         c.add_scraped_metric("up", &[]);
 
-        // Self-telemetry registry families (scraped via the `omni-self`
-        // job). Kept in lockstep with the registration sites in
-        // `core::stack` by the `catalog-drift` source rule.
-        for name in [
-            "omni_steps_total",
-            "omni_bus_unavailable",
-            "omni_loki_shards_up",
-            "omni_loki_shards_down",
-            "omni_loki_crashes_total",
-            "omni_loki_wal_replayed_total",
-            "omni_loki_rerouted_total",
-            "omni_loki_wal_records_total",
-            "omni_delivery_enqueued_total",
-            "omni_delivery_attempts_total",
-            "omni_delivery_delivered_total",
-            "omni_delivery_retried_total",
-            "omni_delivery_failed_total",
-            "omni_delivery_circuit_opens_total",
-            "omni_delivery_circuit_closes_total",
-            "omni_delivery_queue_depth",
-            "omni_chaos_actions_total",
-            "omni_chaos_flaky_rolls_total",
-            "omni_chaos_flaky_failures_total",
-            "omni_servicenow_events_total",
-            "omni_servicenow_incidents",
-            "omni_frontend_splits_total",
-            "omni_frontend_cache_hits_total",
-            "omni_frontend_cache_misses_total",
-            "omni_frontend_rejected_total",
-            "omni_frontend_cached_entries",
-            // Aggregation pushdown (shard map / frontend reduce).
-            "omni_frontend_pushdown_queries_total",
-            "omni_frontend_pushdown_partials_total",
-            "omni_frontend_pushdown_entries_saved_total",
-            "omni_query_records_total",
-            "omni_query_slow_total",
-            "omni_query_chunks_touched_total",
-            "omni_query_blocks_decoded_total",
-            "omni_query_blocks_skipped_total",
-            "omni_query_bytes_decompressed_total",
-            "omni_query_cold_chunks_total",
-            "omni_trace_kept_total",
-            "omni_trace_dropped_total",
-            // Compactor + tiered-storage telemetry.
-            "omni_compactor_runs_total",
-            "omni_compactor_chunks_merged_total",
-            "omni_compactor_objects_written_total",
-            "omni_compactor_duplicates_dropped_total",
-            "omni_compactor_retention_deleted_total",
-            "omni_compactor_hot_objects",
-            "omni_compactor_cold_objects",
-            "omni_compactor_cold_bytes",
-            "omni_compactor_cold_transient_failures_total",
-        ] {
-            c.add_scraped_metric(name, &[]);
+        // Self-telemetry registry families, scraped via the `omni-self`
+        // job: whatever the one table declares.
+        for row in omni_obs::SELF_FAMILIES {
+            for (name, _, labels) in row.gathered() {
+                c.add_scraped_metric(&name, &labels);
+            }
         }
-        // SLO meta-telemetry: burn rates per evaluation window, the
-        // objective itself, and the remaining error budget.
-        c.add_scraped_metric("omni_slo_burn_rate", &["slo", "window"]);
-        c.add_scraped_metric("omni_slo_objective", &["slo"]);
-        c.add_scraped_metric("omni_slo_error_budget_remaining", &["slo"]);
-        for name in [
-            "omni_bus_messages_in_total",
-            "omni_bus_bytes_out_total",
-            "omni_bus_tail_drops_total",
-            "omni_bus_produce_retries_total",
-            "omni_bus_consumer_lag",
-        ] {
-            c.add_scraped_metric(name, &["topic"]);
-        }
-        // Per-tenant admission/fairness telemetry. Tenant-scoped
-        // families MUST carry the `tenant` label (the tenant-label
-        // source rule rejects an omni_tenant_* registration without it).
-        for name in [
-            "omni_tenant_ingest_offered_total",
-            "omni_tenant_ingest_accepted_total",
-            "omni_tenant_ingest_rejected_total",
-            "omni_tenant_queries_offered_total",
-            "omni_tenant_queries_rejected_total",
-            "omni_tenant_active_streams",
-            "omni_tenant_query_wait_rounds",
-        ] {
-            c.add_scraped_metric(name, &["tenant"]);
-        }
-        for name in [
-            "omni_bridge_fetch_retries_total",
-            "omni_bridge_resubscribes_total",
-            "omni_bridge_ingest_retries_total",
-            "omni_bridge_dead_letter_total",
-            "omni_bridge_in_flight",
-        ] {
-            c.add_scraped_metric(name, &["bridge"]);
-        }
-        c.add_scraped_metric("omni_notifications_total", &["receiver"]);
-        for name in [
-            "omni_ingest_batch_size",
-            "omni_chunk_fill_ratio",
-            "omni_event_to_incident_seconds",
-            "omni_frontend_bytes_saved",
-            "omni_query_latency_seconds",
-        ] {
-            c.add_scraped_histogram(name, &[]);
-        }
-        // Per-tenant scheduler queue wait, in virtual-clock seconds.
-        c.add_scraped_histogram("omni_tenant_query_wait_seconds", &["tenant"]);
 
         // Loki stream labels the LogBridge (and the archive restore
         // path) can attach.
@@ -214,19 +115,6 @@ impl Catalog {
         self.add_metric(name, &all);
     }
 
-    /// Register a scraped histogram: the base name expands to
-    /// `_bucket`/`_sum`/`_count`/`_p50`/`_p99` at gather time, with
-    /// `_bucket` carrying the extra `le` label.
-    pub fn add_scraped_histogram(&mut self, name: &str, labels: &[&str]) {
-        for suffix in HISTOGRAM_SUFFIXES {
-            let mut all: Vec<&str> = labels.to_vec();
-            if *suffix == "_bucket" {
-                all.push("le");
-            }
-            self.add_scraped_metric(&format!("{name}{suffix}"), &all);
-        }
-    }
-
     /// Register an allowed Loki stream label.
     pub fn add_stream_label(&mut self, name: &str) {
         self.stream_labels.insert(name.to_string());
@@ -235,13 +123,6 @@ impl Catalog {
     /// Whether a metric family of this name can exist.
     pub fn has_metric(&self, name: &str) -> bool {
         self.metrics.contains_key(name)
-    }
-
-    /// Whether the base name of a histogram with this expanded name is
-    /// registered (e.g. `omni_ingest_batch_size` for a lexically bare
-    /// registration site — the expansion happens at gather time).
-    pub fn has_histogram_base(&self, name: &str) -> bool {
-        HISTOGRAM_SUFFIXES.iter().any(|s| self.metrics.contains_key(&format!("{name}{s}")))
     }
 
     /// Label keys a known metric may carry.
@@ -278,7 +159,6 @@ mod tests {
         assert!(c.has_metric("up"));
         assert!(c.has_metric("omni_event_to_incident_seconds_p99"));
         assert!(!c.has_metric("omni_event_to_incident_seconds"));
-        assert!(c.has_histogram_base("omni_event_to_incident_seconds"));
         let bucket = c.metric_labels("omni_ingest_batch_size_bucket").unwrap();
         assert!(bucket.contains("le"));
         assert!(c.metric_labels("omni_bus_consumer_lag").unwrap().contains("topic"));
@@ -295,8 +175,7 @@ mod tests {
         assert!(c.has_metric("omni_compactor_runs_total"));
         assert!(c.has_metric("omni_compactor_cold_objects"));
         assert!(c.has_metric("omni_query_cold_chunks_total"));
-        assert!(c.has_histogram_base("omni_query_latency_seconds"));
-        assert!(c.has_histogram_base("omni_tenant_query_wait_seconds"));
+        assert!(c.has_metric("omni_query_latency_seconds_sum"));
         assert!(c
             .metric_labels("omni_tenant_query_wait_seconds_bucket")
             .unwrap()

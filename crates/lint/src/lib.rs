@@ -6,16 +6,16 @@
 //!    rule, Alertmanager route tree and histogram bucket layout the stack
 //!    wires is parsed with the *same* parsers the runtime uses, then
 //!    cross-checked against a statically derived [`Catalog`] of
-//!    everything the pipeline can emit — exporter families, registry
-//!    registration sites, bridge-produced Loki stream labels. A typo'd
+//!    everything the pipeline can emit — exporter families, the
+//!    `omni_obs::SELF_FAMILIES` self-telemetry table, bridge-produced
+//!    Loki stream labels. A typo'd
 //!    metric name or an unreachable route is a boot-time error instead of
 //!    an alert that silently never fires.
 //! 2. **Source invariants** ([`lint_workspace`]): a hand-rolled Rust
 //!    lexer sweeps `crates/**/*.rs` for wall-clock reads outside
 //!    `crates/bench` (the simulation is virtual-time only), `unwrap` /
-//!    `expect` / `panic!` in the hot-path crates, malformed metric-name
-//!    literals at registration sites, and registration sites that drifted
-//!    out of the shipped catalog.
+//!    `expect` / `panic!` in the hot-path crates, and malformed
+//!    metric-name literals at registration sites.
 //! 3. **Concurrency analysis** (`concurrency`, reported through
 //!    [`lint_workspace`]): the same lexed token
 //!    streams, assembled into a workspace model — lock classes from
@@ -90,8 +90,7 @@ impl Finding {
             | "lock-table-drift"
             | "nondet-iter"
             | "unsynced-atomic" => 3,
-            "wall-clock" | "no-unwrap" | "metric-name" | "tenant-label" | "catalog-drift"
-            | "unused-suppression" | "io-error" => 2,
+            "wall-clock" | "no-unwrap" | "metric-name" | "unused-suppression" | "io-error" => 2,
             _ => 1,
         }
     }

@@ -13,30 +13,23 @@
 //!   ingest path takes the whole pipeline down.
 //! - `metric-name`: string literals at metric registration sites must
 //!   satisfy [`omni_exporters::valid_metric_name`].
-//! - `tenant-label`: `omni_tenant_*` is the reserved prefix for
-//!   tenant-scoped telemetry; any registration of such a name must be
-//!   listed in [`Catalog::shipped`] with the `tenant` label, so no
-//!   per-tenant series can ship without a tenant dimension.
-//! - `catalog-drift`: registration sites in `core`, `exporters` and
-//!   `obs` must register names present in [`Catalog::shipped`] — the
-//!   guarantee that keeps the layer-1 catalog honest.
+//!
+//! Whether the registered families match the layer-1 catalog is not a
+//! source rule: the catalog is derived from the same
+//! `omni_obs::SELF_FAMILIES` table the stack registers through, and
+//! `tests/telemetry_conformance.rs` checks the running stack against it.
 //!
 //! Suppress a finding with `// lint:allow(<rule>)` on the same line or
 //! the line directly above.
 //!
 //! [`SimClock`]: omni_model::SimClock
-//! [`Catalog::shipped`]: crate::Catalog::shipped
 
-use crate::catalog::Catalog;
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
 /// Crates whose non-test code must be panic-free.
 const HOT_PATH_CRATES: &[&str] = &["loki", "bus", "core"];
-
-/// Crates whose registration sites must match the shipped catalog.
-const CATALOG_CRATES: &[&str] = &["core", "exporters", "obs"];
 
 /// Method names whose first string-literal argument is a metric name.
 const REGISTER_METHODS: &[&str] = &["counter", "gauge", "histogram", "ingest_sample"];
@@ -355,10 +348,10 @@ pub(crate) fn apply_suppressions(rel_path: &str, lexed: &Lexed, raw: Vec<Finding
 
 /// Lint one source file. `rel_path` is the repo-relative path used in
 /// findings; `crate_name` selects which rules apply.
-pub fn lint_source(rel_path: &str, crate_name: &str, src: &str, catalog: &Catalog) -> Vec<Finding> {
+pub fn lint_source(rel_path: &str, crate_name: &str, src: &str) -> Vec<Finding> {
     let lexed = lex(src);
     let in_test = mark_test_regions(&lexed.toks);
-    let raw = layer2_raw(rel_path, crate_name, &lexed, &in_test, catalog);
+    let raw = layer2_raw(rel_path, crate_name, &lexed, &in_test);
     apply_suppressions(rel_path, &lexed, raw)
 }
 
@@ -368,7 +361,6 @@ pub(crate) fn layer2_raw(
     crate_name: &str,
     lexed: &Lexed,
     in_test: &[bool],
-    catalog: &Catalog,
 ) -> Vec<Finding> {
     let toks = &lexed.toks;
     let mut out = Vec::new();
@@ -423,8 +415,8 @@ pub(crate) fn layer2_raw(
                 }
             }
         }
-        // metric-name / catalog-drift: registration sites with a string
-        // literal name. Tests are exempt — they deliberately register
+        // metric-name: registration sites with a string literal name.
+        // Tests are exempt — they deliberately register
         // malformed names to exercise the renderer's degradation path.
         if in_test[k] {
             continue;
@@ -438,55 +430,17 @@ pub(crate) fn layer2_raw(
                     format!("metric name {name:?} is not a valid Prometheus metric name"),
                     &mut out,
                 );
-            } else if name.starts_with("omni_tenant_") && !tenant_labelled(catalog, &name) {
-                push(
-                    lexed,
-                    name_line,
-                    "tenant-label",
-                    format!(
-                        "tenant-scoped metric {name:?} must carry the `tenant` label; \
-                         register it in omni-lint's Catalog::shipped with labels [\"tenant\"]"
-                    ),
-                    &mut out,
-                );
-            } else if CATALOG_CRATES.contains(&crate_name)
-                && !in_test[k]
-                && !catalog.has_metric(&name)
-                && !catalog.has_histogram_base(&name)
-            {
-                push(
-                    lexed,
-                    name_line,
-                    "catalog-drift",
-                    format!(
-                        "metric {name:?} is registered here but missing from the shipped \
-                         catalog; add it to omni-lint's Catalog::shipped"
-                    ),
-                    &mut out,
-                );
             }
         }
     }
     out
 }
 
-/// Whether a tenant-scoped registration carries the `tenant` label —
-/// directly, or (for histograms registered by their base name) via the
-/// gather-time `_bucket` expansion.
-fn tenant_labelled(catalog: &Catalog, name: &str) -> bool {
-    if catalog.metric_labels(name).is_some_and(|ls| ls.contains("tenant")) {
-        return true;
-    }
-    catalog.has_histogram_base(name)
-        && catalog.metric_labels(&format!("{name}_bucket")).is_some_and(|ls| ls.contains("tenant"))
-}
-
 /// If a metric registration site starts at token `k`, return its
 /// string-literal name and the line it sits on. Recognized shapes:
 /// `.counter("name"`, `.gauge("name"`, `.histogram("name"`,
-/// `.ingest_sample("name"`, `MetricFamily::gauge("name"`,
-/// `MetricFamily::counter("name"`, `FamilySnapshot::new("name"`, and the
-/// bare `single("name"` collector shorthand.
+/// `.ingest_sample("name"`, `MetricFamily::gauge("name"` and
+/// `MetricFamily::counter("name"`.
 fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)> {
     let grab = |at: usize| match toks.get(at) {
         Some((line, Tok::Str(s))) => Some((s.clone(), *line)),
@@ -495,13 +449,6 @@ fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)>
     match &toks[k].1 {
         Tok::Ident(id) if REGISTER_METHODS.contains(&id.as_str()) => {
             if k > 0 && toks[k - 1].1 == Tok::Punct('.') && matches_toks(toks, k + 1, &["("]) {
-                return grab(k + 2);
-            }
-            None
-        }
-        Tok::Ident(id) if id == "single" => {
-            // Bare call, not a method (`.single(` would be a method).
-            if (k == 0 || toks[k - 1].1 != Tok::Punct('.')) && matches_toks(toks, k + 1, &["("]) {
                 return grab(k + 2);
             }
             None
@@ -516,12 +463,6 @@ fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)>
             }
             None
         }
-        Tok::Ident(id) if id == "FamilySnapshot" => {
-            if matches_toks(toks, k + 1, &[":", ":", "new", "("]) {
-                return grab(k + 5);
-            }
-            None
-        }
         _ => None,
     }
 }
@@ -531,7 +472,6 @@ fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)>
 /// apply suppressions per file (emitting `unused-suppression` for stale
 /// allows). `root` is the workspace root.
 pub fn lint_workspace(root: &Path) -> Vec<Finding> {
-    let catalog = Catalog::shipped();
     let (ws, mut out) = crate::workspace::Workspace::load(root);
 
     // Raw findings per file: layer 2 first, then the workspace-wide
@@ -545,7 +485,6 @@ pub fn lint_workspace(root: &Path) -> Vec<Finding> {
             &f.crate_name,
             &f.lexed,
             &f.in_test,
-            &catalog,
         ));
     }
     for finding in crate::concurrency::analyze(&ws) {
@@ -566,7 +505,7 @@ mod tests {
     use super::*;
 
     fn lint(src: &str) -> Vec<Finding> {
-        lint_source("crates/loki/src/x.rs", "loki", src, &Catalog::shipped())
+        lint_source("crates/loki/src/x.rs", "loki", src)
     }
 
     #[test]
@@ -637,80 +576,25 @@ mod tests {
     #[test]
     fn wall_clock_flagged_everywhere_but_bench() {
         let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        let f = lint_source("crates/model/src/x.rs", "model", src, &Catalog::shipped());
+        let f = lint_source("crates/model/src/x.rs", "model", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "wall-clock");
-        let bench = lint_source("crates/bench/src/x.rs", "bench", src, &Catalog::shipped());
+        let bench = lint_source("crates/bench/src/x.rs", "bench", src);
         assert!(bench.is_empty());
         // Tests are not exempt: replay determinism covers them too.
         let in_test = "#[cfg(test)]\nmod t { fn f() { Instant::now(); } }\n";
-        assert_eq!(
-            lint_source("crates/model/src/x.rs", "model", in_test, &Catalog::shipped()).len(),
-            1
-        );
+        assert_eq!(lint_source("crates/model/src/x.rs", "model", in_test).len(), 1);
     }
 
     #[test]
     fn bad_metric_name_flagged() {
         let src = "fn f(r: &Registry) { r.counter(\"bad.name\", \"h\", labels!()); }\n";
-        let f = lint_source("crates/model/src/x.rs", "model", src, &Catalog::shipped());
+        let f = lint_source("crates/model/src/x.rs", "model", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "metric-name");
-    }
-
-    #[test]
-    fn catalog_drift_flagged_in_core_only() {
-        let src = "fn f(r: &Registry) { r.counter(\"omni_made_up_total\", \"h\", labels!()); }\n";
-        let core = lint_source("crates/core/src/x.rs", "core", src, &Catalog::shipped());
-        assert_eq!(core.len(), 1, "{core:?}");
-        assert_eq!(core[0].rule, "catalog-drift");
-        // Same site in a non-catalog crate: only name validity applies.
-        let model = lint_source("crates/model/src/x.rs", "model", src, &Catalog::shipped());
-        assert!(model.is_empty(), "{model:?}");
-    }
-
-    #[test]
-    fn tenant_metric_must_carry_tenant_label() {
-        // Unknown omni_tenant_* name: reserved prefix, not in the catalog.
-        let src =
-            "fn f() { let f = FamilySnapshot::new(\"omni_tenant_made_up_total\", \"h\", C); }\n";
-        let f = lint_source("crates/core/src/x.rs", "core", src, &Catalog::shipped());
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "tenant-label");
-        // The prefix is reserved everywhere, not just in catalog crates.
-        let model = lint_source("crates/model/src/x.rs", "model", src, &Catalog::shipped());
-        assert_eq!(model.len(), 1, "{model:?}");
-        assert_eq!(model[0].rule, "tenant-label");
-        // In the catalog but without the tenant label: still flagged.
-        let mut bare = Catalog::empty();
-        bare.add_scraped_metric("omni_tenant_made_up_total", &[]);
-        let f = lint_source("crates/core/src/x.rs", "core", src, &bare);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "tenant-label");
-        // Shipped tenant families carry the label and pass clean.
-        let ok =
-            "fn f() { let f = FamilySnapshot::new(\"omni_tenant_active_streams\", \"h\", G); }\n";
-        let f = lint_source("crates/core/src/x.rs", "core", ok, &Catalog::shipped());
-        assert!(f.is_empty(), "{f:?}");
-        // A tenant-scoped histogram registered by its *base* name gets
-        // the label from its gather-time `_bucket` expansion.
-        let hist = "fn f(r: &Registry) {\n  \
-                    r.histogram(\"omni_tenant_query_wait_seconds\", \"h\", labels!(), B);\n}\n";
-        let f = lint_source("crates/core/src/x.rs", "core", hist, &Catalog::shipped());
-        assert!(f.is_empty(), "{f:?}");
-    }
-
-    #[test]
-    fn known_registration_sites_pass() {
-        let src = concat!(
-            "fn f(r: &Registry) {\n",
-            "  r.counter(\"omni_steps_total\", \"h\", labels!());\n",
-            "  r.histogram(\"omni_ingest_batch_size\", \"h\", labels!(), B);\n",
-            "  let f = FamilySnapshot::new(\"omni_bus_consumer_lag\", \"h\", Gauge);\n",
-            "  single(\"omni_loki_shards_up\", \"h\", Gauge, 1.0);\n",
-            "}\n"
-        );
-        let f = lint_source("crates/core/src/x.rs", "core", src, &Catalog::shipped());
-        assert!(f.is_empty(), "{f:?}");
+        // A site that registers through a table row spells no literal,
+        // so there is nothing for the rule to check.
+        let row = "fn f(r: &Registry) { fam::STEPS.counter(r, labels!()).inc(); }\n";
+        assert!(lint_source("crates/core/src/x.rs", "core", row).is_empty());
     }
 }

@@ -16,13 +16,8 @@ fn bad_fixture_matches_golden_findings_exactly() {
     let golden = std::fs::read_to_string(crate_root().join("tests/fixtures/bad_source.golden"))
         .expect("golden present");
 
-    // The fixture plays a hot-path catalog crate so every rule applies.
-    let findings = normalize(omni_lint::lint_source(
-        "tests/fixtures/bad_source.rs",
-        "core",
-        &src,
-        &Catalog::shipped(),
-    ));
+    // The fixture plays a hot-path crate so every rule applies.
+    let findings = normalize(omni_lint::lint_source("tests/fixtures/bad_source.rs", "core", &src));
     let text = render_text(&findings);
     assert_eq!(text, golden, "fixture findings drifted from the golden file");
 

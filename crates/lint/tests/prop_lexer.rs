@@ -8,11 +8,11 @@
 //! line can never open a block comment or an unterminated literal that
 //! would swallow a seeded defect on a later line.
 
-use omni_lint::{lint_source, normalize, Catalog, Finding};
+use omni_lint::{lint_source, normalize, Finding};
 use proptest::prelude::*;
 
 fn lint(src: &str) -> Vec<Finding> {
-    normalize(lint_source("crates/core/src/prop.rs", "core", src, &Catalog::shipped()))
+    normalize(lint_source("crates/core/src/prop.rs", "core", src))
 }
 
 /// One safe source atom. Lowercase idents only: the wall-clock rule

@@ -13,7 +13,10 @@
 //!   [`Registry::gather`] snapshot is rendered in the Prometheus text
 //!   exposition format by `omni-exporters` and self-scraped by the
 //!   simulated vmagent into the TSDB every tick, so pipeline health is
-//!   queryable through the pane like any other metric.
+//!   queryable through the pane like any other metric. Which families
+//!   the stack emits is declared once, in [`SELF_FAMILIES`]
+//!   ([`families`]): the stack registers through its rows and
+//!   `omni-lint` derives its catalog from them.
 //! * [`TraceStore`] — end-to-end trace propagation: a [`TraceContext`]
 //!   (trace id + span id, derived deterministically from the chaos seed,
 //!   never from wall clock) rides each Redfish event through Kafka
@@ -27,13 +30,15 @@
 //! virtual clock, and iteration orders from sorted maps — the same seed
 //! renders byte-identical timelines and exposition pages.
 
+pub mod families;
 pub mod registry;
 pub mod slo;
 pub mod trace;
 
+pub use families::{tabulate, Family, FamilyKind, SELF_FAMILIES};
 pub use registry::{
     Counter, Exemplar, FamilySnapshot, Gauge, Histogram, InstrumentKind, MetricSample, Registry,
-    DEFAULT_LATENCY_BUCKETS, HISTOGRAM_SUFFIXES,
+    DEFAULT_LATENCY_BUCKETS,
 };
 pub use slo::{Slo, SloBoard, SloSnapshot, SloTracker, FAST_WINDOW, SLOW_WINDOW};
 pub use trace::{

@@ -32,12 +32,6 @@ use std::sync::{Arc, Mutex};
 pub const DEFAULT_LATENCY_BUCKETS: &[f64] =
     &[0.5, 1.0, 2.5, 5.0, 15.0, 30.0, 60.0, 120.0, 300.0, 600.0];
 
-/// Family-name suffixes a histogram expands to at gather time (see
-/// [`Registry::gather`]). `omni-lint` uses this list to derive, from one
-/// registered histogram name, every queryable family it produces — keep
-/// it in sync with `expand_histogram`.
-pub const HISTOGRAM_SUFFIXES: &[&str] = &["_bucket", "_sum", "_count", "_p50", "_p99"];
-
 /// What kind of instrument a family holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstrumentKind {
@@ -46,6 +40,18 @@ pub enum InstrumentKind {
     /// Point-in-time value.
     Gauge,
 }
+
+/// The families a histogram expands to at gather time (see
+/// [`Registry::gather`]), as `(name suffix, kind)`. [`crate::Family::gathered`]
+/// declares a histogram row's output from this list; a unit test there
+/// pins it to what `expand_histogram` emits.
+pub(crate) const HISTOGRAM_EXPANSION: [(&str, InstrumentKind); 5] = [
+    ("_bucket", InstrumentKind::Counter),
+    ("_sum", InstrumentKind::Counter),
+    ("_count", InstrumentKind::Counter),
+    ("_p50", InstrumentKind::Gauge),
+    ("_p99", InstrumentKind::Gauge),
+];
 
 /// One labelled value inside a [`FamilySnapshot`].
 #[derive(Debug, Clone, PartialEq)]
@@ -155,6 +161,36 @@ struct HistCore {
     count: u64,
 }
 
+impl HistCore {
+    /// The `q`-quantile estimate over the current buckets (see
+    /// [`Histogram::quantile`]).
+    fn quantile(&self, q: f64) -> f64 {
+        if self.count == 0 {
+            return 0.0;
+        }
+        let rank = q * self.count as f64;
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            let next = seen + c;
+            if (next as f64) >= rank {
+                if i >= self.bounds.len() {
+                    // +Inf bucket: clamp like histogram_quantile does.
+                    return self.bounds.last().copied().unwrap_or(f64::INFINITY);
+                }
+                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
+                let upper = self.bounds[i];
+                let into = (rank - seen as f64) / c as f64;
+                return lower + (upper - lower) * into.clamp(0.0, 1.0);
+            }
+            seen = next;
+        }
+        self.bounds.last().copied().unwrap_or(f64::INFINITY)
+    }
+}
+
 /// A fixed-bucket histogram handle.
 #[derive(Clone)]
 pub struct Histogram(Arc<Mutex<HistCore>>);
@@ -196,30 +232,7 @@ impl Histogram {
     /// `histogram_quantile` would produce. Returns 0.0 when empty;
     /// observations in the `+Inf` bucket clamp to the largest finite bound.
     pub fn quantile(&self, q: f64) -> f64 {
-        let h = self.0.lock().unwrap();
-        if h.count == 0 {
-            return 0.0;
-        }
-        let rank = q * h.count as f64;
-        let mut seen = 0u64;
-        for (i, &c) in h.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let next = seen + c;
-            if (next as f64) >= rank {
-                if i >= h.bounds.len() {
-                    // +Inf bucket: clamp like histogram_quantile does.
-                    return h.bounds.last().copied().unwrap_or(f64::INFINITY);
-                }
-                let lower = if i == 0 { 0.0 } else { h.bounds[i - 1] };
-                let upper = h.bounds[i];
-                let into = (rank - seen as f64) / c as f64;
-                return lower + (upper - lower) * into.clamp(0.0, 1.0);
-            }
-            seen = next;
-        }
-        h.bounds.last().copied().unwrap_or(f64::INFINITY)
+        self.0.lock().unwrap().quantile(q)
     }
 }
 
@@ -394,14 +407,16 @@ impl Registry {
     }
 }
 
+/// Snapshot one histogram cell into its five gathered families, all
+/// under a single guard: on the `Sync` registry a concurrent `observe`
+/// must not make `_p50`/`_p99` describe a different population than
+/// `_count`/`_bucket` on the same page.
 fn expand_histogram(
     name: &str,
     help: &str,
     labels: &LabelSet,
     cell: &Arc<Mutex<HistCore>>,
 ) -> Vec<FamilySnapshot> {
-    let handle = Histogram(cell.clone());
-    let (p50, p99) = (handle.quantile(0.50), handle.quantile(0.99));
     let h = cell.lock().unwrap();
     let mut bucket = FamilySnapshot::new(&format!("{name}_bucket"), help, InstrumentKind::Counter);
     let mut cumulative = 0u64;
@@ -419,8 +434,8 @@ fn expand_histogram(
     for (suffix, kind, value) in [
         ("_sum", InstrumentKind::Counter, h.sum),
         ("_count", InstrumentKind::Counter, h.count as f64),
-        ("_p50", InstrumentKind::Gauge, p50),
-        ("_p99", InstrumentKind::Gauge, p99),
+        ("_p50", InstrumentKind::Gauge, h.quantile(0.50)),
+        ("_p99", InstrumentKind::Gauge, h.quantile(0.99)),
     ] {
         let mut s = FamilySnapshot::new(&format!("{name}{suffix}"), help, kind);
         s.push(labels.clone(), value);
@@ -551,6 +566,40 @@ mod tests {
         assert_eq!(h.quantile(0.99), 5.0);
         assert_eq!(h.quantile(1.0), 5.0);
         assert_eq!(h.count(), 10);
+    }
+
+    #[test]
+    fn gathered_quantiles_agree_with_the_handle() {
+        // `_p50`/`_p99` are estimated inside the same snapshot that
+        // yields `_count`/`_bucket`; `Histogram::quantile` wraps the same
+        // estimator, so the two must agree case by case.
+        let cases: [(&str, &[f64], &[f64]); 4] = [
+            ("empty", &[1.0, 2.0], &[]),
+            ("single_bucket", &[1.0, 2.0], &[0.5, 0.7]),
+            ("interpolated", &[1.0, 10.0, 100.0], &[0.5, 0.6, 5.0, 50.0, 60.0]),
+            ("inf_clamped", &[1.0, 5.0], &[0.5, 1e6, 1e6, 1e6]),
+        ];
+        for (case, bounds, observations) in cases {
+            let r = reg();
+            let h = r.histogram("omni_q", "Q.", LabelSet::new(), bounds);
+            for &v in observations {
+                h.observe(v);
+            }
+            let g = r.gather();
+            let value =
+                |name: &str| g.iter().find(|f| f.name == name).expect("expanded").samples[0].value;
+            assert_eq!(value("omni_q_p50"), h.quantile(0.50), "{case}");
+            assert_eq!(value("omni_q_p99"), h.quantile(0.99), "{case}");
+            assert_eq!(value("omni_q_count"), observations.len() as f64, "{case}");
+        }
+        // Spot values so agreement is not two wrongs: rank 2.5 of 5 sits
+        // halfway into the (1,10] bucket; the all-overflow tail clamps.
+        let r = reg();
+        let h = r.histogram("omni_q", "Q.", LabelSet::new(), &[1.0, 10.0, 100.0]);
+        for v in [0.5, 0.6, 5.0, 50.0, 60.0] {
+            h.observe(v);
+        }
+        assert_eq!(h.quantile(0.50), 5.5);
     }
 
     #[test]

@@ -182,6 +182,11 @@ impl ServiceNow {
         self.inner.lock().incidents.clone()
     }
 
+    /// How many incidents were ever opened, without cloning them.
+    pub fn incident_count(&self) -> usize {
+        self.inner.lock().incidents.len()
+    }
+
     /// All alerts (snapshot), sorted by number.
     pub fn alerts(&self) -> Vec<SnAlert> {
         let mut v: Vec<SnAlert> = self.inner.lock().alerts.values().cloned().collect();
@@ -271,6 +276,7 @@ mod tests {
         ev.severity = 3;
         sn.process_event(ev, 0);
         assert!(sn.incidents().is_empty());
+        assert_eq!(sn.incident_count(), 0);
         assert_eq!(sn.alerts().len(), 1);
     }
 
@@ -330,6 +336,7 @@ mod tests {
         // Reoccurrence opens a new incident instead of reviving the old.
         sn.process_event(critical_event("leak:x1", "x1"), 400 * NANOS_PER_SEC);
         assert_eq!(sn.incidents().len(), 2);
+        assert_eq!(sn.incident_count(), 2);
     }
 
     #[test]
