@@ -11,17 +11,14 @@
 //! * **producers** that route records by key hash (same key → same
 //!   partition → per-key ordering, the property the Telemetry API needs to
 //!   keep per-component event order);
-//! * **consumer groups** with partition assignment and committed offsets;
-//! * **live tail** subscriptions over crossbeam channels (the push mode the
-//!   paper's Telemetry API uses: "Kafka pushes data to the client via the
-//!   API");
+//! * offset-addressed **fetch** plus committed **consumer-group cursors**,
+//!   from which the broker meters each group's lag (the Telemetry API's
+//!   subscription is the consumer; the bus only keeps its offsets);
 //! * size/age **retention** enforcement and per-topic metering.
 
-mod consumer;
 mod partition;
 mod stats;
 
-pub use consumer::{Consumer, ConsumerGroupDesc};
 pub use partition::{Message, Partition};
 pub use stats::{TopicStats, TopicStatsSnapshot};
 
@@ -91,8 +88,6 @@ struct Topic {
     config: TopicConfig,
     stats: TopicStats,
     round_robin: AtomicU64,
-    /// Live-tail subscribers; closed channels are pruned on produce.
-    tails: OrderedMutex<Vec<crossbeam::channel::Sender<Message>>>,
 }
 
 /// Committed offsets per consumer group: (group, topic, partition) → next
@@ -138,9 +133,6 @@ pub struct TenantProduceStats {
 struct BrokerInner {
     topics: OrderedRwLock<HashMap<String, Arc<Topic>>>,
     offsets: OrderedMutex<GroupOffsets>,
-    /// (group, topic) → member ids, in join order.
-    members: OrderedMutex<HashMap<(String, String), Vec<u64>>>,
-    next_member_id: AtomicU64,
     clock: SimClock,
     brownouts: OrderedMutex<Vec<Brownout>>,
     brownout_seq: AtomicU64,
@@ -155,8 +147,6 @@ impl Broker {
             inner: Arc::new(BrokerInner {
                 topics: OrderedRwLock::new(&classes::BUS_TOPICS, HashMap::new()),
                 offsets: OrderedMutex::new(&classes::BUS_OFFSETS, HashMap::new()),
-                members: OrderedMutex::new(&classes::BUS_MEMBERS, HashMap::new()),
-                next_member_id: AtomicU64::new(0),
                 clock,
                 brownouts: OrderedMutex::new(&classes::BUS_BROWNOUTS, Vec::new()),
                 brownout_seq: AtomicU64::new(0),
@@ -205,7 +195,6 @@ impl Broker {
             config,
             stats: TopicStats::default(),
             round_robin: AtomicU64::new(0),
-            tails: OrderedMutex::new(&classes::BUS_TOPIC_TAILS, Vec::new()),
         };
         topics.insert(name.to_string(), Arc::new(topic));
         Ok(())
@@ -350,29 +339,11 @@ impl Broker {
             payload,
             headers,
         };
-        let (offset, bytes) = t.partitions[part_idx].append(msg.clone());
+        let (offset, bytes) = t.partitions[part_idx].append(msg);
         t.stats.record_in(bytes);
         // Enforce per-partition byte cap eagerly.
         if let Some(cap) = t.config.max_partition_bytes {
             t.partitions[part_idx].truncate_to_bytes(cap);
-        }
-        // Fan out to live tails, pruning closed ones.
-        {
-            let mut tails = t.tails.lock();
-            if !tails.is_empty() {
-                let mut delivered = Message { offset, ..msg };
-                tails.retain(|tx| match tx.try_send(delivered.clone()) {
-                    Ok(()) => true,
-                    Err(crossbeam::channel::TrySendError::Full(m)) => {
-                        // Slow subscriber: drop this message for them but
-                        // keep the subscription (at-most-once tail).
-                        delivered = m;
-                        t.stats.record_tail_drop();
-                        true
-                    }
-                    Err(crossbeam::channel::TrySendError::Disconnected(_)) => false,
-                });
-            }
         }
         Ok((part_idx, offset))
     }
@@ -406,28 +377,6 @@ impl Broker {
         let t = self.topic(topic)?;
         let p = t.partitions.get(partition).ok_or(BusError::UnknownPartition(partition))?;
         Ok(p.log_end())
-    }
-
-    /// Subscribe a live tail to a topic: every subsequently produced
-    /// message is pushed into the returned channel (bounded by
-    /// `buffer`; messages overflowing a slow consumer are dropped).
-    pub fn tail(
-        &self,
-        topic: &str,
-        buffer: usize,
-    ) -> Result<crossbeam::channel::Receiver<Message>, BusError> {
-        let t = self.topic(topic)?;
-        let (tx, rx) = crossbeam::channel::bounded(buffer);
-        t.tails.lock().push(tx);
-        Ok(rx)
-    }
-
-    /// Join a consumer group on a topic. Each call creates one consumer and
-    /// re-balances the group's partition assignment round-robin across the
-    /// group's consumers (static membership: rebalancing happens on join).
-    pub fn join_group(&self, group: &str, topic: &str) -> Result<Consumer, BusError> {
-        let t = self.topic(topic)?;
-        consumer::join(self.clone(), group, topic, t.partitions.len())
     }
 
     /// Committed cursor of a consumer group on a partition: the next
@@ -470,33 +419,6 @@ impl Broker {
         groups.sort();
         groups.dedup();
         groups
-    }
-
-    pub(crate) fn register_member(&self, group: &str, topic: &str) -> u64 {
-        let id = self.inner.next_member_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .members
-            .lock()
-            .entry((group.to_string(), topic.to_string()))
-            .or_default()
-            .push(id);
-        id
-    }
-
-    pub(crate) fn deregister_member(&self, group: &str, topic: &str, id: u64) {
-        if let Some(v) = self.inner.members.lock().get_mut(&(group.to_string(), topic.to_string()))
-        {
-            v.retain(|&m| m != id);
-        }
-    }
-
-    pub(crate) fn group_members(&self, group: &str, topic: &str) -> Vec<u64> {
-        self.inner
-            .members
-            .lock()
-            .get(&(group.to_string(), topic.to_string()))
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Drop messages older than each topic's retention horizon, relative
@@ -603,33 +525,6 @@ mod tests {
             b.create_topic("t", TopicConfig::default()),
             Err(BusError::TopicExists(_))
         ));
-    }
-
-    #[test]
-    fn tail_receives_live_messages() {
-        let b = broker();
-        b.create_topic("t", TopicConfig { partitions: 2, ..Default::default() }).unwrap();
-        let rx = b.tail("t", 16).unwrap();
-        b.produce("t", Some("k"), &b"live"[..]).unwrap();
-        let msg = rx.try_recv().unwrap();
-        assert_eq!(&msg.payload[..], b"live");
-        assert_eq!(msg.key.as_deref(), Some("k"));
-    }
-
-    #[test]
-    fn slow_tail_drops_but_survives() {
-        let b = broker();
-        b.create_topic("t", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
-        let rx = b.tail("t", 2).unwrap();
-        for i in 0..5 {
-            b.produce("t", None, format!("{i}")).unwrap();
-        }
-        // Buffer of 2: the first two arrive, the rest were dropped.
-        assert_eq!(rx.try_iter().count(), 2);
-        assert_eq!(b.stats("t").unwrap().tail_drops, 3);
-        // Subscription still works afterwards.
-        b.produce("t", None, &b"after"[..]).unwrap();
-        assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]

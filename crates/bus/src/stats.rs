@@ -8,7 +8,6 @@ pub struct TopicStats {
     messages_in: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
-    tail_drops: AtomicU64,
     produce_retries: AtomicU64,
     unavailable_windows: AtomicU64,
     /// `window id + 1` of the last brownout that touched this topic, so a
@@ -25,8 +24,6 @@ pub struct TopicStatsSnapshot {
     pub bytes_in: u64,
     /// Payload bytes served to fetchers.
     pub bytes_out: u64,
-    /// Messages dropped on slow live-tail subscribers.
-    pub tail_drops: u64,
     /// Produce attempts rejected by a brownout (each one is a retry the
     /// producer owes).
     pub produce_retries: u64,
@@ -50,10 +47,6 @@ impl TopicStats {
         self.bytes_out.fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_tail_drop(&self) {
-        self.tail_drops.fetch_add(1, Ordering::Relaxed);
-    }
-
     pub(crate) fn record_produce_retry(&self) {
         self.produce_retries.fetch_add(1, Ordering::Relaxed);
     }
@@ -72,7 +65,6 @@ impl TopicStats {
             messages_in: self.messages_in.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            tail_drops: self.tail_drops.load(Ordering::Relaxed),
             produce_retries: self.produce_retries.load(Ordering::Relaxed),
             unavailable_windows: self.unavailable_windows.load(Ordering::Relaxed),
             consumer_lag: 0,

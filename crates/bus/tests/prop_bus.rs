@@ -101,32 +101,4 @@ proptest! {
             prop_assert_eq!(first.offset, from);
         }
     }
-
-    /// Consumer groups see every message exactly once regardless of how
-    /// members split the partitions.
-    #[test]
-    fn group_sees_each_message_once(
-        n in 1usize..200,
-        partitions in 1usize..8,
-        members in 1usize..4,
-    ) {
-        let broker = Broker::new(SimClock::new());
-        broker
-            .create_topic("t", TopicConfig { partitions, ..Default::default() })
-            .unwrap();
-        for i in 0..n {
-            broker.produce("t", Some(&format!("k{i}")), format!("{i}")).unwrap();
-        }
-        let mut consumers: Vec<_> =
-            (0..members).map(|_| broker.join_group("g", "t").unwrap()).collect();
-        let mut seen: Vec<u32> = Vec::new();
-        for c in &mut consumers {
-            for m in c.poll(usize::MAX).unwrap() {
-                seen.push(std::str::from_utf8(&m.payload).unwrap().parse().unwrap());
-            }
-        }
-        seen.sort_unstable();
-        let expected: Vec<u32> = (0..n as u32).collect();
-        prop_assert_eq!(seen, expected);
-    }
 }

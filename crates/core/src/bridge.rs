@@ -19,24 +19,25 @@
 //!
 //! # Delivery semantics
 //!
-//! The bridges consume at-least-once. Each keeps an explicit
-//! `(topic, partition) → offset` cursor and advances it only after a
-//! message has been handled, so a bus brownout (`BusError::Unavailable`)
-//! or a revoked API token simply pauses consumption — the next pump picks
-//! up at the same offset. Records that Loki rejects transiently (all
-//! shards down) park in a bounded in-flight buffer with exponential
-//! backoff; poison messages (unparseable payloads, permanent ingest
-//! rejects, exhausted retries) are produced to [`DEAD_LETTER_TOPIC`]
-//! instead of vanishing.
+//! The bridges consume at-least-once through one
+//! [`omni_telemetry::Subscription`] each: it owns the `(topic, partition)`
+//! cursors and the fetch / re-issue / brownout / commit protocol, and a
+//! cursor advances only past a message the bridge has handled, so a bus
+//! brownout or a revoked API token simply pauses consumption — the next
+//! pump picks up at the same offset. What is left here is what to do with
+//! a message. Records that Loki rejects transiently (all shards down) park
+//! in a bounded in-flight buffer with exponential backoff; poison messages
+//! (unparseable payloads, permanent ingest rejects, exhausted retries) are
+//! produced to [`DEAD_LETTER_TOPIC`] instead of vanishing.
 
 use crate::omni::Omni;
-use omni_bus::{Broker, BusError, TopicConfig};
+use omni_bus::{Broker, Message, TopicConfig};
 use omni_json::jsonv;
 use omni_loki::IngestError;
 use omni_model::{fnv1a64, LabelSet, LogRecord, RetryPolicy, RetryState, Timestamp};
 use omni_obs::{format_trace_id, parse_trace_id, Histogram, TraceStore, TRACE_HEADER};
 use omni_redfish::{topics, RedfishEvent, SensorReading};
-use omni_telemetry::{ApiError, TelemetryApi, Token};
+use omni_telemetry::{ApiError, Handler, Subscription, TelemetryApi, Token};
 use omni_tsdb::Tsdb;
 
 /// Topic where the bridges park poison messages: unparseable payloads,
@@ -44,14 +45,11 @@ use omni_tsdb::Tsdb;
 /// policy. The message key carries the reason.
 pub const DEAD_LETTER_TOPIC: &str = "omni-bridge-dead-letter";
 
-/// Messages fetched per `(topic, partition)` round.
-const FETCH_BATCH: usize = 512;
-
 /// Resilience counters common to both bridges.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BridgeResilience {
-    /// Fetch rounds abandoned because the bus was browned out (the cursor
-    /// stays put, so nothing is lost — just deferred).
+    /// Pumps cut short because the bus was browned out (the cursors stay
+    /// put, so nothing is lost — just deferred).
     pub fetch_retries: u64,
     /// Times the bridge re-issued credentials after an `Unauthorized`.
     pub resubscribes: u64,
@@ -86,13 +84,6 @@ pub fn telemetry_payload_to_loki(payload: &str, cluster: &str) -> Vec<LogRecord>
     events.iter().map(|e| redfish_to_loki(e, cluster)).collect()
 }
 
-/// Per-topic consumption cursor: offset of the next unread message in
-/// each partition.
-struct Cursor {
-    topic: &'static str,
-    offsets: Vec<u64>,
-}
-
 /// A record whose Loki push failed transiently, awaiting its backoff.
 struct InFlight {
     record: LogRecord,
@@ -103,15 +94,22 @@ struct InFlight {
 /// The log-side bridge: pulls the log-bearing topics through the
 /// Telemetry API into Loki via the OMNI facade, at-least-once.
 pub struct LogBridge {
+    sub: Subscription,
+    sink: LogSink,
+}
+
+/// What the log bridge does with a message: Figure 3 transformation,
+/// batched push, park / retry / dead-letter.
+struct LogSink {
     cluster_name: String,
     omni: Omni,
-    api: TelemetryApi,
-    token: Token,
-    client_id: String,
     broker: Broker,
     tracer: Option<TraceStore>,
     batch_hist: Option<Histogram>,
-    cursors: Vec<Cursor>,
+    /// Virtual time of the pump in progress.
+    now: Timestamp,
+    /// Records converted from the current fetch round, not yet pushed.
+    pending: Vec<LogRecord>,
     in_flight: Vec<InFlight>,
     dead_backlog: Vec<(String, String)>,
     policy: RetryPolicy,
@@ -119,8 +117,6 @@ pub struct LogBridge {
     salt_seq: u64,
     pushed: u64,
     errors: u64,
-    fetch_retries: u64,
-    resubscribes: u64,
     ingest_retries: u64,
     dead_lettered: u64,
 }
@@ -144,28 +140,26 @@ impl LogBridge {
         broker: &Broker,
     ) -> Result<Self, ApiError> {
         broker.ensure_topic(DEAD_LETTER_TOPIC, TopicConfig { partitions: 1, ..Default::default() });
-        let cursors = cursors_for(api, token, LOG_TOPICS)?;
         Ok(Self {
-            cluster_name: cluster_name.to_string(),
-            omni,
-            api: api.clone(),
-            token: token.clone(),
-            client_id: "log-bridge".to_string(),
-            broker: broker.clone(),
-            tracer: None,
-            batch_hist: None,
-            cursors,
-            in_flight: Vec::new(),
-            dead_backlog: Vec::new(),
-            policy: RetryPolicy::default(),
-            max_in_flight: 4_096,
-            salt_seq: 0,
-            pushed: 0,
-            errors: 0,
-            fetch_retries: 0,
-            resubscribes: 0,
-            ingest_retries: 0,
-            dead_lettered: 0,
+            sub: api.subscribe(token, "log-bridge", LOG_TOPICS)?,
+            sink: LogSink {
+                cluster_name: cluster_name.to_string(),
+                omni,
+                broker: broker.clone(),
+                tracer: None,
+                batch_hist: None,
+                now: 0,
+                pending: Vec::new(),
+                in_flight: Vec::new(),
+                dead_backlog: Vec::new(),
+                policy: RetryPolicy::default(),
+                max_in_flight: 4_096,
+                salt_seq: 0,
+                pushed: 0,
+                errors: 0,
+                ingest_retries: 0,
+                dead_lettered: 0,
+            },
         })
     }
 
@@ -173,14 +167,14 @@ impl LogBridge {
     /// [`TRACE_HEADER`] get a `kafka` span, a `trace_id` record label and
     /// a `loki_ingest` span that stretches across park/retry cycles.
     pub fn set_tracer(&mut self, tracer: TraceStore) {
-        self.tracer = Some(tracer);
+        self.sink.tracer = Some(tracer);
     }
 
     /// Attach a histogram that observes the size of every batch pushed to
     /// Loki — the operator-facing view of how well the bridge amortises
     /// its ingest locking.
     pub fn set_batch_histogram(&mut self, hist: Histogram) {
-        self.batch_hist = Some(hist);
+        self.sink.batch_hist = Some(hist);
     }
 
     /// One consumption round at virtual time `now`: retry parked records
@@ -191,82 +185,49 @@ impl LogBridge {
     /// buffer and go to Loki as one batch per `(topic, partition)` fetch
     /// round, so the ingesters take one lock per round instead of one per
     /// record. Outcomes stay per-record: each entry in the batch result is
-    /// stored, parked, or dead-lettered exactly as the per-record path did.
+    /// stored, parked, or dead-lettered on its own.
     pub fn pump(&mut self, now: Timestamp) -> u64 {
-        let mut pushed = 0;
-        self.flush_dead_backlog();
-        self.retry_in_flight(now, &mut pushed);
-        let mut pending: Vec<LogRecord> = Vec::new();
-        'fetch: for c in 0..self.cursors.len() {
-            let topic = self.cursors[c].topic;
-            for part in 0..self.cursors[c].offsets.len() {
-                loop {
-                    if self.in_flight.len() + pending.len() >= self.max_in_flight {
-                        // Backpressure: stop consuming until retries drain.
-                        break 'fetch;
-                    }
-                    let offset = self.cursors[c].offsets[part];
-                    let msgs = match self.api.fetch(&self.token, topic, part, offset, FETCH_BATCH) {
-                        Ok(msgs) => msgs,
-                        Err(ApiError::Unauthorized) => {
-                            // Credentials were revoked out from under
-                            // us: re-issue and resume right away.
-                            self.token = self.api.issue_token(&self.client_id);
-                            self.resubscribes += 1;
-                            continue;
-                        }
-                        Err(ApiError::Bus(BusError::Unavailable)) => {
-                            // Brownout: the cursor stays put, so the
-                            // next pump re-reads from here.
-                            self.fetch_retries += 1;
-                            break 'fetch;
-                        }
-                        Err(ApiError::Bus(_)) => break,
-                    };
-                    if msgs.is_empty() {
-                        break;
-                    }
-                    for msg in msgs {
-                        if self.in_flight.len() + pending.len() >= self.max_in_flight {
-                            // Unconsumed messages re-fetch next pump.
-                            break 'fetch;
-                        }
-                        let next = msg.offset + 1;
-                        self.handle_message(topic, msg, now, &mut pending);
-                        self.cursors[c].offsets[part] = next;
-                    }
-                    // One batched push per fetch round keeps the pending
-                    // buffer bounded by FETCH_BATCH plus a few multi-event
-                    // payloads.
-                    self.flush_pending(&mut pending, now, &mut pushed);
-                }
-            }
-        }
-        self.flush_pending(&mut pending, now, &mut pushed);
-        self.commit_cursors();
-        self.pushed += pushed;
-        pushed
+        let sink = &mut self.sink;
+        let before = sink.pushed;
+        sink.now = now;
+        sink.flush_dead_backlog();
+        sink.retry_in_flight();
+        self.sub.poll(sink);
+        // A poll stopped mid-round leaves that round's records pending.
+        sink.flush_pending();
+        sink.pushed - before
     }
 
-    /// Commit every advanced cursor under the bridge's consumer group so
-    /// the broker can report consumer lag for it.
-    fn commit_cursors(&self) {
-        for c in &self.cursors {
-            for (part, &next) in c.offsets.iter().enumerate() {
-                if next > 0 {
-                    let _ = self.api.commit(&self.token, &self.client_id, c.topic, part, next);
-                }
-            }
-        }
+    /// Revoke the bridge's current API token (chaos hook); the next pump
+    /// hits `Unauthorized` and re-subscribes.
+    pub fn chaos_revoke_token(&self) {
+        self.sub.revoke_token();
     }
 
-    fn handle_message(
-        &mut self,
-        topic: &str,
-        msg: omni_bus::Message,
-        now: Timestamp,
-        pending: &mut Vec<LogRecord>,
-    ) {
+    /// `(records pushed, permanent push errors)` so far.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.sink.pushed, self.sink.errors)
+    }
+
+    /// Resilience counters.
+    pub fn resilience(&self) -> BridgeResilience {
+        BridgeResilience {
+            fetch_retries: self.sub.fetch_retries(),
+            resubscribes: self.sub.resubscribes(),
+            ingest_retries: self.sink.ingest_retries,
+            dead_lettered: self.sink.dead_lettered,
+            in_flight: self.sink.in_flight.len(),
+        }
+    }
+}
+
+impl Handler for LogSink {
+    /// Backpressure: stop consuming until retries drain.
+    fn ready(&self) -> bool {
+        self.in_flight.len() + self.pending.len() < self.max_in_flight
+    }
+
+    fn handle(&mut self, topic: &str, msg: Message) {
         let payload = String::from_utf8_lossy(&msg.payload).into_owned();
         if topic == topics::RESOURCE_EVENTS {
             // Redfish events: the Figure 2 → Figure 3 transformation.
@@ -275,13 +236,13 @@ impl LogBridge {
                 .as_ref()
                 .and_then(|_| msg.header(TRACE_HEADER))
                 .and_then(parse_trace_id);
-            if let (Some(tracer), Some(id)) = (self.tracer.clone(), trace) {
+            if let (Some(tracer), Some(id)) = (&self.tracer, trace) {
                 // Time spent on the bus: produced at msg.ts, fetched now.
                 tracer.span_once(
                     id,
                     "kafka",
                     msg.ts,
-                    now,
+                    self.now,
                     &format!("{topic} offset {}", msg.offset),
                 );
             }
@@ -295,7 +256,7 @@ impl LogBridge {
                 if let Some(id) = trace {
                     record.labels.insert("trace_id", format_trace_id(id));
                 }
-                pending.push(record);
+                self.pending.push(record);
             }
             return;
         }
@@ -326,10 +287,18 @@ impl LogBridge {
             ]),
             _ => return,
         };
-        pending.push(LogRecord::new(labels, msg.ts, payload));
+        self.pending.push(LogRecord::new(labels, msg.ts, payload));
     }
 
-    /// The trace id a record carries (attached in [`Self::handle_message`]).
+    /// One batched push per fetch round keeps the pending buffer bounded
+    /// by the round size plus a few multi-event payloads.
+    fn round_done(&mut self) {
+        self.flush_pending();
+    }
+}
+
+impl LogSink {
+    /// The trace id a record carries (attached in [`Handler::handle`]).
     fn record_trace(&self, record: &LogRecord) -> Option<(TraceStore, u64)> {
         let tracer = self.tracer.clone()?;
         let id = record.labels.get("trace_id").and_then(parse_trace_id)?;
@@ -339,11 +308,12 @@ impl LogBridge {
     /// Push the pending records as one batch; per-record outcomes keep
     /// the per-record semantics: transient failures park the record,
     /// permanent ones dead-letter it.
-    fn flush_pending(&mut self, pending: &mut Vec<LogRecord>, now: Timestamp, pushed: &mut u64) {
-        if pending.is_empty() {
+    fn flush_pending(&mut self) {
+        if self.pending.is_empty() {
             return;
         }
-        let batch = std::mem::take(pending);
+        let now = self.now;
+        let batch = std::mem::take(&mut self.pending);
         if let Some(hist) = &self.batch_hist {
             hist.observe(batch.len() as f64);
         }
@@ -359,12 +329,12 @@ impl LogBridge {
         for (record, result) in batch.into_iter().zip(results) {
             match result {
                 Ok(()) => {
-                    *pushed += 1;
+                    self.pushed += 1;
                     if let Some((tracer, id)) = self.record_trace(&record) {
                         tracer.end_span(id, "loki_ingest", now, "stored");
                     }
                 }
-                Err(IngestError::AllShardsDown) => self.park(record, now),
+                Err(IngestError::AllShardsDown) => self.park(record),
                 Err(_) => {
                     self.errors += 1;
                     self.dead_letter("rejected-ingest", &record.entry.line);
@@ -373,11 +343,11 @@ impl LogBridge {
         }
     }
 
-    fn park(&mut self, record: LogRecord, now: Timestamp) {
+    fn park(&mut self, record: LogRecord) {
         let salt = fnv1a64(&self.salt_seq.to_le_bytes()) ^ record.labels.fingerprint();
         self.salt_seq += 1;
         let mut state = RetryState::new();
-        if state.record_failure(now, &self.policy, salt) {
+        if state.record_failure(self.now, &self.policy, salt) {
             self.ingest_retries += 1;
             self.in_flight.push(InFlight { record, state, salt });
         } else {
@@ -385,7 +355,8 @@ impl LogBridge {
         }
     }
 
-    fn retry_in_flight(&mut self, now: Timestamp, pushed: &mut u64) {
+    fn retry_in_flight(&mut self) {
+        let now = self.now;
         let mut i = 0;
         while i < self.in_flight.len() {
             if !self.in_flight[i].state.due(now) {
@@ -394,7 +365,7 @@ impl LogBridge {
             }
             match self.omni.ingest_record(self.in_flight[i].record.clone()) {
                 Ok(()) => {
-                    *pushed += 1;
+                    self.pushed += 1;
                     let item = self.in_flight.remove(i);
                     if let Some((tracer, id)) = self.record_trace(&item.record) {
                         tracer.end_span(id, "loki_ingest", now, "stored after retry");
@@ -435,28 +406,6 @@ impl LogBridge {
             }
         }
     }
-
-    /// Revoke the bridge's current API token (chaos hook); the next pump
-    /// hits `Unauthorized` and re-subscribes.
-    pub fn chaos_revoke_token(&self) {
-        self.api.revoke_token(&self.token);
-    }
-
-    /// `(records pushed, permanent push errors)` so far.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.pushed, self.errors)
-    }
-
-    /// Resilience counters.
-    pub fn resilience(&self) -> BridgeResilience {
-        BridgeResilience {
-            fetch_retries: self.fetch_retries,
-            resubscribes: self.resubscribes,
-            ingest_retries: self.ingest_retries,
-            dead_lettered: self.dead_lettered,
-            in_flight: self.in_flight.len(),
-        }
-    }
 }
 
 const METRIC_TOPICS: &[&str] = &[
@@ -471,16 +420,16 @@ const METRIC_TOPICS: &[&str] = &[
 /// The metric-side bridge: pulls sensor telemetry topics into the TSDB,
 /// at-least-once (TSDB ingest cannot fail, so no in-flight buffer).
 pub struct MetricBridge {
+    sub: Subscription,
+    sink: MetricSink,
+}
+
+/// What the metric bridge does with a message: one reading, one sample.
+struct MetricSink {
     cluster_name: String,
     tsdb: Tsdb,
-    api: TelemetryApi,
-    token: Token,
-    client_id: String,
     broker: Broker,
-    cursors: Vec<Cursor>,
     pushed: u64,
-    fetch_retries: u64,
-    resubscribes: u64,
     dead_lettered: u64,
 }
 
@@ -494,133 +443,69 @@ impl MetricBridge {
         broker: &Broker,
     ) -> Result<Self, ApiError> {
         broker.ensure_topic(DEAD_LETTER_TOPIC, TopicConfig { partitions: 1, ..Default::default() });
-        let cursors = cursors_for(api, token, METRIC_TOPICS)?;
         Ok(Self {
-            cluster_name: cluster_name.to_string(),
-            tsdb,
-            api: api.clone(),
-            token: token.clone(),
-            client_id: "metric-bridge".to_string(),
-            broker: broker.clone(),
-            cursors,
-            pushed: 0,
-            fetch_retries: 0,
-            resubscribes: 0,
-            dead_lettered: 0,
+            sub: api.subscribe(token, "metric-bridge", METRIC_TOPICS)?,
+            sink: MetricSink {
+                cluster_name: cluster_name.to_string(),
+                tsdb,
+                broker: broker.clone(),
+                pushed: 0,
+                dead_lettered: 0,
+            },
         })
     }
 
-    /// Pull every telemetry topic into the TSDB. Metric names follow the
-    /// `shasta_<kind>_<unit>` convention.
+    /// Pull every telemetry topic into the TSDB. Returns samples pushed in
+    /// this pump.
     pub fn pump(&mut self) -> u64 {
-        let mut pushed = 0;
-        'fetch: for c in 0..self.cursors.len() {
-            let topic = self.cursors[c].topic;
-            for part in 0..self.cursors[c].offsets.len() {
-                loop {
-                    let offset = self.cursors[c].offsets[part];
-                    let msgs = match self.api.fetch(&self.token, topic, part, offset, FETCH_BATCH) {
-                        Ok(msgs) => msgs,
-                        Err(ApiError::Unauthorized) => {
-                            self.token = self.api.issue_token(&self.client_id);
-                            self.resubscribes += 1;
-                            continue;
-                        }
-                        Err(ApiError::Bus(BusError::Unavailable)) => {
-                            self.fetch_retries += 1;
-                            break 'fetch;
-                        }
-                        Err(ApiError::Bus(_)) => break,
-                    };
-                    if msgs.is_empty() {
-                        break;
-                    }
-                    for msg in msgs {
-                        let next = msg.offset + 1;
-                        let payload = String::from_utf8_lossy(&msg.payload).into_owned();
-                        match omni_json::parse(&payload)
-                            .ok()
-                            .as_ref()
-                            .and_then(SensorReading::from_json)
-                        {
-                            Some(reading) => {
-                                let name = format!(
-                                    "shasta_{}_{}",
-                                    reading.kind.as_str(),
-                                    reading.kind.unit()
-                                );
-                                let labels = LabelSet::from_pairs([
-                                    ("xname", reading.xname.to_string()),
-                                    ("sensor", reading.sensor_id.clone()),
-                                    ("cluster", self.cluster_name.clone()),
-                                ]);
-                                self.tsdb.ingest_sample(&name, labels, reading.ts, reading.value);
-                                pushed += 1;
-                            }
-                            None => {
-                                self.dead_lettered += 1;
-                                let _ = self.broker.produce(
-                                    DEAD_LETTER_TOPIC,
-                                    Some("malformed-sensor"),
-                                    payload,
-                                );
-                            }
-                        }
-                        self.cursors[c].offsets[part] = next;
-                    }
-                }
-            }
-        }
-        self.commit_cursors();
-        self.pushed += pushed;
-        pushed
-    }
-
-    /// Commit every advanced cursor under the bridge's consumer group.
-    fn commit_cursors(&self) {
-        for c in &self.cursors {
-            for (part, &next) in c.offsets.iter().enumerate() {
-                if next > 0 {
-                    let _ = self.api.commit(&self.token, &self.client_id, c.topic, part, next);
-                }
-            }
-        }
+        let before = self.sink.pushed;
+        self.sub.poll(&mut self.sink);
+        self.sink.pushed - before
     }
 
     /// Revoke the bridge's current API token (chaos hook).
     pub fn chaos_revoke_token(&self) {
-        self.api.revoke_token(&self.token);
+        self.sub.revoke_token();
     }
 
     /// Records pushed so far.
     pub fn stats(&self) -> u64 {
-        self.pushed
+        self.sink.pushed
     }
 
     /// Resilience counters (this bridge never parks records).
     pub fn resilience(&self) -> BridgeResilience {
         BridgeResilience {
-            fetch_retries: self.fetch_retries,
-            resubscribes: self.resubscribes,
+            fetch_retries: self.sub.fetch_retries(),
+            resubscribes: self.sub.resubscribes(),
             ingest_retries: 0,
-            dead_lettered: self.dead_lettered,
+            dead_lettered: self.sink.dead_lettered,
             in_flight: 0,
         }
     }
 }
 
-fn cursors_for(
-    api: &TelemetryApi,
-    token: &Token,
-    names: &[&'static str],
-) -> Result<Vec<Cursor>, ApiError> {
-    names
-        .iter()
-        .map(|&topic| {
-            let parts = api.partition_count(token, topic)?;
-            Ok(Cursor { topic, offsets: vec![0; parts] })
-        })
-        .collect()
+impl Handler for MetricSink {
+    /// Metric names follow the `shasta_<kind>_<unit>` convention.
+    fn handle(&mut self, _topic: &str, msg: Message) {
+        let payload = String::from_utf8_lossy(&msg.payload).into_owned();
+        match omni_json::parse(&payload).ok().as_ref().and_then(SensorReading::from_json) {
+            Some(reading) => {
+                let name = format!("shasta_{}_{}", reading.kind.as_str(), reading.kind.unit());
+                let labels = LabelSet::from_pairs([
+                    ("xname", reading.xname.to_string()),
+                    ("sensor", reading.sensor_id.clone()),
+                    ("cluster", self.cluster_name.clone()),
+                ]);
+                self.tsdb.ingest_sample(&name, labels, reading.ts, reading.value);
+                self.pushed += 1;
+            }
+            None => {
+                self.dead_lettered += 1;
+                let _ = self.broker.produce(DEAD_LETTER_TOPIC, Some("malformed-sensor"), payload);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -626,8 +626,8 @@ impl ResilienceReport {
         out.push_str("bus:\n");
         for (topic, s) in &self.bus {
             out.push_str(&format!(
-                "  {topic}: in {} msgs, out {} bytes, tail drops {}, produce retries {}, unavailable windows {}, lag {}\n",
-                s.messages_in, s.bytes_out, s.tail_drops, s.produce_retries, s.unavailable_windows, s.consumer_lag,
+                "  {topic}: in {} msgs, out {} bytes, produce retries {}, unavailable windows {}, lag {}\n",
+                s.messages_in, s.bytes_out, s.produce_retries, s.unavailable_windows, s.consumer_lag,
             ));
         }
         out

@@ -1185,7 +1185,6 @@ fn register_self_collectors(
                 [
                     fam::BUS_MESSAGES_IN,
                     fam::BUS_BYTES_OUT,
-                    fam::BUS_TAIL_DROPS,
                     fam::BUS_PRODUCE_RETRIES,
                     fam::BUS_CONSUMER_LAG,
                 ],
@@ -1194,7 +1193,6 @@ fn register_self_collectors(
                     let values = [
                         s.messages_in as f64,
                         s.bytes_out as f64,
-                        s.tail_drops as f64,
                         s.produce_retries as f64,
                         s.consumer_lag as f64,
                     ];

@@ -10,7 +10,7 @@
 //! of the whole chunk (Loki's chunk-internal block index).
 
 use crate::compress::{
-    compress, decompress, get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock,
+    compress, decompress, get_str, get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock,
 };
 use bytes::Bytes;
 use omni_model::{LogEntry, Timestamp};
@@ -291,16 +291,7 @@ impl SealedChunk {
             let (delta_z, n) = get_uvarint(&buf[pos..])?;
             pos += n;
             ts = ts.wrapping_add(unzigzag(delta_z));
-            let (len, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            if len > (buf.len() - pos) as u64 {
-                return Err(CorruptBlock("line runs past block end"));
-            }
-            let len = len as usize;
-            let line = std::str::from_utf8(&buf[pos..pos + len])
-                .map_err(|_| CorruptBlock("line is not valid utf-8"))?
-                .to_string();
-            pos += len;
+            let line = get_str(&buf, &mut pos)?.to_string();
             out.push(LogEntry { ts, line });
         }
         Ok(())

@@ -33,10 +33,12 @@
 //! fetching or decoding a single object body.
 
 use crate::chunk::SealedChunk;
-use crate::compress::{get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock};
+use crate::compress::{
+    get_labels, get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock,
+};
 use bytes::Bytes;
 use omni_model::lockwitness::{classes, OrderedRwLock};
-use omni_model::{LabelSet, Timestamp};
+use omni_model::{fnv1a64, LabelSet, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -146,17 +148,6 @@ impl Default for ColdTierPolicy {
             seed: 0,
         }
     }
-}
-
-/// fnv1a64 over a byte string — the same deterministic coin basis
-/// `core::chaos` uses for its flaky-receiver rolls.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The cold object tier: compacted chunks demoted out of the hot store.
@@ -291,8 +282,7 @@ pub fn object_to_chunk(data: &[u8]) -> Result<SealedChunk, CorruptBlock> {
     pos += n;
     let (len, n) = get_uvarint(&data[pos..])?;
     pos += n;
-    let len = len as usize;
-    if pos + len != data.len() {
+    if len != (data.len() - pos) as u64 {
         return Err(CorruptBlock("object length mismatch"));
     }
     Ok(SealedChunk::from_parts(
@@ -368,13 +358,7 @@ pub fn series_key(fingerprint: u64) -> String {
 /// followed by length-prefixed key/value strings.
 pub fn labels_to_object(labels: &LabelSet) -> Bytes {
     let mut out = Vec::new();
-    put_uvarint(&mut out, labels.len() as u64);
-    for (k, v) in labels.iter() {
-        put_uvarint(&mut out, k.len() as u64);
-        out.extend_from_slice(k.as_bytes());
-        put_uvarint(&mut out, v.len() as u64);
-        out.extend_from_slice(v.as_bytes());
-    }
+    put_labels(&mut out, labels);
     Bytes::from(out)
 }
 
@@ -382,33 +366,11 @@ pub fn labels_to_object(labels: &LabelSet) -> Bytes {
 /// truncated objects yield an error, never a panic or garbage labels.
 pub fn object_to_labels(data: &[u8]) -> Result<LabelSet, CorruptBlock> {
     let mut pos = 0;
-    let (n_labels, n) = get_uvarint(&data[pos..])?;
-    pos += n;
-    let mut labels = LabelSet::new();
-    for _ in 0..n_labels {
-        let (klen, n) = get_uvarint(&data[pos..])?;
-        pos += n;
-        let k = read_str(data, &mut pos, klen as usize)?;
-        let (vlen, n) = get_uvarint(&data[pos..])?;
-        pos += n;
-        let v = read_str(data, &mut pos, vlen as usize)?;
-        labels.insert(k, v);
-    }
+    let labels = get_labels(data, &mut pos)?;
     if pos != data.len() {
         return Err(CorruptBlock("series entry has trailing bytes"));
     }
     Ok(labels)
-}
-
-fn read_str(buf: &[u8], pos: &mut usize, len: usize) -> Result<String, CorruptBlock> {
-    if *pos + len > buf.len() {
-        return Err(CorruptBlock("series entry runs past object end"));
-    }
-    let s = std::str::from_utf8(&buf[*pos..*pos + len])
-        .map_err(|_| CorruptBlock("series label is not utf-8"))?
-        .to_string();
-    *pos += len;
-    Ok(s)
 }
 
 /// Per-fetch accounting: which tier served what, and how much the
@@ -631,6 +593,17 @@ mod tests {
         obj.truncate(obj.len() - 1);
         assert!(object_to_chunk(&obj).is_err());
         assert!(object_to_chunk(&[]).is_err());
+    }
+
+    /// A ten-byte varint decodes to `u64::MAX`; added to the position it
+    /// wrapped (release) or overflowed (debug) instead of being refused.
+    #[test]
+    fn hostile_length_is_an_error_not_a_panic() {
+        const HUGE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        let labels = [&[0x01][..], &HUGE, &[0x01], b"abc"].concat();
+        assert!(object_to_labels(&labels).is_err());
+        let chunk = [&[0, 0, 0, 0][..], &HUGE, b"abc"].concat();
+        assert!(object_to_chunk(&chunk).is_err());
     }
 
     #[test]

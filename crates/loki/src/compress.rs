@@ -14,6 +14,8 @@
 //! * `0x80..=0xff` — match: length = `(ctrl & 0x7f) + MIN_MATCH`, followed
 //!   by a 2-byte little-endian back-distance (1–65535).
 
+use omni_model::LabelSet;
+
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
 /// Maximum match length one token can carry.
@@ -234,6 +236,48 @@ pub fn get_uvarint(input: &[u8]) -> Result<(u64, usize), CorruptBlock> {
         shift += 7;
     }
     Err(CorruptBlock("truncated varint"))
+}
+
+/// Read a varint-length-prefixed UTF-8 string at `*pos` and step past it.
+/// The bound is taken by subtraction, so a hostile length (up to
+/// `u64::MAX`) is an error, never an overflowing add or a panic.
+#[inline]
+pub fn get_str<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a str, CorruptBlock> {
+    let (len, n) = get_uvarint(&buf[*pos..])?;
+    *pos += n;
+    if len > (buf.len() - *pos) as u64 {
+        return Err(CorruptBlock("string runs past buffer end"));
+    }
+    let end = *pos + len as usize;
+    let s = std::str::from_utf8(&buf[*pos..end])
+        .map_err(|_| CorruptBlock("string is not valid utf-8"))?;
+    *pos = end;
+    Ok(s)
+}
+
+/// Append a label set: a pair count, then length-prefixed key/value
+/// strings. The one label-set layout the WAL and the series index share.
+pub fn put_labels(out: &mut Vec<u8>, labels: &LabelSet) {
+    put_uvarint(out, labels.len() as u64);
+    for (k, v) in labels.iter() {
+        put_uvarint(out, k.len() as u64);
+        out.extend_from_slice(k.as_bytes());
+        put_uvarint(out, v.len() as u64);
+        out.extend_from_slice(v.as_bytes());
+    }
+}
+
+/// Read a label set written by [`put_labels`] at `*pos` and step past it.
+pub fn get_labels(buf: &[u8], pos: &mut usize) -> Result<LabelSet, CorruptBlock> {
+    let (n_labels, n) = get_uvarint(&buf[*pos..])?;
+    *pos += n;
+    let mut labels = LabelSet::new();
+    for _ in 0..n_labels {
+        let k = get_str(buf, pos)?;
+        let v = get_str(buf, pos)?;
+        labels.insert(k, v);
+    }
+    Ok(labels)
 }
 
 /// Zigzag-encode a signed value.

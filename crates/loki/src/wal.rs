@@ -17,7 +17,9 @@
 //! label set — often half the encoded bytes — is paid once per frame
 //! instead of once per entry.
 
-use crate::compress::{get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock};
+use crate::compress::{
+    get_labels, get_str, get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock,
+};
 use crate::StreamFrame;
 use omni_model::lockwitness::{classes, OrderedMutex};
 use omni_model::{LabelSet, LogEntry};
@@ -127,13 +129,7 @@ fn encode_run(buf: &mut Vec<u8>, labels: &LabelSet, entries: &[LogEntry]) {
     if entries.is_empty() {
         return;
     }
-    put_uvarint(buf, labels.len() as u64);
-    for (k, v) in labels.iter() {
-        put_uvarint(buf, k.len() as u64);
-        buf.extend_from_slice(k.as_bytes());
-        put_uvarint(buf, v.len() as u64);
-        buf.extend_from_slice(v.as_bytes());
-    }
+    put_labels(buf, labels);
     put_uvarint(buf, entries.len() as u64);
     for entry in entries {
         put_uvarint(buf, zigzag(entry.ts));
@@ -146,18 +142,7 @@ fn decode_runs(buf: &[u8]) -> Result<Vec<StreamFrame>, CorruptBlock> {
     let mut pos = 0;
     let mut out = Vec::new();
     while pos < buf.len() {
-        let (n_labels, n) = get_uvarint(&buf[pos..])?;
-        pos += n;
-        let mut labels = LabelSet::new();
-        for _ in 0..n_labels {
-            let (klen, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            let k = read_str(buf, &mut pos, klen as usize)?;
-            let (vlen, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            let v = read_str(buf, &mut pos, vlen as usize)?;
-            labels.insert(k, v);
-        }
+        let labels = get_labels(buf, &mut pos)?;
         let (entry_count, n) = get_uvarint(&buf[pos..])?;
         pos += n;
         // A run holds at least 2 bytes per entry; a bigger count than
@@ -169,25 +154,11 @@ fn decode_runs(buf: &[u8]) -> Result<Vec<StreamFrame>, CorruptBlock> {
         for _ in 0..entry_count {
             let (ts_z, n) = get_uvarint(&buf[pos..])?;
             pos += n;
-            let (line_len, n) = get_uvarint(&buf[pos..])?;
-            pos += n;
-            let line = read_str(buf, &mut pos, line_len as usize)?;
-            entries.push(LogEntry::new(unzigzag(ts_z), line));
+            entries.push(LogEntry::new(unzigzag(ts_z), get_str(buf, &mut pos)?));
         }
         out.push((labels, entries));
     }
     Ok(out)
-}
-
-fn read_str(buf: &[u8], pos: &mut usize, len: usize) -> Result<String, CorruptBlock> {
-    if *pos + len > buf.len() {
-        return Err(CorruptBlock("wal record runs past segment end"));
-    }
-    let s = std::str::from_utf8(&buf[*pos..*pos + len])
-        .map_err(|_| CorruptBlock("wal string is not utf-8"))?
-        .to_string();
-    *pos += len;
-    Ok(s)
 }
 
 #[cfg(test)]
@@ -402,6 +373,16 @@ mod tests {
             let n = seg.len();
             seg.truncate(n - 3);
         }
+        assert!(wal.replay().is_err());
+    }
+
+    #[test]
+    fn hostile_length_is_an_error_not_a_panic() {
+        let wal = Wal::new();
+        // One label whose key length is a ten-byte varint (`u64::MAX`).
+        wal.segment.lock().extend_from_slice(&[
+            0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, b'a', b'b', b'c',
+        ]);
         assert!(wal.replay().is_err());
     }
 }

@@ -83,14 +83,10 @@ pub mod classes {
         /// Consumer-group cursors; held across partition log-end reads
         /// in `group_lag`.
         BUS_OFFSETS = "bus.BrokerInner.offsets",
-        /// Consumer-group membership.
-        BUS_MEMBERS = "bus.BrokerInner.members",
         /// Brownout fault windows.
         BUS_BROWNOUTS = "bus.BrokerInner.brownouts",
         /// Per-tenant produce quotas; held across quota-bucket refresh.
         BUS_QUOTAS = "bus.BrokerInner.quotas",
-        /// Live-tail subscriber channels of one topic.
-        BUS_TOPIC_TAILS = "bus.Topic.tails",
         /// One partition's message log (innermost bus lock).
         BUS_PARTITION_LOG = "bus.Partition.log",
         // ── loki frontend band: caches before the scheduler ──────────

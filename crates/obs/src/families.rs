@@ -204,8 +204,6 @@ families! {
     BUS_MESSAGES_IN: C, "omni_bus_messages_in_total", ["topic"], "Messages produced, by topic.";
     BUS_BYTES_OUT: C, "omni_bus_bytes_out_total", ["topic"],
         "Bytes fetched by consumers, by topic.";
-    BUS_TAIL_DROPS: C, "omni_bus_tail_drops_total", ["topic"],
-        "Messages dropped by retention, by topic.";
     BUS_PRODUCE_RETRIES: C, "omni_bus_produce_retries_total", ["topic"],
         "Produces bounced by a brownout, by topic.";
     BUS_CONSUMER_LAG: G, "omni_bus_consumer_lag", ["topic"], "Worst consumer-group lag, by topic.";

@@ -10,11 +10,13 @@
 //!
 //! * **token authentication** — clients must present a token issued by
 //!   [`TelemetryApi::issue_token`];
-//! * **gateway balancing** — subscriptions land on the least-loaded of the
+//! * **gateway balancing** — every fetch lands on the least-loaded of the
 //!   configured gateway servers (the paper's cluster runs 4 VM gateways);
-//! * **push subscriptions** — [`Subscription`] streams messages from a
-//!   topic tail;
-//! * **pull fetches** — offset-addressed reads for catch-up consumers.
+//! * **one cursor subscription** — [`Subscription`] is the only way off
+//!   the bus: per-`(topic, partition)` offset cursors, delivered
+//!   at-least-once to a [`Handler`] and committed under the client id so
+//!   the broker can meter the client's lag. [`TelemetryApi::fetch`] and
+//!   [`TelemetryApi::commit`] are the primitives it runs on.
 
 use omni_bus::{Broker, BusError, Message};
 use omni_model::fnv1a64;
@@ -23,6 +25,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Messages fetched per `(topic, partition)` round.
+const FETCH_BATCH: usize = 512;
 
 /// An opaque bearer token.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -61,20 +66,11 @@ impl From<BusError> for ApiError {
     }
 }
 
-/// One gateway server's live state.
-#[derive(Debug, Default)]
-struct Gateway {
-    active_subscriptions: AtomicU64,
-    total_requests: AtomicU64,
-}
-
 /// Gateway load snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayLoad {
     /// Gateway index.
     pub gateway: usize,
-    /// Currently active subscriptions.
-    pub active_subscriptions: u64,
     /// Requests handled since start.
     pub total_requests: u64,
 }
@@ -82,7 +78,8 @@ pub struct GatewayLoad {
 struct ApiInner {
     broker: Broker,
     tokens: Mutex<HashMap<String, String>>, // token -> client id
-    gateways: Vec<Gateway>,
+    /// Requests served, per gateway server.
+    gateways: Vec<AtomicU64>,
     token_counter: AtomicU64,
 }
 
@@ -100,7 +97,7 @@ impl TelemetryApi {
             inner: Arc::new(ApiInner {
                 broker,
                 tokens: Mutex::new(HashMap::new()),
-                gateways: (0..gateways).map(|_| Gateway::default()).collect(),
+                gateways: (0..gateways).map(|_| AtomicU64::new(0)).collect(),
                 token_counter: AtomicU64::new(0),
             }),
         }
@@ -119,41 +116,43 @@ impl TelemetryApi {
         self.inner.tokens.lock().remove(&token.0);
     }
 
-    fn authenticate(&self, token: &Token) -> Result<String, ApiError> {
-        self.inner.tokens.lock().get(&token.0).cloned().ok_or(ApiError::Unauthorized)
+    fn authenticate(&self, token: &Token) -> Result<(), ApiError> {
+        if self.inner.tokens.lock().contains_key(&token.0) {
+            Ok(())
+        } else {
+            Err(ApiError::Unauthorized)
+        }
     }
 
-    /// Pick the least-loaded gateway: fewest live subscriptions first,
-    /// then fewest requests served (so offset-pull clients, which hold no
-    /// subscriptions, still spread), ties to the lowest index.
-    fn pick_gateway(&self) -> usize {
-        self.inner
-            .gateways
-            .iter()
-            .enumerate()
-            .min_by_key(|(i, g)| {
-                (
-                    g.active_subscriptions.load(Ordering::Relaxed),
-                    g.total_requests.load(Ordering::Relaxed),
-                    *i,
-                )
-            })
-            .map(|(i, _)| i)
-            .unwrap()
-    }
-
-    /// Create a push subscription to a topic. Messages produced after this
-    /// call stream into the subscription.
-    pub fn subscribe(&self, token: &Token, topic: &str) -> Result<Subscription, ApiError> {
+    /// Create a subscription for `client_id` on `topics`: one cursor per
+    /// `(topic, partition)`, in the order given, each starting at offset 0.
+    /// `client_id` is the identity a revoked token is re-issued under and
+    /// the consumer group the cursors are committed to.
+    pub fn subscribe(
+        &self,
+        token: &Token,
+        client_id: &str,
+        topics: &[&str],
+    ) -> Result<Subscription, ApiError> {
         self.authenticate(token)?;
-        let gw = self.pick_gateway();
-        let rx = self.inner.broker.tail(topic, 65_536)?;
-        self.inner.gateways[gw].active_subscriptions.fetch_add(1, Ordering::Relaxed);
-        self.inner.gateways[gw].total_requests.fetch_add(1, Ordering::Relaxed);
-        Ok(Subscription { api: self.clone(), gateway: gw, topic: topic.to_string(), rx })
+        let mut cursors = Vec::new();
+        for &topic in topics {
+            for partition in 0..self.inner.broker.partition_count(topic)? {
+                cursors.push(Cursor { topic: topic.to_string(), partition, next: 0, committed: 0 });
+            }
+        }
+        Ok(Subscription {
+            api: self.clone(),
+            token: token.clone(),
+            client_id: client_id.to_string(),
+            cursors,
+            fetch_retries: 0,
+            resubscribes: 0,
+        })
     }
 
-    /// Offset-addressed pull (catch-up reads).
+    /// Offset-addressed read of one partition, served by the least-loaded
+    /// gateway (fewest requests served, ties to the lowest index).
     pub fn fetch(
         &self,
         token: &Token,
@@ -163,15 +162,14 @@ impl TelemetryApi {
         max: usize,
     ) -> Result<Vec<Message>, ApiError> {
         self.authenticate(token)?;
-        let gw = self.pick_gateway();
-        self.inner.gateways[gw].total_requests.fetch_add(1, Ordering::Relaxed);
+        let gateway = self
+            .inner
+            .gateways
+            .iter()
+            .min_by_key(|g| g.load(Ordering::Relaxed))
+            .expect("at least one gateway");
+        gateway.fetch_add(1, Ordering::Relaxed);
         Ok(self.inner.broker.fetch(topic, partition, offset, max)?)
-    }
-
-    /// Partition count for a topic (subscription planning).
-    pub fn partition_count(&self, token: &Token, topic: &str) -> Result<usize, ApiError> {
-        self.authenticate(token)?;
-        Ok(self.inner.broker.partition_count(topic)?)
     }
 
     /// Commit an offset cursor on behalf of a consumer group, so the
@@ -196,52 +194,125 @@ impl TelemetryApi {
             .gateways
             .iter()
             .enumerate()
-            .map(|(i, g)| GatewayLoad {
-                gateway: i,
-                active_subscriptions: g.active_subscriptions.load(Ordering::Relaxed),
-                total_requests: g.total_requests.load(Ordering::Relaxed),
-            })
+            .map(|(gateway, g)| GatewayLoad { gateway, total_requests: g.load(Ordering::Relaxed) })
             .collect()
-    }
-
-    fn release(&self, gateway: usize) {
-        self.inner.gateways[gateway].active_subscriptions.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
-/// A live push subscription.
+/// What a subscriber does with the messages a [`Subscription::poll`]
+/// delivers.
+pub trait Handler {
+    /// Whether the handler can take another message now. Asked before
+    /// every fetch and before every message; `false` ends the poll with
+    /// the cursor still in front of that message (backpressure).
+    fn ready(&self) -> bool {
+        true
+    }
+
+    /// Take one message of `topic`. The cursor moves past the message when
+    /// this returns, so whatever the handler does with it — store, park,
+    /// dead-letter — the message is its responsibility from here on.
+    fn handle(&mut self, topic: &str, msg: Message);
+
+    /// Every message of one fetch round has been handled.
+    fn round_done(&mut self) {}
+}
+
+/// Consumption position in one partition.
+struct Cursor {
+    topic: String,
+    partition: usize,
+    /// Offset of the next unread message.
+    next: u64,
+    /// What the broker holds as this client's committed cursor.
+    committed: u64,
+}
+
+/// A client's subscription: the at-least-once cursor consumer.
+///
+/// A cursor advances only past a message the handler has taken, so a bus
+/// brownout, a revoked token or a handler that is not ready only pauses
+/// consumption — the next poll resumes at the same offset.
 pub struct Subscription {
     api: TelemetryApi,
-    gateway: usize,
-    topic: String,
-    rx: crossbeam::channel::Receiver<Message>,
+    token: Token,
+    client_id: String,
+    /// Topic-then-partition order: the order a poll visits them in.
+    cursors: Vec<Cursor>,
+    fetch_retries: u64,
+    resubscribes: u64,
 }
 
 impl Subscription {
-    /// Gateway serving this subscription.
-    pub fn gateway(&self) -> usize {
-        self.gateway
+    /// One consumption round: pull every partition forward in rounds of
+    /// `FETCH_BATCH` messages until it is drained, the handler stops being
+    /// [`Handler::ready`], or the bus browns out; then commit the cursors
+    /// that moved under the client id as consumer group.
+    pub fn poll(&mut self, handler: &mut impl Handler) {
+        'poll: for c in &mut self.cursors {
+            loop {
+                if !handler.ready() {
+                    break 'poll;
+                }
+                let msgs =
+                    match self.api.fetch(&self.token, &c.topic, c.partition, c.next, FETCH_BATCH) {
+                        Ok(msgs) => msgs,
+                        Err(ApiError::Unauthorized) => {
+                            // Credentials were revoked out from under us:
+                            // re-issue and resume right away.
+                            self.token = self.api.issue_token(&self.client_id);
+                            self.resubscribes += 1;
+                            continue;
+                        }
+                        Err(ApiError::Bus(BusError::Unavailable)) => {
+                            // Brownout: the cursors stay put, so the next
+                            // poll re-reads from here.
+                            self.fetch_retries += 1;
+                            break 'poll;
+                        }
+                        Err(ApiError::Bus(_)) => break,
+                    };
+                if msgs.is_empty() {
+                    break;
+                }
+                for msg in msgs {
+                    if !handler.ready() {
+                        // Unconsumed messages re-fetch next poll.
+                        break 'poll;
+                    }
+                    let next = msg.offset + 1;
+                    handler.handle(&c.topic, msg);
+                    c.next = next;
+                }
+                handler.round_done();
+            }
+        }
+        for c in &mut self.cursors {
+            if c.next != c.committed
+                && self
+                    .api
+                    .commit(&self.token, &self.client_id, &c.topic, c.partition, c.next)
+                    .is_ok()
+            {
+                c.committed = c.next;
+            }
+        }
     }
 
-    /// Topic subscribed.
-    pub fn topic(&self) -> &str {
-        &self.topic
+    /// Polls cut short by a bus brownout (nothing is lost — just deferred).
+    pub fn fetch_retries(&self) -> u64 {
+        self.fetch_retries
     }
 
-    /// Non-blocking drain of everything currently queued.
-    pub fn drain(&self) -> Vec<Message> {
-        self.rx.try_iter().collect()
+    /// Times the token was re-issued after an `Unauthorized`.
+    pub fn resubscribes(&self) -> u64 {
+        self.resubscribes
     }
 
-    /// Non-blocking single receive.
-    pub fn try_next(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
-    }
-}
-
-impl Drop for Subscription {
-    fn drop(&mut self) {
-        self.api.release(self.gateway);
+    /// Revoke the subscription's current token (chaos hook); the next poll
+    /// hits `Unauthorized` and re-issues it.
+    pub fn revoke_token(&self) {
+        self.api.revoke_token(&self.token);
     }
 }
 
@@ -251,22 +322,25 @@ mod tests {
     use omni_bus::TopicConfig;
     use omni_model::SimClock;
 
+    const TOPIC: &str = "cray-dmtf-resource-event";
+
     fn api() -> TelemetryApi {
         let broker = Broker::new(SimClock::new());
-        broker.ensure_topic("cray-dmtf-resource-event", TopicConfig::default());
+        broker.ensure_topic(TOPIC, TopicConfig::default());
         TelemetryApi::new(broker, 4)
     }
 
     #[test]
-    fn subscription_requires_valid_token() {
+    fn subscribe_requires_valid_token_and_known_topic() {
         let a = api();
         let bogus = Token("nope".to_string());
-        assert_eq!(
-            a.subscribe(&bogus, "cray-dmtf-resource-event").err(),
-            Some(ApiError::Unauthorized)
-        );
+        assert_eq!(a.subscribe(&bogus, "bridge", &[TOPIC]).err(), Some(ApiError::Unauthorized));
         let t = a.issue_token("bridge");
-        assert!(a.subscribe(&t, "cray-dmtf-resource-event").is_ok());
+        assert_eq!(a.subscribe(&t, "bridge", &[TOPIC]).unwrap().cursors.len(), 4);
+        assert!(matches!(
+            a.subscribe(&t, "bridge", &["nope"]),
+            Err(ApiError::Bus(BusError::UnknownTopic(_)))
+        ));
     }
 
     #[test]
@@ -274,35 +348,7 @@ mod tests {
         let a = api();
         let t = a.issue_token("bridge");
         a.revoke_token(&t);
-        assert_eq!(
-            a.fetch(&t, "cray-dmtf-resource-event", 0, 0, 1).err(),
-            Some(ApiError::Unauthorized)
-        );
-    }
-
-    #[test]
-    fn subscription_streams_messages() {
-        let a = api();
-        let t = a.issue_token("bridge");
-        let sub = a.subscribe(&t, "cray-dmtf-resource-event").unwrap();
-        // Note: the broker behind the api; produce directly.
-        a.inner.broker.produce("cray-dmtf-resource-event", Some("x1"), "payload").unwrap();
-        let msgs = sub.drain();
-        assert_eq!(msgs.len(), 1);
-        assert_eq!(&msgs[0].payload[..], b"payload");
-    }
-
-    #[test]
-    fn subscriptions_balance_across_gateways() {
-        let a = api();
-        let t = a.issue_token("bridge");
-        let subs: Vec<Subscription> =
-            (0..8).map(|_| a.subscribe(&t, "cray-dmtf-resource-event").unwrap()).collect();
-        let loads = a.gateway_loads();
-        assert!(loads.iter().all(|l| l.active_subscriptions == 2), "{loads:?}");
-        drop(subs);
-        let loads = a.gateway_loads();
-        assert!(loads.iter().all(|l| l.active_subscriptions == 0), "{loads:?}");
+        assert_eq!(a.fetch(&t, TOPIC, 0, 0, 1).err(), Some(ApiError::Unauthorized));
     }
 
     #[test]
@@ -310,36 +356,24 @@ mod tests {
         let a = api();
         let t = a.issue_token("bridge");
         for i in 0..5 {
-            a.inner.broker.produce("cray-dmtf-resource-event", Some("k"), format!("{i}")).unwrap();
+            a.inner.broker.produce(TOPIC, Some("k"), format!("{i}")).unwrap();
         }
         let part = (0..4)
-            .find(|&p| {
-                !a.inner.broker.fetch("cray-dmtf-resource-event", p, 0, 1).unwrap().is_empty()
-            })
+            .find(|&p| !a.inner.broker.fetch(TOPIC, p, 0, 1).unwrap().is_empty())
             .expect("keyed messages must land somewhere");
-        let msgs = a.fetch(&t, "cray-dmtf-resource-event", part, 0, 3).unwrap();
+        let msgs = a.fetch(&t, TOPIC, part, 0, 3).unwrap();
         assert_eq!(msgs.len(), 3);
-    }
-
-    #[test]
-    fn unknown_topic_surfaces_bus_error() {
-        let a = api();
-        let t = a.issue_token("bridge");
-        assert!(matches!(a.subscribe(&t, "nope"), Err(ApiError::Bus(BusError::UnknownTopic(_)))));
     }
 
     #[test]
     fn commit_requires_auth_and_reaches_the_broker() {
         let a = api();
         let t = a.issue_token("bridge");
-        a.inner.broker.produce("cray-dmtf-resource-event", Some("k"), "m").unwrap();
+        a.inner.broker.produce(TOPIC, Some("k"), "m").unwrap();
         let bogus = Token("nope".to_string());
-        assert_eq!(
-            a.commit(&bogus, "log-bridge", "cray-dmtf-resource-event", 0, 1).err(),
-            Some(ApiError::Unauthorized)
-        );
-        a.commit(&t, "log-bridge", "cray-dmtf-resource-event", 0, 1).unwrap();
-        assert_eq!(a.inner.broker.committed("log-bridge", "cray-dmtf-resource-event", 0), 1);
+        assert_eq!(a.commit(&bogus, "log-bridge", TOPIC, 0, 1).err(), Some(ApiError::Unauthorized));
+        a.commit(&t, "log-bridge", TOPIC, 0, 1).unwrap();
+        assert_eq!(a.inner.broker.committed("log-bridge", TOPIC, 0), 1);
     }
 
     #[test]

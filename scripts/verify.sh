@@ -11,11 +11,13 @@ cargo fmt --check
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== omnibench still compiles against the crates' API =="
+echo "== omnibench builds against the crates' API and its tests pass =="
 # omnibench is its own workspace (path deps on ../crates/*), so the root
-# build never sees it: without this an API removal only surfaces when the
-# pipeline's benchmark fails to build.
-cargo check --release --offline --quiet --manifest-path omnibench/Cargo.toml
+# build and `cargo test --workspace` never see it. Its suite includes
+# the_staged_replica_produces_what_the_real_stack_produces and the
+# BENCHMARK.json name check, so an API removal or a refactor that breaks
+# staged == real fails here rather than in the pipeline's benchmark.
+cargo test --release --offline -q --manifest-path omnibench/Cargo.toml
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace

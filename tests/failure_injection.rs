@@ -98,22 +98,6 @@ fn scrape_failure_surfaces_as_up_zero_alert() {
 }
 
 #[test]
-fn slow_tail_subscriber_drops_but_pipeline_continues() {
-    use shasta_mon::bus::{Broker, TopicConfig};
-    let broker = Broker::new(SimClock::new());
-    broker.create_topic("t", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
-    let rx = broker.tail("t", 4).unwrap();
-    for i in 0..100 {
-        broker.produce("t", None, format!("{i}")).unwrap();
-    }
-    // The subscriber kept the first 4; 96 were dropped for it — but the
-    // topic retains everything for offset-based consumers.
-    assert_eq!(rx.try_iter().count(), 4);
-    assert_eq!(broker.stats("t").unwrap().tail_drops, 96);
-    assert_eq!(broker.fetch("t", 0, 0, usize::MAX).unwrap().len(), 100);
-}
-
-#[test]
 fn query_against_empty_store_is_clean() {
     let loki = LokiCluster::new(4, Limits::default(), SimClock::starting_at(0));
     assert!(loki.query_logs(r#"{any="thing"}"#, 0, i64::MAX / 2, 10).unwrap().is_empty());
