@@ -19,7 +19,7 @@ pub use route::{Route, RouteIssue, RouteIssueKind};
 pub use slack::{format_slack_message, SlackMessage, SlackSink};
 
 use omni_logql::Matcher;
-use omni_model::{LabelSet, Timestamp};
+use omni_model::{AlertState, LabelSet, RuleNotification, Timestamp};
 use std::collections::HashMap;
 
 /// Alert status.
@@ -48,6 +48,20 @@ impl Alert {
     /// The `alertname` label (empty if missing).
     pub fn name(&self) -> &str {
         self.labels.get("alertname").unwrap_or("")
+    }
+}
+
+impl From<&RuleNotification> for Alert {
+    fn from(n: &RuleNotification) -> Self {
+        Alert {
+            labels: n.labels.clone(),
+            annotations: n.annotations.clone(),
+            status: match n.state {
+                AlertState::Firing => AlertStatus::Firing,
+                AlertState::Resolved => AlertStatus::Resolved,
+            },
+            starts_at: n.active_at,
+        }
     }
 }
 

@@ -4,11 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use omni_bench::{corpus_end, loaded_cluster};
-use omni_loki::{AlertingRule, RuleGroup, Ruler};
-use omni_model::{LabelSet, NANOS_PER_SEC};
+use omni_model::{AlertRule, LabelSet, RuleEngine, RuleGroup, NANOS_PER_SEC};
 
-fn switch_rule(i: usize) -> AlertingRule {
-    AlertingRule {
+fn switch_rule(i: usize) -> AlertRule {
+    AlertRule {
         name: format!("SwitchOffline{i}"),
         expr: format!(
             r#"sum(count_over_time({{data_type="syslog", stream="{i}"}} |= "slurmd" [5m])) by (stream) > 0"#
@@ -24,7 +23,7 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     for &rules in &[1usize, 4, 16] {
         let cluster = loaded_cluster(4, 50_000, 32);
-        let mut ruler = Ruler::new(cluster.clone());
+        let mut ruler = RuleEngine::new(cluster.clone());
         ruler
             .add_group(RuleGroup {
                 name: "bench".into(),

@@ -8,15 +8,17 @@ use crate::omni::Omni;
 use crate::pane::{Pane, ResilienceReport};
 use crate::remediation::RemediationEngine;
 use omni_alertmanager::{
-    Alert, AlertStatus, Alertmanager, DeliveryQueue, DeliveryStats, Notification, Route, SlackSink,
+    Alert, Alertmanager, DeliveryQueue, DeliveryStats, Notification, Route, SlackSink,
 };
 use omni_bus::Broker;
 use omni_exporters::{
     parse_exposition, ArubaExporter, BlackboxExporter, Exporter, GpfsExporter, KafkaExporter,
     NodeExporter, SelfExporter,
 };
-use omni_loki::{AlertState, AlertingRule, Limits, QueryRecord, QueryReport, RuleGroup, Ruler};
-use omni_model::{labels, SimClock, Timestamp, NANOS_PER_SEC};
+use omni_loki::{Limits, LokiCluster, QueryRecord, QueryReport};
+use omni_model::{
+    labels, AlertRule, RuleEngine, RuleGroup, RuleNotification, SimClock, Timestamp, NANOS_PER_SEC,
+};
 use omni_obs::{
     families as fam, format_trace_id, parse_trace_id, tabulate, FamilyKind, Registry, Slo,
     SloBoard, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES, SLOW_WINDOW,
@@ -29,7 +31,7 @@ use omni_shasta::{
     GpfsState, LeakZone, ShastaMachine, SwitchState, SyslogGenerator,
 };
 use omni_telemetry::TelemetryApi;
-use omni_tsdb::{MetricRule, VmAgent, VmAlert, VmAlertState};
+use omni_tsdb::{Tsdb, VmAgent};
 use omni_xname::{TopologySpec, XName};
 use std::sync::Arc;
 
@@ -61,9 +63,9 @@ pub struct StackConfig {
     /// Extra vmalert rules wired in addition to the shipped set. Linted
     /// at boot like everything else: a typo'd metric name here fails
     /// [`MonitoringStack::try_new`] instead of silently never firing.
-    pub extra_metric_rules: Vec<MetricRule>,
+    pub extra_metric_rules: Vec<AlertRule>,
     /// Extra Loki ruler (LogQL) rules, linted the same way.
-    pub extra_logql_rules: Vec<AlertingRule>,
+    pub extra_logql_rules: Vec<AlertRule>,
     /// Modeled query latency at or above which a query lands in the
     /// self-ingested slow-query log (and counts as bad for the
     /// `query-latency` SLO). The virtual clock is frozen while a query
@@ -192,33 +194,6 @@ fn slo_specs() -> Vec<Slo> {
     ]
 }
 
-/// Multi-window burn-rate meta-alerts over the `omni_slo_*` gauges the
-/// registry exports: the monitor alerting on its own service levels. The
-/// fast window pages (critical → ServiceNow) on a budget-torching burn;
-/// the slow window warns on a sustained simmer.
-fn slo_burn_rules() -> Vec<MetricRule> {
-    let minute = 60 * NANOS_PER_SEC;
-    vec![
-        MetricRule {
-            name: "SloFastBurn".into(),
-            expr: r#"max by (slo) (omni_slo_burn_rate{window="fast"}) > 14"#.into(),
-            for_ns: minute,
-            labels: omni_model::LabelSet::from_pairs([("severity", "critical")]),
-            annotations: vec![(
-                "summary".into(),
-                "SLO {{.slo}} is burning error budget 14x too fast".into(),
-            )],
-        },
-        MetricRule {
-            name: "SloSlowBurn".into(),
-            expr: r#"max by (slo) (omni_slo_burn_rate{window="slow"}) > 2"#.into(),
-            for_ns: 5 * minute,
-            labels: omni_model::LabelSet::from_pairs([("severity", "warning")]),
-            annotations: vec![("summary".into(), "SLO {{.slo}} burn is sustained above 2x".into())],
-        },
-    ]
-}
-
 /// The assembled pipeline.
 pub struct MonitoringStack {
     /// Shared virtual clock.
@@ -246,8 +221,8 @@ pub struct MonitoringStack {
     gpfs_monitor: GpfsMonitor,
     log_bridge: Arc<parking_lot::Mutex<LogBridge>>,
     metric_bridge: Arc<parking_lot::Mutex<MetricBridge>>,
-    ruler: Ruler,
-    vmalert: VmAlert,
+    ruler: RuleEngine<LokiCluster>,
+    vmalert: RuleEngine<Tsdb>,
     vmagent: VmAgent,
     alertmanager: Alertmanager,
     remediation: Option<RemediationEngine>,
@@ -307,7 +282,7 @@ impl MonitoringStack {
     /// rules the config carries.
     fn lint_config(config: &StackConfig) -> omni_lint::LintConfig {
         use crate::pane::{Dashboard, PaneQuery};
-        use omni_lint::{NamedQuery, QueryLang, RuleSpec};
+        use omni_lint::{NamedQuery, QueryLang};
 
         let mut lint = omni_lint::shipped_config();
         for dash in [
@@ -337,32 +312,8 @@ impl MonitoringStack {
                 lint.buckets.push((format!("stack:{}", row.name), bounds.to_vec()));
             }
         }
-        // The SLO burn-rate meta-alerts go through the same gate as
-        // every other rule: a drifted gauge name fails the boot.
-        for r in &slo_burn_rules() {
-            lint.rules.push(RuleSpec {
-                source: format!("vmalert:{}", r.name),
-                lang: QueryLang::PromQl,
-                expr: r.expr.clone(),
-                for_ns: r.for_ns,
-            });
-        }
-        for r in &config.extra_metric_rules {
-            lint.rules.push(RuleSpec {
-                source: format!("vmalert:{}", r.name),
-                lang: QueryLang::PromQl,
-                expr: r.expr.clone(),
-                for_ns: r.for_ns,
-            });
-        }
-        for r in &config.extra_logql_rules {
-            lint.rules.push(RuleSpec {
-                source: format!("ruler:{}", r.name),
-                lang: QueryLang::LogQl,
-                expr: r.expr.clone(),
-                for_ns: r.for_ns,
-            });
-        }
+        lint.add_rules(QueryLang::PromQl, config.extra_metric_rules.iter().cloned());
+        lint.add_rules(QueryLang::LogQl, config.extra_logql_rules.iter().cloned());
         lint
     }
 
@@ -422,14 +373,10 @@ impl MonitoringStack {
         let chaos: Arc<parking_lot::Mutex<Option<ChaosEngine>>> =
             Arc::new(parking_lot::Mutex::new(None));
 
-        // The Ruler carries both paper case-study rules, plus any extra
+        // The Ruler carries the paper's case-study rules, plus any extra
         // LogQL rules the config brings (already linted above).
-        let mut ruler = Ruler::new(omni.loki().clone());
-        let mut logql_rules = vec![
-            AlertingRule::paper_leak_rule(),
-            AlertingRule::paper_switch_rule(),
-            AlertingRule::gpfs_server_rule(),
-        ];
+        let mut ruler = RuleEngine::new(omni.loki().clone());
+        let mut logql_rules = AlertRule::shipped_logql_rules();
         logql_rules.extend(config.extra_logql_rules.iter().cloned());
         ruler
             .add_group(RuleGroup {
@@ -440,11 +387,12 @@ impl MonitoringStack {
             .map_err(|e| StackError::Wire(format!("ruler group: {e}")))?;
 
         // vmalert: the shipped thermal / leak-sensor / GPFS metric rules
-        // (the same set omni-lint validates), plus the config's extras.
-        let mut vmalert = VmAlert::new(omni.tsdb().clone());
-        for rule in MetricRule::shipped_rules()
+        // and the SLO burn-rate meta-alerts (the same set omni-lint
+        // validates), plus the config's extras.
+        let mut vmalert = RuleEngine::new(omni.tsdb().clone());
+        for rule in AlertRule::shipped_rules()
             .into_iter()
-            .chain(slo_burn_rules())
+            .chain(AlertRule::slo_burn_rules())
             .chain(config.extra_metric_rules.iter().cloned())
         {
             let name = rule.name.clone();
@@ -705,13 +653,10 @@ impl MonitoringStack {
         self.introspect_queries(now);
         // 7. Rule evaluation → Alertmanager, correlating alerts back to
         // their traces via the Context label the pipeline carries.
-        for n in self.ruler.evaluate(now) {
-            let mut alert = ruler_to_alert(&n);
+        for n in self.ruler.evaluate(now).iter().chain(&self.vmalert.evaluate(now)) {
+            let mut alert = Alert::from(n);
             self.correlate_alert(&mut alert, now);
             self.alertmanager.receive(alert, now);
-        }
-        for n in self.vmalert.evaluate(now) {
-            self.alertmanager.receive(vmalert_to_alert(&n), now);
         }
         // 8. Alertmanager flush → at-least-once delivery to receivers.
         let notifications = self.alertmanager.tick(now);
@@ -1355,31 +1300,13 @@ fn register_self_collectors(
     }
 }
 
-/// Convert a Loki Ruler notification into an Alertmanager alert.
-pub fn ruler_to_alert(n: &omni_loki::RuleNotification) -> Alert {
-    Alert {
-        labels: n.labels.clone(),
-        annotations: n.annotations.clone(),
-        status: match n.state {
-            AlertState::Resolved => AlertStatus::Resolved,
-            _ => AlertStatus::Firing,
-        },
-        starts_at: n.active_at,
-    }
+/// The one notification → alert conversion, under the two names the
+/// read-only `omnibench/src/staged.rs` spells (omnibench compat — remove
+/// with ROADMAP item 1).
+pub fn ruler_to_alert(n: &RuleNotification) -> Alert {
+    n.into()
 }
-
-/// Convert a vmalert notification into an Alertmanager alert.
-pub fn vmalert_to_alert(n: &omni_tsdb::VmAlertNotification) -> Alert {
-    Alert {
-        labels: n.labels.clone(),
-        annotations: n.annotations.clone(),
-        status: match n.state {
-            VmAlertState::Resolved => AlertStatus::Resolved,
-            _ => AlertStatus::Firing,
-        },
-        starts_at: n.active_at,
-    }
-}
+pub use ruler_to_alert as vmalert_to_alert;
 
 #[cfg(test)]
 mod tests {
@@ -1392,7 +1319,7 @@ mod tests {
     #[test]
     fn boot_fails_fast_on_invalid_extra_rule() {
         let mut config = StackConfig::default();
-        config.extra_metric_rules.push(MetricRule {
+        config.extra_metric_rules.push(AlertRule {
             name: "TypoAlert".into(),
             // "temprature" is not an emittable metric — the catalog
             // cross-check must catch the typo at boot.
@@ -1412,6 +1339,22 @@ mod tests {
         assert_eq!(findings[0].rule, "unknown-metric");
         assert_eq!(findings[0].file, "vmalert:TypoAlert");
         assert!(err.to_string().contains("shasta_temprature_celsius"), "{err}");
+    }
+
+    #[test]
+    fn boot_refuses_an_extra_rule_reusing_an_alert_name() {
+        // Same `alertname` from two rules would fingerprint as one alert
+        // in Alertmanager — across engines as much as within one.
+        let mut config = StackConfig::default();
+        let mut clash = AlertRule::paper_switch_rule();
+        clash.name = "LeakSensorWet".into();
+        config.extra_logql_rules.push(clash);
+        let Err(StackError::Lint(findings)) = MonitoringStack::try_new(config) else {
+            panic!("a reused alert name must not boot");
+        };
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].rule, "duplicate-alertname");
+        assert_eq!(findings[0].file, "ruler:LeakSensorWet");
     }
 
     #[test]

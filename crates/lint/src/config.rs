@@ -8,10 +8,11 @@ use omni_logql::{
     ast::{CmpOp, Expr, GroupKind, Grouping, LogQuery, MetricQuery, RangeAggOp, Stage},
     MatchOp, Matcher, Selector,
 };
+use omni_model::AlertRule;
 use omni_tsdb::promql::parse_promql;
 use omni_tsdb::PromExpr;
 use omni_xname::XName;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which parser a query goes through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,19 +34,6 @@ pub struct NamedQuery {
     pub query: String,
 }
 
-/// An alerting rule the stack wires.
-#[derive(Debug, Clone)]
-pub struct RuleSpec {
-    /// Where it came from, e.g. `vmalert:NodeTemperatureCritical`.
-    pub source: String,
-    /// Parser to use.
-    pub lang: QueryLang,
-    /// The rule expression.
-    pub expr: String,
-    /// The `for:` hold duration.
-    pub for_ns: i64,
-}
-
 /// Everything layer 1 validates in one pass.
 #[derive(Debug, Clone)]
 pub struct LintConfig {
@@ -56,8 +44,9 @@ pub struct LintConfig {
     pub scrape_interval_ns: i64,
     /// Dashboard / pane queries.
     pub queries: Vec<NamedQuery>,
-    /// Alerting rules (vmalert and Loki ruler).
-    pub rules: Vec<RuleSpec>,
+    /// Alerting rules with the language each is written in: PromQL rules
+    /// are vmalert's, LogQL rules the Loki ruler's.
+    pub rules: Vec<(QueryLang, AlertRule)>,
     /// The Alertmanager routing tree.
     pub route: Option<Route>,
     /// Receivers with configured sinks.
@@ -79,6 +68,11 @@ impl LintConfig {
             buckets: Vec::new(),
         }
     }
+
+    /// Wire `rules`, all written in `lang`.
+    pub fn add_rules(&mut self, lang: QueryLang, rules: impl IntoIterator<Item = AlertRule>) {
+        self.rules.extend(rules.into_iter().map(|r| (lang, r)));
+    }
 }
 
 /// Labels whose equality-matched values must be well-formed xnames.
@@ -91,11 +85,17 @@ pub fn analyze(config: &LintConfig) -> Vec<Finding> {
     for q in &config.queries {
         check_query(config, &q.source, q.lang, &q.query, &mut out);
     }
-    for r in &config.rules {
-        check_query(config, &r.source, r.lang, &r.expr, &mut out);
+    // Alert name → the rule that claimed it first.
+    let mut names: BTreeMap<&str, String> = BTreeMap::new();
+    for (lang, r) in &config.rules {
+        let source = match lang {
+            QueryLang::LogQl => format!("ruler:{}", r.name),
+            QueryLang::PromQl => format!("vmalert:{}", r.name),
+        };
+        check_query(config, &source, *lang, &r.expr, &mut out);
         if r.for_ns > 0 && r.for_ns < config.scrape_interval_ns {
             out.push(Finding::config(
-                &r.source,
+                &source,
                 "for-shorter-than-interval",
                 format!(
                     "for: hold of {}s is shorter than the {}s evaluation interval; \
@@ -104,6 +104,18 @@ pub fn analyze(config: &LintConfig) -> Vec<Finding> {
                     config.scrape_interval_ns / omni_model::NANOS_PER_SEC
                 ),
             ));
+        }
+        // Both engines stamp `alertname` = the rule name, and Alertmanager
+        // fingerprints on labels alone: two rules sharing a name alias
+        // into one alert, and one resolving flaps the other's incident.
+        if let Some(first) = names.get(r.name.as_str()) {
+            out.push(Finding::config(
+                &source,
+                "duplicate-alertname",
+                format!("alert name {:?} is already taken by {first}", r.name),
+            ));
+        } else {
+            names.insert(&r.name, source);
         }
     }
     if let Some(route) = &config.route {
@@ -495,8 +507,15 @@ mod tests {
         LintConfig::new(Catalog::shipped())
     }
 
-    fn rule(lang: QueryLang, expr: &str, for_ns: i64) -> RuleSpec {
-        RuleSpec { source: "test:rule".into(), lang, expr: expr.into(), for_ns }
+    fn rule(lang: QueryLang, expr: &str, for_ns: i64) -> (QueryLang, AlertRule) {
+        let rule = AlertRule {
+            name: format!("Test{lang:?}"),
+            expr: expr.into(),
+            for_ns,
+            labels: Default::default(),
+            annotations: vec![],
+        };
+        (lang, rule)
     }
 
     #[test]
@@ -580,6 +599,20 @@ mod tests {
         let mut c = cfg();
         c.rules.push(rule(QueryLang::PromQl, "max by (xname) (shasta_leak_bool) > 0", 0));
         assert!(analyze(&c).is_empty());
+    }
+
+    #[test]
+    fn duplicate_alert_name_flagged_across_engines() {
+        let mut c = cfg();
+        c.add_rules(QueryLang::PromQl, AlertRule::shipped_rules());
+        let mut copy = AlertRule::paper_switch_rule();
+        copy.name = "LeakSensorWet".into();
+        c.add_rules(QueryLang::LogQl, [AlertRule::paper_switch_rule(), copy]);
+        let f = analyze(&c);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "duplicate-alertname");
+        assert_eq!(f[0].file, "ruler:LeakSensorWet");
+        assert!(f[0].message.contains("vmalert:LeakSensorWet"), "{}", f[0].message);
     }
 
     #[test]

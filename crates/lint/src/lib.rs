@@ -39,7 +39,7 @@ pub mod rustlint;
 mod workspace;
 
 pub use catalog::Catalog;
-pub use config::{analyze, LintConfig, NamedQuery, QueryLang, RuleSpec};
+pub use config::{analyze, LintConfig, NamedQuery, QueryLang};
 pub use rustlint::{lint_source, lint_workspace};
 
 use omni_json::Json;
@@ -151,30 +151,14 @@ pub fn render_json(findings: &[Finding]) -> String {
 /// [`Catalog::shipped`]. `core::stack` extends this with its dashboards
 /// and extra histogram layouts at boot.
 pub fn shipped_config() -> LintConfig {
-    use omni_loki::AlertingRule;
-    use omni_tsdb::MetricRule;
+    use omni_model::AlertRule;
 
     let mut cfg = LintConfig::new(Catalog::shipped());
-    for r in MetricRule::shipped_rules() {
-        cfg.rules.push(RuleSpec {
-            source: format!("vmalert:{}", r.name),
-            lang: QueryLang::PromQl,
-            expr: r.expr.clone(),
-            for_ns: r.for_ns,
-        });
-    }
-    for r in [
-        AlertingRule::paper_leak_rule(),
-        AlertingRule::paper_switch_rule(),
-        AlertingRule::gpfs_server_rule(),
-    ] {
-        cfg.rules.push(RuleSpec {
-            source: format!("ruler:{}", r.name),
-            lang: QueryLang::LogQl,
-            expr: r.expr.clone(),
-            for_ns: r.for_ns,
-        });
-    }
+    cfg.add_rules(
+        QueryLang::PromQl,
+        AlertRule::shipped_rules().into_iter().chain(AlertRule::slo_burn_rules()),
+    );
+    cfg.add_rules(QueryLang::LogQl, AlertRule::shipped_logql_rules());
     cfg.route = Some(omni_alertmanager::Route::shipped_tree());
     cfg.receivers = omni_alertmanager::Route::shipped_receivers();
     cfg.buckets

@@ -47,16 +47,18 @@ fn shipped_configuration_is_clean() {
 
 #[test]
 fn broken_config_produces_exact_sorted_findings() {
-    use omni_lint::{LintConfig, NamedQuery, QueryLang, RuleSpec};
+    use omni_lint::{LintConfig, NamedQuery, QueryLang};
 
     let mut cfg = LintConfig::new(Catalog::shipped());
     // Three distinct defects, pushed out of order on purpose.
-    cfg.rules.push(RuleSpec {
-        source: "vmalert:Typo".into(),
-        lang: QueryLang::PromQl,
+    let typo = omni_model::AlertRule {
+        name: "Typo".into(),
         expr: "max by (xname) (shasta_temprature_celsius) > 90".into(),
         for_ns: 60_000_000_000,
-    });
+        labels: Default::default(),
+        annotations: vec![],
+    };
+    cfg.add_rules(QueryLang::PromQl, [typo]);
     cfg.queries.push(NamedQuery {
         source: "dashboard:X:bad-stream".into(),
         lang: QueryLang::LogQl,

@@ -1,7 +1,7 @@
 //! Log pipeline execution: one entry in, zero-or-one processed entry out.
 
 use crate::ast::{LabelFormatSrc, Stage};
-use omni_model::LabelSet;
+use omni_model::{rules::render_template, LabelSet};
 
 /// An entry after pipeline processing.
 #[derive(Debug, Clone, PartialEq)]
@@ -208,29 +208,6 @@ fn parse_logfmt(line: &str) -> Vec<(String, String)> {
     out
 }
 
-/// Render a `{{.label}}` template against a label set; unknown labels
-/// render empty.
-pub fn render_template(tpl: &str, labels: &LabelSet) -> String {
-    let mut out = String::with_capacity(tpl.len());
-    let mut rest = tpl;
-    while let Some(start) = rest.find("{{") {
-        out.push_str(&rest[..start]);
-        let after = &rest[start + 2..];
-        if let Some(end) = after.find("}}") {
-            let expr = after[..end].trim();
-            if let Some(name) = expr.strip_prefix('.') {
-                out.push_str(labels.get(name.trim()).unwrap_or(""));
-            }
-            rest = &after[end + 2..];
-        } else {
-            out.push_str(&rest[start..]);
-            return out;
-        }
-    }
-    out.push_str(rest);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +330,6 @@ mod tests {
         let p = pipeline(r#"{a="b"} | json | label_format id="{{.x}}-{{.y}}""#);
         let e = p.process(r#"{"x":"1","y":"2"}"#, &labels!("a" => "b")).unwrap();
         assert_eq!(e.labels.get("id"), Some("1-2"));
-    }
-
-    #[test]
-    fn template_rendering_edge_cases() {
-        let l = labels!("a" => "1");
-        assert_eq!(render_template("{{.a}}", &l), "1");
-        assert_eq!(render_template("{{.missing}}", &l), "");
-        assert_eq!(render_template("plain", &l), "plain");
-        assert_eq!(render_template("{{unclosed", &l), "{{unclosed");
-        assert_eq!(render_template("{{ .a }}", &l), "1");
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use frontend::{
 };
 pub use ingester::{IngestError, Ingester, IngesterStats};
 pub use limits::{Limits, TenantLimits};
-pub use ruler::{AlertState, AlertingRule, RuleGroup, RuleNotification, Ruler};
+pub use ruler::{AlertingRule, RuleGroup, Ruler};
 pub use scheduler::{FairScheduler, SchedulerStats};
 pub use tenant::{
     ShedReason, TenantRegistry, TenantRejection, TenantSnapshot, TenantState, TENANT_LABEL,

@@ -15,18 +15,23 @@
 //! * [`Severity`] — the Redfish/alert severity scale.
 //! * [`SimClock`] — a virtual, thread-safe clock driving deterministic
 //!   simulations.
+//! * [`AlertRule`] / [`RuleEngine`] — alerting rules and the one pending →
+//!   firing → resolved state machine both the Loki Ruler and vmalert run.
 
 pub mod clock;
 pub mod labels;
 pub mod lockwitness;
 pub mod retry;
+pub mod rules;
 pub mod severity;
+mod shipped_rules;
 pub mod tenant;
 pub mod time;
 
 pub use clock::SimClock;
 pub use labels::{LabelSet, LabelSetBuilder};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy, RetryState};
+pub use rules::{AlertRule, AlertState, Evaluate, RuleEngine, RuleGroup, RuleNotification};
 pub use severity::Severity;
 pub use tenant::{TenantId, TokenBucket, ANONYMOUS_TENANT};
 pub use time::{format_iso8601, parse_iso8601, Timestamp, NANOS_PER_SEC};

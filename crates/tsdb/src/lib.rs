@@ -21,4 +21,4 @@ pub use gorilla::{GorillaBlock, GorillaEncoder};
 pub use promql::{eval_instant, eval_range, parse_promql, PromExpr, RangeFn};
 pub use storage::{Tsdb, TsdbConfig};
 pub use vmagent::{ScrapeFn, VmAgent};
-pub use vmalert::{MetricRule, VmAlert, VmAlertNotification, VmAlertState};
+pub use vmalert::{MetricRule, VmAlert};

@@ -2,205 +2,47 @@
 //! based on predefined rules. When the return value matches, vmalert
 //! sends an event to AlertManager." (§III)
 //!
-//! Mirrors the Loki Ruler's pending → firing → resolved state machine,
-//! over PromQL instead of LogQL.
+//! This module is the PromQL evaluator for [`omni_model::RuleEngine`], which
+//! owns the rules and the pending → firing → resolved state machine
+//! (shared with the Loki Ruler).
 
 use crate::promql::{eval_instant, parse_promql, PromExpr, PromParseError};
 use crate::storage::Tsdb;
-use omni_logql::pipeline::render_template;
-use omni_model::{LabelSet, Timestamp};
-use std::collections::HashMap;
+use omni_logql::InstantVector;
+use omni_model::{Evaluate, Timestamp};
 
-/// State of one alert series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum VmAlertState {
-    /// Hold (`for:`) not yet met.
-    Pending,
-    /// Active.
-    Firing,
-    /// Condition cleared.
-    Resolved,
-}
+impl Evaluate for Tsdb {
+    type Query = PromExpr;
+    type Error = PromParseError;
 
-/// One metric alerting rule.
-#[derive(Debug, Clone)]
-pub struct MetricRule {
-    /// Alert name.
-    pub name: String,
-    /// PromQL expression (usually with a threshold filter).
-    pub expr: String,
-    /// Hold duration.
-    pub for_ns: i64,
-    /// Extra labels.
-    pub labels: LabelSet,
-    /// `{{.label}}`-templated annotations.
-    pub annotations: Vec<(String, String)>,
-}
+    fn parse(&self, expr: &str) -> Result<PromExpr, PromParseError> {
+        parse_promql(expr)
+    }
 
-impl MetricRule {
-    /// The metric alerting rules the shipped stack evaluates (thermal,
-    /// GPFS waiters, leak sensors) — the vmalert side of the paper's
-    /// case studies. `core::stack` loads these and `omni-lint` validates
-    /// them statically against the emittable-metric catalog.
-    pub fn shipped_rules() -> Vec<MetricRule> {
-        let minute = 60 * 1_000_000_000;
-        vec![
-            MetricRule {
-                name: "NodeTemperatureCritical".into(),
-                expr: "max by (xname) (shasta_temperature_celsius) > 90".into(),
-                for_ns: minute,
-                labels: LabelSet::from_pairs([("severity", "critical")]),
-                annotations: vec![("summary".into(), "node {{.xname}} above 90C".into())],
-            },
-            MetricRule {
-                name: "GpfsLongWaiters".into(),
-                expr: "max by (fs, server) (gpfs_longest_waiter_seconds) > 300".into(),
-                for_ns: minute,
-                labels: LabelSet::from_pairs([("severity", "critical")]),
-                annotations: vec![(
-                    "summary".into(),
-                    "GPFS {{.fs}}/{{.server}} has waiters over 300s".into(),
-                )],
-            },
-            MetricRule {
-                name: "LeakSensorWet".into(),
-                expr: "max by (xname) (shasta_leak_bool) > 0".into(),
-                for_ns: 0,
-                labels: LabelSet::from_pairs([("severity", "warning")]),
-                annotations: vec![("summary".into(), "leak sensor wet at {{.xname}}".into())],
-            },
-        ]
+    fn instant(&self, query: &PromExpr, now: Timestamp) -> Result<InstantVector, PromParseError> {
+        Ok(eval_instant(self, query, now))
     }
 }
 
-/// Notification emitted on firing/resolution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VmAlertNotification {
-    /// alertname + rule labels + series labels.
-    pub labels: LabelSet,
-    /// Rendered annotations.
-    pub annotations: Vec<(String, String)>,
-    /// firing/resolved.
-    pub state: VmAlertState,
-    /// First active timestamp.
-    pub active_at: Timestamp,
-    /// Expression value.
-    pub value: f64,
-}
-
-#[derive(Debug, Clone)]
-struct Active {
-    active_at: Timestamp,
-    firing: bool,
-    last_value: f64,
-}
-
-/// The evaluator.
-pub struct VmAlert {
-    db: Tsdb,
-    rules: Vec<(MetricRule, PromExpr)>,
-    active: HashMap<(usize, LabelSet), Active>,
-}
-
-impl VmAlert {
-    /// Attach to a store.
-    pub fn new(db: Tsdb) -> Self {
-        Self { db, rules: Vec::new(), active: HashMap::new() }
-    }
-
-    /// Add a rule, parsing its expression.
-    pub fn add_rule(&mut self, rule: MetricRule) -> Result<(), PromParseError> {
-        let expr = parse_promql(&rule.expr)?;
-        self.rules.push((rule, expr));
-        Ok(())
-    }
-
-    /// Evaluate all rules at `now`.
-    pub fn evaluate(&mut self, now: Timestamp) -> Vec<VmAlertNotification> {
-        let mut out = Vec::new();
-        for ri in 0..self.rules.len() {
-            let (rule, expr) = &self.rules[ri];
-            let rule = rule.clone();
-            let vector = eval_instant(&self.db, expr, now);
-            let mut seen = Vec::new();
-            for (series_labels, value) in vector {
-                seen.push(series_labels.clone());
-                let key = (ri, series_labels.clone());
-                let entry = self.active.entry(key).or_insert(Active {
-                    active_at: now,
-                    firing: false,
-                    last_value: value,
-                });
-                entry.last_value = value;
-                if !entry.firing && now.saturating_sub(entry.active_at) >= rule.for_ns {
-                    entry.firing = true;
-                }
-                if entry.firing {
-                    let snapshot = entry.clone();
-                    out.push(notification(&rule, &series_labels, &snapshot, VmAlertState::Firing));
-                }
-            }
-            // Stable order: resolution notifications are output.
-            let mut stale: Vec<(usize, LabelSet)> = self
-                .active
-                .keys()
-                .filter(|(r, l)| *r == ri && !seen.contains(l))
-                .cloned()
-                .collect();
-            stale.sort();
-            for key in stale {
-                let Some(entry) = self.active.remove(&key) else { continue };
-                if entry.firing {
-                    out.push(notification(&rule, &key.1, &entry, VmAlertState::Resolved));
-                }
-            }
-        }
-        out
-    }
-
-    /// Active (pending or firing) series count.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
-}
-
-fn notification(
-    rule: &MetricRule,
-    series_labels: &LabelSet,
-    entry: &Active,
-    state: VmAlertState,
-) -> VmAlertNotification {
-    let mut labels = series_labels.merged_with(&rule.labels);
-    labels.insert("alertname", rule.name.as_str());
-    let annotations = rule
-        .annotations
-        .iter()
-        .map(|(k, tpl)| (k.clone(), render_template(tpl, &labels)))
-        .collect();
-    VmAlertNotification {
-        labels,
-        annotations,
-        state,
-        active_at: entry.active_at,
-        value: entry.last_value,
-    }
-}
+/// vmalert: a rule engine over PromQL. This alias and the re-export below
+/// are the names the read-only `omnibench/src/staged.rs` spells (omnibench
+/// compat — remove with ROADMAP item 1).
+pub type VmAlert = omni_model::RuleEngine<Tsdb>;
+pub use omni_model::AlertRule as MetricRule;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::TsdbConfig;
-    use omni_model::{labels, NANOS_PER_SEC};
+    use omni_model::{labels, AlertRule, AlertState, LabelSet, RuleEngine, NANOS_PER_SEC};
 
-    fn minute() -> i64 {
-        60 * NANOS_PER_SEC
-    }
+    const MINUTE: i64 = 60 * NANOS_PER_SEC;
 
-    fn hot_node_rule() -> MetricRule {
-        MetricRule {
+    fn hot_node_rule() -> AlertRule {
+        AlertRule {
             name: "NodeTooHot".into(),
             expr: "max by (node) (node_temp) > 90".into(),
-            for_ns: minute(),
+            for_ns: MINUTE,
             labels: LabelSet::from_pairs([("severity", "critical")]),
             annotations: vec![("summary".into(), "node {{.node}} over 90C".into())],
         }
@@ -209,88 +51,31 @@ mod tests {
     #[test]
     fn fires_after_hold_and_resolves() {
         let db = Tsdb::new(TsdbConfig::default());
-        let mut va = VmAlert::new(db.clone());
+        let mut va = RuleEngine::new(db.clone());
         va.add_rule(hot_node_rule()).unwrap();
-        let t0 = 10 * minute();
+        let t0 = 10 * MINUTE;
         db.ingest_sample("node_temp", labels!("node" => "x9"), t0, 95.0);
         assert!(va.evaluate(t0).is_empty()); // pending
-        db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + minute(), 96.0);
-        let notifs = va.evaluate(t0 + minute());
+        db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + MINUTE, 96.0);
+        let notifs = va.evaluate(t0 + MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, VmAlertState::Firing);
+        assert_eq!(notifs[0].state, AlertState::Firing);
+        assert_eq!(notifs[0].value, 96.0);
         assert_eq!(notifs[0].labels.get("alertname"), Some("NodeTooHot"));
         assert_eq!(notifs[0].annotations[0].1, "node x9 over 90C");
         // Cooled down: series leaves the vector -> resolved.
-        db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + 2 * minute(), 60.0);
-        let notifs = va.evaluate(t0 + 2 * minute());
+        db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + 2 * MINUTE, 60.0);
+        let notifs = va.evaluate(t0 + 2 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, VmAlertState::Resolved);
+        assert_eq!(notifs[0].state, AlertState::Resolved);
         assert_eq!(va.active_count(), 0);
     }
 
     #[test]
-    fn evaluate_at_sentinel_now_does_not_overflow() {
-        // Regression: `now - entry.active_at` used to overflow when a rule
-        // first activated at a negative timestamp and was re-evaluated at a
-        // large one (the sentinel-start class PR5 fixed in the frontend).
-        let db = Tsdb::new(TsdbConfig::default());
-        let mut va = VmAlert::new(db.clone());
-        va.add_rule(hot_node_rule()).unwrap();
-        db.ingest_sample("node_temp", labels!("node" => "x9"), i64::MIN / 2, 95.0);
-        assert!(va.evaluate(i64::MIN / 2).is_empty()); // pending
-
-        // MIN/2 → MAX/2 keeps the gorilla timestamp delta representable
-        // while `now - active_at` still spans more than i64::MAX.
-        db.ingest_sample("node_temp", labels!("node" => "x9"), i64::MAX / 2, 96.0);
-        let notifs = va.evaluate(i64::MAX / 2);
-        assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, VmAlertState::Firing);
-    }
-
-    #[test]
     fn bad_rule_rejected() {
-        let db = Tsdb::new(TsdbConfig::default());
-        let mut va = VmAlert::new(db);
+        let mut va = RuleEngine::new(Tsdb::new(TsdbConfig::default()));
         let mut rule = hot_node_rule();
         rule.expr = "max by (".into();
         assert!(va.add_rule(rule).is_err());
-    }
-
-    #[test]
-    fn value_carried_in_notification() {
-        let db = Tsdb::new(TsdbConfig::default());
-        let mut va = VmAlert::new(db.clone());
-        let mut rule = hot_node_rule();
-        rule.for_ns = 0;
-        va.add_rule(rule).unwrap();
-        db.ingest_sample("node_temp", labels!("node" => "x9"), minute(), 93.5);
-        let notifs = va.evaluate(minute());
-        assert_eq!(notifs[0].value, 93.5);
-    }
-
-    #[test]
-    fn mass_resolution_order_is_deterministic() {
-        // Ten series fire, then all cool down at once. The stale sweep
-        // walks the `active` HashMap; resolution notifications must come
-        // out sorted, not in hash order.
-        let run = || {
-            let db = Tsdb::new(TsdbConfig::default());
-            let mut va = VmAlert::new(db.clone());
-            let mut rule = hot_node_rule();
-            rule.for_ns = 0;
-            va.add_rule(rule).unwrap();
-            for i in 0..10 {
-                db.ingest_sample("node_temp", labels!("node" => &format!("x{i}")), minute(), 95.0);
-            }
-            va.evaluate(minute());
-            for i in 0..10 {
-                let l = labels!("node" => &format!("x{i}"));
-                db.ingest_sample("node_temp", l, 2 * minute(), 50.0);
-            }
-            va.evaluate(2 * minute()).into_iter().map(|n| n.labels.to_string()).collect::<Vec<_>>()
-        };
-        let first = run();
-        assert_eq!(first.len(), 10);
-        assert_eq!(first, run(), "resolution order must not depend on hash order");
     }
 }

@@ -6,8 +6,7 @@
 //! ```
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
-use shasta_mon::loki::AlertingRule;
-use shasta_mon::model::{format_iso8601, NANOS_PER_SEC};
+use shasta_mon::model::{format_iso8601, AlertRule, NANOS_PER_SEC};
 use shasta_mon::shasta::SwitchState;
 
 fn main() {
@@ -67,7 +66,7 @@ fn main() {
     }
 
     // ── Figure 8: the alerting rule ────────────────────────────────────
-    let rule = AlertingRule::paper_switch_rule();
+    let rule = AlertRule::paper_switch_rule();
     println!("\n── Figure 8: alerting rule querying offline switch events ──");
     println!("  alert: {}", rule.name);
     println!("  expr: {}", rule.expr);

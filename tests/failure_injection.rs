@@ -75,14 +75,14 @@ fn regex_bomb_in_query_fails_safe() {
 
 #[test]
 fn scrape_failure_surfaces_as_up_zero_alert() {
-    use shasta_mon::model::LabelSet;
-    use shasta_mon::tsdb::{MetricRule, Tsdb, TsdbConfig, VmAgent, VmAlert, VmAlertState};
+    use shasta_mon::model::{AlertRule, AlertState, LabelSet, RuleEngine};
+    use shasta_mon::tsdb::{Tsdb, TsdbConfig, VmAgent};
     let db = Tsdb::new(TsdbConfig::default());
     let mut agent = VmAgent::new(db.clone());
     agent.add_target("node-exporter", "dead-host", Box::new(|_| Err("connection refused".into())));
-    let mut vmalert = VmAlert::new(db);
+    let mut vmalert = RuleEngine::new(db);
     vmalert
-        .add_rule(MetricRule {
+        .add_rule(AlertRule {
             name: "TargetDown".into(),
             expr: "max by (instance) (up) < 1".into(),
             for_ns: 0,
@@ -93,7 +93,7 @@ fn scrape_failure_surfaces_as_up_zero_alert() {
     agent.scrape_once(MINUTE);
     let notifs = vmalert.evaluate(MINUTE);
     assert_eq!(notifs.len(), 1);
-    assert_eq!(notifs[0].state, VmAlertState::Firing);
+    assert_eq!(notifs[0].state, AlertState::Firing);
     assert_eq!(notifs[0].labels.get("instance"), Some("dead-host"));
 }
 

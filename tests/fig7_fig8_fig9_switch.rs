@@ -5,8 +5,7 @@
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
 use shasta_mon::logql::{parse_log_query, Pipeline};
-use shasta_mon::loki::AlertingRule;
-use shasta_mon::model::{labels, NANOS_PER_SEC};
+use shasta_mon::model::{labels, AlertRule, NANOS_PER_SEC};
 use shasta_mon::shasta::SwitchState;
 
 const MINUTE: i64 = 60 * NANOS_PER_SEC;
@@ -66,7 +65,7 @@ fn fig8_rule_fires_through_monitoring_stack() {
 
 #[test]
 fn fig8_rule_shape_matches_paper() {
-    let rule = AlertingRule::paper_switch_rule();
+    let rule = AlertRule::paper_switch_rule();
     // The Figure 8 rule searches the offline-switch events and thresholds
     // on > 0 with a one-minute hold.
     assert!(rule.expr.contains(r#"{app="fabric_manager_monitor"}"#));
