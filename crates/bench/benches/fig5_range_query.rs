@@ -7,6 +7,7 @@ use omni_bench::{corpus_end, loaded_cluster, quick_mode, syslog_corpus, write_re
 use omni_core::redfish_to_loki;
 use omni_json::jsonv;
 use omni_loki::chunk::SealedChunk;
+use omni_loki::QueryStats;
 use omni_model::{LogEntry, NANOS_PER_SEC};
 use omni_redfish::RedfishEvent;
 use std::collections::BTreeMap;
@@ -66,8 +67,8 @@ fn pr3_range_report() {
     });
     let (skip_secs, skip_hits) = best_secs(&|| {
         let mut hits = 0;
-        for c in &chunks {
-            hits += c.decode_range(start, end).unwrap().len();
+        for c in chunks.iter().filter(|c| c.overlaps(start, end)) {
+            hits += c.decode_range(start, end, &mut QueryStats::default()).unwrap().len();
         }
         hits
     });
@@ -76,8 +77,11 @@ fn pr3_range_report() {
 
     let blocks_total: usize =
         chunks.iter().filter(|c| c.overlaps(start, end)).map(|c| c.block_count()).sum();
-    let blocks_decoded: usize =
-        chunks.iter().map(|c| c.decode_range_counted(start, end).unwrap().1).sum();
+    let mut stats = QueryStats::default();
+    for c in &chunks {
+        c.decode_range(start, end, &mut stats).unwrap();
+    }
+    let blocks_decoded = stats.blocks_decoded;
     let speedup = full_secs / skip_secs;
     println!(
         "pr3 range_query: full decode {full_secs:.4}s, block-skip {skip_secs:.4}s \

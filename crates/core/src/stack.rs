@@ -619,10 +619,10 @@ impl MonitoringStack {
         }
         // 4. Bridges pull the Telemetry API forward into the stores. The
         // bridge mutexes exist only to make the stack Sync; `step` is
-        // their sole user, and the `fetch` the pumps call is the
-        // in-process bus API, not a cold-tier GET.
+        // their sole user, and the `park` the log pump reaches shelves a
+        // record for retry, not the thread.
         self.log_bridge.lock().pump(now); // lint:allow(lock-held-across-call)
-        self.metric_bridge.lock().pump(); // lint:allow(lock-held-across-call)
+        self.metric_bridge.lock().pump();
 
         // 5. vmagent scrape.
         self.vmagent.scrape_once(now);
@@ -714,6 +714,7 @@ impl MonitoringStack {
                 (fam::QUERY_BLOCKS_SKIPPED, s.blocks_skipped as u64),
                 (fam::QUERY_BYTES_DECOMPRESSED, s.decompressed_bytes as u64),
                 (fam::QUERY_COLD_CHUNKS, s.cold_chunks_touched as u64),
+                (fam::QUERY_CHUNKS_CORRUPT, s.chunks_corrupt as u64),
             ] {
                 row.counter(&self.registry, labels!()).add(delta);
             }
@@ -1044,7 +1045,7 @@ fn notification_trace_ids(n: &Notification) -> Vec<u64> {
 fn slow_query_line(record: &QueryRecord, latency_ns: i64, trace_id: u64) -> String {
     let r = &record.report;
     let s = &r.stats;
-    omni_json::jsonv!({
+    let mut line = omni_json::jsonv!({
         "query": (record.query.as_str()),
         "tenant": (record.tenant.as_str()),
         "start": (record.start),
@@ -1062,8 +1063,13 @@ fn slow_query_line(record: &QueryRecord, latency_ns: i64, trace_id: u64) -> Stri
         "blocks_decoded": (s.blocks_decoded),
         "blocks_skipped": (s.blocks_skipped),
         "decompressed_bytes": (s.decompressed_bytes),
-    })
-    .dump()
+    });
+    // Only a read that came up short says so: these lines are themselves
+    // stored in Loki, and a healthy one should cost what it always did.
+    if let (omni_json::Json::Object(fields), 1..) = (&mut line, s.chunks_corrupt) {
+        fields.push(("chunks_corrupt".to_string(), s.chunks_corrupt.into()));
+    }
+    line.dump()
 }
 
 /// Register the introspection collectors: SLO burn-rate/budget gauges
@@ -1314,6 +1320,20 @@ mod tests {
 
     fn minute() -> i64 {
         60 * NANOS_PER_SEC
+    }
+
+    #[test]
+    fn slow_query_line_reports_corrupt_chunks_only_when_there_are_any() {
+        let mut record = QueryRecord {
+            tenant: omni_model::TenantId::new("t"),
+            query: "{a=\"b\"}".into(),
+            start: 0,
+            end: 1,
+            report: Default::default(),
+        };
+        assert!(!slow_query_line(&record, 0, 0).contains("chunks_corrupt"));
+        record.report.stats.chunks_corrupt = 2;
+        assert!(slow_query_line(&record, 0, 0).ends_with(r#","chunks_corrupt":2}"#));
     }
 
     #[test]

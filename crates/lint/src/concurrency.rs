@@ -21,9 +21,10 @@
 //!   same class is live — self-deadlock with `std::sync` primitives.
 //! - **`lock-held-across-call`** (error): a guard live across a call
 //!   that may block — condvar wait, channel recv, thread join, a
-//!   scheduler admission wait, or a cold-tier object GET
-//!   (`fetch`/`fetch_stats`). The condvar shape `g = g.wait(&cv)` is
-//!   exempt for the guard being waited on (the wait releases it).
+//!   scheduler admission wait, or a cold-tier object GET (`read_store`,
+//!   the store half of Loki's chunk reader). The condvar shape
+//!   `g = g.wait(&cv)` is exempt for the guard being waited on (the wait
+//!   releases it).
 //! - **`lock-table-drift`** (warning): a `declare_lock_order!` entry no
 //!   wrapper lock is constructed with — a stale rank nobody holds.
 //! - **`nondet-iter`** (warning): iteration over a `HashMap`/`HashSet`
@@ -73,8 +74,7 @@ const BLOCKING_NAMES: &[(&str, &str)] = &[
     ("join", "a thread join"),
     ("park", "a thread park"),
     ("sleep", "a sleep"),
-    ("fetch", "a cold-tier object GET"),
-    ("fetch_stats", "a cold-tier object GET"),
+    ("read_store", "a cold-tier object GET"),
 ];
 
 /// Names never resolved through a field or free-call path: they collide

@@ -81,4 +81,10 @@ impl Pair {
         // lint:allow(no-unwrap)
         self.commit_seq.load(Ordering::Relaxed)
     }
+
+    /// Guard held across the store half of the chunk reader.
+    pub fn read_under_lock(&self) -> usize {
+        let a = self.alpha.lock();
+        read_store(*a).len()
+    }
 }

@@ -7,11 +7,14 @@
 //! sealed chunk is a sequence of independently-compressed **blocks**, each
 //! carrying its own min/max timestamp in a small uncompressed header, so
 //! range reads decompress only the blocks that overlap the window instead
-//! of the whole chunk (Loki's chunk-internal block index).
+//! of the whole chunk (Loki's chunk-internal block index). There is one
+//! range read, [`SealedChunk::decode_range`], and on the query path one
+//! caller of it: [`crate::reader`].
 
 use crate::compress::{
     compress, decompress, get_str, get_uvarint, put_uvarint, unzigzag, zigzag, CorruptBlock,
 };
+use crate::reader::QueryStats;
 use bytes::Bytes;
 use omni_model::{LogEntry, Timestamp};
 
@@ -107,28 +110,6 @@ struct BlockRef<'a> {
     count: usize,
     uncompressed_len: usize,
     payload: &'a [u8],
-}
-
-/// What a range decode actually did inside one chunk — the observable
-/// cost (and the observable block-skip win) that flows up into
-/// `QueryStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeStats {
-    /// Blocks whose payload was decompressed and decoded.
-    pub blocks_decoded: usize,
-    /// Blocks the per-block timestamp index let us skip entirely.
-    pub blocks_skipped: usize,
-    /// Uncompressed bytes produced by the decoded blocks.
-    pub bytes_decompressed: usize,
-}
-
-impl DecodeStats {
-    /// Fold another decode's stats into this one.
-    pub fn absorb(&mut self, other: DecodeStats) {
-        self.blocks_decoded += other.blocks_decoded;
-        self.blocks_skipped += other.blocks_skipped;
-        self.bytes_decompressed += other.bytes_decompressed;
-    }
 }
 
 impl SealedChunk {
@@ -309,40 +290,16 @@ impl SealedChunk {
     }
 
     /// Decode only entries in `(start, end]`, decompressing only blocks
-    /// whose time span overlaps the window.
+    /// whose time span overlaps the window — the one range-decode entry
+    /// point. Every block is counted into `stats` as decoded or skipped
+    /// (the header check *is* the skip), so a window the chunk misses
+    /// entirely skips all of them.
     pub fn decode_range(
         &self,
         start: Timestamp,
         end: Timestamp,
+        stats: &mut QueryStats,
     ) -> Result<Vec<LogEntry>, CorruptBlock> {
-        Ok(self.decode_range_counted(start, end)?.0)
-    }
-
-    /// [`Self::decode_range`] that also reports how many blocks were
-    /// actually decompressed — the observable block-skip win.
-    pub fn decode_range_counted(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<(Vec<LogEntry>, usize), CorruptBlock> {
-        let (entries, stats) = self.decode_range_stats(start, end)?;
-        Ok((entries, stats.blocks_decoded))
-    }
-
-    /// [`Self::decode_range`] with full [`DecodeStats`]: blocks decoded
-    /// vs. skipped and the uncompressed bytes produced. A chunk entirely
-    /// outside the window counts all its blocks as skipped (the header
-    /// check *is* the skip).
-    pub fn decode_range_stats(
-        &self,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Result<(Vec<LogEntry>, DecodeStats), CorruptBlock> {
-        let mut stats = DecodeStats::default();
-        if self.count == 0 || self.max_ts <= start || self.min_ts > end {
-            stats.blocks_skipped = self.block_count();
-            return Ok((Vec::new(), stats));
-        }
         let mut out = Vec::new();
         for block in self.blocks()? {
             if block.count == 0 || block.max_ts <= start || block.min_ts > end {
@@ -352,7 +309,7 @@ impl SealedChunk {
             let before = out.len();
             Self::decode_block(block.payload, &mut out)?;
             stats.blocks_decoded += 1;
-            stats.bytes_decompressed += block.uncompressed_len;
+            stats.decompressed_bytes += block.uncompressed_len;
             // Filter in place: only the freshly decoded tail needs it.
             let mut keep = before;
             for i in before..out.len() {
@@ -363,7 +320,7 @@ impl SealedChunk {
             }
             out.truncate(keep);
         }
-        Ok((out, stats))
+        Ok(out)
     }
 
     /// Whether this chunk may contain entries in `(start, end]`.
@@ -419,12 +376,13 @@ mod tests {
     fn decode_range_filters_half_open() {
         let es = entries(10); // ts: 1000, 1007, ..., 1063
         let chunk = SealedChunk::from_entries(&es);
-        let got = chunk.decode_range(1000, 1014).unwrap();
+        let stats = &mut QueryStats::default();
+        let got = chunk.decode_range(1000, 1014, stats).unwrap();
         // (1000, 1014] -> 1007, 1014
         assert_eq!(got.len(), 2);
         assert_eq!(got[0].ts, 1007);
         assert_eq!(got[1].ts, 1014);
-        assert!(chunk.decode_range(2000, 3000).unwrap().is_empty());
+        assert!(chunk.decode_range(2000, 3000, stats).unwrap().is_empty());
     }
 
     #[test]
@@ -477,7 +435,8 @@ mod tests {
         assert!(total > 2);
         // Narrow window in the middle of the chunk.
         let mid = 1_000 + 1_000 * 7;
-        let (got, stats) = chunk.decode_range_stats(mid, mid + 70).unwrap();
+        let mut stats = QueryStats::default();
+        let got = chunk.decode_range(mid, mid + 70, &mut stats).unwrap();
         assert_eq!(got.len(), 10);
         assert!(got.iter().all(|e| e.ts > mid && e.ts <= mid + 70));
         // The stats partition the chunk: every block either decoded or
@@ -489,23 +448,23 @@ mod tests {
             "narrow range should skip most blocks: {stats:?} of {total}"
         );
         // Decompressed bytes account only for decoded blocks.
-        assert!(stats.bytes_decompressed > 0);
-        assert!(stats.bytes_decompressed < chunk.uncompressed);
+        assert!(stats.decompressed_bytes > 0);
+        assert!(stats.decompressed_bytes < chunk.uncompressed);
         // A fully disjoint window touches no payload at all.
-        let (none, miss) = chunk.decode_range_stats(1_000_000, 2_000_000).unwrap();
-        assert!(none.is_empty());
+        let mut miss = QueryStats::default();
+        assert!(chunk.decode_range(1_000_000, 2_000_000, &mut miss).unwrap().is_empty());
         assert_eq!(miss.blocks_decoded, 0);
         assert_eq!(miss.blocks_skipped, total);
-        assert_eq!(miss.bytes_decompressed, 0);
+        assert_eq!(miss.decompressed_bytes, 0);
     }
 
     #[test]
     fn full_range_decode_matches_per_block_decode() {
         let es = entries(2_000);
         let chunk = SealedChunk::from_entries(&es);
-        let (all, decoded) = chunk.decode_range_counted(i64::MIN, i64::MAX).unwrap();
-        assert_eq!(all, es);
-        assert_eq!(decoded, chunk.block_count());
+        let mut stats = QueryStats::default();
+        assert_eq!(chunk.decode_range(i64::MIN, i64::MAX, &mut stats).unwrap(), es);
+        assert_eq!(stats.blocks_decoded, chunk.block_count());
     }
 
     #[test]

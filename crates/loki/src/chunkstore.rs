@@ -6,20 +6,24 @@
 //! This module provides the same split — plus the compacted tier the
 //! compactor writes:
 //!
-//! * an [`ObjectStore`] abstraction and [`MemObjectStore`], the hot
-//!   "disk" tier sealed chunks are offloaded into;
-//! * [`ColdTier`], the simulated S3-style object store compacted chunks
-//!   are demoted to, with a configurable per-operation latency and a
-//!   deterministic transient-failure model (the `core::chaos` coin,
+//! * [`ObjectTier`], the one object-store type both tiers are values of:
+//!   the hot "disk" tier sealed chunks are offloaded into (`chunks/`
+//!   keys, no policy — local disk is free and never fails), and the cold
+//!   tier compacted chunks are demoted to (`compacted/` keys, under a
+//!   [`ColdTierPolicy`]: an S3-style per-operation latency and a
+//!   deterministic transient-failure model — the `core::chaos` coin,
 //!   applied to object reads);
 //! * the serialization of [`SealedChunk`]s into self-describing objects
 //!   and of stream labels into series-index entries.
 //!
+//! Reads go through [`crate::reader`], which walks both tiers oldest
+//! first; this module only stores, lists and deletes.
+//!
 //! ## Key scheme
 //!
 //! One chunk object's key is
-//! `chunks/<fp-hex>/<min-enc>-<max-enc>-<seq-hex>` (compacted objects use
-//! the `compacted/` prefix). Timestamps are encoded **offset-binary**:
+//! `<tier-prefix><fp-hex>/<min-enc>-<max-enc>-<seq-hex>` (`chunks/` hot,
+//! `compacted/` cold). Timestamps are encoded **offset-binary**:
 //! the i64 nanosecond value with its sign bit flipped, rendered as
 //! fixed-width hex, so lexicographic key order equals timestamp order
 //! even for pre-epoch (negative) timestamps. `seq` is a store-wide
@@ -42,83 +46,6 @@ use omni_model::{fnv1a64, LabelSet, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Object-store abstraction (the "disk"/S3 tier).
-pub trait ObjectStore: Send + Sync {
-    /// Store an object.
-    fn put(&self, key: String, data: Bytes);
-    /// Fetch an object.
-    fn get(&self, key: &str) -> Option<Bytes>;
-    /// Keys beginning with `prefix`, sorted.
-    fn list(&self, prefix: &str) -> Vec<String>;
-    /// Delete an object; returns whether it existed.
-    fn delete(&self, key: &str) -> bool;
-}
-
-/// In-memory object store standing in for the disk tier, with byte/object
-/// accounting for the experiments.
-pub struct MemObjectStore {
-    objects: OrderedRwLock<BTreeMap<String, Bytes>>,
-    puts: AtomicU64,
-    gets: AtomicU64,
-}
-
-impl Default for MemObjectStore {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MemObjectStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self {
-            objects: OrderedRwLock::new(&classes::LOKI_STORE_OBJECTS, BTreeMap::new()),
-            puts: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of stored objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.read().len()
-    }
-
-    /// Total stored bytes.
-    pub fn stored_bytes(&self) -> usize {
-        self.objects.read().values().map(|b| b.len()).sum()
-    }
-
-    /// `(puts, gets)` operation counters.
-    pub fn op_counts(&self) -> (u64, u64) {
-        (self.puts.load(Ordering::Relaxed), self.gets.load(Ordering::Relaxed))
-    }
-}
-
-impl ObjectStore for MemObjectStore {
-    fn put(&self, key: String, data: Bytes) {
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.objects.write().insert(key, data);
-    }
-
-    fn get(&self, key: &str) -> Option<Bytes> {
-        self.gets.fetch_add(1, Ordering::Relaxed);
-        self.objects.read().get(key).cloned()
-    }
-
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .read()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    fn delete(&self, key: &str) -> bool {
-        self.objects.write().remove(key).is_some()
-    }
-}
 
 /// Latency and transient-failure model of the cold (compacted) tier — an
 /// S3-style remote object store rather than local disk. Mirrors the
@@ -150,31 +77,44 @@ impl Default for ColdTierPolicy {
     }
 }
 
-/// The cold object tier: compacted chunks demoted out of the hot store.
-/// Wraps a [`MemObjectStore`] with the simulated latency/failure model of
-/// [`ColdTierPolicy`]; every charged nanosecond and transient failure is
-/// accounted so the drill and self-telemetry can surface the tier's cost.
-pub struct ColdTier {
-    objects: MemObjectStore,
-    policy: OrderedRwLock<ColdTierPolicy>,
+impl ColdTierPolicy {
+    /// Whether this key's first GET attempt fails under the policy coin.
+    fn first_attempt_fails(&self, key: &str) -> bool {
+        if self.fail_permille == 0 {
+            return false;
+        }
+        let mut buf = self.seed.to_le_bytes().to_vec();
+        buf.extend_from_slice(key.as_bytes());
+        (fnv1a64(&buf) % 1_000) < self.fail_permille as u64
+    }
+}
+
+/// One in-memory object tier, with byte/object/operation accounting for
+/// the experiments. The hot tier runs without a policy; the cold tier
+/// charges its [`ColdTierPolicy`] on every operation, and every charged
+/// nanosecond and transient failure is accounted so the drill and
+/// self-telemetry can surface the tier's cost.
+pub struct ObjectTier {
+    /// Key prefix of this tier's chunk objects.
+    prefix: &'static str,
+    objects: OrderedRwLock<BTreeMap<String, Bytes>>,
+    puts: AtomicU64,
+    gets: AtomicU64,
+    policy: OrderedRwLock<Option<ColdTierPolicy>>,
     /// First-attempt GET failures (each retried once, successfully).
     transient_failures: AtomicU64,
     /// Total simulated nanoseconds charged across operations.
     simulated_ns: AtomicU64,
 }
 
-impl Default for ColdTier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ColdTier {
-    /// Empty cold tier with the default policy.
-    pub fn new() -> Self {
+impl ObjectTier {
+    fn new(prefix: &'static str, policy: Option<ColdTierPolicy>) -> Self {
         Self {
-            objects: MemObjectStore::new(),
-            policy: OrderedRwLock::new(&classes::LOKI_COLD_POLICY, ColdTierPolicy::default()),
+            prefix,
+            objects: OrderedRwLock::new(&classes::LOKI_STORE_OBJECTS, BTreeMap::new()),
+            puts: AtomicU64::new(0),
+            gets: AtomicU64::new(0),
+            policy: OrderedRwLock::new(&classes::LOKI_COLD_POLICY, policy),
             transient_failures: AtomicU64::new(0),
             simulated_ns: AtomicU64::new(0),
         }
@@ -183,37 +123,30 @@ impl ColdTier {
     /// Replace the latency/failure policy (chaos scenarios flip this at
     /// runtime, exactly like `ChaosAction`s flip bus fault windows).
     pub fn set_policy(&self, policy: ColdTierPolicy) {
-        *self.policy.write() = policy;
+        *self.policy.write() = Some(policy);
     }
 
-    /// The current policy.
-    pub fn policy(&self) -> ColdTierPolicy {
+    fn policy(&self) -> Option<ColdTierPolicy> {
         *self.policy.read()
     }
 
-    /// Whether this key's first GET attempt fails under the policy coin.
-    fn first_attempt_fails(&self, key: &str, policy: &ColdTierPolicy) -> bool {
-        if policy.fail_permille == 0 {
-            return false;
-        }
-        let mut buf = policy.seed.to_le_bytes().to_vec();
-        buf.extend_from_slice(key.as_bytes());
-        (fnv1a64(&buf) % 1_000) < policy.fail_permille as u64
+    fn charge(&self, latency_ns: i64) {
+        self.simulated_ns.fetch_add(latency_ns.max(0) as u64, Ordering::Relaxed);
     }
 
     /// Number of stored objects.
     pub fn object_count(&self) -> usize {
-        self.objects.object_count()
+        self.objects.read().len()
     }
 
     /// Total stored bytes.
     pub fn stored_bytes(&self) -> usize {
-        self.objects.stored_bytes()
+        self.objects.read().values().map(|b| b.len()).sum()
     }
 
     /// `(puts, gets)` operation counters (gets count every attempt).
     pub fn op_counts(&self) -> (u64, u64) {
-        self.objects.op_counts()
+        (self.puts.load(Ordering::Relaxed), self.gets.load(Ordering::Relaxed))
     }
 
     /// First-attempt GET failures injected so far.
@@ -225,33 +158,78 @@ impl ColdTier {
     pub fn simulated_latency_ns(&self) -> u64 {
         self.simulated_ns.load(Ordering::Relaxed)
     }
-}
 
-impl ObjectStore for ColdTier {
-    fn put(&self, key: String, data: Bytes) {
-        let policy = self.policy();
-        self.simulated_ns.fetch_add(policy.put_latency_ns.max(0) as u64, Ordering::Relaxed);
-        self.objects.put(key, data);
-    }
-
-    fn get(&self, key: &str) -> Option<Bytes> {
-        let policy = self.policy();
-        self.simulated_ns.fetch_add(policy.get_latency_ns.max(0) as u64, Ordering::Relaxed);
-        if self.first_attempt_fails(key, &policy) {
-            // Transient: charge the failed attempt, count it, retry once.
-            self.transient_failures.fetch_add(1, Ordering::Relaxed);
-            self.objects.get(key); // the failed attempt still counts as a GET
-            self.simulated_ns.fetch_add(policy.get_latency_ns.max(0) as u64, Ordering::Relaxed);
+    /// Store an object.
+    pub fn put(&self, key: String, data: Bytes) {
+        if let Some(policy) = self.policy() {
+            self.charge(policy.put_latency_ns);
         }
-        self.objects.get(key)
+        self.puts.fetch_add(1, Ordering::Relaxed);
+        self.objects.write().insert(key, data);
     }
 
-    fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects.list(prefix)
+    /// Fetch an object.
+    pub fn get(&self, key: &str) -> Option<Bytes> {
+        if let Some(policy) = self.policy() {
+            self.charge(policy.get_latency_ns);
+            if policy.first_attempt_fails(key) {
+                // Transient: count it (the failed attempt is still a
+                // GET), charge the retry, which always succeeds.
+                self.transient_failures.fetch_add(1, Ordering::Relaxed);
+                self.gets.fetch_add(1, Ordering::Relaxed);
+                self.charge(policy.get_latency_ns);
+            }
+        }
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.objects.read().get(key).cloned()
     }
 
-    fn delete(&self, key: &str) -> bool {
-        self.objects.delete(key)
+    /// Keys beginning with `prefix`, sorted.
+    pub fn list(&self, prefix: &str) -> Vec<String> {
+        self.objects
+            .read()
+            .range(prefix.to_string()..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, _)| k.clone())
+            .collect()
+    }
+
+    /// Delete an object; returns whether it existed.
+    pub fn delete(&self, key: &str) -> bool {
+        self.objects.write().remove(key).is_some()
+    }
+
+    /// Object key for one chunk of one stream in this tier:
+    /// `<prefix><fp-hex>/<min-enc>-<max-enc>-<seq-hex>`. The sequence
+    /// component makes same-span chunks distinct objects (the pre-fix
+    /// scheme silently overwrote them), and the offset-binary timestamp
+    /// encoding keeps key order equal to time order for ordered scans.
+    fn chunk_key(
+        &self,
+        fingerprint: u64,
+        min_ts: Timestamp,
+        max_ts: Timestamp,
+        seq: u64,
+    ) -> String {
+        format!(
+            "{}{fingerprint:016x}/{}-{}-{seq:016x}",
+            self.prefix,
+            encode_key_ts(min_ts),
+            encode_key_ts(max_ts)
+        )
+    }
+
+    /// Chunk keys of one stream in this tier, in key order — which is
+    /// time order, then persist order — each with the span parsed from
+    /// the key (the reader's and the compactor's ordered scan).
+    pub fn chunk_refs(&self, fingerprint: u64) -> Vec<(String, Timestamp, Timestamp)> {
+        self.list(&format!("{}{fingerprint:016x}/", self.prefix))
+            .into_iter()
+            .filter_map(|key| {
+                let (min, max) = parse_key_span(&key)?;
+                Some((key, min, max))
+            })
+            .collect()
     }
 }
 
@@ -312,31 +290,9 @@ pub fn decode_key_ts(s: &str) -> Option<Timestamp> {
     u64::from_str_radix(s, 16).ok().map(|v| (v ^ (1u64 << 63)) as i64)
 }
 
-/// Object key for one chunk of one stream:
-/// `chunks/<fp-hex>/<min-enc>-<max-enc>-<seq-hex>`. The sequence
-/// component makes same-span chunks distinct objects (the pre-fix scheme
-/// silently overwrote them), and the offset-binary timestamp encoding
-/// keeps key order equal to time order for the compactor's ordered scans.
-pub fn chunk_key(fingerprint: u64, min_ts: Timestamp, max_ts: Timestamp, seq: u64) -> String {
-    format!(
-        "chunks/{fingerprint:016x}/{}-{}-{seq:016x}",
-        encode_key_ts(min_ts),
-        encode_key_ts(max_ts)
-    )
-}
-
-/// Object key for one compacted chunk in the cold tier.
-pub fn compacted_key(fingerprint: u64, min_ts: Timestamp, max_ts: Timestamp, seq: u64) -> String {
-    format!(
-        "compacted/{fingerprint:016x}/{}-{}-{seq:016x}",
-        encode_key_ts(min_ts),
-        encode_key_ts(max_ts)
-    )
-}
-
 /// Parse the `(min_ts, max_ts)` span out of a chunk-object key (either
-/// tier). This is what lets `fetch`/`delete_before` prune objects from
-/// the listing without touching their bodies.
+/// tier). This is what lets the reader and `delete_before` prune objects
+/// from the listing without touching their bodies.
 pub fn parse_key_span(key: &str) -> Option<(Timestamp, Timestamp)> {
     let leaf = key.rsplit('/').next()?;
     let mut parts = leaf.split('-');
@@ -373,24 +329,12 @@ pub fn object_to_labels(data: &[u8]) -> Result<LabelSet, CorruptBlock> {
     Ok(labels)
 }
 
-/// Per-fetch accounting: which tier served what, and how much the
-/// key-span index saved.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FetchStats {
-    /// Objects fetched from the hot (sealed) tier.
-    pub hot_objects: usize,
-    /// Objects fetched from the cold (compacted) tier.
-    pub cold_objects: usize,
-    /// Objects skipped from the key span alone, bodies never read.
-    pub skipped_by_key: usize,
-}
-
-/// The chunk store: persistence + retrieval of offloaded chunks across
-/// the hot (sealed) and cold (compacted) tiers.
+/// The chunk store: persistence of offloaded chunks across the hot
+/// (sealed) and cold (compacted) tiers, plus the durable series index.
 #[derive(Clone)]
 pub struct ChunkStore {
-    store: Arc<MemObjectStore>,
-    cold: Arc<ColdTier>,
+    hot: Arc<ObjectTier>,
+    cold: Arc<ObjectTier>,
     /// Store-wide monotonic sequence uniquifying chunk keys.
     next_seq: Arc<AtomicU64>,
 }
@@ -405,38 +349,40 @@ impl ChunkStore {
     /// A chunk store over fresh in-memory object tiers.
     pub fn new() -> Self {
         Self {
-            store: Arc::new(MemObjectStore::new()),
-            cold: Arc::new(ColdTier::new()),
+            hot: Arc::new(ObjectTier::new("chunks/", None)),
+            cold: Arc::new(ObjectTier::new("compacted/", Some(ColdTierPolicy::default()))),
             next_seq: Arc::new(AtomicU64::new(0)),
         }
     }
 
-    /// The underlying hot-tier object store (for accounting).
-    pub fn objects(&self) -> &MemObjectStore {
-        &self.store
+    /// The hot (offloaded) tier, which also holds the series index.
+    pub fn objects(&self) -> &ObjectTier {
+        &self.hot
     }
 
     /// The cold (compacted) tier.
-    pub fn cold(&self) -> &ColdTier {
+    pub fn cold(&self) -> &ObjectTier {
         &self.cold
+    }
+
+    fn put_chunk(&self, tier: &ObjectTier, fingerprint: u64, chunk: &SealedChunk) {
+        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        tier.put(
+            tier.chunk_key(fingerprint, chunk.min_ts, chunk.max_ts, seq),
+            chunk_to_object(chunk),
+        );
     }
 
     /// Persist one chunk of a stream into the hot tier.
     pub fn persist(&self, fingerprint: u64, chunk: &SealedChunk) {
-        if chunk.count == 0 {
-            return;
+        if chunk.count > 0 {
+            self.put_chunk(&self.hot, fingerprint, chunk);
         }
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.store
-            .put(chunk_key(fingerprint, chunk.min_ts, chunk.max_ts, seq), chunk_to_object(chunk));
     }
 
-    /// Write one compacted chunk into the cold tier, returning its key.
-    pub fn put_compacted(&self, fingerprint: u64, chunk: &SealedChunk) -> String {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let key = compacted_key(fingerprint, chunk.min_ts, chunk.max_ts, seq);
-        self.cold.put(key.clone(), chunk_to_object(chunk));
-        key
+    /// Write one compacted chunk into the cold tier.
+    pub fn put_compacted(&self, fingerprint: u64, chunk: &SealedChunk) {
+        self.put_chunk(&self.cold, fingerprint, chunk);
     }
 
     /// Record the stream's labels in the durable series index (idempotent).
@@ -444,98 +390,22 @@ impl ChunkStore {
     /// ingester's in-memory stream map — and orphaned by a crash.
     pub fn register_series(&self, fingerprint: u64, labels: &LabelSet) {
         let key = series_key(fingerprint);
-        if self.store.list(&key).is_empty() {
-            self.store.put(key, labels_to_object(labels));
+        if self.hot.list(&key).is_empty() {
+            self.hot.put(key, labels_to_object(labels));
         }
     }
 
     /// Every `(fingerprint, labels)` in the durable series index.
     pub fn series(&self) -> Vec<(u64, LabelSet)> {
-        self.store
+        self.hot
             .list("series/")
             .into_iter()
             .filter_map(|key| {
                 let fp = u64::from_str_radix(key.strip_prefix("series/")?, 16).ok()?;
-                let labels = object_to_labels(&self.store.get(&key)?).ok()?;
+                let labels = object_to_labels(&self.hot.get(&key)?).ok()?;
                 Some((fp, labels))
             })
             .collect()
-    }
-
-    /// Chunk keys of one stream in one tier, in key (= time) order, each
-    /// with the span parsed from the key.
-    fn keys_with_spans(
-        tier: &dyn ObjectStore,
-        prefix: &str,
-    ) -> Vec<(String, Timestamp, Timestamp)> {
-        tier.list(prefix)
-            .into_iter()
-            .filter_map(|key| {
-                let (min, max) = parse_key_span(&key)?;
-                Some((key, min, max))
-            })
-            .collect()
-    }
-
-    /// Hot-tier chunk keys of a stream with their spans, in time order
-    /// (the compactor's ordered scan).
-    pub fn hot_chunk_refs(&self, fingerprint: u64) -> Vec<(String, Timestamp, Timestamp)> {
-        Self::keys_with_spans(&*self.store, &format!("chunks/{fingerprint:016x}/"))
-    }
-
-    /// Cold-tier chunk keys of a stream with their spans, in time order.
-    pub fn cold_chunk_refs(&self, fingerprint: u64) -> Vec<(String, Timestamp, Timestamp)> {
-        Self::keys_with_spans(&*self.cold, &format!("compacted/{fingerprint:016x}/"))
-    }
-
-    /// Fetch every chunk of a stream overlapping `(start, end]`, both
-    /// tiers.
-    pub fn fetch(&self, fingerprint: u64, start: Timestamp, end: Timestamp) -> Vec<SealedChunk> {
-        self.fetch_stats(fingerprint, start, end).0
-    }
-
-    /// [`Self::fetch`] with per-tier accounting. Non-overlapping objects
-    /// are pruned from the key span alone — their bodies are never read —
-    /// so a narrow window over a long-lived stream costs O(overlap) GETs,
-    /// not O(stream history).
-    pub fn fetch_stats(
-        &self,
-        fingerprint: u64,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> (Vec<SealedChunk>, FetchStats) {
-        let mut out = Vec::new();
-        let mut stats = FetchStats::default();
-        for (tier, refs, fetched) in [
-            (
-                &*self.store as &dyn ObjectStore,
-                self.hot_chunk_refs(fingerprint),
-                &mut stats.hot_objects as &mut usize,
-            ),
-            (
-                &*self.cold as &dyn ObjectStore,
-                self.cold_chunk_refs(fingerprint),
-                &mut stats.cold_objects,
-            ),
-        ] {
-            for (key, min, max) in refs {
-                // Window semantics are `(start, end]`, mirroring
-                // `SealedChunk::overlaps`.
-                if max <= start || min > end {
-                    stats.skipped_by_key += 1;
-                    continue;
-                }
-                if let Some(data) = tier.get(&key) {
-                    if let Ok(chunk) = object_to_chunk(&data) {
-                        if chunk.overlaps(start, end) {
-                            *fetched += 1;
-                            out.push(chunk);
-                        }
-                    }
-                }
-            }
-        }
-        (out, stats)
     }
 
     /// Delete chunks of a stream entirely older than `horizon`, both
@@ -543,22 +413,17 @@ impl ChunkStore {
     /// were removed. A stream whose last chunk goes (in both tiers) also
     /// loses its series-index entry.
     pub fn delete_before(&self, fingerprint: u64, horizon: Timestamp) -> usize {
+        let tiers = [&self.hot, &self.cold];
         let mut removed = 0;
-        for (tier, refs) in [
-            (&*self.store as &dyn ObjectStore, self.hot_chunk_refs(fingerprint)),
-            (&*self.cold as &dyn ObjectStore, self.cold_chunk_refs(fingerprint)),
-        ] {
-            for (key, _, max) in refs {
+        for tier in tiers {
+            for (key, _, max) in tier.chunk_refs(fingerprint) {
                 if max < horizon && tier.delete(&key) {
                     removed += 1;
                 }
             }
         }
-        if removed > 0
-            && self.hot_chunk_refs(fingerprint).is_empty()
-            && self.cold_chunk_refs(fingerprint).is_empty()
-        {
-            self.store.delete(&series_key(fingerprint));
+        if removed > 0 && tiers.iter().all(|t| t.chunk_refs(fingerprint).is_empty()) {
+            self.hot.delete(&series_key(fingerprint));
         }
         removed
     }
@@ -567,12 +432,24 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{read_store, QueryStats};
     use omni_model::LogEntry;
 
     fn chunk(lines: usize, base_ts: Timestamp) -> SealedChunk {
         let entries: Vec<LogEntry> =
             (0..lines).map(|i| LogEntry::new(base_ts + i as i64, format!("line {i}"))).collect();
         SealedChunk::from_entries(&entries)
+    }
+
+    /// One stream's stored entries in `(start, end]` plus the read cost.
+    fn read(
+        store: &ChunkStore,
+        fp: u64,
+        start: Timestamp,
+        end: Timestamp,
+    ) -> (Vec<LogEntry>, QueryStats) {
+        let mut stats = QueryStats::default();
+        (read_store(store, fp, start, end, &mut stats), stats)
     }
 
     #[test]
@@ -612,12 +489,11 @@ mod tests {
         store.persist(42, &chunk(10, 0)); // ts 0..9
         store.persist(42, &chunk(10, 1_000)); // ts 1000..1009
         store.persist(7, &chunk(10, 0)); // other stream
-        let got = store.fetch(42, -1, 500);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].min_ts, 0);
-        let got = store.fetch(42, -1, 2_000);
-        assert_eq!(got.len(), 2);
-        assert!(store.fetch(99, -1, 2_000).is_empty());
+        let (got, stats) = read(&store, 42, -1, 500);
+        assert_eq!((got.len(), got[0].ts, stats.chunks_touched), (10, 0, 1));
+        let (got, stats) = read(&store, 42, -1, 2_000);
+        assert_eq!((got.len(), stats.chunks_touched), (20, 2));
+        assert!(read(&store, 99, -1, 2_000).0.is_empty());
         assert_eq!(store.objects().object_count(), 3);
     }
 
@@ -642,11 +518,10 @@ mod tests {
         store.persist(1, &a);
         store.persist(1, &b);
         assert_eq!(store.objects().object_count(), 2, "same-span chunks must not collide");
-        let got = store.fetch(1, 0, 1_000);
-        assert_eq!(got.len(), 2);
-        let mut lines: Vec<String> =
-            got.iter().flat_map(|c| c.decode().unwrap()).map(|e| e.line).collect();
-        lines.sort();
+        let (got, stats) = read(&store, 1, 0, 1_000);
+        assert_eq!(stats.chunks_touched, 2);
+        // Same span, so the key sequence decides: persist order survives.
+        let lines: Vec<String> = got.into_iter().map(|e| e.line).collect();
         assert_eq!(lines, ["burst line A1", "burst line A2", "burst line B1", "burst line B2"]);
     }
 
@@ -671,17 +546,16 @@ mod tests {
         store.persist(9, &chunk(10, -5_000)); // ts -5000..-4991
         store.persist(9, &chunk(10, 1_000)); // ts 1000..1009
                                              // Keys list in time order: the negative-span chunk first.
-        let refs = store.hot_chunk_refs(9);
+        let refs = store.objects().chunk_refs(9);
         assert_eq!(refs.len(), 2);
         assert_eq!(refs[0].1, -5_000);
         assert_eq!(refs[1].1, 1_000);
         // Fetch finds the pre-epoch chunk through the key-span filter.
-        let got = store.fetch(9, -6_000, 0);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].min_ts, -5_000);
+        let (got, stats) = read(&store, 9, -6_000, 0);
+        assert_eq!((got.len(), got[0].ts, stats.chunks_touched), (10, -5_000, 1));
         // Retention at the epoch deletes only the pre-epoch chunk.
         assert_eq!(store.delete_before(9, 0), 1);
-        assert_eq!(store.fetch(9, i64::MIN, i64::MAX).len(), 1);
+        assert_eq!(read(&store, 9, i64::MIN, i64::MAX).1.chunks_touched, 1);
     }
 
     #[test]
@@ -693,11 +567,11 @@ mod tests {
             store.persist(3, &chunk(10, i * 1_000)); // spans [0..9], [1000..1009], ...
         }
         let (_, gets_before) = store.objects().op_counts();
-        let (chunks, stats) = store.fetch_stats(3, 4_000, 4_500);
-        assert_eq!(chunks.len(), 1, "exactly one chunk overlaps (4000, 4500]");
+        let (_, stats) = read(&store, 3, 4_000, 4_500);
+        assert_eq!(stats.chunks_touched, 1, "exactly one chunk overlaps (4000, 4500]");
         let (_, gets_after) = store.objects().op_counts();
         assert_eq!(gets_after - gets_before, 1, "only the overlapping object is fetched");
-        assert_eq!(stats.hot_objects, 1);
+        assert_eq!(stats.cold_chunks_touched, 0);
         assert_eq!(stats.skipped_by_key, 9);
     }
 
@@ -708,8 +582,8 @@ mod tests {
         store.persist(1, &chunk(10, 10_000));
         assert_eq!(store.delete_before(1, 5_000), 1);
         assert_eq!(store.objects().object_count(), 1);
-        assert!(store.fetch(1, -1, 5_000).is_empty());
-        assert_eq!(store.fetch(1, -1, 20_000).len(), 1);
+        assert!(read(&store, 1, -1, 5_000).0.is_empty());
+        assert_eq!(read(&store, 1, -1, 20_000).0.len(), 10);
     }
 
     #[test]
@@ -721,7 +595,7 @@ mod tests {
 
     #[test]
     fn mem_store_list_prefix() {
-        let store = MemObjectStore::new();
+        let store = ObjectTier::new("chunks/", None);
         store.put("a/1".into(), Bytes::from_static(b"x"));
         store.put("a/2".into(), Bytes::from_static(b"y"));
         store.put("b/1".into(), Bytes::from_static(b"z"));
@@ -734,21 +608,27 @@ mod tests {
     #[test]
     fn cold_tier_serves_compacted_chunks_and_charges_latency() {
         let store = ChunkStore::new();
-        let key = store.put_compacted(5, &chunk(20, 100));
-        assert!(key.starts_with("compacted/"));
+        store.put_compacted(5, &chunk(20, 100));
+        assert_eq!(store.cold().list("compacted/").len(), 1);
         store.register_series(5, &omni_model::labels!("app" => "x"));
-        let (chunks, stats) = store.fetch_stats(5, 0, 1_000);
-        assert_eq!(chunks.len(), 1);
-        assert_eq!(stats.cold_objects, 1);
-        assert_eq!(stats.hot_objects, 0);
-        let policy = store.cold().policy();
-        assert!(store.cold().simulated_latency_ns() >= policy.put_latency_ns as u64);
+        let (got, stats) = read(&store, 5, 0, 1_000);
+        assert_eq!(got.len(), 20);
+        assert_eq!((stats.chunks_touched, stats.cold_chunks_touched), (1, 1));
+        let policy = ColdTierPolicy::default();
+        assert_eq!(
+            store.cold().simulated_latency_ns(),
+            (policy.put_latency_ns + policy.get_latency_ns) as u64
+        );
+        assert_eq!(store.objects().simulated_latency_ns(), 0, "the hot tier is free");
     }
 
     #[test]
     fn cold_tier_transient_failures_are_deterministic_and_retried() {
-        let tier = ColdTier::new();
-        tier.set_policy(ColdTierPolicy { fail_permille: 1_000, seed: 7, ..Default::default() });
+        let cold = |fail_permille| {
+            let policy = ColdTierPolicy { fail_permille, seed: 7, ..Default::default() };
+            ObjectTier::new("compacted/", Some(policy))
+        };
+        let tier = cold(1_000);
         tier.put("compacted/x".into(), Bytes::from_static(b"abc"));
         // With a 100% coin every GET fails once and succeeds on retry.
         assert_eq!(tier.get("compacted/x").unwrap(), Bytes::from_static(b"abc"));
@@ -757,9 +637,7 @@ mod tests {
         assert_eq!(tier.transient_failures(), 2, "the coin is per (seed, key), not one-shot");
         // The coin is deterministic: the same key under the same seed
         // always rolls the same way.
-        let again = ColdTier::new();
-        again.set_policy(ColdTierPolicy { fail_permille: 500, seed: 7, ..Default::default() });
-        let probe = |t: &ColdTier| {
+        let probe = |t: &ObjectTier| {
             (0..20)
                 .map(|i| {
                     let key = format!("compacted/{i}");
@@ -770,9 +648,7 @@ mod tests {
                 })
                 .collect::<Vec<bool>>()
         };
-        let third = ColdTier::new();
-        third.set_policy(ColdTierPolicy { fail_permille: 500, seed: 7, ..Default::default() });
-        assert_eq!(probe(&again), probe(&third));
+        assert_eq!(probe(&cold(500)), probe(&cold(500)));
     }
 
     #[test]

@@ -19,8 +19,9 @@
 //!   results, the run reports the affected window so the caller can
 //!   invalidate the frontend's result cache over exactly that span;
 //! * **demote** — compacted objects are written to the simulated cold
-//!   tier ([`crate::chunkstore::ColdTier`], with its object-store
-//!   latency/failure model) and the merged hot sources are deleted;
+//!   tier (an [`crate::chunkstore::ObjectTier`] under a
+//!   [`crate::chunkstore::ColdTierPolicy`] latency/failure model) and
+//!   the merged hot sources are deleted;
 //! * **retention** — each series' horizon (per-tenant, resolved from the
 //!   stream labels by the caller) is applied as key-span deletes across
 //!   both tiers, replacing the old eager per-shard store sweeps.
@@ -32,7 +33,7 @@
 //! can only be the same flush persisted twice — are dropped.
 
 use crate::chunk::SealedChunk;
-use crate::chunkstore::{object_to_chunk, ChunkStore, ObjectStore};
+use crate::chunkstore::{object_to_chunk, ChunkStore};
 use omni_model::{LabelSet, LogEntry, Timestamp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -156,7 +157,8 @@ impl Compactor {
         for (fp, _labels) in self.store.series() {
             let eligible: Vec<(String, Timestamp, Timestamp)> = self
                 .store
-                .hot_chunk_refs(fp)
+                .objects()
+                .chunk_refs(fp)
                 .into_iter()
                 .filter(|(_, _, max)| *max < cutoff)
                 .collect();
@@ -186,19 +188,17 @@ impl Compactor {
                     source_keys.push(key.clone());
                     continue;
                 }
-                match object_to_chunk(&data) {
-                    Ok(chunk) => {
-                        entries.extend(chunk.decode().unwrap_or_default());
-                        report.hot_bytes_removed += data.len();
-                        span_seen.push(data);
-                        source_keys.push(key.clone());
-                        merged_here += 1;
-                    }
-                    Err(_) => {
-                        // Leave a corrupt source in place rather than
-                        // destroy the only copy.
-                    }
-                }
+                // A source that does not decode stays where it is: merging
+                // what is left of it would destroy the only copy.
+                let Ok(mut decoded) = object_to_chunk(&data).and_then(|chunk| chunk.decode())
+                else {
+                    continue;
+                };
+                entries.append(&mut decoded);
+                report.hot_bytes_removed += data.len();
+                span_seen.push(data);
+                source_keys.push(key.clone());
+                merged_here += 1;
             }
             if merged_here == 0 {
                 continue;
@@ -253,12 +253,18 @@ impl Compactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reader::{read_store, QueryStats};
     use omni_model::labels;
 
     fn chunk(lines: usize, base_ts: Timestamp) -> SealedChunk {
         let entries: Vec<LogEntry> =
             (0..lines).map(|i| LogEntry::new(base_ts + i as i64, format!("line {i}"))).collect();
         SealedChunk::from_entries(&entries)
+    }
+
+    /// Everything the store holds for one stream, as the reader sees it.
+    fn stored(store: &ChunkStore, fp: u64) -> Vec<LogEntry> {
+        read_store(store, fp, i64::MIN, i64::MAX, &mut QueryStats::default())
     }
 
     fn store_with_stream(fp: u64, chunks: usize) -> ChunkStore {
@@ -274,15 +280,13 @@ mod tests {
     fn merges_small_chunks_into_cold_objects() {
         let store = store_with_stream(1, 8);
         let compactor = Compactor::new(store.clone(), 0, usize::MAX);
-        let before: Vec<LogEntry> =
-            store.fetch(1, i64::MIN, i64::MAX).iter().flat_map(|c| c.decode().unwrap()).collect();
+        let before = stored(&store, 1);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 8);
         assert_eq!(report.objects_written, 1, "everything fits one compacted object");
         assert_eq!(store.objects().list("chunks/").len(), 0, "hot sources deleted");
         assert_eq!(store.cold().object_count(), 1);
-        let after: Vec<LogEntry> =
-            store.fetch(1, i64::MIN, i64::MAX).iter().flat_map(|c| c.decode().unwrap()).collect();
+        let after = stored(&store, 1);
         assert_eq!(before.len(), after.len());
         assert_eq!(before, after, "compaction must not change query results");
         assert_eq!(compactor.stats().runs, 1);
@@ -310,8 +314,7 @@ mod tests {
         let compactor = Compactor::new(store.clone(), 0, 150);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert!(report.objects_written >= 2, "got {}", report.objects_written);
-        let total: usize = store.fetch(1, i64::MIN, i64::MAX).iter().map(|c| c.count).sum();
-        assert_eq!(total, 60);
+        assert_eq!(stored(&store, 1).len(), 60);
     }
 
     #[test]
@@ -330,10 +333,35 @@ mod tests {
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.duplicates_dropped, 1, "only the replayed copy is a duplicate");
         assert_eq!(report.dedup_window, Some((0, 9)));
-        let entries: Vec<LogEntry> =
-            store.fetch(1, i64::MIN, i64::MAX).iter().flat_map(|c| c.decode().unwrap()).collect();
+        let entries = stored(&store, 1);
         assert_eq!(entries.len(), 12, "10 unique + both same-span bursts");
         assert_eq!(entries.iter().filter(|e| e.line.starts_with("burst")).count(), 2);
+    }
+
+    /// Regression: a source whose object header parses but whose block
+    /// container does not used to be "merged" as zero entries and then
+    /// deleted with the rest — the compactor destroyed the only copy.
+    #[test]
+    fn undecodable_source_is_left_in_place() {
+        let store = store_with_stream(1, 6);
+        let key = store.objects().chunk_refs(1)[2].0.clone();
+        let mut data = store.objects().get(&key).unwrap().to_vec();
+        let container_at = data.len() - object_to_chunk(&data).unwrap().raw_block().len();
+        data[container_at] = 0x7f; // a block count no container this small can hold
+        assert!(object_to_chunk(&data).unwrap().decode().is_err());
+        store.objects().put(key.clone(), bytes::Bytes::from(data.clone()));
+        let hot_before = store.objects().stored_bytes();
+
+        let report = Compactor::new(store.clone(), 0, usize::MAX).run(1_000_000, &|_| i64::MAX);
+        assert_eq!(report.chunks_merged, 5, "the other five merge");
+        assert_eq!(report.objects_written, 1);
+        assert_eq!(store.objects().get(&key).as_deref(), Some(&data[..]), "the only copy survives");
+        assert_eq!(store.objects().chunk_refs(1).len(), 1);
+        assert_eq!(report.hot_bytes_removed, hot_before - store.objects().stored_bytes());
+        // The survivors still answer, and the read says what it could not.
+        let mut stats = QueryStats::default();
+        assert_eq!(read_store(&store, 1, i64::MIN, i64::MAX, &mut stats).len(), 50);
+        assert_eq!((stats.chunks_touched, stats.chunks_corrupt), (2, 1));
     }
 
     #[test]
@@ -355,8 +383,8 @@ mod tests {
         };
         let deleted = compactor.apply_retention(10_000, &resolve);
         assert_eq!(deleted, 2, "t1's hot and cold chunks both expire");
-        assert!(store.fetch(1, i64::MIN, i64::MAX).is_empty());
-        assert_eq!(store.fetch(2, i64::MIN, i64::MAX).len(), 1);
+        assert!(stored(&store, 1).is_empty());
+        assert_eq!(stored(&store, 2).len(), 10);
         assert_eq!(compactor.stats().retention_deleted, 2);
     }
 

@@ -2,7 +2,7 @@
 //! parallel (map) and merging results (reduce).
 
 use crate::ingester::Ingester;
-use crate::stream::ReadStats;
+pub use crate::reader::QueryStats;
 use omni_logql::{
     eval::{step_grid, InstantVector, Matrix},
     pushdown::{self, PartialAgg},
@@ -11,67 +11,6 @@ use omni_logql::{
 use omni_model::{LabelSet, LogEntry, LogRecord, Sample, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Execution statistics for one query, mirroring the shape of Loki's
-/// statistics API: scan volume (streams/entries/bytes) plus storage-side
-/// cost (chunks touched, blocks decoded vs. skipped by the per-block
-/// timestamp index, uncompressed bytes produced).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Streams whose labels matched the selector. When the frontend
-    /// splits a query, a stream counts once per split that scanned it.
-    pub streams_matched: usize,
-    /// Entries decompressed and scanned.
-    pub entries_scanned: usize,
-    /// Line bytes processed.
-    pub bytes_scanned: usize,
-    /// Entries actually returned after direction-aware limiting.
-    pub entries_returned: usize,
-    /// Sealed chunks (memory or durable tier) overlapping the window.
-    pub chunks_touched: usize,
-    /// Of those, chunks fetched from the cold (compacted) tier — each one
-    /// cost a simulated remote object-store GET.
-    pub cold_chunks_touched: usize,
-    /// Compressed blocks actually decompressed.
-    pub blocks_decoded: usize,
-    /// Compressed blocks skipped via their min/max timestamp headers.
-    pub blocks_skipped: usize,
-    /// Uncompressed bytes produced by block decodes.
-    pub decompressed_bytes: usize,
-    /// Post-pipeline entries moved from the shard scans to the merge
-    /// point. Log queries ship what they return; metric queries ship
-    /// nothing — that is the entire point of pushing aggregation down.
-    pub entries_shipped: usize,
-    /// Per-shard partial aggregates merged at the reduce step (metric
-    /// queries only).
-    pub partials_merged: usize,
-}
-
-impl QueryStats {
-    /// Fold another query's stats into this one (the frontend's merge
-    /// across splits).
-    pub fn absorb(&mut self, other: QueryStats) {
-        self.streams_matched += other.streams_matched;
-        self.entries_scanned += other.entries_scanned;
-        self.bytes_scanned += other.bytes_scanned;
-        self.entries_returned += other.entries_returned;
-        self.chunks_touched += other.chunks_touched;
-        self.cold_chunks_touched += other.cold_chunks_touched;
-        self.blocks_decoded += other.blocks_decoded;
-        self.blocks_skipped += other.blocks_skipped;
-        self.decompressed_bytes += other.decompressed_bytes;
-        self.entries_shipped += other.entries_shipped;
-        self.partials_merged += other.partials_merged;
-    }
-
-    fn absorb_read(&mut self, read: ReadStats) {
-        self.chunks_touched += read.chunks_touched;
-        self.cold_chunks_touched += read.cold_chunks_touched;
-        self.blocks_decoded += read.decode.blocks_decoded;
-        self.blocks_skipped += read.decode.blocks_skipped;
-        self.decompressed_bytes += read.decode.bytes_decompressed;
-    }
-}
 
 /// The order in which a log query returns — and therefore limits — its
 /// records (Loki's `direction` query parameter).
@@ -123,7 +62,7 @@ pub fn run_log_query(
     let mut stats = QueryStats::default();
     let scans = scan_shards(shards, |shard| shard.query_stats(&query.selector, start, end));
     for (streams, read) in scans {
-        stats.absorb_read(read);
+        stats.absorb(read);
         for (labels, entries) in streams {
             stats.streams_matched += 1;
             for e in entries {
@@ -176,14 +115,13 @@ fn step_vectors(
         let (streams, read) = shard.query_stats(&bottom.selector, fetch_start, last);
         let (partials, pscan) =
             pushdown::shard_step_partials(&bottom.stages, op, &streams, steps, range_ns);
-        let mut st = QueryStats {
+        let st = QueryStats {
             streams_matched: pscan.streams_matched,
             entries_scanned: pscan.entries_scanned,
             bytes_scanned: pscan.bytes_scanned,
             entries_returned: pscan.entries_matched,
-            ..QueryStats::default()
+            ..read
         };
-        st.absorb_read(read);
         (partials, st)
     });
 
@@ -237,7 +175,7 @@ pub fn run_instant_query(
 
 #[cfg(test)]
 #[path = "../tests/common/mod.rs"]
-mod common;
+pub(crate) mod common;
 
 #[cfg(test)]
 mod tests {
@@ -359,7 +297,7 @@ mod tests {
     fn scan_all(
         shards: &[Arc<Ingester>],
     ) -> impl Fn(&Selector, Timestamp, Timestamp) -> Vec<(LabelSet, Vec<LogEntry>)> + '_ {
-        |sel, s, e| shards.iter().flat_map(|shard| shard.query(sel, s, e)).collect()
+        |sel, s, e| shards.iter().flat_map(|shard| shard.query_stats(sel, s, e).0).collect()
     }
 
     #[test]

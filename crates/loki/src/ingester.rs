@@ -3,11 +3,18 @@
 //! The paper's Loki cluster runs 8 ingester worker nodes; the distributor
 //! shards streams across them by label fingerprint. Each shard is
 //! independently locked so ingest scales with shard count (experiment C5).
+//!
+//! A shard answers a query in two phases ([`Ingester::query_stats`]):
+//! what its in-memory streams hold, under the shard read lock; then, lock
+//! dropped, what the shared chunk store holds for the streams it is home
+//! to — matched in memory or only in the durable series index. Both
+//! phases read through [`crate::reader`].
 
 use crate::chunkstore::ChunkStore;
 use crate::index::LabelIndex;
 use crate::limits::Limits;
-use crate::stream::{AppendError, ReadStats, Stream};
+use crate::reader::{self, QueryStats};
+use crate::stream::{AppendError, Stream};
 use crate::tenant::TenantRejection;
 use omni_logql::Selector;
 use omni_model::lockwitness::{classes, OrderedRwLock};
@@ -232,96 +239,63 @@ impl Ingester {
     }
 
     /// Entries of matching streams in `(start, end]`, tagged with their
-    /// stream labels.
-    pub fn query(
-        &self,
-        selector: &Selector,
-        start: Timestamp,
-        end: Timestamp,
-    ) -> Vec<(LabelSet, Vec<LogEntry>)> {
-        self.query_stats(selector, start, end).0
-    }
-
-    /// [`Ingester::query`] that also reports the storage-side read cost:
-    /// chunks touched (memory and durable tier) and blocks decoded vs.
-    /// skipped inside them.
+    /// stream labels and in arrival order, plus the storage-side read
+    /// cost (see [`crate::reader`] for tier order, pruning and where a
+    /// corrupt chunk goes).
     pub fn query_stats(
         &self,
         selector: &Selector,
         start: Timestamp,
         end: Timestamp,
-    ) -> (Vec<(LabelSet, Vec<LogEntry>)>, ReadStats) {
-        let mut stats = ReadStats::default();
+    ) -> (Vec<(LabelSet, Vec<LogEntry>)>, QueryStats) {
+        let mut stats = QueryStats::default();
         // Phase 1: everything in-memory state can answer, under the read
-        // lock. Store fetches wait until the guard drops: the cold-tier
+        // lock. Store reads wait until the guard drops: the cold-tier
         // GET path can block, and holding the shard lock across it would
         // stall ingest on this shard (the lock-held-across-call class).
-        let (mut partials, mem_fps): (Vec<(LabelSet, Vec<LogEntry>)>, HashSet<u64>) = {
+        let mut streams: Vec<(u64, LabelSet, Vec<LogEntry>)> = {
             let st = self.state.read();
-            let partials = st
-                .index
+            st.index
                 .candidates(selector.equality_matchers())
                 .into_iter()
-                .filter_map(|fp| st.streams.get(&fp))
-                .filter(|s| selector.matches(&s.labels))
-                .map(|s| {
-                    let (entries, read) = s.entries_in_stats(start, end);
-                    stats.absorb(read);
-                    (s.labels.clone(), entries)
+                .filter_map(|fp| Some((fp, st.streams.get(&fp)?)))
+                .filter(|(_, s)| selector.matches(&s.labels))
+                .map(|(fp, s)| {
+                    (fp, s.labels.clone(), reader::read_memory(s, start, end, &mut stats))
                 })
-                .collect();
-            // Membership set, not an ordered view.
-            let mem_fps: HashSet<u64> = st.streams.keys().copied().collect();
-            (partials, mem_fps)
+                .collect()
         };
         if let Some(store) = &self.chunk_store {
-            // Phase 2: merge in offloaded chunks from the disk tier — home
-            // shard only, since the store is shared cluster-wide.
-            for (labels, entries) in partials.iter_mut() {
-                let fp = labels.fingerprint();
-                if !self.owns(fp) {
-                    continue;
-                }
-                let (chunks, fetch) = store.fetch_stats(fp, start, end);
-                stats.cold_chunks_touched += fetch.cold_objects;
-                for chunk in chunks {
-                    stats.chunks_touched += 1;
-                    if let Ok((es, ds)) = chunk.decode_range_stats(start, end) {
-                        stats.decode.absorb(ds);
-                        entries.extend(es);
-                    }
-                }
+            // Durable-tier-only streams (in-memory state lost to a crash,
+            // or never on this replacement ingester) join off the store's
+            // series index, so offloaded data survives any ingester. A
+            // stream appearing in memory between the phases is fine:
+            // `in_memory` is the snapshot phase 1 actually answered from,
+            // so nothing double-counts.
+            let in_memory: HashSet<u64> = streams.iter().map(|(fp, ..)| *fp).collect();
+            streams.extend(
+                store
+                    .series()
+                    .into_iter()
+                    .filter(|(fp, labels)| {
+                        self.owns(*fp) && !in_memory.contains(fp) && selector.matches(labels)
+                    })
+                    .map(|(fp, labels)| (fp, labels, Vec::new())),
+            );
+            // Phase 2: the older tiers go in front of what memory held —
+            // home shard only, since the store is shared cluster-wide.
+            for (fp, _, entries) in streams.iter_mut().filter(|(fp, ..)| self.owns(*fp)) {
+                let mut memory = std::mem::take(entries);
+                *entries = reader::read_store(store, *fp, start, end, &mut stats);
+                entries.append(&mut memory);
                 entries.sort_by_key(|e| e.ts);
             }
         }
-        let mut out: Vec<(LabelSet, Vec<LogEntry>)> =
-            partials.into_iter().filter(|(_, es)| !es.is_empty()).collect();
-        // Durable-tier-only streams (in-memory state lost to a crash, or
-        // never on this replacement ingester): served off the store's
-        // series index so offloaded data survives any ingester. A stream
-        // appearing in memory between the phases is fine: `mem_fps` is the
-        // snapshot phase 1 actually answered from, so nothing double-counts.
-        if let Some(store) = &self.chunk_store {
-            for (fp, labels) in store.series() {
-                if !self.owns(fp) || mem_fps.contains(&fp) || !selector.matches(&labels) {
-                    continue;
-                }
-                let mut entries = Vec::new();
-                let (chunks, fetch) = store.fetch_stats(fp, start, end);
-                stats.cold_chunks_touched += fetch.cold_objects;
-                for chunk in chunks {
-                    stats.chunks_touched += 1;
-                    if let Ok((es, ds)) = chunk.decode_range_stats(start, end) {
-                        stats.decode.absorb(ds);
-                        entries.extend(es);
-                    }
-                }
-                if !entries.is_empty() {
-                    entries.sort_by_key(|e| e.ts);
-                    out.push((labels, entries));
-                }
-            }
-        }
+        let out = streams
+            .into_iter()
+            .filter(|(_, _, entries)| !entries.is_empty())
+            .map(|(_, labels, entries)| (labels, entries))
+            .collect();
         (out, stats)
     }
 
@@ -569,7 +543,7 @@ mod tests {
             ing.append(rec(labels!("app" => "b"), i * 10, "b line")).unwrap();
         }
         let sel = parse_selector(r#"{app="a"}"#).unwrap();
-        let got = ing.query(&sel, 20, 50);
+        let (got, _) = ing.query_stats(&sel, 20, 50);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].1.len(), 3); // 30,40,50
     }

@@ -28,15 +28,14 @@ pub mod frontend;
 pub mod index;
 pub mod ingester;
 pub mod limits;
+pub mod reader;
 pub mod ruler;
 pub mod scheduler;
 pub mod stream;
 pub mod tenant;
 pub mod wal;
 
-pub use chunkstore::{
-    ChunkStore, ColdTier, ColdTierPolicy, FetchStats, MemObjectStore, ObjectStore,
-};
+pub use chunkstore::{ChunkStore, ColdTierPolicy, ObjectTier};
 pub use compactor::{CompactionReport, Compactor, CompactorStats};
 pub use engine::{Direction, QueryStats};
 pub use frontend::{
@@ -1163,6 +1162,169 @@ mod tests {
                 .unwrap();
         assert_eq!(before, after, "compaction must not change query results");
         assert!(report.stats.cold_chunks_touched > 0, "the read was served from the cold tier");
+    }
+
+    /// A same-timestamp burst cut into chunks that sit in all four tiers
+    /// at once. Every tier boundary falls inside the burst, so only
+    /// arrival order can break the ties — and the answer must not depend
+    /// on how far each chunk has aged.
+    #[test]
+    fn ties_keep_arrival_order_across_every_tier_boundary() {
+        use crate::engine::common::{reference_fetch, ReferenceStore};
+        use omni_logql::eval::eval_metric_at;
+
+        let limits = Limits { chunk_target_bytes: 64, compact_after_ns: 0, ..Default::default() };
+        let c = LokiCluster::new(1, limits, SimClock::starting_at(0));
+        let labels = labels!("app" => "burst");
+        let ts = 10 * NANOS_PER_SEC;
+        let mut reference = ReferenceStore::default();
+        // ~40-byte lines: every second push seals a chunk.
+        let mut push = |range: std::ops::Range<usize>| {
+            for i in range {
+                let line = format!("v={i} line {i:02} of one same-instant burst");
+                let record = LogRecord::new(labels.clone(), ts, line);
+                c.push_record(record.clone()).unwrap();
+                reference.0.push(record);
+            }
+        };
+        c.clock().set(4_000 * NANOS_PER_SEC);
+        push(0..4);
+        assert_eq!(c.offload(0), 2);
+        assert_eq!(c.compact().chunks_merged, 2, "lines 00-03 → one cold object");
+        push(4..8);
+        assert_eq!(c.offload(0), 2, "lines 04-07 → two hot objects");
+        push(8..13); // lines 08-0b → two sealed chunks, line 0c → the head
+        assert_eq!(c.chunk_store().cold().object_count(), 1);
+        assert_eq!(c.chunk_store().objects().list("chunks/").len(), 2);
+        assert_eq!(c.chunk_count(), 3);
+
+        c.frontend().invalidate_all();
+        let shape = QueryShape::Logs {
+            start: 0,
+            end: 20 * NANOS_PER_SEC,
+            limit: usize::MAX,
+            direction: Direction::Forward,
+        };
+        let resp =
+            c.query(QueryRequest { tenant: None, query: r#"{app="burst"}"#, shape }).unwrap();
+        assert_eq!(
+            (resp.report.stats.chunks_touched, resp.report.stats.cold_chunks_touched),
+            (5, 1)
+        );
+        assert_eq!(resp.data.into_logs().unwrap(), reference.0, "forward order is arrival order");
+
+        // `first` / `last` break ties by the same fold order: earliest
+        // arrival for `first`, latest for `last`.
+        let at = 20 * NANOS_PER_SEC;
+        for (op, expect) in [("first_over_time", 0.0), ("last_over_time", 12.0)] {
+            // `logfmt` lifts `v` into the labels; overwriting it after the
+            // unwrap folds the burst back into one group.
+            let q =
+                format!(r#"{op}({{app="burst"}} | logfmt | unwrap v | label_format v="-" [30s])"#);
+            let Expr::Metric(mq) = parse_expr(&q).unwrap() else { panic!("metric query") };
+            let mut fetch = reference_fetch(|sel, s, e| reference.scan(sel, s, e));
+            let got = c.query_instant(&q, at).unwrap();
+            assert_eq!(got, eval_metric_at(&mq, at, &mut fetch), "{op}");
+            assert_eq!(got, [(labels!("app" => "burst", "v" => "-"), expect)], "{op}");
+        }
+    }
+
+    /// Accounting pinned against the pre-reader read path: one scenario
+    /// with cold, hot, sealed and head data under every stream, and the
+    /// full statistics of one query per shape as literals captured from
+    /// the four hand-chained layers this reader replaced (`skipped_by_key`
+    /// from their `FetchStats`). A refactor of the reader may reorder
+    /// ties; it may never move a count.
+    #[test]
+    fn reader_accounting_is_pinned_across_all_four_tiers() {
+        let limits = Limits {
+            chunk_target_bytes: 1_024,
+            compact_after_ns: 0,
+            split_interval_ns: 150 * NANOS_PER_SEC,
+            ..Default::default()
+        };
+        let c = LokiCluster::new(2, limits, SimClock::starting_at(0));
+        for i in 0..400i64 {
+            for stream in ["a", "b", "c"] {
+                let line =
+                    format!("stream {stream} event {i:04} with some padding to fill chunks up");
+                c.push(labels!("app" => "pin", "stream" => stream), i * NANOS_PER_SEC, line)
+                    .unwrap();
+            }
+        }
+        c.clock().set(400 * NANOS_PER_SEC);
+        assert!(c.offload(200 * NANOS_PER_SEC) > 0);
+        assert!(c.compact().objects_written > 0, "(.., 200s) → cold, several blocks an object");
+        assert!(c.offload(100 * NANOS_PER_SEC) > 0, "[200s, 300s) → hot");
+        assert!(c.compressed_bytes() > 0, "[300s, ..) stays sealed in memory, then the heads");
+
+        let s = NANOS_PER_SEC;
+        let logs = QueryShape::Logs {
+            start: 50 * s,
+            end: 350 * s,
+            limit: 1_000,
+            direction: Direction::Forward,
+        };
+        let range = QueryShape::Range { start: 0, end: 400 * s, step_ns: 30 * s };
+        let instant = QueryShape::Instant { at: 400 * s };
+        let stats = |query: &str, shape: QueryShape| {
+            c.frontend().invalidate_all();
+            c.query(QueryRequest { tenant: None, query, shape }).unwrap().report.stats
+        };
+        assert_eq!(
+            stats(r#"{app="pin"} |= "7""#, logs),
+            QueryStats {
+                streams_matched: 9,
+                entries_scanned: 900,
+                bytes_scanned: 49_500,
+                entries_returned: 171,
+                chunks_touched: 36,
+                cold_chunks_touched: 6,
+                skipped_by_key: 33,
+                chunks_corrupt: 0,
+                blocks_decoded: 39,
+                blocks_skipped: 3,
+                decompressed_bytes: 77_148,
+                entries_shipped: 171,
+                partials_merged: 0,
+            }
+        );
+        assert_eq!(
+            stats(r#"sum by (stream) (count_over_time({app="pin"}[60s]))"#, range),
+            QueryStats {
+                streams_matched: 9,
+                entries_scanned: 1_353,
+                bytes_scanned: 74_415,
+                entries_returned: 1_353,
+                chunks_touched: 48,
+                cold_chunks_touched: 6,
+                skipped_by_key: 24,
+                chunks_corrupt: 0,
+                blocks_decoded: 51,
+                blocks_skipped: 3,
+                decompressed_bytes: 110_844,
+                entries_shipped: 0,
+                partials_merged: 42,
+            }
+        );
+        assert_eq!(
+            stats(r#"sum(rate({app="pin", stream=~"a|b"}[5m]))"#, instant),
+            QueryStats {
+                streams_matched: 2,
+                entries_scanned: 598,
+                bytes_scanned: 32_890,
+                entries_returned: 598,
+                chunks_touched: 24,
+                cold_chunks_touched: 2,
+                skipped_by_key: 0,
+                chunks_corrupt: 0,
+                blocks_decoded: 26,
+                blocks_skipped: 0,
+                decompressed_bytes: 48_748,
+                entries_shipped: 0,
+                partials_merged: 2,
+            }
+        );
     }
 
     #[test]

@@ -1,31 +1,13 @@
 //! One log stream: "If logs share the same combination of unique labels,
 //! they are called a log stream. Each log stream fills a separate chunk."
+//!
+//! A [`Stream`] owns the two in-memory tiers — sealed chunks, oldest
+//! first, and the open head — and the write side of them: append, seal,
+//! drain for offload, retention. Reading them is [`crate::reader`]'s job.
 
-use crate::chunk::{DecodeStats, HeadChunk, SealedChunk};
+use crate::chunk::{HeadChunk, SealedChunk};
 use crate::limits::Limits;
 use omni_model::{LabelSet, LogEntry, Timestamp};
-
-/// Per-stream read cost of one range query: which chunks were touched and
-/// what the block index saved inside them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadStats {
-    /// Sealed chunks whose time span overlapped the query window.
-    pub chunks_touched: usize,
-    /// Of those, chunks served from the cold (compacted) object tier,
-    /// which carries a simulated remote-GET latency per object.
-    pub cold_chunks_touched: usize,
-    /// Block-level decode cost inside those chunks.
-    pub decode: DecodeStats,
-}
-
-impl ReadStats {
-    /// Fold another read's stats into this one.
-    pub fn absorb(&mut self, other: ReadStats) {
-        self.chunks_touched += other.chunks_touched;
-        self.cold_chunks_touched += other.cold_chunks_touched;
-        self.decode.absorb(other.decode);
-    }
-}
 
 /// Why an append was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,37 +111,20 @@ impl Stream {
         self.seal_head();
     }
 
-    /// Entries in `(start, end]` across sealed chunks and the head.
-    pub fn entries_in(&self, start: Timestamp, end: Timestamp) -> Vec<LogEntry> {
-        self.entries_in_stats(start, end).0
-    }
-
-    /// [`Self::entries_in`] that also reports the read cost: chunks
-    /// touched and blocks decoded vs. skipped inside them.
-    pub fn entries_in_stats(&self, start: Timestamp, end: Timestamp) -> (Vec<LogEntry>, ReadStats) {
-        let mut out = Vec::new();
-        let mut stats = ReadStats::default();
-        for c in &self.chunks {
-            if c.overlaps(start, end) {
-                stats.chunks_touched += 1;
-                if let Ok((mut es, ds)) = c.decode_range_stats(start, end) {
-                    stats.decode.absorb(ds);
-                    out.append(&mut es);
-                }
-            }
-        }
-        out.extend(self.head.entries_in(start, end));
-        (out, stats)
-    }
-
     /// Sealed chunk count.
     pub fn chunk_count(&self) -> usize {
         self.chunks.len() + usize::from(!self.head.is_empty())
     }
 
-    /// Sealed chunks view (for size accounting).
+    /// Sealed chunks, oldest first (size accounting, and the reader's
+    /// sealed-in-memory tier).
     pub fn sealed_chunks(&self) -> &[SealedChunk] {
         &self.chunks
+    }
+
+    /// The open head chunk (the reader's newest tier).
+    pub fn head(&self) -> &HeadChunk {
+        &self.head
     }
 
     /// Total entries ever appended.
@@ -237,6 +202,10 @@ mod tests {
         Stream::new(labels!("app" => "test"))
     }
 
+    fn entries_in(s: &Stream, start: Timestamp, end: Timestamp) -> Vec<LogEntry> {
+        crate::reader::read_memory(s, start, end, &mut Default::default())
+    }
+
     #[test]
     fn append_and_query() {
         let mut s = stream();
@@ -244,7 +213,7 @@ mod tests {
         for i in 0..10 {
             s.append(LogEntry::new(i * 100, format!("l{i}")), &limits).unwrap();
         }
-        let es = s.entries_in(100, 500);
+        let es = entries_in(&s, 100, 500);
         assert_eq!(es.len(), 4); // 200,300,400,500
         assert_eq!(s.total_entries(), 10);
     }
@@ -265,7 +234,7 @@ mod tests {
         s.append(LogEntry::new(1000, "a"), &limits).unwrap();
         s.append(LogEntry::new(500, "late"), &limits).unwrap();
         // Clamped into order; both retrievable.
-        assert_eq!(s.entries_in(0, 2000).len(), 2);
+        assert_eq!(entries_in(&s, 0, 2000).len(), 2);
         let err = s.append(LogEntry::new(100, "too late"), &limits);
         assert!(err.is_err());
     }
@@ -293,7 +262,7 @@ mod tests {
         assert!(seals >= 9, "sealed {seals} chunks");
         assert!(s.sealed_chunks().len() >= 9);
         // All entries still queryable across chunk boundaries.
-        assert_eq!(s.entries_in(-1, 1000).len(), 100);
+        assert_eq!(entries_in(&s, -1, 1000).len(), 100);
     }
 
     #[test]
@@ -318,7 +287,7 @@ mod tests {
         assert!(dropped > 0);
         assert!(s.sealed_chunks().len() < total_chunks);
         // Remaining data is only the newer half.
-        assert!(s.entries_in(-1, 10_000).iter().all(|e| e.ts >= 400));
+        assert!(entries_in(&s, -1, 10_000).iter().all(|e| e.ts >= 400));
     }
 
     #[test]
@@ -331,14 +300,14 @@ mod tests {
         s.append(LogEntry::new(100, "stale head data"), &limits).unwrap();
         assert_eq!(s.enforce_retention(1_000), 1);
         assert!(s.is_empty());
-        assert!(s.entries_in(-1, 10_000).is_empty());
+        assert!(entries_in(&s, -1, 10_000).is_empty());
 
         // A head spanning the horizon is kept whole (chunk granularity),
         // matching the sealed and disk tiers.
         s.append(LogEntry::new(2_000, "a"), &limits).unwrap();
         s.append(LogEntry::new(4_000, "b"), &limits).unwrap();
         assert_eq!(s.enforce_retention(3_000), 0);
-        assert_eq!(s.entries_in(-1, 10_000).len(), 2);
+        assert_eq!(entries_in(&s, -1, 10_000).len(), 2);
     }
 
     #[test]

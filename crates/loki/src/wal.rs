@@ -250,7 +250,8 @@ mod tests {
         }
         assert_eq!(replayed, 100);
         let sel = parse_selector(r#"{app="x"}"#).unwrap();
-        let got: usize = recovered.query(&sel, -1, 1_000).iter().map(|(_, es)| es.len()).sum();
+        let got: usize =
+            recovered.query_stats(&sel, -1, 1_000).0.iter().map(|(_, es)| es.len()).sum();
         assert_eq!(got, 100);
     }
 

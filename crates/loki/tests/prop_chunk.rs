@@ -3,6 +3,7 @@
 use bytes::Bytes;
 use omni_loki::chunk::SealedChunk;
 use omni_loki::compress::{compress, decompress};
+use omni_loki::QueryStats;
 use omni_model::LogEntry;
 use proptest::prelude::*;
 
@@ -54,7 +55,7 @@ proptest! {
         // (possibly garbage) entries or an error — never panic.
         let chunk = SealedChunk::from_parts(Bytes::from(data), 0, 1_000_000, count, 4_096);
         let _ = chunk.decode();
-        let _ = chunk.decode_range(100, 2_000);
+        let _ = chunk.decode_range(100, 2_000, &mut QueryStats::default());
     }
 
     #[test]
@@ -75,7 +76,7 @@ proptest! {
             chunk.uncompressed,
         );
         let _ = truncated.decode();
-        let _ = truncated.decode_range(0, i64::MAX);
+        let _ = truncated.decode_range(0, i64::MAX, &mut QueryStats::default());
     }
 
     #[test]
@@ -90,7 +91,7 @@ proptest! {
         let span = (n as i64) * 100;
         let start = (span as f64 * start_frac) as i64 - 50;
         let end = start + (span as f64 * len_frac) as i64;
-        let ranged = chunk.decode_range(start, end).unwrap();
+        let ranged = chunk.decode_range(start, end, &mut QueryStats::default()).unwrap();
         let expected: Vec<LogEntry> = entries
             .iter()
             .filter(|e| e.ts > start && e.ts <= end)

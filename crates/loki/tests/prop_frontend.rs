@@ -128,7 +128,7 @@ proptest! {
         let m = metric_query(&text);
         let step_ns = step_s * 1_000_000_000;
         let reference = || {
-            let mut fetch = reference_fetch(|sel, s, e| single.query(sel, s, e));
+            let mut fetch = reference_fetch(|sel, s, e| single.query_stats(sel, s, e).0);
             eval_metric_range(&m, 0, end, step_ns, &mut fetch)
         };
         let direct = reference();

@@ -84,7 +84,13 @@ fn build_pair(records: &[LogRecord], split_interval_ns: i64) -> (LokiCluster, In
 
 /// The reference matrix: central evaluation over the twin.
 fn reference_range(twin: &Ingester, m: &MetricQuery, end: Timestamp, step_ns: i64) -> Matrix {
-    eval_metric_range(m, 0, end, step_ns, &mut reference_fetch(|sel, s, e| twin.query(sel, s, e)))
+    eval_metric_range(
+        m,
+        0,
+        end,
+        step_ns,
+        &mut reference_fetch(|sel, s, e| twin.query_stats(sel, s, e).0),
+    )
 }
 
 /// A range query through the door, with its report.
@@ -139,7 +145,7 @@ proptest! {
         let at = end / 2;
         let instant = cluster.query_instant(&text, at).unwrap();
         let reference_instant =
-            eval_metric_at(&m, at, &mut reference_fetch(|sel, s, e| twin.query(sel, s, e)));
+            eval_metric_at(&m, at, &mut reference_fetch(|sel, s, e| twin.query_stats(sel, s, e).0));
         prop_assert_eq!(&instant, &reference_instant);
 
         // Cache interleaving: an append invalidates the splits whose

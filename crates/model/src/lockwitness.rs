@@ -121,11 +121,11 @@ pub mod classes {
         /// and offloads.
         LOKI_INGESTER_STATE = "loki.Ingester.state",
         // ── loki store band ──────────────────────────────────────────
-        /// Object map of one in-memory store tier (hot tier, and the
-        /// cold tier's backing store — distinct instances, never nested).
-        LOKI_STORE_OBJECTS = "loki.MemObjectStore.objects",
-        /// Cold-tier latency/failure policy.
-        LOKI_COLD_POLICY = "loki.ColdTier.policy",
+        /// Object map of one store tier (hot and cold are distinct
+        /// instances, never nested).
+        LOKI_STORE_OBJECTS = "loki.ObjectTier.objects",
+        /// One tier's latency/failure policy (set on the cold tier).
+        LOKI_COLD_POLICY = "loki.ObjectTier.policy",
         // ── model band (innermost: leaf utilities) ───────────────────
         /// Token-bucket state; acquired under tenant buckets and bus
         /// quotas.

@@ -185,6 +185,8 @@ families! {
         "Uncompressed bytes produced by recorded queries' block decodes.";
     QUERY_COLD_CHUNKS: C, "omni_query_cold_chunks_total", [],
         "Cold-tier (compacted) chunks fetched for recorded queries.";
+    QUERY_CHUNKS_CORRUPT: C, "omni_query_chunks_corrupt_total", [],
+        "Chunks recorded queries failed to decode; their entries are missing from the results.";
     QUERY_SLOW: C, "omni_query_slow_total", [],
         "Recorded queries at or over the slow-query threshold.";
 

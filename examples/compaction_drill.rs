@@ -28,8 +28,7 @@
 use shasta_mon::json::{parse, Json};
 use shasta_mon::loki::chunk::SealedChunk;
 use shasta_mon::loki::{
-    ColdTierPolicy, Direction, Limits, LokiCluster, ObjectStore, QueryRequest, QueryShape,
-    QueryStats,
+    ColdTierPolicy, Direction, Limits, LokiCluster, QueryRequest, QueryShape, QueryStats,
 };
 use shasta_mon::model::{LabelSet, LogEntry, LogRecord, SimClock, NANOS_PER_SEC};
 use std::time::Instant;
