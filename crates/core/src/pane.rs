@@ -589,7 +589,7 @@ impl ResilienceReport {
         out.push_str("== resilience report ==\n");
         let l = &self.loki;
         out.push_str(&format!(
-            "loki: shards {}/{} up, crashes {}, replayed {}, rerouted {}, wal records {} ({} bytes), checkpoint drops {}\n",
+            "loki: shards {}/{} up, crashes {}, replayed {}, rerouted {}, wal records {} ({} bytes), checkpoint drops {}, corrupt segments {}\n",
             l.shards_up,
             l.shards_total,
             l.crashes,
@@ -598,6 +598,7 @@ impl ResilienceReport {
             l.wal_records,
             l.wal_bytes,
             l.wal_checkpoint_drops,
+            l.wal_segments_corrupt,
         ));
         for (name, b) in [("log bridge", &self.log_bridge), ("metric bridge", &self.metric_bridge)]
         {

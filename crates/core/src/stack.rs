@@ -1164,7 +1164,10 @@ fn register_self_collectors(
                 fam::LOKI_CRASHES.single(r.crashes as f64),
                 fam::LOKI_WAL_REPLAYED.single(r.replayed_records as f64),
                 fam::LOKI_REROUTED.single(r.rerouted_records as f64),
-                fam::LOKI_WAL_RECORDS.single(r.wal_records as f64),
+                // Appended ever, not held: held falls at every checkpoint,
+                // which a counter must not.
+                fam::LOKI_WAL_RECORDS.single((r.wal_records + r.wal_checkpoint_drops) as f64),
+                fam::LOKI_WAL_CORRUPT_SEGMENTS.single(r.wal_segments_corrupt as f64),
             ]
         });
     }

@@ -216,6 +216,9 @@ pub struct ResilienceStats {
     /// Records dropped from WALs by checkpoint truncation (durable in the
     /// chunk store, no longer needed for recovery).
     pub wal_checkpoint_drops: u64,
+    /// WAL segments that failed to decode during a recovery and were
+    /// skipped (their records are lost; every other segment replayed).
+    pub wal_segments_corrupt: u64,
     /// Shards currently up.
     pub shards_up: usize,
     /// Total shards.
@@ -240,6 +243,7 @@ struct ClusterCounters {
     replayed: AtomicU64,
     rerouted: AtomicU64,
     wal_checkpoint_drops: AtomicU64,
+    wal_segments_corrupt: AtomicU64,
     fp_cache_hits: AtomicU64,
     fp_cache_misses: AtomicU64,
 }
@@ -364,7 +368,9 @@ impl LokiCluster {
     /// Recover shard `i`: replay its WAL into the fresh ingester, then
     /// mark it up. Returns the number of records restored. Replay applies
     /// records in original append order, so entries the shard had rejected
-    /// (out-of-order, oversized) are rejected identically on replay.
+    /// (out-of-order, oversized) are rejected identically on replay. A
+    /// WAL segment that fails to decode is skipped and counted in
+    /// [`ResilienceStats::wal_segments_corrupt`]; the others replay.
     ///
     /// Idempotent: recovering a shard that is already up (or mid-replay
     /// on another thread) is a no-op returning `0`. A crash-recovery
@@ -381,7 +387,13 @@ impl LokiCluster {
         }
         let ingester = slot.ingester.read().clone();
         let mut restored = 0;
-        if let Ok(runs) = slot.wal.replay() {
+        // Segment by segment: a corrupt one costs its own records, not
+        // the shard's, and the whole WAL is never decoded at once.
+        for runs in (0..).map_while(|index| slot.wal.replay_segment(index)) {
+            let Ok(runs) = runs else {
+                self.counters.wal_segments_corrupt.fetch_add(1, Ordering::Relaxed);
+                continue;
+            };
             for (labels, entries) in runs {
                 let frame = (labels.fingerprint(), labels, entries.len());
                 let results = ingester.append_frames([frame], entries);
@@ -411,6 +423,7 @@ impl LokiCluster {
             wal_records: self.shards.iter().map(|s| s.wal.record_count()).sum(),
             wal_bytes: self.shards.iter().map(|s| s.wal.bytes() as u64).sum(),
             wal_checkpoint_drops: self.counters.wal_checkpoint_drops.load(Ordering::Relaxed),
+            wal_segments_corrupt: self.counters.wal_segments_corrupt.load(Ordering::Relaxed),
             shards_up: (0..self.shards.len()).filter(|&i| self.shard_up(i)).count(),
             shards_total: self.shards.len(),
         }
@@ -1591,6 +1604,51 @@ mod tests {
         assert_eq!(c.recover_shard(0), 25);
         let out = c.query_logs(r#"{app="fm"}"#, -1, 4_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 25, "zero loss despite maintenance during downtime");
+    }
+
+    #[test]
+    fn one_corrupt_wal_segment_costs_only_its_own_records() {
+        // Regression: one bad byte anywhere in the WAL used to restore 0
+        // records, silently, and leave a log no checkpoint could trim.
+        let c = cluster(1);
+        let stream = labels!("app" => "fm");
+        // Three pushes of one ~70 KiB run each: three segments, spanning
+        // seconds 0..100, 100..200 and 200..300.
+        for run in 0..3 {
+            let entries: Vec<LogEntry> = (0..100)
+                .map(|i| {
+                    let ts = (run * 100 + i) * NANOS_PER_SEC;
+                    LogEntry::new(ts, format!("{run}/{i} {}", "x".repeat(700)))
+                })
+                .collect();
+            assert!(c.push_frames(None, [(stream.clone(), entries)]).iter().all(|r| r.is_ok()));
+        }
+        let wal = &c.shards[0].wal;
+        assert_eq!(wal.segment_count(), 3);
+        // The middle segment's run count now reads `u64::MAX`.
+        let mut header = Vec::new();
+        compress::put_labels(&mut header, &stream);
+        wal.edit_segment(1, |bytes| {
+            bytes.splice(header.len()..=header.len(), [0xff; 9].into_iter().chain([0x01]));
+        });
+        assert!(wal.replay().is_err());
+
+        c.crash_shard(0);
+        assert_eq!(c.recover_shard(0), 200, "the two intact segments replay");
+        assert!(c.shard_up(0));
+        let out = c.query_logs(r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        assert_eq!(out.len(), 200);
+        assert!(out.iter().all(|r| !r.entry.line.starts_with("1/")));
+        assert_eq!(c.resilience().wal_segments_corrupt, 1);
+
+        // A bound inside the corrupt segment's span drops the segment
+        // before it and leaves the corrupt one in place ...
+        assert_eq!(wal.checkpoint(150 * NANOS_PER_SEC), 100);
+        assert_eq!((wal.segment_count(), wal.record_count()), (2, 200));
+        // ... and one past its span — recorded at append time, so every
+        // entry in it is known durable — drops it like any other.
+        assert_eq!(wal.checkpoint(200 * NANOS_PER_SEC), 100);
+        assert_eq!(wal.replay().unwrap().len(), 1);
     }
 
     #[test]

@@ -115,8 +115,8 @@ pub mod classes {
         /// One shard slot's ingester handle; held (read) across appends
         /// and (write) across crash recovery, including WAL replay.
         LOKI_SHARD_INGESTER = "loki.ShardSlot.ingester",
-        /// One shard's WAL segment buffer.
-        LOKI_WAL_SEGMENT = "loki.Wal.segment",
+        /// One shard's WAL segment list.
+        LOKI_WAL_SEGMENTS = "loki.Wal.segments",
         /// One ingester's stream map + label index; held across seals
         /// and offloads.
         LOKI_INGESTER_STATE = "loki.Ingester.state",

@@ -220,6 +220,8 @@ families! {
         "Records replayed from the WAL after crashes.";
     LOKI_REROUTED: C, "omni_loki_rerouted_total", [], "Records rerouted around downed shards.";
     LOKI_WAL_RECORDS: C, "omni_loki_wal_records_total", [], "Records appended to the WAL.";
+    LOKI_WAL_CORRUPT_SEGMENTS: C, "omni_loki_wal_corrupt_segments_total", [],
+        "WAL segments that failed to decode during crash recovery and were skipped.";
 
     // Compactor and tiered storage.
     COMPACTOR_RUNS: C, "omni_compactor_runs_total", [], "Completed compaction runs.";

@@ -7,6 +7,7 @@ cd "$(dirname "$0")/.."
 
 echo "== cargo fmt --check =="
 cargo fmt --check
+bash -n scripts/bench_pairs.sh
 
 echo "== cargo build --release =="
 cargo build --release

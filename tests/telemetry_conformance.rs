@@ -9,6 +9,9 @@
 //! been gathered at least once. This sees what the stack actually emits —
 //! computed names included — which is what lets the lint catalog be
 //! derived from the table instead of cross-checked against source text.
+//! And since every step's page is in hand: no sample of a counter-kind
+//! family may ever read lower than it did the step before (a counter fed
+//! from a "currently held" number looks like a reset to `rate()`).
 
 use shasta_mon::core::{ChaosEngine, ChaosFault, MonitoringStack, StackConfig};
 use shasta_mon::loki::TenantLimits;
@@ -38,8 +41,16 @@ fn declared() -> BTreeMap<String, Declared> {
     out
 }
 
-/// Check one gathered page against the table; return the names on it.
-fn conforms(page: &[FamilySnapshot], declared: &BTreeMap<String, Declared>) -> BTreeSet<String> {
+/// The last gathered value of every counter sample.
+type CounterValues = BTreeMap<(String, LabelSet), f64>;
+
+/// Check one gathered page against the table and against the previous
+/// page's counter values; return the names on it.
+fn conforms(
+    page: &[FamilySnapshot],
+    declared: &BTreeMap<String, Declared>,
+    counters: &mut CounterValues,
+) -> BTreeSet<String> {
     for fam in page {
         let Some(d) = declared.get(&fam.name) else {
             panic!("gathered family {} is not a row of SELF_FAMILIES", fam.name)
@@ -49,6 +60,14 @@ fn conforms(page: &[FamilySnapshot], declared: &BTreeMap<String, Declared>) -> B
         for sample in &fam.samples {
             let keys: BTreeSet<&str> = sample.labels.iter().map(|(k, _)| k).collect();
             assert_eq!(keys, d.labels, "{}: label keys differ from the table", fam.name);
+            // Histogram `_bucket` / `_sum` / `_count` gather as counters too.
+            if fam.kind == InstrumentKind::Counter {
+                let key = (fam.name.clone(), sample.labels.clone());
+                if let Some(last) = counters.insert(key, sample.value) {
+                    let (name, labels, now) = (&fam.name, &sample.labels, sample.value);
+                    assert!(now >= last, "{name}{labels}: a counter went down, {last} -> {now}");
+                }
+            }
         }
         if let FamilyKind::Histogram(bounds) = d.row.kind {
             if fam.name.ends_with("_bucket") {
@@ -67,10 +86,11 @@ fn drive(declared: &BTreeMap<String, Declared>) -> BTreeSet<String> {
     let config = StackConfig { slow_query_threshold_ns: 200_000, ..StackConfig::default() };
     assert_eq!(config.seed, 42);
     let mut stack = MonitoringStack::new(config);
-    let mut seen = conforms(&stack.registry().gather(), declared);
+    let mut counters = CounterValues::new();
+    let mut seen = conforms(&stack.registry().gather(), declared, &mut counters);
     let mut step = |stack: &mut MonitoringStack, dt: i64, syslog: usize, container: usize| {
         stack.step(dt, syslog, container);
-        seen.extend(conforms(&stack.registry().gather(), declared));
+        seen.extend(conforms(&stack.registry().gather(), declared, &mut counters));
     };
 
     // Introspection drill: three hours of load, then a full-history
