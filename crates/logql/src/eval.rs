@@ -1,6 +1,18 @@
-//! Aggregation evaluation: range aggregations over processed entries,
-//! vector aggregations, threshold filters, and the instant/range
-//! orchestrator the store's query engine drives.
+//! Aggregation evaluation, in two shapes.
+//!
+//! **Step-major** — [`eval_range_agg`], [`eval_vector_agg`],
+//! [`eval_filter`], [`eval_metric_at`], [`eval_metric_range`]: one
+//! instant vector per step, the definition of what a query means. This
+//! is the reference evaluator the property tests drive; production code
+//! no longer calls it.
+//!
+//! **Series-major** — [`SeriesGrid`], [`vector_agg_grid`],
+//! [`filter_grid`], [`grid_to_matrix`]: one row per label set holding one
+//! optional cell per step, so label work (group keys, comparisons, map
+//! inserts) happens once per row instead of once per cell. Loki's
+//! pushdown reduce and the TSDB's PromQL evaluator both run on it. Every
+//! grid operator folds a step's present members in input-row order with
+//! the fold its step-major twin uses, so the two shapes agree bit for bit.
 
 use crate::ast::{CmpOp, GroupKind, Grouping, LogQuery, MetricQuery, RangeAggOp, VectorAggOp};
 use omni_model::{LabelSet, Sample, Timestamp, NANOS_PER_SEC};
@@ -93,7 +105,7 @@ pub fn eval_vector_agg(
     // topk/bottomk keep original label sets; handle separately.
     if let VectorAggOp::Topk(k) | VectorAggOp::Bottomk(k) = op {
         let mut v = input;
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+        v.sort_by(|a, b| by_value_desc(a.1, b.1));
         if matches!(op, VectorAggOp::Bottomk(_)) {
             v.reverse();
         }
@@ -103,27 +115,35 @@ pub fn eval_vector_agg(
     }
     let mut groups: BTreeMap<LabelSet, Vec<f64>> = BTreeMap::new();
     for (labels, value) in input {
-        let key = match grouping {
-            Some(Grouping { kind: GroupKind::By, labels: keys }) => labels.project(keys),
-            Some(Grouping { kind: GroupKind::Without, labels: keys }) => labels.without(keys),
-            None => LabelSet::new(),
-        };
-        groups.entry(key).or_default().push(value);
+        groups.entry(group_key(grouping, &labels)).or_default().push(value);
     }
-    groups
-        .into_iter()
-        .map(|(labels, values)| {
-            let v = match op {
-                VectorAggOp::Sum => values.iter().sum(),
-                VectorAggOp::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
-                VectorAggOp::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
-                VectorAggOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
-                VectorAggOp::Count => values.len() as f64,
-                VectorAggOp::Topk(_) | VectorAggOp::Bottomk(_) => unreachable!(),
-            };
-            (labels, v)
-        })
-        .collect()
+    groups.into_iter().map(|(labels, values)| (labels, fold_group(op, &values))).collect()
+}
+
+/// The output label set of `labels` under a grouping clause.
+fn group_key(grouping: Option<&Grouping>, labels: &LabelSet) -> LabelSet {
+    match grouping {
+        Some(Grouping { kind: GroupKind::By, labels: keys }) => labels.project(keys),
+        Some(Grouping { kind: GroupKind::Without, labels: keys }) => labels.without(keys),
+        None => LabelSet::new(),
+    }
+}
+
+/// Fold one non-empty group's member values, in member order.
+fn fold_group(op: VectorAggOp, values: &[f64]) -> f64 {
+    match op {
+        VectorAggOp::Sum => values.iter().sum(),
+        VectorAggOp::Min => values.iter().cloned().fold(f64::INFINITY, f64::min),
+        VectorAggOp::Max => values.iter().cloned().fold(f64::NEG_INFINITY, f64::max),
+        VectorAggOp::Avg => values.iter().sum::<f64>() / values.len() as f64,
+        VectorAggOp::Count => values.len() as f64,
+        VectorAggOp::Topk(_) | VectorAggOp::Bottomk(_) => unreachable!("ranked, not folded"),
+    }
+}
+
+/// Order for `topk`: descending by value, incomparable values tied.
+fn by_value_desc(a: f64, b: f64) -> std::cmp::Ordering {
+    b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
 }
 
 /// Keep vector elements whose value satisfies `op scalar`.
@@ -195,6 +215,110 @@ where
         }
     }
     series.into_iter().collect()
+}
+
+/// A range result in series-major form: one row per label set, one cell
+/// per step of the grid the row was evaluated over (`None` = the series
+/// has no value at that step). A row whose cells are all `None` means
+/// the same as no row. Rows are in the order the step-major evaluator
+/// would list their elements in any one step's vector.
+pub type SeriesGrid = Vec<(LabelSet, Vec<Option<f64>>)>;
+
+fn drop_empty_rows(grid: &mut SeriesGrid) {
+    grid.retain(|(_, cells)| cells.iter().any(Option::is_some));
+}
+
+/// [`eval_vector_agg`] over every step of a grid at once. The group key
+/// is computed once per input row; per step, the present members are
+/// folded in input-row order — [`eval_vector_agg`]'s own fold over the
+/// vector it would have seen at that step. `topk`/`bottomk` rank each
+/// step's present rows, blank the cells that lose, and return the
+/// surviving rows sorted by label.
+pub fn vector_agg_grid(
+    op: VectorAggOp,
+    grouping: Option<&Grouping>,
+    input: SeriesGrid,
+) -> SeriesGrid {
+    let steps = input.first().map_or(0, |(_, cells)| cells.len());
+    if let VectorAggOp::Topk(k) | VectorAggOp::Bottomk(k) = op {
+        let mut out = input;
+        let mut ranked: Vec<(usize, f64)> = Vec::new();
+        for si in 0..steps {
+            ranked.clear();
+            ranked.extend(out.iter().enumerate().filter_map(|(ri, row)| Some((ri, row.1[si]?))));
+            ranked.sort_by(|a, b| by_value_desc(a.1, b.1));
+            if matches!(op, VectorAggOp::Bottomk(_)) {
+                ranked.reverse();
+            }
+            for &(ri, _) in ranked.iter().skip(k) {
+                out[ri].1[si] = None;
+            }
+        }
+        drop_empty_rows(&mut out);
+        // The next operator up folds in row order, and the step-major
+        // evaluator hands it a label-sorted vector.
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        return out;
+    }
+    let mut groups: BTreeMap<LabelSet, Vec<usize>> = BTreeMap::new();
+    for (ri, (labels, _)) in input.iter().enumerate() {
+        groups.entry(group_key(grouping, labels)).or_default().push(ri);
+    }
+    let mut members: Vec<f64> = Vec::new();
+    let mut out: SeriesGrid = groups
+        .into_iter()
+        .map(|(key, rows)| {
+            let cells = (0..steps)
+                .map(|si| {
+                    members.clear();
+                    members.extend(rows.iter().filter_map(|&ri| input[ri].1[si]));
+                    (!members.is_empty()).then(|| fold_group(op, &members))
+                })
+                .collect();
+            (key, cells)
+        })
+        .collect();
+    drop_empty_rows(&mut out);
+    out
+}
+
+/// [`eval_filter`] over every cell of a grid.
+pub fn filter_grid(mut input: SeriesGrid, op: CmpOp, scalar: f64) -> SeriesGrid {
+    for (_, cells) in &mut input {
+        for cell in cells {
+            *cell = cell.filter(|v| op.apply(*v, scalar));
+        }
+    }
+    drop_empty_rows(&mut input);
+    input
+}
+
+/// The vector a one-step grid holds, in row order.
+pub fn grid_to_instant(grid: SeriesGrid) -> InstantVector {
+    grid.into_iter().filter_map(|(labels, cells)| Some((labels, (*cells.first()?)?))).collect()
+}
+
+/// Rows to the label-sorted [`Matrix`] that stitching per-step vectors
+/// through a `BTreeMap` yields — including its treatment of rows with
+/// equal label sets (PromQL's `{l="v"}` across two metric names, once
+/// `__name__` is stripped): they become one series whose samples
+/// interleave step by step, in row order.
+pub fn grid_to_matrix(grid: SeriesGrid, steps: &[Timestamp]) -> Matrix {
+    let mut series: BTreeMap<LabelSet, Vec<Vec<Option<f64>>>> = BTreeMap::new();
+    for (labels, cells) in grid {
+        series.entry(labels).or_default().push(cells);
+    }
+    series
+        .into_iter()
+        .filter_map(|(labels, rows)| {
+            let samples: Vec<Sample> = steps
+                .iter()
+                .enumerate()
+                .flat_map(|(si, &t)| rows.iter().filter_map(move |r| Some(Sample::new(t, r[si]?))))
+                .collect();
+            (!samples.is_empty()).then_some((labels, samples))
+        })
+        .collect()
 }
 
 /// Debug/CLI rendering of an instant vector, one element per line:
@@ -434,6 +558,123 @@ mod tests {
         // must yield start + k*step exactly.
         assert_eq!(step_grid(50, 350, 100), vec![50, 150, 250, 350]);
         assert_eq!(step_grid(-50, 150, 100), vec![-50, 50, 150]);
+    }
+
+    /// A grid of non-integer values with holes, rows in label order.
+    fn holed_grid(rows: usize, steps: usize) -> SeriesGrid {
+        let mut state = 22u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as f64
+        };
+        (0..rows)
+            .map(|r| {
+                let labels = labels!("g" => format!("{}", r % 3), "row" => format!("{r:02}"));
+                let cells = (0..steps)
+                    .map(|_| (next() % 4.0 != 0.0).then(|| (next() % 1000.0) / 7.0))
+                    .collect();
+                (labels, cells)
+            })
+            .collect()
+    }
+
+    /// The vector a grid holds at one step, in row order.
+    fn column(grid: &SeriesGrid, si: usize) -> InstantVector {
+        grid.iter().filter_map(|(l, cells)| Some((l.clone(), cells[si]?))).collect()
+    }
+
+    fn bits(v: &InstantVector) -> Vec<(LabelSet, u64)> {
+        v.iter().map(|(l, v)| (l.clone(), v.to_bits())).collect()
+    }
+
+    #[test]
+    fn grid_operators_equal_their_step_major_twins_at_every_step() {
+        let steps = 9;
+        let grid = holed_grid(11, steps);
+        let by = |l: &str| Some(Grouping { kind: GroupKind::By, labels: vec![l.into()] });
+        let without = Some(Grouping { kind: GroupKind::Without, labels: vec!["row".into()] });
+        for grouping in [None, by("g"), by("row"), by("nope"), without] {
+            for op in [
+                VectorAggOp::Sum,
+                VectorAggOp::Min,
+                VectorAggOp::Max,
+                VectorAggOp::Avg,
+                VectorAggOp::Count,
+                VectorAggOp::Topk(3),
+                VectorAggOp::Bottomk(2),
+                VectorAggOp::Topk(0),
+            ] {
+                let out = vector_agg_grid(op, grouping.as_ref(), grid.clone());
+                assert!(out.iter().all(|(_, c)| c.len() == steps && c.iter().any(Option::is_some)));
+                for si in 0..steps {
+                    let reference = eval_vector_agg(op, grouping.as_ref(), column(&grid, si));
+                    assert_eq!(bits(&column(&out, si)), bits(&reference), "{op:?} step {si}");
+                }
+            }
+        }
+        let filtered = filter_grid(grid.clone(), CmpOp::Gt, 70.0);
+        for si in 0..steps {
+            assert_eq!(column(&filtered, si), eval_filter(column(&grid, si), CmpOp::Gt, 70.0));
+        }
+        assert!(
+            filter_grid(grid, CmpOp::Lt, -1.0).is_empty(),
+            "rows left with no cell are dropped"
+        );
+    }
+
+    #[test]
+    fn topk_ties_rank_by_row_order_and_rows_come_back_label_sorted() {
+        // Rows arrive out of label order (PromQL selectors list series by
+        // metric name first); equal values tie-break on input position —
+        // first wins for topk, last for bottomk — and the output is
+        // label-sorted, as `eval_vector_agg` leaves a step's vector.
+        let grid: SeriesGrid = vec![
+            (labels!("x" => "c"), vec![Some(1.0), Some(5.0)]),
+            (labels!("x" => "a"), vec![Some(1.0), None]),
+            (labels!("x" => "b"), vec![Some(1.0), Some(9.0)]),
+        ];
+        for op in [VectorAggOp::Topk(2), VectorAggOp::Bottomk(2)] {
+            let out = vector_agg_grid(op, None, grid.clone());
+            assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "{op:?}: {out:?}");
+            for si in 0..2 {
+                assert_eq!(
+                    column(&out, si),
+                    eval_vector_agg(op, None, column(&grid, si)),
+                    "{op:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grid_to_matrix_sorts_rows_skips_holes_and_interleaves_equal_labels() {
+        let steps = [10, 20, 30];
+        let grid: SeriesGrid = vec![
+            (labels!("x" => "b"), vec![Some(1.0), None, Some(3.0)]),
+            (labels!("x" => "a"), vec![None, Some(5.0), Some(6.0)]),
+            (labels!("x" => "b"), vec![Some(7.0), Some(8.0), None]),
+            (labels!("x" => "gone"), vec![None, None, None]),
+        ];
+        // What stitching the three step vectors through a BTreeMap gives.
+        let mut stitched: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
+        for (si, &t) in steps.iter().enumerate() {
+            for (labels, v) in column(&grid, si) {
+                stitched.entry(labels).or_default().push(Sample::new(t, v));
+            }
+        }
+        let matrix = grid_to_matrix(grid.clone(), &steps);
+        assert_eq!(matrix, stitched.into_iter().collect::<Matrix>());
+        assert_eq!(
+            matrix[1].1.iter().map(|s| (s.ts, s.value)).collect::<Vec<_>>(),
+            [(10, 1.0), (10, 7.0), (20, 8.0), (30, 3.0)]
+        );
+        // One step: the instant vector keeps row order and duplicates.
+        let one: SeriesGrid = grid.into_iter().map(|(l, c)| (l, vec![c[0]])).collect();
+        assert_eq!(
+            grid_to_instant(one),
+            vec![(labels!("x" => "b"), 1.0), (labels!("x" => "b"), 7.0)]
+        );
+        assert!(grid_to_matrix(Vec::new(), &steps).is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! evaluated centrally ships every matching entry from every shard to
 //! one reducer. Real Loki's query frontend instead *decomposes* such
 //! queries: each sub-querier evaluates the bottom range aggregation over
-//! its own shard (map) and returns one partial scalar per label group
-//! per step; the frontend merges the partials and applies the vector
+//! its own shard (map) and returns one row of per-step partial scalars
+//! per label group; the frontend merges the partials and applies the vector
 //! aggregation tree on top (reduce). This module holds the pure pieces
 //! of that split:
 //!
@@ -16,12 +16,13 @@
 //!   its `sum`+`count` decomposition and divides only at
 //!   [`PartialAgg::finish`], and `first`/`last_over_time` carry the
 //!   timestamp that selected their value;
-//! * [`shard_step_partials`] — the shard-side evaluator: raw stream
-//!   entries in, per-step partials out, with a zero-allocation fast
-//!   path for filter-only pipelines;
-//! * [`merge_partials`] / [`finish_partials`] / [`eval_upper`] — the
-//!   frontend-side reduce, reconstructing exactly the inner vector the
-//!   central evaluator would have built.
+//! * [`shard_rows`] — the shard-side evaluator, series-major: raw stream
+//!   entries in, one [`PartialRow`] per label group out, holding one
+//!   optional partial per step of the grid;
+//! * [`merge_rows`] / [`reduce_rows`] — the frontend-side reduce: rows
+//!   merge cell-wise across shards, finish, and the tree above the range
+//!   aggregation runs once over the whole grid, reconstructing exactly
+//!   what the central evaluator would have built step by step.
 //!
 //! Identity discipline: a shard group with no contributing entries (or
 //! no unwrapped values, for `unwrap` aggregations) emits **no** partial
@@ -30,10 +31,10 @@
 //! groups entirely.
 
 use crate::ast::{MetricQuery, RangeAggOp, Stage};
-use crate::eval::{eval_filter, eval_vector_agg, InstantVector, RangeEntry};
+use crate::eval::{filter_grid, vector_agg_grid, SeriesGrid};
 use crate::pipeline::Pipeline;
 use omni_model::{LabelSet, LogEntry, Timestamp, NANOS_PER_SEC};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The range-aggregation operator at the bottom of the query tree.
 pub fn bottom_op(mq: &MetricQuery) -> RangeAggOp {
@@ -138,57 +139,10 @@ impl PartialAgg {
     }
 }
 
-/// Build the partial for one non-empty group of window entries by
-/// folding one single-entry partial per contributing entry, or `None`
-/// when the group contributes nothing (an `unwrap` op whose group has
-/// no unwrapped values — absent, per the identity discipline).
-fn group_partial<'a>(
-    op: RangeAggOp,
-    group: impl Iterator<Item = &'a RangeEntry>,
-) -> Option<PartialAgg> {
-    let mut acc: Option<PartialAgg> = None;
-    for e in group {
-        let unit = match op {
-            RangeAggOp::CountOverTime | RangeAggOp::Rate => PartialAgg::Sum(1.0),
-            RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => {
-                PartialAgg::Sum(e.line_bytes as f64)
-            }
-            _ => {
-                let Some(v) = e.unwrapped else { continue };
-                match op {
-                    RangeAggOp::MinOverTime => PartialAgg::Min(v),
-                    RangeAggOp::MaxOverTime => PartialAgg::Max(v),
-                    RangeAggOp::AvgOverTime => PartialAgg::SumCount { sum: v, count: 1.0 },
-                    RangeAggOp::FirstOverTime => PartialAgg::First { ts: e.ts, v },
-                    RangeAggOp::LastOverTime => PartialAgg::Last { ts: e.ts, v },
-                    _ => PartialAgg::Sum(v),
-                }
-            }
-        };
-        match &mut acc {
-            Some(p) => p.merge(unit),
-            None => acc = Some(unit),
-        }
-    }
-    acc
-}
-
-/// Per-group partials over one window of pipeline-processed entries —
-/// the shard-side counterpart of [`crate::eval::eval_range_agg`].
-/// Groups with nothing to contribute are absent from the output.
-pub fn eval_range_partials(op: RangeAggOp, entries: &[RangeEntry]) -> Vec<(LabelSet, PartialAgg)> {
-    let mut groups: BTreeMap<&LabelSet, Vec<&RangeEntry>> = BTreeMap::new();
-    for e in entries {
-        groups.entry(&e.labels).or_default().push(e);
-    }
-    let mut out = Vec::with_capacity(groups.len());
-    for (labels, group) in groups {
-        if let Some(p) = group_partial(op, group.into_iter()) {
-            out.push((labels.clone(), p));
-        }
-    }
-    out
-}
+/// One label group's contribution from one shard over the whole step
+/// grid: one optional partial per step. `None` is absence — never a `0`
+/// or an infinity — and a row always has at least one `Some` cell.
+pub type PartialRow = (LabelSet, Vec<Option<PartialAgg>>);
 
 /// Scan-volume accounting for one shard's pushdown evaluation, absorbed
 /// into the engine's `QueryStats`.
@@ -230,149 +184,177 @@ fn passes_filters(stages: &[Stage], line: &str) -> bool {
     })
 }
 
-/// Shard-side map step: evaluate the bottom range aggregation's
-/// partials for every step window over one shard's matched streams.
-/// `streams` is the raw per-stream scan result; `steps` the evaluation
-/// grid. Returns one partial vector per step (same order as `steps`)
-/// plus the scan accounting.
+/// What one matched entry adds to its group's column: nothing but its
+/// presence for the counting ops, its line bytes for the byte ops, its
+/// unwrapped value for the rest — `None` when there is no such value,
+/// and the entry then contributes to no window.
+fn contribution(op: RangeAggOp, line_bytes: usize, unwrapped: Option<f64>) -> Option<f64> {
+    match op {
+        RangeAggOp::CountOverTime | RangeAggOp::Rate => Some(1.0),
+        RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => Some(line_bytes as f64),
+        _ => unwrapped,
+    }
+}
+
+/// Fill one group's row from its timestamp-sorted `(ts, contribution)`
+/// column: each step's window `(t − range, t]` is two binary searches,
+/// then a length (counts), a prefix-sum difference (bytes — exact, the
+/// sums are integer-valued) or a fold of the slice in column order
+/// (unwrapped values, one unit partial per entry).
+fn fill_row(
+    op: RangeAggOp,
+    column: &[(Timestamp, f64)],
+    steps: &[Timestamp],
+    range_ns: i64,
+) -> Vec<Option<PartialAgg>> {
+    let mut prefix = Vec::new();
+    if matches!(op, RangeAggOp::BytesOverTime | RangeAggOp::BytesRate) {
+        let mut run = 0.0;
+        prefix.push(run);
+        prefix.extend(column.iter().map(|&(_, bytes)| {
+            run += bytes;
+            run
+        }));
+    }
+    steps
+        .iter()
+        .map(|&t| {
+            let lo = column.partition_point(|&(ts, _)| ts <= t.saturating_sub(range_ns));
+            let hi = column.partition_point(|&(ts, _)| ts <= t);
+            if hi == lo {
+                return None;
+            }
+            Some(match op {
+                RangeAggOp::CountOverTime | RangeAggOp::Rate => PartialAgg::Sum((hi - lo) as f64),
+                RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => {
+                    PartialAgg::Sum(prefix[hi] - prefix[lo])
+                }
+                _ => {
+                    let unit = |&(ts, v): &(Timestamp, f64)| match op {
+                        RangeAggOp::MinOverTime => PartialAgg::Min(v),
+                        RangeAggOp::MaxOverTime => PartialAgg::Max(v),
+                        RangeAggOp::AvgOverTime => PartialAgg::SumCount { sum: v, count: 1.0 },
+                        RangeAggOp::FirstOverTime => PartialAgg::First { ts, v },
+                        RangeAggOp::LastOverTime => PartialAgg::Last { ts, v },
+                        _ => PartialAgg::Sum(v),
+                    };
+                    let mut acc = unit(&column[lo]);
+                    column[lo + 1..hi].iter().for_each(|e| acc.merge(unit(e)));
+                    acc
+                }
+            })
+        })
+        .collect()
+}
+
+/// Shard-side map step: the bottom range aggregation's partials for
+/// every label group over the whole step grid, from one shard's matched
+/// streams. `streams` is the raw per-stream scan result; `steps` the
+/// (ascending) evaluation grid. Returns one row per contributing group,
+/// in ascending label order, plus the scan accounting.
 ///
-/// Filter-only pipelines take a fast path that never allocates per
-/// entry: lines are filtered in place, each stream keeps one sorted
-/// `(ts, bytes)` array, and every step window is two binary searches.
-/// Pipelines that parse, rewrite, or unwrap fall back to per-entry
-/// pipeline processing (still shard-local — entries are grouped and
-/// folded here, not shipped).
-pub fn shard_step_partials(
+/// Each entry is assigned to its group once — the stream's own label set
+/// when the pipeline only filters lines (checked over the borrowed line,
+/// nothing allocated per entry), `Pipeline::process`'s output labels
+/// otherwise — and each group keeps one column, stably sorted by
+/// timestamp *after* grouping so equal timestamps stay in arrival order
+/// (what `first`/`last_over_time` tie-break on). All label work is per
+/// group; filling the cells then touches only timestamps and numbers.
+pub fn shard_rows(
     stages: &[Stage],
     op: RangeAggOp,
     streams: &[(LabelSet, Vec<LogEntry>)],
     steps: &[Timestamp],
     range_ns: i64,
-) -> (Vec<Vec<(LabelSet, PartialAgg)>>, PushdownScan) {
+) -> (Vec<PartialRow>, PushdownScan) {
     let mut scan = PushdownScan { streams_matched: streams.len(), ..Default::default() };
-    let mut out: Vec<Vec<(LabelSet, PartialAgg)>> = steps.iter().map(|_| Vec::new()).collect();
-
-    if filter_only(stages) {
-        // An unwrap aggregation with no `| unwrap` stage yields no
-        // values anywhere — but the entries are still scanned (and
-        // counted) exactly as the central path scans them.
-        let produces_values = !op.needs_unwrap();
-        for (labels, entries) in streams {
-            let mut kept: Vec<(Timestamp, u64)> = Vec::new();
-            for e in entries {
-                scan.entries_scanned += 1;
-                scan.bytes_scanned += e.line.len();
-                if passes_filters(stages, &e.line) {
-                    scan.entries_matched += 1;
-                    kept.push((e.ts, e.line.len() as u64));
-                }
-            }
-            if !produces_values || kept.is_empty() {
-                continue;
-            }
-            kept.sort_by_key(|&(ts, _)| ts);
-            // Prefix byte sums: window byte totals become one
-            // subtraction (exact — integer-valued throughout).
-            let mut prefix: Vec<u64> = Vec::with_capacity(kept.len() + 1);
-            let mut run = 0u64;
-            prefix.push(run);
-            for &(_, b) in &kept {
-                run += b;
-                prefix.push(run);
-            }
-            for (si, &t) in steps.iter().enumerate() {
-                let lo = kept.partition_point(|&(ts, _)| ts <= t.saturating_sub(range_ns));
-                let hi = kept.partition_point(|&(ts, _)| ts <= t);
-                if hi == lo {
-                    continue;
-                }
-                let partial = match op {
-                    RangeAggOp::CountOverTime | RangeAggOp::Rate => {
-                        PartialAgg::Sum((hi - lo) as f64)
-                    }
-                    RangeAggOp::BytesOverTime | RangeAggOp::BytesRate => {
-                        PartialAgg::Sum((prefix[hi] - prefix[lo]) as f64)
-                    }
-                    _ => unreachable!("unwrap ops never reach the fast-path fold"),
-                };
-                out[si].push((labels.clone(), partial));
-            }
-        }
-        return (out, scan);
-    }
-
-    // Generic path: the pipeline may rewrite labels or unwrap values, so
-    // each entry is processed once, then every step window is sliced
-    // from the shard-local sorted entries and folded by (post-pipeline)
-    // label group.
-    let pipeline = Pipeline::new(stages.to_vec());
-    let mut processed: Vec<RangeEntry> = Vec::new();
+    let mut columns: BTreeMap<LabelSet, Vec<(Timestamp, f64)>> = BTreeMap::new();
+    let pipeline = (!filter_only(stages)).then(|| Pipeline::new(stages.to_vec()));
     for (labels, entries) in streams {
-        for e in entries {
-            scan.entries_scanned += 1;
-            scan.bytes_scanned += e.line.len();
-            if let Some(p) = pipeline.process(&e.line, labels) {
-                scan.entries_matched += 1;
-                processed.push(RangeEntry {
-                    ts: e.ts,
-                    line_bytes: p.line.len(),
-                    labels: p.labels,
-                    unwrapped: p.unwrapped,
-                });
+        scan.entries_scanned += entries.len();
+        scan.bytes_scanned += entries.iter().map(|e| e.line.len()).sum::<usize>();
+        match &pipeline {
+            None => {
+                let column = columns.entry(labels.clone()).or_default();
+                for e in entries.iter().filter(|e| passes_filters(stages, &e.line)) {
+                    scan.entries_matched += 1;
+                    column.extend(contribution(op, e.line.len(), None).map(|c| (e.ts, c)));
+                }
+            }
+            Some(pipeline) => {
+                for e in entries {
+                    let Some(p) = pipeline.process(&e.line, labels) else { continue };
+                    scan.entries_matched += 1;
+                    if let Some(c) = contribution(op, p.line.len(), p.unwrapped) {
+                        columns.entry(p.labels).or_default().push((e.ts, c));
+                    }
+                }
             }
         }
     }
-    processed.sort_by_key(|e| e.ts);
-    for (si, &t) in steps.iter().enumerate() {
-        let lo = processed.partition_point(|e| e.ts <= t.saturating_sub(range_ns));
-        let hi = processed.partition_point(|e| e.ts <= t);
-        out[si] = eval_range_partials(op, &processed[lo..hi]);
-    }
-    (out, scan)
+    let rows = columns
+        .into_iter()
+        .filter_map(|(labels, mut column)| {
+            column.sort_by_key(|&(ts, _)| ts);
+            let cells = fill_row(op, &column, steps, range_ns);
+            cells.iter().any(Option::is_some).then_some((labels, cells))
+        })
+        .collect();
+    (rows, scan)
 }
 
-/// Reduce step, part 1: fold one shard's partials for one step window
-/// into the accumulator. Callers fold shards in **shard-id order** so
-/// repeated runs merge floats identically (scoped-thread completion
-/// order is not deterministic; the join order is).
-pub fn merge_partials(
-    acc: &mut BTreeMap<LabelSet, PartialAgg>,
-    partials: Vec<(LabelSet, PartialAgg)>,
-) {
-    for (labels, p) in partials {
+/// Reduce step, part 1: fold one shard's rows into the accumulator,
+/// cell by cell. Callers fold shards in **shard-id order** so repeated
+/// runs merge floats identically (scoped-thread completion order is not
+/// deterministic; the join order is). Returns the number of partials
+/// (non-empty cells) merged.
+pub fn merge_rows(
+    acc: &mut BTreeMap<LabelSet, Vec<Option<PartialAgg>>>,
+    rows: Vec<PartialRow>,
+) -> usize {
+    let mut merged = 0;
+    for (labels, cells) in rows {
+        merged += cells.iter().flatten().count();
         match acc.entry(labels) {
-            std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(p),
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(p);
+            Entry::Vacant(e) => {
+                e.insert(cells);
+            }
+            Entry::Occupied(mut e) => {
+                for (into, cell) in e.get_mut().iter_mut().zip(cells) {
+                    match (into, cell) {
+                        (Some(a), Some(b)) => a.merge(b),
+                        (into @ None, cell) => *into = cell,
+                        (Some(_), None) => {}
+                    }
+                }
             }
         }
     }
+    merged
 }
 
-/// Reduce step, part 2: finish every merged group into the inner
-/// instant vector. The `BTreeMap` iteration yields label sets in
-/// ascending order — the same order `eval_range_agg` emits — so
-/// everything above (including `topk` tie-breaking) sees an identical
-/// input.
-pub fn finish_partials(
-    acc: BTreeMap<LabelSet, PartialAgg>,
-    op: RangeAggOp,
-    range_ns: i64,
-) -> InstantVector {
-    acc.into_iter().map(|(labels, p)| (labels, p.finish(op, range_ns))).collect()
-}
-
-/// Reduce step, part 3: evaluate the vector-aggregation / filter tree
-/// *above* the bottom range aggregation over the reconstructed inner
-/// vector — the frontend-side half of the decomposed query.
-pub fn eval_upper(mq: &MetricQuery, inner: InstantVector) -> InstantVector {
+/// Reduce step, part 2: finish every merged cell and evaluate the
+/// vector-aggregation / filter tree *above* the bottom range aggregation,
+/// once, over the whole grid. The `BTreeMap` yields rows in ascending
+/// label order — the order `eval_range_agg` emits a step's vector in —
+/// so everything above (folds, `topk` tie-breaking) sees what the
+/// step-major evaluator would have.
+pub fn reduce_rows(
+    mq: &MetricQuery,
+    acc: BTreeMap<LabelSet, Vec<Option<PartialAgg>>>,
+) -> SeriesGrid {
     match mq {
-        MetricQuery::RangeAgg { .. } => inner,
-        MetricQuery::VectorAgg { op, grouping, inner: below } => {
-            eval_vector_agg(*op, grouping.as_ref(), eval_upper(below, inner))
+        MetricQuery::RangeAgg { op, range_ns, .. } => acc
+            .into_iter()
+            .map(|(labels, cells)| {
+                (labels, cells.into_iter().map(|c| c.map(|p| p.finish(*op, *range_ns))).collect())
+            })
+            .collect(),
+        MetricQuery::VectorAgg { op, grouping, inner } => {
+            vector_agg_grid(*op, grouping.as_ref(), reduce_rows(inner, acc))
         }
-        MetricQuery::Filter { inner: below, op, scalar } => {
-            eval_filter(eval_upper(below, inner), *op, *scalar)
+        MetricQuery::Filter { inner, op, scalar } => {
+            filter_grid(reduce_rows(inner, acc), *op, *scalar)
         }
     }
 }
@@ -380,8 +362,8 @@ pub fn eval_upper(mq: &MetricQuery, inner: InstantVector) -> InstantVector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_range_agg;
-    use crate::parser::parse_expr;
+    use crate::eval::{eval_range_agg, grid_to_instant, RangeEntry};
+    use crate::parser::{parse_expr, parse_log_query};
     use crate::Expr;
     use omni_model::labels;
 
@@ -392,56 +374,98 @@ mod tests {
         }
     }
 
-    fn entry(ts: Timestamp, labels: LabelSet, bytes: usize, unwrapped: Option<f64>) -> RangeEntry {
-        RangeEntry { ts, labels, line_bytes: bytes, unwrapped }
+    const ALL_OPS: [&str; 10] = [
+        "count_over_time",
+        "rate",
+        "bytes_over_time",
+        "bytes_rate",
+        "sum_over_time",
+        "avg_over_time",
+        "min_over_time",
+        "max_over_time",
+        "first_over_time",
+        "last_over_time",
+    ];
+
+    /// The pipeline the split/merge tests run: `logfmt` reads the group
+    /// (`loc`) and the value (`v`) out of each line; blanking `v` after
+    /// the unwrap leaves `loc` as the group identity.
+    const UNWRAP_V: &str = r#"{app="x"} | logfmt | unwrap v | label_format v="""#;
+
+    /// One shard holding one stream.
+    fn shard(entries: &[(Timestamp, &str)]) -> Vec<(LabelSet, Vec<LogEntry>)> {
+        vec![(labels!("app" => "x"), entries.iter().map(|&(ts, l)| LogEntry::new(ts, l)).collect())]
+    }
+
+    /// What the central evaluator is handed: every shard's entries, in
+    /// shard order, through the pipeline.
+    fn central(q: &MetricQuery, shards: &[Vec<(LabelSet, Vec<LogEntry>)>]) -> Vec<RangeEntry> {
+        let pipeline = Pipeline::new(q.log_query().stages.clone());
+        let mut out = Vec::new();
+        for (labels, entries) in shards.iter().flatten() {
+            for e in entries {
+                if let Some(p) = pipeline.process(&e.line, labels) {
+                    out.push(RangeEntry {
+                        ts: e.ts,
+                        line_bytes: p.line.len(),
+                        labels: p.labels,
+                        unwrapped: p.unwrapped,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    /// Map every shard, merge in shard order.
+    fn merged(
+        q: &MetricQuery,
+        shards: &[Vec<(LabelSet, Vec<LogEntry>)>],
+        steps: &[Timestamp],
+    ) -> BTreeMap<LabelSet, Vec<Option<PartialAgg>>> {
+        let mut acc = BTreeMap::new();
+        for streams in shards {
+            let (rows, _) =
+                shard_rows(&q.log_query().stages, bottom_op(q), streams, steps, q.range_ns());
+            merge_rows(&mut acc, rows);
+        }
+        acc
     }
 
     /// Dealing entries across two "shards" in every order-preserving
-    /// way, merging partials in shard order, and finishing must equal
-    /// the central single-pass evaluation over the shard-order
-    /// concatenation — including `first`/`last_over_time` on tied
-    /// timestamps, where the tie-break is arrival order.
+    /// way, merging rows in shard order, and finishing must equal the
+    /// central single-pass evaluation over the shard-order concatenation
+    /// — including `first`/`last_over_time` on tied timestamps, where the
+    /// tie-break is arrival order.
     #[test]
     fn split_merge_equals_central_for_every_op() {
-        let a = labels!("loc" => "x1");
-        let b = labels!("loc" => "x2");
-        let entries = vec![
-            entry(1, a.clone(), 10, Some(4.0)),
-            entry(1, a.clone(), 15, Some(9.0)),
-            entry(2, a.clone(), 20, Some(2.0)),
-            entry(3, b.clone(), 30, Some(8.0)),
-            entry(4, a.clone(), 40, None),
-            entry(5, b.clone(), 50, Some(6.0)),
-            entry(5, b.clone(), 55, Some(1.0)),
-            entry(5, a.clone(), 60, Some(3.0)),
-            entry(5, a.clone(), 65, Some(7.0)),
+        let entries = [
+            (1, "loc=x1 v=4"),
+            (1, "loc=x1 v=9 pad"),
+            (2, "loc=x1 v=2 padding"),
+            (3, "loc=x2 v=8"),
+            (4, "loc=x1 unwrappable"),
+            (5, "loc=x2 v=6 p"),
+            (5, "loc=x2 v=1 pa"),
+            (5, "loc=x1 v=3 pad"),
+            (5, "loc=x1 v=7 padd"),
         ];
-        let range = 60 * NANOS_PER_SEC;
-        for op in [
-            RangeAggOp::CountOverTime,
-            RangeAggOp::Rate,
-            RangeAggOp::BytesOverTime,
-            RangeAggOp::BytesRate,
-            RangeAggOp::SumOverTime,
-            RangeAggOp::AvgOverTime,
-            RangeAggOp::MinOverTime,
-            RangeAggOp::MaxOverTime,
-            RangeAggOp::FirstOverTime,
-            RangeAggOp::LastOverTime,
-        ] {
+        for op in ALL_OPS {
+            let q = metric(&format!("{op}({UNWRAP_V} [60s])"));
             // Bit `i` of the mask sends entry `i` to shard 1; mask 0 is
             // all-on-one-shard.
             for mask in 0u32..1 << entries.len() {
                 let (mut left, mut right) = (Vec::new(), Vec::new());
                 for (i, e) in entries.iter().enumerate() {
-                    if mask >> i & 1 == 0 { &mut left } else { &mut right }.push(e.clone());
+                    if mask >> i & 1 == 0 { &mut left } else { &mut right }.push(*e);
                 }
-                let mut acc = BTreeMap::new();
-                merge_partials(&mut acc, eval_range_partials(op, &left));
-                merge_partials(&mut acc, eval_range_partials(op, &right));
-                let merged = finish_partials(acc, op, range);
-                left.extend(right);
-                assert_eq!(merged, eval_range_agg(op, &left, range), "{op:?} mask {mask:#b}");
+                let shards = [shard(&left), shard(&right)];
+                let grid = reduce_rows(&q, merged(&q, &shards, &[10]));
+                assert_eq!(
+                    grid_to_instant(grid),
+                    eval_range_agg(bottom_op(&q), &central(&q, &shards), q.range_ns()),
+                    "{op} mask {mask:#b}"
+                );
             }
         }
     }
@@ -451,30 +475,37 @@ mod tests {
     /// (min/max).
     #[test]
     fn empty_shard_merges_as_absent() {
-        let l = labels!("loc" => "x1");
-        let entries = vec![entry(1, l.clone(), 10, Some(5.0))];
-        let range = NANOS_PER_SEC;
-        for op in [
-            RangeAggOp::CountOverTime,
-            RangeAggOp::SumOverTime,
-            RangeAggOp::MinOverTime,
-            RangeAggOp::MaxOverTime,
-            RangeAggOp::AvgOverTime,
-        ] {
-            // The empty shard yields no partials at all.
-            assert!(eval_range_partials(op, &[]).is_empty(), "{op:?}");
-            let mut acc = BTreeMap::new();
-            merge_partials(&mut acc, eval_range_partials(op, &entries));
-            merge_partials(&mut acc, eval_range_partials(op, &[]));
-            let merged = finish_partials(acc, op, range);
-            assert_eq!(merged, eval_range_agg(op, &entries, range), "{op:?}");
+        let populated = shard(&[(1, "loc=x1 v=5")]);
+        for op in
+            ["count_over_time", "sum_over_time", "min_over_time", "max_over_time", "avg_over_time"]
+        {
+            let q = metric(&format!("{op}({UNWRAP_V} [1s])"));
+            let stages = &q.log_query().stages;
+            // The empty shard yields no rows at all.
+            assert!(
+                shard_rows(stages, bottom_op(&q), &[], &[1], q.range_ns()).0.is_empty(),
+                "{op}"
+            );
+            let shards = [populated.clone(), Vec::new()];
+            let merged = grid_to_instant(reduce_rows(&q, merged(&q, &shards, &[1])));
+            assert_eq!(
+                merged,
+                eval_range_agg(bottom_op(&q), &central(&q, &shards), q.range_ns()),
+                "{op}"
+            );
+            assert_eq!(merged.len(), 1, "{op}");
             // No infinities or zeros leaked into the reduce.
-            assert!(merged.iter().all(|(_, v)| v.is_finite()), "{op:?}");
+            assert!(merged.iter().all(|(_, v)| v.is_finite()), "{op}");
         }
         // A group whose unwraps all failed is absent too — not 0.
-        let failed = vec![entry(1, l, 10, None)];
-        assert!(eval_range_partials(RangeAggOp::SumOverTime, &failed).is_empty());
-        assert!(eval_range_partials(RangeAggOp::MinOverTime, &failed).is_empty());
+        let failed = shard(&[(1, "loc=x1 nothing to unwrap")]);
+        for op in ["sum_over_time", "min_over_time"] {
+            let q = metric(&format!("{op}({UNWRAP_V} [1s])"));
+            let (rows, scan) =
+                shard_rows(&q.log_query().stages, bottom_op(&q), &failed, &[1], q.range_ns());
+            assert!(rows.is_empty(), "{op}");
+            assert_eq!(scan.entries_matched, 1, "{op}: scanned and matched, just valueless");
+        }
     }
 
     #[test]
@@ -482,35 +513,37 @@ mod tests {
         // (n1 + n2) / secs, not n1/secs + n2/secs: with 3 entries on one
         // side and 4 on the other over a 7s window both orderings agree
         // here, but the invariant is that division happens exactly once.
-        let l = labels!("a" => "b");
-        let left: Vec<RangeEntry> = (0..3).map(|i| entry(i, l.clone(), 1, None)).collect();
-        let right: Vec<RangeEntry> = (3..7).map(|i| entry(i, l.clone(), 1, None)).collect();
-        let mut acc = BTreeMap::new();
-        merge_partials(&mut acc, eval_range_partials(RangeAggOp::Rate, &left));
-        merge_partials(&mut acc, eval_range_partials(RangeAggOp::Rate, &right));
-        assert_eq!(acc.get(&l), Some(&PartialAgg::Sum(7.0)), "pre-division count");
-        let v = finish_partials(acc, RangeAggOp::Rate, 7 * NANOS_PER_SEC);
-        assert_eq!(v, vec![(l, 1.0)]);
+        let l = labels!("app" => "x");
+        let q = metric(r#"rate({app="x"}[7s])"#);
+        let left: Vec<(Timestamp, &str)> = (1..4).map(|i| (i, "l")).collect();
+        let right: Vec<(Timestamp, &str)> = (4..8).map(|i| (i, "r")).collect();
+        let acc = merged(&q, &[shard(&left), shard(&right)], &[7]);
+        assert_eq!(acc.get(&l), Some(&vec![Some(PartialAgg::Sum(7.0))]), "pre-division count");
+        assert_eq!(grid_to_instant(reduce_rows(&q, acc)), vec![(l, 1.0)]);
     }
 
     #[test]
-    fn eval_upper_applies_the_tree_above_the_range_agg() {
+    fn reduce_rows_applies_the_tree_above_the_range_agg() {
         let q = metric(r#"sum by (sev) (count_over_time({a="b"}[1m])) > 2"#);
-        let inner = vec![
-            (labels!("sev" => "warn", "loc" => "x1"), 2.0),
-            (labels!("sev" => "warn", "loc" => "x2"), 3.0),
-            (labels!("sev" => "crit", "loc" => "x3"), 1.0),
-        ];
-        assert_eq!(eval_upper(&q, inner), vec![(labels!("sev" => "warn"), 5.0)]);
-        // A bare range aggregation is the identity.
+        let inner: BTreeMap<LabelSet, Vec<Option<PartialAgg>>> = [
+            (labels!("sev" => "warn", "loc" => "x1"), vec![Some(PartialAgg::Sum(2.0)), None]),
+            (labels!("sev" => "warn", "loc" => "x2"), vec![Some(PartialAgg::Sum(3.0)), None]),
+            (labels!("sev" => "crit", "loc" => "x3"), vec![Some(PartialAgg::Sum(1.0)), None]),
+        ]
+        .into();
+        assert_eq!(
+            reduce_rows(&q, inner.clone()),
+            vec![(labels!("sev" => "warn"), vec![Some(5.0), None])]
+        );
+        // A bare range aggregation only finishes the cells.
         let bare = metric(r#"count_over_time({a="b"}[1m])"#);
-        let v = vec![(labels!("x" => "1"), 4.0)];
-        assert_eq!(eval_upper(&bare, v.clone()), v);
+        let finished = reduce_rows(&bare, inner);
+        assert_eq!(finished.len(), 3);
+        assert_eq!(finished[2], (labels!("sev" => "crit", "loc" => "x3"), vec![Some(1.0), None]));
     }
 
     #[test]
-    fn shard_step_partials_fast_path_matches_generic() {
-        use crate::parser::parse_log_query;
+    fn filter_only_and_parsing_pipelines_fill_the_same_rows() {
         let stages = parse_log_query(r#"{a="b"} |= "keep""#).unwrap().stages;
         let s1 = labels!("a" => "b", "stream" => "1");
         let s2 = labels!("a" => "b", "stream" => "2");
@@ -527,47 +560,61 @@ mod tests {
         ];
         let steps = vec![2 * NANOS_PER_SEC, 4 * NANOS_PER_SEC];
         let range = 2 * NANOS_PER_SEC;
-        let (fast, scan) =
-            shard_step_partials(&stages, RangeAggOp::CountOverTime, &streams, &steps, range);
+        let (rows, scan) = shard_rows(&stages, RangeAggOp::CountOverTime, &streams, &steps, range);
         assert_eq!(scan.entries_scanned, 4);
         assert_eq!(scan.entries_matched, 3);
-        // Window (0, 2]: s1 has "keep one", s2 "keep three".
-        assert_eq!(
-            fast[0],
-            vec![(s1.clone(), PartialAgg::Sum(1.0)), (s2.clone(), PartialAgg::Sum(1.0))]
-        );
-        // Window (2, 4]: only s1's "keep two".
-        assert_eq!(fast[1], vec![(s1.clone(), PartialAgg::Sum(1.0))]);
-        // The generic path (forced via a label-format stage set that is
-        // a no-op... simplest: append a LabelCmpString that always
-        // passes is not filter-only) must agree.
-        let mut generic_stages = stages.clone();
-        generic_stages.push(Stage::LabelCmpString {
+        // Window (0, 2]: s1 has "keep one", s2 "keep three"; window
+        // (2, 4]: only s1's "keep two".
+        let one = Some(PartialAgg::Sum(1.0));
+        assert_eq!(rows, vec![(s1, vec![one, one]), (s2, vec![one, None])]);
+        // A stage set that is not filter-only (a label comparison that
+        // always passes) groups through `Pipeline::process` instead and
+        // must agree, bytes included.
+        let mut parsing = stages.clone();
+        parsing.push(Stage::LabelCmpString {
             label: "a".into(),
             negated: false,
             value: "b".into(),
         });
-        let (generic, _) = shard_step_partials(
-            &generic_stages,
-            RangeAggOp::CountOverTime,
-            &streams,
-            &steps,
-            range,
-        );
-        assert_eq!(generic, fast);
+        for op in [RangeAggOp::CountOverTime, RangeAggOp::BytesOverTime] {
+            let filtered = shard_rows(&stages, op, &streams, &steps, range);
+            assert_eq!(shard_rows(&parsing, op, &streams, &steps, range), filtered, "{op:?}");
+        }
     }
 
     #[test]
-    fn fast_path_unwrap_op_without_unwrap_stage_is_empty() {
+    fn unwrap_op_without_unwrap_stage_is_empty() {
         // `sum_over_time` with a filter-only pipeline can never unwrap a
         // value; the central evaluator returns nothing and so must we —
         // while still accounting the scanned entries.
         let streams =
             vec![(labels!("a" => "b"), vec![LogEntry::new(1, "x"), LogEntry::new(2, "y")])];
-        let (out, scan) =
-            shard_step_partials(&[], RangeAggOp::SumOverTime, &streams, &[5], NANOS_PER_SEC);
-        assert!(out[0].is_empty());
+        let (rows, scan) = shard_rows(&[], RangeAggOp::SumOverTime, &streams, &[5], NANOS_PER_SEC);
+        assert!(rows.is_empty());
         assert_eq!(scan.entries_scanned, 2);
         assert_eq!(scan.entries_matched, 2);
+    }
+
+    #[test]
+    fn tied_timestamps_keep_arrival_order_within_a_group() {
+        // Two streams fold into one post-pipeline group, out of order and
+        // with equal timestamps: the column is sorted stably *after*
+        // grouping, so among the ties `first` keeps the earliest arrival
+        // and `last` the latest.
+        let shards = [vec![
+            (labels!("s" => "1"), vec![LogEntry::new(5, "v=1"), LogEntry::new(5, "v=2")]),
+            (
+                labels!("s" => "2"),
+                vec![LogEntry::new(8, "v=4"), LogEntry::new(5, "v=3"), LogEntry::new(8, "v=5")],
+            ),
+        ]];
+        for (op, expected) in [("first_over_time", 1.0), ("last_over_time", 5.0)] {
+            let q = metric(&format!(
+                r#"{op}({{s=~".+"}} | logfmt | unwrap v | label_format v="" | label_format s="" [10s])"#
+            ));
+            let got = grid_to_instant(reduce_rows(&q, merged(&q, &shards, &[9])));
+            assert_eq!(got, eval_range_agg(bottom_op(&q), &central(&q, &shards), q.range_ns()));
+            assert_eq!(got, vec![(labels!("s" => "", "v" => ""), expected)], "{op}");
+        }
     }
 }

@@ -4,11 +4,10 @@
 use crate::ingester::Ingester;
 pub use crate::reader::QueryStats;
 use omni_logql::{
-    eval::{step_grid, InstantVector, Matrix},
-    pushdown::{self, PartialAgg},
-    LogQuery, MetricQuery, Pipeline,
+    eval::{grid_to_instant, grid_to_matrix, step_grid, InstantVector, Matrix, SeriesGrid},
+    pushdown, LogQuery, MetricQuery, Pipeline,
 };
-use omni_model::{LabelSet, LogEntry, LogRecord, Sample, Timestamp};
+use omni_model::{LogEntry, LogRecord, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -88,19 +87,20 @@ pub fn run_log_query(
     (records, stats)
 }
 
-/// Map/reduce evaluation of a metric query over the step grid: every
-/// shard evaluates the bottom range aggregation's partials over its own
-/// streams (map, via [`scan_shards`]), the partials merge at
-/// the reduce in **shard-id order** (so repeated runs fold floats
-/// identically), and the vector-aggregation tree runs over the
-/// reconstructed inner vector. Entries never leave their shard:
-/// `entries_shipped` stays 0 and `partials_merged` counts what moved
-/// instead.
-fn step_vectors(
+/// Map/reduce evaluation of a metric query over the step grid,
+/// series-major: every shard fetches the selector once for the whole
+/// grid and evaluates the bottom range aggregation into one row of
+/// per-step partials per label group (map, via [`scan_shards`]); rows
+/// merge cell-wise at the reduce in **shard-id order** (so repeated runs
+/// fold floats identically); the vector-aggregation tree then runs once
+/// over the finished grid. Entries never leave their shard:
+/// `entries_shipped` stays 0 and `partials_merged` counts the non-empty
+/// cells that moved instead.
+fn eval_grid(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
     steps: &[Timestamp],
-) -> (Vec<InstantVector>, QueryStats) {
+) -> (SeriesGrid, QueryStats) {
     let mut stats = QueryStats::default();
     let Some((&first, &last)) = steps.first().zip(steps.last()) else {
         return (Vec::new(), stats);
@@ -108,13 +108,12 @@ fn step_vectors(
     let bottom = query.log_query();
     let op = pushdown::bottom_op(query);
     let range_ns = query.range_ns();
+    // `first` may be a sentinel near `i64::MIN`.
     let fetch_start = first.saturating_sub(range_ns);
 
-    // Map: one scan + partial evaluation per shard.
     let per_shard = scan_shards(shards, |shard| {
         let (streams, read) = shard.query_stats(&bottom.selector, fetch_start, last);
-        let (partials, pscan) =
-            pushdown::shard_step_partials(&bottom.stages, op, &streams, steps, range_ns);
+        let (rows, pscan) = pushdown::shard_rows(&bottom.stages, op, &streams, steps, range_ns);
         let st = QueryStats {
             streams_matched: pscan.streams_matched,
             entries_scanned: pscan.entries_scanned,
@@ -122,25 +121,15 @@ fn step_vectors(
             entries_returned: pscan.entries_matched,
             ..read
         };
-        (partials, st)
+        (rows, st)
     });
 
-    // Reduce: fold shard partials per step (shard-id order), finish each
-    // group, then evaluate the tree above the range aggregation.
-    let mut per_step: Vec<BTreeMap<LabelSet, PartialAgg>> =
-        steps.iter().map(|_| BTreeMap::new()).collect();
-    for (partials, st) in per_shard {
+    let mut merged = BTreeMap::new();
+    for (rows, st) in per_shard {
         stats.absorb(st);
-        for (si, part) in partials.into_iter().enumerate() {
-            stats.partials_merged += part.len();
-            pushdown::merge_partials(&mut per_step[si], part);
-        }
+        stats.partials_merged += pushdown::merge_rows(&mut merged, rows);
     }
-    let vectors = per_step
-        .into_iter()
-        .map(|acc| pushdown::eval_upper(query, pushdown::finish_partials(acc, op, range_ns)))
-        .collect();
-    (vectors, stats)
+    (pushdown::reduce_rows(query, merged), stats)
 }
 
 /// Evaluate a metric query over a range at fixed steps (Grafana graphs)
@@ -153,24 +142,19 @@ pub fn run_range_query(
     step_ns: i64,
 ) -> (Matrix, QueryStats) {
     let steps = step_grid(start, end, step_ns);
-    let (vectors, stats) = step_vectors(shards, query, &steps);
-    let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
-    for (&t, vector) in steps.iter().zip(vectors) {
-        for (labels, value) in vector {
-            series.entry(labels).or_default().push(Sample::new(t, value));
-        }
-    }
-    (series.into_iter().collect(), stats)
+    let (grid, stats) = eval_grid(shards, query, &steps);
+    (grid_to_matrix(grid, &steps), stats)
 }
 
-/// Evaluate a metric query at one instant (a single-step reduce).
+/// Evaluate a metric query at one instant: the same reduce over a
+/// one-step grid.
 pub fn run_instant_query(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
     at: Timestamp,
 ) -> (InstantVector, QueryStats) {
-    let (mut vectors, stats) = step_vectors(shards, query, &[at]);
-    (vectors.pop().unwrap_or_default(), stats)
+    let (grid, stats) = eval_grid(shards, query, &[at]);
+    (grid_to_instant(grid), stats)
 }
 
 #[cfg(test)]
@@ -184,7 +168,7 @@ mod tests {
     use crate::limits::Limits;
     use omni_logql::eval::{eval_metric_at, eval_metric_range};
     use omni_logql::{parse_expr, Expr, Selector};
-    use omni_model::{labels, NANOS_PER_SEC};
+    use omni_model::{labels, LabelSet, NANOS_PER_SEC};
 
     fn shard_with(n: i64) -> Vec<Arc<Ingester>> {
         let ing = Ingester::new(Limits::default());

@@ -6,17 +6,24 @@
 //! fingerprint, so that the same combination of labels maps to the same
 //! stream (and the same ingester shard) everywhere in the pipeline.
 
-use crate::fnv1a64;
+use crate::{fnv1a64_extend, FNV_OFFSET};
 use std::fmt;
+use std::sync::Arc;
 
 /// An ordered set of `key=value` labels.
 ///
 /// Stored as a sorted `Vec` rather than a map: label sets are small (the
 /// paper explicitly argues for *few* labels per stream), and a sorted vec
-/// is cheaper to hash, compare and iterate.
+/// is cheaper to hash, compare and iterate. The vec sits behind an `Arc`:
+/// a label set is built once where a record enters the pipeline and then
+/// copied many times (stream → query row → matrix → results cache →
+/// every cache hit → WAL frame), so `clone` is a reference count and
+/// mutation (`insert` / `remove`) is copy-on-write — the first write to a
+/// shared handle copies the pairs, a uniquely held one mutates in place.
+/// Equality, ordering and hashing are by content, as before.
 #[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabelSet {
-    pairs: Vec<(String, String)>,
+    pairs: Arc<Vec<(String, String)>>,
 }
 
 impl LabelSet {
@@ -41,15 +48,15 @@ impl LabelSet {
         let key = key.into();
         let value = value.into();
         match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(&key)) {
-            Ok(i) => self.pairs[i].1 = value,
-            Err(i) => self.pairs.insert(i, (key, value)),
+            Ok(i) => Arc::make_mut(&mut self.pairs)[i].1 = value,
+            Err(i) => Arc::make_mut(&mut self.pairs).insert(i, (key, value)),
         }
     }
 
     /// Remove a label, returning its value if present.
     pub fn remove(&mut self, key: &str) -> Option<String> {
         match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-            Ok(i) => Some(self.pairs.remove(i).1),
+            Ok(i) => Some(Arc::make_mut(&mut self.pairs).remove(i).1),
             Err(_) => None,
         }
     }
@@ -85,16 +92,15 @@ impl LabelSet {
     /// Stable 64-bit fingerprint of the whole set. Equal sets have equal
     /// fingerprints on every node, which is what the distributor uses for
     /// shard placement.
+    ///
+    /// FNV-1a over `k 0xfe v 0xff …` in key order, streamed byte by byte:
+    /// the value [`crate::fnv1a64`] gives for that buffer, without
+    /// building it (this runs once per ingested record).
     pub fn fingerprint(&self) -> u64 {
-        let mut buf =
-            Vec::with_capacity(self.pairs.iter().map(|(k, v)| k.len() + v.len() + 2).sum());
-        for (k, v) in &self.pairs {
-            buf.extend_from_slice(k.as_bytes());
-            buf.push(0xfe);
-            buf.extend_from_slice(v.as_bytes());
-            buf.push(0xff);
-        }
-        fnv1a64(&buf)
+        self.pairs.iter().fold(FNV_OFFSET, |h, (k, v)| {
+            let h = fnv1a64_extend(fnv1a64_extend(h, k.as_bytes()), &[0xfe]);
+            fnv1a64_extend(fnv1a64_extend(h, v.as_bytes()), &[0xff])
+        })
     }
 
     /// A copy of this set restricted to the given keys (`by` clause).
@@ -225,6 +231,66 @@ mod tests {
         let a = LabelSet::from_pairs([("ab", "c")]);
         let b = LabelSet::from_pairs([("a", "bc")]);
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    /// What `fingerprint` computed before it streamed: FNV-1a over one
+    /// scratch buffer holding `k 0xfe v 0xff …`.
+    fn buffered_fingerprint(s: &LabelSet) -> u64 {
+        let mut buf = Vec::new();
+        for (k, v) in s.iter() {
+            buf.extend_from_slice(k.as_bytes());
+            buf.push(0xfe);
+            buf.extend_from_slice(v.as_bytes());
+            buf.push(0xff);
+        }
+        crate::fnv1a64(&buf)
+    }
+
+    #[test]
+    fn streamed_fingerprint_equals_the_buffered_hash() {
+        // Shard placement, WAL contents, object keys and the benchmark
+        // digest all depend on this value: streaming must not move it.
+        let mut sets = vec![
+            LabelSet::new(),
+            LabelSet::from_pairs([("x", "1"), ("y", "2")]),
+            LabelSet::from_pairs([("ab", "c")]),
+            LabelSet::from_pairs([("a", "bc")]),
+            LabelSet::from_pairs([("cluster", "perlmutter"), ("app", "fm")]),
+        ];
+        // Seeded random sets over an alphabet that includes the bytes next
+        // to the separators (U+00FE / U+00FF encode as 0xc3 0xbe / 0xbf)
+        // and other non-ASCII text.
+        const ALPHABET: [&str; 10] =
+            ["a", "Z", "_", "0", "\u{fe}", "\u{ff}", "\u{fd}", "é", "日", "\u{1f600}"];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for _ in 0..300 {
+            let word = |next: &mut dyn FnMut(u64) -> u64| -> String {
+                (0..next(6)).map(|_| ALPHABET[next(10) as usize]).collect()
+            };
+            let pairs: Vec<(String, String)> =
+                (0..next(7)).map(|_| (word(&mut next), word(&mut next))).collect();
+            sets.push(LabelSet::from_pairs(pairs));
+        }
+        for s in &sets {
+            assert_eq!(s.fingerprint(), buffered_fingerprint(s), "{s}");
+        }
+        assert_eq!(LabelSet::new().fingerprint(), crate::fnv1a64(&[]));
+    }
+
+    #[test]
+    fn clone_shares_and_mutation_copies_on_write() {
+        let a = LabelSet::from_pairs([("a", "1"), ("b", "2")]);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.pairs, &b.pairs), "clone is a reference count");
+        b.insert("c", "3");
+        b.remove("a");
+        assert_eq!(a, LabelSet::from_pairs([("a", "1"), ("b", "2")]), "the original is untouched");
+        assert_eq!(b, LabelSet::from_pairs([("b", "2"), ("c", "3")]));
+        assert!(a < b, "ordering is by content");
     }
 
     #[test]

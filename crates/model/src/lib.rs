@@ -125,9 +125,16 @@ impl MetricRecord {
 /// Implemented here so every crate fingerprints identically without an
 /// external hashing dependency.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue an FNV-1a hash `h` over more bytes, so a caller can hash a
+/// sequence of pieces without concatenating them first.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(PRIME);

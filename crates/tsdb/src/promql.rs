@@ -7,7 +7,10 @@
 
 use crate::storage::Tsdb;
 use omni_logql::ast::{CmpOp, GroupKind, Grouping, VectorAggOp};
-use omni_logql::eval::{eval_filter, eval_vector_agg, InstantVector, Matrix};
+use omni_logql::eval::{
+    filter_grid, grid_to_instant, grid_to_matrix, step_grid, vector_agg_grid, InstantVector,
+    Matrix, SeriesGrid,
+};
 use omni_logql::lexer::{lex, Token};
 use omni_logql::matcher::{MatchOp, Matcher, Selector};
 use omni_model::{Sample, Timestamp, NANOS_PER_SEC};
@@ -403,76 +406,116 @@ impl PromParser {
     }
 }
 
-/// Evaluate an expression at one instant against a store.
-pub fn eval_instant(db: &Tsdb, expr: &PromExpr, at: Timestamp) -> InstantVector {
+/// Samples of one fetched series that fall in the window `(lo, t]`
+/// (`samples` ascending by timestamp, as `query_series` returns them).
+fn window(samples: &[Sample], lo: Timestamp, t: Timestamp) -> &[Sample] {
+    let from = samples.partition_point(|s| s.ts <= lo);
+    let to = samples.partition_point(|s| s.ts <= t);
+    &samples[from..to.max(from)]
+}
+
+/// One row per series matching `selector`, `__name__` stripped, in
+/// `query_series` order: the selector is fetched **once** for the whole
+/// grid — `(first − reach, last]` — and each step's cell is `cell` of
+/// that step's window `(t − reach, t]`.
+fn selector_grid(
+    db: &Tsdb,
+    selector: &Selector,
+    steps: &[Timestamp],
+    reach_ns: i64,
+    cell: impl Fn(&[Sample]) -> Option<f64>,
+) -> SeriesGrid {
+    let Some((&first, &last)) = steps.first().zip(steps.last()) else {
+        return Vec::new();
+    };
+    // Saturate: a sentinel `first` near `i64::MIN` must not overflow when
+    // the reach is subtracted.
+    db.query_series(selector, first.saturating_sub(reach_ns), last)
+        .into_iter()
+        .map(|(mut labels, samples)| {
+            labels.remove("__name__");
+            let cells =
+                steps.iter().map(|&t| cell(window(&samples, t.saturating_sub(reach_ns), t)));
+            (labels, cells.collect())
+        })
+        .collect()
+}
+
+/// An instant selector's rows: per step, the last sample inside the
+/// lookback window.
+fn instant_grid(db: &Tsdb, selector: &Selector, steps: &[Timestamp]) -> SeriesGrid {
+    selector_grid(db, selector, steps, DEFAULT_LOOKBACK_NS, |w| w.last().map(|s| s.value))
+}
+
+/// Evaluate an expression over a whole step grid, series-major: every
+/// selector is fetched once, every label set is built, stripped, grouped
+/// and matched once per row, and only numbers are touched per step. Each
+/// arm yields rows in the order its instant evaluation lists a step's
+/// elements, which is what keeps order-sensitive folds above it (float
+/// `sum`/`avg`) bit-identical to evaluating step by step.
+fn eval_grid(db: &Tsdb, expr: &PromExpr, steps: &[Timestamp]) -> SeriesGrid {
     match expr {
-        PromExpr::Selector(sel) => db
-            .query_instant(sel, at, DEFAULT_LOOKBACK_NS)
-            .into_iter()
-            .map(|(mut labels, s)| {
-                labels.remove("__name__");
-                (labels, s.value)
-            })
-            .collect(),
+        PromExpr::Selector(sel) => instant_grid(db, sel, steps),
         PromExpr::Absent(sel) => {
-            if db.query_instant(sel, at, DEFAULT_LOOKBACK_NS).is_empty() {
-                // Like Prometheus: the result labels are the selector's
-                // equality matchers (minus the metric name).
-                let mut labels = omni_model::LabelSet::new();
-                for (k, v) in sel.equality_matchers() {
-                    if k != "__name__" {
-                        labels.insert(k, v);
-                    }
+            let present = instant_grid(db, sel, steps);
+            // Like Prometheus: the result labels are the selector's
+            // equality matchers (minus the metric name).
+            let mut labels = omni_model::LabelSet::new();
+            for (k, v) in sel.equality_matchers() {
+                if k != "__name__" {
+                    labels.insert(k, v);
                 }
-                vec![(labels, 1.0)]
-            } else {
-                Vec::new()
             }
+            let cells = (0..steps.len())
+                .map(|si| present.iter().all(|(_, row)| row[si].is_none()).then_some(1.0));
+            vec![(labels, cells.collect())]
         }
         PromExpr::RangeFn { func, selector, range_ns } => {
-            let mut out = Vec::new();
-            // Saturate: a sentinel `at` near `i64::MIN` must not overflow
-            // when the range is subtracted (same class as the frontend's
-            // `start - range_ns` fix).
-            for (mut labels, samples) in db.query_series(selector, at.saturating_sub(*range_ns), at)
-            {
-                if let Some(v) = func.apply(&samples, *range_ns) {
-                    labels.remove("__name__");
-                    out.push((labels, v));
-                }
-            }
-            out.sort_by(|a, b| a.0.cmp(&b.0));
-            out
+            let mut rows =
+                selector_grid(db, selector, steps, *range_ns, |w| func.apply(w, *range_ns));
+            rows.sort_by(|a, b| a.0.cmp(&b.0));
+            rows
         }
         PromExpr::VectorAgg { op, grouping, inner } => {
-            eval_vector_agg(*op, grouping.as_ref(), eval_instant(db, inner, at))
+            vector_agg_grid(*op, grouping.as_ref(), eval_grid(db, inner, steps))
         }
         PromExpr::Filter { inner, op, scalar } => {
-            eval_filter(eval_instant(db, inner, at), *op, *scalar)
+            filter_grid(eval_grid(db, inner, steps), *op, *scalar)
         }
         PromExpr::BinOp { lhs, op, rhs } => {
-            let left = eval_instant(db, lhs, at);
-            let right = eval_instant(db, rhs, at);
+            let left = eval_grid(db, lhs, steps);
+            let right = eval_grid(db, rhs, steps);
             // One-to-one matching on identical label sets (sans metric
-            // name, already stripped by the selector paths).
-            let rmap: std::collections::BTreeMap<&omni_model::LabelSet, f64> =
-                right.iter().map(|(l, v)| (l, *v)).collect();
-            left.into_iter()
-                .filter_map(|(l, lv)| {
-                    let rv = rmap.get(&l)?;
-                    let v = op.apply(lv, *rv);
-                    if v.is_finite() {
-                        Some((l, v))
-                    } else {
-                        None
-                    }
-                })
-                .collect()
+            // name, already stripped by the selector paths), decided once
+            // per row. Of several right rows with the same labels the
+            // last one present at a step wins, as a map insert would.
+            let mut by_labels: BTreeMap<&omni_model::LabelSet, Vec<usize>> = BTreeMap::new();
+            for (ri, (labels, _)) in right.iter().enumerate() {
+                by_labels.entry(labels).or_default().push(ri);
+            }
+            let mut out = Vec::new();
+            for (labels, cells) in &left {
+                let Some(matches) = by_labels.get(labels) else { continue };
+                let cells = cells.iter().enumerate().map(|(si, lv)| {
+                    let rv = matches.iter().rev().find_map(|&ri| right[ri].1[si])?;
+                    Some(op.apply((*lv)?, rv)).filter(|v| v.is_finite())
+                });
+                out.push((labels.clone(), cells.collect()));
+            }
+            out
         }
     }
 }
 
-/// Evaluate over `[start, end]` at `step_ns` intervals.
+/// Evaluate an expression at one instant against a store: a one-step
+/// grid.
+pub fn eval_instant(db: &Tsdb, expr: &PromExpr, at: Timestamp) -> InstantVector {
+    grid_to_instant(eval_grid(db, expr, &[at]))
+}
+
+/// Evaluate over `[start, end]` at `step_ns` intervals. The grid is
+/// LogQL's [`step_grid`]: it advances with checked arithmetic, so an
+/// `end` near `i64::MAX` terminates.
 pub fn eval_range(
     db: &Tsdb,
     expr: &PromExpr,
@@ -480,23 +523,17 @@ pub fn eval_range(
     end: Timestamp,
     step_ns: i64,
 ) -> Matrix {
-    assert!(step_ns > 0);
-    let mut series: BTreeMap<omni_model::LabelSet, Vec<Sample>> = BTreeMap::new();
-    let mut t = start;
-    while t <= end {
-        for (labels, value) in eval_instant(db, expr, t) {
-            series.entry(labels).or_default().push(Sample::new(t, value));
-        }
-        t += step_ns;
-    }
-    series.into_iter().collect()
+    let steps = step_grid(start, end, step_ns);
+    grid_to_matrix(eval_grid(db, expr, &steps), &steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::storage::TsdbConfig;
-    use omni_model::labels;
+    use omni_logql::eval::{eval_filter, eval_vector_agg};
+    use omni_model::{labels, LabelSet};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn db() -> Tsdb {
         Tsdb::new(TsdbConfig { shards: 2, ..Default::default() })
@@ -674,6 +711,265 @@ mod tests {
     fn parse_errors() {
         for q in ["", "rate(x)", "sum by (a", "x > ", "rate(x[5m]) trailing", "{a=}"] {
             assert!(parse_promql(q).is_err(), "should reject {q:?}");
+        }
+    }
+
+    #[test]
+    fn eval_range_terminates_when_the_grid_runs_off_the_end_of_time() {
+        // Regression: `t += step_ns` overflowed with `end` near
+        // `i64::MAX` — a debug build panicked, a release build wrapped
+        // negative and never terminated. The grid is LogQL's `step_grid`
+        // now, which advances with `checked_add`.
+        let d = db();
+        d.ingest_sample("g", labels!("a" => "1"), i64::MAX - 4, 7.0);
+        let e = parse_promql("g").unwrap();
+        let m = eval_range(&d, &e, i64::MAX - 5, i64::MAX, 3);
+        // Two grid points, MAX−5 and MAX−2; the sample is visible at the second.
+        assert_eq!(m, vec![(labels!("a" => "1"), vec![Sample::new(i64::MAX - 2, 7.0)])]);
+    }
+
+    /// The step-major evaluator this module shipped before the grid: the
+    /// parent commit's `eval_instant`, body unedited. The oracle for
+    /// [`eval_grid`] — production code does not call it.
+    fn reference_instant(db: &Tsdb, expr: &PromExpr, at: Timestamp) -> InstantVector {
+        match expr {
+            PromExpr::Selector(sel) => db
+                .query_instant(sel, at, DEFAULT_LOOKBACK_NS)
+                .into_iter()
+                .map(|(mut labels, s)| {
+                    labels.remove("__name__");
+                    (labels, s.value)
+                })
+                .collect(),
+            PromExpr::Absent(sel) => {
+                if db.query_instant(sel, at, DEFAULT_LOOKBACK_NS).is_empty() {
+                    // Like Prometheus: the result labels are the selector's
+                    // equality matchers (minus the metric name).
+                    let mut labels = omni_model::LabelSet::new();
+                    for (k, v) in sel.equality_matchers() {
+                        if k != "__name__" {
+                            labels.insert(k, v);
+                        }
+                    }
+                    vec![(labels, 1.0)]
+                } else {
+                    Vec::new()
+                }
+            }
+            PromExpr::RangeFn { func, selector, range_ns } => {
+                let mut out = Vec::new();
+                // Saturate: a sentinel `at` near `i64::MIN` must not overflow
+                // when the range is subtracted (same class as the frontend's
+                // `start - range_ns` fix).
+                for (mut labels, samples) in
+                    db.query_series(selector, at.saturating_sub(*range_ns), at)
+                {
+                    if let Some(v) = func.apply(&samples, *range_ns) {
+                        labels.remove("__name__");
+                        out.push((labels, v));
+                    }
+                }
+                out.sort_by(|a, b| a.0.cmp(&b.0));
+                out
+            }
+            PromExpr::VectorAgg { op, grouping, inner } => {
+                eval_vector_agg(*op, grouping.as_ref(), reference_instant(db, inner, at))
+            }
+            PromExpr::Filter { inner, op, scalar } => {
+                eval_filter(reference_instant(db, inner, at), *op, *scalar)
+            }
+            PromExpr::BinOp { lhs, op, rhs } => {
+                let left = reference_instant(db, lhs, at);
+                let right = reference_instant(db, rhs, at);
+                // One-to-one matching on identical label sets (sans metric
+                // name, already stripped by the selector paths).
+                let rmap: std::collections::BTreeMap<&omni_model::LabelSet, f64> =
+                    right.iter().map(|(l, v)| (l, *v)).collect();
+                left.into_iter()
+                    .filter_map(|(l, lv)| {
+                        let rv = rmap.get(&l)?;
+                        let v = op.apply(lv, *rv);
+                        if v.is_finite() {
+                            Some((l, v))
+                        } else {
+                            None
+                        }
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    const S: i64 = NANOS_PER_SEC;
+
+    /// A seeded store for the oracle property: gauges with non-integer
+    /// values (one scraped exactly on the 15 s grid, the rest jittered), a
+    /// counter with a reset, a series that stops mid-window so its
+    /// lookback expires, one that starts late, and two metric names
+    /// sharing a label set (one of them touching zero). Blocks seal every
+    /// 8 samples, so reads cross sealed blocks and the open head.
+    fn oracle_store() -> Tsdb {
+        let d = Tsdb::new(TsdbConfig { shards: 2, block_max_samples: 8, ..Default::default() });
+        let mut rng = StdRng::seed_from_u64(22);
+        for i in 0..=60i64 {
+            let t = i * 15 * S;
+            for (series, l) in [("0", "v"), ("1", "v"), ("2", "v"), ("3", "w"), ("4", "w")] {
+                let jitter = if series == "0" { 0 } else { rng.gen_range(0..S) };
+                let v = 40.0 + rng.gen_range(0.0..30.0) + 1.0 / 3.0;
+                d.ingest_sample("m", labels!("l" => l, "i" => series), t + jitter, v);
+            }
+            if i <= 20 {
+                d.ingest_sample("m", labels!("l" => "v", "i" => "stops"), t + 1, 0.1 * i as f64);
+            }
+            if i >= 30 {
+                d.ingest_sample("m", labels!("l" => "w", "i" => "late"), t + 2, 99.5);
+            }
+            let count = if i < 25 { i * 7 } else { (i - 25) * 3 };
+            d.ingest_sample("c", labels!("l" => "v"), t, count as f64 + 0.25);
+            for k in ["1", "2"] {
+                d.ingest_sample("a", labels!("l" => "v", "k" => k), t, rng.gen_range(0.0..9.0));
+                let b = if i % 10 == 3 { 0.0 } else { rng.gen_range(1.0..9.0) };
+                d.ingest_sample("b", labels!("l" => "v", "k" => k), t + 3, b);
+            }
+        }
+        d
+    }
+
+    fn oracle_exprs() -> Vec<(String, PromExpr)> {
+        let mut texts: Vec<String> = [
+            "m",
+            r#"m{l="v"}"#,
+            r#"{l="v"}"#,
+            r#"{l=~"v|w", i!="0"}"#,
+            "absent(m)",
+            "absent(nope)",
+            r#"absent(m{i="stops"})"#,
+            "sum(m)",
+            "sum by (l) (m)",
+            "min by (l) (m)",
+            "max by (l) (m)",
+            "avg by (l) (m)",
+            "count by (l) (m)",
+            "avg without (i) (m)",
+            "sum without (l) (m)",
+            r#"avg by (l) ({l="v"})"#,
+            r#"sum by (k) ({l="v"})"#,
+            "avg by (l) (rate(c[2m]))",
+            "max by (l) (avg_over_time(m[1m]))",
+            "m > 55",
+            "sum by (l) (m) > 200",
+            r#"count by (l) (m{i="stops"}) == 1"#,
+            "a / b",
+            "a - b",
+            "sum by (k) (a) / sum by (k) (b)",
+            "sum by (l) (a) * sum by (l) (m)",
+        ]
+        .map(String::from)
+        .into();
+        for f in [
+            "rate",
+            "increase",
+            "delta",
+            "avg_over_time",
+            "min_over_time",
+            "max_over_time",
+            "sum_over_time",
+            "count_over_time",
+            "last_over_time",
+        ] {
+            texts.push(format!("{f}(m[1m])"));
+            texts.push(format!("{f}(c[7m])"));
+            texts.push(format!(r#"{f}({{l="v"}}[45s])"#));
+        }
+        let mut exprs: Vec<(String, PromExpr)> =
+            texts.into_iter().map(|t| (t.clone(), parse_promql(&t).unwrap())).collect();
+        // The parser has no `topk`; the AST does.
+        let agg = |op, grouping, inner: &PromExpr| PromExpr::VectorAgg {
+            op,
+            grouping,
+            inner: Box::new(inner.clone()),
+        };
+        let m = parse_promql("m").unwrap();
+        let topk = agg(VectorAggOp::Topk(2), None, &m);
+        let by_l = Some(Grouping { kind: GroupKind::By, labels: vec!["l".into()] });
+        exprs.push(("bottomk(2, m)".into(), agg(VectorAggOp::Bottomk(2), None, &m)));
+        exprs.push(("avg by (l) (topk(2, m))".into(), agg(VectorAggOp::Avg, by_l, &topk)));
+        exprs.push((
+            "topk(2, m) > 60".into(),
+            PromExpr::Filter { inner: Box::new(topk.clone()), op: CmpOp::Gt, scalar: 60.0 },
+        ));
+        exprs.push(("topk(2, m)".into(), topk));
+        let sums = parse_promql("sum by (l) (m)").unwrap();
+        exprs.push(("topk(1, sum by (l) (m))".into(), agg(VectorAggOp::Topk(1), None, &sums)));
+        exprs
+    }
+
+    fn matrix_bits(m: &Matrix) -> Vec<(LabelSet, Vec<(Timestamp, u64)>)> {
+        m.iter()
+            .map(|(l, ss)| (l.clone(), ss.iter().map(|s| (s.ts, s.value.to_bits())).collect()))
+            .collect()
+    }
+
+    fn vector_bits(v: InstantVector) -> Vec<(LabelSet, u64)> {
+        v.into_iter().map(|(l, v)| (l, v.to_bits())).collect()
+    }
+
+    /// What the parent's `eval_range` did: one instant evaluation per
+    /// step, stitched into series through a `BTreeMap`.
+    fn stitched(db: &Tsdb, e: &PromExpr, steps: &[Timestamp]) -> Matrix {
+        let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
+        for &t in steps {
+            for (labels, value) in reference_instant(db, e, t) {
+                series.entry(labels).or_default().push(Sample::new(t, value));
+            }
+        }
+        series.into_iter().collect()
+    }
+
+    /// The grid evaluator against its oracle, bit for bit: `eval_range`
+    /// equals stitching `reference_instant` over the grid, and
+    /// `eval_instant` equals `reference_instant` (order included) at
+    /// every grid point.
+    ///
+    /// Mutations of `promql.rs` / `eval.rs` shown to fail this test (each
+    /// a one-line edit, reverted): `s.ts <= lo` → `s.ts < lo` in
+    /// `window` (range functions on the aligned grid gain the sample at
+    /// the window's open end); dropping the lower bound of the selector
+    /// cell, i.e. `window(&samples, i64::MIN, t)` in `selector_grid` (`m`
+    /// keeps showing `i="stops"` after its lookback expires); folding a
+    /// group's members in reverse row order in `vector_agg_grid` (`sum(m)`
+    /// moves in the last bits).
+    #[test]
+    fn grid_evaluator_equals_the_step_major_reference() {
+        let d = oracle_store();
+        let grids = [
+            (0, 900 * S, 60 * S),          // aligned with the scrape grid
+            (7 * S, 900 * S, 13 * S),      // off-grid start, step < scrape interval
+            (100 * S + 1, 400 * S, 5 * S), // several steps per scrape
+            (-120 * S, 1_400 * S, 97 * S), // before the first and past the last sample
+            (450 * S, 450 * S, 60 * S),    // one step
+            (500 * S, 499 * S, 60 * S),    // zero steps
+        ];
+        for (text, e) in oracle_exprs() {
+            let mut non_empty = false;
+            for (start, end, step) in grids {
+                let steps = step_grid(start, end, step);
+                let got = eval_range(&d, &e, start, end, step);
+                assert_eq!(
+                    matrix_bits(&got),
+                    matrix_bits(&stitched(&d, &e, &steps)),
+                    "{text} over ({start}, {end}, {step})"
+                );
+                non_empty |= !got.is_empty();
+                for &t in &steps {
+                    assert_eq!(
+                        vector_bits(eval_instant(&d, &e, t)),
+                        vector_bits(reference_instant(&d, &e, t)),
+                        "{text} at {t}"
+                    );
+                }
+            }
+            assert!(non_empty, "{text}: the store has data for every oracle expression");
         }
     }
 }

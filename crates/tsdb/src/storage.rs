@@ -177,9 +177,16 @@ impl Tsdb {
                 }
                 let mut samples = series.samples_in(start, end);
                 if let Some(recent) = sh.recent.get(&fp) {
-                    samples.extend(recent.iter().filter(|s| s.ts > start && s.ts <= end));
+                    // `ingest` drops anything older than the series'
+                    // newest sample, so `recent` is non-decreasing:
+                    // `(start, end]` is a slice, not a filter.
+                    let lo = recent.partition_point(|s| s.ts <= start);
+                    let hi = recent.partition_point(|s| s.ts <= end);
+                    samples.extend_from_slice(&recent[lo..hi.max(lo)]);
                 }
-                samples.sort_by_key(|s| s.ts);
+                // Sealed blocks in seal order, then the open samples: the
+                // same guarantee makes the concatenation ascending.
+                debug_assert!(samples.windows(2).all(|w| w[0].ts <= w[1].ts));
                 if !samples.is_empty() {
                     out.push((series.labels.clone(), samples));
                 }
@@ -314,6 +321,46 @@ mod tests {
         assert!(db.compressed_bytes() > 0);
         let sel = parse_selector(r#"{__name__="m"}"#).unwrap();
         assert_eq!(db.query_series(&sel, -1, 100)[0].1.len(), 50);
+    }
+
+    #[test]
+    fn open_samples_are_sliced_to_the_half_open_range() {
+        // 4 000 open samples behind one sealed block of 4 096: for bounds
+        // before / inside / between / after the data, `query_series`
+        // returns exactly the `(start, end]` samples — what filtering
+        // every sample and sorting (the previous implementation) returned.
+        let db = Tsdb::new(TsdbConfig { shards: 1, ..Default::default() });
+        let all: Vec<Sample> = (0..4_096 + 4_000)
+            // Timestamps repeat in pairs: bounds land on runs of equal ts.
+            .map(|i| Sample::new((i / 2) * 10, i as f64))
+            .collect();
+        for s in &all {
+            db.ingest_sample("m", labels!("a" => "1"), s.ts, s.value);
+        }
+        assert!(db.compressed_bytes() > 0, "one block sealed");
+        let sel = parse_selector(r#"{__name__="m"}"#).unwrap();
+        let newest = all.last().unwrap().ts;
+        let open_from = all[4_096].ts;
+        for (start, end) in [
+            (i64::MIN, -1),                      // all before the data
+            (-1, newest),                        // everything
+            (-1, open_from - 10),                // sealed block only
+            (open_from - 10, open_from + 500),   // across the seal boundary
+            (open_from + 15, open_from + 1_005), // inside the open samples, off-sample bounds
+            (open_from + 20, open_from + 20),    // empty: start == end
+            (open_from + 30, open_from + 20),    // empty: start > end
+            (newest - 10, i64::MAX),             // the tail
+            (newest, i64::MAX),                  // after the data
+        ] {
+            let expected: Vec<Sample> =
+                all.iter().copied().filter(|s| s.ts > start && s.ts <= end).collect();
+            let got = db.query_series(&sel, start, end);
+            match got.as_slice() {
+                [] => assert!(expected.is_empty(), "({start}, {end}]"),
+                [(_, samples)] => assert_eq!(samples, &expected, "({start}, {end}]"),
+                _ => panic!("one series"),
+            }
+        }
     }
 
     #[test]
