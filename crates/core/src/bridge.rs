@@ -26,15 +26,16 @@
 //! brownout or a revoked API token simply pauses consumption — the next
 //! pump picks up at the same offset. What is left here is what to do with
 //! a message. Records that Loki rejects transiently (all shards down) park
-//! in a bounded in-flight buffer with exponential backoff; poison messages
-//! (unparseable payloads, permanent ingest rejects, exhausted retries) are
-//! produced to [`DEAD_LETTER_TOPIC`] instead of vanishing.
+//! in a bounded FIFO whose oldest record's exponential backoff gates every
+//! push, so per stream Loki sees bus order; poison messages (unparseable
+//! payloads, permanent ingest rejects, exhausted retries) are produced to
+//! [`DEAD_LETTER_TOPIC`] instead of vanishing.
 
 use crate::omni::Omni;
 use omni_bus::{Broker, Message, TopicConfig};
 use omni_json::jsonv;
 use omni_loki::IngestError;
-use omni_model::{fnv1a64, LabelSet, LogRecord, RetryPolicy, RetryState, Timestamp};
+use omni_model::{LabelSet, LogRecord, RetryPolicy, RetryState, Timestamp};
 use omni_obs::{format_trace_id, parse_trace_id, Histogram, TraceStore, TRACE_HEADER};
 use omni_redfish::{topics, RedfishEvent, SensorReading};
 use omni_telemetry::{ApiError, Handler, Subscription, TelemetryApi, Token};
@@ -57,7 +58,8 @@ pub struct BridgeResilience {
     pub ingest_retries: u64,
     /// Messages produced to [`DEAD_LETTER_TOPIC`].
     pub dead_lettered: u64,
-    /// Records currently parked awaiting an ingest retry.
+    /// Records currently parked awaiting an ingest retry, or queued
+    /// behind one that is.
     pub in_flight: usize,
 }
 
@@ -84,11 +86,11 @@ pub fn telemetry_payload_to_loki(payload: &str, cluster: &str) -> Vec<LogRecord>
     events.iter().map(|e| redfish_to_loki(e, cluster)).collect()
 }
 
-/// A record whose Loki push failed transiently, awaiting its backoff.
+/// A record on its way to Loki: fresh (`state.attempts == 0`), or parked
+/// after a transient push failure and awaiting its backoff.
 struct InFlight {
     record: LogRecord,
     state: RetryState,
-    salt: u64,
 }
 
 /// The log-side bridge: pulls the log-bearing topics through the
@@ -108,13 +110,12 @@ struct LogSink {
     batch_hist: Option<Histogram>,
     /// Virtual time of the pump in progress.
     now: Timestamp,
-    /// Records converted from the current fetch round, not yet pushed.
-    pending: Vec<LogRecord>,
-    in_flight: Vec<InFlight>,
+    /// Every record taken off the bus and not yet settled, in bus order:
+    /// parked records first, then the current fetch round's.
+    queue: Vec<InFlight>,
     dead_backlog: Vec<(String, String)>,
     policy: RetryPolicy,
     max_in_flight: usize,
-    salt_seq: u64,
     pushed: u64,
     errors: u64,
     ingest_retries: u64,
@@ -149,12 +150,10 @@ impl LogBridge {
                 tracer: None,
                 batch_hist: None,
                 now: 0,
-                pending: Vec::new(),
-                in_flight: Vec::new(),
+                queue: Vec::new(),
                 dead_backlog: Vec::new(),
                 policy: RetryPolicy::default(),
                 max_in_flight: 4_096,
-                salt_seq: 0,
                 pushed: 0,
                 errors: 0,
                 ingest_retries: 0,
@@ -178,23 +177,24 @@ impl LogBridge {
     }
 
     /// One consumption round at virtual time `now`: retry parked records
-    /// that are due, then pull every topic forward. Returns records pushed
-    /// to Loki in this pump.
+    /// if they are due, then pull every topic forward. Returns records
+    /// pushed to Loki in this pump.
     ///
-    /// Records converted from the fetched messages accumulate in a pending
-    /// buffer and go to Loki as one batch per `(topic, partition)` fetch
-    /// round, so the ingesters take one lock per round instead of one per
-    /// record. Outcomes stay per-record: each entry in the batch result is
-    /// stored, parked, or dead-lettered on its own.
+    /// Records converted from the fetched messages join the queue and go
+    /// to Loki as one batch per `(topic, partition)` fetch round, so the
+    /// ingesters take one lock per round instead of one per record.
+    /// Outcomes stay per-record: each entry in the batch result is stored,
+    /// parked, or dead-lettered on its own.
     pub fn pump(&mut self, now: Timestamp) -> u64 {
         let sink = &mut self.sink;
         let before = sink.pushed;
         sink.now = now;
         sink.flush_dead_backlog();
-        sink.retry_in_flight();
+        // Parked records retry even when the bus has nothing new.
+        sink.flush();
         self.sub.poll(sink);
-        // A poll stopped mid-round leaves that round's records pending.
-        sink.flush_pending();
+        // A poll stopped mid-round leaves that round's records queued.
+        sink.flush();
         sink.pushed - before
     }
 
@@ -216,7 +216,7 @@ impl LogBridge {
             resubscribes: self.sub.resubscribes(),
             ingest_retries: self.sink.ingest_retries,
             dead_lettered: self.sink.dead_lettered,
-            in_flight: self.sink.in_flight.len(),
+            in_flight: self.sink.queue.len(),
         }
     }
 }
@@ -224,7 +224,7 @@ impl LogBridge {
 impl Handler for LogSink {
     /// Backpressure: stop consuming until retries drain.
     fn ready(&self) -> bool {
-        self.in_flight.len() + self.pending.len() < self.max_in_flight
+        self.queue.len() < self.max_in_flight
     }
 
     fn handle(&mut self, topic: &str, msg: Message) {
@@ -256,7 +256,7 @@ impl Handler for LogSink {
                 if let Some(id) = trace {
                     record.labels.insert("trace_id", format_trace_id(id));
                 }
-                self.pending.push(record);
+                self.enqueue(record);
             }
             return;
         }
@@ -287,13 +287,13 @@ impl Handler for LogSink {
             ]),
             _ => return,
         };
-        self.pending.push(LogRecord::new(labels, msg.ts, payload));
+        self.enqueue(LogRecord::new(labels, msg.ts, payload));
     }
 
-    /// One batched push per fetch round keeps the pending buffer bounded
-    /// by the round size plus a few multi-event payloads.
+    /// One batched push per fetch round keeps the queue bounded by the
+    /// round size plus a few multi-event payloads (plus what is parked).
     fn round_done(&mut self) {
-        self.flush_pending();
+        self.flush();
     }
 }
 
@@ -305,85 +305,56 @@ impl LogSink {
         Some((tracer, id))
     }
 
-    /// Push the pending records as one batch; per-record outcomes keep
-    /// the per-record semantics: transient failures park the record,
-    /// permanent ones dead-letter it.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
+    fn enqueue(&mut self, record: LogRecord) {
+        self.queue.push(InFlight { record, state: RetryState::new() });
+    }
+
+    /// The one place a push outcome is settled. The whole queue goes to
+    /// Loki as one batch once its oldest record is due — a fresh record is
+    /// due at once, a parked one after its backoff — and each result
+    /// stores, re-parks or dead-letters its record. `AllShardsDown` is a
+    /// property of the cluster, not of a record, so nothing is pushed
+    /// while the head waits: a record never overtakes an older one of its
+    /// stream, and Loki's per-stream ordering check sees bus order.
+    fn flush(&mut self) {
+        let now = self.now;
+        if !self.queue.first().is_some_and(|head| head.state.due(now)) {
             return;
         }
-        let now = self.now;
-        let batch = std::mem::take(&mut self.pending);
+        let batch = std::mem::take(&mut self.queue);
         if let Some(hist) = &self.batch_hist {
             hist.observe(batch.len() as f64);
         }
-        for record in &batch {
-            if let Some((tracer, id)) = self.record_trace(record) {
+        for item in &batch {
+            if let Some((tracer, id)) = self.record_trace(&item.record) {
                 // Idempotent while open: a parked record keeps its
                 // original start, so the closed span shows the full
                 // retry window.
                 tracer.begin_span(id, "loki_ingest", now, "");
             }
         }
-        let results = self.omni.ingest_batch(batch.clone());
-        for (record, result) in batch.into_iter().zip(results) {
+        let results = self.omni.ingest_batch(batch.iter().map(|i| i.record.clone()).collect());
+        for (mut item, result) in batch.into_iter().zip(results) {
             match result {
                 Ok(()) => {
                     self.pushed += 1;
-                    if let Some((tracer, id)) = self.record_trace(&record) {
-                        tracer.end_span(id, "loki_ingest", now, "stored");
-                    }
-                }
-                Err(IngestError::AllShardsDown) => self.park(record),
-                Err(_) => {
-                    self.errors += 1;
-                    self.dead_letter("rejected-ingest", &record.entry.line);
-                }
-            }
-        }
-    }
-
-    fn park(&mut self, record: LogRecord) {
-        let salt = fnv1a64(&self.salt_seq.to_le_bytes()) ^ record.labels.fingerprint();
-        self.salt_seq += 1;
-        let mut state = RetryState::new();
-        if state.record_failure(self.now, &self.policy, salt) {
-            self.ingest_retries += 1;
-            self.in_flight.push(InFlight { record, state, salt });
-        } else {
-            self.dead_letter("retries-exhausted", &record.entry.line);
-        }
-    }
-
-    fn retry_in_flight(&mut self) {
-        let now = self.now;
-        let mut i = 0;
-        while i < self.in_flight.len() {
-            if !self.in_flight[i].state.due(now) {
-                i += 1;
-                continue;
-            }
-            match self.omni.ingest_record(self.in_flight[i].record.clone()) {
-                Ok(()) => {
-                    self.pushed += 1;
-                    let item = self.in_flight.remove(i);
                     if let Some((tracer, id)) = self.record_trace(&item.record) {
-                        tracer.end_span(id, "loki_ingest", now, "stored after retry");
+                        let note =
+                            if item.state.attempts == 0 { "stored" } else { "stored after retry" };
+                        tracer.end_span(id, "loki_ingest", now, note);
                     }
                 }
                 Err(IngestError::AllShardsDown) => {
-                    let item = &mut self.in_flight[i];
-                    if item.state.record_failure(now, &self.policy, item.salt) {
+                    let salt = item.record.labels.fingerprint();
+                    if item.state.record_failure(now, &self.policy, salt) {
                         self.ingest_retries += 1;
-                        i += 1;
+                        self.queue.push(item);
                     } else {
-                        let item = self.in_flight.remove(i);
                         self.dead_letter("retries-exhausted", &item.record.entry.line);
                     }
                 }
                 Err(_) => {
                     self.errors += 1;
-                    let item = self.in_flight.remove(i);
                     self.dead_letter("rejected-ingest", &item.record.entry.line);
                 }
             }
@@ -651,6 +622,71 @@ mod tests {
         assert_eq!(bridge.resilience().in_flight, 0);
         assert_eq!(count_syslog(&omni, later), 1);
         assert_eq!(bridge.stats(), (1, 0));
+    }
+
+    /// Crash every shard, pump at `now` (whatever is on the bus parks),
+    /// bring the shards back.
+    fn park_through_outage(omni: &Omni, bridge: &mut LogBridge, now: Timestamp) {
+        omni.loki().crash_shard(0);
+        omni.loki().crash_shard(1);
+        assert_eq!(bridge.pump(now), 0);
+        omni.loki().recover_shard(0);
+        omni.loki().recover_shard(1);
+    }
+
+    fn syslog_lines_oldest_first(omni: &Omni, now: Timestamp) -> Vec<String> {
+        omni.loki()
+            .query_logs_directed(
+                r#"{data_type="syslog"}"#,
+                -1,
+                now + 1,
+                usize::MAX,
+                omni_loki::Direction::Forward,
+            )
+            .unwrap()
+            .into_iter()
+            .map(|r| r.entry.line)
+            .collect()
+    }
+
+    #[test]
+    fn fresh_record_does_not_overtake_a_parked_one_of_its_stream() {
+        let (clock, broker, _api, omni, mut bridge) = rig();
+        broker.produce(topics::SYSLOG, Some("nid0001"), "a".to_string()).unwrap();
+        park_through_outage(&omni, &mut bridge, clock.advance(NANOS_PER_SEC));
+        assert_eq!(bridge.resilience().in_flight, 1);
+        // "a" is still backing off when "b" arrives: "b" waits behind it
+        // rather than reaching the stream first and making "a" out of order.
+        broker.produce(topics::SYSLOG, Some("nid0001"), "b".to_string()).unwrap();
+        bridge.pump(clock.advance(NANOS_PER_SEC / 10));
+        let later = clock.advance(120 * NANOS_PER_SEC);
+        bridge.pump(later);
+        assert_eq!(syslog_lines_oldest_first(&omni, later), ["a", "b"]);
+        assert_eq!(bridge.resilience().dead_lettered, 0);
+        assert_eq!(bridge.stats(), (2, 0));
+    }
+
+    #[test]
+    fn parked_records_of_one_stream_retry_oldest_first() {
+        let (clock, broker, _api, omni, mut bridge) = rig();
+        let lines: Vec<String> = (0..6).map(|i| format!("line {i}")).collect();
+        for line in &lines {
+            // Distinct timestamps: an inversion is an out-of-order reject.
+            clock.advance(1_000_000);
+            broker.produce(topics::SYSLOG, Some("nid0001"), line.clone()).unwrap();
+        }
+        park_through_outage(&omni, &mut bridge, clock.advance(NANOS_PER_SEC));
+        assert_eq!(bridge.resilience().in_flight, 6);
+        // Pump through the whole first backoff window in small steps: no
+        // record may become due, and land, ahead of an older one.
+        let mut now = clock.now();
+        for _ in 0..100 {
+            now = clock.advance(NANOS_PER_SEC / 100);
+            bridge.pump(now);
+        }
+        assert_eq!(syslog_lines_oldest_first(&omni, now), lines);
+        assert_eq!(bridge.resilience().dead_lettered, 0);
+        assert_eq!(bridge.stats(), (6, 0));
     }
 
     #[test]

@@ -58,7 +58,8 @@ pub struct StackConfig {
     pub container_per_step: usize,
     /// Run the remediation playbooks automatically on firing alerts.
     pub auto_remediate: bool,
-    /// Enable OMNI's Elasticsearch-style discovery tier.
+    /// omnibench compat — remove with ROADMAP item 1. Read by nothing:
+    /// term discovery is a Loki query ([`Omni::discover`]).
     pub enable_discovery: bool,
     /// Extra vmalert rules wired in addition to the shipped set. Linted
     /// at boot like everything else: a typo'd metric name here fails
@@ -351,10 +352,7 @@ impl MonitoringStack {
         let fabric_monitor = FabricManagerMonitor::new(fabric.clone());
         let gpfs = GpfsCluster::new("scratch", 8, 12, clock.clone(), config.seed ^ 0x6f5);
         let gpfs_monitor = GpfsMonitor::new(Arc::clone(&gpfs));
-        let mut omni = Omni::new(config.loki_shards, config.limits.clone(), clock.clone());
-        if config.enable_discovery {
-            omni = omni.with_discovery();
-        }
+        let omni = Omni::new(config.loki_shards, config.limits.clone(), clock.clone());
         let pane = Pane::new(omni.clone());
 
         // Bridges (the K3s pods), shared with the registry's collectors.
@@ -619,9 +617,8 @@ impl MonitoringStack {
         }
         // 4. Bridges pull the Telemetry API forward into the stores. The
         // bridge mutexes exist only to make the stack Sync; `step` is
-        // their sole user, and the `park` the log pump reaches shelves a
-        // record for retry, not the thread.
-        self.log_bridge.lock().pump(now); // lint:allow(lock-held-across-call)
+        // their sole user.
+        self.log_bridge.lock().pump(now);
         self.metric_bridge.lock().pump();
 
         // 5. vmagent scrape.

@@ -62,10 +62,10 @@ fn main() {
         .expect("dashboard queries are valid");
     println!("\n{text}");
 
-    // Kibana-style discovery over the same traffic.
-    let hits = stack.omni.discover("lockup", 0, now);
+    // Kibana-style discovery over the same traffic, answered by Loki.
+    let hits = stack.omni.discover("lockup", 0, now).expect("a term is a valid line filter");
     println!(
-        "discovery: {} lines mention \"lockup\" (Elasticsearch-style term search)",
+        "discovery: {} lines mention \"lockup\" (term search as a Loki line filter)",
         hits.len()
     );
 

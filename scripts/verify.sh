@@ -59,8 +59,22 @@ echo "== omni-lint --catalog matches the checked-in golden =="
 # golden in the same commit when the change is intended).
 cargo run -q -p omni-lint -- --catalog | diff - crates/lint/tests/fixtures/catalog.golden
 
+echo "== one log store on the write path (no full-text copy beside Loki) =="
+# Omni::discover is a Loki query; a test may still build a bare
+# FullTextStore as its reference.
+# (`set -e` ignores a `!`-negated command, hence the `if`.)
+if grep -rn "Mutex<FullTextStore>\|discovery_stats" crates/core/src examples tests; then
+    echo "a second log store is back on the write path"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
+
+echo "== quickstart (whole Figure-1 pipeline; the runtime surface of Omni::discover) =="
+# Captured first: `grep -q` closing the pipe early would fail the
+# example's remaining println under pipefail.
+quickstart_out="$(cargo run -q --release --example quickstart)"
+echo "$quickstart_out" | grep -q '^discovery: [1-9]' || { echo "discover found nothing"; exit 1; }
 
 echo "== tenant chaos drill (fixed seed, isolation invariants) =="
 # The drill asserts its own invariants and exits non-zero on any
