@@ -401,50 +401,17 @@ impl MonitoringStack {
 
         // vmagent scraping the exporter fleet.
         let mut vmagent = VmAgent::new(omni.tsdb().clone());
-        {
-            let node_exp = NodeExporter::new(Arc::clone(&machine));
-            vmagent.add_target(
-                "node-exporter",
-                &config.cluster_name,
-                Box::new(move |_| parse_exposition(&node_exp.render()).map_err(|e| e.to_string())),
-            );
-            let kafka_exp = KafkaExporter::new(broker.clone());
-            vmagent.add_target(
-                "kafka-exporter",
-                "sma-kafka",
-                Box::new(move |_| parse_exposition(&kafka_exp.render()).map_err(|e| e.to_string())),
-            );
-            let blackbox = BlackboxExporter::new(
-                vec!["https://telemetry-api".into(), "https://grafana".into()],
-                clock.clone(),
-            );
-            vmagent.add_target(
-                "blackbox-exporter",
-                "probes",
-                Box::new(move |_| parse_exposition(&blackbox.render()).map_err(|e| e.to_string())),
-            );
-            let aruba =
-                ArubaExporter::new(vec!["mgmt-sw1".into(), "mgmt-sw2".into()], clock.clone());
-            vmagent.add_target(
-                "aruba-exporter",
-                "mgmt",
-                Box::new(move |_| parse_exposition(&aruba.render()).map_err(|e| e.to_string())),
-            );
-            let gpfs_exp = GpfsExporter::new(Arc::clone(&gpfs));
-            vmagent.add_target(
-                "gpfs-exporter",
-                "scratch",
-                Box::new(move |_| parse_exposition(&gpfs_exp.render()).map_err(|e| e.to_string())),
-            );
-            // The monitor monitoring itself: the registry rendered in the
-            // same exposition format and scraped through the same path.
-            let self_exp = SelfExporter::new(registry.clone());
-            vmagent.add_target(
-                "omni-self",
-                &config.cluster_name,
-                Box::new(move |_| parse_exposition(&self_exp.render()).map_err(|e| e.to_string())),
-            );
-        }
+        let cluster = config.cluster_name.as_str();
+        scrape_target(&mut vmagent, cluster, NodeExporter::new(Arc::clone(&machine)));
+        scrape_target(&mut vmagent, "sma-kafka", KafkaExporter::new(broker.clone()));
+        let probed = vec!["https://telemetry-api".into(), "https://grafana".into()];
+        scrape_target(&mut vmagent, "probes", BlackboxExporter::new(probed, clock.clone()));
+        let switches = vec!["mgmt-sw1".into(), "mgmt-sw2".into()];
+        scrape_target(&mut vmagent, "mgmt", ArubaExporter::new(switches, clock.clone()));
+        scrape_target(&mut vmagent, "scratch", GpfsExporter::new(Arc::clone(&gpfs)));
+        // The monitor monitoring itself: the registry rendered in the
+        // same exposition format and scraped through the same path.
+        scrape_target(&mut vmagent, cluster, SelfExporter::new(registry.clone()));
 
         // Alertmanager routing: critical alerts go to ServiceNow AND
         // Slack; everything else to Slack only. The tree lives next to
@@ -1018,6 +985,14 @@ impl MonitoringStack {
             chaos: self.chaos.lock().as_ref().map(|c| c.stats()),
         }
     }
+}
+
+/// Registers `exporter` with vmagent under its own job name: a scrape is
+/// the rendered page parsed back, as a real vmagent reads it off the wire.
+fn scrape_target(vmagent: &mut VmAgent, instance: &str, exporter: impl Exporter + 'static) {
+    let job = exporter.job().to_string();
+    let scrape = move |_| parse_exposition(&exporter.render()).map_err(|e| e.to_string());
+    vmagent.add_target(&job, instance, Box::new(scrape));
 }
 
 /// Trace ids carried by a notification's alerts (the `trace_id`

@@ -11,14 +11,13 @@
 //! phases read through [`crate::reader`].
 
 use crate::chunkstore::ChunkStore;
-use crate::index::LabelIndex;
 use crate::limits::Limits;
 use crate::reader::{self, QueryStats};
 use crate::stream::{AppendError, Stream};
 use crate::tenant::TenantRejection;
 use omni_logql::Selector;
 use omni_model::lockwitness::{classes, OrderedRwLock};
-use omni_model::{LabelSet, LogEntry, LogRecord, Timestamp};
+use omni_model::{LabelIndex, LabelSet, LogEntry, LogRecord, Timestamp};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -14,7 +14,8 @@
 //!   / `query_range` / `query_instant` are sugar over it);
 //! * [`chunk`] — compressed chunk storage ("logs ... are compressed and
 //!   stored in chunks");
-//! * [`index`] — the label-only inverted index;
+//! * the label-only inverted index is `omni_model::LabelIndex`, the one the
+//!   TSDB resolves its selectors through too;
 //! * [`ruler`] — "a component called the Ruler which is responsible for
 //!   continually evaluating a set of configurable queries and performing
 //!   an action based on the result".
@@ -25,7 +26,6 @@ pub mod compactor;
 pub mod compress;
 pub mod engine;
 pub mod frontend;
-pub mod index;
 pub mod ingester;
 pub mod limits;
 pub mod reader;

@@ -1,13 +1,14 @@
 //! The label index: "Loki indexes the timestamp and labels only" (§IV-A).
 //!
-//! An inverted index from `(label, value)` to stream fingerprints. Only
-//! label metadata is indexed — never line content; that asymmetry against
-//! full-text stores is experiment C4.
+//! An inverted index from `(label, value)` to fingerprints, shared by both
+//! stores: a Loki ingester shard indexes its streams with it and a TSDB
+//! shard its series. Only label metadata is indexed — never line content;
+//! that asymmetry against full-text stores is experiment C4.
 
-use omni_model::LabelSet;
+use crate::LabelSet;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Inverted label index for one ingester shard.
+/// Inverted label index for one shard of either store.
 #[derive(Debug, Default)]
 pub struct LabelIndex {
     /// (name, value) → fingerprints.
@@ -106,7 +107,7 @@ impl LabelIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omni_model::labels;
+    use crate::labels;
 
     #[test]
     fn insert_and_lookup() {

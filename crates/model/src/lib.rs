@@ -9,6 +9,8 @@
 //!   nanoseconds", §IV-A of the paper).
 //! * [`LabelSet`] — an ordered set of key/value labels, the Prometheus/Loki
 //!   stream identity.
+//! * [`LabelIndex`] — the label-only inverted index both stores resolve a
+//!   selector's equality matchers through.
 //! * [`LogEntry`] / [`LogRecord`] — a timestamped log line, optionally
 //!   paired with its stream labels.
 //! * [`Sample`] — a timestamped float, the Prometheus metric sample.
@@ -19,6 +21,7 @@
 //!   firing → resolved state machine both the Loki Ruler and vmalert run.
 
 pub mod clock;
+pub mod index;
 pub mod labels;
 pub mod lockwitness;
 pub mod retry;
@@ -29,6 +32,7 @@ pub mod tenant;
 pub mod time;
 
 pub use clock::SimClock;
+pub use index::LabelIndex;
 pub use labels::{LabelSet, LabelSetBuilder};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy, RetryState};
 pub use rules::{AlertRule, AlertState, Evaluate, RuleEngine, RuleGroup, RuleNotification};

@@ -4,8 +4,11 @@
 //! database and logs to Loki" (§III). The crate covers the metric half of
 //! the paper's pipeline:
 //!
-//! * [`storage::Tsdb`] — sharded, label-indexed series storage over
-//!   Gorilla-compressed blocks ([`gorilla`]);
+//! * [`storage::Tsdb`] — sharded series storage in the shape of the log
+//!   store: a series is its labels, an open run of plain samples (what
+//!   rules and panels read every cycle) and the blocks sealed from
+//!   earlier runs ([`gorilla`], paid once per `block_max_samples`), found
+//!   through `omni_model::LabelIndex`, the index Loki's shards use;
 //! * [`promql`] — the PromQL subset vmalert rules and Grafana panels use;
 //! * [`vmagent`] — the scrape loop feeding the store;
 //! * [`vmalert`] — "queries the database based on predefined rules. When

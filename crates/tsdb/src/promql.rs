@@ -732,9 +732,17 @@ mod tests {
     /// parent commit's `eval_instant`, body unedited. The oracle for
     /// [`eval_grid`] — production code does not call it.
     fn reference_instant(db: &Tsdb, expr: &PromExpr, at: Timestamp) -> InstantVector {
+        // The instant-vector lookup the store itself offered until nothing
+        // but this oracle called it: per matching series, the latest
+        // sample at or before `at` within the lookback window.
+        let latest = |sel: &Selector| -> Vec<(LabelSet, Sample)> {
+            db.query_series(sel, at.saturating_sub(DEFAULT_LOOKBACK_NS), at)
+                .into_iter()
+                .filter_map(|(labels, samples)| samples.last().map(|&s| (labels, s)))
+                .collect()
+        };
         match expr {
-            PromExpr::Selector(sel) => db
-                .query_instant(sel, at, DEFAULT_LOOKBACK_NS)
+            PromExpr::Selector(sel) => latest(sel)
                 .into_iter()
                 .map(|(mut labels, s)| {
                     labels.remove("__name__");
@@ -742,7 +750,7 @@ mod tests {
                 })
                 .collect(),
             PromExpr::Absent(sel) => {
-                if db.query_instant(sel, at, DEFAULT_LOOKBACK_NS).is_empty() {
+                if latest(sel).is_empty() {
                     // Like Prometheus: the result labels are the selector's
                     // equality matchers (minus the metric name).
                     let mut labels = omni_model::LabelSet::new();

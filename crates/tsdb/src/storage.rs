@@ -1,11 +1,14 @@
-//! Series storage: label-indexed, Gorilla-compressed, sharded for
+//! Series storage, in the shape of the log store: a series is its labels,
+//! an open run of plain samples and the Gorilla blocks sealed from earlier
+//! runs — what a Loki stream is with its head chunk and sealed chunks —
+//! found through the label index both stores share, and sharded for
 //! parallel ingest.
 
 use crate::gorilla::{GorillaBlock, GorillaEncoder};
 use omni_logql::Selector;
-use omni_model::{LabelSet, MetricRecord, Sample, Timestamp};
+use omni_model::{LabelIndex, LabelSet, MetricRecord, Sample, Timestamp};
 use parking_lot::RwLock;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -14,7 +17,7 @@ use std::sync::Arc;
 pub struct TsdbConfig {
     /// Shards for parallel ingest.
     pub shards: usize,
-    /// Seal a series' open encoder after this many samples.
+    /// Seal a series' open run into a Gorilla block at this many samples.
     pub block_max_samples: usize,
     /// Retention horizon in nanoseconds.
     pub retention_ns: i64,
@@ -32,63 +35,20 @@ impl Default for TsdbConfig {
 
 struct SeriesData {
     labels: LabelSet,
-    open: GorillaEncoder,
-    open_newest: Timestamp,
+    /// Samples since the last seal, non-decreasing in time: what alert
+    /// rules and panels read every cycle, so kept plain.
+    open: Vec<Sample>,
+    /// Newest timestamp accepted; outlives the seal that empties `open`.
+    newest: Timestamp,
+    /// Sealed runs, oldest first.
     blocks: Vec<GorillaBlock>,
 }
 
-impl SeriesData {
-    fn samples_in(&self, start: Timestamp, end: Timestamp) -> Vec<Sample> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            if b.overlaps(start, end) {
-                out.extend(b.decode_range(start, end));
-            }
-        }
-        // Open encoder: decode via a temporary seal-free path. Samples in
-        // the encoder are also mirrored in `recent` for cheap reads.
-        out
-    }
-}
-
+#[derive(Default)]
 struct Shard {
     /// fingerprint → series.
     series: HashMap<u64, SeriesData>,
-    /// Mirror of each series' open (unsealed) samples for cheap reads.
-    recent: HashMap<u64, Vec<Sample>>,
-    /// (name, value) → fingerprints.
-    postings: BTreeMap<(String, String), BTreeSet<u64>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Self { series: HashMap::new(), recent: HashMap::new(), postings: BTreeMap::new() }
-    }
-
-    fn candidates(&self, selector: &Selector) -> Vec<u64> {
-        let mut result: Option<BTreeSet<u64>> = None;
-        for (name, value) in selector.equality_matchers() {
-            let set = self
-                .postings
-                .get(&(name.to_string(), value.to_string()))
-                .cloned()
-                .unwrap_or_default();
-            result = Some(match result {
-                None => set,
-                Some(prev) => prev.intersection(&set).copied().collect(),
-            });
-        }
-        match result {
-            Some(set) => set.into_iter().collect(),
-            None => {
-                // No equality matcher constrains the set: all series, in
-                // stable fingerprint order.
-                let mut fps: Vec<u64> = self.series.keys().copied().collect();
-                fps.sort_unstable();
-                fps
-            }
-        }
-    }
+    index: LabelIndex,
 }
 
 /// The time-series store ("we send metrics to Victoriametrics, the time
@@ -105,7 +65,7 @@ impl Tsdb {
     pub fn new(config: TsdbConfig) -> Self {
         assert!(config.shards > 0);
         Self {
-            shards: Arc::new((0..config.shards).map(|_| RwLock::new(Shard::new())).collect()),
+            shards: Arc::new((0..config.shards).map(|_| RwLock::default()).collect()),
             config,
             samples_ingested: Arc::new(AtomicU64::new(0)),
         }
@@ -121,36 +81,28 @@ impl Tsdb {
     /// most TSDBs' out-of-order policy.
     pub fn ingest(&self, record: &MetricRecord) {
         let fp = record.labels.fingerprint();
-        let shard = &self.shards[(fp % self.shards.len() as u64) as usize];
-        let mut sh = shard.write();
-        if !sh.series.contains_key(&fp) {
-            // New series: create and index its labels.
-            for (k, v) in record.labels.iter() {
-                sh.postings.entry((k.to_string(), v.to_string())).or_default().insert(fp);
+        let mut sh = self.shards[(fp % self.shards.len() as u64) as usize].write();
+        let Shard { series, index } = &mut *sh;
+        let series = series.entry(fp).or_insert_with(|| {
+            index.insert(&record.labels, fp);
+            SeriesData {
+                labels: record.labels.clone(),
+                open: Vec::new(),
+                newest: i64::MIN,
+                blocks: Vec::new(),
             }
-            sh.series.insert(
-                fp,
-                SeriesData {
-                    labels: record.labels.clone(),
-                    open: GorillaEncoder::new(),
-                    open_newest: i64::MIN,
-                    blocks: Vec::new(),
-                },
-            );
-        }
-        let series = sh.series.get_mut(&fp).unwrap();
-        if record.sample.ts < series.open_newest {
+        });
+        if record.sample.ts < series.newest {
             return; // out of order: drop
         }
-        series.open_newest = record.sample.ts;
-        series.open.append(record.sample);
-        let must_seal = series.open.len() >= self.config.block_max_samples;
-        if must_seal {
-            let enc = std::mem::take(&mut series.open);
-            series.blocks.push(enc.finish());
-            sh.recent.remove(&fp);
-        } else {
-            sh.recent.entry(fp).or_default().push(record.sample);
+        series.newest = record.sample.ts;
+        series.open.push(record.sample);
+        if series.open.len() >= self.config.block_max_samples {
+            // Taken, not drained: a series that goes quiet after a seal
+            // should not pin a full run's capacity.
+            let mut run = GorillaEncoder::new();
+            std::mem::take(&mut series.open).into_iter().for_each(|s| run.append(s));
+            series.blocks.push(run.finish());
         }
         self.samples_ingested.fetch_add(1, Ordering::Relaxed);
     }
@@ -170,22 +122,25 @@ impl Tsdb {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let sh = shard.read();
-            for fp in sh.candidates(selector) {
-                let Some(series) = sh.series.get(&fp) else { continue };
+            for fp in sh.index.candidates(selector.equality_matchers()) {
+                // Index and map change together under the shard lock: a
+                // posting with no series behind it is a bug, not a miss.
+                let series = &sh.series[&fp];
                 if !selector.matches(&series.labels) {
                     continue;
                 }
-                let mut samples = series.samples_in(start, end);
-                if let Some(recent) = sh.recent.get(&fp) {
-                    // `ingest` drops anything older than the series'
-                    // newest sample, so `recent` is non-decreasing:
-                    // `(start, end]` is a slice, not a filter.
-                    let lo = recent.partition_point(|s| s.ts <= start);
-                    let hi = recent.partition_point(|s| s.ts <= end);
-                    samples.extend_from_slice(&recent[lo..hi.max(lo)]);
+                let mut samples = Vec::new();
+                for b in series.blocks.iter().filter(|b| b.overlaps(start, end)) {
+                    samples.extend(b.decode_range(start, end));
                 }
-                // Sealed blocks in seal order, then the open samples: the
-                // same guarantee makes the concatenation ascending.
+                // `ingest` drops anything older than the series' newest
+                // sample, so `open` is non-decreasing: `(start, end]` is a
+                // slice, not a filter.
+                let lo = series.open.partition_point(|s| s.ts <= start);
+                let hi = series.open.partition_point(|s| s.ts <= end);
+                samples.extend_from_slice(&series.open[lo..hi.max(lo)]);
+                // Sealed blocks in seal order, then the open run: the same
+                // guarantee makes the concatenation ascending.
                 debug_assert!(samples.windows(2).all(|w| w[0].ts <= w[1].ts));
                 if !samples.is_empty() {
                     out.push((series.labels.clone(), samples));
@@ -196,33 +151,31 @@ impl Tsdb {
         out
     }
 
-    /// Latest sample at or before `at` within a lookback window, per
-    /// matching series (the PromQL instant-vector semantics).
-    pub fn query_instant(
-        &self,
-        selector: &Selector,
-        at: Timestamp,
-        lookback_ns: i64,
-    ) -> Vec<(LabelSet, Sample)> {
-        self.query_series(selector, at.saturating_sub(lookback_ns), at)
-            .into_iter()
-            .filter_map(|(labels, samples)| samples.last().map(|&s| (labels, s)))
-            .collect()
-    }
-
-    /// Drop blocks past retention. Returns blocks dropped.
+    /// Drop what is past retention, at whole-run granularity as Loki's
+    /// streams do: a sealed block whose newest sample is behind the
+    /// horizon, and the open run on the same predicate (or samples that
+    /// never sealed would outlive retention). A series left with nothing
+    /// is retired from the map and the index. Returns runs dropped.
     pub fn enforce_retention(&self, now: Timestamp) -> usize {
         let horizon = now.saturating_sub(self.config.retention_ns);
         let mut dropped = 0;
         for shard in self.shards.iter() {
             let mut sh = shard.write();
-            // Per-series retain plus a count sum: order-insensitive.
-            // lint:allow(nondet-iter)
-            for series in sh.series.values_mut() {
-                let before = series.blocks.len();
-                series.blocks.retain(|b| b.max_ts >= horizon);
-                dropped += before - series.blocks.len();
-            }
+            let Shard { series, index } = &mut *sh;
+            series.retain(|&fp, s| {
+                let before = s.blocks.len();
+                s.blocks.retain(|b| b.max_ts >= horizon);
+                dropped += before - s.blocks.len();
+                if s.open.last().is_some_and(|newest| newest.ts < horizon) {
+                    s.open.clear();
+                    dropped += 1;
+                }
+                let live = !(s.blocks.is_empty() && s.open.is_empty());
+                if !live {
+                    index.remove(&s.labels, fp);
+                }
+                live
+            });
         }
         dropped
     }
@@ -263,6 +216,20 @@ mod tests {
         Tsdb::new(TsdbConfig { shards: 2, block_max_samples: 8, ..Default::default() })
     }
 
+    /// PromQL's instant-vector lookup over the one read door: per matching
+    /// series, the latest sample at or before `at` within the lookback.
+    fn query_instant(
+        db: &Tsdb,
+        selector: &Selector,
+        at: Timestamp,
+        lookback_ns: i64,
+    ) -> Vec<(LabelSet, Sample)> {
+        db.query_series(selector, at.saturating_sub(lookback_ns), at)
+            .into_iter()
+            .filter_map(|(labels, samples)| samples.last().map(|&s| (labels, s)))
+            .collect()
+    }
+
     #[test]
     fn ingest_and_query() {
         let db = store();
@@ -283,11 +250,11 @@ mod tests {
         db.ingest_sample("up", labels!("job" => "a"), 100, 1.0);
         db.ingest_sample("up", labels!("job" => "a"), 200, 0.0);
         let sel = parse_selector(r#"{__name__="up"}"#).unwrap();
-        let v = db.query_instant(&sel, 250, 100);
+        let v = query_instant(&db, &sel, 250, 100);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].1.value, 0.0);
         // Outside lookback: empty.
-        assert!(db.query_instant(&sel, 1_000, 100).is_empty());
+        assert!(query_instant(&db, &sel, 1_000, 100).is_empty());
     }
 
     #[test]
@@ -374,14 +341,65 @@ mod tests {
     }
 
     #[test]
+    fn retention_retires_a_quiet_series_open_run_and_all() {
+        // Regression: only sealed blocks used to expire, so a series that
+        // went quiet before its first seal kept its samples for ever and
+        // stayed in the map and its copied index (`series_count() == 2`, A's
+        // three samples returned).
+        const DAY: i64 = 86_400 * 1_000_000_000;
+        let db =
+            Tsdb::new(TsdbConfig { shards: 2, block_max_samples: 16, retention_ns: 730 * DAY });
+        let (a, b) = (labels!("node" => "a"), labels!("node" => "b"));
+        for i in 0..3 {
+            db.ingest_sample("temp", a.clone(), i, 1.0);
+        }
+        for day in 0..800 {
+            db.ingest_sample("temp", b.clone(), day * DAY, 2.0);
+        }
+        // Horizon is day 70: B's first four 16-day blocks end behind it.
+        assert_eq!(db.enforce_retention(800 * DAY), 4 + 1, "B's aged blocks plus A's open run");
+        assert_eq!(db.series_count(), 1);
+        let sel = parse_selector(r#"{__name__="temp"}"#).unwrap();
+        let got = db.query_series(&sel, i64::MIN, i64::MAX);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].0.get("node"), Some("b"));
+        // A retired series is a new series again, found through the index.
+        db.ingest_sample("temp", a.clone(), 5, 3.0);
+        assert_eq!(db.series_count(), 2);
+        let sel_a = parse_selector(r#"{__name__="temp", node="a"}"#).unwrap();
+        assert_eq!(db.query_series(&sel_a, i64::MIN, i64::MAX)[0].1, vec![Sample::new(5, 3.0)]);
+    }
+
+    #[test]
+    fn compressed_bytes_is_the_gorilla_size_of_the_sealed_runs() {
+        // C2's bytes/sample is a statement about what the store holds: the
+        // same samples cut into the same runs through the encoder here.
+        let db = store(); // seals every 8 samples
+        let all: Vec<Sample> =
+            (0..3 * 8 + 1).map(|i| Sample::new(i * 15_000, 40.0 + (i % 7) as f64 * 0.25)).collect();
+        for s in &all {
+            db.ingest_sample("m", labels!("a" => "1"), s.ts, s.value);
+        }
+        let expected: usize = all
+            .chunks_exact(8)
+            .map(|run| {
+                let mut enc = GorillaEncoder::new();
+                run.iter().for_each(|&s| enc.append(s));
+                enc.finish().compressed_size()
+            })
+            .sum();
+        assert_eq!(db.compressed_bytes(), expected);
+    }
+
+    #[test]
     fn sentinel_timestamps_do_not_overflow() {
         // Regression: `at - lookback_ns` / `now - retention_ns` used to
         // overflow in debug builds with sentinel timestamps.
         let db = store();
         db.ingest_sample("up", labels!("job" => "a"), 100, 1.0);
         let sel = parse_selector(r#"{__name__="up"}"#).unwrap();
-        assert!(db.query_instant(&sel, i64::MIN, 100).is_empty());
-        assert_eq!(db.query_instant(&sel, i64::MAX, i64::MAX).len(), 1);
+        assert!(query_instant(&db, &sel, i64::MIN, 100).is_empty());
+        assert_eq!(query_instant(&db, &sel, i64::MAX, i64::MAX).len(), 1);
         assert_eq!(db.enforce_retention(i64::MIN), 0);
     }
 

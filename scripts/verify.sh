@@ -67,6 +67,17 @@ if grep -rn "Mutex<FullTextStore>\|discovery_stats" crates/core/src examples tes
     echo "a second log store is back on the write path"; exit 1
 fi
 
+echo "== one series store under the metric half (one label index, one copy of an open sample) =="
+# Both stores resolve selectors through omni_model::LabelIndex, and a TSDB
+# series keeps its open samples once, as a plain Vec<Sample>: neither the
+# hand-copied postings map nor the `recent` mirror may come back.
+if [ "$(grep -rn "struct LabelIndex" crates --include=*.rs | wc -l)" -ne 1 ]; then
+    echo "a second label index is back"; exit 1
+fi
+if grep -n "postings\|recent\|BTreeSet" crates/tsdb/src/storage.rs; then
+    echo "the TSDB has its own postings or a mirror of its open samples again"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
