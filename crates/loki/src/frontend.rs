@@ -10,13 +10,23 @@
 //! the still-mutable tail. This module reproduces that shape:
 //!
 //! * [`QueryFrontend::run_log_query`] / [`QueryFrontend::run_range_query`]
-//!   split on absolute multiples of [`Limits::split_interval_ns`] —
-//!   alignment makes consecutive refreshes produce *identical* splits —
-//!   and fan the cache misses out over the engine's shard-scoped scan
-//!   threads;
-//! * results are cached per split, keyed by the normalized query text
-//!   and the split window, with the split's [`QueryStats`] stored
-//!   alongside so cache hits report truthful statistics;
+//!   split on absolute multiples of [`Limits::split_interval_ns`] and fan
+//!   the cache misses out over the engine's shard-scoped scan threads;
+//! * a log split is cached under its exact window, limit and direction:
+//!   alignment makes consecutive refreshes of a *fixed* window produce
+//!   identical splits;
+//! * a range split is cached as a **step extent** — the matrix over one
+//!   contiguous run of grid steps, keyed by the query, the step, the
+//!   split bucket and the grid phase, not by the window. A dashboard's
+//!   window slides with the clock, so both ends of its splits move on
+//!   every refresh; against an extent the older splits are *covered*
+//!   (sliced from it) and the newest is covered up to the previous
+//!   refresh's last step, so only the new steps execute and are appended.
+//!   A cell at step `t` depends only on data in `(t − range, t]`, so the
+//!   spliced matrix is bit-identical to an unsplit evaluation — the
+//!   extents of Loki's and Cortex's results cache;
+//! * every entry stores the [`QueryStats`] of the executions that built
+//!   it, so cache hits report truthful statistics;
 //! * cached windows are invalidated by appends landing inside them
 //!   (out-of-order data, restored archives), by retention sweeps
 //!   crossing them, and wholesale by shard crash/recovery;
@@ -167,16 +177,23 @@ pub struct FrontendStats {
 /// the results cache answered it, the execution statistics behind its
 /// result (replayed verbatim for hits), and how long it queued behind
 /// the fair scheduler — Loki's per-subquery statistics breakdown.
+///
+/// A range split the cache held only a prefix of (its newest steps were
+/// executed and appended to the cached ones) is *not* cached, and its
+/// `stats` are those of the fresh execution alone: modeled latency, the
+/// byte budget and the slow-query log charge exactly the work that ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitStat {
     /// Split window start (exclusive).
     pub start: Timestamp,
     /// Split window end (inclusive).
     pub end: Timestamp,
-    /// Whether the results cache answered this split.
+    /// Whether the results cache answered the whole split.
     pub cached: bool,
-    /// The split's execution statistics (for hits: the statistics of
-    /// the execution that filled the cache entry).
+    /// The split's execution statistics. For a hit: the statistics the
+    /// entry stored — for a range extent, every execution that built it,
+    /// absorbed. For a split the cache answered in part: only the steps
+    /// that executed.
     pub stats: QueryStats,
     /// Virtual nanoseconds this split queued behind the fair scheduler
     /// before its scan was granted. Zero for cache hits — they never
@@ -228,44 +245,69 @@ pub struct QueryRecord {
     pub report: QueryReport,
 }
 
-/// One split's cache identity: the normalized query text plus the exact
-/// split window and result-shaping parameters. Two textual spellings of
-/// the same query (whitespace differences outside string literals)
-/// share an entry; anything semantically distinct cannot collide.
+/// One cache entry's identity: the tenant, the normalized query text and
+/// which split it answers. Two textual spellings of the same query
+/// (whitespace differences outside string literals) share an entry;
+/// anything semantically distinct cannot collide.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct CacheKey {
     /// Owning tenant: the cache is tenant-partitioned so one tenant's
     /// results can never be served to (or evicted into) another's view.
     tenant: TenantId,
     query: String,
-    start: Timestamp,
-    end: Timestamp,
-    /// `0` for log queries, the evaluation step for range queries.
-    step_ns: i64,
-    limit: usize,
-    direction: Direction,
+    split: SplitKey,
 }
 
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum SplitKey {
+    /// A log split: its exact window and the parameters that shape its
+    /// result.
+    Window { start: Timestamp, end: Timestamp, limit: usize, direction: Direction },
+    /// A range split's step extent: the steps of one grid (`phase` is
+    /// `first step mod step_ns`) inside one aligned split-interval
+    /// bucket. Where the window sits inside the bucket is the extent's
+    /// value, not its key.
+    Extent { step_ns: i64, bucket: i64, phase: i64 },
+}
+
 enum CachedData {
     Logs(Vec<LogRecord>),
-    Series(Matrix),
+    /// The matrix over the grid steps `first ..= last`.
+    Extent {
+        first: Timestamp,
+        last: Timestamp,
+        matrix: Matrix,
+    },
 }
 
 struct CacheEntry {
     data: CachedData,
-    /// The split's execution statistics, replayed verbatim on a hit so
-    /// warm and cold refreshes report the same truthful numbers.
+    /// The statistics of every execution that built the entry, absorbed,
+    /// replayed verbatim on a hit.
     stats: QueryStats,
     /// Oldest timestamp the result depends on: the split start for log
-    /// splits, `first step − range` for range splits. An append or a
+    /// splits, `first step − range` for range extents. An append or a
     /// retention horizon inside `(data_start, end]` invalidates.
     data_start: Timestamp,
+    /// Newest timestamp the result depends on: the split end for log
+    /// splits, the last step for range extents.
     end: Timestamp,
 }
 
+type Cache = HashMap<CacheKey, CacheEntry>;
+
+/// What the cache holds for one planned split `(s, e)`.
+enum Lookup<T, H> {
+    /// All of it: the split's data and the statistics the entry replays.
+    Hit(T, QueryStats),
+    /// The rest: the split executes from `from` (its own start, or the
+    /// first step past a range extent) to `e`, and `held` carries what
+    /// the cache did hold to the store step.
+    Execute { from: Timestamp, held: H },
+}
+
 struct FrontendShared {
-    cache: OrderedMutex<HashMap<CacheKey, CacheEntry>>,
+    cache: OrderedMutex<Cache>,
     /// Newest `end` across cached entries: an append strictly newer than
     /// this cannot invalidate anything, keeping the hot in-order ingest
     /// path at one atomic load.
@@ -477,45 +519,45 @@ impl QueryFrontend {
         self.shared.scheduler.take_waits()
     }
 
-    /// The split protocol both cached query kinds share: resolve every
-    /// window in `bounds` from the results cache, execute the misses in
-    /// parallel through the fair scheduler, hold the fresh work to the
-    /// byte budget and the deadline, cache it, and return each split's
-    /// data with its [`SplitStat`] in ascending window order.
-    /// `lookback_ns` is how far behind its start a split's result depends
-    /// on data (a metric query's range; `0` for logs).
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_splits<T: Clone + Send>(
+    /// The split protocol both cached query kinds share: `lookup` each
+    /// window in `bounds` in the results cache, execute what it did not
+    /// hold in parallel through the fair scheduler, hold the fresh work
+    /// to the byte budget and the deadline, let `store` join it to what
+    /// the cache held and name the entry to cache, and return each
+    /// split's data with its [`SplitStat`] in ascending window order.
+    fn resolve_splits<T: Send, H>(
         &self,
         ctx: &QueryContext,
         bounds: &[(Timestamp, Timestamp)],
-        key: impl Fn(Timestamp, Timestamp) -> CacheKey,
-        lookback_ns: i64,
         deadline: Timestamp,
-        cached: impl Fn(&CachedData) -> Option<&T>,
-        to_cache: impl Fn(T) -> CachedData,
+        lookup: impl Fn(&Cache, Timestamp, Timestamp) -> Lookup<T, H>,
         exec: impl Fn(Timestamp, Timestamp) -> (T, QueryStats) + Sync,
+        store: impl Fn((Timestamp, Timestamp), H, T, QueryStats) -> (T, Option<(CacheKey, CacheEntry)>),
     ) -> Result<Vec<(T, SplitStat)>, QueryError> {
         self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
 
-        // Resolve each split from the cache; misses collect for a
-        // parallel pass.
+        // Resolve each split from the cache; what it lacks collects for
+        // a parallel pass.
         let mut parts: Vec<Option<(T, SplitStat)>> = Vec::with_capacity(bounds.len());
+        let mut held: Vec<H> = Vec::new();
         let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
         {
             let cache = self.shared.cache.lock();
             let mut saved = self.shared.bytes_saved.lock();
             for (i, &(s, e)) in bounds.iter().enumerate() {
-                let hit = cache.get(&key(s, e)).and_then(|en| Some((cached(&en.data)?, en.stats)));
-                parts.push(hit.map(|(data, stats)| {
-                    saved.push(stats.bytes_scanned as u64);
-                    let split =
-                        SplitStat { start: s, end: e, cached: true, stats, queue_wait_vns: 0 };
-                    (data.clone(), split)
-                }));
-                if parts[i].is_none() {
-                    todo.push((i, s, e));
-                }
+                parts.push(match lookup(&cache, s, e) {
+                    Lookup::Hit(data, stats) => {
+                        saved.push(stats.bytes_scanned as u64);
+                        let split =
+                            SplitStat { start: s, end: e, cached: true, stats, queue_wait_vns: 0 };
+                        Some((data, split))
+                    }
+                    Lookup::Execute { from, held: h } => {
+                        held.push(h);
+                        todo.push((i, from, e));
+                        None
+                    }
+                });
             }
         }
         self.shared.hits.fetch_add((bounds.len() - todo.len()) as u64, Ordering::Relaxed);
@@ -529,20 +571,16 @@ impl QueryFrontend {
         self.check_deadline(deadline)?;
 
         let mut cache = self.shared.cache.lock();
-        for (i, s, e, ((data, stats), wait_vns)) in executed {
-            if cache.len() >= CACHE_MAX {
-                cache.clear();
+        for ((i, _, _, ((fresh, stats), wait_vns)), h) in executed.into_iter().zip(held) {
+            let (s, e) = bounds[i];
+            let (data, entry) = store((s, e), h, fresh, stats);
+            if let Some((key, entry)) = entry {
+                if cache.len() >= CACHE_MAX {
+                    cache.clear();
+                }
+                self.shared.max_cached_end.fetch_max(entry.end, Ordering::AcqRel);
+                cache.insert(key, entry);
             }
-            cache.insert(
-                key(s, e),
-                CacheEntry {
-                    data: to_cache(data.clone()),
-                    stats,
-                    data_start: s.saturating_sub(lookback_ns),
-                    end: e,
-                },
-            );
-            self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
             let split =
                 SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns };
             parts[i] = Some((data, split));
@@ -581,14 +619,10 @@ impl QueryFrontend {
 
         let bounds = split_bounds(start, end, self.limits.split_interval_ns);
         let norm = normalize_query(text);
-        let key = |s: Timestamp, e: Timestamp| CacheKey {
+        let key = |start: Timestamp, end: Timestamp| CacheKey {
             tenant: ctx.tenant.clone(),
             query: norm.clone(),
-            start: s,
-            end: e,
-            step_ns: 0,
-            limit,
-            direction,
+            split: SplitKey::Window { start, end, limit, direction },
         };
         // Each split keeps its own direction-ordered top-`limit`; the
         // global top-`limit` is a prefix of their concatenation, so the
@@ -596,15 +630,18 @@ impl QueryFrontend {
         let resolved = self.resolve_splits(
             ctx,
             &bounds,
-            key,
-            0,
             deadline,
-            |data| match data {
-                CachedData::Logs(records) => Some(records),
-                CachedData::Series(_) => None,
+            |cache, s, e| match cache.get(&key(s, e)) {
+                Some(CacheEntry { data: CachedData::Logs(records), stats, .. }) => {
+                    Lookup::Hit(records.clone(), *stats)
+                }
+                _ => Lookup::Execute { from: s, held: () },
             },
-            CachedData::Logs,
             |s, e| engine::run_log_query(shards, query, s, e, limit, direction),
+            |(s, e), (), records, stats| {
+                let data = CachedData::Logs(records.clone());
+                (records, Some((key(s, e), CacheEntry { data, stats, data_start: s, end: e })))
+            },
         )?;
 
         // Splits cover disjoint ascending windows, and each is sorted in
@@ -638,6 +675,14 @@ impl QueryFrontend {
     /// samples concatenate (per series, ascending) into exactly what an
     /// unsplit [`engine::run_range_query`] call produces, because every
     /// step is evaluated independently over its own lookback.
+    ///
+    /// Each run resolves against the step extent of its bucket and grid
+    /// phase. Covered: sliced from the extent. Covered up to the
+    /// extent's last step: only the later steps execute, each series'
+    /// fresh samples append after its cached ones, and the extent is
+    /// stored again from the run's first step on — an extent never holds
+    /// more steps than the newest run that touched it. Otherwise the run
+    /// executes whole and replaces the extent.
     #[allow(clippy::too_many_arguments)]
     pub fn run_range_query(
         &self,
@@ -654,53 +699,70 @@ impl QueryFrontend {
 
         self.shared.pushdown_queries.fetch_add(1, Ordering::Relaxed);
 
-        let groups = range_groups(start, end, step_ns, self.limits.split_interval_ns);
+        let interval = self.limits.split_interval_ns;
+        let groups = range_groups(start, end, step_ns, interval);
         let norm = normalize_query(text);
-        let key = |s: Timestamp, e: Timestamp| CacheKey {
+        let key = |first: Timestamp| CacheKey {
             tenant: ctx.tenant.clone(),
             query: norm.clone(),
-            start: s,
-            end: e,
-            step_ns,
-            limit: usize::MAX,
-            direction: Direction::Forward,
+            split: SplitKey::Extent {
+                step_ns,
+                bucket: first.checked_div_euclid(interval).unwrap_or(0),
+                phase: first.checked_rem_euclid(step_ns).unwrap_or(0),
+            },
         };
-        // Map/reduce: each shard returns per-step partial aggregates and
-        // the frontend merges them — entries never ship. The first step's
-        // lookback reaches `range` behind the group start.
         let resolved = self.resolve_splits(
             ctx,
             &groups,
-            key,
-            query.range_ns(),
             deadline,
-            |data| match data {
-                CachedData::Series(matrix) => Some(matrix),
-                CachedData::Logs(_) => None,
+            |cache, s, e| {
+                let whole = Lookup::Execute { from: s, held: None };
+                let Some(e) = last_step(s, e, step_ns) else { return whole };
+                match cache.get(&key(s)) {
+                    Some(CacheEntry {
+                        data: CachedData::Extent { first, last, matrix },
+                        stats,
+                        ..
+                    }) if *first <= s && s <= *last => {
+                        if *last >= e {
+                            Lookup::Hit(slice_steps(matrix, s, e), *stats)
+                        } else {
+                            let held = Some((slice_steps(matrix, s, *last), *stats));
+                            Lookup::Execute { from: *last + step_ns, held }
+                        }
+                    }
+                    _ => whole,
+                }
             },
-            CachedData::Series,
+            // Map/reduce: each shard returns per-step partial aggregates
+            // and the frontend merges them — entries never ship.
             |s, e| {
                 let out = engine::run_range_query(shards, query, s, e, step_ns);
                 self.note_pushdown(&out.1);
                 out
             },
+            |(s, e), held, fresh, fresh_stats| {
+                let (cached, mut stats) = held.unwrap_or_default();
+                stats.absorb(fresh_stats);
+                let matrix = join_series([cached, fresh]);
+                // The first step's lookback reaches `range` behind it.
+                let entry = last_step(s, e, step_ns).map(|last| {
+                    let data = CachedData::Extent { first: s, last, matrix: matrix.clone() };
+                    let data_start = s.saturating_sub(query.range_ns());
+                    (key(s), CacheEntry { data, stats, data_start, end: last })
+                });
+                (matrix, entry)
+            },
         )?;
 
-        // Groups are ascending and disjoint on the step grid; appending
-        // per-series samples in group order reproduces the unsplit
-        // evaluation's ascending sample vectors.
         let splits: Vec<SplitStat> = resolved.iter().map(|(_, sp)| *sp).collect();
         let mut merged = QueryStats::default();
-        let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
-        for (matrix, split) in resolved {
+        for split in &splits {
             merged.absorb(split.stats);
-            for (labels, samples) in matrix {
-                series.entry(labels).or_default().extend(samples);
-            }
         }
         let report = QueryReport::from_splits(merged, splits);
         self.record_query(ctx, &norm, start, end, &report);
-        Ok((series.into_iter().collect(), report))
+        Ok((join_series(resolved.into_iter().map(|(matrix, _)| matrix)), report))
     }
 
     /// Evaluate a metric query at one instant for the tenant in `ctx`,
@@ -877,6 +939,41 @@ fn range_groups(
         return vec![(start, end)];
     }
     out.into_iter().map(|(_, s, e)| (s, e)).collect()
+}
+
+/// The last step of the grid `s, s + step, …` at or before `e`; `None`
+/// for an empty grid (`e < s`, or a step the engine itself rejects).
+fn last_step(s: Timestamp, e: Timestamp, step_ns: i64) -> Option<Timestamp> {
+    if s > e || step_ns <= 0 {
+        return None;
+    }
+    let steps = (i128::from(e) - i128::from(s)) / i128::from(step_ns);
+    i64::try_from(i128::from(s) + steps * i128::from(step_ns)).ok()
+}
+
+/// An extent's samples at steps `s ..= e`, dropping series left empty.
+fn slice_steps(matrix: &Matrix, s: Timestamp, e: Timestamp) -> Matrix {
+    matrix
+        .iter()
+        .filter_map(|(labels, samples)| {
+            let from = samples.partition_point(|x| x.ts < s);
+            let to = samples.partition_point(|x| x.ts <= e);
+            (from < to).then(|| (labels.clone(), samples[from..to].to_vec()))
+        })
+        .collect()
+}
+
+/// Join matrices over ascending, disjoint runs of one step grid:
+/// appending each series' samples in run order reproduces the unsplit
+/// evaluation's ascending sample vectors.
+fn join_series(parts: impl IntoIterator<Item = Matrix>) -> Matrix {
+    let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
+    for part in parts {
+        for (labels, samples) in part {
+            series.entry(labels).or_default().extend(samples);
+        }
+    }
+    series.into_iter().collect()
 }
 
 #[cfg(test)]

@@ -1417,6 +1417,21 @@ mod tests {
     }
 
     #[test]
+    fn equality_on_the_empty_value_matches_streams_without_the_label() {
+        // Regression: `slot=""` went to the label index as a posting
+        // lookup, found none and answered nothing, although a missing
+        // label matches `""`.
+        let c = cluster(2);
+        c.push(labels!("job" => "x"), 1, "no slot").unwrap();
+        c.push(labels!("job" => "x", "slot" => "3"), 1, "slot 3").unwrap();
+        c.push(labels!("job" => "y"), 1, "other job").unwrap();
+        let out = c.query_logs(r#"{job="x", slot=""}"#, 0, 10, usize::MAX).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].entry.line, "no slot");
+        assert_eq!(c.series(r#"{job="x", slot=""}"#).unwrap(), vec![labels!("job" => "x")]);
+    }
+
+    #[test]
     fn range_query_prefetch_matches_per_step_instants() {
         let c = cluster(4);
         for i in 0..500 {
@@ -1881,6 +1896,44 @@ mod tests {
         // Warm pass: identical again.
         assert_eq!(split.query_range(q, 0, end, step).unwrap(), b);
         assert!(split.frontend().stats().cache_hits > 0);
+    }
+
+    #[test]
+    fn sliding_range_refresh_executes_only_the_new_step() {
+        // One line a minute; 10m steps over 1h splits.
+        let c = cluster(2);
+        for i in 0..240 {
+            c.push(labels!("app" => "fm"), i * 60 * NANOS_PER_SEC, format!("event {i}")).unwrap();
+        }
+        let (q, minute) = (r#"count_over_time({app="fm"}[10m])"#, 60 * NANOS_PER_SEC);
+        let step_ns = 10 * minute;
+        let range = |start: Timestamp, end: Timestamp| {
+            let shape = QueryShape::Range { start, end, step_ns };
+            c.query(QueryRequest { tenant: None, query: q, shape }).unwrap()
+        };
+        let cached = |r: &QueryResponse| -> Vec<bool> {
+            r.report.splits.iter().map(|sp| sp.cached).collect()
+        };
+        // Steps 30m..150m: runs [30, 50] [60, 110] [120, 150].
+        let cold = range(30 * minute, 150 * minute);
+        assert_eq!(cached(&cold), vec![false; 3]);
+        // One step later: the older runs are sliced from their extents,
+        // the newest executes 160m alone — the ten lines in (150m, 160m].
+        let next = range(40 * minute, 160 * minute);
+        assert_eq!(cached(&next), vec![true, true, false]);
+        assert_eq!(next.report.splits[2].stats.entries_scanned, 10);
+        let mq = match parse_expr(q).unwrap() {
+            Expr::Metric(m) => m,
+            Expr::Log(_) => unreachable!(),
+        };
+        let direct = engine::run_range_query(&c.shards(), &mq, 40 * minute, 160 * minute, step_ns);
+        assert_eq!(next.data.into_matrix(), Some(direct.0));
+        // A repeat is all hits, and the extended extent replays every
+        // execution that built it: the cold run's 40 lines plus these 10.
+        let repeat = range(40 * minute, 160 * minute);
+        assert_eq!(cached(&repeat), vec![true; 3]);
+        let built = cold.report.splits[2].stats.entries_scanned + 10;
+        assert_eq!(repeat.report.splits[2].stats.entries_scanned, built);
     }
 
     #[test]

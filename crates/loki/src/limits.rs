@@ -29,8 +29,9 @@ pub struct Limits {
     pub retention_ns: i64,
     /// The query frontend splits range/log queries into sub-queries of at
     /// most this many nanoseconds, aligned to absolute multiples so
-    /// repeated dashboard refreshes produce identical, cacheable splits
-    /// (Loki's `split_queries_by_interval`). `0` disables splitting.
+    /// repeated dashboard refreshes share split boundaries — and with
+    /// them cached splits and range step extents (Loki's
+    /// `split_queries_by_interval`). `0` disables splitting.
     pub split_interval_ns: i64,
     /// Reject log queries requesting more than this many entries
     /// (Loki's `max_entries_limit_per_query`).

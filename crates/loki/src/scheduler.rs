@@ -324,16 +324,15 @@ mod tests {
             while s.stats().grants < 1 {
                 std::thread::yield_now();
             }
-            for _ in 0..8 {
-                let (s, a) = (s.clone(), a.clone());
-                scope.spawn(move || s.run(&a, 1, || ()));
-            }
-            {
-                let (s, b) = (s.clone(), b.clone());
-                scope.spawn(move || s.run(&b, 1, || ()));
-            }
-            while s.lock().queue.len() < 9 {
-                std::thread::yield_now();
+            // Reserve the backlog's tickets in a fixed order — eight of
+            // `a`, then `b` — before any thread runs, as `run_parallel`
+            // does: `b`'s tag ties `a`'s first and loses on sequence, so
+            // its wait no longer depends on which thread enqueued first.
+            let tickets: Vec<u64> =
+                [&a; 8].into_iter().chain([&b]).map(|t| s.ticket(t, 1)).collect();
+            for ticket in tickets {
+                let s = s.clone();
+                scope.spawn(move || s.run_ticket(ticket, || ()));
             }
             *gate.0.lock().unwrap() = true;
             gate.1.notify_all();

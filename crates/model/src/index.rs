@@ -46,9 +46,12 @@ impl LabelIndex {
 
     /// Candidate fingerprints for a set of equality constraints: the
     /// intersection of their postings. With no constraints, all streams.
+    /// An equality on the empty value narrows nothing: a selector treats
+    /// a missing label as `""`, so `{slot=""}` matches every stream
+    /// without `slot`, and those have no posting to look up.
     pub fn candidates<'a>(&self, equalities: impl Iterator<Item = (&'a str, &'a str)>) -> Vec<u64> {
         let mut result: Option<BTreeSet<u64>> = None;
-        for (name, value) in equalities {
+        for (name, value) in equalities.filter(|(_, value)| !value.is_empty()) {
             let set = self
                 .postings
                 .get(&(name.to_string(), value.to_string()))
@@ -128,6 +131,17 @@ mod tests {
         idx.insert(&labels!("a" => "1"), 7);
         idx.insert(&labels!("b" => "2"), 8);
         assert_eq!(idx.candidates(std::iter::empty()), vec![7, 8]);
+    }
+
+    #[test]
+    fn equality_on_the_empty_value_does_not_narrow() {
+        let mut idx = LabelIndex::new();
+        idx.insert(&labels!("job" => "x"), 1);
+        idx.insert(&labels!("job" => "x", "slot" => "3"), 2);
+        idx.insert(&labels!("job" => "y"), 3);
+        // The caller's matcher pass drops 2; the index must keep 1.
+        assert_eq!(idx.candidates([("job", "x"), ("slot", "")].into_iter()), vec![1, 2]);
+        assert_eq!(idx.candidates([("slot", "")].into_iter()), vec![1, 2, 3]);
     }
 
     #[test]

@@ -280,6 +280,21 @@ mod tests {
     }
 
     #[test]
+    fn equality_on_the_empty_value_matches_series_without_the_label() {
+        // Regression: `slot=""` went to the label index as a posting
+        // lookup, found none and answered nothing, although a missing
+        // label matches `""`.
+        let db = store();
+        db.ingest_sample("m", labels!("job" => "x"), 1, 1.0);
+        db.ingest_sample("m", labels!("job" => "x", "slot" => "3"), 1, 2.0);
+        db.ingest_sample("m", labels!("job" => "y"), 1, 3.0);
+        let sel = parse_selector(r#"{__name__="m", job="x", slot=""}"#).unwrap();
+        let series = db.query_series(&sel, -1, 10);
+        assert_eq!(series.len(), 1);
+        assert_eq!(series[0].0, labels!("__name__" => "m", "job" => "x"));
+    }
+
+    #[test]
     fn blocks_seal_and_remain_queryable() {
         let db = store(); // seals every 8 samples
         for i in 0..50 {

@@ -15,7 +15,10 @@
 //!   the stale posting finds no series behind it);
 //! * expiring the open run on its oldest sample instead of its newest;
 //! * forgetting `newest` at a seal (an old sample accepted into the empty
-//!   open run).
+//!   open run);
+//!
+//! and, in `omni_model::LabelIndex::candidates`, narrowing on an equality
+//! with the empty value (`{__name__="temp", slot=""}` answers nothing).
 
 use omni_logql::matcher::{MatchOp, Matcher, Selector};
 use omni_model::{labels, LabelSet, MetricRecord, Sample, Timestamp};
@@ -48,6 +51,8 @@ fn selectors() -> Vec<Selector> {
         Selector::new(vec![m("__name__", MatchOp::Eq, "temp"), m("node", MatchOp::Eq, "x9")]),
         // No equality matcher: the index has nothing to intersect.
         Selector::new(vec![m("node", MatchOp::Re, "x[23]")]),
+        // An equality on the empty value: every series lacks `slot`.
+        Selector::new(vec![m("__name__", MatchOp::Eq, "temp"), m("slot", MatchOp::Eq, "")]),
     ]
 }
 

@@ -14,12 +14,17 @@
 //! 3. every panel query is a decomposable aggregation, so the refresh
 //!    moves per-shard partial aggregates through the query frontend
 //!    instead of shipping entries — the frontend's pushdown counters
-//!    prove it.
+//!    prove it;
+//! 4. one render step later the window has slid by one step, and the
+//!    refresh executes only that step: every older split is sliced from
+//!    the step extents the first refresh cached, and the newest scans no
+//!    more entries than the new step's own lookback.
 //!
 //! Everything derives from the stack seed and the virtual clock, so two
 //! runs print byte-identical output.
 
 use shasta_mon::core::{Dashboard, HeatmapSpec, MonitoringStack, StackConfig};
+use shasta_mon::loki::{QueryRequest, QueryShape};
 use shasta_mon::model::NANOS_PER_SEC;
 use shasta_mon::shasta::{LeakZone, SwitchState};
 use shasta_mon::xname::{ComponentKind, XName};
@@ -97,6 +102,52 @@ fn main() {
     assert!(stats.pushdown_queries > 0, "heatmap panels are decomposable — they must push down");
     assert!(stats.pushdown_partials > 0, "shards must contribute partial aggregates");
     assert!(stats.pushdown_entries_saved > 0, "pushdown must save shipping the matched entries");
+
+    // --- Part 4: one render step later, only the new step executes ----
+    // Fresh faults, so the new step has events of its own to scan.
+    let step = 15 * minute;
+    stack.inject_leak(chassis[0], 'A', LeakZone::Rear);
+    stack.take_switch_offline(switches[0], SwitchState::Offline);
+    for _ in 0..3 {
+        stack.step(5 * minute, 20, 8);
+    }
+    let (start, later) = (step, stack.clock.now());
+    let newest = start + (later - start) / step * step;
+    let frontend = stack.omni.loki().frontend();
+    frontend.take_query_records();
+    stack.pane.render_dashboard(&dashboard, start, later, step).expect("the refresh renders");
+    let records = frontend.take_query_records();
+    assert_eq!(records.len(), dashboard.panels.len(), "one range query per panel");
+    let (mut splits, mut hits, mut fresh, mut lookback) = (0, 0, 0, 0);
+    for record in &records {
+        let (_, older) = record.report.splits.split_last().expect("a range query plans splits");
+        assert!(older.iter().all(|sp| sp.cached), "{}: an older split executed", record.query);
+        // The newest step alone, evaluated as an instant: its lookback.
+        let shape = QueryShape::Instant { at: newest };
+        let instant =
+            stack.omni.loki().query(QueryRequest { tenant: None, query: &record.query, shape });
+        let step_scan = instant.expect("the panel query evaluates").report.stats.entries_scanned;
+        let scanned: usize = record
+            .report
+            .splits
+            .iter()
+            .filter(|sp| !sp.cached)
+            .map(|sp| sp.stats.entries_scanned)
+            .sum();
+        assert!(
+            scanned <= step_scan,
+            "{}: scanned {scanned} > the new step's {step_scan}",
+            record.query
+        );
+        splits += record.report.splits.len();
+        hits += record.report.cache_hits;
+        fresh += scanned;
+        lookback += step_scan;
+    }
+    println!(
+        "sliding refresh: {hits} of {splits} splits from cache, \
+         {fresh} entries scanned for the new step (its lookback holds {lookback})"
+    );
 
     println!("\nheatmap drill: all assertions hold");
 }

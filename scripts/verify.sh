@@ -122,10 +122,13 @@ cargo run -q --release --example compaction_drill -- --quick \
 echo "== heatmap drill (component rollups over pushed-down aggregations) =="
 # The drill asserts the cabinet/chassis rollups light up, every rolled-up
 # row name parses to the requested hierarchy level, and the frontend's
-# pushdown counters prove the refresh moved partials, not entries.
+# pushdown counters prove the refresh moved partials, not entries. A
+# refresh one render step later must take every older split from the
+# range step extents and scan no more than the new step's lookback.
 heatmap_out="$(cargo run -q --release --example heatmap_drill)"
 echo "$heatmap_out" | grep "heatmap drill: all assertions hold"
 echo "$heatmap_out" | grep -q "queries pushed down" || { echo "pushdown stats missing"; exit 1; }
+echo "$heatmap_out" | grep "^sliding refresh: " || { echo "sliding refresh line missing"; exit 1; }
 
 echo "== bench smoke (--quick: tiny workload, no report rewrite) =="
 cargo bench -q -p omni-bench --bench c1_ingest_throughput -- --quick | grep "pr3 ingest"
