@@ -71,7 +71,8 @@ pub struct StackConfig {
     /// self-ingested slow-query log (and counts as bad for the
     /// `query-latency` SLO). The virtual clock is frozen while a query
     /// runs, so latency is priced from the query's execution statistics
-    /// (see `modeled_query_latency_ns`).
+    /// plus its queue wait behind other querying threads (see
+    /// `modeled_query_latency_ns`).
     pub slow_query_threshold_ns: i64,
     /// Tail-sampling policy for the trace store. The default keeps every
     /// finished trace; drills tighten it to bound retention under load.
@@ -134,8 +135,10 @@ impl std::error::Error for StackError {}
 /// while a query runs (queries are instantaneous in simulation time), so
 /// the slow-query log and the `query-latency` SLO price a query from the
 /// statistics its execution actually produced: blocks decompressed,
-/// bytes inflated, entries scanned, plus the scheduler queue wait the
-/// fair scheduler measured in virtual nanoseconds.
+/// bytes inflated, entries scanned, plus the queue wait the fair
+/// scheduler measured in virtual nanoseconds. A query runs its splits in
+/// order on one thread, so that wait is contention from other querying
+/// threads only: a lone query's is zero.
 const QUERY_COST_PER_BLOCK_NS: i64 = 200_000; // 0.2ms per decoded block
 const QUERY_COST_PER_KIB_NS: i64 = 50_000; // 0.05ms per decompressed KiB
 const QUERY_COST_PER_ENTRY_NS: i64 = 2_000; // 2µs per scanned entry
@@ -149,7 +152,8 @@ fn modeled_scan_cost_ns(s: &omni_loki::QueryStats) -> i64 {
         + s.cold_chunks_touched as i64 * QUERY_COST_PER_COLD_CHUNK_NS
 }
 
-/// Price a whole query: scheduler queue wait plus the scan cost of every
+/// Price a whole query: its scheduler queue wait behind other querying
+/// threads (zero when it queried alone) plus the scan cost of every
 /// split that actually executed (cache hits are free).
 fn modeled_query_latency_ns(report: &QueryReport) -> i64 {
     report.queue_wait_vns as i64
@@ -697,8 +701,9 @@ impl MonitoringStack {
     }
 
     /// Build the span tree for one completed query — a `query` root with
-    /// a `queue_wait` child and one `split_execute`/`split_cache_hit`
-    /// child per planned split, laid out on modeled time ending at `now`
+    /// a `queue_wait` child when the query queued behind other querying
+    /// threads and one `split_execute`/`split_cache_hit` child per
+    /// planned split, laid out on modeled time ending at `now`
     /// — then finish the trace so tail sampling decides its fate.
     fn trace_query(&mut self, record: &QueryRecord, latency_ns: i64, now: Timestamp) -> u64 {
         self.query_trace_seq += 1;
@@ -1475,6 +1480,45 @@ mod tests {
         let page = SelfExporter::new(stack.registry().clone()).render();
         assert!(page.contains("# EXEMPLAR omni_query_latency_seconds_bucket"), "exemplar missing");
         assert!(page.contains(&format_trace_id(trace_id)), "exemplar links the same trace");
+    }
+
+    #[test]
+    fn contended_query_trace_opens_with_its_queue_wait() {
+        // No in-repo workload queues a query behind another querying
+        // thread, so feed the span builder a contended record directly.
+        let mut stack = MonitoringStack::new(StackConfig::default());
+        let stats = omni_loki::QueryStats { entries_scanned: 10, ..Default::default() };
+        let split = |start, cached| omni_loki::SplitStat {
+            start,
+            end: start + minute(),
+            cached,
+            stats,
+            queue_wait_vns: if cached { 0 } else { 3_000 },
+        };
+        let splits = vec![split(0, true), split(minute(), false), split(2 * minute(), false)];
+        let record = QueryRecord {
+            tenant: omni_model::TenantId::new("t"),
+            query: "{a=\"b\"}".into(),
+            start: 0,
+            end: 3 * minute(),
+            report: QueryReport {
+                stats,
+                cache_hits: 1,
+                cache_misses: 2,
+                queue_wait_vns: 6_000,
+                splits,
+            },
+        };
+        let latency_ns = modeled_query_latency_ns(&record.report);
+        let now = stack.clock.now();
+        let trace_id = stack.trace_query(&record, latency_ns, now);
+        let spans = stack.traces().spans(trace_id);
+        let root = spans.iter().find(|s| s.stage == "query").expect("query root");
+        let wait = spans.iter().find(|s| s.stage == "queue_wait").expect("queue_wait child");
+        assert_eq!(wait.parent_span_id, Some(root.span_id));
+        assert_eq!((wait.start, wait.end), (root.start, root.start + 6_000), "sized by the wait");
+        let first_exec = spans.iter().find(|s| s.stage == "split_execute").expect("split_execute");
+        assert!(wait.end <= first_exec.start, "the wait precedes the first executed split");
     }
 
     #[test]

@@ -5,13 +5,15 @@
 //! re-issuing the same LogQL over overlapping, mostly-immutable windows
 //! against a two-year retention store. Real Loki serves that workload
 //! through its query-frontend: queries are split on
-//! `split_queries_by_interval` boundaries, the splits run in parallel,
-//! and each split's result is cached so the next refresh only executes
-//! the still-mutable tail. This module reproduces that shape:
+//! `split_queries_by_interval` boundaries and each split's result is
+//! cached so the next refresh only executes the still-mutable tail. This
+//! module reproduces that shape:
 //!
 //! * [`QueryFrontend::run_log_query`] / [`QueryFrontend::run_range_query`]
-//!   split on absolute multiples of [`Limits::split_interval_ns`] and fan
-//!   the cache misses out over the engine's shard-scoped scan threads;
+//!   split on absolute multiples of [`Limits::split_interval_ns`] and run
+//!   the cache misses in ascending order on the calling thread, each
+//!   behind the [`FairScheduler`]. The one fan-out is the engine's scan
+//!   over shards, inside each split;
 //! * a log split is cached under its exact window, limit and direction:
 //!   alignment makes consecutive refreshes of a *fixed* window produce
 //!   identical splits;
@@ -57,8 +59,9 @@ const CACHE_MAX: usize = 4_096;
 /// an astronomical number of splits.
 const MAX_SPLITS: usize = 256;
 
-/// Concurrency bound of the split-scan pool the fair scheduler guards.
-/// Matches the order of shard-scan threads the engine itself spawns.
+/// How many splits the fair scheduler lets execute at once, across all
+/// querying threads. Each querying thread runs one split at a time, so
+/// the gate queues only when more than this many threads query at once.
 const SCHED_POOL: usize = 8;
 
 /// Bound on buffered [`QueryRecord`]s awaiting a drain; oldest records
@@ -195,9 +198,10 @@ pub struct SplitStat {
     /// absorbed. For a split the cache answered in part: only the steps
     /// that executed.
     pub stats: QueryStats,
-    /// Virtual nanoseconds this split queued behind the fair scheduler
-    /// before its scan was granted. Zero for cache hits — they never
-    /// touch the scan pool.
+    /// Virtual nanoseconds this split queued behind other querying
+    /// threads' splits at the fair scheduler before its scan was granted.
+    /// Zero for cache hits — they never touch the scheduler — and for a
+    /// query whose thread was the only one querying.
     pub queue_wait_vns: u64,
 }
 
@@ -326,9 +330,9 @@ struct FrontendShared {
     /// by [`RECORD_CAP`]); the stack builds the slow-query log and the
     /// query-latency histogram from these.
     records: OrderedMutex<VecDeque<QueryRecord>>,
-    /// Weighted fair gate over the split-scan pool: a noisy tenant's
-    /// fan-out queues on its own virtual time instead of monopolising
-    /// the scoped threads.
+    /// Weighted fair gate over concurrently executing splits: a noisy
+    /// tenant querying from many threads queues on its own virtual time
+    /// instead of monopolising the pool.
     scheduler: FairScheduler,
 }
 
@@ -521,26 +525,26 @@ impl QueryFrontend {
 
     /// The split protocol both cached query kinds share: `lookup` each
     /// window in `bounds` in the results cache, execute what it did not
-    /// hold in parallel through the fair scheduler, hold the fresh work
-    /// to the byte budget and the deadline, let `store` join it to what
-    /// the cache held and name the entry to cache, and return each
-    /// split's data with its [`SplitStat`] in ascending window order.
-    fn resolve_splits<T: Send, H>(
+    /// hold in ascending order on the calling thread, each split through
+    /// the fair scheduler, hold the fresh work to the byte budget and the
+    /// deadline, let `store` join it to what the cache held and name the
+    /// entry to cache, and return each split's data with its
+    /// [`SplitStat`] in ascending window order.
+    fn resolve_splits<T, H>(
         &self,
         ctx: &QueryContext,
         bounds: &[(Timestamp, Timestamp)],
         deadline: Timestamp,
         lookup: impl Fn(&Cache, Timestamp, Timestamp) -> Lookup<T, H>,
-        exec: impl Fn(Timestamp, Timestamp) -> (T, QueryStats) + Sync,
+        exec: impl Fn(Timestamp, Timestamp) -> (T, QueryStats),
         store: impl Fn((Timestamp, Timestamp), H, T, QueryStats) -> (T, Option<(CacheKey, CacheEntry)>),
     ) -> Result<Vec<(T, SplitStat)>, QueryError> {
         self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
 
         // Resolve each split from the cache; what it lacks collects for
-        // a parallel pass.
+        // execution.
         let mut parts: Vec<Option<(T, SplitStat)>> = Vec::with_capacity(bounds.len());
-        let mut held: Vec<H> = Vec::new();
-        let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
+        let mut todo: Vec<(usize, Timestamp, H)> = Vec::new();
         {
             let cache = self.shared.cache.lock();
             let mut saved = self.shared.bytes_saved.lock();
@@ -552,9 +556,8 @@ impl QueryFrontend {
                             SplitStat { start: s, end: e, cached: true, stats, queue_wait_vns: 0 };
                         Some((data, split))
                     }
-                    Lookup::Execute { from, held: h } => {
-                        held.push(h);
-                        todo.push((i, from, e));
+                    Lookup::Execute { from, held } => {
+                        todo.push((i, from, held));
                         None
                     }
                 });
@@ -563,17 +566,25 @@ impl QueryFrontend {
         self.shared.hits.fetch_add((bounds.len() - todo.len()) as u64, Ordering::Relaxed);
         self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
 
-        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, exec);
+        let sched = &self.shared.scheduler;
+        let executed: Vec<_> = todo
+            .into_iter()
+            .map(|(i, from, held)| {
+                let ((fresh, stats), wait_vns) =
+                    sched.run_timed(&ctx.tenant, ctx.weight, || exec(from, bounds[i].1));
+                (i, held, fresh, stats, wait_vns)
+            })
+            .collect();
         self.check_bytes(
             ctx.max_bytes_scanned,
-            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
+            executed.iter().map(|(_, _, _, st, _)| st.bytes_scanned).sum(),
         )?;
         self.check_deadline(deadline)?;
 
         let mut cache = self.shared.cache.lock();
-        for ((i, _, _, ((fresh, stats), wait_vns)), h) in executed.into_iter().zip(held) {
+        for (i, held, fresh, stats, wait_vns) in executed {
             let (s, e) = bounds[i];
-            let (data, entry) = store((s, e), h, fresh, stats);
+            let (data, entry) = store((s, e), held, fresh, stats);
             if let Some((key, entry)) = entry {
                 if cache.len() >= CACHE_MAX {
                     cache.clear();
@@ -782,7 +793,7 @@ impl QueryFrontend {
     ) -> Result<(InstantVector, QueryReport), QueryError> {
         let deadline = self.deadline();
         self.check_deadline(deadline)?;
-        // Instant evaluations contend for the same pool as splits, so
+        // Instant evaluations contend for the same slots as splits, so
         // they are scheduled (and their waits bounded) the same way.
         let ((vector, stats), wait_vns) =
             self.shared.scheduler.run_timed(&ctx.tenant, ctx.weight, || {
@@ -799,49 +810,6 @@ impl QueryFrontend {
             queue_wait_vns: wait_vns,
         }];
         Ok((vector, QueryReport::from_splits(stats, splits)))
-    }
-}
-
-/// Run `f` over every `(index, start, end)` work item, in parallel when
-/// there is more than one (the splits fan out exactly like the engine's
-/// shard scans: scoped threads, panics propagated). Every split —
-/// including the single-split fast path — passes through the fair
-/// scheduler, so a tenant's fan-out is metered against its virtual
-/// time; each result carries the virtual nanoseconds its split queued.
-///
-/// The whole batch reserves its tickets *before* any split runs: each
-/// split's queue wait is then a pure function of its position on the
-/// WFQ virtual-time axis, independent of thread interleaving, keeping
-/// query reports deterministic across runs.
-fn run_parallel<T: Send>(
-    sched: &FairScheduler,
-    ctx: &QueryContext,
-    todo: &[(usize, Timestamp, Timestamp)],
-    f: impl Fn(Timestamp, Timestamp) -> T + Sync,
-) -> Vec<(usize, Timestamp, Timestamp, (T, u64))> {
-    let f = &f;
-    match todo {
-        [] => Vec::new(),
-        [(i, s, e)] => vec![(*i, *s, *e, sched.run_timed(&ctx.tenant, ctx.weight, || f(*s, *e)))],
-        many => {
-            let tickets: Vec<u64> =
-                many.iter().map(|_| sched.ticket(&ctx.tenant, ctx.weight)).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = many
-                    .iter()
-                    .zip(tickets)
-                    .map(|(&(i, s, e), ticket)| {
-                        scope.spawn(move || (i, s, e, sched.run_ticket(ticket, || f(s, e))))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // As in `engine::gather`: a panicking split would yield a
-                    // silently partial result, so propagate it.
-                    .map(|h| h.join().expect("split scan panicked")) // lint:allow(no-unwrap)
-                    .collect()
-            })
-        }
     }
 }
 

@@ -1768,6 +1768,10 @@ mod tests {
         }
         summed.entries_returned = report.stats.entries_returned;
         assert_eq!(summed, report.stats);
+        // One querying thread: its splits run in order and never queue
+        // behind each other at the fair scheduler.
+        assert!(report.splits.iter().all(|sp| sp.queue_wait_vns == 0), "{:?}", report.splits);
+        assert_eq!(report.queue_wait_vns, 0);
         // The deepened fields made it through the frontend merge.
         assert_eq!(report.stats.entries_scanned, 149);
 

@@ -1,25 +1,30 @@
 //! Weighted fair scheduling of query splits across tenants.
 //!
-//! The query frontend fans each query out into per-split scans on a
-//! scoped thread pool. Without scheduling, a noisy tenant issuing
-//! hundreds of wide queries monopolises that pool and every other
-//! tenant's queries queue behind it. [`FairScheduler`] fixes that with
-//! classic weighted fair queueing over virtual time: each tenant's next
-//! split is stamped with a virtual finish tag `start + SCALE / weight`
-//! (where `start` is the later of the tenant's last tag and the global
-//! virtual time), and grants always go to the smallest tag. A tenant
-//! with a deep backlog accumulates far-future tags, so a freshly
-//! arriving tenant — whose tag starts at the global virtual time — jumps
-//! ahead of the backlog and waits only O(pool) grants, never O(backlog).
+//! The query frontend runs a query's splits one at a time on the calling
+//! thread, each behind this gate; the only fan-out below it is the
+//! engine's scan over shards. The gate bounds how many splits execute at
+//! once across every querying thread (the *pool*) and decides whose split
+//! goes next when more threads want a slot than the pool has. Without
+//! it, a noisy tenant querying from many threads at once monopolises the
+//! pool and every other tenant's queries queue behind it.
+//! [`FairScheduler`] fixes that with classic weighted fair queueing over
+//! virtual time: each tenant's next split is stamped with a virtual
+//! finish tag `start + SCALE / weight` (where `start` is the later of the
+//! tenant's last tag and the global virtual time), and grants always go
+//! to the smallest tag. A tenant with a deep backlog accumulates
+//! far-future tags, so a freshly arriving tenant — whose tag starts at
+//! the global virtual time — jumps ahead of the backlog and waits only
+//! O(pool) grants, never O(backlog).
 //!
-//! Waits are measured two ways, both deterministic under the virtual
-//! clock: in *grant rounds* (how many other splits were granted between
-//! enqueue and grant — the quantity the chaos drill bounds) and in
-//! **virtual nanoseconds** on the WFQ virtual-time axis (how far the
-//! global virtual time advanced while the ticket queued). The wall clock
-//! is useless here — the SimClock is frozen for the whole of a query —
-//! so the virtual-time axis is the only honest measure of "how long did
-//! this split sit behind other tenants' work".
+//! Waits are measured two ways: in *grant rounds* (how many other
+//! splits were granted between enqueue and grant — the quantity the
+//! chaos drill bounds) and in **virtual nanoseconds** on the WFQ
+//! virtual-time axis (how far the global virtual time advanced while the
+//! ticket queued). The wall clock is useless here — the SimClock is
+//! frozen for the whole of a query — so the virtual-time axis is the only
+//! honest measure of "how long did this split sit behind other querying
+//! threads' work". A query whose thread is the only one querying never
+//! queues: its waits are zero.
 
 use omni_model::lockwitness::{classes, OrderedMutex, OrderedMutexGuard};
 use omni_model::TenantId;
@@ -75,7 +80,7 @@ struct Inner {
     waits: Vec<(TenantId, u64)>,
 }
 
-/// A weighted-fair gate in front of the split-scan thread pool.
+/// A weighted-fair gate bounding how many splits execute at once.
 pub struct FairScheduler {
     pool: usize,
     inner: OrderedMutex<Inner>,
@@ -104,11 +109,6 @@ impl FairScheduler {
         }
     }
 
-    /// Concurrency bound.
-    pub fn pool(&self) -> usize {
-        self.pool
-    }
-
     /// Lock the shared state. Poison recovery (a panicking split must not
     /// wedge every other tenant's queries) and the lock-order witness both
     /// live in the [`OrderedMutex`] wrapper.
@@ -116,44 +116,19 @@ impl FairScheduler {
         self.inner.lock()
     }
 
-    /// Run `f` once the scheduler grants this tenant a slot. Blocks the
-    /// calling thread until granted; fairness comes from grant order, not
-    /// from preemption.
-    pub fn run<T>(&self, tenant: &TenantId, weight: u32, f: impl FnOnce() -> T) -> T {
-        self.run_timed(tenant, weight, f).0
-    }
-
-    /// [`FairScheduler::run`] that also returns how long this split
-    /// queued, in virtual nanoseconds on the WFQ virtual-time axis.
+    /// Run `f` once the scheduler grants this tenant a slot, and return
+    /// its result with how long the split queued, in virtual nanoseconds
+    /// on the WFQ virtual-time axis. Blocks the calling thread until
+    /// granted; fairness comes from grant order, not from preemption.
+    /// The slot is released when `f` returns or unwinds.
     pub fn run_timed<T>(&self, tenant: &TenantId, weight: u32, f: impl FnOnce() -> T) -> (T, u64) {
-        let my_seq = self.enqueue(tenant, weight);
-        self.run_ticket(my_seq, f)
+        let wait_vns = self.acquire(tenant, weight);
+        let _slot = Slot(self);
+        (f(), wait_vns)
     }
 
-    /// Reserve a queue ticket without blocking. Pairing this with
-    /// [`FairScheduler::run_ticket`] lets a caller enqueue a whole batch
-    /// of splits *before* any of them is granted: each ticket's measured
-    /// queue wait then depends only on its position and weight on the
-    /// virtual-time axis — not on how the executing threads happen to
-    /// interleave — which is what keeps query reports deterministic.
-    pub fn ticket(&self, tenant: &TenantId, weight: u32) -> u64 {
-        self.enqueue(tenant, weight)
-    }
-
-    /// Block until a previously reserved ticket is granted, run `f`, and
-    /// release the slot. Returns `f`'s result and the ticket's queue
-    /// wait in virtual nanoseconds.
-    pub fn run_ticket<T>(&self, ticket: u64, f: impl FnOnce() -> T) -> (T, u64) {
-        let wait_vns = self.await_grant(ticket);
-        let out = f();
-        let mut g = self.lock();
-        g.active -= 1;
-        drop(g);
-        self.cv.notify_all();
-        (out, wait_vns)
-    }
-
-    fn enqueue(&self, tenant: &TenantId, weight: u32) -> u64 {
+    /// Stamp a ticket for `tenant` and block until it is granted a slot.
+    fn acquire(&self, tenant: &TenantId, weight: u32) -> u64 {
         let mut g = self.lock();
         let start = g.vtime.get(tenant).copied().unwrap_or(0).max(g.global);
         let cost = (WEIGHT_SCALE / u64::from(weight.max(1))).max(1);
@@ -164,21 +139,13 @@ impl FairScheduler {
         let enqueue_round = g.rounds;
         let enqueue_vtime = g.global;
         g.queue.push(Ticket { tenant: tenant.clone(), finish, seq, enqueue_round, enqueue_vtime });
-        seq
-    }
-
-    fn await_grant(&self, my_seq: u64) -> u64 {
-        let mut g = self.lock();
         loop {
             if g.active < self.pool {
                 let best = g.queue.iter().map(|t| (t.finish, t.seq)).min();
                 if let Some((_, best_seq)) = best {
-                    if best_seq == my_seq {
-                        let pos = g
-                            .queue
-                            .iter()
-                            .position(|t| t.seq == my_seq)
-                            .expect("own ticket present"); // lint:allow(no-unwrap)
+                    if best_seq == seq {
+                        let pos =
+                            g.queue.iter().position(|t| t.seq == seq).expect("own ticket present"); // lint:allow(no-unwrap)
                         let ticket = g.queue.swap_remove(pos);
                         let wait = g.rounds - ticket.enqueue_round;
                         // How far the global virtual time moved while the
@@ -226,6 +193,17 @@ impl FairScheduler {
     }
 }
 
+/// A granted slot, released on drop — when the split returns or unwinds —
+/// so a panicking split cannot leak pool capacity.
+struct Slot<'a>(&'a FairScheduler);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.lock().active -= 1;
+        self.0.cv.notify_all();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,7 +217,7 @@ mod tests {
         let hits = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..16 {
-                scope.spawn(|| s.run(&t, 1, || hits.fetch_add(1, Ordering::Relaxed)));
+                scope.spawn(|| s.run_timed(&t, 1, || hits.fetch_add(1, Ordering::Relaxed)));
             }
         });
         assert_eq!(hits.load(Ordering::Relaxed), 16);
@@ -263,7 +241,7 @@ mod tests {
                 let (s, gate) = (s.clone(), gate.clone());
                 let noisy = noisy.clone();
                 scope.spawn(move || {
-                    s.run(&noisy, 1, || {
+                    s.run_timed(&noisy, 1, || {
                         let mut open = gate.0.lock().unwrap();
                         while !*open {
                             open = gate.1.wait(open).unwrap();
@@ -277,14 +255,14 @@ mod tests {
             }
             for _ in 0..BACKLOG {
                 let (s, noisy) = (s.clone(), noisy.clone());
-                scope.spawn(move || s.run(&noisy, 1, || ()));
+                scope.spawn(move || s.run_timed(&noisy, 1, || ()));
             }
             while s.lock().queue.len() < BACKLOG as usize {
                 std::thread::yield_now();
             }
             {
                 let (s, good) = (s.clone(), good.clone());
-                scope.spawn(move || s.run(&good, 1, || ()));
+                scope.spawn(move || s.run_timed(&good, 1, || ()));
             }
             while s.lock().queue.len() < BACKLOG as usize + 1 {
                 std::thread::yield_now();
@@ -313,7 +291,7 @@ mod tests {
             {
                 let (s, gate, a) = (s.clone(), gate.clone(), a.clone());
                 scope.spawn(move || {
-                    s.run(&a, 1, || {
+                    s.run_timed(&a, 1, || {
                         let mut open = gate.0.lock().unwrap();
                         while !*open {
                             open = gate.1.wait(open).unwrap();
@@ -324,15 +302,22 @@ mod tests {
             while s.stats().grants < 1 {
                 std::thread::yield_now();
             }
-            // Reserve the backlog's tickets in a fixed order — eight of
-            // `a`, then `b` — before any thread runs, as `run_parallel`
-            // does: `b`'s tag ties `a`'s first and loses on sequence, so
-            // its wait no longer depends on which thread enqueued first.
-            let tickets: Vec<u64> =
-                [&a; 8].into_iter().chain([&b]).map(|t| s.ticket(t, 1)).collect();
-            for ticket in tickets {
-                let s = s.clone();
-                scope.spawn(move || s.run_ticket(ticket, || ()));
+            // Queue eight of `a`, then `b` once all eight are queued:
+            // `b`'s tag ties `a`'s first and loses on sequence, so its
+            // wait does not depend on which thread enqueued first.
+            for _ in 0..8 {
+                let (s, a) = (s.clone(), a.clone());
+                scope.spawn(move || s.run_timed(&a, 1, || ()));
+            }
+            while s.lock().queue.len() < 8 {
+                std::thread::yield_now();
+            }
+            {
+                let (s, b) = (s.clone(), b.clone());
+                scope.spawn(move || s.run_timed(&b, 1, || ()));
+            }
+            while s.lock().queue.len() < 9 {
+                std::thread::yield_now();
             }
             *gate.0.lock().unwrap() = true;
             gate.1.notify_all();
@@ -356,9 +341,24 @@ mod tests {
         let heavy = TenantId::new("heavy");
         // Two enqueues at weight 2 advance virtual time as far as one at
         // weight 1 would.
-        s.run(&heavy, 2, || ());
-        s.run(&heavy, 2, || ());
+        s.run_timed(&heavy, 2, || ());
+        s.run_timed(&heavy, 2, || ());
         let g = s.lock();
         assert_eq!(g.vtime.get(&heavy).copied(), Some(WEIGHT_SCALE));
+    }
+
+    #[test]
+    fn a_panicking_split_releases_its_slot() {
+        // Regression: the slot used to be released only after `f`
+        // returned, so a panicking split leaked it, and once the pool was
+        // used up every later query blocked for ever awaiting a grant.
+        let s = FairScheduler::new(1);
+        let t = TenantId::new("a");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.run_timed(&t, 1, || panic!("split scan failed"))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(s.lock().active, 0, "the panicking split's slot must be released");
+        assert_eq!(s.run_timed(&t, 1, || 7), (7, 0), "the pool of one still admits a split");
     }
 }

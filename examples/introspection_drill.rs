@@ -11,7 +11,8 @@
 //!    JSON line in `{job="omni-self", component="slowlog"}` carrying its
 //!    statistics and trace id, queryable with LogQL like any stream;
 //! 2. that trace id resolves to a span tree: the `query` root with its
-//!    `queue_wait` and per-split `split_execute` children;
+//!    per-split `split_execute` children (a lone query never queues at
+//!    the fair scheduler, so it has no `queue_wait` child);
 //! 3. the same trace rides the `omni_query_latency_seconds` histogram as
 //!    an exemplar on the scraped `omni-self` page;
 //! 4. a forced latency regression burns the `query-latency` SLO's error
@@ -83,7 +84,7 @@ fn main() {
     // --- Part 2: the trace id resolves to a span tree -----------------
     let timeline = stack.traces().render_timeline(trace_id);
     println!("span tree for trace {}:\n{timeline}", format_trace_id(trace_id));
-    for stage in ["query", "queue_wait", "split_execute"] {
+    for stage in ["query", "split_execute"] {
         assert!(timeline.contains(stage), "stage {stage} missing:\n{timeline}");
     }
 

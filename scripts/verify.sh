@@ -23,6 +23,14 @@ cargo test --release --offline -q --manifest-path omnibench/Cargo.toml
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== fair-scheduler tests, 50 consecutive passes =="
+# The scheduler's Condvar gate is exercised by threaded tests (a deep
+# backlog, virtual-time waits, a panicking split releasing its slot);
+# a flaky interleaving shows up as one failed pass out of fifty.
+for _ in $(seq 50); do
+    cargo test -q -p omni-loki --lib scheduler:: >/dev/null
+done
+
 echo "== cargo clippy --workspace -D warnings =="
 cargo clippy -q --workspace --all-targets -- -D warnings
 
@@ -104,7 +112,7 @@ cargo run -q --example tenant_chaos_drill \
 echo "== introspection drill (slow-query log, span trees, exemplars, SLO burn) =="
 # The drill asserts the whole deep-introspection surface: the slow query
 # self-ingests with a trace id, the trace renders as a span tree with
-# queue-wait and per-split children, the exemplar links the same trace,
+# per-split children, the exemplar links the same trace,
 # the forced regression fires SloFastBurn through vmalert→Alertmanager,
 # and tail sampling bounds retention. Require the closing line so a
 # silent truncation also fails the gate.
