@@ -1640,12 +1640,20 @@ mod tests {
         }
         let wal = &c.shards[0].wal;
         assert_eq!(wal.segment_count(), 3);
-        // The middle segment's run count now reads `u64::MAX`.
-        let mut header = Vec::new();
+        // The middle segment's run count — after its first run's 1-byte
+        // series ref (0) and the labels that define it — now reads
+        // `u64::MAX`.
+        let mut header = vec![0x00];
         compress::put_labels(&mut header, &stream);
         wal.edit_segment(1, |bytes| {
+            assert_eq!(bytes[..header.len()], header, "segment 1 opens with series 0");
+            assert_eq!(bytes[header.len()], 100, "followed by the 1-byte run count");
             bytes.splice(header.len()..=header.len(), [0xff; 9].into_iter().chain([0x01]));
         });
+        assert_eq!(
+            wal.replay_segment(1),
+            Some(Err(compress::CorruptBlock("wal run count exceeds segment size")))
+        );
         assert!(wal.replay().is_err());
 
         c.crash_shard(0);

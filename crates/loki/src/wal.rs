@@ -16,16 +16,25 @@
 //! checkpoint that straddles it, and dropped with the rest once its
 //! recorded span is wholly durable.
 //!
-//! Record layout (all varints, strings length-prefixed) — one label set
-//! followed by a run of entries, like real Loki's series-framed WAL:
+//! Record layout (all varints, strings length-prefixed) — one run of
+//! entries for one stream, like real Loki's series-framed WAL, naming its
+//! stream by a segment-local series ref:
 //!
 //! ```text
-//! label_count (k_len k v_len v)* entry_count (zigzag(ts) line_len line)*
+//! ref [label_count (k_len k v_len v)*] entry_count (zigzag(ts − prev) line_len line)*
 //! ```
 //!
-//! A single record is a run of one; a stream frame is one run, so the
-//! label set — often half the encoded bytes — is paid once per frame
-//! instead of once per entry.
+//! Each segment has its own series table. A `ref` equal to the table's
+//! length introduces the next series, and its label set follows inline; a
+//! smaller one names a series already written in this segment; a larger
+//! one is corrupt. So a stream's label set — most of a short run's bytes —
+//! is paid once per segment instead of once per run. `prev` is the
+//! previous entry's timestamp in the run, starting from 0 at each run;
+//! both sides use wrapping arithmetic, so any `i64` pair round-trips and
+//! hostile bytes cannot overflow. A stream frame is one run, a single
+//! record a run of one. Neither a ref nor a delta reaches past its
+//! segment, so a segment is still dropped without being read, decoded
+//! alone, and re-encoded by a trim with a fresh table of its own.
 
 use crate::compress::{
     get_labels, get_str, get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock,
@@ -33,6 +42,7 @@ use crate::compress::{
 use crate::StreamFrame;
 use omni_model::lockwitness::{classes, OrderedMutex};
 use omni_model::{LabelSet, LogEntry};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Size at which the open segment is closed (checked between runs, so a
@@ -49,25 +59,61 @@ struct Segment {
     entries: u64,
     min_ts: i64,
     max_ts: i64,
+    /// The encoder's series table, label set → ref. Emptied when the
+    /// segment closes; an open segment always holds a run, so an empty
+    /// table is what marks a segment nothing may be appended to.
+    series: HashMap<LabelSet, u64>,
 }
 
 impl Segment {
     fn empty() -> Self {
-        Self { bytes: Vec::new(), entries: 0, min_ts: i64::MAX, max_ts: i64::MIN }
-    }
-
-    fn push_run(&mut self, labels: &LabelSet, entries: &[LogEntry]) {
-        encode_run(&mut self.bytes, labels, entries);
-        self.entries += entries.len() as u64;
-        for entry in entries {
-            self.min_ts = self.min_ts.min(entry.ts);
-            self.max_ts = self.max_ts.max(entry.ts);
+        Self {
+            bytes: Vec::new(),
+            entries: 0,
+            min_ts: i64::MAX,
+            max_ts: i64::MIN,
+            series: HashMap::new(),
         }
     }
 
+    /// The one encoder: the run's series ref — and its label set, the
+    /// first time this segment sees it — then its entries. An empty run
+    /// writes nothing.
+    fn push_run(&mut self, labels: &LabelSet, entries: &[LogEntry]) {
+        if entries.is_empty() {
+            return;
+        }
+        let known = self.series.get(labels).copied();
+        let series_ref = known.unwrap_or(self.series.len() as u64);
+        put_uvarint(&mut self.bytes, series_ref);
+        if known.is_none() {
+            self.series.insert(labels.clone(), series_ref);
+            put_labels(&mut self.bytes, labels);
+        }
+        put_uvarint(&mut self.bytes, entries.len() as u64);
+        let mut prev = 0i64;
+        for entry in entries {
+            put_uvarint(&mut self.bytes, zigzag(entry.ts.wrapping_sub(prev)));
+            prev = entry.ts;
+            put_uvarint(&mut self.bytes, entry.line.len() as u64);
+            self.bytes.extend_from_slice(entry.line.as_bytes());
+            self.min_ts = self.min_ts.min(entry.ts);
+            self.max_ts = self.max_ts.max(entry.ts);
+        }
+        self.entries += entries.len() as u64;
+    }
+
+    /// Closed for good: give the doubling slack and the series table back.
+    fn close(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.series = HashMap::new();
+    }
+
     /// Drop every entry older than `keep_from_ts`, keeping the run
-    /// framing of the survivors (a run left empty vanishes). Returns the
-    /// number dropped; a segment that does not decode is left as it is.
+    /// framing of the survivors (a run left empty vanishes) under a fresh
+    /// series table. Returns the number dropped; a segment that does not
+    /// decode is left as it is. A trimmed open segment stays open, and
+    /// appends continue its new table.
     fn trim(&mut self, keep_from_ts: i64) -> usize {
         let Ok(mut runs) = decode_runs(&self.bytes) else { return 0 };
         // A fresh buffer, so the shrunken segment also gives its memory back.
@@ -80,6 +126,9 @@ impl Segment {
             kept.push_run(labels, entries);
         }
         kept.bytes.shrink_to_fit();
+        if self.series.is_empty() {
+            kept.close();
+        }
         *self = kept;
         dropped
     }
@@ -117,7 +166,9 @@ impl Wal {
 
     /// Append several frames under one lock acquisition, one WAL record
     /// each (replay order equals append order). A run never spans two
-    /// segments.
+    /// segments. Only the last segment is ever open; once a checkpoint
+    /// has dropped it, a closed one may be last, and the next run opens
+    /// a new segment after it.
     pub fn append_runs<'a>(&self, runs: impl IntoIterator<Item = (&'a LabelSet, &'a [LogEntry])>) {
         let mut segments = self.segments.lock();
         for (labels, entries) in runs {
@@ -125,11 +176,12 @@ impl Wal {
                 continue;
             }
             match segments.last_mut() {
-                Some(open) if open.bytes.len() < self.roll_bytes => open.push_run(labels, entries),
-                full => {
-                    // Closed for good: give the doubling slack back.
-                    if let Some(closed) = full {
-                        closed.bytes.shrink_to_fit();
+                Some(open) if !open.series.is_empty() && open.bytes.len() < self.roll_bytes => {
+                    open.push_run(labels, entries)
+                }
+                last => {
+                    if let Some(full) = last {
+                        full.close();
                     }
                     let mut open = Segment::empty();
                     open.push_run(labels, entries);
@@ -191,26 +243,23 @@ impl Wal {
     }
 }
 
-/// The one encoder: a label set, then its run of entries. An empty run
-/// writes nothing.
-fn encode_run(buf: &mut Vec<u8>, labels: &LabelSet, entries: &[LogEntry]) {
-    if entries.is_empty() {
-        return;
-    }
-    put_labels(buf, labels);
-    put_uvarint(buf, entries.len() as u64);
-    for entry in entries {
-        put_uvarint(buf, zigzag(entry.ts));
-        put_uvarint(buf, entry.line.len() as u64);
-        buf.extend_from_slice(entry.line.as_bytes());
-    }
-}
-
+/// The one decoder: one segment's runs, resolving refs against the
+/// series table the segment itself defines.
 fn decode_runs(buf: &[u8]) -> Result<Vec<StreamFrame>, CorruptBlock> {
     let mut pos = 0;
+    let mut series: Vec<LabelSet> = Vec::new();
     let mut out = Vec::new();
     while pos < buf.len() {
-        let labels = get_labels(buf, &mut pos)?;
+        let (series_ref, n) = get_uvarint(&buf[pos..])?;
+        pos += n;
+        let labels = if series_ref == series.len() as u64 {
+            let labels = get_labels(buf, &mut pos)?;
+            series.push(labels.clone());
+            labels
+        } else {
+            let known = usize::try_from(series_ref).ok().and_then(|i| series.get(i));
+            known.cloned().ok_or(CorruptBlock("wal series ref beyond the segment's table"))?
+        };
         let (entry_count, n) = get_uvarint(&buf[pos..])?;
         pos += n;
         // A run holds at least 2 bytes per entry; a bigger count than
@@ -219,10 +268,12 @@ fn decode_runs(buf: &[u8]) -> Result<Vec<StreamFrame>, CorruptBlock> {
             return Err(CorruptBlock("wal run count exceeds segment size"));
         }
         let mut entries = Vec::with_capacity(entry_count as usize);
+        let mut prev = 0i64;
         for _ in 0..entry_count {
-            let (ts_z, n) = get_uvarint(&buf[pos..])?;
+            let (delta, n) = get_uvarint(&buf[pos..])?;
             pos += n;
-            entries.push(LogEntry::new(unzigzag(ts_z), get_str(buf, &mut pos)?));
+            prev = prev.wrapping_add(unzigzag(delta));
+            entries.push(LogEntry::new(prev, get_str(buf, &mut pos)?));
         }
         out.push((labels, entries));
     }
@@ -416,23 +467,54 @@ mod tests {
 
     #[test]
     fn rolls_at_a_run_boundary_and_records_each_span() {
-        let wal = Wal::with_roll_bytes(96);
+        let wal = Wal::with_roll_bytes(80);
         let labels = labels!("app" => "x");
-        // Each run is ~60 bytes: the second takes the open segment past
-        // 96, so the third opens a new one. No run is ever split.
+        // Five 8-byte entries a run (1-byte delta, 1-byte length, "line i").
+        // The first run opens a segment: ref, 7 label bytes and a count,
+        // 49 bytes. The second names the series by its 1-byte ref and
+        // starts 100 from 0 (a 2-byte delta), 43 bytes, and takes the open
+        // segment past 80, so the third opens a new one — which writes
+        // the labels again, into its own table. No run is ever split.
         for base in [0, 100, -50] {
             let entries: Vec<LogEntry> =
                 (0..5).map(|i| LogEntry::new(base + i, format!("line {i}"))).collect();
             wal.append_run(&labels, &entries);
         }
-        let spans: Vec<(u64, i64, i64)> =
-            wal.segments.lock().iter().map(|s| (s.entries, s.min_ts, s.max_ts)).collect();
-        assert_eq!(spans, vec![(10, 0, 104), (5, -50, -46)]);
+        let spans: Vec<(usize, u64, i64, i64)> = wal
+            .segments
+            .lock()
+            .iter()
+            .map(|s| (s.bytes.len(), s.entries, s.min_ts, s.max_ts))
+            .collect();
+        assert_eq!(spans, vec![(49 + 43, 10, 0, 104), (49, 5, -50, -46)]);
         assert_eq!(wal.replay_segment(1).unwrap().unwrap().len(), 1);
         assert!(wal.replay_segment(2).is_none());
-        // Closed segments hold no spare capacity.
+        // A closed segment holds no spare capacity and no series table.
         let segments = wal.segments.lock();
         assert_eq!(segments[0].bytes.capacity(), segments[0].bytes.len());
+        assert!(segments[0].series.is_empty() && !segments[1].series.is_empty());
+    }
+
+    #[test]
+    fn a_closed_segment_left_last_by_a_checkpoint_is_not_reopened() {
+        // Segments are not ordered in time, so a checkpoint can drop the
+        // open segment and leave a closed one — trimmed below the roll
+        // size — last. Its table is gone: the next run must open a new
+        // segment rather than write refs into one it cannot resolve.
+        let wal = Wal::with_roll_bytes(32);
+        let (a, b) = (labels!("app" => "a"), labels!("app" => "b"));
+        let early: Vec<LogEntry> = (0..5).map(|i| LogEntry::new(10 * i, "x".repeat(8))).collect();
+        wal.append_run(&a, &early);
+        wal.append_run(&b, &[LogEntry::new(0, "y")]);
+        assert_eq!(wal.segment_count(), 2);
+        assert_eq!(wal.checkpoint(35), 4 + 1, "trims the closed segment, drops the open one");
+        assert_eq!((wal.segment_count(), wal.bytes() < 32), (1, true));
+        wal.append_run(&b, &[LogEntry::new(50, "z")]);
+        assert_eq!(wal.segment_count(), 2);
+        assert_eq!(
+            wal.replay().unwrap(),
+            vec![(a, early[4..].to_vec()), (b, vec![LogEntry::new(50, "z")])]
+        );
     }
 
     #[test]
@@ -480,11 +562,18 @@ mod tests {
 
     proptest! {
         /// Any interleaving of appends and checkpoints over a WAL that
-        /// rolls every couple of runs — spans overlapping, timestamps on
-        /// both sides of the epoch — holds exactly what the unsegmented
-        /// log would, down to the byte.
+        /// rolls every few runs — spans overlapping, timestamps on both
+        /// sides of the epoch, three streams sharing each segment's
+        /// table — replays exactly what the unsegmented log would, and
+        /// every segment is byte for byte a fresh encoding of its own
+        /// runs. That second half is what pins the tables and deltas
+        /// segment-local; each of these fails it:
+        /// (a) a rolled segment inheriting the closed one's table;
+        /// (b) the delta base carried from one run into the next;
+        /// (c) a trim keeping the pre-trim table, so a later append
+        ///     writes a ref the new bytes never define.
         #[test]
-        fn any_op_sequence_leaves_the_bytes_one_whole_log_checkpoint_would(
+        fn any_op_sequence_leaves_each_segment_a_fresh_encoding_of_its_runs(
             ops in prop::collection::vec((0u8..10, -40i64..40, 0usize..10_000), 1..60),
         ) {
             let wal = Wal::with_roll_bytes(96);
@@ -516,16 +605,59 @@ mod tests {
                         prop_assert_eq!(wal.checkpoint(bound), model_checkpoint(&mut model, bound));
                     }
                 }
-                prop_assert_eq!(&wal.replay().unwrap(), &model);
+                prop_assert_eq!(&wal.replay(), &Ok(model.clone()));
                 let held: usize = model.iter().map(|(_, es)| es.len()).sum();
                 prop_assert_eq!(wal.record_count(), held as u64);
-                let mut whole_log = Vec::new();
-                for (labels, entries) in &model {
-                    encode_run(&mut whole_log, labels, entries);
+                for segment in wal.segments.lock().iter() {
+                    let mut fresh = Segment::empty();
+                    for (labels, entries) in decode_runs(&segment.bytes).unwrap() {
+                        fresh.push_run(&labels, &entries);
+                    }
+                    prop_assert_eq!(&fresh.bytes, &segment.bytes);
+                    prop_assert_eq!(
+                        (fresh.entries, fresh.min_ts, fresh.max_ts),
+                        (segment.entries, segment.min_ts, segment.max_ts)
+                    );
                 }
-                prop_assert_eq!(wal.segments.lock().iter().map(|s| &s.bytes[..]).collect::<Vec<_>>().concat(), whole_log);
             }
         }
+
+        /// Arbitrary bytes — alone, or after a valid segment whose table
+        /// they may reference — decode to a value or an error, never a
+        /// panic.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoder(
+            bytes in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let _ = decode_runs(&bytes);
+            let mut segment = multi_series_segment();
+            segment.bytes.extend_from_slice(&bytes);
+            let _ = decode_runs(&segment.bytes);
+        }
+
+        /// Flipping any bits of any one byte of a valid multi-series
+        /// segment never panics the decoder.
+        #[test]
+        fn single_byte_flips_never_panic_the_decoder(mask in 1u8..255) {
+            let segment = multi_series_segment();
+            for i in 0..segment.bytes.len() {
+                let mut bytes = segment.bytes.clone();
+                bytes[i] ^= mask;
+                let _ = decode_runs(&bytes);
+            }
+        }
+    }
+
+    /// A valid segment naming three series, each more than once, with
+    /// deltas of both signs and an extreme timestamp.
+    fn multi_series_segment() -> Segment {
+        let mut segment = Segment::empty();
+        for i in 0..9i64 {
+            let ts = if i == 4 { i64::MIN } else { 1_000 - 300 * i };
+            let entries = [LogEntry::new(ts, format!("line {i}")), LogEntry::new(ts + 7, "ü")];
+            segment.push_run(&labels!("app" => "x", "n" => format!("{}", i % 3)), &entries);
+        }
+        segment
     }
 
     #[test]
@@ -569,12 +701,99 @@ mod tests {
     fn hostile_length_is_an_error_not_a_panic() {
         let wal = Wal::new();
         append(&wal, &record(1));
-        // One label whose key length is a ten-byte varint (`u64::MAX`).
+        // A new series (ref 0) with one label whose key length is a
+        // ten-byte varint (`u64::MAX`).
         wal.edit_segment(0, |bytes| {
             *bytes = vec![
-                0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, b'a', b'b', b'c',
+                0x00, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, b'a', b'b',
+                b'c',
             ];
         });
-        assert!(wal.replay().is_err());
+        assert_eq!(wal.replay(), Err(CorruptBlock("string runs past buffer end")));
+    }
+
+    #[test]
+    fn a_ref_beyond_the_table_is_an_error() {
+        // A first run naming series 1 — or 2⁶⁴ − 1 — when the table is empty.
+        assert_eq!(
+            decode_runs(&[0x01, 0x01, 0x00, 0x00]),
+            Err(CorruptBlock("wal series ref beyond the segment's table"))
+        );
+        let mut huge = vec![0xff; 9];
+        huge.extend([0x01, 0x01, 0x00, 0x00]);
+        assert!(decode_runs(&huge).is_err());
+        // A valid run defining series 0, then one naming series 2 (1
+        // would introduce the next series).
+        let mut segment = Segment::empty();
+        segment.push_run(&labels!("app" => "x"), &[LogEntry::new(1, "a")]);
+        let mut bytes = segment.bytes.clone();
+        bytes.extend([0x02, 0x01, 0x00, 0x00]);
+        assert_eq!(
+            decode_runs(&bytes),
+            Err(CorruptBlock("wal series ref beyond the segment's table"))
+        );
+        // The same run naming series 0 resolves against the table.
+        bytes[segment.bytes.len()] = 0x00;
+        assert_eq!(decode_runs(&bytes).unwrap()[1].0, labels!("app" => "x"));
+    }
+
+    #[test]
+    fn a_new_series_with_truncated_labels_is_an_error() {
+        let mut segment = Segment::empty();
+        segment.push_run(&labels!("app" => "x", "host" => "nid001"), &[LogEntry::new(1, "a")]);
+        // Cut anywhere from just after the ref to just before the entry
+        // count (the last 4 bytes are the count and the one entry).
+        let labels_end = segment.bytes.len() - 4;
+        for cut in 1..labels_end {
+            assert!(decode_runs(&segment.bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode_runs(&segment.bytes).is_ok());
+    }
+
+    #[test]
+    fn a_delta_past_i64_wraps_instead_of_overflowing() {
+        // Two deltas of `i64::MAX`, then one of `i64::MIN` (zigzag
+        // `u64::MAX`): every step wraps, and the run decodes.
+        let mut bytes = vec![0x00, 0x00, 0x03];
+        for delta in [i64::MAX, i64::MAX, i64::MIN] {
+            put_uvarint(&mut bytes, zigzag(delta));
+            bytes.push(0x00);
+        }
+        let runs = decode_runs(&bytes).unwrap();
+        let ts: Vec<i64> = runs[0].1.iter().map(|e| e.ts).collect();
+        assert_eq!(ts, vec![i64::MAX, -2, i64::MAX - 1]);
+        // And the encoder writes the same wrapped deltas for the extremes.
+        let mut segment = Segment::empty();
+        let extremes = [i64::MIN, i64::MAX, i64::MIN, 0].map(|ts| LogEntry::new(ts, ""));
+        segment.push_run(&LabelSet::new(), &extremes);
+        assert_eq!(
+            decode_runs(&segment.bytes).unwrap(),
+            vec![(LabelSet::new(), extremes.to_vec())]
+        );
+    }
+
+    #[test]
+    fn a_segment_writes_each_label_set_once() {
+        // 50 one-entry runs cycling 3 label sets into one segment: each
+        // label set's bytes appear once, so 3 label sets are written in
+        // all, and every other run is a 1-byte ref, a 1-byte count and its
+        // entry (ts < 64, so a 1-byte delta from 0; a 1-byte length).
+        let wal = Wal::new();
+        let records: Vec<LogRecord> = (0..50).map(record).collect();
+        for r in &records {
+            append(&wal, r);
+        }
+        assert_eq!(wal.segment_count(), 1);
+        let segments = wal.segments.lock();
+        let bytes = &segments[0].bytes;
+        let mut label_bytes = 0;
+        for n in [b'0', b'1', b'2'] {
+            // `{app="x", n="<n>"}` as `put_labels` lays it out.
+            let encoded = [2, 3, b'a', b'p', b'p', 1, b'x', 1, b'n', 1, n];
+            assert_eq!(bytes.windows(encoded.len()).filter(|w| *w == encoded).count(), 1);
+            label_bytes += encoded.len();
+        }
+        let line_bytes: usize = records.iter().map(|r| r.entry.line.len()).sum();
+        assert_eq!(bytes.len(), label_bytes + 50 * 4 + line_bytes);
     }
 }

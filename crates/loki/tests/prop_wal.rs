@@ -22,8 +22,16 @@ fn arb_labels() -> impl Strategy<Value = LabelSet> {
 fn arb_frame() -> impl Strategy<Value = StreamFrame> {
     let entry = (
         // Timestamps on both sides of the epoch: negative values take the
-        // zigzag encoder through its sign-folding branch.
-        prop_oneof![-2_000_000_000i64..2_000_000_000, Just(i64::MIN / 2), Just(i64::MAX / 2),],
+        // zigzag encoder through its sign-folding branch, and a run
+        // holding both extremes takes the per-run delta past `i64`, which
+        // must wrap on both sides.
+        prop_oneof![
+            -2_000_000_000i64..2_000_000_000,
+            Just(i64::MIN / 2),
+            Just(i64::MAX / 2),
+            Just(i64::MIN),
+            Just(i64::MAX),
+        ],
         // Lines mixing ASCII, escapes and multi-byte unicode.
         prop_oneof!["\\PC{0,80}", "[é中Ω→ß¥☃ \t]{0,20}", Just(String::new())],
     )

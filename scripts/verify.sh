@@ -109,6 +109,16 @@ echo "== tenant chaos drill under the lock-order witness (debug build) =="
 cargo run -q --example tenant_chaos_drill \
     | grep "tenant chaos drill: all isolation invariants hold"
 
+echo "== chaos drill twice (shard crash + WAL replay through the whole stack) =="
+# The only drill that crashes an ingester shard and replays its WAL into
+# the stack. It asserts zero log loss itself (non-zero exit on loss); on
+# the virtual clock with a seeded schedule, two runs must print
+# byte-identical reports, and recovery must find no corrupt segment.
+chaos_a="$(cargo run -q --release --example chaos_drill)"
+chaos_b="$(cargo run -q --release --example chaos_drill)"
+diff <(echo "$chaos_a") <(echo "$chaos_b") || { echo "chaos drill is not deterministic"; exit 1; }
+echo "$chaos_a" | grep "^loki: .*corrupt segments 0$" || { echo "chaos drill loki line missing or corrupt"; exit 1; }
+
 echo "== introspection drill (slow-query log, span trees, exemplars, SLO burn) =="
 # The drill asserts the whole deep-introspection surface: the slow query
 # self-ingests with a trace id, the trace renders as a span tree with
