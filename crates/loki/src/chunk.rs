@@ -251,9 +251,14 @@ impl SealedChunk {
         Ok(out)
     }
 
-    /// Decompress and decode one block payload.
-    fn decode_block(payload: &[u8], out: &mut Vec<LogEntry>) -> Result<(), CorruptBlock> {
-        let buf = decompress(payload)?;
+    /// Decompress and decode one block payload. The header's
+    /// `uncompressed_len` must match what the payload inflates to: it is
+    /// the size a range read reports, and a header is not trusted alone.
+    fn decode_block(block: &BlockRef<'_>, out: &mut Vec<LogEntry>) -> Result<(), CorruptBlock> {
+        let buf = decompress(block.payload)?;
+        if buf.len() != block.uncompressed_len {
+            return Err(CorruptBlock("block length disagrees with its header"));
+        }
         let mut pos = 0;
         let (count, n) = get_uvarint(&buf[pos..])?;
         pos += n;
@@ -262,7 +267,7 @@ impl SealedChunk {
         let mut ts = unzigzag(base_z);
         // Every entry costs at least 2 bytes; never pre-allocate past what
         // the payload could actually hold.
-        if count > buf.len() as u64 {
+        if count > (buf.len() - pos) as u64 / 2 {
             return Err(CorruptBlock("entry count exceeds block size"));
         }
         out.reserve(count as usize);
@@ -284,7 +289,7 @@ impl SealedChunk {
         // pre-allocation (decode still succeeds for honest large chunks).
         let mut out = Vec::with_capacity(self.count.min(self.data.len()));
         for block in self.blocks()? {
-            Self::decode_block(block.payload, &mut out)?;
+            Self::decode_block(&block, &mut out)?;
         }
         Ok(out)
     }
@@ -307,7 +312,7 @@ impl SealedChunk {
                 continue;
             }
             let before = out.len();
-            Self::decode_block(block.payload, &mut out)?;
+            Self::decode_block(&block, &mut out)?;
             stats.blocks_decoded += 1;
             stats.decompressed_bytes += block.uncompressed_len;
             // Filter in place: only the freshly decoded tail needs it.
@@ -465,6 +470,36 @@ mod tests {
         let mut stats = QueryStats::default();
         assert_eq!(chunk.decode_range(i64::MIN, i64::MAX, &mut stats).unwrap(), es);
         assert_eq!(stats.blocks_decoded, chunk.block_count());
+    }
+
+    /// A block header's `uncompressed_len` used to be trusted as the
+    /// decompressed size: summed into `QueryStats::decompressed_bytes`, a
+    /// hostile value overflowed (debug) or wrapped (release) as soon as a
+    /// query read two such blocks. Found by
+    /// `arbitrary_header_fields_never_panic_the_decoder` (`prop_chunk.rs`).
+    #[test]
+    fn block_length_must_match_its_payload() {
+        let honest = SealedChunk::from_entries(&entries(10));
+        let blocks = honest.blocks().unwrap();
+        let block = &blocks[0];
+        let mut data = Vec::new();
+        put_uvarint(&mut data, 1);
+        let (min, max, count) = (zigzag(block.min_ts), zigzag(block.max_ts), block.count as u64);
+        for field in [min, max, count, u64::MAX, block.payload.len() as u64] {
+            put_uvarint(&mut data, field);
+        }
+        data.extend_from_slice(block.payload);
+        let hostile = SealedChunk::from_parts(
+            Bytes::from(data),
+            honest.min_ts,
+            honest.max_ts,
+            honest.count,
+            honest.uncompressed,
+        );
+        let mut stats = QueryStats { decompressed_bytes: 1, ..Default::default() };
+        assert!(hostile.decode_range(i64::MIN, i64::MAX, &mut stats).is_err());
+        assert_eq!(stats.decompressed_bytes, 1);
+        assert!(hostile.decode().is_err());
     }
 
     #[test]

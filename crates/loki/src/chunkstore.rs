@@ -7,45 +7,59 @@
 //! compactor writes:
 //!
 //! * [`ObjectTier`], the one object-store type both tiers are values of:
-//!   the hot "disk" tier sealed chunks are offloaded into (`chunks/`
-//!   keys, no policy — local disk is free and never fails), and the cold
-//!   tier compacted chunks are demoted to (`compacted/` keys, under a
+//!   the hot "disk" tier sealed chunks are offloaded into (no policy —
+//!   local disk is free and never fails; it also holds the durable series
+//!   index), and the cold tier compacted chunks are demoted to (under a
 //!   [`ColdTierPolicy`]: an S3-style per-operation latency and a
 //!   deterministic transient-failure model — the `core::chaos` coin,
 //!   applied to object reads);
-//! * the serialization of [`SealedChunk`]s into self-describing objects
-//!   and of stream labels into series-index entries.
+//! * the serialization of [`SealedChunk`]s into self-describing objects.
 //!
 //! Reads go through [`crate::reader`], which walks both tiers oldest
 //! first; this module only stores, lists and deletes.
 //!
 //! ## Key scheme
 //!
-//! One chunk object's key is
-//! `<tier-prefix><fp-hex>/<min-enc>-<max-enc>-<seq-hex>` (`chunks/` hot,
-//! `compacted/` cold). Timestamps are encoded **offset-binary**:
-//! the i64 nanosecond value with its sign bit flipped, rendered as
-//! fixed-width hex, so lexicographic key order equals timestamp order
-//! even for pre-epoch (negative) timestamps. `seq` is a store-wide
-//! monotonic counter making every persisted chunk's key unique: two
-//! chunks of one stream with the identical `(min_ts, max_ts)` span (easy
-//! with same-timestamp bursts, or a WAL replay re-offloading a chunk)
-//! get distinct keys instead of silently overwriting each other.
+//! One chunk object's key is a [`ChunkKey`] `(fingerprint, min_ts, max_ts,
+//! seq)`, the same type in both tiers. Its derived order is stream, then
+//! time order — signed, so pre-epoch spans sort first — then persist
+//! order, so a tier's map lists one stream's chunks oldest first with no
+//! key to format or parse. `seq` is a store-wide monotonic counter making
+//! every persisted chunk's key unique: two chunks of one stream with the
+//! identical `(min_ts, max_ts)` span (easy with same-timestamp bursts, or
+//! a WAL replay re-offloading a chunk) get distinct keys instead of
+//! silently overwriting each other.
 //!
 //! Because the span is part of the key, range reads and retention deletes
 //! prune non-overlapping objects from the listing alone — without
 //! fetching or decoding a single object body.
+//!
+//! The durable series index is the hot tier's `fingerprint → labels` map,
+//! held typed: registering a stream writes its entry once, and listing the
+//! index fetches and decodes nothing.
 
 use crate::chunk::SealedChunk;
-use crate::compress::{
-    get_labels, get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock,
-};
+use crate::compress::{get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock};
 use bytes::Bytes;
 use omni_model::lockwitness::{classes, OrderedRwLock};
 use omni_model::{fnv1a64, LabelSet, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// One chunk object's key: its stream, the span of its entries, and the
+/// store-wide sequence number of its persist. Field order is sort order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ChunkKey {
+    /// The stream's label fingerprint.
+    pub fingerprint: u64,
+    /// First entry timestamp.
+    pub min_ts: Timestamp,
+    /// Last entry timestamp.
+    pub max_ts: Timestamp,
+    /// Store-wide persist sequence: same-span chunks stay distinct.
+    pub seq: u64,
+}
 
 /// Latency and transient-failure model of the cold (compacted) tier — an
 /// S3-style remote object store rather than local disk. Mirrors the
@@ -79,14 +93,22 @@ impl Default for ColdTierPolicy {
 
 impl ColdTierPolicy {
     /// Whether this key's first GET attempt fails under the policy coin.
-    fn first_attempt_fails(&self, key: &str) -> bool {
+    fn first_attempt_fails(&self, key: &ChunkKey) -> bool {
         if self.fail_permille == 0 {
             return false;
         }
-        let mut buf = self.seed.to_le_bytes().to_vec();
-        buf.extend_from_slice(key.as_bytes());
+        let fields = [self.seed, key.fingerprint, key.min_ts as u64, key.max_ts as u64, key.seq];
+        let buf: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
         (fnv1a64(&buf) % 1_000) < self.fail_permille as u64
     }
+}
+
+/// What one tier's lock guards: its chunk objects and — in the hot tier —
+/// the series index, each stream's labels with their encoded size.
+#[derive(Default)]
+struct TierObjects {
+    chunks: BTreeMap<ChunkKey, Bytes>,
+    series: BTreeMap<u64, (LabelSet, usize)>,
 }
 
 /// One in-memory object tier, with byte/object/operation accounting for
@@ -95,9 +117,7 @@ impl ColdTierPolicy {
 /// nanosecond and transient failure is accounted so the drill and
 /// self-telemetry can surface the tier's cost.
 pub struct ObjectTier {
-    /// Key prefix of this tier's chunk objects.
-    prefix: &'static str,
-    objects: OrderedRwLock<BTreeMap<String, Bytes>>,
+    objects: OrderedRwLock<TierObjects>,
     puts: AtomicU64,
     gets: AtomicU64,
     policy: OrderedRwLock<Option<ColdTierPolicy>>,
@@ -108,10 +128,9 @@ pub struct ObjectTier {
 }
 
 impl ObjectTier {
-    fn new(prefix: &'static str, policy: Option<ColdTierPolicy>) -> Self {
+    fn new(policy: Option<ColdTierPolicy>) -> Self {
         Self {
-            prefix,
-            objects: OrderedRwLock::new(&classes::LOKI_STORE_OBJECTS, BTreeMap::new()),
+            objects: OrderedRwLock::new(&classes::LOKI_STORE_OBJECTS, TierObjects::default()),
             puts: AtomicU64::new(0),
             gets: AtomicU64::new(0),
             policy: OrderedRwLock::new(&classes::LOKI_COLD_POLICY, policy),
@@ -134,14 +153,17 @@ impl ObjectTier {
         self.simulated_ns.fetch_add(latency_ns.max(0) as u64, Ordering::Relaxed);
     }
 
-    /// Number of stored objects.
+    /// Number of stored chunk objects.
     pub fn object_count(&self) -> usize {
-        self.objects.read().len()
+        self.objects.read().chunks.len()
     }
 
-    /// Total stored bytes.
+    /// Total stored bytes: chunk objects, plus each series-index entry at
+    /// its encoded size.
     pub fn stored_bytes(&self) -> usize {
-        self.objects.read().values().map(|b| b.len()).sum()
+        let objects = self.objects.read();
+        objects.chunks.values().map(|b| b.len()).sum::<usize>()
+            + objects.series.values().map(|(_, size)| size).sum::<usize>()
     }
 
     /// `(puts, gets)` operation counters (gets count every attempt).
@@ -160,16 +182,16 @@ impl ObjectTier {
     }
 
     /// Store an object.
-    pub fn put(&self, key: String, data: Bytes) {
+    pub fn put(&self, key: ChunkKey, data: Bytes) {
         if let Some(policy) = self.policy() {
             self.charge(policy.put_latency_ns);
         }
         self.puts.fetch_add(1, Ordering::Relaxed);
-        self.objects.write().insert(key, data);
+        self.objects.write().chunks.insert(key, data);
     }
 
     /// Fetch an object.
-    pub fn get(&self, key: &str) -> Option<Bytes> {
+    pub fn get(&self, key: &ChunkKey) -> Option<Bytes> {
         if let Some(policy) = self.policy() {
             self.charge(policy.get_latency_ns);
             if policy.first_attempt_fails(key) {
@@ -181,55 +203,21 @@ impl ObjectTier {
             }
         }
         self.gets.fetch_add(1, Ordering::Relaxed);
-        self.objects.read().get(key).cloned()
-    }
-
-    /// Keys beginning with `prefix`, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
-        self.objects
-            .read()
-            .range(prefix.to_string()..)
-            .take_while(|(k, _)| k.starts_with(prefix))
-            .map(|(k, _)| k.clone())
-            .collect()
+        self.objects.read().chunks.get(key).cloned()
     }
 
     /// Delete an object; returns whether it existed.
-    pub fn delete(&self, key: &str) -> bool {
-        self.objects.write().remove(key).is_some()
-    }
-
-    /// Object key for one chunk of one stream in this tier:
-    /// `<prefix><fp-hex>/<min-enc>-<max-enc>-<seq-hex>`. The sequence
-    /// component makes same-span chunks distinct objects (the pre-fix
-    /// scheme silently overwrote them), and the offset-binary timestamp
-    /// encoding keeps key order equal to time order for ordered scans.
-    fn chunk_key(
-        &self,
-        fingerprint: u64,
-        min_ts: Timestamp,
-        max_ts: Timestamp,
-        seq: u64,
-    ) -> String {
-        format!(
-            "{}{fingerprint:016x}/{}-{}-{seq:016x}",
-            self.prefix,
-            encode_key_ts(min_ts),
-            encode_key_ts(max_ts)
-        )
+    pub fn delete(&self, key: &ChunkKey) -> bool {
+        self.objects.write().chunks.remove(key).is_some()
     }
 
     /// Chunk keys of one stream in this tier, in key order — which is
-    /// time order, then persist order — each with the span parsed from
-    /// the key (the reader's and the compactor's ordered scan).
-    pub fn chunk_refs(&self, fingerprint: u64) -> Vec<(String, Timestamp, Timestamp)> {
-        self.list(&format!("{}{fingerprint:016x}/", self.prefix))
-            .into_iter()
-            .filter_map(|key| {
-                let (min, max) = parse_key_span(&key)?;
-                Some((key, min, max))
-            })
-            .collect()
+    /// time order, then persist order (the reader's and the compactor's
+    /// ordered scan).
+    pub fn chunk_refs(&self, fingerprint: u64) -> Vec<ChunkKey> {
+        let bound = |ts, seq| ChunkKey { fingerprint, min_ts: ts, max_ts: ts, seq };
+        let range = bound(Timestamp::MIN, 0)..=bound(Timestamp::MAX, u64::MAX);
+        self.objects.read().chunks.range(range).map(|(key, _)| *key).collect()
     }
 }
 
@@ -272,63 +260,6 @@ pub fn object_to_chunk(data: &[u8]) -> Result<SealedChunk, CorruptBlock> {
     ))
 }
 
-/// Offset-binary encoding of a timestamp for object keys: flip the sign
-/// bit and render fixed-width hex, so `encode_key_ts(a) < encode_key_ts(b)`
-/// (lexicographically) iff `a < b` — including pre-epoch negatives, which
-/// the old `{min_ts:020}` decimal rendering sorted before *and among*
-/// positives in the wrong order (`-` sorts before digits, and `-2` sorts
-/// before `-1`).
-pub fn encode_key_ts(ts: Timestamp) -> String {
-    format!("{:016x}", (ts as u64) ^ (1u64 << 63))
-}
-
-/// Inverse of [`encode_key_ts`].
-pub fn decode_key_ts(s: &str) -> Option<Timestamp> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(|v| (v ^ (1u64 << 63)) as i64)
-}
-
-/// Parse the `(min_ts, max_ts)` span out of a chunk-object key (either
-/// tier). This is what lets the reader and `delete_before` prune objects
-/// from the listing without touching their bodies.
-pub fn parse_key_span(key: &str) -> Option<(Timestamp, Timestamp)> {
-    let leaf = key.rsplit('/').next()?;
-    let mut parts = leaf.split('-');
-    let min = decode_key_ts(parts.next()?)?;
-    let max = decode_key_ts(parts.next()?)?;
-    parts.next()?; // seq must be present
-    if parts.next().is_some() {
-        return None;
-    }
-    Some((min, max))
-}
-
-/// Object key for one stream's series-index entry: `series/<fingerprint-hex>`.
-pub fn series_key(fingerprint: u64) -> String {
-    format!("series/{fingerprint:016x}")
-}
-
-/// Encode a stream's labels into a series-index object: a pair count
-/// followed by length-prefixed key/value strings.
-pub fn labels_to_object(labels: &LabelSet) -> Bytes {
-    let mut out = Vec::new();
-    put_labels(&mut out, labels);
-    Bytes::from(out)
-}
-
-/// Decode a series-index object back into a label set. Corrupt or
-/// truncated objects yield an error, never a panic or garbage labels.
-pub fn object_to_labels(data: &[u8]) -> Result<LabelSet, CorruptBlock> {
-    let mut pos = 0;
-    let labels = get_labels(data, &mut pos)?;
-    if pos != data.len() {
-        return Err(CorruptBlock("series entry has trailing bytes"));
-    }
-    Ok(labels)
-}
-
 /// The chunk store: persistence of offloaded chunks across the hot
 /// (sealed) and cold (compacted) tiers, plus the durable series index.
 #[derive(Clone)]
@@ -349,8 +280,8 @@ impl ChunkStore {
     /// A chunk store over fresh in-memory object tiers.
     pub fn new() -> Self {
         Self {
-            hot: Arc::new(ObjectTier::new("chunks/", None)),
-            cold: Arc::new(ObjectTier::new("compacted/", Some(ColdTierPolicy::default()))),
+            hot: Arc::new(ObjectTier::new(None)),
+            cold: Arc::new(ObjectTier::new(Some(ColdTierPolicy::default()))),
             next_seq: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -367,10 +298,8 @@ impl ChunkStore {
 
     fn put_chunk(&self, tier: &ObjectTier, fingerprint: u64, chunk: &SealedChunk) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        tier.put(
-            tier.chunk_key(fingerprint, chunk.min_ts, chunk.max_ts, seq),
-            chunk_to_object(chunk),
-        );
+        let key = ChunkKey { fingerprint, min_ts: chunk.min_ts, max_ts: chunk.max_ts, seq };
+        tier.put(key, chunk_to_object(chunk));
     }
 
     /// Persist one chunk of a stream into the hot tier.
@@ -389,23 +318,18 @@ impl ChunkStore {
     /// Without this, offloaded chunks would be reachable only through an
     /// ingester's in-memory stream map — and orphaned by a crash.
     pub fn register_series(&self, fingerprint: u64, labels: &LabelSet) {
-        let key = series_key(fingerprint);
-        if self.hot.list(&key).is_empty() {
-            self.hot.put(key, labels_to_object(labels));
-        }
+        self.hot.objects.write().series.entry(fingerprint).or_insert_with(|| {
+            let mut encoded = Vec::new();
+            put_labels(&mut encoded, labels);
+            (labels.clone(), encoded.len())
+        });
     }
 
-    /// Every `(fingerprint, labels)` in the durable series index.
+    /// Every `(fingerprint, labels)` in the durable series index, in
+    /// fingerprint order.
     pub fn series(&self) -> Vec<(u64, LabelSet)> {
-        self.hot
-            .list("series/")
-            .into_iter()
-            .filter_map(|key| {
-                let fp = u64::from_str_radix(key.strip_prefix("series/")?, 16).ok()?;
-                let labels = object_to_labels(&self.hot.get(&key)?).ok()?;
-                Some((fp, labels))
-            })
-            .collect()
+        let objects = self.hot.objects.read();
+        objects.series.iter().map(|(fp, (labels, _))| (*fp, labels.clone())).collect()
     }
 
     /// Delete chunks of a stream entirely older than `horizon`, both
@@ -416,14 +340,14 @@ impl ChunkStore {
         let tiers = [&self.hot, &self.cold];
         let mut removed = 0;
         for tier in tiers {
-            for (key, _, max) in tier.chunk_refs(fingerprint) {
-                if max < horizon && tier.delete(&key) {
+            for key in tier.chunk_refs(fingerprint) {
+                if key.max_ts < horizon && tier.delete(&key) {
                     removed += 1;
                 }
             }
         }
         if removed > 0 && tiers.iter().all(|t| t.chunk_refs(fingerprint).is_empty()) {
-            self.hot.delete(&series_key(fingerprint));
+            self.hot.objects.write().series.remove(&fingerprint);
         }
         removed
     }
@@ -478,7 +402,7 @@ mod tests {
     fn hostile_length_is_an_error_not_a_panic() {
         const HUGE: [u8; 10] = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         let labels = [&[0x01][..], &HUGE, &[0x01], b"abc"].concat();
-        assert!(object_to_labels(&labels).is_err());
+        assert!(crate::compress::get_labels(&labels, &mut 0).is_err());
         let chunk = [&[0, 0, 0, 0][..], &HUGE, b"abc"].concat();
         assert!(object_to_chunk(&chunk).is_err());
     }
@@ -526,30 +450,16 @@ mod tests {
     }
 
     #[test]
-    fn key_encoding_orders_negative_timestamps() {
-        // Pre-epoch timestamps: decimal rendering made `-` sort before
-        // digits and reversed the order among negatives. The offset-binary
-        // hex encoding keeps lexicographic key order equal to time order.
-        let timestamps = [i64::MIN, -2_000, -1_999, -1, 0, 1, 2_000, i64::MAX];
-        let encoded: Vec<String> = timestamps.iter().map(|&t| encode_key_ts(t)).collect();
-        let mut sorted = encoded.clone();
-        sorted.sort();
-        assert_eq!(encoded, sorted, "encoding must be order-preserving");
-        for &t in &timestamps {
-            assert_eq!(decode_key_ts(&encode_key_ts(t)), Some(t));
-        }
-    }
-
-    #[test]
     fn pre_epoch_chunks_fetch_and_expire_correctly() {
         let store = ChunkStore::new();
         store.persist(9, &chunk(10, -5_000)); // ts -5000..-4991
         store.persist(9, &chunk(10, 1_000)); // ts 1000..1009
-                                             // Keys list in time order: the negative-span chunk first.
+
+        // Keys list in time order: the negative-span chunk first.
         let refs = store.objects().chunk_refs(9);
         assert_eq!(refs.len(), 2);
-        assert_eq!(refs[0].1, -5_000);
-        assert_eq!(refs[1].1, 1_000);
+        assert_eq!(refs[0].min_ts, -5_000);
+        assert_eq!(refs[1].min_ts, 1_000);
         // Fetch finds the pre-epoch chunk through the key-span filter.
         let (got, stats) = read(&store, 9, -6_000, 0);
         assert_eq!((got.len(), got[0].ts, stats.chunks_touched), (10, -5_000, 1));
@@ -593,23 +503,45 @@ mod tests {
         assert_eq!(store.objects().object_count(), 0);
     }
 
+    /// A chunk key with a one-instant span at `ts`.
+    fn key(fingerprint: u64, ts: Timestamp, seq: u64) -> ChunkKey {
+        ChunkKey { fingerprint, min_ts: ts, max_ts: ts, seq }
+    }
+
     #[test]
-    fn mem_store_list_prefix() {
-        let store = ObjectTier::new("chunks/", None);
-        store.put("a/1".into(), Bytes::from_static(b"x"));
-        store.put("a/2".into(), Bytes::from_static(b"y"));
-        store.put("b/1".into(), Bytes::from_static(b"z"));
-        assert_eq!(store.list("a/"), vec!["a/1", "a/2"]);
-        assert_eq!(store.stored_bytes(), 3);
-        assert!(store.delete("a/1"));
-        assert!(!store.delete("a/1"));
+    fn tier_lists_one_stream_and_deletes_once() {
+        let tier = ObjectTier::new(None);
+        tier.put(key(1, 5, 0), Bytes::from_static(b"x"));
+        tier.put(key(1, -5, 1), Bytes::from_static(b"y"));
+        tier.put(key(2, 0, 2), Bytes::from_static(b"z"));
+        assert_eq!(tier.chunk_refs(1), [key(1, -5, 1), key(1, 5, 0)]);
+        assert_eq!(tier.stored_bytes(), 3);
+        assert!(tier.delete(&key(1, 5, 0)));
+        assert!(!tier.delete(&key(1, 5, 0)));
+    }
+
+    /// The series index is no object: registering a stream — twice — adds
+    /// no chunk object and costs no operation, listing it costs no GET,
+    /// and `stored_bytes` counts the entry once at its encoded size.
+    #[test]
+    fn series_index_is_held_typed() {
+        let store = ChunkStore::new();
+        let labels = omni_model::labels!("app" => "x", "host" => "n0");
+        store.register_series(3, &labels);
+        store.register_series(3, &labels);
+        let mut encoded = Vec::new();
+        put_labels(&mut encoded, &labels);
+        assert_eq!(store.series(), [(3, labels)]);
+        assert_eq!(store.objects().object_count(), 0);
+        assert_eq!(store.objects().op_counts(), (0, 0));
+        assert_eq!(store.objects().stored_bytes(), encoded.len());
     }
 
     #[test]
     fn cold_tier_serves_compacted_chunks_and_charges_latency() {
         let store = ChunkStore::new();
         store.put_compacted(5, &chunk(20, 100));
-        assert_eq!(store.cold().list("compacted/").len(), 1);
+        assert_eq!(store.cold().object_count(), 1);
         store.register_series(5, &omni_model::labels!("app" => "x"));
         let (got, stats) = read(&store, 5, 0, 1_000);
         assert_eq!(got.len(), 20);
@@ -626,24 +558,23 @@ mod tests {
     fn cold_tier_transient_failures_are_deterministic_and_retried() {
         let cold = |fail_permille| {
             let policy = ColdTierPolicy { fail_permille, seed: 7, ..Default::default() };
-            ObjectTier::new("compacted/", Some(policy))
+            ObjectTier::new(Some(policy))
         };
         let tier = cold(1_000);
-        tier.put("compacted/x".into(), Bytes::from_static(b"abc"));
+        tier.put(key(1, 0, 0), Bytes::from_static(b"abc"));
         // With a 100% coin every GET fails once and succeeds on retry.
-        assert_eq!(tier.get("compacted/x").unwrap(), Bytes::from_static(b"abc"));
+        assert_eq!(tier.get(&key(1, 0, 0)).unwrap(), Bytes::from_static(b"abc"));
         assert_eq!(tier.transient_failures(), 1);
-        assert_eq!(tier.get("compacted/x").unwrap(), Bytes::from_static(b"abc"));
+        assert_eq!(tier.get(&key(1, 0, 0)).unwrap(), Bytes::from_static(b"abc"));
         assert_eq!(tier.transient_failures(), 2, "the coin is per (seed, key), not one-shot");
         // The coin is deterministic: the same key under the same seed
         // always rolls the same way.
         let probe = |t: &ObjectTier| {
             (0..20)
                 .map(|i| {
-                    let key = format!("compacted/{i}");
-                    t.put(key.clone(), Bytes::from_static(b"x"));
+                    t.put(key(i, 0, i), Bytes::from_static(b"x"));
                     let before = t.transient_failures();
-                    t.get(&key);
+                    t.get(&key(i, 0, i));
                     t.transient_failures() > before
                 })
                 .collect::<Vec<bool>>()

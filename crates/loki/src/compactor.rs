@@ -10,7 +10,8 @@
 //!
 //! * **merge** — sealed chunks of one stream whose newest entry is older
 //!   than `compact_after_ns` are decoded, concatenated in key order
-//!   (which *is* time order under the offset-binary key encoding),
+//!   (which *is* time order: a [`crate::chunkstore::ChunkKey`] sorts by
+//!   span),
 //!   stably re-sorted by timestamp, and re-cut into objects of
 //!   `compacted_target_bytes`;
 //! * **dedup** — byte-identical same-span source chunks (the artifact a
@@ -33,7 +34,7 @@
 //! can only be the same flush persisted twice — are dropped.
 
 use crate::chunk::SealedChunk;
-use crate::chunkstore::{object_to_chunk, ChunkStore};
+use crate::chunkstore::{object_to_chunk, ChunkKey, ChunkStore};
 use omni_model::{LabelSet, LogEntry, Timestamp};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -155,12 +156,12 @@ impl Compactor {
         let cutoff = now.saturating_sub(self.compact_after_ns);
 
         for (fp, _labels) in self.store.series() {
-            let eligible: Vec<(String, Timestamp, Timestamp)> = self
+            let eligible: Vec<ChunkKey> = self
                 .store
                 .objects()
                 .chunk_refs(fp)
                 .into_iter()
-                .filter(|(_, _, max)| *max < cutoff)
+                .filter(|key| key.max_ts < cutoff)
                 .collect();
             if eligible.len() < 2 {
                 // Nothing to merge; a lone cold chunk stays hot rather
@@ -173,19 +174,19 @@ impl Compactor {
             // byte-identical same-span duplicates.
             let mut seen: HashMap<(Timestamp, Timestamp), Vec<bytes::Bytes>> = HashMap::new();
             let mut entries: Vec<LogEntry> = Vec::new();
-            let mut source_keys: Vec<String> = Vec::new();
+            let mut source_keys: Vec<ChunkKey> = Vec::new();
             let mut merged_here = 0usize;
-            for (key, min, max) in &eligible {
-                let Some(data) = self.store.objects().get(key) else { continue };
-                let span_seen = seen.entry((*min, *max)).or_default();
+            for key in eligible {
+                let Some(data) = self.store.objects().get(&key) else { continue };
+                let span_seen = seen.entry((key.min_ts, key.max_ts)).or_default();
                 if span_seen.contains(&data) {
                     report.duplicates_dropped += 1;
                     report.dedup_window = Some(match report.dedup_window {
-                        Some((lo, hi)) => (lo.min(*min), hi.max(*max)),
-                        None => (*min, *max),
+                        Some((lo, hi)) => (lo.min(key.min_ts), hi.max(key.max_ts)),
+                        None => (key.min_ts, key.max_ts),
                     });
                     report.hot_bytes_removed += data.len();
-                    source_keys.push(key.clone());
+                    source_keys.push(key);
                     continue;
                 }
                 // A source that does not decode stays where it is: merging
@@ -197,7 +198,7 @@ impl Compactor {
                 entries.append(&mut decoded);
                 report.hot_bytes_removed += data.len();
                 span_seen.push(data);
-                source_keys.push(key.clone());
+                source_keys.push(key);
                 merged_here += 1;
             }
             if merged_here == 0 {
@@ -284,7 +285,7 @@ mod tests {
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 8);
         assert_eq!(report.objects_written, 1, "everything fits one compacted object");
-        assert_eq!(store.objects().list("chunks/").len(), 0, "hot sources deleted");
+        assert_eq!(store.objects().object_count(), 0, "hot sources deleted");
         assert_eq!(store.cold().object_count(), 1);
         let after = stored(&store, 1);
         assert_eq!(before.len(), after.len());
@@ -303,7 +304,7 @@ mod tests {
         // now=12_500 → cutoff 2_500: the first three chunks qualify.
         let report = compactor.run(12_500, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 3);
-        assert_eq!(store.objects().list("chunks/").len(), 1);
+        assert_eq!(store.objects().object_count(), 1);
     }
 
     #[test]
@@ -344,12 +345,12 @@ mod tests {
     #[test]
     fn undecodable_source_is_left_in_place() {
         let store = store_with_stream(1, 6);
-        let key = store.objects().chunk_refs(1)[2].0.clone();
+        let key = store.objects().chunk_refs(1)[2];
         let mut data = store.objects().get(&key).unwrap().to_vec();
         let container_at = data.len() - object_to_chunk(&data).unwrap().raw_block().len();
         data[container_at] = 0x7f; // a block count no container this small can hold
         assert!(object_to_chunk(&data).unwrap().decode().is_err());
-        store.objects().put(key.clone(), bytes::Bytes::from(data.clone()));
+        store.objects().put(key, bytes::Bytes::from(data.clone()));
         let hot_before = store.objects().stored_bytes();
 
         let report = Compactor::new(store.clone(), 0, usize::MAX).run(1_000_000, &|_| i64::MAX);
@@ -394,7 +395,7 @@ mod tests {
         let compactor = Compactor::new(store.clone(), 0, usize::MAX);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 0);
-        assert_eq!(store.objects().list("chunks/").len(), 1);
+        assert_eq!(store.objects().object_count(), 1);
         assert_eq!(store.cold().object_count(), 0);
     }
 }

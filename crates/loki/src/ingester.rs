@@ -213,10 +213,8 @@ impl Ingester {
     }
 
     /// Streams matching a selector: index candidates from equality
-    /// matchers, then full matcher evaluation per candidate. Streams that
-    /// live only in the durable tier (offloaded, then the in-memory map
-    /// lost to a crash) are found via the store's series index, home
-    /// shard only.
+    /// matchers, then full matcher evaluation per candidate, then the
+    /// streams only the durable tier knows (`store_only_streams`).
     pub fn select_streams(&self, selector: &Selector) -> Vec<LabelSet> {
         let st = self.state.read();
         let mut out: Vec<LabelSet> = st
@@ -227,14 +225,26 @@ impl Ingester {
             .filter(|s| selector.matches(&s.labels))
             .map(|s| s.labels.clone())
             .collect();
-        if let Some(store) = &self.chunk_store {
-            for (fp, labels) in store.series() {
-                if self.owns(fp) && !st.streams.contains_key(&fp) && selector.matches(&labels) {
-                    out.push(labels);
-                }
-            }
-        }
+        let store_only = self.store_only_streams(selector, |fp| st.streams.contains_key(&fp));
+        out.extend(store_only.into_iter().map(|(_, labels)| labels));
         out
+    }
+
+    /// Streams matching `selector` that this shard is home to but does not
+    /// hold in memory (`in_memory` says which it does): offloaded, then
+    /// the in-memory map lost to a crash, or never on this replacement
+    /// ingester. They are found through the store's series index.
+    fn store_only_streams(
+        &self,
+        selector: &Selector,
+        in_memory: impl Fn(u64) -> bool,
+    ) -> Vec<(u64, LabelSet)> {
+        let Some(store) = &self.chunk_store else { return Vec::new() };
+        store
+            .series()
+            .into_iter()
+            .filter(|(fp, labels)| self.owns(*fp) && !in_memory(*fp) && selector.matches(labels))
+            .collect()
     }
 
     /// Entries of matching streams in `(start, end]`, tagged with their
@@ -265,22 +275,14 @@ impl Ingester {
                 .collect()
         };
         if let Some(store) = &self.chunk_store {
-            // Durable-tier-only streams (in-memory state lost to a crash,
-            // or never on this replacement ingester) join off the store's
-            // series index, so offloaded data survives any ingester. A
-            // stream appearing in memory between the phases is fine:
-            // `in_memory` is the snapshot phase 1 actually answered from,
-            // so nothing double-counts.
+            // Durable-tier-only streams join off the store's series index,
+            // so offloaded data survives any ingester. A stream appearing
+            // in memory between the phases is fine: `in_memory` is the
+            // snapshot phase 1 actually answered from, so nothing
+            // double-counts.
             let in_memory: HashSet<u64> = streams.iter().map(|(fp, ..)| *fp).collect();
-            streams.extend(
-                store
-                    .series()
-                    .into_iter()
-                    .filter(|(fp, labels)| {
-                        self.owns(*fp) && !in_memory.contains(fp) && selector.matches(labels)
-                    })
-                    .map(|(fp, labels)| (fp, labels, Vec::new())),
-            );
+            let store_only = self.store_only_streams(selector, |fp| in_memory.contains(&fp));
+            streams.extend(store_only.into_iter().map(|(fp, labels)| (fp, labels, Vec::new())));
             // Phase 2: the older tiers go in front of what memory held —
             // home shard only, since the store is shared cluster-wide.
             for (fp, _, entries) in streams.iter_mut().filter(|(fp, ..)| self.owns(*fp)) {

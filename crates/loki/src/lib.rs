@@ -1123,6 +1123,39 @@ mod tests {
         assert!(out.windows(2).all(|w| w[0].entry.ts >= w[1].entry.ts));
     }
 
+    /// The hot tier's object count and GETs are chunk objects only: the
+    /// series index is held typed, so it is neither counted as an object
+    /// nor listed, fetched and decoded by every shard a query reaches.
+    #[test]
+    fn hot_tier_counts_and_fetches_chunk_objects_only() {
+        let limits = Limits { chunk_target_bytes: 64, split_interval_ns: 0, ..Default::default() };
+        let c = LokiCluster::new(2, limits, SimClock::starting_at(0));
+        let apps = ["a", "b", "c", "d"];
+        for i in 0..30 {
+            for app in apps {
+                c.push(labels!("app" => app), i * NANOS_PER_SEC, format!("event {i} of {app}"))
+                    .unwrap();
+            }
+        }
+        c.flush();
+        c.clock().set(100 * NANOS_PER_SEC);
+        let offloaded = c.offload(0);
+        let store = c.chunk_store();
+        assert_eq!(store.series().len(), apps.len());
+        assert!(offloaded > apps.len(), "several chunks per stream");
+        assert_eq!(store.objects().object_count(), offloaded, "not chunks + series");
+
+        let hot_chunks = store.objects().chunk_refs(labels!("app" => "a").fingerprint()).len();
+        let (_, gets_before) = store.objects().op_counts();
+        let (records, report) =
+            logs_with_report(&c, None, r#"{app="a"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX)
+                .unwrap();
+        let (_, gets_after) = store.objects().op_counts();
+        assert_eq!(records.len(), 30);
+        assert_eq!(report.stats.chunks_touched, hot_chunks);
+        assert_eq!(gets_after - gets_before, hot_chunks as u64, "one GET per chunk read");
+    }
+
     #[test]
     fn retention_reaches_the_disk_tier() {
         let limits = Limits {
@@ -1158,14 +1191,14 @@ mod tests {
         }
         c.clock().set(200 * NANOS_PER_SEC);
         c.offload(0);
-        let hot_objects = c.chunk_store().objects().list("chunks/").len();
+        let hot_objects = c.chunk_store().objects().object_count();
         assert!(hot_objects > 1, "need several sealed objects to merge");
         let before = c.query_logs(r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
         let report = c.compact();
         assert!(report.chunks_merged > 0);
         assert!(c.chunk_store().cold().object_count() > 0, "compacted objects demoted to cold");
         assert!(
-            c.chunk_store().objects().list("chunks/").len() < hot_objects,
+            c.chunk_store().objects().object_count() < hot_objects,
             "merged hot sources deleted"
         );
         // Cold-cache re-read must return byte-for-byte identical results.
@@ -1208,7 +1241,7 @@ mod tests {
         assert_eq!(c.offload(0), 2, "lines 04-07 → two hot objects");
         push(8..13); // lines 08-0b → two sealed chunks, line 0c → the head
         assert_eq!(c.chunk_store().cold().object_count(), 1);
-        assert_eq!(c.chunk_store().objects().list("chunks/").len(), 2);
+        assert_eq!(c.chunk_store().objects().object_count(), 2);
         assert_eq!(c.chunk_count(), 3);
 
         c.frontend().invalidate_all();

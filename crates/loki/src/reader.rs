@@ -147,9 +147,9 @@ pub(crate) fn read_store(
 ) -> Vec<LogEntry> {
     let mut out = Vec::new();
     for (tier, cold) in [(store.cold(), true), (store.objects(), false)] {
-        for (key, min, max) in tier.chunk_refs(fingerprint) {
+        for key in tier.chunk_refs(fingerprint) {
             // `(start, end]`, mirroring `SealedChunk::overlaps`.
-            if max <= start || min > end {
+            if key.max_ts <= start || key.min_ts > end {
                 stats.skipped_by_key += 1;
             } else if let Some(data) = tier.get(&key) {
                 read_chunk(object_to_chunk(&data), cold, start, end, stats, &mut out);
@@ -182,7 +182,7 @@ mod tests {
                 ing.append(LogRecord::new(labels.clone(), ts, line)).unwrap();
             }
             assert_eq!(ing.offload(100), 2);
-            let key = store.objects().chunk_refs(fp)[1].0.clone();
+            let key = store.objects().chunk_refs(fp)[1];
             let mut data = store.objects().get(&key).unwrap().to_vec();
             if corrupt_header {
                 data.pop(); // the object header's length check fails

@@ -1,5 +1,6 @@
-//! Property tests for the compaction path: the series-index label codec
-//! must round-trip and survive corrupt input, and — the load-bearing
+//! Property tests for the compaction path: the label codec
+//! (`compress::put_labels` / `get_labels`, which the WAL's series table
+//! uses) must round-trip and survive corrupt input, and — the load-bearing
 //! invariant — queries must return identical results, in arrival order,
 //! wherever the data sits: the head, sealed in ingester memory, the hot
 //! object tier (offloaded), the cold compacted tier, or all four at once.
@@ -11,7 +12,8 @@ mod common;
 use common::{reference_fetch, ReferenceStore};
 use omni_logql::eval::eval_metric_at;
 use omni_logql::{parse_expr, parse_selector, Expr};
-use omni_loki::chunkstore::{labels_to_object, object_to_chunk, object_to_labels};
+use omni_loki::chunkstore::object_to_chunk;
+use omni_loki::compress::{get_labels, put_labels};
 use omni_loki::{Direction, Limits, LokiCluster, QueryRequest, QueryShape};
 use omni_model::{LabelSet, LogRecord, SimClock, NANOS_PER_SEC};
 use proptest::prelude::*;
@@ -23,20 +25,26 @@ fn arb_labels() -> impl Strategy<Value = LabelSet> {
         .prop_map(LabelSet::from_pairs)
 }
 
+/// One label set alone in a buffer, as `put_labels` writes it.
+fn encode(labels: &LabelSet) -> Vec<u8> {
+    let mut out = Vec::new();
+    put_labels(&mut out, labels);
+    out
+}
+
 proptest! {
-    /// Encoding a label set into a series-index object and decoding it
-    /// back is lossless.
+    /// Encoding a label set and decoding it back is lossless.
     #[test]
     fn labels_roundtrip(labels in arb_labels()) {
-        let obj = labels_to_object(&labels);
-        prop_assert_eq!(object_to_labels(&obj).unwrap(), labels);
+        let obj = encode(&labels);
+        prop_assert_eq!(get_labels(&obj, &mut 0).unwrap(), labels);
     }
 
-    /// Arbitrary bytes posing as a series-index object must decode to an
+    /// Arbitrary bytes posing as an encoded label set must decode to an
     /// error or a label set — never panic, never read out of bounds.
     #[test]
     fn corrupt_series_objects_never_panic(data in prop::collection::vec(any::<u8>(), 0..600)) {
-        let _ = object_to_labels(&data);
+        let _ = get_labels(&data, &mut 0);
     }
 
     /// A truncated valid encoding either errors or (cut at the exact
@@ -46,12 +54,12 @@ proptest! {
         labels in arb_labels(),
         cut_frac in 0.0f64..1.0,
     ) {
-        let obj = labels_to_object(&labels);
-        prop_assert_eq!(object_to_labels(&obj).unwrap(), labels.clone());
+        let obj = encode(&labels);
+        prop_assert_eq!(get_labels(&obj, &mut 0).unwrap(), labels.clone());
         let cut = ((obj.len() as f64) * cut_frac) as usize;
-        if let Ok(decoded) = object_to_labels(&obj[..cut]) {
-            // The trailing-bytes and bounds checks leave exactly one
-            // decodable prefix: the whole object.
+        if let Ok(decoded) = get_labels(&obj[..cut], &mut 0) {
+            // The pair count and the bounds checks leave exactly one
+            // decodable prefix: the whole encoding.
             prop_assert_eq!(cut, obj.len());
             prop_assert_eq!(decoded, labels);
         }
@@ -140,9 +148,9 @@ impl Rig {
         let mut out = Vec::new();
         for (fp, _) in store.series() {
             for (tier, cold) in [(store.cold(), true), (store.objects(), false)] {
-                for (key, min, max) in tier.chunk_refs(fp) {
+                for key in tier.chunk_refs(fp) {
                     let chunk = object_to_chunk(&tier.get(&key).unwrap()).unwrap();
-                    out.push((cold, (min, max), chunk.block_count()));
+                    out.push((cold, (key.min_ts, key.max_ts), chunk.block_count()));
                 }
             }
         }

@@ -166,7 +166,7 @@ fn main() {
     c.recover_shard(0);
 
     let store = c.chunk_store();
-    let hot_objects_before = store.objects().list("chunks/").len();
+    let hot_objects_before = store.objects().object_count();
     let hot_bytes_before = store.objects().stored_bytes();
     let logical_bytes = c.stats().bytes as f64;
     let amp_before = hot_bytes_before as f64 / logical_bytes;
@@ -202,7 +202,7 @@ fn main() {
     // and 5% of objects whose first GET fails transiently.
     store.cold().set_policy(ColdTierPolicy { fail_permille: 50, seed: SEED, ..Default::default() });
     let report = c.compact();
-    let hot_objects_after = store.objects().list("chunks/").len();
+    let hot_objects_after = store.objects().object_count();
     let stored_after = store.objects().stored_bytes() + store.cold().stored_bytes();
     let amp_after = stored_after as f64 / logical_bytes;
     println!("\ncompaction:");

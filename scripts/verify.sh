@@ -86,6 +86,14 @@ if grep -n "postings\|recent\|BTreeSet" crates/tsdb/src/storage.rs; then
     echo "the TSDB has its own postings or a mirror of its open samples again"; exit 1
 fi
 
+echo "== typed object-store keys (no string key codec, no series objects) =="
+# A chunk object's key is an omni_loki::chunkstore::ChunkKey, and the
+# durable series index is a typed map under the hot tier's lock: neither
+# the string key codec nor the series-object codec may come back.
+if grep -rn "encode_key_ts\|decode_key_ts\|parse_key_span\|series_key\|labels_to_object\|object_to_labels" crates examples; then
+    echo "a string object key or a series-index object is back"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
