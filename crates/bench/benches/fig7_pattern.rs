@@ -9,8 +9,9 @@ use omni_model::labels;
 const LINE: &str = "[critical] problem:fm_switch_offline, xname:x1002c1r7b0, state:UNKNOWN";
 const JSON_LINE: &str = r#"{"severity":"critical","problem":"fm_switch_offline","xname":"x1002c1r7b0","state":"UNKNOWN"}"#;
 
-fn pipeline(q: &str) -> Pipeline {
-    Pipeline::new(parse_log_query(q).unwrap().stages)
+/// The stages are leaked so each benchmark can hold its pipeline by value.
+fn pipeline(q: &str) -> Pipeline<'static> {
+    Pipeline::new(parse_log_query(q).unwrap().stages.leak())
 }
 
 fn bench(c: &mut Criterion) {

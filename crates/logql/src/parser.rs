@@ -8,6 +8,11 @@ use omni_regexlite::Regex;
 use std::fmt;
 use std::sync::Arc;
 
+/// Maximum nesting of metric aggregations — far above any real query, and
+/// a guard against stack exhaustion on hostile query text (the query
+/// door, rule files and the lint all parse text from outside).
+const MAX_DEPTH: usize = 128;
+
 /// Parse failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
@@ -106,7 +111,7 @@ impl Parser {
                 Ok(Expr::Log(q))
             }
             Some(Token::Ident(_)) => {
-                let m = self.metric_query()?;
+                let m = self.metric_query(0)?;
                 Ok(Expr::Metric(self.maybe_filter(m)?))
             }
             Some(t) => Err(ParseError::new(format!("unexpected token {t}"))),
@@ -136,7 +141,10 @@ impl Parser {
         Ok(MetricQuery::Filter { inner: Box::new(inner), op, scalar })
     }
 
-    fn metric_query(&mut self) -> Result<MetricQuery, ParseError> {
+    fn metric_query(&mut self, depth: usize) -> Result<MetricQuery, ParseError> {
+        if depth > MAX_DEPTH {
+            return Err(ParseError::new(format!("aggregations nest deeper than {MAX_DEPTH}")));
+        }
         let name = self.ident()?;
         if let Some(op) = RangeAggOp::from_name(&name) {
             return self.range_agg(op);
@@ -155,7 +163,7 @@ impl Parser {
                     _ => return Err(ParseError::new(format!("{name} needs a positive k"))),
                 };
                 self.expect(&Token::Comma)?;
-                let inner = self.metric_query()?;
+                let inner = self.metric_query(depth + 1)?;
                 self.expect(&Token::RParen)?;
                 let op =
                     if name == "topk" { VectorAggOp::Topk(k) } else { VectorAggOp::Bottomk(k) };
@@ -167,7 +175,7 @@ impl Parser {
         // Prometheus allows grouping before or after the parens.
         let grouping_before = self.maybe_grouping()?;
         self.expect(&Token::LParen)?;
-        let inner = self.metric_query()?;
+        let inner = self.metric_query(depth + 1)?;
         self.expect(&Token::RParen)?;
         let grouping_after = self.maybe_grouping()?;
         if grouping_before.is_some() && grouping_after.is_some() {
@@ -525,6 +533,25 @@ mod tests {
         ] {
             assert!(parse_expr(q).is_err(), "should reject {q:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| {
+            let inner = r#"count_over_time({a="b"}[1m])"#;
+            format!("{}{inner}{}", "sum(".repeat(levels), ")".repeat(levels))
+        };
+        assert!(parse_expr(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_expr(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        // Regression: 5 000 levels used to overflow the stack and abort.
+        assert!(parse_expr(&nested(100_000)).is_err());
+        let topk = format!(
+            "{}count_over_time({{a=\"b\"}}[1m]){}",
+            "topk(1, ".repeat(100_000),
+            ")".repeat(100_000)
+        );
+        assert!(parse_expr(&topk).is_err());
     }
 
     #[test]

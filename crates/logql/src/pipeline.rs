@@ -1,15 +1,32 @@
 //! Log pipeline execution: one entry in, zero-or-one processed entry out.
+//!
+//! [`Pipeline::process`] is the one executor: log queries, the
+//! shard-side metric map and the reference evaluators all run a query's
+//! stages through it. It borrows. The entry it hands back points at the
+//! caller's line and stream labels until a stage rewrites them:
+//!
+//! * the line becomes `Owned` only at `line_format`;
+//! * the labels become `Owned` at the first label a stage inserts — a
+//!   parser (`json`, `logfmt`, `pattern`, `regexp`) extracting one,
+//!   `label_format`, or an `__error__` label.
+//!
+//! Line filters, label comparisons and a successful `unwrap` only read,
+//! so the pipeline copies nothing for an entry they drop or keep, and
+//! `Borrowed` labels are the stream's own set.
 
 use crate::ast::{LabelFormatSrc, Stage};
 use omni_model::{rules::render_template, LabelSet};
+use std::borrow::Cow;
 
-/// An entry after pipeline processing.
+/// An entry after pipeline processing, borrowing the caller's line and
+/// stream labels until a stage rewrites them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProcessedEntry {
-    /// Possibly rewritten line (`line_format`).
-    pub line: String,
-    /// Stream labels plus everything the stages extracted.
-    pub labels: LabelSet,
+pub struct ProcessedEntry<'a> {
+    /// The line; `Owned` once `line_format` rewrote it.
+    pub line: Cow<'a, str>,
+    /// Stream labels plus everything the stages extracted; `Owned` from
+    /// the first label a stage inserts.
+    pub labels: Cow<'a, LabelSet>,
     /// Value extracted by `| unwrap`, if any.
     pub unwrapped: Option<f64>,
 }
@@ -18,138 +35,117 @@ pub struct ProcessedEntry {
 /// operators can find broken lines.
 pub const ERROR_LABEL: &str = "__error__";
 
-/// A compiled pipeline.
-#[derive(Debug, Clone)]
-pub struct Pipeline {
-    stages: Vec<Stage>,
+/// A compiled pipeline: a view of a parsed query's stages.
+#[derive(Debug, Clone, Copy)]
+pub struct Pipeline<'s> {
+    stages: &'s [Stage],
 }
 
-impl Pipeline {
-    /// Build from parsed stages.
-    pub fn new(stages: Vec<Stage>) -> Self {
+impl<'s> Pipeline<'s> {
+    /// Borrow parsed stages.
+    pub fn new(stages: &'s [Stage]) -> Self {
         Self { stages }
     }
 
-    /// Whether any stage extracts labels (forces per-line work even for
-    /// count-style aggregations).
-    pub fn has_parser_stage(&self) -> bool {
-        self.stages.iter().any(|s| {
-            matches!(s, Stage::Json | Stage::Logfmt | Stage::Pattern(_) | Stage::Regexp(_))
-        })
-    }
-
     /// Run the pipeline on one entry. `None` means a filter dropped it.
-    pub fn process(&self, line: &str, stream_labels: &LabelSet) -> Option<ProcessedEntry> {
-        let mut entry = ProcessedEntry {
-            line: line.to_string(),
-            labels: stream_labels.clone(),
-            unwrapped: None,
-        };
-        for stage in &self.stages {
+    /// The result borrows `line` and `stream_labels` until a stage
+    /// rewrites them (the module doc lists which stages do).
+    pub fn process<'a>(
+        &self,
+        line: &'a str,
+        stream_labels: &'a LabelSet,
+    ) -> Option<ProcessedEntry<'a>> {
+        let mut line = Cow::Borrowed(line);
+        let mut labels = Cow::Borrowed(stream_labels);
+        let mut unwrapped = None;
+        for stage in self.stages {
             match stage {
                 Stage::LineContains(s) => {
-                    if !entry.line.contains(s.as_str()) {
+                    if !line.contains(s.as_str()) {
                         return None;
                     }
                 }
                 Stage::LineNotContains(s) => {
-                    if entry.line.contains(s.as_str()) {
+                    if line.contains(s.as_str()) {
                         return None;
                     }
                 }
                 Stage::LineRegex(re) => {
-                    if !re.is_match(&entry.line) {
+                    if !re.is_match(&line) {
                         return None;
                     }
                 }
                 Stage::LineNotRegex(re) => {
-                    if re.is_match(&entry.line) {
+                    if re.is_match(&line) {
                         return None;
                     }
                 }
-                Stage::Json => match omni_json::parse(&entry.line) {
+                Stage::Json => match omni_json::parse(&line) {
                     Ok(v) => {
                         for (k, val) in omni_json::flatten(&v) {
-                            add_extracted(&mut entry.labels, &k, &val);
+                            add_extracted(labels.to_mut(), &k, &val);
                         }
                     }
-                    Err(_) => entry.labels.insert(ERROR_LABEL, "JSONParserErr"),
+                    Err(_) => labels.to_mut().insert(ERROR_LABEL, "JSONParserErr"),
                 },
                 Stage::Logfmt => {
-                    for (k, v) in parse_logfmt(&entry.line) {
-                        add_extracted(&mut entry.labels, &k, &v);
+                    for (k, v) in parse_logfmt(&line) {
+                        add_extracted(labels.to_mut(), &k, &v);
                     }
                 }
-                Stage::Pattern(p) => match p.extract(&entry.line) {
+                Stage::Pattern(p) => match p.extract(&line) {
                     Some(caps) => {
                         for (k, v) in caps {
-                            let (k, v) = (k.to_string(), v.to_string());
-                            add_extracted(&mut entry.labels, &k, &v);
+                            add_extracted(labels.to_mut(), k, v);
                         }
                     }
-                    None => entry.labels.insert(ERROR_LABEL, "PatternErr"),
+                    None => labels.to_mut().insert(ERROR_LABEL, "PatternErr"),
                 },
-                Stage::Regexp(re) => match re.captures(&entry.line) {
+                Stage::Regexp(re) => match re.captures(&line) {
                     Some(caps) => {
-                        let pairs: Vec<(String, String)> = caps
-                            .named_pairs()
-                            .into_iter()
-                            .map(|(k, v)| (k.to_string(), v.to_string()))
-                            .collect();
-                        for (k, v) in pairs {
-                            add_extracted(&mut entry.labels, &k, &v);
+                        for (k, v) in caps.named_pairs() {
+                            add_extracted(labels.to_mut(), k, v);
                         }
                     }
-                    None => entry.labels.insert(ERROR_LABEL, "RegexpErr"),
+                    None => labels.to_mut().insert(ERROR_LABEL, "RegexpErr"),
                 },
                 Stage::LabelCmpString { label, negated, value } => {
-                    let actual = entry.labels.get(label).unwrap_or("");
+                    let actual = labels.get(label).unwrap_or("");
                     if (actual == value) == *negated {
                         return None;
                     }
                 }
                 Stage::LabelCmpRegex { label, negated, regex } => {
-                    let actual = entry.labels.get(label).unwrap_or("");
+                    let actual = labels.get(label).unwrap_or("");
                     if regex.is_full_match(actual) == *negated {
                         return None;
                     }
                 }
                 Stage::LabelCmpNumeric { label, op, value } => {
-                    let actual = entry.labels.get(label).and_then(|v| v.parse::<f64>().ok())?;
+                    let actual = labels.get(label).and_then(|v| v.parse::<f64>().ok())?;
                     if !op.apply(actual, *value) {
                         return None;
                     }
                 }
-                Stage::LineFormat(tpl) => {
-                    entry.line = render_template(tpl, &entry.labels);
-                }
+                Stage::LineFormat(tpl) => line = Cow::Owned(render_template(tpl, &labels)),
                 Stage::LabelFormat { dst, src } => {
                     let value = match src {
                         LabelFormatSrc::Rename(from) => {
-                            let v = entry.labels.get(from).unwrap_or("").to_string();
-                            entry.labels.remove(from);
-                            v
+                            labels.to_mut().remove(from).unwrap_or_default()
                         }
-                        LabelFormatSrc::Template(tpl) => render_template(tpl, &entry.labels),
+                        LabelFormatSrc::Template(tpl) => render_template(tpl, &labels),
                     };
-                    entry.labels.insert(dst.as_str(), value);
+                    labels.to_mut().insert(dst.as_str(), value);
                 }
                 Stage::Unwrap(label) => {
-                    let Some(v) = entry.labels.get(label).and_then(|v| v.parse::<f64>().ok())
-                    else {
-                        entry.labels.insert(ERROR_LABEL, "UnwrapErr");
-                        continue;
-                    };
-                    entry.unwrapped = Some(v);
+                    match labels.get(label).and_then(|v| v.parse::<f64>().ok()) {
+                        Some(v) => unwrapped = Some(v),
+                        None => labels.to_mut().insert(ERROR_LABEL, "UnwrapErr"),
+                    }
                 }
             }
         }
-        Some(entry)
-    }
-
-    /// Numeric-compare helper exposed for rule evaluation.
-    pub fn stages(&self) -> &[Stage] {
-        &self.stages
+        Some(ProcessedEntry { line, labels, unwrapped })
     }
 }
 
@@ -214,8 +210,9 @@ mod tests {
     use crate::parser::parse_log_query;
     use omni_model::labels;
 
-    fn pipeline(q: &str) -> Pipeline {
-        Pipeline::new(parse_log_query(q).unwrap().stages)
+    /// The stages are leaked so a test can hold its pipeline by value.
+    fn pipeline(q: &str) -> Pipeline<'static> {
+        Pipeline::new(parse_log_query(q).unwrap().stages.leak())
     }
 
     #[test]
@@ -242,14 +239,16 @@ mod tests {
     #[test]
     fn json_stage_flags_bad_lines() {
         let p = pipeline(r#"{a="b"} | json"#);
-        let e = p.process("not json at all", &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process("not json at all", &stream).unwrap();
         assert_eq!(e.labels.get(ERROR_LABEL), Some("JSONParserErr"));
     }
 
     #[test]
     fn json_collision_gets_extracted_suffix() {
         let p = pipeline(r#"{cluster="perlmutter"} | json"#);
-        let e = p.process(r#"{"cluster":"inner"}"#, &labels!("cluster" => "perlmutter")).unwrap();
+        let stream = labels!("cluster" => "perlmutter");
+        let e = p.process(r#"{"cluster":"inner"}"#, &stream).unwrap();
         assert_eq!(e.labels.get("cluster"), Some("perlmutter"));
         assert_eq!(e.labels.get("cluster_extracted"), Some("inner"));
     }
@@ -271,15 +270,16 @@ mod tests {
     #[test]
     fn regexp_stage_named_captures() {
         let p = pipeline(r#"{a="b"} | regexp "user=(?P<user>\w+)""#);
-        let e = p.process("login user=alice ok", &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process("login user=alice ok", &stream).unwrap();
         assert_eq!(e.labels.get("user"), Some("alice"));
     }
 
     #[test]
     fn logfmt_stage() {
         let p = pipeline(r#"{a="b"} | logfmt"#);
-        let e =
-            p.process(r#"level=warn msg="kafka retry" attempt=3"#, &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process(r#"level=warn msg="kafka retry" attempt=3"#, &stream).unwrap();
         assert_eq!(e.labels.get("level"), Some("warn"));
         assert_eq!(e.labels.get("msg"), Some("kafka retry"));
         assert_eq!(e.labels.get("attempt"), Some("3"));
@@ -306,9 +306,10 @@ mod tests {
     #[test]
     fn unwrap_extracts_value() {
         let p = pipeline(r#"{a="b"} | json | unwrap bytes"#);
-        let e = p.process(r#"{"bytes":1024}"#, &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process(r#"{"bytes":1024}"#, &stream).unwrap();
         assert_eq!(e.unwrapped, Some(1024.0));
-        let e = p.process(r#"{"bytes":"n/a"}"#, &labels!("a" => "b")).unwrap();
+        let e = p.process(r#"{"bytes":"n/a"}"#, &stream).unwrap();
         assert_eq!(e.unwrapped, None);
         assert_eq!(e.labels.get(ERROR_LABEL), Some("UnwrapErr"));
     }
@@ -316,25 +317,42 @@ mod tests {
     #[test]
     fn line_format_rewrites() {
         let p = pipeline(r#"{a="b"} | json | line_format "{{.level}}: {{.msg}}""#);
-        let e = p.process(r#"{"level":"warn","msg":"hi"}"#, &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process(r#"{"level":"warn","msg":"hi"}"#, &stream).unwrap();
         assert_eq!(e.line, "warn: hi");
     }
 
     #[test]
     fn label_format_rename_and_template() {
         let p = pipeline(r#"{a="b"} | json | label_format loc=Context"#);
-        let e = p.process(r#"{"Context":"x1203c1b0"}"#, &labels!("a" => "b")).unwrap();
+        let stream = labels!("a" => "b");
+        let e = p.process(r#"{"Context":"x1203c1b0"}"#, &stream).unwrap();
         assert_eq!(e.labels.get("loc"), Some("x1203c1b0"));
         assert_eq!(e.labels.get("Context"), None);
 
         let p = pipeline(r#"{a="b"} | json | label_format id="{{.x}}-{{.y}}""#);
-        let e = p.process(r#"{"x":"1","y":"2"}"#, &labels!("a" => "b")).unwrap();
+        let e = p.process(r#"{"x":"1","y":"2"}"#, &stream).unwrap();
         assert_eq!(e.labels.get("id"), Some("1-2"));
     }
 
+    /// The borrowing contract: a line stays the caller's until
+    /// `line_format`, labels stay the stream's until a stage inserts one.
     #[test]
-    fn has_parser_stage() {
-        assert!(pipeline(r#"{a="b"} | json"#).has_parser_stage());
-        assert!(!pipeline(r#"{a="b"} |= "x""#).has_parser_stage());
+    fn borrowed_until_a_stage_rewrites() {
+        let stream = labels!("a" => "b", "n" => "7");
+        let borrowed = |q: &str, line: &str| {
+            let e = pipeline(q).process(line, &stream).unwrap();
+            (matches!(e.line, Cow::Borrowed(_)), matches!(e.labels, Cow::Borrowed(_)))
+        };
+        let reads_only = r#"{a="b"} |= "x" != "y" |~ "x+" !~ "z" | a = "b" | a =~ "b" | n > 1"#;
+        assert_eq!(borrowed(reads_only, "x"), (true, true));
+        assert_eq!(borrowed(r#"{a="b"} | unwrap n"#, "x"), (true, true));
+        // A parser that extracts nothing inserts nothing.
+        assert_eq!(borrowed(r#"{a="b"} | json | logfmt"#, "{}"), (true, true));
+        assert_eq!(borrowed(r#"{a="b"} | json"#, r#"{"k":"v"}"#), (true, false));
+        assert_eq!(borrowed(r#"{a="b"} | json"#, "not json"), (true, false));
+        assert_eq!(borrowed(r#"{a="b"} | unwrap a"#, "x"), (true, false));
+        assert_eq!(borrowed(r#"{a="b"} | label_format c=a"#, "x"), (true, false));
+        assert_eq!(borrowed(r#"{a="b"} | line_format "{{.a}}""#, "x"), (false, true));
     }
 }

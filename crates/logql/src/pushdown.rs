@@ -17,8 +17,9 @@
 //!   [`PartialAgg::finish`], and `first`/`last_over_time` carry the
 //!   timestamp that selected their value;
 //! * [`shard_rows`] — the shard-side evaluator, series-major: raw stream
-//!   entries in, one [`PartialRow`] per label group out, holding one
-//!   optional partial per step of the grid;
+//!   entries in, each through the one executor [`Pipeline::process`], one
+//!   [`PartialRow`] per label group out, holding one optional partial per
+//!   step of the grid;
 //! * [`merge_rows`] / [`reduce_rows`] — the frontend-side reduce: rows
 //!   merge cell-wise across shards, finish, and the tree above the range
 //!   aggregation runs once over the whole grid, reconstructing exactly
@@ -34,6 +35,7 @@ use crate::ast::{MetricQuery, RangeAggOp, Stage};
 use crate::eval::{filter_grid, vector_agg_grid, SeriesGrid};
 use crate::pipeline::Pipeline;
 use omni_model::{LabelSet, LogEntry, Timestamp, NANOS_PER_SEC};
+use std::borrow::Cow;
 use std::collections::btree_map::{BTreeMap, Entry};
 
 /// The range-aggregation operator at the bottom of the query tree.
@@ -144,46 +146,6 @@ impl PartialAgg {
 /// or an infinity — and a row always has at least one `Some` cell.
 pub type PartialRow = (LabelSet, Vec<Option<PartialAgg>>);
 
-/// Scan-volume accounting for one shard's pushdown evaluation, absorbed
-/// into the engine's `QueryStats`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PushdownScan {
-    /// Entries decompressed and scanned.
-    pub entries_scanned: usize,
-    /// Line bytes processed.
-    pub bytes_scanned: usize,
-    /// Streams whose labels matched the selector.
-    pub streams_matched: usize,
-    /// Entries surviving the pipeline — what shipping entries to a
-    /// central evaluation would have moved (and this path did not).
-    pub entries_matched: usize,
-}
-
-/// Whether every stage is a pure line filter: the pipeline then never
-/// rewrites lines or labels, so group identity is the stream's label
-/// set and filtering can run over borrowed `&str` lines.
-fn filter_only(stages: &[Stage]) -> bool {
-    stages.iter().all(|s| {
-        matches!(
-            s,
-            Stage::LineContains(_)
-                | Stage::LineNotContains(_)
-                | Stage::LineRegex(_)
-                | Stage::LineNotRegex(_)
-        )
-    })
-}
-
-fn passes_filters(stages: &[Stage], line: &str) -> bool {
-    stages.iter().all(|s| match s {
-        Stage::LineContains(t) => line.contains(t.as_str()),
-        Stage::LineNotContains(t) => !line.contains(t.as_str()),
-        Stage::LineRegex(re) => re.is_match(line),
-        Stage::LineNotRegex(re) => !re.is_match(line),
-        _ => unreachable!("filter_only checked the stage set"),
-    })
-}
-
 /// What one matched entry adds to its group's column: nothing but its
 /// presence for the counting ops, its line bytes for the byte ops, its
 /// unwrapped value for the rest — `None` when there is no such value,
@@ -251,45 +213,43 @@ fn fill_row(
 /// every label group over the whole step grid, from one shard's matched
 /// streams. `streams` is the raw per-stream scan result; `steps` the
 /// (ascending) evaluation grid. Returns one row per contributing group,
-/// in ascending label order, plus the scan accounting.
+/// in ascending label order, plus the number of entries the pipeline
+/// kept.
 ///
-/// Each entry is assigned to its group once — the stream's own label set
-/// when the pipeline only filters lines (checked over the borrowed line,
-/// nothing allocated per entry), `Pipeline::process`'s output labels
-/// otherwise — and each group keeps one column, stably sorted by
-/// timestamp *after* grouping so equal timestamps stay in arrival order
-/// (what `first`/`last_over_time` tie-break on). All label work is per
-/// group; filling the cells then touches only timestamps and numbers.
+/// Every entry goes through [`Pipeline::process`] once. While its labels
+/// come back borrowed (or rewritten to an equal set) its group is the
+/// stream's own label set, whose column is looked up once per stream;
+/// other rewritten labels find their group by value, so a set equal to
+/// another stream's own set joins that stream's row. Each group's column
+/// is in arrival order, stably sorted by timestamp *after* grouping so
+/// equal timestamps stay in arrival order (what `first`/`last_over_time`
+/// tie-break on). All label work is per group; filling the cells then
+/// touches only timestamps and numbers.
 pub fn shard_rows(
     stages: &[Stage],
     op: RangeAggOp,
     streams: &[(LabelSet, Vec<LogEntry>)],
     steps: &[Timestamp],
     range_ns: i64,
-) -> (Vec<PartialRow>, PushdownScan) {
-    let mut scan = PushdownScan { streams_matched: streams.len(), ..Default::default() };
+) -> (Vec<PartialRow>, usize) {
+    let pipeline = Pipeline::new(stages);
     let mut columns: BTreeMap<LabelSet, Vec<(Timestamp, f64)>> = BTreeMap::new();
-    let pipeline = (!filter_only(stages)).then(|| Pipeline::new(stages.to_vec()));
+    let mut matched = 0;
     for (labels, entries) in streams {
-        scan.entries_scanned += entries.len();
-        scan.bytes_scanned += entries.iter().map(|e| e.line.len()).sum::<usize>();
-        match &pipeline {
-            None => {
-                let column = columns.entry(labels.clone()).or_default();
-                for e in entries.iter().filter(|e| passes_filters(stages, &e.line)) {
-                    scan.entries_matched += 1;
-                    column.extend(contribution(op, e.line.len(), None).map(|c| (e.ts, c)));
+        let mut own = columns.remove(labels).unwrap_or_default();
+        for e in entries {
+            let Some(p) = pipeline.process(&e.line, labels) else { continue };
+            matched += 1;
+            let Some(c) = contribution(op, p.line.len(), p.unwrapped) else { continue };
+            match p.labels {
+                Cow::Owned(rewritten) if rewritten != *labels => {
+                    columns.entry(rewritten).or_default().push((e.ts, c));
                 }
+                _ => own.push((e.ts, c)),
             }
-            Some(pipeline) => {
-                for e in entries {
-                    let Some(p) = pipeline.process(&e.line, labels) else { continue };
-                    scan.entries_matched += 1;
-                    if let Some(c) = contribution(op, p.line.len(), p.unwrapped) {
-                        columns.entry(p.labels).or_default().push((e.ts, c));
-                    }
-                }
-            }
+        }
+        if !own.is_empty() {
+            columns.insert(labels.clone(), own);
         }
     }
     let rows = columns
@@ -300,7 +260,7 @@ pub fn shard_rows(
             cells.iter().any(Option::is_some).then_some((labels, cells))
         })
         .collect();
-    (rows, scan)
+    (rows, matched)
 }
 
 /// Reduce step, part 1: fold one shard's rows into the accumulator,
@@ -400,7 +360,7 @@ mod tests {
     /// What the central evaluator is handed: every shard's entries, in
     /// shard order, through the pipeline.
     fn central(q: &MetricQuery, shards: &[Vec<(LabelSet, Vec<LogEntry>)>]) -> Vec<RangeEntry> {
-        let pipeline = Pipeline::new(q.log_query().stages.clone());
+        let pipeline = Pipeline::new(&q.log_query().stages);
         let mut out = Vec::new();
         for (labels, entries) in shards.iter().flatten() {
             for e in entries {
@@ -408,7 +368,7 @@ mod tests {
                     out.push(RangeEntry {
                         ts: e.ts,
                         line_bytes: p.line.len(),
-                        labels: p.labels,
+                        labels: p.labels.into_owned(),
                         unwrapped: p.unwrapped,
                     });
                 }
@@ -501,10 +461,10 @@ mod tests {
         let failed = shard(&[(1, "loc=x1 nothing to unwrap")]);
         for op in ["sum_over_time", "min_over_time"] {
             let q = metric(&format!("{op}({UNWRAP_V} [1s])"));
-            let (rows, scan) =
+            let (rows, matched) =
                 shard_rows(&q.log_query().stages, bottom_op(&q), &failed, &[1], q.range_ns());
             assert!(rows.is_empty(), "{op}");
-            assert_eq!(scan.entries_matched, 1, "{op}: scanned and matched, just valueless");
+            assert_eq!(matched, 1, "{op}: scanned and matched, just valueless");
         }
     }
 
@@ -560,16 +520,15 @@ mod tests {
         ];
         let steps = vec![2 * NANOS_PER_SEC, 4 * NANOS_PER_SEC];
         let range = 2 * NANOS_PER_SEC;
-        let (rows, scan) = shard_rows(&stages, RangeAggOp::CountOverTime, &streams, &steps, range);
-        assert_eq!(scan.entries_scanned, 4);
-        assert_eq!(scan.entries_matched, 3);
+        let (rows, matched) =
+            shard_rows(&stages, RangeAggOp::CountOverTime, &streams, &steps, range);
+        assert_eq!(matched, 3);
         // Window (0, 2]: s1 has "keep one", s2 "keep three"; window
         // (2, 4]: only s1's "keep two".
         let one = Some(PartialAgg::Sum(1.0));
         assert_eq!(rows, vec![(s1, vec![one, one]), (s2, vec![one, None])]);
         // A stage set that is not filter-only (a label comparison that
-        // always passes) groups through `Pipeline::process` instead and
-        // must agree, bytes included.
+        // always passes) must agree, bytes included.
         let mut parsing = stages.clone();
         parsing.push(Stage::LabelCmpString {
             label: "a".into(),
@@ -586,13 +545,13 @@ mod tests {
     fn unwrap_op_without_unwrap_stage_is_empty() {
         // `sum_over_time` with a filter-only pipeline can never unwrap a
         // value; the central evaluator returns nothing and so must we —
-        // while still accounting the scanned entries.
+        // while still counting the matched entries.
         let streams =
             vec![(labels!("a" => "b"), vec![LogEntry::new(1, "x"), LogEntry::new(2, "y")])];
-        let (rows, scan) = shard_rows(&[], RangeAggOp::SumOverTime, &streams, &[5], NANOS_PER_SEC);
+        let (rows, matched) =
+            shard_rows(&[], RangeAggOp::SumOverTime, &streams, &[5], NANOS_PER_SEC);
         assert!(rows.is_empty());
-        assert_eq!(scan.entries_scanned, 2);
-        assert_eq!(scan.entries_matched, 2);
+        assert_eq!(matched, 2);
     }
 
     #[test]
@@ -615,6 +574,44 @@ mod tests {
             let got = grid_to_instant(reduce_rows(&q, merged(&q, &shards, &[9])));
             assert_eq!(got, eval_range_agg(bottom_op(&q), &central(&q, &shards), q.range_ns()));
             assert_eq!(got, vec![(labels!("s" => "", "v" => ""), expected)], "{op}");
+        }
+    }
+
+    /// One group fed two ways: stream `{a="x", s="1", v="3"}`'s entries
+    /// keep their labels borrowed (`{}` extracts nothing, and `v`, there
+    /// for the unwrapping ops, comes from the stream), while stream
+    /// `{a="x", v="3"}` rewrites its labels to an equal set (`{"s":"1"}`).
+    /// Every op must see one row, not two with the same labels, and equal
+    /// the central evaluation.
+    #[test]
+    fn borrowed_and_rewritten_labels_share_one_row() {
+        let own = labels!("a" => "x", "s" => "1", "v" => "3");
+        let shards = [vec![
+            (own.clone(), vec![LogEntry::new(1, "{}"), LogEntry::new(4, "{}")]),
+            (labels!("a" => "x", "v" => "3"), vec![LogEntry::new(2, r#"{"s":"1"}"#)]),
+            (own.clone(), vec![LogEntry::new(3, "{}")]),
+        ]];
+        for op in ALL_OPS {
+            let q = metric(&format!(r#"{op}({{a="x"}} | json | unwrap v [60s])"#));
+            let stages = &q.log_query().stages;
+            let pipeline = Pipeline::new(stages);
+            let [(s0, e0), (s1, e1), _] = &shards[0][..] else { unreachable!() };
+            let borrowed = pipeline.process(&e0[0].line, s0).unwrap().labels;
+            assert!(matches!(borrowed, Cow::Borrowed(_)), "{op}");
+            let rewritten = pipeline.process(&e1[0].line, s1).unwrap().labels;
+            assert!(matches!(rewritten, Cow::Owned(l) if l == own), "{op}");
+
+            let (rows, matched) =
+                shard_rows(stages, bottom_op(&q), &shards[0], &[10], q.range_ns());
+            assert_eq!(matched, 4, "{op}");
+            assert_eq!(rows.len(), 1, "{op}: one row");
+            assert_eq!(rows[0].0, own, "{op}");
+            let grid = reduce_rows(&q, merged(&q, &shards, &[10]));
+            assert_eq!(
+                grid_to_instant(grid),
+                eval_range_agg(bottom_op(&q), &central(&q, &shards), q.range_ns()),
+                "{op}"
+            );
         }
     }
 }

@@ -5,9 +5,10 @@ use crate::ingester::Ingester;
 pub use crate::reader::QueryStats;
 use omni_logql::{
     eval::{grid_to_instant, grid_to_matrix, step_grid, InstantVector, Matrix, SeriesGrid},
-    pushdown, LogQuery, MetricQuery, Pipeline,
+    pushdown, LogQuery, MetricQuery, Pipeline, Selector,
 };
-use omni_model::{LogEntry, LogRecord, Timestamp};
+use omni_model::{LabelSet, LogEntry, LogRecord, Timestamp};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -43,6 +44,24 @@ fn scan_shards<T: Send>(shards: &[Arc<Ingester>], scan: impl Fn(&Ingester) -> T 
     })
 }
 
+/// Fetch the selector's streams in `(start, end]` from one shard: the
+/// reader's stats plus the scan volume every query shape reports —
+/// streams matched, entries scanned, line bytes scanned.
+fn fetch(
+    shard: &Ingester,
+    selector: &Selector,
+    start: Timestamp,
+    end: Timestamp,
+) -> (Vec<(LabelSet, Vec<LogEntry>)>, QueryStats) {
+    let (streams, mut stats) = shard.query_stats(selector, start, end);
+    stats.streams_matched = streams.len();
+    for e in streams.iter().flat_map(|(_, entries)| entries) {
+        stats.entries_scanned += 1;
+        stats.bytes_scanned += e.line.len();
+    }
+    (streams, stats)
+}
+
 /// Run a log query over `(start, end]`, returning up to `limit` records
 /// in `direction` order — `Backward` keeps the **newest** records when
 /// the limit bites (ties broken by labels for determinism — `Backward`
@@ -56,21 +75,20 @@ pub fn run_log_query(
     limit: usize,
     direction: Direction,
 ) -> (Vec<LogRecord>, QueryStats) {
-    let pipeline = Pipeline::new(query.stages.clone());
+    let pipeline = Pipeline::new(&query.stages);
     let mut records = Vec::new();
     let mut stats = QueryStats::default();
-    let scans = scan_shards(shards, |shard| shard.query_stats(&query.selector, start, end));
-    for (streams, read) in scans {
+    for (streams, read) in scan_shards(shards, |shard| fetch(shard, &query.selector, start, end)) {
         stats.absorb(read);
         for (labels, entries) in streams {
-            stats.streams_matched += 1;
-            for e in entries {
-                stats.entries_scanned += 1;
-                stats.bytes_scanned += e.line.len();
-                if let Some(p) = pipeline.process(&e.line, &labels) {
-                    let entry = LogEntry::new(e.ts, p.line);
-                    records.push(LogRecord { labels: p.labels, entry });
+            for mut entry in entries {
+                let Some(p) = pipeline.process(&entry.line, &labels) else { continue };
+                let labels = p.labels.into_owned();
+                // A borrowed line is the entry's own: keep it, copy nothing.
+                if let Cow::Owned(line) = p.line {
+                    entry.line = line;
                 }
+                records.push(LogRecord { labels, entry });
             }
         }
     }
@@ -112,16 +130,9 @@ fn eval_grid(
     let fetch_start = first.saturating_sub(range_ns);
 
     let per_shard = scan_shards(shards, |shard| {
-        let (streams, read) = shard.query_stats(&bottom.selector, fetch_start, last);
-        let (rows, pscan) = pushdown::shard_rows(&bottom.stages, op, &streams, steps, range_ns);
-        let st = QueryStats {
-            streams_matched: pscan.streams_matched,
-            entries_scanned: pscan.entries_scanned,
-            bytes_scanned: pscan.bytes_scanned,
-            entries_returned: pscan.entries_matched,
-            ..read
-        };
-        (rows, st)
+        let (streams, read) = fetch(shard, &bottom.selector, fetch_start, last);
+        let (rows, matched) = pushdown::shard_rows(&bottom.stages, op, &streams, steps, range_ns);
+        (rows, QueryStats { entries_returned: matched, ..read })
     });
 
     let mut merged = BTreeMap::new();

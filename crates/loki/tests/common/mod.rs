@@ -66,7 +66,7 @@ pub fn reference_fetch(
     scan: impl Fn(&Selector, Timestamp, Timestamp) -> Vec<(LabelSet, Vec<LogEntry>)>,
 ) -> impl FnMut(&LogQuery, Timestamp, Timestamp) -> Vec<RangeEntry> {
     move |query, start, end| {
-        let pipeline = Pipeline::new(query.stages.clone());
+        let pipeline = Pipeline::new(&query.stages);
         let mut out = Vec::new();
         for (labels, entries) in scan(&query.selector, start, end) {
             for e in entries {
@@ -74,7 +74,7 @@ pub fn reference_fetch(
                     out.push(RangeEntry {
                         ts: e.ts,
                         line_bytes: p.line.len(),
-                        labels: p.labels,
+                        labels: p.labels.into_owned(),
                         unwrapped: p.unwrapped,
                     });
                 }

@@ -177,11 +177,16 @@ impl fmt::Display for PromParseError {
 
 impl std::error::Error for PromParseError {}
 
+/// Maximum depth of a parsed expression — aggregations nested in each
+/// other plus links of an arithmetic chain — far above any real query,
+/// and a guard against stack exhaustion on hostile query text.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a PromQL expression.
 pub fn parse_promql(input: &str) -> Result<PromExpr, PromParseError> {
     let toks = lex(input).map_err(|e| PromParseError(e.to_string()))?;
     let mut p = PromParser { toks, pos: 0 };
-    let expr = p.expr()?;
+    let expr = p.expr(0)?;
     if p.pos != p.toks.len() {
         return Err(PromParseError(format!("trailing token {}", p.toks[p.pos])));
     }
@@ -213,8 +218,10 @@ impl PromParser {
         }
     }
 
-    fn expr(&mut self) -> Result<PromExpr, PromParseError> {
-        let mut inner = self.vector_expr()?;
+    /// An expression at `depth`: each aggregation nests one deeper, and
+    /// each link of an arithmetic chain deepens the left-leaning tree.
+    fn expr(&mut self, mut depth: usize) -> Result<PromExpr, PromParseError> {
+        let mut inner = self.vector_expr(depth)?;
         // Left-associative arithmetic chain (single precedence level —
         // parenthesize inside aggregations for anything fancier).
         loop {
@@ -226,7 +233,8 @@ impl PromParser {
                 _ => break,
             };
             self.bump();
-            let rhs = self.vector_expr()?;
+            depth += 1;
+            let rhs = self.vector_expr(depth)?;
             inner = PromExpr::BinOp { lhs: Box::new(inner), op: aop, rhs: Box::new(rhs) };
         }
         let op = match self.peek() {
@@ -253,7 +261,10 @@ impl PromParser {
         }
     }
 
-    fn vector_expr(&mut self) -> Result<PromExpr, PromParseError> {
+    fn vector_expr(&mut self, depth: usize) -> Result<PromExpr, PromParseError> {
+        if depth > MAX_DEPTH {
+            return Err(PromParseError(format!("expression nests deeper than {MAX_DEPTH}")));
+        }
         match self.peek() {
             Some(Token::LBrace) => Ok(PromExpr::Selector(self.selector(None)?)),
             Some(Token::Ident(name)) => {
@@ -322,7 +333,7 @@ impl PromParser {
                 if let Some(op) = vop {
                     let g_before = self.grouping()?;
                     self.expect(&Token::LParen)?;
-                    let inner = self.expr()?;
+                    let inner = self.expr(depth + 1)?;
                     self.expect(&Token::RParen)?;
                     let g_after = self.grouping()?;
                     if g_before.is_some() && g_after.is_some() {
@@ -712,6 +723,20 @@ mod tests {
         for q in ["", "rate(x)", "sum by (a", "x > ", "rate(x[5m]) trailing", "{a=}"] {
             assert!(parse_promql(q).is_err(), "should reject {q:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |levels: usize| format!("{}up{}", "sum(".repeat(levels), ")".repeat(levels));
+        assert!(parse_promql(&nested(MAX_DEPTH)).is_ok());
+        let err = parse_promql(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nests deeper"), "{err}");
+        // Regression: 5 000 levels used to overflow the stack and abort.
+        assert!(parse_promql(&nested(100_000)).is_err());
+        // An arithmetic chain builds a tree as deep as it is long.
+        let chain = |links: usize| format!("up{}", " + up".repeat(links));
+        assert!(parse_promql(&chain(MAX_DEPTH)).is_ok());
+        assert!(parse_promql(&chain(100_000)).is_err());
     }
 
     #[test]

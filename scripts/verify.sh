@@ -94,6 +94,15 @@ if grep -rn "encode_key_ts\|decode_key_ts\|parse_key_span\|series_key\|labels_to
     echo "a string object key or a series-index object is back"; exit 1
 fi
 
+echo "== one log-pipeline executor (no filter-only fork beside Pipeline::process) =="
+# Pipeline::process borrows the line and labels until a stage rewrites
+# them, so the pushdown map runs every pipeline through it: neither a
+# second executor over borrowed lines nor its scan-accounting struct may
+# come back.
+if grep -rn "fn filter_only(\|fn passes_filters(\|PushdownScan\|has_parser_stage" crates; then
+    echo "a second log-pipeline executor is back"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 

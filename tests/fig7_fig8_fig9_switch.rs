@@ -34,7 +34,7 @@ fn fig7_pattern_extraction() {
         r#"{app="fabric_manager_monitor"} |= "fm_switch_offline" | pattern "[<severity>] problem:<problem>, xname:<xname>, state:<state>""#,
     )
     .unwrap();
-    let pipeline = Pipeline::new(q.stages);
+    let pipeline = Pipeline::new(&q.stages);
     let stream = labels!("app" => "fabric_manager_monitor", "cluster" => "perlmutter");
     let e = pipeline.process(FIG7_LINE, &stream).unwrap();
     assert_eq!(e.labels.get("severity"), Some("critical"));
