@@ -7,6 +7,7 @@
 //! 4, 5 and 7 show as Grafana panels.
 
 use crate::omni::Omni;
+use omni_logql::eval::{step_grid, GridError};
 use omni_logql::{InstantVector, Matrix};
 use omni_model::{format_iso8601, LogRecord, Timestamp};
 use omni_tsdb::{eval_instant, eval_range, parse_promql};
@@ -68,10 +69,12 @@ pub struct Dashboard {
 /// Errors surfaced by the pane.
 #[derive(Debug)]
 pub enum PaneError {
-    /// LogQL-side error.
+    /// LogQL-side error (a refused step grid included).
     Loki(omni_loki::QueryError),
     /// PromQL-side error.
     Prom(omni_tsdb::promql::PromParseError),
+    /// A PromQL range's or a heatmap's step grid was refused.
+    Grid(GridError),
 }
 
 impl std::fmt::Display for PaneError {
@@ -79,6 +82,7 @@ impl std::fmt::Display for PaneError {
         match self {
             PaneError::Loki(e) => write!(f, "{e}"),
             PaneError::Prom(e) => write!(f, "{e}"),
+            PaneError::Grid(e) => write!(f, "bad range query: {e}"),
         }
     }
 }
@@ -403,7 +407,7 @@ impl Pane {
         step_ns: i64,
     ) -> Result<Matrix, PaneError> {
         let expr = parse_promql(query).map_err(PaneError::Prom)?;
-        Ok(eval_range(self.omni.tsdb(), &expr, start, end, step_ns))
+        eval_range(self.omni.tsdb(), &expr, start, end, step_ns).map_err(PaneError::Grid)
     }
 
     /// Evaluate a heatmap spec over a window: run the LogQL metric query
@@ -416,8 +420,9 @@ impl Pane {
         end: Timestamp,
         step_ns: i64,
     ) -> Result<Heatmap, PaneError> {
+        let buckets = step_grid(start, end, step_ns).map_err(PaneError::Grid)?;
         let matrix = self.log_metric_range(&spec.expr, start, end, step_ns)?;
-        Ok(build_heatmap(spec, &matrix, start, end, step_ns))
+        Ok(build_heatmap(spec, &matrix, buckets, step_ns))
     }
 
     /// Evaluate one panel over a window.
@@ -486,26 +491,18 @@ impl Pane {
     }
 }
 
-/// Roll a matrix up the xname hierarchy into a component × bucket grid.
-/// Samples land in the bucket `floor((ts − start) / step)`; the engine
-/// emits samples exactly on the grid, so this is the identity mapping
-/// for frontend results and a sensible binning for anything else.
+/// Roll a matrix up the xname hierarchy into a component × bucket grid
+/// over `buckets`, the render step grid. Samples land in the bucket
+/// `floor((ts − start) / step)`; the engine emits samples exactly on the
+/// grid, so this is the identity mapping for frontend results and a
+/// sensible binning for anything else.
 fn build_heatmap(
     spec: &HeatmapSpec,
     matrix: &Matrix,
-    start: Timestamp,
-    end: Timestamp,
+    buckets: Vec<Timestamp>,
     step_ns: i64,
 ) -> Heatmap {
-    let mut buckets = Vec::new();
-    let mut t = start;
-    while t <= end {
-        buckets.push(t);
-        match (step_ns > 0).then(|| t.checked_add(step_ns)).flatten() {
-            Some(next) => t = next,
-            None => break,
-        }
-    }
+    let start = buckets.first().copied().unwrap_or_default();
     let mut rows: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     for (labels, samples) in matrix {
         let Some(value) = labels.get(&spec.label) else { continue };
@@ -517,7 +514,7 @@ fn build_heatmap(
         };
         let cells = rows.entry(row).or_insert_with(|| vec![0.0; buckets.len()]);
         for s in samples {
-            if s.ts < start || step_ns <= 0 {
+            if s.ts < start {
                 continue;
             }
             let idx = ((s.ts - start) / step_ns) as usize;
@@ -793,5 +790,38 @@ mod tests {
         let (_, pane) = setup();
         assert!(pane.logs("{oops", 0, 1, 1).is_err());
         assert!(pane.metric_instant("rate(", 0).is_err());
+    }
+
+    #[test]
+    fn a_bad_range_step_is_an_error_at_every_range_door() {
+        // Regression: a zero or negative step panicked in `step_grid`,
+        // through both the PromQL and the LogQL range doors.
+        let (omni, pane) = setup();
+        omni.ingest_log(labels!("app" => "x"), 1, "line").unwrap();
+        let logql = r#"count_over_time({app="x"}[1m])"#;
+        let spec = HeatmapSpec {
+            expr: r#"sum by (app) (count_over_time({app="x"}[1m]))"#.into(),
+            label: "app".into(),
+            rollup: ComponentKind::Cabinet,
+        };
+        for (end, step, refused) in [
+            (100, 0, GridError::NonPositiveStep(0)),
+            (100, -5, GridError::NonPositiveStep(-5)),
+            (11_000, 1, GridError::TooManyPoints(11_001)),
+        ] {
+            let prom = pane.metric_range("omni_loki_shards_down", 0, end, step).unwrap_err();
+            assert!(matches!(prom, PaneError::Grid(e) if e == refused), "{prom}");
+            let log = pane.log_metric_range(logql, 0, end, step).unwrap_err();
+            assert!(
+                matches!(log, PaneError::Loki(omni_loki::QueryError::Grid(e)) if e == refused),
+                "{log}"
+            );
+            let heat = pane.heatmap(&spec, 0, end, step).unwrap_err();
+            assert!(matches!(heat, PaneError::Grid(e) if e == refused), "{heat}");
+        }
+        // 11 000 points still answer at both doors.
+        assert!(pane.metric_range("omni_loki_shards_down", 0, 10_999, 1).is_ok());
+        let m = pane.log_metric_range(logql, 0, 10_999, 1).unwrap();
+        assert_eq!(m[0].1.len(), 10_999, "the line at 1ns counts from step 1 on");
     }
 }

@@ -13,10 +13,19 @@
 //! pushdown reduce and the TSDB's PromQL evaluator both run on it. Every
 //! grid operator folds a step's present members in input-row order with
 //! the fold its step-major twin uses, so the two shapes agree bit for bit.
+//!
+//! Two routines keep the series-major path linear, and both engines
+//! share them: [`merge_runs`] (with [`merge_series`] on top) combines
+//! label-sorted rows — shard partials, grid rows, cached extents — in
+//! one pass instead of re-sorting them through a map, and
+//! [`step_windows`] sweeps every step's window `(t − reach, t]` over one
+//! series with two forward cursors instead of two binary searches per
+//! step.
 
 use crate::ast::{CmpOp, GroupKind, Grouping, LogQuery, MetricQuery, RangeAggOp, VectorAggOp};
 use omni_model::{LabelSet, Sample, Timestamp, NANOS_PER_SEC};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One pipeline-processed entry handed to a range aggregation.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,10 +114,7 @@ pub fn eval_vector_agg(
     // topk/bottomk keep original label sets; handle separately.
     if let VectorAggOp::Topk(k) | VectorAggOp::Bottomk(k) = op {
         let mut v = input;
-        v.sort_by(|a, b| by_value_desc(a.1, b.1));
-        if matches!(op, VectorAggOp::Bottomk(_)) {
-            v.reverse();
-        }
+        rank(op, &mut v, |e| e.1);
         v.truncate(k);
         v.sort_by(|a, b| a.0.cmp(&b.0));
         return v;
@@ -141,9 +147,25 @@ fn fold_group(op: VectorAggOp, values: &[f64]) -> f64 {
     }
 }
 
-/// Order for `topk`: descending by value, incomparable values tied.
-fn by_value_desc(a: f64, b: f64) -> std::cmp::Ordering {
-    b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
+/// Sort `items` best first for `topk` (descending by value) or `bottomk`
+/// (ascending), every NaN after every number: as in Prometheus, a NaN is
+/// picked only when fewer than `k` numbers are present. A total order,
+/// so the sort cannot panic on NaN. Equal values keep the first item
+/// ahead for `topk` and the last for `bottomk` (the items are reversed,
+/// then stably sorted).
+fn rank<T>(op: VectorAggOp, items: &mut [T], value: impl Fn(&T) -> f64) {
+    let bottom = matches!(op, VectorAggOp::Bottomk(_));
+    if bottom {
+        items.reverse();
+    }
+    items.sort_by(|a, b| {
+        let (a, b) = (value(a), value(b));
+        match a.partial_cmp(&b) {
+            Some(order) if bottom => order,
+            Some(order) => order.reverse(),
+            None => a.is_nan().cmp(&b.is_nan()),
+        }
+    });
 }
 
 /// Keep vector elements whose value satisfies `op scalar`.
@@ -178,13 +200,62 @@ where
     }
 }
 
-/// The evaluation step grid `start, start+step, ..` while `<= end`.
-/// Steps advance with checked arithmetic: a grid whose tail approaches
-/// `i64::MAX` terminates instead of overflowing (sentinel query bounds
-/// reach here via the frontend's collapsed single-split path).
-pub fn step_grid(start: Timestamp, end: Timestamp, step_ns: i64) -> Vec<Timestamp> {
-    assert!(step_ns > 0, "step must be positive");
-    let mut out = Vec::new();
+/// The most points a range query's step grid may hold — Prometheus's and
+/// Loki's resolution limit ("exceeded maximum resolution of 11,000
+/// points per timeseries").
+pub const MAX_GRID_POINTS: usize = 11_000;
+
+/// Why a range query's step grid was refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GridError {
+    /// The step is zero or negative.
+    NonPositiveStep(i64),
+    /// The grid would hold this many points, more than
+    /// [`MAX_GRID_POINTS`].
+    TooManyPoints(u128),
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::NonPositiveStep(step) => {
+                write!(f, "range query step must be positive, got {step}ns")
+            }
+            GridError::TooManyPoints(points) => write!(
+                f,
+                "range query would evaluate {points} steps, the limit is {MAX_GRID_POINTS}; \
+                 use a wider step"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
+
+/// The evaluation step grid `start, start+step, ..` while `<= end` —
+/// where every range query, LogQL or PromQL, takes its steps from. The
+/// step must be positive and the grid at most [`MAX_GRID_POINTS`] long;
+/// both are checked before anything is allocated. Steps advance with
+/// checked arithmetic: a grid whose tail approaches `i64::MAX`
+/// terminates instead of overflowing.
+pub fn step_grid(
+    start: Timestamp,
+    end: Timestamp,
+    step_ns: i64,
+) -> Result<Vec<Timestamp>, GridError> {
+    if step_ns <= 0 {
+        return Err(GridError::NonPositiveStep(step_ns));
+    }
+    // The span of two timestamps can exceed `i64`, never `i128`.
+    let points = if start > end {
+        0
+    } else {
+        ((i128::from(end) - i128::from(start)) / i128::from(step_ns) + 1) as u128
+    };
+    if points > MAX_GRID_POINTS as u128 {
+        return Err(GridError::TooManyPoints(points));
+    }
+    let mut out = Vec::with_capacity(points as usize);
     let mut t = start;
     while t <= end {
         out.push(t);
@@ -193,7 +264,7 @@ pub fn step_grid(start: Timestamp, end: Timestamp, step_ns: i64) -> Vec<Timestam
             None => break,
         };
     }
-    out
+    Ok(out)
 }
 
 /// Evaluate a metric query over `[start, end]` at `step_ns` intervals,
@@ -204,17 +275,99 @@ pub fn eval_metric_range<F>(
     end: Timestamp,
     step_ns: i64,
     fetch: &mut F,
-) -> Matrix
+) -> Result<Matrix, GridError>
 where
     F: FnMut(&LogQuery, Timestamp, Timestamp) -> Vec<RangeEntry>,
 {
     let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
-    for t in step_grid(start, end, step_ns) {
+    for t in step_grid(start, end, step_ns)? {
         for (labels, value) in eval_metric_at(mq, t, fetch) {
             series.entry(labels).or_default().push(Sample::new(t, value));
         }
     }
-    series.into_iter().collect()
+    Ok(series.into_iter().collect())
+}
+
+/// Stable-sort label-tagged rows by label and fold each run of equal
+/// labels into the run's first row, in input order — the one way rows
+/// are combined on the range path: shard partials at the reduce, grid
+/// rows into a [`Matrix`], a cached extent and its fresh steps. The sort
+/// is linear on rows that arrive label-sorted (one run) and a run merge
+/// on concatenated sorted parts; stability is what keeps equal labels
+/// folding in input order.
+pub fn merge_runs<T>(
+    mut rows: Vec<(LabelSet, T)>,
+    mut fold: impl FnMut(&mut T, T),
+) -> Vec<(LabelSet, T)> {
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut out: Vec<(LabelSet, T)> = Vec::with_capacity(rows.len());
+    for (labels, value) in rows {
+        match out.last_mut() {
+            Some((last, acc)) if *last == labels => fold(acc, value),
+            _ => out.push((labels, value)),
+        }
+    }
+    out
+}
+
+/// Label-tagged sample lists, each ascending by timestamp, to the
+/// label-sorted [`Matrix`]: [`merge_runs`], merging a run's samples by
+/// timestamp — a tie keeps input order — and dropping series left with
+/// no sample. Rows with equal labels interleave step by step; parts
+/// over disjoint ascending runs of one grid concatenate.
+pub fn merge_series(rows: Matrix) -> Matrix {
+    let mut out = merge_runs(rows, |acc, samples| {
+        *acc = merge_samples(std::mem::take(acc), samples);
+    });
+    out.retain(|(_, samples)| !samples.is_empty());
+    out
+}
+
+/// Two timestamp-ascending sample lists merged; on a tied timestamp
+/// `a`'s samples come first. `b` starting at or after `a`'s end (parts
+/// of one grid in order) appends without a copy of `a`.
+fn merge_samples(mut a: Vec<Sample>, b: Vec<Sample>) -> Vec<Sample> {
+    if a.last().zip(b.first()).is_none_or(|(x, y)| x.ts <= y.ts) {
+        a.extend(b);
+        return a;
+    }
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let mut rest = &b[..];
+    for x in a {
+        let earlier = rest.iter().take_while(|y| y.ts < x.ts).count();
+        out.extend_from_slice(&rest[..earlier]);
+        rest = &rest[earlier..];
+        out.push(x);
+    }
+    out.extend_from_slice(rest);
+    out
+}
+
+/// Every step's window `(t − reach, t]` over `items`, ascending by
+/// `ts`, as an index range — one per step, in step order. `steps` must
+/// ascend; then both window ends only move forward, so the whole sweep
+/// is two cursors over `items` instead of two binary searches per step.
+/// `t − reach` saturates, so steps near `i64::MIN` are fine.
+pub fn step_windows<'a, T>(
+    items: &'a [T],
+    ts: impl Fn(&T) -> Timestamp + 'a,
+    steps: &'a [Timestamp],
+    reach: i64,
+) -> impl Iterator<Item = Range<usize>> + 'a {
+    let (mut lo, mut hi) = (0, 0);
+    let mut prev = Timestamp::MIN;
+    steps.iter().map(move |&t| {
+        debug_assert!(prev <= t, "steps must ascend: {t} after {prev}");
+        prev = t;
+        let from = t.saturating_sub(reach);
+        while lo < items.len() && ts(&items[lo]) <= from {
+            lo += 1;
+        }
+        while hi < items.len() && ts(&items[hi]) <= t {
+            hi += 1;
+        }
+        lo..hi.max(lo)
+    })
 }
 
 /// A range result in series-major form: one row per label set, one cell
@@ -246,10 +399,7 @@ pub fn vector_agg_grid(
         for si in 0..steps {
             ranked.clear();
             ranked.extend(out.iter().enumerate().filter_map(|(ri, row)| Some((ri, row.1[si]?))));
-            ranked.sort_by(|a, b| by_value_desc(a.1, b.1));
-            if matches!(op, VectorAggOp::Bottomk(_)) {
-                ranked.reverse();
-            }
+            rank(op, &mut ranked, |r| r.1);
             for &(ri, _) in ranked.iter().skip(k) {
                 out[ri].1[si] = None;
             }
@@ -299,26 +449,18 @@ pub fn grid_to_instant(grid: SeriesGrid) -> InstantVector {
 }
 
 /// Rows to the label-sorted [`Matrix`] that stitching per-step vectors
-/// through a `BTreeMap` yields — including its treatment of rows with
-/// equal label sets (PromQL's `{l="v"}` across two metric names, once
-/// `__name__` is stripped): they become one series whose samples
-/// interleave step by step, in row order.
+/// through a `BTreeMap` yields: each row's present cells become samples,
+/// then [`merge_series`] — linear on the label-sorted rows every reduce
+/// and `by` aggregation hands over. Rows with equal label sets (PromQL's
+/// `{l="v"}` across two metric names, once `__name__` is stripped)
+/// become one series whose samples interleave step by step, in row
+/// order.
 pub fn grid_to_matrix(grid: SeriesGrid, steps: &[Timestamp]) -> Matrix {
-    let mut series: BTreeMap<LabelSet, Vec<Vec<Option<f64>>>> = BTreeMap::new();
-    for (labels, cells) in grid {
-        series.entry(labels).or_default().push(cells);
-    }
-    series
-        .into_iter()
-        .filter_map(|(labels, rows)| {
-            let samples: Vec<Sample> = steps
-                .iter()
-                .enumerate()
-                .flat_map(|(si, &t)| rows.iter().filter_map(move |r| Some(Sample::new(t, r[si]?))))
-                .collect();
-            (!samples.is_empty()).then_some((labels, samples))
-        })
-        .collect()
+    let rows = grid.into_iter().map(|(labels, cells)| {
+        let samples = steps.iter().zip(cells).filter_map(|(&t, c)| Some(Sample::new(t, c?)));
+        (labels, samples.collect())
+    });
+    merge_series(rows.collect())
 }
 
 /// Debug/CLI rendering of an instant vector, one element per line:
@@ -521,7 +663,7 @@ mod tests {
             }
         };
         let step = 600 * NANOS_PER_SEC; // 10 min
-        let m = eval_metric_range(&q, 0, 3 * 3_600 * NANOS_PER_SEC, step, &mut fetch);
+        let m = eval_metric_range(&q, 0, 3 * 3_600 * NANOS_PER_SEC, step, &mut fetch).unwrap();
         assert_eq!(m.len(), 1);
         let (labels, samples) = &m[0];
         assert_eq!(labels.get("context"), Some("x1203c1b0"));
@@ -540,7 +682,7 @@ mod tests {
         // unchecked `t += step`, which overflowed (debug panic) when a
         // collapsed sentinel window put the grid tail near `i64::MAX`.
         let start = i64::MAX - 5;
-        let grid = step_grid(start, i64::MAX, 3);
+        let grid = step_grid(start, i64::MAX, 3).unwrap();
         assert_eq!(grid, vec![start, start + 3]);
         // The evaluator walks the same grid without overflowing.
         let q = match parse_expr(r#"count_over_time({a="b"}[1m])"#).unwrap() {
@@ -548,19 +690,51 @@ mod tests {
             _ => panic!(),
         };
         let mut fetch = |_: &LogQuery, _: Timestamp, _: Timestamp| Vec::new();
-        let m = eval_metric_range(&q, start, i64::MAX, 3, &mut fetch);
+        let m = eval_metric_range(&q, start, i64::MAX, 3, &mut fetch).unwrap();
         assert!(m.is_empty());
+        // A step as wide as the whole timeline: three points, no overflow.
+        assert_eq!(
+            step_grid(i64::MIN + 1, i64::MAX, i64::MAX).unwrap(),
+            vec![i64::MIN + 1, 0, i64::MAX]
+        );
     }
 
     #[test]
     fn step_grid_off_grid_start_is_preserved() {
         // The grid is anchored at `start`, not rounded: start % step != 0
         // must yield start + k*step exactly.
-        assert_eq!(step_grid(50, 350, 100), vec![50, 150, 250, 350]);
-        assert_eq!(step_grid(-50, 150, 100), vec![-50, 50, 150]);
+        assert_eq!(step_grid(50, 350, 100).unwrap(), vec![50, 150, 250, 350]);
+        assert_eq!(step_grid(-50, 150, 100).unwrap(), vec![-50, 50, 150]);
     }
 
-    /// A grid of non-integer values with holes, rows in label order.
+    #[test]
+    fn step_grid_refuses_a_bad_step_and_an_oversized_grid() {
+        // Regression: a zero or negative step used to hit an `assert!`.
+        assert_eq!(step_grid(0, 100, 0), Err(GridError::NonPositiveStep(0)));
+        assert_eq!(step_grid(0, 100, -5), Err(GridError::NonPositiveStep(-5)));
+        // The resolution limit: 11 000 points answer, one more is refused
+        // before the grid is allocated — even over the whole timeline.
+        let max = MAX_GRID_POINTS as i64;
+        assert_eq!(step_grid(0, max - 1, 1).unwrap().len(), MAX_GRID_POINTS);
+        assert_eq!(step_grid(0, max, 1), Err(GridError::TooManyPoints(max as u128 + 1)));
+        assert_eq!(step_grid(i64::MIN, i64::MAX, 1), Err(GridError::TooManyPoints(1 << 64)));
+        // An empty window is an empty grid, not an error.
+        assert_eq!(step_grid(10, 9, 1), Ok(Vec::new()));
+        let mut fetch = |_: &LogQuery, _: Timestamp, _: Timestamp| Vec::new();
+        let q = match parse_expr(r#"count_over_time({a="b"}[1m])"#).unwrap() {
+            Expr::Metric(m) => m,
+            _ => panic!(),
+        };
+        assert_eq!(
+            eval_metric_range(&q, 0, 100, 0, &mut fetch),
+            Err(GridError::NonPositiveStep(0))
+        );
+        assert!(GridError::TooManyPoints(11_001).to_string().contains("11000"));
+    }
+
+    /// A grid of non-integer values with holes, rows in label order;
+    /// every fifth row is NaN wherever present (an exposition `NaN`, or
+    /// `| unwrap` of `"NaN"`).
     fn holed_grid(rows: usize, steps: usize) -> SeriesGrid {
         let mut state = 22u64;
         let mut next = move || {
@@ -571,7 +745,10 @@ mod tests {
             .map(|r| {
                 let labels = labels!("g" => format!("{}", r % 3), "row" => format!("{r:02}"));
                 let cells = (0..steps)
-                    .map(|_| (next() % 4.0 != 0.0).then(|| (next() % 1000.0) / 7.0))
+                    .map(|_| {
+                        let v = (next() % 4.0 != 0.0).then(|| (next() % 1000.0) / 7.0);
+                        v.map(|v| if r % 5 == 4 { f64::NAN } else { v })
+                    })
                     .collect();
                 (labels, cells)
             })
@@ -644,6 +821,46 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn topk_and_bottomk_rank_nan_after_every_number_without_panicking() {
+        // Regression: the rank comparator called NaN equal to everything,
+        // which is not a total order; at 64 rows with every third value
+        // NaN both evaluators panicked inside `sort_by`.
+        let rows = 64;
+        let value = |r: usize| if r.is_multiple_of(3) { f64::NAN } else { ((r * 37) % 101) as f64 };
+        let vector: InstantVector =
+            (0..rows).map(|r| (labels!("row" => format!("{r:02}")), value(r))).collect();
+        let grid: SeriesGrid = vector.iter().map(|(l, v)| (l.clone(), vec![Some(*v)])).collect();
+        let numbers = (0..rows).filter(|r| !r.is_multiple_of(3)).count();
+        for op in [
+            VectorAggOp::Topk(3),
+            VectorAggOp::Bottomk(3),
+            VectorAggOp::Topk(numbers + 2),
+            VectorAggOp::Bottomk(numbers + 2),
+        ] {
+            let k = match op {
+                VectorAggOp::Topk(k) | VectorAggOp::Bottomk(k) => k,
+                _ => unreachable!(),
+            };
+            let reference = eval_vector_agg(op, None, vector.clone());
+            let grid_out = vector_agg_grid(op, None, grid.clone());
+            assert_eq!(bits(&column(&grid_out, 0)), bits(&reference), "{op:?}");
+            assert_eq!(reference.len(), k, "{op:?}");
+            // A NaN is picked only when fewer than k numbers are present.
+            let nans = reference.iter().filter(|(_, v)| v.is_nan()).count();
+            assert_eq!(nans, k.saturating_sub(numbers), "{op:?}");
+        }
+        // The numbers are ranked as if the NaNs were not there.
+        let mut sorted: Vec<f64> = (0..rows).map(value).filter(|v| !v.is_nan()).collect();
+        sorted.sort_by(f64::total_cmp);
+        let top = eval_vector_agg(VectorAggOp::Topk(3), None, vector.clone());
+        let mut values: Vec<f64> = top.iter().map(|(_, v)| *v).collect();
+        values.sort_by(f64::total_cmp);
+        assert_eq!(values, sorted[sorted.len() - 3..]);
+        let bottom = eval_vector_agg(VectorAggOp::Bottomk(1), None, vector);
+        assert_eq!(bottom.iter().map(|(_, v)| *v).collect::<Vec<_>>(), sorted[..1]);
     }
 
     #[test]

@@ -19,11 +19,15 @@
 //! * [`shard_rows`] — the shard-side evaluator, series-major: raw stream
 //!   entries in, each through the one executor [`Pipeline::process`], one
 //!   [`PartialRow`] per label group out, holding one optional partial per
-//!   step of the grid;
-//! * [`merge_rows`] / [`reduce_rows`] — the frontend-side reduce: rows
-//!   merge cell-wise across shards, finish, and the tree above the range
-//!   aggregation runs once over the whole grid, reconstructing exactly
-//!   what the central evaluator would have built step by step.
+//!   step of the grid. A group's cells come from one forward sweep of
+//!   its timestamp-sorted column ([`step_windows`]);
+//! * [`merge_rows`] / [`reduce_rows`] — the frontend-side reduce: every
+//!   shard's label-sorted rows, concatenated in shard-id order, merge in
+//!   one linear pass ([`merge_runs`]: a stable sort, then each run of
+//!   equal labels folded cell-wise in shard-id order), finish, and the
+//!   tree above the range aggregation runs once over the whole grid,
+//!   reconstructing exactly what the central evaluator would have built
+//!   step by step.
 //!
 //! Identity discipline: a shard group with no contributing entries (or
 //! no unwrapped values, for `unwrap` aggregations) emits **no** partial
@@ -32,11 +36,12 @@
 //! groups entirely.
 
 use crate::ast::{MetricQuery, RangeAggOp, Stage};
-use crate::eval::{filter_grid, vector_agg_grid, SeriesGrid};
+use crate::eval::{filter_grid, merge_runs, step_windows, vector_agg_grid, SeriesGrid};
 use crate::pipeline::Pipeline;
 use omni_model::{LabelSet, LogEntry, Timestamp, NANOS_PER_SEC};
 use std::borrow::Cow;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The range-aggregation operator at the bottom of the query tree.
 pub fn bottom_op(mq: &MetricQuery) -> RangeAggOp {
@@ -159,10 +164,11 @@ fn contribution(op: RangeAggOp, line_bytes: usize, unwrapped: Option<f64>) -> Op
 }
 
 /// Fill one group's row from its timestamp-sorted `(ts, contribution)`
-/// column: each step's window `(t − range, t]` is two binary searches,
-/// then a length (counts), a prefix-sum difference (bytes — exact, the
-/// sums are integer-valued) or a fold of the slice in column order
-/// (unwrapped values, one unit partial per entry).
+/// column: the steps' windows `(t − range, t]` come from one forward
+/// sweep ([`step_windows`]), and each is then a length (counts), a
+/// prefix-sum difference (bytes — exact, the sums are integer-valued) or
+/// a fold of the slice in column order (unwrapped values, one unit
+/// partial per entry).
 fn fill_row(
     op: RangeAggOp,
     column: &[(Timestamp, f64)],
@@ -178,11 +184,8 @@ fn fill_row(
             run
         }));
     }
-    steps
-        .iter()
-        .map(|&t| {
-            let lo = column.partition_point(|&(ts, _)| ts <= t.saturating_sub(range_ns));
-            let hi = column.partition_point(|&(ts, _)| ts <= t);
+    step_windows(column, |&(ts, _)| ts, steps, range_ns)
+        .map(|Range { start: lo, end: hi }| {
             if hi == lo {
                 return None;
             }
@@ -263,58 +266,46 @@ pub fn shard_rows(
     (rows, matched)
 }
 
-/// Reduce step, part 1: fold one shard's rows into the accumulator,
-/// cell by cell. Callers fold shards in **shard-id order** so repeated
-/// runs merge floats identically (scoped-thread completion order is not
-/// deterministic; the join order is). Returns the number of partials
-/// (non-empty cells) merged.
-pub fn merge_rows(
-    acc: &mut BTreeMap<LabelSet, Vec<Option<PartialAgg>>>,
-    rows: Vec<PartialRow>,
-) -> usize {
-    let mut merged = 0;
-    for (labels, cells) in rows {
-        merged += cells.iter().flatten().count();
-        match acc.entry(labels) {
-            Entry::Vacant(e) => {
-                e.insert(cells);
-            }
-            Entry::Occupied(mut e) => {
-                for (into, cell) in e.get_mut().iter_mut().zip(cells) {
-                    match (into, cell) {
-                        (Some(a), Some(b)) => a.merge(b),
-                        (into @ None, cell) => *into = cell,
-                        (Some(_), None) => {}
-                    }
-                }
+/// Reduce step, part 1: every shard's rows — each shard's label-sorted,
+/// as [`shard_rows`] returns them, concatenated in **shard-id order** —
+/// to one label-sorted row per group, its cells folded with
+/// [`PartialAgg::merge`] in shard-id order, so repeated runs merge floats
+/// identically (scoped-thread completion order is not deterministic;
+/// the join order is, and [`merge_runs`]' stable sort keeps it). Returns
+/// the merged rows and the number of partials (non-empty cells) merged.
+pub fn merge_rows(rows: Vec<PartialRow>) -> (Vec<PartialRow>, usize) {
+    let merged = rows.iter().map(|(_, cells)| cells.iter().flatten().count()).sum();
+    let rows = merge_runs(rows, |acc: &mut Vec<Option<PartialAgg>>, cells| {
+        for (into, cell) in acc.iter_mut().zip(cells) {
+            match (into, cell) {
+                (Some(a), Some(b)) => a.merge(b),
+                (into @ None, cell) => *into = cell,
+                (Some(_), None) => {}
             }
         }
-    }
-    merged
+    });
+    (rows, merged)
 }
 
 /// Reduce step, part 2: finish every merged cell and evaluate the
 /// vector-aggregation / filter tree *above* the bottom range aggregation,
-/// once, over the whole grid. The `BTreeMap` yields rows in ascending
-/// label order — the order `eval_range_agg` emits a step's vector in —
-/// so everything above (folds, `topk` tie-breaking) sees what the
-/// step-major evaluator would have.
-pub fn reduce_rows(
-    mq: &MetricQuery,
-    acc: BTreeMap<LabelSet, Vec<Option<PartialAgg>>>,
-) -> SeriesGrid {
+/// once, over the whole grid. `rows` are [`merge_rows`]' output, in
+/// ascending label order — the order `eval_range_agg` emits a step's
+/// vector in — so everything above (folds, `topk` tie-breaking) sees
+/// what the step-major evaluator would have.
+pub fn reduce_rows(mq: &MetricQuery, rows: Vec<PartialRow>) -> SeriesGrid {
     match mq {
-        MetricQuery::RangeAgg { op, range_ns, .. } => acc
+        MetricQuery::RangeAgg { op, range_ns, .. } => rows
             .into_iter()
             .map(|(labels, cells)| {
                 (labels, cells.into_iter().map(|c| c.map(|p| p.finish(*op, *range_ns))).collect())
             })
             .collect(),
         MetricQuery::VectorAgg { op, grouping, inner } => {
-            vector_agg_grid(*op, grouping.as_ref(), reduce_rows(inner, acc))
+            vector_agg_grid(*op, grouping.as_ref(), reduce_rows(inner, rows))
         }
         MetricQuery::Filter { inner, op, scalar } => {
-            filter_grid(reduce_rows(inner, acc), *op, *scalar)
+            filter_grid(reduce_rows(inner, rows), *op, *scalar)
         }
     }
 }
@@ -382,14 +373,14 @@ mod tests {
         q: &MetricQuery,
         shards: &[Vec<(LabelSet, Vec<LogEntry>)>],
         steps: &[Timestamp],
-    ) -> BTreeMap<LabelSet, Vec<Option<PartialAgg>>> {
-        let mut acc = BTreeMap::new();
+    ) -> Vec<PartialRow> {
+        let mut rows = Vec::new();
         for streams in shards {
-            let (rows, _) =
+            let (shard, _) =
                 shard_rows(&q.log_query().stages, bottom_op(q), streams, steps, q.range_ns());
-            merge_rows(&mut acc, rows);
+            rows.extend(shard);
         }
-        acc
+        merge_rows(rows).0
     }
 
     /// Dealing entries across two "shards" in every order-preserving
@@ -478,19 +469,45 @@ mod tests {
         let left: Vec<(Timestamp, &str)> = (1..4).map(|i| (i, "l")).collect();
         let right: Vec<(Timestamp, &str)> = (4..8).map(|i| (i, "r")).collect();
         let acc = merged(&q, &[shard(&left), shard(&right)], &[7]);
-        assert_eq!(acc.get(&l), Some(&vec![Some(PartialAgg::Sum(7.0))]), "pre-division count");
+        assert_eq!(acc, vec![(l.clone(), vec![Some(PartialAgg::Sum(7.0))])], "pre-division count");
         assert_eq!(grid_to_instant(reduce_rows(&q, acc)), vec![(l, 1.0)]);
+    }
+
+    #[test]
+    fn merge_rows_folds_equal_labels_in_shard_order_and_counts_partials() {
+        let (a, b, c) = (labels!("x" => "a"), labels!("x" => "b"), labels!("x" => "c"));
+        let first = |ts, v| Some(PartialAgg::First { ts, v });
+        // Three shards' label-sorted rows, concatenated in shard-id order.
+        let rows: Vec<PartialRow> = vec![
+            (b.clone(), vec![first(5, 1.0), None]),
+            (c.clone(), vec![None, first(1, 9.0)]),
+            (a.clone(), vec![first(2, 3.0), None]),
+            (b.clone(), vec![first(5, 2.0), first(7, 4.0)]),
+            (b.clone(), vec![None, first(6, 6.0)]),
+        ];
+        let (merged, partials) = merge_rows(rows);
+        assert_eq!(partials, 6);
+        // The tie at ts 5 keeps shard 0's value; the earlier ts 6 from
+        // shard 2 replaces shard 1's ts 7.
+        assert_eq!(
+            merged,
+            vec![
+                (a, vec![first(2, 3.0), None]),
+                (b, vec![first(5, 1.0), first(6, 6.0)]),
+                (c, vec![None, first(1, 9.0)]),
+            ]
+        );
+        assert_eq!(merge_rows(Vec::new()), (Vec::new(), 0));
     }
 
     #[test]
     fn reduce_rows_applies_the_tree_above_the_range_agg() {
         let q = metric(r#"sum by (sev) (count_over_time({a="b"}[1m])) > 2"#);
-        let inner: BTreeMap<LabelSet, Vec<Option<PartialAgg>>> = [
+        let inner: Vec<PartialRow> = vec![
             (labels!("sev" => "warn", "loc" => "x1"), vec![Some(PartialAgg::Sum(2.0)), None]),
             (labels!("sev" => "warn", "loc" => "x2"), vec![Some(PartialAgg::Sum(3.0)), None]),
             (labels!("sev" => "crit", "loc" => "x3"), vec![Some(PartialAgg::Sum(1.0)), None]),
-        ]
-        .into();
+        ];
         assert_eq!(
             reduce_rows(&q, inner.clone()),
             vec![(labels!("sev" => "warn"), vec![Some(5.0), None])]

@@ -4,12 +4,11 @@
 use crate::ingester::Ingester;
 pub use crate::reader::QueryStats;
 use omni_logql::{
-    eval::{grid_to_instant, grid_to_matrix, step_grid, InstantVector, Matrix, SeriesGrid},
+    eval::{grid_to_instant, grid_to_matrix, InstantVector, Matrix, SeriesGrid},
     pushdown, LogQuery, MetricQuery, Pipeline, Selector,
 };
 use omni_model::{LabelSet, LogEntry, LogRecord, Timestamp};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The order in which a log query returns — and therefore limits — its
@@ -108,12 +107,13 @@ pub fn run_log_query(
 /// Map/reduce evaluation of a metric query over the step grid,
 /// series-major: every shard fetches the selector once for the whole
 /// grid and evaluates the bottom range aggregation into one row of
-/// per-step partials per label group (map, via [`scan_shards`]); rows
-/// merge cell-wise at the reduce in **shard-id order** (so repeated runs
-/// fold floats identically); the vector-aggregation tree then runs once
-/// over the finished grid. Entries never leave their shard:
-/// `entries_shipped` stays 0 and `partials_merged` counts the non-empty
-/// cells that moved instead.
+/// per-step partials per label group (map, via [`scan_shards`]); the
+/// shards' label-sorted rows, concatenated in **shard-id order**, merge
+/// cell-wise in one linear pass at the reduce (so repeated runs fold
+/// floats identically); the vector-aggregation tree then runs once over
+/// the finished grid. Entries never leave their shard: `entries_shipped`
+/// stays 0 and `partials_merged` counts the non-empty cells that moved
+/// instead.
 fn eval_grid(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
@@ -135,26 +135,27 @@ fn eval_grid(
         (rows, QueryStats { entries_returned: matched, ..read })
     });
 
-    let mut merged = BTreeMap::new();
-    for (rows, st) in per_shard {
+    let mut rows = Vec::new();
+    for (shard, st) in per_shard {
         stats.absorb(st);
-        stats.partials_merged += pushdown::merge_rows(&mut merged, rows);
+        rows.extend(shard);
     }
+    let (merged, partials) = pushdown::merge_rows(rows);
+    stats.partials_merged += partials;
     (pushdown::reduce_rows(query, merged), stats)
 }
 
-/// Evaluate a metric query over a range at fixed steps (Grafana graphs)
-/// from per-shard partials; `start` may be a sentinel near `i64::MIN`.
+/// Evaluate a metric query at the ascending `steps` of a range grid
+/// (Grafana graphs; the frontend takes them from
+/// [`step_grid`](omni_logql::eval::step_grid)) from per-shard partials;
+/// the first step may be a sentinel near `i64::MIN`.
 pub fn run_range_query(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
-    start: Timestamp,
-    end: Timestamp,
-    step_ns: i64,
+    steps: &[Timestamp],
 ) -> (Matrix, QueryStats) {
-    let steps = step_grid(start, end, step_ns);
-    let (grid, stats) = eval_grid(shards, query, &steps);
-    (grid_to_matrix(grid, &steps), stats)
+    let (grid, stats) = eval_grid(shards, query, steps);
+    (grid_to_matrix(grid, steps), stats)
 }
 
 /// Evaluate a metric query at one instant: the same reduce over a
@@ -177,7 +178,7 @@ mod tests {
     use super::common::reference_fetch;
     use super::*;
     use crate::limits::Limits;
-    use omni_logql::eval::{eval_metric_at, eval_metric_range};
+    use omni_logql::eval::{eval_metric_at, eval_metric_range, step_grid};
     use omni_logql::{parse_expr, Expr, Selector};
     use omni_model::{labels, LabelSet, NANOS_PER_SEC};
 
@@ -318,8 +319,9 @@ mod tests {
         ] {
             let mq = metric_query(q);
             let mut fetch = reference_fetch(scan_all(&shards));
-            let reference = eval_metric_range(&mq, start, end, step, &mut fetch);
-            let (matrix, stats) = run_range_query(&shards, &mq, start, end, step);
+            let reference = eval_metric_range(&mq, start, end, step, &mut fetch).unwrap();
+            let (matrix, stats) =
+                run_range_query(&shards, &mq, &step_grid(start, end, step).unwrap());
             assert_eq!(matrix, reference, "{q}");
             assert!(!matrix.is_empty(), "{q}: the fleet has matching data");
             assert_eq!(stats.entries_shipped, 0, "{q}: metric queries must not ship entries");
@@ -371,10 +373,10 @@ mod tests {
                 .map(|(l, ss)| (l.clone(), ss.iter().map(|s| (s.ts, s.value.to_bits())).collect()))
                 .collect()
         };
-        let (first, _) = run_range_query(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
+        let steps = step_grid(0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC).unwrap();
+        let (first, _) = run_range_query(&shards, &mq, &steps);
         for _ in 0..10 {
-            let (again, _) =
-                run_range_query(&shards, &mq, 0, 70 * NANOS_PER_SEC, 10 * NANOS_PER_SEC);
+            let (again, _) = run_range_query(&shards, &mq, &steps);
             assert_eq!(bits(&first), bits(&again));
         }
     }
@@ -387,7 +389,8 @@ mod tests {
         let mq = metric_query(r#"count_over_time({app="x"}[1m])"#);
         let start = i64::MIN + 1;
         let step = NANOS_PER_SEC;
-        let (matrix, _) = run_range_query(&shards, &mq, start, start + 2 * step, step);
+        let steps = step_grid(start, start + 2 * step, step).unwrap();
+        let (matrix, _) = run_range_query(&shards, &mq, &steps);
         assert!(matrix.is_empty(), "no data that far in the past");
     }
 }

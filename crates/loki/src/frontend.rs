@@ -17,6 +17,11 @@
 //! * a log split is cached under its exact window, limit and direction:
 //!   alignment makes consecutive refreshes of a *fixed* window produce
 //!   identical splits;
+//! * a range query takes its whole step grid from
+//!   [`step_grid`] once — a non-positive
+//!   step or a grid past Loki's 11 000-point resolution limit is a typed
+//!   [`QueryError::Grid`] before anything runs — and splits it into runs
+//!   of steps sharing an aligned interval;
 //! * a range split is cached as a **step extent** — the matrix over one
 //!   contiguous run of grid steps, keyed by the query, the step, the
 //!   split bucket and the grid phase, not by the window. A dashboard's
@@ -27,6 +32,9 @@
 //!   A cell at step `t` depends only on data in `(t − range, t]`, so the
 //!   spliced matrix is bit-identical to an unsplit evaluation — the
 //!   extents of Loki's and Cortex's results cache;
+//! * every matrix arrives label-sorted, so joining a cached extent to its
+//!   fresh steps, and the splits to the query's result, is one linear
+//!   [`merge_series`] pass — nothing re-sorts the series;
 //! * every entry stores the [`QueryStats`] of the executions that built
 //!   it, so cache hits report truthful statistics;
 //! * cached windows are invalidated by appends landing inside them
@@ -42,10 +50,11 @@ use crate::ingester::Ingester;
 use crate::limits::{Limits, TenantLimits};
 use crate::scheduler::{FairScheduler, SchedulerStats};
 use crate::QueryError;
+use omni_logql::eval::{merge_series, step_grid};
 use omni_logql::{InstantVector, LogQuery, Matrix, MetricQuery};
 use omni_model::lockwitness::{classes, OrderedMutex};
-use omni_model::{LabelSet, LogRecord, Sample, SimClock, TenantId, Timestamp};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use omni_model::{LogRecord, SimClock, TenantId, Timestamp};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -681,11 +690,13 @@ impl QueryFrontend {
     }
 
     /// Split, cache, and limit a metric range query for the tenant in
-    /// `ctx`. The step grid is partitioned into runs of steps sharing an
-    /// aligned interval; each run is an independent sub-query whose
-    /// samples concatenate (per series, ascending) into exactly what an
-    /// unsplit [`engine::run_range_query`] call produces, because every
-    /// step is evaluated independently over its own lookback.
+    /// `ctx`. The step grid — refused as [`QueryError::Grid`] if the step
+    /// is not positive or the grid is too long — is partitioned into runs
+    /// of steps sharing an aligned interval; each run is an independent
+    /// sub-query whose samples concatenate (per series, ascending) into
+    /// exactly what an unsplit [`engine::run_range_query`] call produces,
+    /// because every step is evaluated independently over its own
+    /// lookback.
     ///
     /// Each run resolves against the step extent of its bucket and grid
     /// phase. Covered: sliced from the extent. Covered up to the
@@ -705,13 +716,14 @@ impl QueryFrontend {
         end: Timestamp,
         step_ns: i64,
     ) -> Result<(Matrix, QueryReport), QueryError> {
+        let steps = step_grid(start, end, step_ns).map_err(QueryError::Grid)?;
         let deadline = self.deadline();
         self.check_deadline(deadline)?;
 
         self.shared.pushdown_queries.fetch_add(1, Ordering::Relaxed);
 
         let interval = self.limits.split_interval_ns;
-        let groups = range_groups(start, end, step_ns, interval);
+        let groups = range_groups(&steps, interval);
         let norm = normalize_query(text);
         let key = |first: Timestamp| CacheKey {
             tenant: ctx.tenant.clone(),
@@ -726,43 +738,39 @@ impl QueryFrontend {
             ctx,
             &groups,
             deadline,
-            |cache, s, e| {
-                let whole = Lookup::Execute { from: s, held: None };
-                let Some(e) = last_step(s, e, step_ns) else { return whole };
-                match cache.get(&key(s)) {
-                    Some(CacheEntry {
-                        data: CachedData::Extent { first, last, matrix },
-                        stats,
-                        ..
-                    }) if *first <= s && s <= *last => {
-                        if *last >= e {
-                            Lookup::Hit(slice_steps(matrix, s, e), *stats)
-                        } else {
-                            let held = Some((slice_steps(matrix, s, *last), *stats));
-                            Lookup::Execute { from: *last + step_ns, held }
-                        }
+            // A run is `(first step, last step)`, both on the grid.
+            |cache, s, e| match cache.get(&key(s)) {
+                Some(CacheEntry {
+                    data: CachedData::Extent { first, last, matrix },
+                    stats,
+                    ..
+                }) if *first <= s && s <= *last => {
+                    if *last >= e {
+                        Lookup::Hit(slice_steps(matrix, s, e), *stats)
+                    } else {
+                        let held = Some((slice_steps(matrix, s, *last), *stats));
+                        Lookup::Execute { from: *last + step_ns, held }
                     }
-                    _ => whole,
                 }
+                _ => Lookup::Execute { from: s, held: None },
             },
             // Map/reduce: each shard returns per-step partial aggregates
             // and the frontend merges them — entries never ship.
             |s, e| {
-                let out = engine::run_range_query(shards, query, s, e, step_ns);
+                let run = &steps[steps.partition_point(|&t| t < s)..];
+                let run = &run[..run.partition_point(|&t| t <= e)];
+                let out = engine::run_range_query(shards, query, run);
                 self.note_pushdown(&out.1);
                 out
             },
             |(s, e), held, fresh, fresh_stats| {
                 let (cached, mut stats) = held.unwrap_or_default();
                 stats.absorb(fresh_stats);
-                let matrix = join_series([cached, fresh]);
+                let matrix = merge_series(cached.into_iter().chain(fresh).collect());
                 // The first step's lookback reaches `range` behind it.
-                let entry = last_step(s, e, step_ns).map(|last| {
-                    let data = CachedData::Extent { first: s, last, matrix: matrix.clone() };
-                    let data_start = s.saturating_sub(query.range_ns());
-                    (key(s), CacheEntry { data, stats, data_start, end: last })
-                });
-                (matrix, entry)
+                let data = CachedData::Extent { first: s, last: e, matrix: matrix.clone() };
+                let data_start = s.saturating_sub(query.range_ns());
+                (matrix, Some((key(s), CacheEntry { data, stats, data_start, end: e })))
             },
         )?;
 
@@ -773,7 +781,7 @@ impl QueryFrontend {
         }
         let report = QueryReport::from_splits(merged, splits);
         self.record_query(ctx, &norm, start, end, &report);
-        Ok((join_series(resolved.into_iter().map(|(matrix, _)| matrix)), report))
+        Ok((merge_series(resolved.into_iter().flat_map(|(matrix, _)| matrix).collect()), report))
     }
 
     /// Evaluate a metric query at one instant for the tenant in `ctx`,
@@ -872,51 +880,29 @@ fn split_bounds(start: Timestamp, end: Timestamp, interval: i64) -> Vec<(Timesta
     out
 }
 
-/// Partition the range-query step grid `start, start+step, ..` (while
-/// `<= end`) into maximal runs of steps whose timestamps share an
-/// aligned `interval` bucket. Returns `(first_step, last_step)` per run;
-/// degenerate shapes (no splitting configured, sentinel-wide spans, too
-/// many steps or runs) collapse to the unsplit single run.
-fn range_groups(
-    start: Timestamp,
-    end: Timestamp,
-    step_ns: i64,
-    interval: i64,
-) -> Vec<(Timestamp, Timestamp)> {
-    if interval <= 0 || step_ns <= 0 || start > end {
-        return vec![(start, end)];
-    }
-    let span = end.saturating_sub(start);
-    if span == i64::MAX || (span / interval) as usize >= MAX_SPLITS {
-        return vec![(start, end)];
+/// Partition a range query's ascending step grid into maximal runs of
+/// steps whose timestamps share an aligned `interval` bucket. Returns
+/// `(first_step, last_step)` per run; degenerate shapes (no splitting
+/// configured, spans of more than [`MAX_SPLITS`] intervals) collapse to
+/// one run over the whole grid, and an empty grid has no runs.
+fn range_groups(steps: &[Timestamp], interval: i64) -> Vec<(Timestamp, Timestamp)> {
+    let Some((&first, &last)) = steps.first().zip(steps.last()) else {
+        return Vec::new();
+    };
+    // The span of two timestamps can exceed `i64`, never `i128`.
+    let span = i128::from(last) - i128::from(first);
+    if interval <= 0 || span / i128::from(interval) >= MAX_SPLITS as i128 {
+        return vec![(first, last)];
     }
     let mut out: Vec<(i64, Timestamp, Timestamp)> = Vec::new();
-    let mut t = start;
-    while t <= end {
+    for &t in steps {
         let bucket = t.div_euclid(interval);
         match out.last_mut() {
             Some((b, _, last)) if *b == bucket => *last = t,
             _ => out.push((bucket, t, t)),
         }
-        t = match t.checked_add(step_ns) {
-            Some(next) => next,
-            None => break,
-        };
-    }
-    if out.is_empty() {
-        return vec![(start, end)];
     }
     out.into_iter().map(|(_, s, e)| (s, e)).collect()
-}
-
-/// The last step of the grid `s, s + step, …` at or before `e`; `None`
-/// for an empty grid (`e < s`, or a step the engine itself rejects).
-fn last_step(s: Timestamp, e: Timestamp, step_ns: i64) -> Option<Timestamp> {
-    if s > e || step_ns <= 0 {
-        return None;
-    }
-    let steps = (i128::from(e) - i128::from(s)) / i128::from(step_ns);
-    i64::try_from(i128::from(s) + steps * i128::from(step_ns)).ok()
 }
 
 /// An extent's samples at steps `s ..= e`, dropping series left empty.
@@ -929,19 +915,6 @@ fn slice_steps(matrix: &Matrix, s: Timestamp, e: Timestamp) -> Matrix {
             (from < to).then(|| (labels.clone(), samples[from..to].to_vec()))
         })
         .collect()
-}
-
-/// Join matrices over ascending, disjoint runs of one step grid:
-/// appending each series' samples in run order reproduces the unsplit
-/// evaluation's ascending sample vectors.
-fn join_series(parts: impl IntoIterator<Item = Matrix>) -> Matrix {
-    let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
-    for part in parts {
-        for (labels, samples) in part {
-            series.entry(labels).or_default().extend(samples);
-        }
-    }
-    series.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -975,11 +948,16 @@ mod tests {
         assert_eq!(split_bounds(100, 100, 10), vec![(100, 100)]);
     }
 
+    /// The step grid `start, start + step, ..` while `<= end`.
+    fn grid(start: Timestamp, end: Timestamp, step_ns: i64) -> Vec<Timestamp> {
+        step_grid(start, end, step_ns).unwrap()
+    }
+
     #[test]
     fn sentinel_spans_do_not_split() {
         assert_eq!(split_bounds(i64::MIN, 1_000, 300), vec![(i64::MIN, 1_000)]);
         assert_eq!(split_bounds(0, i64::MAX, 300), vec![(0, i64::MAX)]);
-        assert_eq!(range_groups(i64::MIN, 1_000, 100, 300), vec![(i64::MIN, 1_000)]);
+        assert_eq!(range_groups(&[i64::MIN, 0, 1_000], 300), vec![(i64::MIN, 1_000)]);
     }
 
     #[test]
@@ -988,7 +966,7 @@ mod tests {
         // Groups are runs of the query's *own* grid `start + k·step`, so
         // their union must reproduce that grid exactly — never snap to
         // absolute multiples of the step or the interval.
-        let groups = range_groups(50, 950, 100, 300);
+        let groups = range_groups(&grid(50, 950, 100), 300);
         let mut all = Vec::new();
         for (s, e) in &groups {
             let mut t = *s;
@@ -1005,28 +983,28 @@ mod tests {
 
     #[test]
     fn range_groups_collapse_keeps_sentinel_and_off_grid_starts() {
-        // Regression: every collapse path must return `(start, end)`
-        // verbatim — the engine then steps from `start`, producing the
-        // same grid as an unsplit evaluation. A collapse that rounded
-        // the start to an interval boundary would shift every step.
-        assert_eq!(range_groups(i64::MIN, 1_000, 7, 300), vec![(i64::MIN, 1_000)]);
-        // Maximal span: `span == i64::MAX` guard, off-grid endpoints.
-        assert_eq!(
-            range_groups(i64::MIN + 3, i64::MAX - 2, 11, 300),
-            vec![(i64::MIN + 3, i64::MAX - 2)]
-        );
+        // Regression: every collapse path must keep the grid's own first
+        // and last step — the engine then evaluates exactly the steps of
+        // an unsplit evaluation. A collapse that rounded the start to an
+        // interval boundary would shift every step.
+        assert_eq!(range_groups(&[i64::MIN, i64::MIN + 7], 300), vec![(i64::MIN, i64::MIN + 7)]);
+        // Maximal span (wider than `i64`), off-grid endpoints.
+        let whole = grid(i64::MIN + 3, i64::MAX - 2, i64::MAX / 2);
+        assert_eq!(range_groups(&whole, 300), vec![(i64::MIN + 3, whole[whole.len() - 1])]);
         // MAX_SPLITS collapse keeps the off-grid start too.
         let wide = 300 * MAX_SPLITS as i64;
-        assert_eq!(range_groups(5, 5 + wide, 10, 300), vec![(5, 5 + wide)]);
-        // Degenerate inputs collapse without touching the bounds.
-        assert_eq!(range_groups(13, 13, 10, 300), vec![(13, 13)]);
-        assert_eq!(range_groups(20, 10, 10, 300), vec![(20, 10)]);
+        assert_eq!(range_groups(&grid(5, 5 + wide, 10), 300), vec![(5, 5 + wide)]);
+        // No splitting configured: one run.
+        assert_eq!(range_groups(&grid(13, 53, 10), 0), vec![(13, 53)]);
+        // Degenerate grids: one step is one run, no step no run.
+        assert_eq!(range_groups(&[13], 300), vec![(13, 13)]);
+        assert!(range_groups(&[], 300).is_empty());
     }
 
     #[test]
     fn range_groups_cover_the_step_grid_exactly() {
         // Steps 0,100,...,900 with interval 300: buckets [0,300) [300,600)...
-        let groups = range_groups(0, 900, 100, 300);
+        let groups = range_groups(&grid(0, 900, 100), 300);
         assert_eq!(groups, vec![(0, 200), (300, 500), (600, 800), (900, 900)]);
         // The union of group grids is the original grid.
         let mut all = Vec::new();

@@ -49,6 +49,7 @@ pub use tenant::{
     ShedReason, TenantRegistry, TenantRejection, TenantSnapshot, TenantState, TENANT_LABEL,
 };
 
+use omni_logql::eval::GridError;
 use omni_logql::{parse_expr, Expr, InstantVector, Matcher, Matrix, ParseError};
 use omni_model::lockwitness::{classes, OrderedRwLock};
 use omni_model::{LabelSet, LogEntry, LogRecord, SimClock, TenantId, Timestamp};
@@ -82,6 +83,10 @@ pub enum QueryError {
     /// Tenant admission control shed the query (the `429`): the tenant
     /// is over its own query rate, never because of another tenant.
     TenantRejected(TenantRejection),
+    /// A range query's step grid was refused (the `400`): the step is not
+    /// positive, or the grid is longer than
+    /// [`MAX_GRID_POINTS`](omni_logql::eval::MAX_GRID_POINTS).
+    Grid(GridError),
 }
 
 impl std::fmt::Display for QueryError {
@@ -91,6 +96,7 @@ impl std::fmt::Display for QueryError {
             QueryError::WrongQueryKind(what) => write!(f, "wrong query kind: expected {what}"),
             QueryError::LimitExceeded(v) => write!(f, "query rejected: {v}"),
             QueryError::TenantRejected(r) => write!(f, "query rejected: {r}"),
+            QueryError::Grid(e) => write!(f, "bad range query: {e}"),
         }
     }
 }
@@ -957,6 +963,7 @@ impl LokiCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omni_logql::eval::{step_grid, MAX_GRID_POINTS};
     use omni_model::{labels, NANOS_PER_SEC};
 
     fn cluster(shards: usize) -> LokiCluster {
@@ -1914,6 +1921,33 @@ mod tests {
     }
 
     #[test]
+    fn a_bad_range_step_is_a_typed_error_not_a_panic() {
+        // Regression: a zero or negative step panicked inside the engine,
+        // and a tiny step over a wide window allocated the whole grid.
+        let c = cluster(2);
+        c.push(labels!("a" => "b"), 1, "x").unwrap();
+        let q = r#"count_over_time({a="b"}[1m])"#;
+        let max = MAX_GRID_POINTS as i64;
+        for (end, step, refused) in [
+            (100, 0, GridError::NonPositiveStep(0)),
+            (100, -5, GridError::NonPositiveStep(-5)),
+            (max, 1, GridError::TooManyPoints(max as u128 + 1)),
+            (i64::MAX, 1, GridError::TooManyPoints(i64::MAX as u128 + 1)),
+        ] {
+            assert_eq!(c.query_range(q, 0, end, step), Err(QueryError::Grid(refused)));
+        }
+        assert!(c.query_range(q, 0, 100, 0).unwrap_err().to_string().contains("positive"));
+        // Nothing ran: no split, no cache entry, no limit rejection.
+        let stats = c.frontend().stats();
+        assert_eq!((stats.splits_total, stats.cached_entries, stats.rejected_total), (0, 0, 0));
+        // The largest grid the limit allows still answers: the entry at
+        // 1ns is inside every step's window from its own on.
+        let matrix = c.query_range(q, 0, max - 1, 1).unwrap();
+        assert_eq!(matrix.len(), 1);
+        assert_eq!(matrix[0].1.len(), MAX_GRID_POINTS - 1);
+    }
+
+    #[test]
     fn split_range_query_matches_unsplit() {
         let split = cluster(2);
         let unsplit = {
@@ -1971,7 +2005,8 @@ mod tests {
             Expr::Metric(m) => m,
             Expr::Log(_) => unreachable!(),
         };
-        let direct = engine::run_range_query(&c.shards(), &mq, 40 * minute, 160 * minute, step_ns);
+        let steps = step_grid(40 * minute, 160 * minute, step_ns).unwrap();
+        let direct = engine::run_range_query(&c.shards(), &mq, &steps);
         assert_eq!(next.data.into_matrix(), Some(direct.0));
         // A repeat is all hits, and the extended extent replays every
         // execution that built it: the cold run's 40 lines plus these 10.

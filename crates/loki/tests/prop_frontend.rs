@@ -21,7 +21,7 @@
 mod common;
 
 use common::reference_fetch;
-use omni_logql::eval::{eval_metric_range, Matrix};
+use omni_logql::eval::{eval_metric_range, step_grid, Matrix};
 use omni_logql::{parse_expr, Expr, LogQuery, MetricQuery};
 use omni_loki::{Direction, Ingester, Limits, LokiCluster, QueryRequest, QueryShape};
 use omni_model::{LabelSet, LogRecord, SimClock, NANOS_PER_SEC};
@@ -161,7 +161,7 @@ proptest! {
         let step_ns = step_s * 1_000_000_000;
         let reference = || {
             let mut fetch = reference_fetch(|sel, s, e| single.query_stats(sel, s, e).0);
-            eval_metric_range(&m, 0, end, step_ns, &mut fetch)
+            eval_metric_range(&m, 0, end, step_ns, &mut fetch).unwrap()
         };
         let direct = reference();
 
@@ -255,7 +255,7 @@ proptest! {
             let start = end - width;
             for (text, q) in SLIDING_QUERIES.iter().zip(&queries) {
                 let (direct, _) = omni_loki::engine::run_range_query(
-                    std::slice::from_ref(&single), q, start, end, step,
+                    std::slice::from_ref(&single), q, &step_grid(start, end, step).unwrap(),
                 );
                 let shape = QueryShape::Range { start, end, step_ns: step };
                 for pass in ["cold", "repeat"] {

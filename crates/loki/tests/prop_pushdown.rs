@@ -91,6 +91,7 @@ fn reference_range(twin: &Ingester, m: &MetricQuery, end: Timestamp, step_ns: i6
         step_ns,
         &mut reference_fetch(|sel, s, e| twin.query_stats(sel, s, e).0),
     )
+    .unwrap()
 }
 
 /// A range query through the door, with its report.

@@ -8,8 +8,8 @@
 use crate::storage::Tsdb;
 use omni_logql::ast::{CmpOp, GroupKind, Grouping, VectorAggOp};
 use omni_logql::eval::{
-    filter_grid, grid_to_instant, grid_to_matrix, step_grid, vector_agg_grid, InstantVector,
-    Matrix, SeriesGrid,
+    filter_grid, grid_to_instant, grid_to_matrix, step_grid, step_windows, vector_agg_grid,
+    GridError, InstantVector, Matrix, SeriesGrid,
 };
 use omni_logql::lexer::{lex, Token};
 use omni_logql::matcher::{MatchOp, Matcher, Selector};
@@ -417,18 +417,11 @@ impl PromParser {
     }
 }
 
-/// Samples of one fetched series that fall in the window `(lo, t]`
-/// (`samples` ascending by timestamp, as `query_series` returns them).
-fn window(samples: &[Sample], lo: Timestamp, t: Timestamp) -> &[Sample] {
-    let from = samples.partition_point(|s| s.ts <= lo);
-    let to = samples.partition_point(|s| s.ts <= t);
-    &samples[from..to.max(from)]
-}
-
 /// One row per series matching `selector`, `__name__` stripped, in
 /// `query_series` order: the selector is fetched **once** for the whole
 /// grid — `(first − reach, last]` — and each step's cell is `cell` of
-/// that step's window `(t − reach, t]`.
+/// that step's window `(t − reach, t]`, the windows swept forward over
+/// the series' ascending samples ([`step_windows`]).
 fn selector_grid(
     db: &Tsdb,
     selector: &Selector,
@@ -446,7 +439,7 @@ fn selector_grid(
         .map(|(mut labels, samples)| {
             labels.remove("__name__");
             let cells =
-                steps.iter().map(|&t| cell(window(&samples, t.saturating_sub(reach_ns), t)));
+                step_windows(&samples, |s| s.ts, steps, reach_ns).map(|w| cell(&samples[w]));
             (labels, cells.collect())
         })
         .collect()
@@ -525,7 +518,9 @@ pub fn eval_instant(db: &Tsdb, expr: &PromExpr, at: Timestamp) -> InstantVector 
 }
 
 /// Evaluate over `[start, end]` at `step_ns` intervals. The grid is
-/// LogQL's [`step_grid`]: it advances with checked arithmetic, so an
+/// LogQL's [`step_grid`]: a non-positive step or a grid longer than
+/// Prometheus's 11 000-point resolution limit is an error before
+/// anything is fetched, and it advances with checked arithmetic, so an
 /// `end` near `i64::MAX` terminates.
 pub fn eval_range(
     db: &Tsdb,
@@ -533,9 +528,9 @@ pub fn eval_range(
     start: Timestamp,
     end: Timestamp,
     step_ns: i64,
-) -> Matrix {
-    let steps = step_grid(start, end, step_ns);
-    grid_to_matrix(eval_grid(db, expr, &steps), &steps)
+) -> Result<Matrix, GridError> {
+    let steps = step_grid(start, end, step_ns)?;
+    Ok(grid_to_matrix(eval_grid(db, expr, &steps), &steps))
 }
 
 #[cfg(test)]
@@ -656,9 +651,53 @@ mod tests {
             d.ingest_sample("g", labels!("a" => "1"), i * NANOS_PER_SEC, i as f64);
         }
         let e = parse_promql("max_over_time(g[2s])").unwrap();
-        let m = eval_range(&d, &e, 0, 9 * NANOS_PER_SEC, NANOS_PER_SEC);
+        let m = eval_range(&d, &e, 0, 9 * NANOS_PER_SEC, NANOS_PER_SEC).unwrap();
         assert_eq!(m.len(), 1);
         assert_eq!(m[0].1.len(), 10);
+    }
+
+    #[test]
+    fn a_bad_range_step_is_an_error_not_a_panic() {
+        // Regression: a zero or negative step panicked in `step_grid`.
+        let d = db();
+        d.ingest_sample("g", labels!("a" => "1"), 1, 1.0);
+        let e = parse_promql("g").unwrap();
+        assert_eq!(eval_range(&d, &e, 0, 100, 0), Err(GridError::NonPositiveStep(0)));
+        assert_eq!(eval_range(&d, &e, 0, 100, -5), Err(GridError::NonPositiveStep(-5)));
+        assert_eq!(eval_range(&d, &e, 0, 11_000, 1), Err(GridError::TooManyPoints(11_001)));
+        // 11 000 points still answer.
+        let m = eval_range(&d, &e, 0, 10_999, 1).unwrap();
+        assert_eq!(m[0].1.len(), 10_999, "the sample at 1ns is visible from step 1 on");
+    }
+
+    #[test]
+    fn topk_over_a_nan_sample_ranks_it_after_every_number() {
+        // An exposition `NaN` reaches the store as a sample like any
+        // other; `topk`/`bottomk` pick it only when fewer than k numbers
+        // are present, at every step, and agree with the oracle bit for
+        // bit.
+        let d = db();
+        for i in 0..5i64 {
+            let t = i * 15 * S;
+            d.ingest_sample("m", labels!("i" => "a"), t, 1.0 + i as f64);
+            d.ingest_sample("m", labels!("i" => "b"), t, f64::NAN);
+            d.ingest_sample("m", labels!("i" => "c"), t, 10.0 - i as f64);
+        }
+        let m = parse_promql("m").unwrap();
+        let steps = step_grid(0, 60 * S, 15 * S).unwrap();
+        for (op, nan_picked) in [
+            (VectorAggOp::Topk(2), false),
+            (VectorAggOp::Bottomk(2), false),
+            (VectorAggOp::Topk(3), true),
+            (VectorAggOp::Bottomk(3), true),
+        ] {
+            let e = PromExpr::VectorAgg { op, grouping: None, inner: Box::new(m.clone()) };
+            let got = eval_range(&d, &e, 0, 60 * S, 15 * S).unwrap();
+            assert_eq!(matrix_bits(&got), matrix_bits(&stitched(&d, &e, &steps)), "{op:?}");
+            let has_nan = got.iter().any(|(_, ss)| ss.iter().any(|s| s.value.is_nan()));
+            assert_eq!(has_nan, nan_picked, "{op:?}: {got:?}");
+            assert!(got.iter().all(|(_, ss)| ss.len() == steps.len()), "{op:?}: {got:?}");
+        }
     }
 
     #[test]
@@ -748,7 +787,7 @@ mod tests {
         let d = db();
         d.ingest_sample("g", labels!("a" => "1"), i64::MAX - 4, 7.0);
         let e = parse_promql("g").unwrap();
-        let m = eval_range(&d, &e, i64::MAX - 5, i64::MAX, 3);
+        let m = eval_range(&d, &e, i64::MAX - 5, i64::MAX, 3).unwrap();
         // Two grid points, MAX−5 and MAX−2; the sample is visible at the second.
         assert_eq!(m, vec![(labels!("a" => "1"), vec![Sample::new(i64::MAX - 2, 7.0)])]);
     }
@@ -964,14 +1003,14 @@ mod tests {
     /// `eval_instant` equals `reference_instant` (order included) at
     /// every grid point.
     ///
-    /// Mutations of `promql.rs` / `eval.rs` shown to fail this test (each
-    /// a one-line edit, reverted): `s.ts <= lo` → `s.ts < lo` in
-    /// `window` (range functions on the aligned grid gain the sample at
-    /// the window's open end); dropping the lower bound of the selector
-    /// cell, i.e. `window(&samples, i64::MIN, t)` in `selector_grid` (`m`
-    /// keeps showing `i="stops"` after its lookback expires); folding a
-    /// group's members in reverse row order in `vector_agg_grid` (`sum(m)`
-    /// moves in the last bits).
+    /// Mutations of `eval.rs` shown to fail this test (each a small edit,
+    /// reverted): `<=` → `<` on `step_windows`' lower cursor (range
+    /// functions on the aligned grid gain the sample at the window's open
+    /// end) or on its upper cursor (a sample exactly at a step drops
+    /// out); deleting the lower cursor's advance, so a window never
+    /// loses a sample (`m` keeps showing `i="stops"` after its lookback
+    /// expires); folding a group's members in reverse row order in
+    /// `vector_agg_grid` (`sum(m)` moves in the last bits).
     #[test]
     fn grid_evaluator_equals_the_step_major_reference() {
         let d = oracle_store();
@@ -986,8 +1025,8 @@ mod tests {
         for (text, e) in oracle_exprs() {
             let mut non_empty = false;
             for (start, end, step) in grids {
-                let steps = step_grid(start, end, step);
-                let got = eval_range(&d, &e, start, end, step);
+                let steps = step_grid(start, end, step).unwrap();
+                let got = eval_range(&d, &e, start, end, step).unwrap();
                 assert_eq!(
                     matrix_bits(&got),
                     matrix_bits(&stitched(&d, &e, &steps)),

@@ -23,6 +23,14 @@ cargo test --release --offline -q --manifest-path omnibench/Cargo.toml
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
 
+echo "== range-path properties at 1000 cases =="
+# The shard/frontend reduce and the two linear routines under it
+# (merge_runs / merge_series, step_windows) are held bit for bit to the
+# map stitches and binary-search windows they replaced, and the whole
+# range path to the step-major reference; 64 cases is a smoke test.
+PROPTEST_CASES=1000 cargo test -q -p omni-logql --test prop_grid
+PROPTEST_CASES=1000 cargo test -q -p omni-loki --test prop_pushdown --test prop_frontend
+
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
 # backlog, virtual-time waits, a panicking split releasing its slot);
@@ -101,6 +109,17 @@ echo "== one log-pipeline executor (no filter-only fork beside Pipeline::process
 # come back.
 if grep -rn "fn filter_only(\|fn passes_filters(\|PushdownScan\|has_parser_stage" crates; then
     echo "a second log-pipeline executor is back"; exit 1
+fi
+
+echo "== rows stay label-sorted on the range path (no map re-sort, no per-step binary search) =="
+# Series and shard rows are combined by omni_logql::eval::merge_runs and
+# every step window comes from eval::step_windows: neither the frontend's
+# map join nor PromQL's binary-search window may come back.
+if grep -rn "fn window(\|fn join_series(" crates; then
+    echo "a per-step binary-search window or a map join of series is back"; exit 1
+fi
+if grep -n BTreeMap crates/loki/src/frontend.rs; then
+    echo "the frontend re-sorts series through a BTreeMap again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="
