@@ -59,8 +59,8 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Upper bound on cached split results; the cache is cleared wholesale
-/// when it fills (mirroring the distributor's fingerprint-cache policy:
-/// churn past this size means the cache is not earning its memory).
+/// when it fills (churn past this size means the cache is not earning its
+/// memory).
 const CACHE_MAX: usize = 4_096;
 
 /// A window that would split into more sub-queries than this executes

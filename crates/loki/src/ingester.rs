@@ -137,25 +137,24 @@ impl Ingester {
 
     /// Append one record — a frame of one (tests, single-shard callers).
     pub fn append(&self, record: LogRecord) -> Result<(), IngestError> {
-        let fp = record.labels.fingerprint();
         // Invariant: `append_frames` returns exactly one result per entry.
-        self.append_frames([(fp, record.labels, 1)], [record.entry])
+        self.append_frames([(record.labels, 1)], [record.entry])
             .pop()
             .expect("a frame of one yields one result") // lint:allow(no-unwrap)
     }
 
     /// Append stream frames under a **single** shard-lock acquisition.
     /// Frames arrive in columnar form so that a frame costs no allocation
-    /// of its own: `frames` holds one `(fingerprint, labels, run length)`
-    /// header per frame — the distributor already hashed the labels for
-    /// routing — and `entries` every frame's entries back to back, which
-    /// the run lengths cut up. Each frame's labels are validated and its
-    /// stream resolved (or created) once; each entry then pays only the
-    /// stream append. Returns one result per entry in input order; the
+    /// of its own: `frames` holds one `(labels, run length)` header per
+    /// frame — labels that already know their fingerprint, since the
+    /// distributor routed by it — and `entries` every frame's entries back
+    /// to back, which the run lengths cut up. Each frame's labels are
+    /// validated and its stream resolved (or created) once; each entry
+    /// then pays only the stream append. Returns one result per entry in input order; the
     /// counters are added once per call.
     pub fn append_frames(
         &self,
-        frames: impl IntoIterator<Item = (u64, LabelSet, usize)>,
+        frames: impl IntoIterator<Item = (LabelSet, usize)>,
         entries: impl IntoIterator<Item = LogEntry>,
     ) -> Vec<Result<(), IngestError>> {
         let mut entries = entries.into_iter();
@@ -164,8 +163,9 @@ impl Ingester {
         {
             let mut guard = self.state.write();
             let st = &mut *guard;
-            for (fp, labels, run_len) in frames {
+            for (labels, run_len) in frames {
                 let run = entries.by_ref().take(run_len);
+                let fp = labels.fingerprint();
                 let at_cap = st.streams.len() >= self.limits.max_streams_per_shard;
                 let stream = match st.streams.entry(fp) {
                     _ if labels.is_empty() => Err(IngestError::EmptyLabels),
@@ -225,8 +225,7 @@ impl Ingester {
             .filter(|s| selector.matches(&s.labels))
             .map(|s| s.labels.clone())
             .collect();
-        let store_only = self.store_only_streams(selector, |fp| st.streams.contains_key(&fp));
-        out.extend(store_only.into_iter().map(|(_, labels)| labels));
+        out.extend(self.store_only_streams(selector, |fp| st.streams.contains_key(&fp)));
         out
     }
 
@@ -238,12 +237,13 @@ impl Ingester {
         &self,
         selector: &Selector,
         in_memory: impl Fn(u64) -> bool,
-    ) -> Vec<(u64, LabelSet)> {
+    ) -> Vec<LabelSet> {
         let Some(store) = &self.chunk_store else { return Vec::new() };
         store
             .series()
             .into_iter()
             .filter(|(fp, labels)| self.owns(*fp) && !in_memory(*fp) && selector.matches(labels))
+            .map(|(_, labels)| labels)
             .collect()
     }
 
@@ -262,16 +262,14 @@ impl Ingester {
         // lock. Store reads wait until the guard drops: the cold-tier
         // GET path can block, and holding the shard lock across it would
         // stall ingest on this shard (the lock-held-across-call class).
-        let mut streams: Vec<(u64, LabelSet, Vec<LogEntry>)> = {
+        let mut streams: Vec<(LabelSet, Vec<LogEntry>)> = {
             let st = self.state.read();
             st.index
                 .candidates(selector.equality_matchers())
                 .into_iter()
-                .filter_map(|fp| Some((fp, st.streams.get(&fp)?)))
-                .filter(|(_, s)| selector.matches(&s.labels))
-                .map(|(fp, s)| {
-                    (fp, s.labels.clone(), reader::read_memory(s, start, end, &mut stats))
-                })
+                .filter_map(|fp| st.streams.get(&fp))
+                .filter(|s| selector.matches(&s.labels))
+                .map(|s| (s.labels.clone(), reader::read_memory(s, start, end, &mut stats)))
                 .collect()
         };
         if let Some(store) = &self.chunk_store {
@@ -280,24 +278,21 @@ impl Ingester {
             // in memory between the phases is fine: `in_memory` is the
             // snapshot phase 1 actually answered from, so nothing
             // double-counts.
-            let in_memory: HashSet<u64> = streams.iter().map(|(fp, ..)| *fp).collect();
+            let in_memory: HashSet<u64> = streams.iter().map(|(l, _)| l.fingerprint()).collect();
             let store_only = self.store_only_streams(selector, |fp| in_memory.contains(&fp));
-            streams.extend(store_only.into_iter().map(|(fp, labels)| (fp, labels, Vec::new())));
+            streams.extend(store_only.into_iter().map(|labels| (labels, Vec::new())));
             // Phase 2: the older tiers go in front of what memory held —
             // home shard only, since the store is shared cluster-wide.
-            for (fp, _, entries) in streams.iter_mut().filter(|(fp, ..)| self.owns(*fp)) {
+            for (labels, entries) in streams.iter_mut().filter(|(l, _)| self.owns(l.fingerprint()))
+            {
                 let mut memory = std::mem::take(entries);
-                *entries = reader::read_store(store, *fp, start, end, &mut stats);
+                *entries = reader::read_store(store, labels.fingerprint(), start, end, &mut stats);
                 entries.append(&mut memory);
                 entries.sort_by_key(|e| e.ts);
             }
         }
-        let out = streams
-            .into_iter()
-            .filter(|(_, _, entries)| !entries.is_empty())
-            .map(|(_, labels, entries)| (labels, entries))
-            .collect();
-        (out, stats)
+        streams.retain(|(_, entries)| !entries.is_empty());
+        (streams, stats)
     }
 
     /// Offload sealed chunks entirely older than `older_than` to the
@@ -380,13 +375,13 @@ impl Ingester {
     /// `retention_of(labels)` names each stream's horizon, which is how
     /// per-tenant retention reaches storage (the resolver reads the
     /// stream's `__tenant__` label). Returns the chunks dropped and the
-    /// `(fingerprint, labels)` of every fully retired stream so the
-    /// caller can release tenant stream-cap accounting.
+    /// labels of every fully retired stream so the caller can release
+    /// tenant stream-cap accounting.
     pub fn enforce_retention_by(
         &self,
         now: Timestamp,
         retention_of: &(dyn Fn(&LabelSet) -> i64 + Sync),
-    ) -> (usize, Vec<(u64, LabelSet)>) {
+    ) -> (usize, Vec<LabelSet>) {
         // Snapshot stream identities under the read lock, in fingerprint
         // order, then resolve horizons with no shard lock held: the
         // resolver reads tenant state, which ranks *before* the shard
@@ -407,7 +402,7 @@ impl Ingester {
         };
         let mut st = self.state.write();
         let mut chunks = 0;
-        let mut dropped: Vec<(u64, LabelSet)> = Vec::new();
+        let mut dropped: Vec<LabelSet> = Vec::new();
         for (fp, horizon) in horizons {
             // Streams created since the snapshot are skipped this tick:
             // they are new by definition, so no horizon can touch them.
@@ -415,9 +410,8 @@ impl Ingester {
             chunks += s.enforce_retention(horizon);
             if s.is_empty() && s.newest_ts() < horizon {
                 if let Some(s) = st.streams.remove(&fp) {
-                    let labels = s.labels.clone();
-                    st.index.remove(&labels, fp);
-                    dropped.push((fp, labels));
+                    st.index.remove(&s.labels, fp);
+                    dropped.push(s.labels);
                 }
             }
         }

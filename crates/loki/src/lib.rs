@@ -53,7 +53,6 @@ use omni_logql::eval::GridError;
 use omni_logql::{parse_expr, Expr, InstantVector, Matcher, Matrix, ParseError};
 use omni_model::lockwitness::{classes, OrderedRwLock};
 use omni_model::{LabelSet, LogEntry, LogRecord, SimClock, TenantId, Timestamp};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 pub use wal::Wal;
@@ -63,11 +62,6 @@ pub use wal::Wal;
 /// from the distributor through the WAL to the ingester. A single record
 /// is a frame of one.
 pub type StreamFrame = (LabelSet, Vec<LogEntry>);
-
-/// Upper bound on cached label-set fingerprints; the cache is cleared
-/// wholesale when it fills (label churn past this size means the cache is
-/// not earning its memory anyway).
-const FP_CACHE_MAX: usize = 8_192;
 
 /// Query-path errors.
 #[derive(Debug, Clone, PartialEq)]
@@ -250,8 +244,6 @@ struct ClusterCounters {
     rerouted: AtomicU64,
     wal_checkpoint_drops: AtomicU64,
     wal_segments_corrupt: AtomicU64,
-    fp_cache_hits: AtomicU64,
-    fp_cache_misses: AtomicU64,
 }
 
 /// The Loki cluster: distributor + shards + query engine.
@@ -262,10 +254,6 @@ pub struct LokiCluster {
     clock: SimClock,
     limits: Limits,
     counters: Arc<ClusterCounters>,
-    /// Label-set → fingerprint fast path: a stream pushes thousands of
-    /// records with the same labels, so the distributor caches the hash
-    /// instead of re-canonicalising every push.
-    fp_cache: Arc<OrderedRwLock<HashMap<LabelSet, u64>>>,
     /// The query frontend every query API routes through: interval
     /// splitting, the split-results cache, per-query limits.
     frontend: QueryFrontend,
@@ -313,7 +301,6 @@ impl LokiCluster {
             clock,
             limits,
             counters: Arc::new(ClusterCounters::default()),
-            fp_cache: Arc::new(OrderedRwLock::new(&classes::LOKI_FP_CACHE, HashMap::new())),
             compactor,
             last_compaction: Arc::new(AtomicI64::new(i64::MIN)),
         }
@@ -324,29 +311,12 @@ impl LokiCluster {
         &self.frontend
     }
 
-    /// Fingerprint via the distributor's label-set cache. Hits skip the
-    /// canonical separator-buffer hash entirely.
-    fn fingerprint_cached(&self, labels: &LabelSet) -> u64 {
-        if let Some(&fp) = self.fp_cache.read().get(labels) {
-            self.counters.fp_cache_hits.fetch_add(1, Ordering::Relaxed);
-            return fp;
-        }
-        let fp = labels.fingerprint();
-        let mut cache = self.fp_cache.write();
-        if cache.len() >= FP_CACHE_MAX {
-            cache.clear();
-        }
-        cache.insert(labels.clone(), fp);
-        self.counters.fp_cache_misses.fetch_add(1, Ordering::Relaxed);
-        fp
-    }
-
-    /// `(hits, misses)` of the distributor's fingerprint cache.
+    /// `(hits, misses)` of the fingerprint cache the distributor no
+    /// longer has: a [`LabelSet`] carries its own fingerprint, so every
+    /// accepted entry counts as a hit and nothing misses. omnibench compat
+    /// (its `loki.fp_cache_hit_ratio`); remove with that metric.
     pub fn fp_cache_stats(&self) -> (u64, u64) {
-        (
-            self.counters.fp_cache_hits.load(Ordering::Relaxed),
-            self.counters.fp_cache_misses.load(Ordering::Relaxed),
-        )
+        (self.stats().entries, 0)
     }
 
     /// Crash shard `i`: its in-memory streams and head chunks are lost on
@@ -401,8 +371,7 @@ impl LokiCluster {
                 continue;
             };
             for (labels, entries) in runs {
-                let frame = (labels.fingerprint(), labels, entries.len());
-                let results = ingester.append_frames([frame], entries);
+                let results = ingester.append_frames([(labels, entries.len())], entries);
                 restored += results.iter().filter(|r| r.is_ok()).count();
             }
         }
@@ -535,12 +504,12 @@ impl LokiCluster {
         E::IntoIter: ExactSizeIterator,
     {
         /// One serving shard's share of a call, in arrival order (order
-        /// within a stream must be preserved) and columnar: a `(fingerprint,
-        /// labels, run length)` header per run, every run's entries back to
-        /// back, and where each entry's result goes.
+        /// within a stream must be preserved) and columnar: a `(labels, run
+        /// length)` header per run, every run's entries back to back, and
+        /// where each entry's result goes.
         #[derive(Default)]
         struct Routed {
-            runs: Vec<(u64, LabelSet, usize)>,
+            runs: Vec<(LabelSet, usize)>,
             entries: Vec<LogEntry>,
             idxs: Vec<usize>,
         }
@@ -574,14 +543,16 @@ impl LokiCluster {
                 }
                 labels.insert(TENANT_LABEL, id.as_str());
             }
-            // Run fast path: batches arrive stream-grouped (the bridges
-            // batch per source), so the previous frame usually has this
-            // frame's labels — an equality check against it skips the
-            // fingerprint-cache hash for the whole run.
-            let fp = match routed[prev].runs.last() {
-                Some((fp, prev_labels, _)) if *prev_labels == labels => *fp,
-                _ => self.fingerprint_cached(&labels),
-            };
+            // Batches arrive stream-grouped (the bridges batch per
+            // source), so a frame usually continues the previous run: taking
+            // that run's label set, which already knows its fingerprint,
+            // leaves one hash per distinct set rather than one per frame.
+            if let Some((prev_labels, _)) = routed[prev].runs.last() {
+                if *prev_labels == labels {
+                    labels = prev_labels.clone();
+                }
+            }
+            let fp = labels.fingerprint();
             if let Some((id, state)) = &tenant {
                 if let Err(reason) = state.admit_stream(fp, k as u64) {
                     out[base..].fill(Err(shed(id, reason)));
@@ -601,10 +572,8 @@ impl LokiCluster {
             let shard = &mut routed[serving];
             shard.idxs.extend(base..base + k);
             match shard.runs.last_mut() {
-                Some((last_fp, last_labels, len)) if *last_fp == fp && *last_labels == labels => {
-                    *len += k
-                }
-                _ => shard.runs.push((fp, labels, k)),
+                Some((last_labels, len)) if *last_labels == labels => *len += k,
+                _ => shard.runs.push((labels, k)),
             }
             for e in entries {
                 let (lo, hi) = ts_span.unwrap_or((e.ts, e.ts));
@@ -617,7 +586,7 @@ impl LokiCluster {
                 continue;
             }
             let mut rest = shard.entries.as_slice();
-            slot.wal.append_runs(shard.runs.iter().map(|(_, labels, len)| {
+            slot.wal.append_runs(shard.runs.iter().map(|(labels, len)| {
                 let (run, tail) = rest.split_at(*len);
                 rest = tail;
                 (labels, run)
@@ -873,8 +842,9 @@ impl LokiCluster {
             total.0 += c;
             total.1 += dead.len();
             dropped.extend(
-                dead.into_iter()
-                    .map(|(fp, labels)| (fp, labels.get(TENANT_LABEL).map(TenantId::new))),
+                dead.into_iter().map(|labels| {
+                    (labels.fingerprint(), labels.get(TENANT_LABEL).map(TenantId::new))
+                }),
             );
         }
         // The storage tiers: one compactor walk over the shared store's
@@ -1597,14 +1567,21 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_cache_hits_on_repeated_streams() {
+    fn a_stream_grouped_batch_is_one_wal_run() {
+        // Fifty records, each with its own freshly built label set: equal
+        // contents, so the distributor routes them as one run and the WAL
+        // holds one run of fifty.
         let c = cluster(2);
-        for i in 0..50 {
-            c.push(labels!("app" => "steady"), i, "x").unwrap();
-        }
-        let (hits, misses) = c.fp_cache_stats();
-        assert_eq!(misses, 1, "one cold miss for the stream's label set");
-        assert_eq!(hits, 49);
+        let records: Vec<LogRecord> = (0..50)
+            .map(|i| LogRecord::new(labels!("app" => "steady", "host" => "n1"), i, "x"))
+            .collect();
+        assert!(c.push_record_batch(records).iter().all(|r| r.is_ok()));
+        let runs: Vec<StreamFrame> =
+            c.shards.iter().flat_map(|slot| slot.wal.replay().unwrap()).collect();
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].0, labels!("app" => "steady", "host" => "n1"));
+        assert_eq!(runs[0].1.len(), 50);
+        assert_eq!(c.fp_cache_stats(), (50, 0), "compat: every accepted entry is a hit");
     }
 
     #[test]

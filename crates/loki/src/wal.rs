@@ -372,8 +372,7 @@ mod tests {
         let recovered = Ingester::new(Limits::default());
         let mut replayed = 0;
         for (labels, entries) in wal.replay().unwrap() {
-            let frame = (labels.fingerprint(), labels, entries.len());
-            let results = recovered.append_frames([frame], entries);
+            let results = recovered.append_frames([(labels, entries.len())], entries);
             assert!(results.iter().all(|r| r.is_ok()));
             replayed += results.len();
         }

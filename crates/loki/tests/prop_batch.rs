@@ -95,7 +95,7 @@ proptest! {
         for chunk in &chunks {
             let (frames, positions) = framed(chunk);
             let (heads, entries): (Vec<_>, Vec<_>) =
-                frames.into_iter().map(|(l, es)| ((l.fingerprint(), l, es.len()), es)).unzip();
+                frames.into_iter().map(|(l, es)| ((l, es.len()), es)).unzip();
             let results = batched.append_frames(heads, entries.into_iter().flatten());
             batched_results.extend(unframe(results, &positions));
         }

@@ -110,8 +110,6 @@ pub mod classes {
         /// One tenant's active-stream fingerprints.
         LOKI_TENANT_STREAMS = "loki.TenantState.streams",
         // ── loki shard band: cluster routing before shard internals ──
-        /// Fingerprint cache on the push path.
-        LOKI_FP_CACHE = "loki.LokiCluster.fp_cache",
         /// One shard slot's ingester handle; held (read) across appends
         /// and (write) across crash recovery, including WAL replay.
         LOKI_SHARD_INGESTER = "loki.ShardSlot.ingester",

@@ -122,6 +122,14 @@ if grep -n BTreeMap crates/loki/src/frontend.rs; then
     echo "the frontend re-sorts series through a BTreeMap again"; exit 1
 fi
 
+echo "== a label set carries its fingerprint (no distributor-side cache) =="
+# LabelSet keeps its fingerprint beside its pairs, computed once: neither
+# the distributor's label-set → fingerprint map, its lock class, nor a
+# (fingerprint, labels) run header beside a label set may come back.
+if grep -rn "fingerprint_cached\|FP_CACHE\|fp_cache:\|(u64, LabelSet, usize)" crates examples; then
+    echo "a fingerprint is cached or carried beside its label set again"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
