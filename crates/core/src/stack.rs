@@ -12,8 +12,8 @@ use omni_alertmanager::{
 };
 use omni_bus::Broker;
 use omni_exporters::{
-    parse_exposition, ArubaExporter, BlackboxExporter, Exporter, GpfsExporter, KafkaExporter,
-    NodeExporter, SelfExporter,
+    ArubaExporter, BlackboxExporter, Exporter, GpfsExporter, KafkaExporter, NodeExporter,
+    SelfExporter,
 };
 use omni_loki::{Limits, LokiCluster, QueryRecord, QueryReport};
 use omni_model::{
@@ -992,12 +992,16 @@ impl MonitoringStack {
     }
 }
 
-/// Registers `exporter` with vmagent under its own job name: a scrape is
-/// the rendered page parsed back, as a real vmagent reads it off the wire.
+/// Registers `exporter` with vmagent under its own job name as a page
+/// target: vmagent reads the rendered text as it reads it off the wire,
+/// through its scrape cache.
 fn scrape_target(vmagent: &mut VmAgent, instance: &str, exporter: impl Exporter + 'static) {
     let job = exporter.job().to_string();
-    let scrape = move |_| parse_exposition(&exporter.render()).map_err(|e| e.to_string());
-    vmagent.add_target(&job, instance, Box::new(scrape));
+    let render = move |_, page: &mut String| {
+        exporter.render_into(page);
+        Ok(())
+    };
+    vmagent.add_page_target(&job, instance, Box::new(render));
 }
 
 /// Trace ids carried by a notification's alerts (the `trace_id`

@@ -1,5 +1,6 @@
-//! The Prometheus text exposition format: the wire format every exporter
-//! speaks and vmagent scrapes.
+//! The Prometheus text exposition format, write side: the page every
+//! exporter renders and vmagent scrapes. The parser lives with its
+//! reader, in `omni_tsdb::exposition`.
 //!
 //! ```text
 //! # HELP node_temp_celsius Node temperature.
@@ -7,9 +8,10 @@
 //! node_temp_celsius{sensor="t0",node="x1000c0s0b0n0"} 43.5
 //! ```
 
-use omni_model::{LabelSet, MetricRecord};
-use omni_obs::{format_trace_id, Exemplar};
-use std::fmt;
+use omni_model::LabelSet;
+use omni_obs::Exemplar;
+use omni_tsdb::valid_metric_name;
+use std::fmt::Write;
 
 /// One metric family: name, help, type and its samples.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,18 +66,6 @@ impl MetricFamily {
     }
 }
 
-/// Is `name` a valid Prometheus metric name (`[a-zA-Z_:][a-zA-Z0-9_:]*`)?
-/// Shared by the renderer, the parser, and the `omni-lint` static
-/// analyzer so every side agrees on what a registrable name is.
-pub fn valid_metric_name(name: &str) -> bool {
-    let mut chars = name.chars();
-    match chars.next() {
-        Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
-        _ => return false,
-    }
-    chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-}
-
 /// Render families to exposition text.
 ///
 /// A family with an invalid metric name degrades to an error comment
@@ -84,190 +74,110 @@ pub fn valid_metric_name(name: &str) -> bool {
 /// page for every conforming scraper.
 pub fn render_exposition(families: &[MetricFamily]) -> String {
     let mut out = String::new();
+    render_exposition_into(families, &mut out);
+    out
+}
+
+/// [`render_exposition`], appended to `out`. It allocates nothing but
+/// `out`'s growth: text is written in place, and a label value or help
+/// string is escaped only when it holds a character that needs it.
+pub fn render_exposition_into(families: &[MetricFamily], out: &mut String) {
     for f in families {
         if !valid_metric_name(&f.name) {
-            out.push_str(&format!(
-                "# omni-exporter error: dropped family with invalid metric name {:?}\n",
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(
+                out,
+                "# omni-exporter error: dropped family with invalid metric name {:?}",
                 f.name
-            ));
+            );
             continue;
         }
-        out.push_str(&format!("# HELP {} {}\n", f.name, escape_help(&f.help)));
-        out.push_str(&format!("# TYPE {} {}\n", f.name, f.kind));
+        out.push_str("# HELP ");
+        out.push_str(&f.name);
+        out.push(' ');
+        // `# HELP` escaping per the text-format spec: only backslash and
+        // line feed (quotes stay literal, unlike label values). Without
+        // it, a help string holding a newline splits the comment across
+        // lines and corrupts the page for any conforming parser.
+        escape_into(out, &f.help, false);
+        out.push_str("\n# TYPE ");
+        out.push_str(&f.name);
+        out.push(' ');
+        out.push_str(f.kind);
+        out.push('\n');
         for (labels, value) in &f.samples {
-            let rendered = render_labels(labels);
-            out.push_str(&format!("{}{} {}\n", f.name, rendered, fmt_value(*value)));
+            write_series(out, &f.name, labels);
+            out.push(' ');
+            write_value(out, *value);
+            out.push('\n');
             // Exemplars ride as comment lines (parsers skip `#`), so a
             // page with exemplars stays valid classic text format.
             for (els, ex) in &f.exemplars {
                 if els == labels {
-                    out.push_str(&format!(
-                        "# EXEMPLAR {}{} trace_id={} {}\n",
-                        f.name,
-                        rendered,
-                        format_trace_id(ex.trace_id),
-                        fmt_value(ex.value)
-                    ));
+                    out.push_str("# EXEMPLAR ");
+                    write_series(out, &f.name, labels);
+                    // `omni_obs::format_trace_id`'s spelling.
+                    let _ = write!(out, " trace_id={:016x} ", ex.trace_id);
+                    write_value(out, ex.value);
+                    out.push('\n');
                 }
             }
         }
     }
-    out
 }
 
-/// `{k="v",..}` for non-empty label sets, empty string otherwise.
-fn render_labels(labels: &LabelSet) -> String {
+/// `name{k="v",..}`, or the bare name for an empty label set.
+fn write_series(out: &mut String, name: &str, labels: &LabelSet) {
+    out.push_str(name);
     if labels.is_empty() {
-        return String::new();
+        return;
     }
-    let rendered: Vec<String> =
-        labels.iter().map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v))).collect();
-    format!("{{{}}}", rendered.join(","))
+    out.push('{');
+    for (i, (k, v)) in labels.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(k);
+        out.push_str("=\"");
+        escape_into(out, v, true);
+        out.push('"');
+    }
+    out.push('}');
 }
 
-fn fmt_value(v: f64) -> String {
+fn write_value(out: &mut String, v: f64) {
     if v.is_nan() {
-        "NaN".to_string()
+        out.push_str("NaN");
     } else if v == f64::INFINITY {
-        "+Inf".to_string()
+        out.push_str("+Inf");
     } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+        out.push_str("-Inf");
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
-fn escape_label_value(v: &str) -> String {
-    v.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
-}
-
-/// `# HELP` escaping per the text-format spec: only backslash and
-/// line feed (quotes stay literal, unlike label values). Without this, a
-/// help string containing a newline splits the comment across lines and
-/// corrupts the page for any conforming parser.
-fn escape_help(h: &str) -> String {
-    h.replace('\\', "\\\\").replace('\n', "\\n")
-}
-
-/// Exposition parse failure with line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExpositionError {
-    /// 1-based line number.
-    pub line: usize,
-    /// Description.
-    pub message: String,
-}
-
-impl fmt::Display for ExpositionError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "exposition parse error on line {}: {}", self.line, self.message)
+/// `s` with backslash and line feed escaped, and `"` too in a label value.
+fn escape_into(out: &mut String, s: &str, label_value: bool) {
+    let special = |c: char| c == '\\' || c == '\n' || (label_value && c == '"');
+    if !s.contains(special) {
+        out.push_str(s);
+        return;
     }
-}
-
-impl std::error::Error for ExpositionError {}
-
-/// Parse exposition text into metric records (timestamps left at 0; the
-/// scraper stamps them).
-pub fn parse_exposition(text: &str) -> Result<Vec<MetricRecord>, ExpositionError> {
-    let mut out = Vec::new();
-    for (ln, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '"' if label_value => out.push_str("\\\""),
+            c => out.push(c),
         }
-        let err = |message: String| ExpositionError { line: ln + 1, message };
-        // name{labels} value  |  name value
-        let (name_and_labels, value_str) = match line.rfind(' ') {
-            Some(pos) => (&line[..pos], line[pos + 1..].trim()),
-            None => return Err(err("missing value".to_string())),
-        };
-        let value = match value_str {
-            "NaN" => f64::NAN,
-            "+Inf" => f64::INFINITY,
-            "-Inf" => f64::NEG_INFINITY,
-            s => s.parse::<f64>().map_err(|_| err(format!("bad value {s:?}")))?,
-        };
-        let (name, labels) = if let Some(brace) = name_and_labels.find('{') {
-            let name = name_and_labels[..brace].trim();
-            let rest = name_and_labels[brace..].trim();
-            if !rest.ends_with('}') {
-                return Err(err("unterminated label braces".to_string()));
-            }
-            (name, parse_labels(&rest[1..rest.len() - 1]).map_err(err)?)
-        } else {
-            (name_and_labels.trim(), LabelSet::new())
-        };
-        if !valid_metric_name(name) {
-            return Err(err(format!("invalid metric name {name:?}")));
-        }
-        out.push(MetricRecord::new(name, labels, 0, value));
     }
-    Ok(out)
-}
-
-fn parse_labels(inner: &str) -> Result<LabelSet, String> {
-    let mut labels = LabelSet::new();
-    let b = inner.as_bytes();
-    let mut i = 0;
-    while i < b.len() {
-        while i < b.len() && (b[i] == b',' || b[i] == b' ') {
-            i += 1;
-        }
-        if i >= b.len() {
-            break;
-        }
-        let key_start = i;
-        while i < b.len() && b[i] != b'=' {
-            i += 1;
-        }
-        if i >= b.len() {
-            return Err("missing '=' in label".to_string());
-        }
-        let key = inner[key_start..i].trim();
-        i += 1; // '='
-        if i >= b.len() || b[i] != b'"' {
-            return Err("label value must be quoted".to_string());
-        }
-        i += 1;
-        let mut value = String::new();
-        loop {
-            if i >= b.len() {
-                return Err("unterminated label value".to_string());
-            }
-            match b[i] {
-                b'"' => {
-                    i += 1;
-                    break;
-                }
-                b'\\' => {
-                    i += 1;
-                    match b.get(i) {
-                        Some(b'n') => value.push('\n'),
-                        Some(b'"') => value.push('"'),
-                        Some(b'\\') => value.push('\\'),
-                        Some(&c) => value.push(c as char),
-                        None => return Err("trailing backslash".to_string()),
-                    }
-                    i += 1;
-                }
-                _ => {
-                    let c = inner[i..].chars().next().unwrap();
-                    value.push(c);
-                    i += c.len_utf8();
-                }
-            }
-        }
-        if key.is_empty() {
-            return Err("empty label name".to_string());
-        }
-        labels.insert(key, value);
-    }
-    Ok(labels)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parse_exposition;
     use omni_model::labels;
 
     #[test]
@@ -347,37 +257,6 @@ mod tests {
         let text = render_exposition(&[bad]);
         assert!(!text.contains("EXEMPLAR"), "{text:?}");
         assert!(parse_exposition(&text).unwrap().is_empty());
-    }
-
-    #[test]
-    fn special_values() {
-        let text = "m_nan NaN\nm_inf +Inf\nm_ninf -Inf\n";
-        let records = parse_exposition(text).unwrap();
-        assert!(records[0].sample.value.is_nan());
-        assert_eq!(records[1].sample.value, f64::INFINITY);
-        assert_eq!(records[2].sample.value, f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn comments_and_blanks_skipped() {
-        let text = "# HELP x y\n\n# TYPE x gauge\nx 1\n";
-        assert_eq!(parse_exposition(text).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn rejects_malformed() {
-        for bad in [
-            "novalue",
-            "1bad_name 3",
-            "m{unterminated 3",
-            "m{a=} 3",
-            "m{a=\"x} 3",
-            "m{=\"x\"} 3",
-            "m not_a_number",
-            "{a=\"b\"} 3",
-        ] {
-            assert!(parse_exposition(bad).is_err(), "should reject {bad:?}");
-        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! depths, consumer lag, WAL replays and stage-latency quantiles become
 //! pane-queryable metrics.
 
-use crate::exposition::{render_exposition, MetricFamily};
+use crate::exposition::{render_exposition_into, MetricFamily};
 use crate::simulated::Exporter;
 use omni_obs::{InstrumentKind, Registry};
 
@@ -49,15 +49,15 @@ impl Exporter for SelfExporter {
         "omni-self"
     }
 
-    fn render(&self) -> String {
-        render_exposition(&self.families())
+    fn render_into(&self, out: &mut String) {
+        render_exposition_into(&self.families(), out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exposition::parse_exposition;
+    use crate::parse_exposition;
     use omni_model::{labels, SimClock};
 
     #[test]

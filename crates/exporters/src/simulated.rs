@@ -1,6 +1,6 @@
 //! The simulated exporter fleet, rendered against the Shasta machine.
 
-use crate::exposition::{render_exposition, MetricFamily};
+use crate::exposition::{render_exposition_into, MetricFamily};
 use omni_bus::Broker;
 use omni_model::{LabelSet, SimClock};
 use omni_redfish::SensorKind;
@@ -45,8 +45,15 @@ pub fn shipped_exporter_families() -> Vec<(&'static str, &'static [&'static str]
 pub trait Exporter: Send + Sync {
     /// The exporter's job name (Prometheus `job` label).
     fn job(&self) -> &str;
-    /// Render the scrape page.
-    fn render(&self) -> String;
+    /// Render the scrape page, appended to `out` (vmagent's reused
+    /// buffer).
+    fn render_into(&self, out: &mut String);
+    /// The scrape page as a fresh string.
+    fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
 }
 
 /// `node-exporter` (installed by HPE): per-node temperature, power and
@@ -67,7 +74,7 @@ impl Exporter for NodeExporter {
         "node-exporter"
     }
 
-    fn render(&self) -> String {
+    fn render_into(&self, out: &mut String) {
         let mut temp = MetricFamily::gauge("node_temp_celsius", "Node temperature in Celsius.");
         let mut power = MetricFamily::gauge("node_power_watts", "Node power draw in Watts.");
         let mut fan = MetricFamily::gauge("node_fan_rpm", "Node fan speed in RPM.");
@@ -89,7 +96,7 @@ impl Exporter for NodeExporter {
                 SensorKind::Flow => flow.sample(labels, r.value),
             };
         }
-        render_exposition(&[temp, power, fan, humidity, leak, flow])
+        render_exposition_into(&[temp, power, fan, humidity, leak, flow], out);
     }
 }
 
@@ -112,7 +119,7 @@ impl Exporter for BlackboxExporter {
         "blackbox-exporter"
     }
 
-    fn render(&self) -> String {
+    fn render_into(&self, out: &mut String) {
         let mut success = MetricFamily::gauge("probe_success", "Probe succeeded (1) or not (0).");
         let mut duration = MetricFamily::gauge("probe_duration_seconds", "Probe round-trip time.");
         let now = self.clock.now();
@@ -124,7 +131,7 @@ impl Exporter for BlackboxExporter {
             success.sample(labels.clone(), 1.0);
             duration.sample(labels, 0.002 + i as f64 * 0.0005 + jitter as f64 * 1e-5);
         }
-        render_exposition(&[success, duration])
+        render_exposition_into(&[success, duration], out);
     }
 }
 
@@ -146,7 +153,7 @@ impl Exporter for KafkaExporter {
         "kafka-exporter"
     }
 
-    fn render(&self) -> String {
+    fn render_into(&self, out: &mut String) {
         let mut msgs =
             MetricFamily::counter("kafka_topic_messages_in_total", "Messages produced per topic.");
         let mut bytes =
@@ -163,7 +170,7 @@ impl Exporter for KafkaExporter {
                 retained.sample(labels, n as f64);
             }
         }
-        render_exposition(&[msgs, bytes, retained])
+        render_exposition_into(&[msgs, bytes, retained], out);
     }
 }
 
@@ -186,7 +193,7 @@ impl Exporter for ArubaExporter {
         "aruba-exporter"
     }
 
-    fn render(&self) -> String {
+    fn render_into(&self, out: &mut String) {
         let mut octets =
             MetricFamily::counter("aruba_port_rx_octets_total", "Received octets per port.");
         let mut errors =
@@ -203,7 +210,7 @@ impl Exporter for ArubaExporter {
                 status.sample(labels, 1.0);
             }
         }
-        render_exposition(&[octets, errors, status])
+        render_exposition_into(&[octets, errors, status], out);
     }
 }
 
@@ -225,7 +232,7 @@ impl Exporter for GpfsExporter {
         "gpfs-exporter"
     }
 
-    fn render(&self) -> String {
+    fn render_into(&self, out: &mut String) {
         let mut state =
             MetricFamily::gauge("gpfs_server_healthy", "NSD server health (1=HEALTHY).");
         let mut sick = MetricFamily::gauge("gpfs_sick_disks", "Disks not HEALTHY per server.");
@@ -247,14 +254,14 @@ impl Exporter for GpfsExporter {
             read.sample(labels.clone(), s.read_mb_s);
             write.sample(labels, s.write_mb_s);
         }
-        render_exposition(&[state, sick, waiters, read, write])
+        render_exposition_into(&[state, sick, waiters, read, write], out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exposition::parse_exposition;
+    use crate::parse_exposition;
     use omni_bus::TopicConfig;
     use omni_xname::TopologySpec;
 

@@ -10,18 +10,23 @@
 //!   earlier runs ([`gorilla`], paid once per `block_max_samples`), found
 //!   through `omni_model::LabelIndex`, the index Loki's shards use;
 //! * [`promql`] — the PromQL subset vmalert rules and Grafana panels use;
-//! * [`vmagent`] — the scrape loop feeding the store;
+//! * [`exposition`] — the Prometheus text format's parser, which the
+//!   scrape loop reads exporter pages with;
+//! * [`vmagent`] — the scrape loop feeding the store, with Prometheus's
+//!   per-target scrape cache;
 //! * [`vmalert`] — "queries the database based on predefined rules. When
 //!   the return value matches, vmalert sends an event to AlertManager."
 
+pub mod exposition;
 pub mod gorilla;
 pub mod promql;
 pub mod storage;
 pub mod vmagent;
 pub mod vmalert;
 
+pub use exposition::{parse_exposition, valid_metric_name, ExpositionError};
 pub use gorilla::{GorillaBlock, GorillaEncoder};
 pub use promql::{eval_instant, eval_range, parse_promql, PromExpr, RangeFn};
-pub use storage::{Tsdb, TsdbConfig};
-pub use vmagent::{ScrapeFn, VmAgent};
+pub use storage::{Retired, SeriesRef, Tsdb, TsdbConfig};
+pub use vmagent::{PageFn, ScrapeFn, VmAgent};
 pub use vmalert::{MetricRule, VmAlert};

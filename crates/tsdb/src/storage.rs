@@ -3,6 +3,16 @@
 //! runs — what a Loki stream is with its head chunk and sealed chunks —
 //! found through the label index both stores share, and sharded for
 //! parallel ingest.
+//!
+//! A shard keeps its series in a slab of slots. A series is found by
+//! content: a map from its label set, which hashes the set's cached
+//! fingerprint and compares pairs, so two sets whose fingerprints collide
+//! stay two series. The label index names series by slot.
+//! [`Tsdb::ingest_ref`] hands back a [`SeriesRef`] to the slot, and
+//! [`Tsdb::append_ref`] appends through it with no label work at all —
+//! what vmagent's scrape cache does for a series it has seen. Retention
+//! frees a retired series' slot and bumps its generation, so a ref to it
+//! is refused, never written into whatever reuses the slot.
 
 use crate::gorilla::{GorillaBlock, GorillaEncoder};
 use omni_logql::Selector;
@@ -44,11 +54,63 @@ struct SeriesData {
     blocks: Vec<GorillaBlock>,
 }
 
+/// A place in a shard's slab. Retention empties it, bumps its generation
+/// and puts it on the shard's free list.
+struct Slot {
+    generation: u64,
+    series: Option<SeriesData>,
+}
+
+/// Where a series lives: its shard, its slot, and the slot's generation
+/// when the reference was handed out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesRef {
+    shard: u32,
+    slot: u32,
+    generation: u64,
+}
+
+/// [`Tsdb::append_ref`] through a ref whose series retention retired: the
+/// caller resolves the series again by its labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retired;
+
 #[derive(Default)]
 struct Shard {
-    /// fingerprint → series.
-    series: HashMap<u64, SeriesData>,
+    slots: Vec<Slot>,
+    /// Empty slots, reused last freed first.
+    free: Vec<u32>,
+    /// Label set → slot.
+    by_labels: HashMap<LabelSet, u32>,
     index: LabelIndex,
+}
+
+impl Shard {
+    /// The slot of the series with exactly `labels`, opened if new.
+    fn resolve(&mut self, labels: &LabelSet) -> u32 {
+        if let Some(&slot) = self.by_labels.get(labels) {
+            return slot;
+        }
+        let series = Some(SeriesData {
+            labels: labels.clone(),
+            open: Vec::new(),
+            newest: i64::MIN,
+            blocks: Vec::new(),
+        });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].series = series;
+                slot
+            }
+            None => {
+                self.slots.push(Slot { generation: 0, series });
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 series per shard")
+            }
+        };
+        self.index.insert(labels, u64::from(slot));
+        self.by_labels.insert(labels.clone(), slot);
+        slot
+    }
 }
 
 /// The time-series store ("we send metrics to Victoriametrics, the time
@@ -80,23 +142,43 @@ impl Tsdb {
     /// non-decreasing in time; older samples are silently dropped like
     /// most TSDBs' out-of-order policy.
     pub fn ingest(&self, record: &MetricRecord) {
-        let fp = record.labels.fingerprint();
-        let mut sh = self.shards[(fp % self.shards.len() as u64) as usize].write();
-        let Shard { series, index } = &mut *sh;
-        let series = series.entry(fp).or_insert_with(|| {
-            index.insert(&record.labels, fp);
-            SeriesData {
-                labels: record.labels.clone(),
-                open: Vec::new(),
-                newest: i64::MIN,
-                blocks: Vec::new(),
+        self.ingest_ref(&record.labels, record.sample);
+    }
+
+    /// [`ingest`](Self::ingest) `sample` into the series with exactly
+    /// `labels`, creating it if new, and return a reference to that
+    /// series for [`append_ref`](Self::append_ref).
+    pub fn ingest_ref(&self, labels: &LabelSet, sample: Sample) -> SeriesRef {
+        let shard = (labels.fingerprint() % self.shards.len() as u64) as usize;
+        let mut sh = self.shards[shard].write();
+        let slot = sh.resolve(labels);
+        let Slot { generation, series } = &mut sh.slots[slot as usize];
+        self.append(series.as_mut().expect("resolve fills its slot"), sample);
+        SeriesRef { shard: shard as u32, slot, generation: *generation }
+    }
+
+    /// Append `sample` to the series `series` refers to, as
+    /// [`ingest`](Self::ingest) would, unless retention has retired it
+    /// since the ref was handed out.
+    pub fn append_ref(&self, series: SeriesRef, sample: Sample) -> Result<(), Retired> {
+        let mut sh = self.shards.get(series.shard as usize).ok_or(Retired)?.write();
+        match sh.slots.get_mut(series.slot as usize) {
+            Some(Slot { generation, series: Some(data) }) if *generation == series.generation => {
+                self.append(data, sample);
+                Ok(())
             }
-        });
-        if record.sample.ts < series.newest {
+            _ => Err(Retired),
+        }
+    }
+
+    /// The one append path: the out-of-order drop, the seal at
+    /// `block_max_samples`, and the count.
+    fn append(&self, series: &mut SeriesData, sample: Sample) {
+        if sample.ts < series.newest {
             return; // out of order: drop
         }
-        series.newest = record.sample.ts;
-        series.open.push(record.sample);
+        series.newest = sample.ts;
+        series.open.push(sample);
         if series.open.len() >= self.config.block_max_samples {
             // Taken, not drained: a series that goes quiet after a seal
             // should not pin a full run's capacity.
@@ -122,10 +204,11 @@ impl Tsdb {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let sh = shard.read();
-            for fp in sh.index.candidates(selector.equality_matchers()) {
-                // Index and map change together under the shard lock: a
-                // posting with no series behind it is a bug, not a miss.
-                let series = &sh.series[&fp];
+            for slot in sh.index.candidates(selector.equality_matchers()) {
+                // Index and slab change together under the shard lock: a
+                // slot the index names with no series in it is a bug, not
+                // a miss.
+                let series = sh.slots[slot as usize].series.as_ref().expect("indexed slot is live");
                 if !selector.matches(&series.labels) {
                     continue;
                 }
@@ -133,7 +216,7 @@ impl Tsdb {
                 for b in series.blocks.iter().filter(|b| b.overlaps(start, end)) {
                     samples.extend(b.decode_range(start, end));
                 }
-                // `ingest` drops anything older than the series' newest
+                // `append` drops anything older than the series' newest
                 // sample, so `open` is non-decreasing: `(start, end]` is a
                 // slice, not a filter.
                 let lo = series.open.partition_point(|s| s.ts <= start);
@@ -155,14 +238,16 @@ impl Tsdb {
     /// streams do: a sealed block whose newest sample is behind the
     /// horizon, and the open run on the same predicate (or samples that
     /// never sealed would outlive retention). A series left with nothing
-    /// is retired from the map and the index. Returns runs dropped.
+    /// is retired: out of the index, its slot freed under a new
+    /// generation. Returns runs dropped.
     pub fn enforce_retention(&self, now: Timestamp) -> usize {
         let horizon = now.saturating_sub(self.config.retention_ns);
         let mut dropped = 0;
         for shard in self.shards.iter() {
             let mut sh = shard.write();
-            let Shard { series, index } = &mut *sh;
-            series.retain(|&fp, s| {
+            let Shard { slots, free, by_labels, index } = &mut *sh;
+            for (id, slot) in slots.iter_mut().enumerate() {
+                let Some(s) = &mut slot.series else { continue };
                 let before = s.blocks.len();
                 s.blocks.retain(|b| b.max_ts >= horizon);
                 dropped += before - s.blocks.len();
@@ -170,12 +255,14 @@ impl Tsdb {
                     s.open.clear();
                     dropped += 1;
                 }
-                let live = !(s.blocks.is_empty() && s.open.is_empty());
-                if !live {
-                    index.remove(&s.labels, fp);
+                if s.blocks.is_empty() && s.open.is_empty() {
+                    index.remove(&s.labels, id as u64);
+                    by_labels.remove(&s.labels);
+                    slot.series = None;
+                    slot.generation += 1;
+                    free.push(id as u32);
                 }
-                live
-            });
+            }
         }
         dropped
     }
@@ -187,7 +274,7 @@ impl Tsdb {
 
     /// Active series count.
     pub fn series_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().series.len()).sum()
+        self.shards.iter().map(|s| s.read().by_labels.len()).sum()
     }
 
     /// Compressed bytes across sealed blocks.
@@ -196,8 +283,9 @@ impl Tsdb {
             .iter()
             .map(|s| {
                 s.read()
-                    .series
-                    .values()
+                    .slots
+                    .iter()
+                    .filter_map(|slot| slot.series.as_ref())
                     .flat_map(|ser| ser.blocks.iter())
                     .map(|b| b.compressed_size())
                     .sum::<usize>()
@@ -292,6 +380,52 @@ mod tests {
         let series = db.query_series(&sel, -1, 10);
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].0, labels!("__name__" => "m", "job" => "x"));
+    }
+
+    #[test]
+    fn series_whose_fingerprints_collide_stay_two_series() {
+        // Regression: the shard map was keyed by the fingerprint alone,
+        // so the second of these sets (same FNV fingerprint) landed in
+        // the first's series and queried empty.
+        let (a, b) = (labels!("a" => "27d9f96af16d5676"), labels!("a" => "1ba910bbd8e288a5"));
+        assert_eq!(a.fingerprint(), 0x0089_67eb_bdbb_bdf0);
+        assert_eq!(b.fingerprint(), a.fingerprint());
+        let db = store();
+        db.ingest(&MetricRecord { labels: a.clone(), sample: Sample::new(1, 1.0) });
+        db.ingest(&MetricRecord { labels: b.clone(), sample: Sample::new(2, 2.0) });
+        assert_eq!(db.series_count(), 2);
+        let sel = parse_selector(r#"{a=~".+"}"#).unwrap();
+        assert_eq!(
+            db.query_series(&sel, i64::MIN, i64::MAX),
+            vec![(b, vec![Sample::new(2, 2.0)]), (a, vec![Sample::new(1, 1.0)])]
+        );
+    }
+
+    #[test]
+    fn a_ref_to_a_retired_series_is_refused_not_reused() {
+        let db = Tsdb::new(TsdbConfig { shards: 1, block_max_samples: 16, retention_ns: 100 });
+        let (a, b) = (labels!("__name__" => "m", "node" => "a"), labels!("__name__" => "m"));
+        let ra = db.ingest_ref(&a, Sample::new(0, 1.0));
+        assert_eq!(db.append_ref(ra, Sample::new(1, 2.0)), Ok(()));
+        assert_eq!(db.ingest_ref(&a, Sample::new(2, 3.0)), ra, "one series, one ref");
+        assert_eq!(db.enforce_retention(1_000), 1);
+        assert_eq!(db.series_count(), 0);
+        // B takes A's freed slot; A's ref must not write into it.
+        let rb = db.ingest_ref(&b, Sample::new(1_000, 4.0));
+        assert_ne!(rb, ra);
+        assert_eq!(db.append_ref(ra, Sample::new(1_001, 5.0)), Err(Retired));
+        // Resolving A's labels again makes A a new series beside B.
+        let ra = db.ingest_ref(&a, Sample::new(1_001, 5.0));
+        assert_eq!(db.append_ref(ra, Sample::new(1_002, 6.0)), Ok(()));
+        let sel = parse_selector(r#"{__name__="m"}"#).unwrap();
+        assert_eq!(
+            db.query_series(&sel, i64::MIN, i64::MAX),
+            vec![
+                (b, vec![Sample::new(1_000, 4.0)]),
+                (a, vec![Sample::new(1_001, 5.0), Sample::new(1_002, 6.0)]),
+            ]
+        );
+        assert_eq!(db.samples_ingested(), 6);
     }
 
     #[test]

@@ -31,6 +31,9 @@ echo "== range-path properties at 1000 cases =="
 PROPTEST_CASES=1000 cargo test -q -p omni-logql --test prop_grid
 PROPTEST_CASES=1000 cargo test -q -p omni-loki --test prop_pushdown --test prop_frontend
 
+# The scrape cache is held to uncached parse + ingest on a second store.
+PROPTEST_CASES=1000 cargo test -q -p omni-tsdb --test prop_scrape
+
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
 # backlog, virtual-time waits, a panicking split releasing its slot);
@@ -128,6 +131,17 @@ echo "== a label set carries its fingerprint (no distributor-side cache) =="
 # (fingerprint, labels) run header beside a label set may come back.
 if grep -rn "fingerprint_cached\|FP_CACHE\|fp_cache:\|(u64, LabelSet, usize)" crates examples; then
     echo "a fingerprint is cached or carried beside its label set again"; exit 1
+fi
+
+echo "== vmagent reads pages through its scrape cache (no parse on the step, no fingerprint-keyed series) =="
+# The stack registers page targets, so the step parses no page into
+# MetricRecords; a TSDB shard finds a series by its label set, so two sets
+# whose fingerprints collide stay two series.
+if grep -rn "parse_exposition" crates/core/src; then
+    echo "the step parses exposition pages into records again"; exit 1
+fi
+if grep -rn "HashMap<u64, SeriesData>" crates/tsdb/src; then
+    echo "the TSDB keys series by fingerprint alone again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="

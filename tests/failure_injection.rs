@@ -79,7 +79,7 @@ fn scrape_failure_surfaces_as_up_zero_alert() {
     use shasta_mon::tsdb::{Tsdb, TsdbConfig, VmAgent};
     let db = Tsdb::new(TsdbConfig::default());
     let mut agent = VmAgent::new(db.clone());
-    agent.add_target("node-exporter", "dead-host", Box::new(|_| Err("connection refused".into())));
+    agent.add_page_target("node-exporter", "dead-host", Box::new(|_, _| Err("refused".into())));
     let mut vmalert = RuleEngine::new(db);
     vmalert
         .add_rule(AlertRule {
