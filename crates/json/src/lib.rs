@@ -11,16 +11,21 @@
 //!   the paper's figures.
 //! * [`parse`] — a strict recursive-descent parser (full escape handling,
 //!   surrogate pairs, nesting-depth guard).
-//! * [`Json::dump`] / [`Json::pretty`] — compact and indented serializers.
+//! * [`scan::fields`] — a borrowed pull scanner over a document's
+//!   top-level object fields, as strict as [`parse`] but building no tree.
+//! * [`Json::dump`] / [`Json::pretty`] — compact and indented serializers,
+//!   over the one escaping routine and number formatter ([`write_string`],
+//!   [`write_number`]) that hand-written payloads use too.
 //! * [`Json::pointer`] — RFC 6901-style path access.
 //! * [`flatten`] — nested-object flattening with `_`-joined keys, matching
 //!   the behaviour of Loki's `json` stage.
 
 mod parse;
+pub mod scan;
 mod value;
 
 pub use parse::{parse, JsonParseError};
-pub use value::{flatten, Json, JsonTypeError};
+pub use value::{flatten, write_number, write_string, Json, JsonTypeError};
 
 /// Convenience macro for building [`Json`] literals.
 ///

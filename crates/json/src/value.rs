@@ -1,6 +1,6 @@
 //! The JSON value model and serializers.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A type-mismatch error from a mutation that expected a specific
 /// variant (e.g. [`Json::set`] on a non-object).
@@ -178,8 +178,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Number(n) => out.push_str(&format_number(*n)),
-            Json::String(s) => write_escaped(out, s),
+            Json::Number(n) => write_number(out, *n),
+            Json::String(s) => write_string(out, s),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -201,7 +201,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -226,37 +226,48 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-/// Serialize a number the way JSON expects: integers without a trailing
-/// `.0`, others via the shortest roundtrip representation Rust provides.
-fn format_number(n: f64) -> String {
+/// Write a number the way JSON expects: integers without a trailing
+/// `.0`, others via the shortest roundtrip representation Rust provides,
+/// and `null` for NaN and the infinities, which JSON cannot spell. The one
+/// number formatter: [`Json::dump`] and hand-written payloads both use it.
+pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
-        // JSON has no Inf/NaN; serialize as null like most implementations.
-        return "null".to_string();
-    }
-    if n == n.trunc() && n.abs() < 1e15 {
-        format!("{}", n as i64)
+        out.push_str("null");
+    } else if n == n.trunc() && n.abs() < 1e15 {
+        let _ = write!(out, "{}", n as i64);
     } else {
-        format!("{n}")
+        let _ = write!(out, "{n}");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Write `s` as a quoted JSON string. The one escaping routine:
+/// [`Json::dump`] and hand-written payloads both use it. Runs that need no
+/// escape are copied whole.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -8,6 +8,13 @@
 use crate::event::RedfishEvent;
 use crate::sensor::SensorReading;
 use omni_bus::{Broker, BusError, TopicConfig};
+use std::fmt::Write as _;
+
+/// Room for a reading's wire payload and key beside its sensor id: the
+/// field names and punctuation (82 bytes), two typical xnames, the longest
+/// kind and unit, a typical reading and an `i64` at full width. A longer
+/// reading only costs a reallocation.
+const READING_WIRE_BYTES: usize = 82 + 2 * 24 + 11 + 7 + 24 + 20;
 
 /// The Shasta Monitoring Framework Kafka topic names.
 pub mod topics {
@@ -94,10 +101,16 @@ impl HmsCollector {
         )
     }
 
-    /// Publish a sensor reading to its kind's telemetry topic.
+    /// Publish a sensor reading to its kind's telemetry topic, keyed by
+    /// its xname. One buffer holds the wire payload and, behind it, the
+    /// key; no JSON tree is built.
     pub fn publish_reading(&self, reading: &SensorReading) -> Result<(usize, u64), BusError> {
-        let payload = reading.to_json().dump();
-        self.broker.produce(reading.kind.topic(), Some(&reading.xname.to_string()), payload)
+        let mut buf = String::with_capacity(READING_WIRE_BYTES + reading.sensor_id.len());
+        reading.write_wire(&mut buf);
+        let payload_len = buf.len();
+        let _ = write!(buf, "{}", reading.xname);
+        let (payload, key) = buf.split_at(payload_len);
+        self.broker.produce(reading.kind.topic(), Some(key), payload)
     }
 
     /// Publish a raw log line (syslog / container logs / fabric health).

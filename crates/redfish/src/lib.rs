@@ -10,7 +10,8 @@
 //! * [`registry`] — the `CrayAlerts.1.0.*` message registry with severity
 //!   and message templates (leak detection among them);
 //! * [`SensorReading`] — numeric telemetry (temperature, power, fan, leak
-//!   sensor state, humidity);
+//!   sensor state, humidity), and the one owner of its wire format
+//!   ([`SensorReading::write_wire`] / [`SensorReading::decode`]);
 //! * [`HmsCollector`] — the collector pushing both onto bus topics, keyed
 //!   by xname so per-component ordering survives partitioning.
 
@@ -22,4 +23,4 @@ pub mod sensor;
 pub use collector::{topics, HmsCollector};
 pub use event::RedfishEvent;
 pub use registry::{registry_entry, MessageRegistryEntry};
-pub use sensor::{SensorKind, SensorReading};
+pub use sensor::{SensorKind, SensorReading, SensorWire};

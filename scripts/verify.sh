@@ -31,8 +31,18 @@ echo "== range-path properties at 1000 cases =="
 PROPTEST_CASES=1000 cargo test -q -p omni-logql --test prop_grid
 PROPTEST_CASES=1000 cargo test -q -p omni-loki --test prop_pushdown --test prop_frontend
 
-# The scrape cache is held to uncached parse + ingest on a second store.
+# The scrape cache is held to uncached parse + ingest on a second store,
+# and the exposition reader and renderer to hostile bytes and to the
+# format!-per-line renderer.
 PROPTEST_CASES=1000 cargo test -q -p omni-tsdb --test prop_scrape
+PROPTEST_CASES=1000 cargo test -q -p omni-exporters --test prop_exposition
+
+# The sensor path: the field scanner is held to parse, the wire writer
+# and decode to the tree, and the metric bridge's ref cache to the tree
+# decode on a second rig.
+PROPTEST_CASES=1000 cargo test -q -p omni-json --test prop_scan
+PROPTEST_CASES=1000 cargo test -q -p omni-redfish --test prop_wire
+PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_metric_bridge
 
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
@@ -142,6 +152,17 @@ if grep -rn "parse_exposition" crates/core/src; then
 fi
 if grep -rn "HashMap<u64, SeriesData>" crates/tsdb/src; then
     echo "the TSDB keys series by fingerprint alone again"; exit 1
+fi
+
+echo "== one sensor wire format (no JSON tree per reading on the step path) =="
+# omni_redfish::sensor writes a reading with write_wire and reads it with
+# decode (one borrowed scan): the bridge may not decode through a tree nor
+# the collector dump one.
+if grep -rn "SensorReading::from_json" crates/core/src; then
+    echo "the metric bridge decodes readings through a JSON tree again"; exit 1
+fi
+if grep -n "reading.to_json" crates/redfish/src/collector.rs; then
+    echo "the collector builds a JSON tree per reading again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="
