@@ -108,9 +108,10 @@ struct Group {
     group_wait_ns: i64,
     group_interval_ns: i64,
     repeat_interval_ns: i64,
-    /// Alert fingerprint → alert.
-    alerts: HashMap<u64, Alert>,
-    /// Fingerprints changed since last flush.
+    /// Alert labels → alert: two alerts whose fingerprints collide stay
+    /// two alerts.
+    alerts: HashMap<LabelSet, Alert>,
+    /// Alerts changed since last flush.
     dirty: bool,
     created_at: Timestamp,
     last_flush: Option<Timestamp>,
@@ -169,12 +170,10 @@ impl Alertmanager {
                 created_at: now,
                 last_flush: None,
             });
-            let fp = alert.labels.fingerprint();
-            let changed = match group.alerts.get(&fp) {
+            let changed = match group.alerts.insert(alert.labels.clone(), alert.clone()) {
                 Some(prev) => prev.status != alert.status,
                 None => alert.status == AlertStatus::Firing,
             };
-            group.alerts.insert(fp, alert.clone());
             if changed {
                 group.dirty = true;
             }
@@ -246,15 +245,7 @@ impl Alertmanager {
             g.dirty = false;
             g.last_flush = Some(now);
             // Resolved alerts leave the group after being notified once.
-            let resolved: Vec<u64> = g
-                .alerts
-                .iter()
-                .filter(|(_, a)| a.status == AlertStatus::Resolved)
-                .map(|(fp, _)| *fp)
-                .collect();
-            for fp in resolved {
-                g.alerts.remove(&fp);
-            }
+            g.alerts.retain(|_, a| a.status != AlertStatus::Resolved);
             if alerts.is_empty() {
                 continue;
             }
@@ -326,6 +317,27 @@ mod tests {
         let (received, notified, _) = am.stats();
         assert_eq!(received, 10);
         assert_eq!(notified, 1);
+    }
+
+    #[test]
+    fn alerts_whose_fingerprints_collide_stay_two_alerts() {
+        // Regression: a group keyed its alerts by fingerprint alone, so the
+        // second of these sets (same FNV fingerprint) replaced the first
+        // and one page was lost.
+        let (a, b) = (labels!("a" => "27d9f96af16d5676"), labels!("a" => "1ba910bbd8e288a5"));
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let mut am = Alertmanager::new(fast_route());
+        for labels in [&a, &b] {
+            let status = AlertStatus::Firing;
+            am.receive(
+                Alert { labels: labels.clone(), annotations: vec![], status, starts_at: 0 },
+                0,
+            );
+        }
+        let notifs = am.tick(sec(6));
+        assert_eq!(notifs.len(), 1, "one group, one notification");
+        let got: Vec<&LabelSet> = notifs[0].alerts.iter().map(|alert| &alert.labels).collect();
+        assert_eq!(got, [&b, &a], "both alerts, in label order");
     }
 
     #[test]

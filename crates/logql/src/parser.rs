@@ -555,6 +555,18 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_regex_literal_is_an_error_not_a_stack_overflow() {
+        // Regression: the aggregation bound did not reach the regex inside
+        // a string literal; 100 000 nested `(` there aborted the process.
+        for op in ["|~", "!~"] {
+            let q = format!(r#"{{a="b"}} {op} "{}""#, "(".repeat(100_000));
+            assert!(parse_expr(&q).is_err(), "{op}");
+        }
+        let q = format!(r#"{{a=~"{}"}}"#, "(".repeat(100_000));
+        assert!(parse_expr(&q).is_err());
+    }
+
+    #[test]
     fn duplicate_grouping_rejected() {
         assert!(parse_expr(r#"sum by (a) (rate({x="y"}[1m])) by (b)"#).is_err());
     }

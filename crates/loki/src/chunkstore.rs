@@ -20,23 +20,27 @@
 //!
 //! ## Key scheme
 //!
-//! One chunk object's key is a [`ChunkKey`] `(fingerprint, min_ts, max_ts,
-//! seq)`, the same type in both tiers. Its derived order is stream, then
-//! time order — signed, so pre-epoch spans sort first — then persist
-//! order, so a tier's map lists one stream's chunks oldest first with no
-//! key to format or parse. `seq` is a store-wide monotonic counter making
-//! every persisted chunk's key unique: two chunks of one stream with the
-//! identical `(min_ts, max_ts)` span (easy with same-timestamp bursts, or
-//! a WAL replay re-offloading a chunk) get distinct keys instead of
-//! silently overwriting each other.
+//! One chunk object's key is a [`ChunkKey`] `(labels, min_ts, max_ts,
+//! seq)`, the same type in both tiers. A stream is named by its label set
+//! — one `Arc`, the same size as the fingerprint it replaced — so two
+//! streams whose fingerprints collide keep their chunks apart. Its order
+//! is stream (fingerprint, then labels), then time order — signed, so
+//! pre-epoch spans sort first — then persist order, so a tier's map lists
+//! one stream's chunks oldest first with no key to format or parse. `seq`
+//! is a store-wide monotonic counter making every persisted chunk's key
+//! unique: two chunks of one stream with the identical `(min_ts, max_ts)`
+//! span (easy with same-timestamp bursts, or a WAL replay re-offloading a
+//! chunk) get distinct keys instead of silently overwriting each other.
 //!
 //! Because the span is part of the key, range reads and retention deletes
 //! prune non-overlapping objects from the listing alone — without
 //! fetching or decoding a single object body.
 //!
-//! The durable series index is the hot tier's `fingerprint → labels` map,
-//! held typed: registering a stream writes its entry once, and listing the
-//! index fetches and decodes nothing.
+//! The durable series index is the hot tier's `labels → encoded size`
+//! map, held typed: registering a stream writes its entry once, and
+//! listing the index fetches and decodes nothing. No store function takes
+//! a fingerprint: the fingerprint is only placement (which ingester is a
+//! stream's home) and the cold tier's failure-coin salt.
 
 use crate::chunk::SealedChunk;
 use crate::compress::{get_uvarint, put_labels, put_uvarint, unzigzag, zigzag, CorruptBlock};
@@ -48,17 +52,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One chunk object's key: its stream, the span of its entries, and the
-/// store-wide sequence number of its persist. Field order is sort order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// store-wide sequence number of its persist. Field order is sort order,
+/// except that streams sort by fingerprint before their labels: one `u64`
+/// decides almost every comparison a map lookup makes, and the labels
+/// decide the rest, so a collision still never merges two streams.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkKey {
-    /// The stream's label fingerprint.
-    pub fingerprint: u64,
+    /// The stream's label set.
+    pub labels: LabelSet,
     /// First entry timestamp.
     pub min_ts: Timestamp,
     /// Last entry timestamp.
     pub max_ts: Timestamp,
     /// Store-wide persist sequence: same-span chunks stay distinct.
     pub seq: u64,
+}
+
+impl Ord for ChunkKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let span = |k: &Self| (k.min_ts, k.max_ts, k.seq);
+        (self.labels.fingerprint().cmp(&other.labels.fingerprint()))
+            .then_with(|| self.labels.cmp(&other.labels))
+            .then_with(|| span(self).cmp(&span(other)))
+    }
+}
+
+impl PartialOrd for ChunkKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
 }
 
 /// Latency and transient-failure model of the cold (compacted) tier — an
@@ -97,7 +119,8 @@ impl ColdTierPolicy {
         if self.fail_permille == 0 {
             return false;
         }
-        let fields = [self.seed, key.fingerprint, key.min_ts as u64, key.max_ts as u64, key.seq];
+        let fp = key.labels.fingerprint();
+        let fields = [self.seed, fp, key.min_ts as u64, key.max_ts as u64, key.seq];
         let buf: Vec<u8> = fields.iter().flat_map(|f| f.to_le_bytes()).collect();
         (fnv1a64(&buf) % 1_000) < self.fail_permille as u64
     }
@@ -108,7 +131,7 @@ impl ColdTierPolicy {
 #[derive(Default)]
 struct TierObjects {
     chunks: BTreeMap<ChunkKey, Bytes>,
-    series: BTreeMap<u64, (LabelSet, usize)>,
+    series_index: BTreeMap<LabelSet, usize>,
 }
 
 /// One in-memory object tier, with byte/object/operation accounting for
@@ -163,7 +186,7 @@ impl ObjectTier {
     pub fn stored_bytes(&self) -> usize {
         let objects = self.objects.read();
         objects.chunks.values().map(|b| b.len()).sum::<usize>()
-            + objects.series.values().map(|(_, size)| size).sum::<usize>()
+            + objects.series_index.values().sum::<usize>()
     }
 
     /// `(puts, gets)` operation counters (gets count every attempt).
@@ -214,10 +237,10 @@ impl ObjectTier {
     /// Chunk keys of one stream in this tier, in key order — which is
     /// time order, then persist order (the reader's and the compactor's
     /// ordered scan).
-    pub fn chunk_refs(&self, fingerprint: u64) -> Vec<ChunkKey> {
-        let bound = |ts, seq| ChunkKey { fingerprint, min_ts: ts, max_ts: ts, seq };
+    pub fn chunk_refs(&self, labels: &LabelSet) -> Vec<ChunkKey> {
+        let bound = |ts, seq| ChunkKey { labels: labels.clone(), min_ts: ts, max_ts: ts, seq };
         let range = bound(Timestamp::MIN, 0)..=bound(Timestamp::MAX, u64::MAX);
-        self.objects.read().chunks.range(range).map(|(key, _)| *key).collect()
+        self.objects.read().chunks.range(range).map(|(key, _)| key.clone()).collect()
     }
 }
 
@@ -296,58 +319,57 @@ impl ChunkStore {
         &self.cold
     }
 
-    fn put_chunk(&self, tier: &ObjectTier, fingerprint: u64, chunk: &SealedChunk) {
+    fn put_chunk(&self, tier: &ObjectTier, labels: &LabelSet, chunk: &SealedChunk) {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let key = ChunkKey { fingerprint, min_ts: chunk.min_ts, max_ts: chunk.max_ts, seq };
-        tier.put(key, chunk_to_object(chunk));
+        let (min_ts, max_ts) = (chunk.min_ts, chunk.max_ts);
+        tier.put(ChunkKey { labels: labels.clone(), min_ts, max_ts, seq }, chunk_to_object(chunk));
     }
 
     /// Persist one chunk of a stream into the hot tier.
-    pub fn persist(&self, fingerprint: u64, chunk: &SealedChunk) {
+    pub fn persist(&self, labels: &LabelSet, chunk: &SealedChunk) {
         if chunk.count > 0 {
-            self.put_chunk(&self.hot, fingerprint, chunk);
+            self.put_chunk(&self.hot, labels, chunk);
         }
     }
 
     /// Write one compacted chunk into the cold tier.
-    pub fn put_compacted(&self, fingerprint: u64, chunk: &SealedChunk) {
-        self.put_chunk(&self.cold, fingerprint, chunk);
+    pub fn put_compacted(&self, labels: &LabelSet, chunk: &SealedChunk) {
+        self.put_chunk(&self.cold, labels, chunk);
     }
 
     /// Record the stream's labels in the durable series index (idempotent).
     /// Without this, offloaded chunks would be reachable only through an
     /// ingester's in-memory stream map — and orphaned by a crash.
-    pub fn register_series(&self, fingerprint: u64, labels: &LabelSet) {
-        self.hot.objects.write().series.entry(fingerprint).or_insert_with(|| {
+    pub fn register_series(&self, labels: &LabelSet) {
+        let mut objects = self.hot.objects.write();
+        if !objects.series_index.contains_key(labels) {
             let mut encoded = Vec::new();
             put_labels(&mut encoded, labels);
-            (labels.clone(), encoded.len())
-        });
+            objects.series_index.insert(labels.clone(), encoded.len());
+        }
     }
 
-    /// Every `(fingerprint, labels)` in the durable series index, in
-    /// fingerprint order.
-    pub fn series(&self) -> Vec<(u64, LabelSet)> {
-        let objects = self.hot.objects.read();
-        objects.series.iter().map(|(fp, (labels, _))| (*fp, labels.clone())).collect()
+    /// Every stream in the durable series index, in label order.
+    pub fn series(&self) -> Vec<LabelSet> {
+        self.hot.objects.read().series_index.keys().cloned().collect()
     }
 
     /// Delete chunks of a stream entirely older than `horizon`, both
     /// tiers, deciding from the key span alone. Returns how many objects
     /// were removed. A stream whose last chunk goes (in both tiers) also
     /// loses its series-index entry.
-    pub fn delete_before(&self, fingerprint: u64, horizon: Timestamp) -> usize {
+    pub fn delete_before(&self, labels: &LabelSet, horizon: Timestamp) -> usize {
         let tiers = [&self.hot, &self.cold];
         let mut removed = 0;
         for tier in tiers {
-            for key in tier.chunk_refs(fingerprint) {
+            for key in tier.chunk_refs(labels) {
                 if key.max_ts < horizon && tier.delete(&key) {
                     removed += 1;
                 }
             }
         }
-        if removed > 0 && tiers.iter().all(|t| t.chunk_refs(fingerprint).is_empty()) {
-            self.hot.objects.write().series.remove(&fingerprint);
+        if removed > 0 && tiers.iter().all(|t| t.chunk_refs(labels).is_empty()) {
+            self.hot.objects.write().series_index.remove(labels);
         }
         removed
     }
@@ -365,15 +387,20 @@ mod tests {
         SealedChunk::from_entries(&entries)
     }
 
+    /// The labels of test stream `n`.
+    fn s(n: u64) -> LabelSet {
+        omni_model::labels!("stream" => n.to_string())
+    }
+
     /// One stream's stored entries in `(start, end]` plus the read cost.
     fn read(
         store: &ChunkStore,
-        fp: u64,
+        labels: &LabelSet,
         start: Timestamp,
         end: Timestamp,
     ) -> (Vec<LogEntry>, QueryStats) {
         let mut stats = QueryStats::default();
-        (read_store(store, fp, start, end, &mut stats), stats)
+        (read_store(store, labels, start, end, &mut stats), stats)
     }
 
     #[test]
@@ -410,14 +437,14 @@ mod tests {
     #[test]
     fn persist_fetch_by_range() {
         let store = ChunkStore::new();
-        store.persist(42, &chunk(10, 0)); // ts 0..9
-        store.persist(42, &chunk(10, 1_000)); // ts 1000..1009
-        store.persist(7, &chunk(10, 0)); // other stream
-        let (got, stats) = read(&store, 42, -1, 500);
+        store.persist(&s(42), &chunk(10, 0)); // ts 0..9
+        store.persist(&s(42), &chunk(10, 1_000)); // ts 1000..1009
+        store.persist(&s(7), &chunk(10, 0)); // other stream
+        let (got, stats) = read(&store, &s(42), -1, 500);
         assert_eq!((got.len(), got[0].ts, stats.chunks_touched), (10, 0, 1));
-        let (got, stats) = read(&store, 42, -1, 2_000);
+        let (got, stats) = read(&store, &s(42), -1, 2_000);
         assert_eq!((got.len(), stats.chunks_touched), (20, 2));
-        assert!(read(&store, 99, -1, 2_000).0.is_empty());
+        assert!(read(&store, &s(99), -1, 2_000).0.is_empty());
         assert_eq!(store.objects().object_count(), 3);
     }
 
@@ -439,10 +466,10 @@ mod tests {
             LogEntry::new(500, "burst line B2"),
         ]);
         assert_eq!((a.min_ts, a.max_ts), (b.min_ts, b.max_ts), "same span by construction");
-        store.persist(1, &a);
-        store.persist(1, &b);
+        store.persist(&s(1), &a);
+        store.persist(&s(1), &b);
         assert_eq!(store.objects().object_count(), 2, "same-span chunks must not collide");
-        let (got, stats) = read(&store, 1, 0, 1_000);
+        let (got, stats) = read(&store, &s(1), 0, 1_000);
         assert_eq!(stats.chunks_touched, 2);
         // Same span, so the key sequence decides: persist order survives.
         let lines: Vec<String> = got.into_iter().map(|e| e.line).collect();
@@ -452,20 +479,20 @@ mod tests {
     #[test]
     fn pre_epoch_chunks_fetch_and_expire_correctly() {
         let store = ChunkStore::new();
-        store.persist(9, &chunk(10, -5_000)); // ts -5000..-4991
-        store.persist(9, &chunk(10, 1_000)); // ts 1000..1009
+        store.persist(&s(9), &chunk(10, -5_000)); // ts -5000..-4991
+        store.persist(&s(9), &chunk(10, 1_000)); // ts 1000..1009
 
         // Keys list in time order: the negative-span chunk first.
-        let refs = store.objects().chunk_refs(9);
+        let refs = store.objects().chunk_refs(&s(9));
         assert_eq!(refs.len(), 2);
         assert_eq!(refs[0].min_ts, -5_000);
         assert_eq!(refs[1].min_ts, 1_000);
         // Fetch finds the pre-epoch chunk through the key-span filter.
-        let (got, stats) = read(&store, 9, -6_000, 0);
+        let (got, stats) = read(&store, &s(9), -6_000, 0);
         assert_eq!((got.len(), got[0].ts, stats.chunks_touched), (10, -5_000, 1));
         // Retention at the epoch deletes only the pre-epoch chunk.
-        assert_eq!(store.delete_before(9, 0), 1);
-        assert_eq!(read(&store, 9, i64::MIN, i64::MAX).1.chunks_touched, 1);
+        assert_eq!(store.delete_before(&s(9), 0), 1);
+        assert_eq!(read(&store, &s(9), i64::MIN, i64::MAX).1.chunks_touched, 1);
     }
 
     #[test]
@@ -474,10 +501,10 @@ mod tests {
         // (let alone decode) objects outside the window.
         let store = ChunkStore::new();
         for i in 0..10 {
-            store.persist(3, &chunk(10, i * 1_000)); // spans [0..9], [1000..1009], ...
+            store.persist(&s(3), &chunk(10, i * 1_000)); // spans [0..9], [1000..1009], ...
         }
         let (_, gets_before) = store.objects().op_counts();
-        let (_, stats) = read(&store, 3, 4_000, 4_500);
+        let (_, stats) = read(&store, &s(3), 4_000, 4_500);
         assert_eq!(stats.chunks_touched, 1, "exactly one chunk overlaps (4000, 4500]");
         let (_, gets_after) = store.objects().op_counts();
         assert_eq!(gets_after - gets_before, 1, "only the overlapping object is fetched");
@@ -488,24 +515,24 @@ mod tests {
     #[test]
     fn delete_before_removes_old_objects() {
         let store = ChunkStore::new();
-        store.persist(1, &chunk(10, 0));
-        store.persist(1, &chunk(10, 10_000));
-        assert_eq!(store.delete_before(1, 5_000), 1);
+        store.persist(&s(1), &chunk(10, 0));
+        store.persist(&s(1), &chunk(10, 10_000));
+        assert_eq!(store.delete_before(&s(1), 5_000), 1);
         assert_eq!(store.objects().object_count(), 1);
-        assert!(read(&store, 1, -1, 5_000).0.is_empty());
-        assert_eq!(read(&store, 1, -1, 20_000).0.len(), 10);
+        assert!(read(&store, &s(1), -1, 5_000).0.is_empty());
+        assert_eq!(read(&store, &s(1), -1, 20_000).0.len(), 10);
     }
 
     #[test]
     fn empty_chunks_not_persisted() {
         let store = ChunkStore::new();
-        store.persist(1, &SealedChunk::from_entries(&[]));
+        store.persist(&s(1), &SealedChunk::from_entries(&[]));
         assert_eq!(store.objects().object_count(), 0);
     }
 
-    /// A chunk key with a one-instant span at `ts`.
-    fn key(fingerprint: u64, ts: Timestamp, seq: u64) -> ChunkKey {
-        ChunkKey { fingerprint, min_ts: ts, max_ts: ts, seq }
+    /// A chunk key of stream `n` with a one-instant span at `ts`.
+    fn key(n: u64, ts: Timestamp, seq: u64) -> ChunkKey {
+        ChunkKey { labels: s(n), min_ts: ts, max_ts: ts, seq }
     }
 
     #[test]
@@ -514,7 +541,7 @@ mod tests {
         tier.put(key(1, 5, 0), Bytes::from_static(b"x"));
         tier.put(key(1, -5, 1), Bytes::from_static(b"y"));
         tier.put(key(2, 0, 2), Bytes::from_static(b"z"));
-        assert_eq!(tier.chunk_refs(1), [key(1, -5, 1), key(1, 5, 0)]);
+        assert_eq!(tier.chunk_refs(&s(1)), [key(1, -5, 1), key(1, 5, 0)]);
         assert_eq!(tier.stored_bytes(), 3);
         assert!(tier.delete(&key(1, 5, 0)));
         assert!(!tier.delete(&key(1, 5, 0)));
@@ -527,11 +554,11 @@ mod tests {
     fn series_index_is_held_typed() {
         let store = ChunkStore::new();
         let labels = omni_model::labels!("app" => "x", "host" => "n0");
-        store.register_series(3, &labels);
-        store.register_series(3, &labels);
+        store.register_series(&labels);
+        store.register_series(&labels);
         let mut encoded = Vec::new();
         put_labels(&mut encoded, &labels);
-        assert_eq!(store.series(), [(3, labels)]);
+        assert_eq!(store.series(), [labels]);
         assert_eq!(store.objects().object_count(), 0);
         assert_eq!(store.objects().op_counts(), (0, 0));
         assert_eq!(store.objects().stored_bytes(), encoded.len());
@@ -540,10 +567,10 @@ mod tests {
     #[test]
     fn cold_tier_serves_compacted_chunks_and_charges_latency() {
         let store = ChunkStore::new();
-        store.put_compacted(5, &chunk(20, 100));
+        store.put_compacted(&s(5), &chunk(20, 100));
         assert_eq!(store.cold().object_count(), 1);
-        store.register_series(5, &omni_model::labels!("app" => "x"));
-        let (got, stats) = read(&store, 5, 0, 1_000);
+        store.register_series(&s(5));
+        let (got, stats) = read(&store, &s(5), 0, 1_000);
         assert_eq!(got.len(), 20);
         assert_eq!((stats.chunks_touched, stats.cold_chunks_touched), (1, 1));
         let policy = ColdTierPolicy::default();
@@ -585,15 +612,15 @@ mod tests {
     #[test]
     fn delete_before_keeps_series_while_cold_data_remains() {
         let store = ChunkStore::new();
-        store.register_series(11, &omni_model::labels!("app" => "cold"));
-        store.persist(11, &chunk(5, 0));
-        store.put_compacted(11, &chunk(5, 10_000));
+        store.register_series(&s(11));
+        store.persist(&s(11), &chunk(5, 0));
+        store.put_compacted(&s(11), &chunk(5, 10_000));
         // The hot chunk expires; the cold one is still live, so the
         // series entry must survive.
-        assert_eq!(store.delete_before(11, 5_000), 1);
+        assert_eq!(store.delete_before(&s(11), 5_000), 1);
         assert_eq!(store.series().len(), 1);
         // Once the cold tier drains too, the series entry goes.
-        assert_eq!(store.delete_before(11, 50_000), 1);
+        assert_eq!(store.delete_before(&s(11), 50_000), 1);
         assert!(store.series().is_empty());
     }
 }

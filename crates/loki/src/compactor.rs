@@ -133,9 +133,9 @@ impl Compactor {
         retention_of: &(dyn Fn(&LabelSet) -> i64 + Sync),
     ) -> usize {
         let mut deleted = 0;
-        for (fp, labels) in self.store.series() {
+        for labels in self.store.series() {
             let horizon = now.saturating_sub(retention_of(&labels));
-            deleted += self.store.delete_before(fp, horizon);
+            deleted += self.store.delete_before(&labels, horizon);
         }
         self.totals.retention_deleted.fetch_add(deleted as u64, Ordering::Relaxed);
         deleted
@@ -155,11 +155,11 @@ impl Compactor {
         };
         let cutoff = now.saturating_sub(self.compact_after_ns);
 
-        for (fp, _labels) in self.store.series() {
+        for labels in self.store.series() {
             let eligible: Vec<ChunkKey> = self
                 .store
                 .objects()
-                .chunk_refs(fp)
+                .chunk_refs(&labels)
                 .into_iter()
                 .filter(|key| key.max_ts < cutoff)
                 .collect();
@@ -221,7 +221,7 @@ impl Compactor {
                 }
                 let chunk = SealedChunk::from_entries(batch);
                 report.cold_bytes_added += chunk.compressed_size();
-                self.store.put_compacted(fp, &chunk);
+                self.store.put_compacted(&labels, &chunk);
                 report.objects_written += 1;
                 batch.clear();
             };
@@ -264,30 +264,35 @@ mod tests {
     }
 
     /// Everything the store holds for one stream, as the reader sees it.
-    fn stored(store: &ChunkStore, fp: u64) -> Vec<LogEntry> {
-        read_store(store, fp, i64::MIN, i64::MAX, &mut QueryStats::default())
+    fn stored(store: &ChunkStore, labels: &LabelSet) -> Vec<LogEntry> {
+        read_store(store, labels, i64::MIN, i64::MAX, &mut QueryStats::default())
     }
 
-    fn store_with_stream(fp: u64, chunks: usize) -> ChunkStore {
+    /// The one stream of [`store_with_stream`].
+    fn x() -> LabelSet {
+        labels!("app" => "x")
+    }
+
+    fn store_with_stream(chunks: usize) -> ChunkStore {
         let store = ChunkStore::new();
-        store.register_series(fp, &labels!("app" => "x"));
+        store.register_series(&x());
         for i in 0..chunks {
-            store.persist(fp, &chunk(10, i as i64 * 1_000));
+            store.persist(&x(), &chunk(10, i as i64 * 1_000));
         }
         store
     }
 
     #[test]
     fn merges_small_chunks_into_cold_objects() {
-        let store = store_with_stream(1, 8);
+        let store = store_with_stream(8);
         let compactor = Compactor::new(store.clone(), 0, usize::MAX);
-        let before = stored(&store, 1);
+        let before = stored(&store, &x());
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 8);
         assert_eq!(report.objects_written, 1, "everything fits one compacted object");
         assert_eq!(store.objects().object_count(), 0, "hot sources deleted");
         assert_eq!(store.cold().object_count(), 1);
-        let after = stored(&store, 1);
+        let after = stored(&store, &x());
         assert_eq!(before.len(), after.len());
         assert_eq!(before, after, "compaction must not change query results");
         assert_eq!(compactor.stats().runs, 1);
@@ -295,7 +300,7 @@ mod tests {
 
     #[test]
     fn respects_compact_after_age_gate() {
-        let store = store_with_stream(1, 4); // spans up to ts 3009
+        let store = store_with_stream(4); // spans up to ts 3009
         let compactor = Compactor::new(store.clone(), 10_000, usize::MAX);
         // now=5_000 → cutoff -5_000: nothing old enough.
         let report = compactor.run(5_000, &|_| i64::MAX);
@@ -309,32 +314,32 @@ mod tests {
 
     #[test]
     fn cuts_at_target_bytes() {
-        let store = store_with_stream(1, 6);
+        let store = store_with_stream(6);
         // ~70 uncompressed bytes per source chunk; a 150-byte target
         // forces multiple compacted objects.
         let compactor = Compactor::new(store.clone(), 0, 150);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert!(report.objects_written >= 2, "got {}", report.objects_written);
-        assert_eq!(stored(&store, 1).len(), 60);
+        assert_eq!(stored(&store, &x()).len(), 60);
     }
 
     #[test]
     fn dedups_byte_identical_replay_chunks_only() {
         let store = ChunkStore::new();
-        store.register_series(1, &labels!("app" => "x"));
+        store.register_series(&x());
         let replayed = chunk(10, 0);
-        store.persist(1, &replayed);
-        store.persist(1, &replayed); // the WAL-replay double persist
-                                     // Same span, different payload: two distinct bursts, both kept.
+        store.persist(&x(), &replayed);
+        store.persist(&x(), &replayed); // the WAL-replay double persist
+                                        // Same span, different payload: two distinct bursts, both kept.
         let burst_a = SealedChunk::from_entries(&[LogEntry::new(5_000, "burst A")]);
         let burst_b = SealedChunk::from_entries(&[LogEntry::new(5_000, "burst B")]);
-        store.persist(1, &burst_a);
-        store.persist(1, &burst_b);
+        store.persist(&x(), &burst_a);
+        store.persist(&x(), &burst_b);
         let compactor = Compactor::new(store.clone(), 0, usize::MAX);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.duplicates_dropped, 1, "only the replayed copy is a duplicate");
         assert_eq!(report.dedup_window, Some((0, 9)));
-        let entries = stored(&store, 1);
+        let entries = stored(&store, &x());
         assert_eq!(entries.len(), 12, "10 unique + both same-span bursts");
         assert_eq!(entries.iter().filter(|e| e.line.starts_with("burst")).count(), 2);
     }
@@ -344,35 +349,37 @@ mod tests {
     /// deleted with the rest — the compactor destroyed the only copy.
     #[test]
     fn undecodable_source_is_left_in_place() {
-        let store = store_with_stream(1, 6);
-        let key = store.objects().chunk_refs(1)[2];
+        let store = store_with_stream(6);
+        let key = store.objects().chunk_refs(&x())[2].clone();
         let mut data = store.objects().get(&key).unwrap().to_vec();
         let container_at = data.len() - object_to_chunk(&data).unwrap().raw_block().len();
         data[container_at] = 0x7f; // a block count no container this small can hold
         assert!(object_to_chunk(&data).unwrap().decode().is_err());
-        store.objects().put(key, bytes::Bytes::from(data.clone()));
+        store.objects().put(key.clone(), bytes::Bytes::from(data.clone()));
         let hot_before = store.objects().stored_bytes();
 
         let report = Compactor::new(store.clone(), 0, usize::MAX).run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 5, "the other five merge");
         assert_eq!(report.objects_written, 1);
         assert_eq!(store.objects().get(&key).as_deref(), Some(&data[..]), "the only copy survives");
-        assert_eq!(store.objects().chunk_refs(1).len(), 1);
+        assert_eq!(store.objects().chunk_refs(&x()).len(), 1);
         assert_eq!(report.hot_bytes_removed, hot_before - store.objects().stored_bytes());
         // The survivors still answer, and the read says what it could not.
         let mut stats = QueryStats::default();
-        assert_eq!(read_store(&store, 1, i64::MIN, i64::MAX, &mut stats).len(), 50);
+        assert_eq!(read_store(&store, &x(), i64::MIN, i64::MAX, &mut stats).len(), 50);
         assert_eq!((stats.chunks_touched, stats.chunks_corrupt), (2, 1));
     }
 
     #[test]
     fn retention_deletes_across_both_tiers_per_stream() {
         let store = ChunkStore::new();
-        store.register_series(1, &labels!("app" => "short", "__tenant__" => "t1"));
-        store.register_series(2, &labels!("app" => "long", "__tenant__" => "t2"));
-        store.persist(1, &chunk(10, 0));
-        store.put_compacted(1, &chunk(10, 2_000));
-        store.persist(2, &chunk(10, 0));
+        let short = labels!("app" => "short", "__tenant__" => "t1");
+        let long = labels!("app" => "long", "__tenant__" => "t2");
+        store.register_series(&short);
+        store.register_series(&long);
+        store.persist(&short, &chunk(10, 0));
+        store.put_compacted(&short, &chunk(10, 2_000));
+        store.persist(&long, &chunk(10, 0));
         let compactor = Compactor::new(store.clone(), i64::MAX, usize::MAX);
         // t1 keeps 1_000ns of data, t2 keeps everything.
         let resolve = |labels: &LabelSet| {
@@ -384,14 +391,14 @@ mod tests {
         };
         let deleted = compactor.apply_retention(10_000, &resolve);
         assert_eq!(deleted, 2, "t1's hot and cold chunks both expire");
-        assert!(stored(&store, 1).is_empty());
-        assert_eq!(stored(&store, 2).len(), 10);
+        assert!(stored(&store, &short).is_empty());
+        assert_eq!(stored(&store, &long).len(), 10);
         assert_eq!(compactor.stats().retention_deleted, 2);
     }
 
     #[test]
     fn lone_chunks_are_left_alone() {
-        let store = store_with_stream(1, 1);
+        let store = store_with_stream(1);
         let compactor = Compactor::new(store.clone(), 0, usize::MAX);
         let report = compactor.run(1_000_000, &|_| i64::MAX);
         assert_eq!(report.chunks_merged, 0);

@@ -4,6 +4,12 @@
 //! shards streams across them by label fingerprint. Each shard is
 //! independently locked so ingest scales with shard count (experiment C5).
 //!
+//! Within a shard a stream is its label set: the shard keeps its streams
+//! in an [`omni_model::SeriesTable`], the slab a TSDB shard keeps its
+//! series in, so two label sets whose fingerprints collide stay two
+//! streams, and every sweep (seal, offload, flush, retention) walks the
+//! slots in order — deterministic with no sort.
+//!
 //! A shard answers a query in two phases ([`Ingester::query_stats`]):
 //! what its in-memory streams hold, under the shard read lock; then, lock
 //! dropped, what the shared chunk store holds for the streams it is home
@@ -17,9 +23,7 @@ use crate::stream::{AppendError, Stream};
 use crate::tenant::TenantRejection;
 use omni_logql::Selector;
 use omni_model::lockwitness::{classes, OrderedRwLock};
-use omni_model::{LabelIndex, LabelSet, LogEntry, LogRecord, Timestamp};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use omni_model::{LabelSet, LogEntry, LogRecord, SeriesTable, Timestamp};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Ingest rejection reasons surfaced to the distributor.
@@ -69,8 +73,7 @@ pub struct IngesterStats {
 }
 
 struct ShardState {
-    streams: HashMap<u64, Stream>,
-    index: LabelIndex,
+    streams: SeriesTable<Stream>,
     /// Uncompressed sizes of chunks sealed since the last drain — the
     /// stack turns these into its chunk fill-ratio histogram.
     seal_sizes: Vec<u64>,
@@ -114,11 +117,7 @@ impl Ingester {
         Self {
             state: OrderedRwLock::new(
                 &classes::LOKI_INGESTER_STATE,
-                ShardState {
-                    streams: HashMap::new(),
-                    index: LabelIndex::new(),
-                    seal_sizes: Vec::new(),
-                },
+                ShardState { streams: SeriesTable::new(), seal_sizes: Vec::new() },
             ),
             limits,
             chunk_store,
@@ -130,9 +129,10 @@ impl Ingester {
         }
     }
 
-    /// Whether this shard is the home for a stream's durable-tier data.
-    fn owns(&self, fingerprint: u64) -> bool {
-        fingerprint % self.shard.1 as u64 == self.shard.0 as u64
+    /// Whether this shard is the home for a stream's durable-tier data:
+    /// the distributor's placement, by fingerprint.
+    fn owns(&self, labels: &LabelSet) -> bool {
+        labels.fingerprint() % self.shard.1 as u64 == self.shard.0 as u64
     }
 
     /// Append one record — a frame of one (tests, single-shard callers).
@@ -165,19 +165,15 @@ impl Ingester {
             let st = &mut *guard;
             for (labels, run_len) in frames {
                 let run = entries.by_ref().take(run_len);
-                let fp = labels.fingerprint();
                 let at_cap = st.streams.len() >= self.limits.max_streams_per_shard;
-                let stream = match st.streams.entry(fp) {
-                    _ if labels.is_empty() => Err(IngestError::EmptyLabels),
-                    _ if labels.len() > self.limits.max_label_names_per_series => {
-                        Err(IngestError::TooManyLabels(labels.len()))
-                    }
-                    Entry::Occupied(e) => Ok(e.into_mut()),
-                    Entry::Vacant(_) if at_cap => Err(IngestError::StreamLimitExceeded),
-                    Entry::Vacant(e) => {
-                        st.index.insert(&labels, fp);
-                        Ok(e.insert(Stream::new(labels)))
-                    }
+                let stream = if labels.is_empty() {
+                    Err(IngestError::EmptyLabels)
+                } else if labels.len() > self.limits.max_label_names_per_series {
+                    Err(IngestError::TooManyLabels(labels.len()))
+                } else if at_cap && st.streams.find(&labels).is_none() {
+                    Err(IngestError::StreamLimitExceeded)
+                } else {
+                    Ok(st.streams.resolve(&labels, Stream::new).1)
                 };
                 let stream = match stream {
                     Ok(stream) => stream,
@@ -218,14 +214,12 @@ impl Ingester {
     pub fn select_streams(&self, selector: &Selector) -> Vec<LabelSet> {
         let st = self.state.read();
         let mut out: Vec<LabelSet> = st
-            .index
+            .streams
             .candidates(selector.equality_matchers())
-            .into_iter()
-            .filter_map(|fp| st.streams.get(&fp))
-            .filter(|s| selector.matches(&s.labels))
-            .map(|s| s.labels.clone())
+            .filter(|(labels, _)| selector.matches(labels))
+            .map(|(labels, _)| labels.clone())
             .collect();
-        out.extend(self.store_only_streams(selector, |fp| st.streams.contains_key(&fp)));
+        out.extend(self.store_only_streams(selector, |labels| st.streams.find(labels).is_some()));
         out
     }
 
@@ -236,15 +230,12 @@ impl Ingester {
     fn store_only_streams(
         &self,
         selector: &Selector,
-        in_memory: impl Fn(u64) -> bool,
+        in_memory: impl Fn(&LabelSet) -> bool,
     ) -> Vec<LabelSet> {
         let Some(store) = &self.chunk_store else { return Vec::new() };
-        store
-            .series()
-            .into_iter()
-            .filter(|(fp, labels)| self.owns(*fp) && !in_memory(*fp) && selector.matches(labels))
-            .map(|(_, labels)| labels)
-            .collect()
+        let mut series = store.series();
+        series.retain(|labels| self.owns(labels) && !in_memory(labels) && selector.matches(labels));
+        series
     }
 
     /// Entries of matching streams in `(start, end]`, tagged with their
@@ -258,35 +249,31 @@ impl Ingester {
         end: Timestamp,
     ) -> (Vec<(LabelSet, Vec<LogEntry>)>, QueryStats) {
         let mut stats = QueryStats::default();
-        // Phase 1: everything in-memory state can answer, under the read
-        // lock. Store reads wait until the guard drops: the cold-tier
-        // GET path can block, and holding the shard lock across it would
-        // stall ingest on this shard (the lock-held-across-call class).
+        // Phase 1, under the read lock: what memory holds for the matching
+        // streams, then the matching streams only the durable tier knows
+        // (`store_only_streams`; listing the series index reads no
+        // object), so nothing is counted twice. Store reads wait until the
+        // guard drops: the cold-tier GET path can block, and holding the
+        // shard lock across it would stall ingest on this shard (the
+        // lock-held-across-call class).
         let mut streams: Vec<(LabelSet, Vec<LogEntry>)> = {
             let st = self.state.read();
-            st.index
+            let mut streams: Vec<_> = st
+                .streams
                 .candidates(selector.equality_matchers())
-                .into_iter()
-                .filter_map(|fp| st.streams.get(&fp))
-                .filter(|s| selector.matches(&s.labels))
-                .map(|s| (s.labels.clone(), reader::read_memory(s, start, end, &mut stats)))
-                .collect()
+                .filter(|(labels, _)| selector.matches(labels))
+                .map(|(labels, s)| (labels.clone(), reader::read_memory(s, start, end, &mut stats)))
+                .collect();
+            let store_only = self.store_only_streams(selector, |l| st.streams.find(l).is_some());
+            streams.extend(store_only.into_iter().map(|labels| (labels, Vec::new())));
+            streams
         };
         if let Some(store) = &self.chunk_store {
-            // Durable-tier-only streams join off the store's series index,
-            // so offloaded data survives any ingester. A stream appearing
-            // in memory between the phases is fine: `in_memory` is the
-            // snapshot phase 1 actually answered from, so nothing
-            // double-counts.
-            let in_memory: HashSet<u64> = streams.iter().map(|(l, _)| l.fingerprint()).collect();
-            let store_only = self.store_only_streams(selector, |fp| in_memory.contains(&fp));
-            streams.extend(store_only.into_iter().map(|labels| (labels, Vec::new())));
             // Phase 2: the older tiers go in front of what memory held —
             // home shard only, since the store is shared cluster-wide.
-            for (labels, entries) in streams.iter_mut().filter(|(l, _)| self.owns(l.fingerprint()))
-            {
+            for (labels, entries) in streams.iter_mut().filter(|(l, _)| self.owns(l)) {
                 let mut memory = std::mem::take(entries);
-                *entries = reader::read_store(store, labels.fingerprint(), start, end, &mut stats);
+                *entries = reader::read_store(store, labels, start, end, &mut stats);
                 entries.append(&mut memory);
                 entries.sort_by_key(|e| e.ts);
             }
@@ -302,20 +289,17 @@ impl Ingester {
         let Some(store) = &self.chunk_store else { return 0 };
         let mut st = self.state.write();
         let mut moved = 0;
-        // Fingerprint order: `persist` allocates store-wide key sequence
-        // numbers, so hash-map iteration order would leak into object
-        // keys and break byte-identical chaos replay.
-        let mut fps: Vec<u64> = st.streams.keys().copied().collect();
-        fps.sort_unstable();
-        for fp in fps {
-            let Some(s) = st.streams.get_mut(&fp) else { continue };
+        // Slot order: `persist` allocates store-wide key sequence numbers,
+        // so the sweep order must be deterministic for byte-identical
+        // chaos replay.
+        for (_, labels, s) in st.streams.iter_mut() {
             let drained = s.drain_chunks_before(older_than);
             if drained.is_empty() {
                 continue;
             }
-            store.register_series(fp, &s.labels);
+            store.register_series(labels);
             for chunk in drained {
-                store.persist(fp, &chunk);
+                store.persist(labels, &chunk);
                 moved += 1;
             }
         }
@@ -324,23 +308,18 @@ impl Ingester {
 
     /// Seal head chunks older than the age limit.
     pub fn tick(&self, now: Timestamp) {
-        let mut st = self.state.write();
+        let mut guard = self.state.write();
+        let st = &mut *guard;
         let mut sealed = 0;
-        let mut sizes: Vec<u64> = Vec::new();
-        // Fingerprint order: the drained seal sizes feed the fill-ratio
-        // histogram, so hash-map order would make telemetry nondeterministic.
-        let mut fps: Vec<u64> = st.streams.keys().copied().collect();
-        fps.sort_unstable();
-        for fp in fps {
-            let Some(s) = st.streams.get_mut(&fp) else { continue };
+        // Slot order: the drained seal sizes feed the fill-ratio histogram.
+        for (_, _, s) in st.streams.iter_mut() {
             if s.maybe_seal_by_age(now, &self.limits) {
                 sealed += 1;
                 if let Some(c) = s.sealed_chunks().last() {
-                    sizes.push(c.uncompressed as u64);
+                    st.seal_sizes.push(c.uncompressed as u64);
                 }
             }
         }
-        st.seal_sizes.append(&mut sizes);
         self.chunks_sealed.fetch_add(sealed, Ordering::Relaxed);
     }
 
@@ -353,14 +332,8 @@ impl Ingester {
 
     /// Force-flush every head chunk.
     pub fn flush(&self) {
-        let mut st = self.state.write();
-        // Fingerprint order, matching every other stream sweep.
-        let mut fps: Vec<u64> = st.streams.keys().copied().collect();
-        fps.sort_unstable();
-        for fp in fps {
-            if let Some(s) = st.streams.get_mut(&fp) {
-                s.flush();
-            }
+        for (_, _, s) in self.state.write().streams.iter_mut() {
+            s.flush();
         }
     }
 
@@ -382,37 +355,29 @@ impl Ingester {
         now: Timestamp,
         retention_of: &(dyn Fn(&LabelSet) -> i64 + Sync),
     ) -> (usize, Vec<LabelSet>) {
-        // Snapshot stream identities under the read lock, in fingerprint
-        // order, then resolve horizons with no shard lock held: the
-        // resolver reads tenant state, which ranks *before* the shard
-        // band in the declared lock order (DESIGN.md §14), so calling it
-        // under `state` would invert the hierarchy.
-        let horizons: Vec<(u64, Timestamp)> = {
-            let st = self.state.read();
-            let mut ident: Vec<(u64, LabelSet)> =
-                st.streams.iter().map(|(fp, s)| (*fp, s.labels.clone())).collect();
-            ident.sort_unstable_by_key(|&(fp, _)| fp);
-            drop(st);
-            ident
-                .into_iter()
-                // Saturate: a sentinel `now` must clamp, not wrap (the
-                // `start - range_ns` overflow class).
-                .map(|(fp, labels)| (fp, now.saturating_sub(retention_of(&labels))))
-                .collect()
-        };
+        // Snapshot stream identities under the read lock, in slot order,
+        // then resolve horizons with no shard lock held: the resolver
+        // reads tenant state, which ranks *before* the shard band in the
+        // declared lock order (DESIGN.md §14), so calling it under
+        // `state` would invert the hierarchy.
+        let ident: Vec<_> =
+            self.state.read().streams.iter().map(|(id, labels, _)| (id, labels.clone())).collect();
+        let horizons: Vec<_> = ident
+            .into_iter()
+            // Saturate: a sentinel `now` must clamp, not wrap (the
+            // `start - range_ns` overflow class).
+            .map(|(id, labels)| (id, now.saturating_sub(retention_of(&labels))))
+            .collect();
         let mut st = self.state.write();
         let mut chunks = 0;
         let mut dropped: Vec<LabelSet> = Vec::new();
-        for (fp, horizon) in horizons {
+        for (id, horizon) in horizons {
             // Streams created since the snapshot are skipped this tick:
             // they are new by definition, so no horizon can touch them.
-            let Some(s) = st.streams.get_mut(&fp) else { continue };
+            let Some(s) = st.streams.get_mut(id) else { continue };
             chunks += s.enforce_retention(horizon);
             if s.is_empty() && s.newest_ts() < horizon {
-                if let Some(s) = st.streams.remove(&fp) {
-                    st.index.remove(&s.labels, fp);
-                    dropped.push(s.labels);
-                }
+                dropped.extend(st.streams.remove(id).map(|(labels, _)| labels));
             }
         }
         // The disk tiers obey the same horizons, but their deletes are
@@ -426,7 +391,7 @@ impl Ingester {
     /// checkpoint bound. `None` when everything accepted is durable (or
     /// the shard is empty).
     pub fn min_unpersisted_ts(&self) -> Option<Timestamp> {
-        self.state.read().streams.values().filter_map(|s| s.oldest_ts_in_memory()).min()
+        self.state.read().streams.iter().filter_map(|(_, _, s)| s.oldest_ts_in_memory()).min()
     }
 
     /// Shard counters.
@@ -446,7 +411,7 @@ impl Ingester {
 
     /// Total sealed chunks currently held.
     pub fn chunk_count(&self) -> usize {
-        self.state.read().streams.values().map(|s| s.chunk_count()).sum()
+        self.state.read().streams.iter().map(|(_, _, s)| s.chunk_count()).sum()
     }
 
     /// Sum of compressed chunk bytes held.
@@ -454,8 +419,8 @@ impl Ingester {
         self.state
             .read()
             .streams
-            .values()
-            .flat_map(|s| s.sealed_chunks())
+            .iter()
+            .flat_map(|(_, _, s)| s.sealed_chunks())
             .map(|c| c.compressed_size())
             .sum()
     }
@@ -465,48 +430,46 @@ impl Ingester {
         self.state
             .read()
             .streams
-            .values()
-            .flat_map(|s| s.sealed_chunks())
+            .iter()
+            .flat_map(|(_, _, s)| s.sealed_chunks())
             .map(|c| c.uncompressed)
             .sum()
     }
 
-    /// Raw compressed bytes of every sealed chunk, keyed by stream
-    /// fingerprint and ordered by fingerprint — the byte-level surface the
-    /// batch/sequential equivalence tests compare.
-    pub fn sealed_chunk_bytes(&self) -> Vec<(u64, Vec<u8>)> {
+    /// Raw compressed bytes of every sealed chunk, per stream in slot
+    /// order — the byte-level surface the batch/sequential equivalence
+    /// tests compare.
+    pub fn sealed_chunk_bytes(&self) -> Vec<(LabelSet, Vec<u8>)> {
         let st = self.state.read();
-        let mut fps: Vec<u64> = st.streams.keys().copied().collect();
-        fps.sort_unstable();
-        fps.into_iter()
-            .map(|fp| {
-                let mut bytes = Vec::new();
-                for c in st.streams[&fp].sealed_chunks() {
-                    bytes.extend_from_slice(c.raw_block());
-                }
-                (fp, bytes)
+        st.streams
+            .iter()
+            .map(|(_, labels, s)| {
+                (
+                    labels.clone(),
+                    s.sealed_chunks().iter().flat_map(|c| c.raw_block()).copied().collect(),
+                )
             })
             .collect()
     }
 
     /// Index entry count (see C4).
     pub fn index_entries(&self) -> usize {
-        self.state.read().index.entry_count()
+        self.state.read().streams.index().entry_count()
     }
 
     /// Approximate index memory.
     pub fn index_bytes(&self) -> usize {
-        self.state.read().index.approx_bytes()
+        self.state.read().streams.index().approx_bytes()
     }
 
     /// Label values (for the API surface Grafana uses).
     pub fn label_values(&self, name: &str) -> Vec<String> {
-        self.state.read().index.label_values(name)
+        self.state.read().streams.index().label_values(name)
     }
 
     /// Label names present on this shard.
     pub fn label_names(&self) -> Vec<String> {
-        self.state.read().index.label_names()
+        self.state.read().streams.index().label_names()
     }
 }
 

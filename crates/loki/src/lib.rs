@@ -552,15 +552,14 @@ impl LokiCluster {
                     labels = prev_labels.clone();
                 }
             }
-            let fp = labels.fingerprint();
             if let Some((id, state)) = &tenant {
-                if let Err(reason) = state.admit_stream(fp, k as u64) {
+                if let Err(reason) = state.admit_stream(&labels, k as u64) {
                     out[base..].fill(Err(shed(id, reason)));
                     continue;
                 }
                 state.note_accepted(k as u64);
             }
-            let home = (fp % n as u64) as usize;
+            let home = (labels.fingerprint() % n as u64) as usize;
             let Some(serving) = (0..n).map(|step| (home + step) % n).find(|&i| self.shard_up(i))
             else {
                 continue;
@@ -836,16 +835,12 @@ impl LokiCluster {
         let now = self.clock.now();
         let resolve = self.retention_resolver();
         let mut total = (0, 0);
-        let mut dropped: Vec<(u64, Option<TenantId>)> = Vec::new();
+        let mut dropped: Vec<LabelSet> = Vec::new();
         for s in self.shards() {
             let (c, dead) = s.enforce_retention_by(now, &resolve);
             total.0 += c;
             total.1 += dead.len();
-            dropped.extend(
-                dead.into_iter().map(|labels| {
-                    (labels.fingerprint(), labels.get(TENANT_LABEL).map(TenantId::new))
-                }),
-            );
+            dropped.extend(dead);
         }
         // The storage tiers: one compactor walk over the shared store's
         // series index (both tiers, per-stream horizons) instead of the
@@ -1122,7 +1117,7 @@ mod tests {
         assert!(offloaded > apps.len(), "several chunks per stream");
         assert_eq!(store.objects().object_count(), offloaded, "not chunks + series");
 
-        let hot_chunks = store.objects().chunk_refs(labels!("app" => "a").fingerprint()).len();
+        let hot_chunks = store.objects().chunk_refs(&labels!("app" => "a")).len();
         let (_, gets_before) = store.objects().op_counts();
         let (records, report) =
             logs_with_report(&c, None, r#"{app="a"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX)
@@ -1361,10 +1356,9 @@ mod tests {
             .collect();
         let chunk = chunk::SealedChunk::from_entries(&entries);
         let labels = labels!("app" => "replay");
-        let fp = labels.fingerprint();
-        c.chunk_store().register_series(fp, &labels);
-        c.chunk_store().persist(fp, &chunk);
-        c.chunk_store().persist(fp, &chunk);
+        c.chunk_store().register_series(&labels);
+        c.chunk_store().persist(&labels, &chunk);
+        c.chunk_store().persist(&labels, &chunk);
         c.clock().set(100 * NANOS_PER_SEC);
         let dup = c.query_logs(r#"{app="replay"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(dup.len(), 20, "pre-compaction reads see the duplicate");

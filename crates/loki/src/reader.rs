@@ -28,7 +28,7 @@ use crate::chunk::SealedChunk;
 use crate::chunkstore::{object_to_chunk, ChunkStore};
 use crate::compress::CorruptBlock;
 use crate::stream::Stream;
-use omni_model::{LogEntry, Timestamp};
+use omni_model::{LabelSet, LogEntry, Timestamp};
 use std::borrow::Borrow;
 
 /// Execution statistics for one query, mirroring the shape of Loki's
@@ -140,14 +140,14 @@ pub(crate) fn read_memory(
 /// O(overlap) GETs, not O(stream history).
 pub(crate) fn read_store(
     store: &ChunkStore,
-    fingerprint: u64,
+    labels: &LabelSet,
     start: Timestamp,
     end: Timestamp,
     stats: &mut QueryStats,
 ) -> Vec<LogEntry> {
     let mut out = Vec::new();
     for (tier, cold) in [(store.cold(), true), (store.objects(), false)] {
-        for key in tier.chunk_refs(fingerprint) {
+        for key in tier.chunk_refs(labels) {
             // `(start, end]`, mirroring `SealedChunk::overlaps`.
             if key.max_ts <= start || key.min_ts > end {
                 stats.skipped_by_key += 1;
@@ -174,7 +174,7 @@ mod tests {
     fn corrupt_store_chunk_is_counted_and_the_rest_still_answers() {
         let limits = Limits { chunk_target_bytes: 16, ..Default::default() };
         let labels = labels!("app" => "x");
-        let (fp, sel) = (labels.fingerprint(), parse_selector(r#"{app="x"}"#).unwrap());
+        let sel = parse_selector(r#"{app="x"}"#).unwrap();
         for corrupt_header in [false, true] {
             let store = ChunkStore::new();
             let ing = Ingester::with_store(limits.clone(), Some(store.clone()));
@@ -182,7 +182,7 @@ mod tests {
                 ing.append(LogRecord::new(labels.clone(), ts, line)).unwrap();
             }
             assert_eq!(ing.offload(100), 2);
-            let key = store.objects().chunk_refs(fp)[1];
+            let key = store.objects().chunk_refs(&labels)[1].clone();
             let mut data = store.objects().get(&key).unwrap().to_vec();
             if corrupt_header {
                 data.pop(); // the object header's length check fails

@@ -1,13 +1,14 @@
 //! One log stream: "If logs share the same combination of unique labels,
 //! they are called a log stream. Each log stream fills a separate chunk."
 //!
-//! A [`Stream`] owns the two in-memory tiers — sealed chunks, oldest
+//! A [`Stream`] is what an ingester shard's series table holds for one
+//! label set. It owns the two in-memory tiers — sealed chunks, oldest
 //! first, and the open head — and the write side of them: append, seal,
 //! drain for offload, retention. Reading them is [`crate::reader`]'s job.
 
 use crate::chunk::{HeadChunk, SealedChunk};
 use crate::limits::Limits;
-use omni_model::{LabelSet, LogEntry, Timestamp};
+use omni_model::{LogEntry, Timestamp};
 
 /// Why an append was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,11 +37,10 @@ impl std::fmt::Display for AppendError {
 
 impl std::error::Error for AppendError {}
 
-/// A stream: labels + open head chunk + sealed chunks.
+/// A stream's entries: open head chunk + sealed chunks. Its labels are
+/// its key in the shard's series table.
 #[derive(Debug)]
 pub struct Stream {
-    /// The stream identity.
-    pub labels: LabelSet,
     head: HeadChunk,
     chunks: Vec<SealedChunk>,
     newest_ts: Timestamp,
@@ -48,11 +48,16 @@ pub struct Stream {
     total_bytes: u64,
 }
 
+impl Default for Stream {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Stream {
     /// New empty stream.
-    pub fn new(labels: LabelSet) -> Self {
+    pub fn new() -> Self {
         Self {
-            labels,
             head: HeadChunk::new(),
             chunks: Vec::new(),
             newest_ts: i64::MIN,
@@ -196,10 +201,9 @@ impl Stream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use omni_model::labels;
 
     fn stream() -> Stream {
-        Stream::new(labels!("app" => "test"))
+        Stream::new()
     }
 
     fn entries_in(s: &Stream, start: Timestamp, end: Timestamp) -> Vec<LogEntry> {

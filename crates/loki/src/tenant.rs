@@ -12,7 +12,7 @@
 
 use crate::limits::TenantLimits;
 use omni_model::lockwitness::{classes, OrderedMutex, OrderedRwLock};
-use omni_model::{SimClock, TenantId, Timestamp, TokenBucket};
+use omni_model::{LabelSet, SimClock, TenantId, Timestamp, TokenBucket};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,7 +90,7 @@ pub struct TenantState {
     limits: OrderedRwLock<TenantLimits>,
     ingest_bucket: OrderedRwLock<TokenBucket>,
     query_bucket: OrderedRwLock<TokenBucket>,
-    streams: OrderedMutex<HashSet<u64>>,
+    streams: OrderedMutex<HashSet<LabelSet>>,
     ingest_offered: AtomicU64,
     ingest_accepted: AtomicU64,
     ingest_rejected: AtomicU64,
@@ -156,13 +156,13 @@ impl TenantState {
         self.ingest_accepted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Admit the stream `fp` (registering it) or shed if the record would
-    /// push the tenant past `max_active_streams`. Existing streams are
-    /// always admitted — the cap bounds growth, it does not evict.
-    pub fn admit_stream(&self, fp: u64, n: u64) -> Result<(), ShedReason> {
+    /// Admit the stream `labels` (registering it) or shed if the record
+    /// would push the tenant past `max_active_streams`. Existing streams
+    /// are always admitted — the cap bounds growth, it does not evict.
+    pub fn admit_stream(&self, labels: &LabelSet, n: u64) -> Result<(), ShedReason> {
         let cap = self.limits.read().max_active_streams;
         let mut streams = self.streams.lock();
-        if streams.contains(&fp) {
+        if streams.contains(labels) {
             return Ok(());
         }
         if streams.len() >= cap {
@@ -170,7 +170,7 @@ impl TenantState {
             self.reject_admitted(n);
             return Err(ShedReason::MaxActiveStreams);
         }
-        streams.insert(fp);
+        streams.insert(labels.clone());
         Ok(())
     }
 
@@ -186,10 +186,10 @@ impl TenantState {
     }
 
     /// Forget streams that retention deleted, freeing cap room.
-    fn forget_streams(&self, fps: &[u64]) {
+    fn forget_streams(&self, dropped: &[&LabelSet]) {
         let mut streams = self.streams.lock();
-        for fp in fps {
-            streams.remove(fp);
+        for labels in dropped {
+            streams.remove(*labels);
         }
     }
 
@@ -284,19 +284,20 @@ impl TenantRegistry {
             .min(self.defaults.retention_ns)
     }
 
-    /// Free stream-cap room for streams retention deleted. `owner_of`
-    /// names the tenant a fingerprint belonged to (from its labels).
-    pub fn note_streams_dropped(&self, dropped: &[(u64, Option<TenantId>)]) {
-        let mut by_tenant: BTreeMap<&TenantId, Vec<u64>> = BTreeMap::new();
-        for (fp, owner) in dropped {
-            if let Some(t) = owner {
-                by_tenant.entry(t).or_default().push(*fp);
+    /// Free stream-cap room for streams retention deleted. Each stream's
+    /// [`TENANT_LABEL`] names the tenant it counted against; unscoped
+    /// streams counted against none.
+    pub fn note_streams_dropped(&self, dropped: &[LabelSet]) {
+        let mut by_tenant: BTreeMap<&str, Vec<&LabelSet>> = BTreeMap::new();
+        for labels in dropped {
+            if let Some(tenant) = labels.get(TENANT_LABEL) {
+                by_tenant.entry(tenant).or_default().push(labels);
             }
         }
         let states = self.states.read();
-        for (tenant, fps) in by_tenant {
-            if let Some(st) = states.get(tenant) {
-                st.forget_streams(&fps);
+        for (tenant, streams) in by_tenant {
+            if let Some(st) = states.get(&TenantId::new(tenant)) {
+                st.forget_streams(&streams);
             }
         }
     }
@@ -383,13 +384,34 @@ mod tests {
         let t = TenantId::new("team-a");
         reg.set_override(&t, TenantLimits { max_active_streams: 2, ..TenantLimits::default() });
         let st = reg.state(&t);
-        assert!(st.admit_stream(1, 1).is_ok());
-        assert!(st.admit_stream(2, 1).is_ok());
-        assert!(st.admit_stream(1, 1).is_ok(), "existing stream always admitted");
-        assert_eq!(st.admit_stream(3, 1), Err(ShedReason::MaxActiveStreams));
+        let stream = |n: u32| omni_model::labels!(TENANT_LABEL => "team-a", "n" => n.to_string());
+        assert!(st.admit_stream(&stream(1), 1).is_ok());
+        assert!(st.admit_stream(&stream(2), 1).is_ok());
+        assert!(st.admit_stream(&stream(1), 1).is_ok(), "existing stream always admitted");
+        assert_eq!(st.admit_stream(&stream(3), 1), Err(ShedReason::MaxActiveStreams));
         assert_eq!(st.snapshot().active_streams, 2);
-        reg.note_streams_dropped(&[(1, Some(t.clone()))]);
-        assert!(st.admit_stream(3, 1).is_ok(), "retention freed cap room");
+        reg.note_streams_dropped(&[stream(1)]);
+        assert!(st.admit_stream(&stream(3), 1).is_ok(), "retention freed cap room");
+    }
+
+    #[test]
+    fn the_stream_cap_counts_streams_whose_fingerprints_collide() {
+        // Regression: the active-stream set held fingerprints, so the
+        // second of these sets (same FNV fingerprint) passed as the first
+        // stream and slipped the cap.
+        let (a, b) = (
+            omni_model::labels!("a" => "27d9f96af16d5676"),
+            omni_model::labels!("a" => "1ba910bbd8e288a5"),
+        );
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        let reg = registry();
+        let t = TenantId::new("team-a");
+        reg.set_override(&t, TenantLimits { max_active_streams: 1, ..TenantLimits::default() });
+        let st = reg.state(&t);
+        assert_eq!(st.admit_stream(&a, 1), Ok(()));
+        assert_eq!(st.admit_stream(&b, 1), Err(ShedReason::MaxActiveStreams));
+        assert_eq!(st.admit_stream(&a, 1), Ok(()), "the first stream still is one");
+        assert_eq!(st.snapshot().active_streams, 1);
     }
 
     #[test]

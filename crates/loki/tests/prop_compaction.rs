@@ -146,9 +146,9 @@ impl Rig {
     fn store_objects(&self) -> Vec<(bool, (i64, i64), usize)> {
         let store = self.c.chunk_store();
         let mut out = Vec::new();
-        for (fp, _) in store.series() {
+        for labels in store.series() {
             for (tier, cold) in [(store.cold(), true), (store.objects(), false)] {
-                for key in tier.chunk_refs(fp) {
+                for key in tier.chunk_refs(&labels) {
                     let chunk = object_to_chunk(&tier.get(&key).unwrap()).unwrap();
                     out.push((cold, (key.min_ts, key.max_ts), chunk.block_count()));
                 }

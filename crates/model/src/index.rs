@@ -1,8 +1,8 @@
 //! The label index: "Loki indexes the timestamp and labels only" (§IV-A).
 //!
-//! An inverted index from `(label, value)` to fingerprints, shared by both
-//! stores: a Loki ingester shard indexes its streams with it and a TSDB
-//! shard its series. Only label metadata is indexed — never line content;
+//! An inverted index from `(label, value)` to series ids, shared by both
+//! stores: a [`crate::SeriesTable`] indexes its series by slot with it, in
+//! a Loki ingester shard and in a TSDB shard alike. Only label metadata is indexed — never line content;
 //! that asymmetry against full-text stores is experiment C4.
 
 use crate::LabelSet;
@@ -11,9 +11,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Inverted label index for one shard of either store.
 #[derive(Debug, Default)]
 pub struct LabelIndex {
-    /// (name, value) → fingerprints.
+    /// (name, value) → series ids.
     postings: BTreeMap<(String, String), BTreeSet<u64>>,
-    /// All fingerprints (for matchers that can't use postings).
+    /// All series ids (for matchers that can't use postings).
     all: BTreeSet<u64>,
 }
 
@@ -23,28 +23,28 @@ impl LabelIndex {
         Self::default()
     }
 
-    /// Register a stream's labels under its fingerprint.
-    pub fn insert(&mut self, labels: &LabelSet, fingerprint: u64) {
+    /// Register a stream's labels under its id.
+    pub fn insert(&mut self, labels: &LabelSet, id: u64) {
         for (k, v) in labels.iter() {
-            self.postings.entry((k.to_string(), v.to_string())).or_default().insert(fingerprint);
+            self.postings.entry((k.to_string(), v.to_string())).or_default().insert(id);
         }
-        self.all.insert(fingerprint);
+        self.all.insert(id);
     }
 
     /// Remove a stream.
-    pub fn remove(&mut self, labels: &LabelSet, fingerprint: u64) {
+    pub fn remove(&mut self, labels: &LabelSet, id: u64) {
         for (k, v) in labels.iter() {
             if let Some(set) = self.postings.get_mut(&(k.to_string(), v.to_string())) {
-                set.remove(&fingerprint);
+                set.remove(&id);
                 if set.is_empty() {
                     self.postings.remove(&(k.to_string(), v.to_string()));
                 }
             }
         }
-        self.all.remove(&fingerprint);
+        self.all.remove(&id);
     }
 
-    /// Candidate fingerprints for a set of equality constraints: the
+    /// Candidate ids for a set of equality constraints: the
     /// intersection of their postings. With no constraints, all streams.
     /// An equality on the empty value narrows nothing: a selector treats
     /// a missing label as `""`, so `{slot=""}` matches every stream

@@ -26,13 +26,17 @@ use std::sync::{Arc, OnceLock};
 /// The [`fingerprint`](Self::fingerprint) lives beside the pairs inside
 /// the `Arc`: computed on first use, shared by every clone, and cleared by
 /// every mutation. So a stream's identity is hashed once, and every map
-/// keyed by a label set — the WAL's series table, the rule engine's
-/// active alerts, the query path's group maps — hashes one `u64`.
-/// Equality is by content: identical handles are equal at once, two
-/// known fingerprints that differ are unequal at once, and otherwise the
-/// pairs decide, so a fingerprint collision is never a false equality.
-/// Ordering is by content, because every label-sorted row order on the
-/// read path depends on it.
+/// keyed by a label set — both stores' series tables, the WAL's series
+/// table, a tenant's active streams, an Alertmanager group's alerts, the
+/// rule engine's active alerts, the query path's group maps — hashes one
+/// `u64`. Equality is by content: identical handles are equal at once,
+/// two known fingerprints that differ are unequal at once, and otherwise
+/// the pairs decide, so a fingerprint collision is never a false
+/// equality. A stream is named by its label set everywhere, on disk too
+/// (a chunk key carries it); the fingerprint only places a stream on a
+/// shard or salts a hash. Ordering is by content, because every
+/// label-sorted row order on the read path depends on it, and the chunk
+/// store's keys sort by it.
 #[derive(Clone, Default)]
 pub struct LabelSet {
     inner: Arc<Inner>,
@@ -182,6 +186,9 @@ impl Eq for LabelSet {}
 
 impl Ord for LabelSet {
     fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.inner, &other.inner) {
+            return Ordering::Equal;
+        }
         self.inner.pairs.cmp(&other.inner.pairs)
     }
 }

@@ -11,6 +11,8 @@
 //!   stream identity.
 //! * [`LabelIndex`] — the label-only inverted index both stores resolve a
 //!   selector's equality matchers through.
+//! * [`SeriesTable`] — the slab both stores keep their streams and series
+//!   in, found by label-set content and indexed by slot.
 //! * [`LogEntry`] / [`LogRecord`] — a timestamped log line, optionally
 //!   paired with its stream labels.
 //! * [`Sample`] — a timestamped float, the Prometheus metric sample.
@@ -26,6 +28,7 @@ pub mod labels;
 pub mod lockwitness;
 pub mod retry;
 pub mod rules;
+pub mod series;
 pub mod severity;
 mod shipped_rules;
 pub mod tenant;
@@ -36,6 +39,7 @@ pub use index::LabelIndex;
 pub use labels::{LabelSet, LabelSetBuilder};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy, RetryState};
 pub use rules::{AlertRule, AlertState, Evaluate, RuleEngine, RuleGroup, RuleNotification};
+pub use series::{SeriesId, SeriesTable};
 pub use severity::Severity;
 pub use tenant::{TenantId, TokenBucket, ANONYMOUS_TENANT};
 pub use time::{format_iso8601, parse_iso8601, Timestamp, NANOS_PER_SEC};

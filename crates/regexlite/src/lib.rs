@@ -187,6 +187,20 @@ mod tests {
     }
 
     #[test]
+    fn group_nesting_is_bounded_not_a_stack_overflow() {
+        // Regression: 100 000 nested `(` overflowed the parser's stack and
+        // aborted the process.
+        let nested = |n| format!("{}a{}", "(?:".repeat(n), ")".repeat(n));
+        assert!(re(&nested(parser::MAX_DEPTH)).is_full_match("a"));
+        let err = Regex::new(&nested(parser::MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, 3 * parser::MAX_DEPTH + 1, "at the group one too deep");
+        assert!(err.message.contains("nest deeper than 128"), "{err}");
+        for hostile in ["(".repeat(100_000), "(a|".repeat(100_000), "[(".repeat(100_000)] {
+            assert!(Regex::new(&hostile).is_err());
+        }
+    }
+
+    #[test]
     fn literals_and_dot() {
         assert!(re("leak").is_match("a leak was detected"));
         assert!(!re("leak").is_match("all dry"));

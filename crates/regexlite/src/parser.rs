@@ -3,6 +3,11 @@
 use crate::ast::{Ast, ClassItem};
 use std::fmt;
 
+/// Maximum group nesting — far above any real pattern, and a guard against
+/// stack exhaustion on hostile pattern text (a query's `|~`, a rule file
+/// or a dashboard all hand this parser text from outside).
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// Error produced when a pattern fails to parse.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegexParseError {
@@ -27,6 +32,7 @@ pub fn parse(pattern: &str) -> Result<(Ast, Vec<Option<String>>), RegexParseErro
         chars: pattern.chars().collect(),
         pos: 0,
         group_names: vec![None], // group 0
+        depth: 0,
     };
     let ast = p.alternation()?;
     if p.pos != p.chars.len() {
@@ -39,6 +45,8 @@ struct Parser {
     chars: Vec<char>,
     pos: usize,
     group_names: Vec<Option<String>>,
+    /// Groups open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -184,6 +192,9 @@ impl Parser {
     }
 
     fn group(&mut self) -> Result<Ast, RegexParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("groups nest deeper than {MAX_DEPTH}")));
+        }
         let index = if self.eat('?') {
             match self.bump() {
                 Some(':') => None,
@@ -227,7 +238,9 @@ impl Parser {
             self.group_names.push(None);
             Some(self.group_names.len() - 1)
         };
+        self.depth += 1;
         let inner = self.alternation()?;
+        self.depth -= 1;
         if !self.eat(')') {
             return Err(self.err("missing ')'"));
         }

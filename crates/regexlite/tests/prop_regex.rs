@@ -22,6 +22,43 @@ proptest! {
     }
 
     #[test]
+    fn arbitrary_bytes_return_and_never_abort(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
+        // Lossy UTF-8: whatever bytes a query, a rule file or a dashboard
+        // can carry into a `|~`.
+        let _ = Regex::new(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn a_flipped_byte_in_a_valid_pattern_never_aborts(
+        pattern in prop::sample::select(vec![
+            r"^(?P<host>x\d+c\d+)s(\d+)b\d+$",
+            r"leak|(fan|psu) fail(ed)?",
+            r"[a-z]{2,4}\s*=\s*(\w+)",
+        ]),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut bytes = pattern.as_bytes().to_vec();
+        let i = at % bytes.len();
+        bytes[i] = byte;
+        let _ = Regex::new(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn group_nesting_past_the_bound_is_refused_not_overflowed(
+        depth in 0usize..4_000,
+        opener in prop::sample::select(vec!["(", "(?:", "(?P<g>", "(a|"]),
+    ) {
+        let pattern = format!("{}a{}", opener.repeat(depth), ")".repeat(depth));
+        let compiled = Regex::new(&pattern);
+        if depth > 128 {
+            prop_assert!(compiled.is_err());
+        } else {
+            prop_assert!(compiled.is_ok(), "{} levels of {:?}", depth, opener);
+        }
+    }
+
+    #[test]
     fn matcher_never_panics(pattern in "[a-c()|*+?\\[\\]{},0-9^$.]{0,15}", text in "[a-c]{0,30}") {
         if let Ok(re) = Regex::new(&pattern) {
             let _ = re.is_match(&text);

@@ -4,21 +4,19 @@
 //! found through the label index both stores share, and sharded for
 //! parallel ingest.
 //!
-//! A shard keeps its series in a slab of slots. A series is found by
-//! content: a map from its label set, which hashes the set's cached
-//! fingerprint and compares pairs, so two sets whose fingerprints collide
-//! stay two series. The label index names series by slot.
-//! [`Tsdb::ingest_ref`] hands back a [`SeriesRef`] to the slot, and
-//! [`Tsdb::append_ref`] appends through it with no label work at all —
+//! A shard keeps its series in an [`omni_model::SeriesTable`], the slab
+//! Loki's ingester shards keep their streams in: a series is found by
+//! content, so two sets whose fingerprints collide stay two series.
+//! [`Tsdb::ingest_ref`] hands back a [`SeriesRef`] to the series' slot,
+//! and [`Tsdb::append_ref`] appends through it with no label work at all —
 //! what vmagent's scrape cache does for a series it has seen. Retention
-//! frees a retired series' slot and bumps its generation, so a ref to it
-//! is refused, never written into whatever reuses the slot.
+//! frees a retired series' slot under a new generation, so a ref to it is
+//! refused, never written into whatever reuses the slot.
 
 use crate::gorilla::{GorillaBlock, GorillaEncoder};
 use omni_logql::Selector;
-use omni_model::{LabelIndex, LabelSet, MetricRecord, Sample, Timestamp};
+use omni_model::{LabelSet, MetricRecord, Sample, SeriesId, SeriesTable, Timestamp};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +42,6 @@ impl Default for TsdbConfig {
 }
 
 struct SeriesData {
-    labels: LabelSet,
     /// Samples since the last seal, non-decreasing in time: what alert
     /// rules and panels read every cycle, so kept plain.
     open: Vec<Sample>,
@@ -54,20 +51,11 @@ struct SeriesData {
     blocks: Vec<GorillaBlock>,
 }
 
-/// A place in a shard's slab. Retention empties it, bumps its generation
-/// and puts it on the shard's free list.
-struct Slot {
-    generation: u64,
-    series: Option<SeriesData>,
-}
-
-/// Where a series lives: its shard, its slot, and the slot's generation
-/// when the reference was handed out.
+/// Where a series lives: its shard, and its id in the shard's table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SeriesRef {
     shard: u32,
-    slot: u32,
-    generation: u64,
+    series: SeriesId,
 }
 
 /// [`Tsdb::append_ref`] through a ref whose series retention retired: the
@@ -75,43 +63,7 @@ pub struct SeriesRef {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired;
 
-#[derive(Default)]
-struct Shard {
-    slots: Vec<Slot>,
-    /// Empty slots, reused last freed first.
-    free: Vec<u32>,
-    /// Label set → slot.
-    by_labels: HashMap<LabelSet, u32>,
-    index: LabelIndex,
-}
-
-impl Shard {
-    /// The slot of the series with exactly `labels`, opened if new.
-    fn resolve(&mut self, labels: &LabelSet) -> u32 {
-        if let Some(&slot) = self.by_labels.get(labels) {
-            return slot;
-        }
-        let series = Some(SeriesData {
-            labels: labels.clone(),
-            open: Vec::new(),
-            newest: i64::MIN,
-            blocks: Vec::new(),
-        });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize].series = series;
-                slot
-            }
-            None => {
-                self.slots.push(Slot { generation: 0, series });
-                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 series per shard")
-            }
-        };
-        self.index.insert(labels, u64::from(slot));
-        self.by_labels.insert(labels.clone(), slot);
-        slot
-    }
-}
+type Shard = SeriesTable<SeriesData>;
 
 /// The time-series store ("we send metrics to Victoriametrics, the time
 /// series database").
@@ -151,10 +103,13 @@ impl Tsdb {
     pub fn ingest_ref(&self, labels: &LabelSet, sample: Sample) -> SeriesRef {
         let shard = (labels.fingerprint() % self.shards.len() as u64) as usize;
         let mut sh = self.shards[shard].write();
-        let slot = sh.resolve(labels);
-        let Slot { generation, series } = &mut sh.slots[slot as usize];
-        self.append(series.as_mut().expect("resolve fills its slot"), sample);
-        SeriesRef { shard: shard as u32, slot, generation: *generation }
+        let (series, data) = sh.resolve(labels, || SeriesData {
+            open: Vec::new(),
+            newest: i64::MIN,
+            blocks: Vec::new(),
+        });
+        self.append(data, sample);
+        SeriesRef { shard: shard as u32, series }
     }
 
     /// Append `sample` to the series `series` refers to, as
@@ -162,13 +117,8 @@ impl Tsdb {
     /// since the ref was handed out.
     pub fn append_ref(&self, series: SeriesRef, sample: Sample) -> Result<(), Retired> {
         let mut sh = self.shards.get(series.shard as usize).ok_or(Retired)?.write();
-        match sh.slots.get_mut(series.slot as usize) {
-            Some(Slot { generation, series: Some(data) }) if *generation == series.generation => {
-                self.append(data, sample);
-                Ok(())
-            }
-            _ => Err(Retired),
-        }
+        self.append(sh.get_mut(series.series).ok_or(Retired)?, sample);
+        Ok(())
     }
 
     /// The one append path: the out-of-order drop, the seal at
@@ -204,12 +154,8 @@ impl Tsdb {
         let mut out = Vec::new();
         for shard in self.shards.iter() {
             let sh = shard.read();
-            for slot in sh.index.candidates(selector.equality_matchers()) {
-                // Index and slab change together under the shard lock: a
-                // slot the index names with no series in it is a bug, not
-                // a miss.
-                let series = sh.slots[slot as usize].series.as_ref().expect("indexed slot is live");
-                if !selector.matches(&series.labels) {
+            for (labels, series) in sh.candidates(selector.equality_matchers()) {
+                if !selector.matches(labels) {
                     continue;
                 }
                 let mut samples = Vec::new();
@@ -226,7 +172,7 @@ impl Tsdb {
                 // guarantee makes the concatenation ascending.
                 debug_assert!(samples.windows(2).all(|w| w[0].ts <= w[1].ts));
                 if !samples.is_empty() {
-                    out.push((series.labels.clone(), samples));
+                    out.push((labels.clone(), samples));
                 }
             }
         }
@@ -245,9 +191,8 @@ impl Tsdb {
         let mut dropped = 0;
         for shard in self.shards.iter() {
             let mut sh = shard.write();
-            let Shard { slots, free, by_labels, index } = &mut *sh;
-            for (id, slot) in slots.iter_mut().enumerate() {
-                let Some(s) = &mut slot.series else { continue };
+            let mut retired = Vec::new();
+            for (id, _, s) in sh.iter_mut() {
                 let before = s.blocks.len();
                 s.blocks.retain(|b| b.max_ts >= horizon);
                 dropped += before - s.blocks.len();
@@ -256,12 +201,11 @@ impl Tsdb {
                     dropped += 1;
                 }
                 if s.blocks.is_empty() && s.open.is_empty() {
-                    index.remove(&s.labels, id as u64);
-                    by_labels.remove(&s.labels);
-                    slot.series = None;
-                    slot.generation += 1;
-                    free.push(id as u32);
+                    retired.push(id);
                 }
+            }
+            for id in retired {
+                sh.remove(id);
             }
         }
         dropped
@@ -274,7 +218,7 @@ impl Tsdb {
 
     /// Active series count.
     pub fn series_count(&self) -> usize {
-        self.shards.iter().map(|s| s.read().by_labels.len()).sum()
+        self.shards.iter().map(|s| s.read().len()).sum()
     }
 
     /// Compressed bytes across sealed blocks.
@@ -283,10 +227,8 @@ impl Tsdb {
             .iter()
             .map(|s| {
                 s.read()
-                    .slots
                     .iter()
-                    .filter_map(|slot| slot.series.as_ref())
-                    .flat_map(|ser| ser.blocks.iter())
+                    .flat_map(|(_, _, ser)| ser.blocks.iter())
                     .map(|b| b.compressed_size())
                     .sum::<usize>()
             })

@@ -155,10 +155,9 @@ fn main() {
         .map(|n| LogEntry::new(replay_day * 24 * HOUR + n * 1_000, format!("replayed event {n}")))
         .collect();
     let replay_chunk = SealedChunk::from_entries(&replay_entries);
-    let fp = replay_labels.fingerprint();
-    c.chunk_store().register_series(fp, &replay_labels);
-    c.chunk_store().persist(fp, &replay_chunk);
-    c.chunk_store().persist(fp, &replay_chunk);
+    c.chunk_store().register_series(&replay_labels);
+    c.chunk_store().persist(&replay_labels, &replay_chunk);
+    c.chunk_store().persist(&replay_labels, &replay_chunk);
 
     // Cold start: crash wipes ingester memory; recovery replays an
     // (already checkpointed, near-empty) WAL. The archive must answer.

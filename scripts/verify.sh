@@ -31,6 +31,11 @@ echo "== range-path properties at 1000 cases =="
 PROPTEST_CASES=1000 cargo test -q -p omni-logql --test prop_grid
 PROPTEST_CASES=1000 cargo test -q -p omni-loki --test prop_pushdown --test prop_frontend
 
+# A stream is its labels: the known colliding pair beside random streams,
+# through push, WAL replay, seal, offload, compaction, cold demotion and
+# retention, answers like the same schedule with the pair renamed.
+PROPTEST_CASES=1000 cargo test -q -p omni-loki --test prop_collision
+
 # The scrape cache is held to uncached parse + ingest on a second store,
 # and the exposition reader and renderer to hostile bytes and to the
 # format!-per-line renderer.
@@ -152,6 +157,21 @@ if grep -rn "parse_exposition" crates/core/src; then
 fi
 if grep -rn "HashMap<u64, SeriesData>" crates/tsdb/src; then
     echo "the TSDB keys series by fingerprint alone again"; exit 1
+fi
+
+echo "== a stream is its labels (no fingerprint-keyed stream, alert or chunk key) =="
+# Both stores keep their series in omni_model::SeriesTable, found by label
+# content; a chunk key and the durable series index carry the label set; a
+# tenant's active streams and an Alertmanager group's alerts are keyed by
+# labels. Two sets whose fingerprints collide stay two of each.
+if grep -rn "HashMap<u64, Stream>\|HashMap<u64, Alert>" crates; then
+    echo "a stream or an alert is keyed by its fingerprint again"; exit 1
+fi
+if grep -rn "HashSet<u64" crates/loki/src; then
+    echo "a set of fingerprints stands for a set of streams again"; exit 1
+fi
+if grep -n "fingerprint: u64" crates/loki/src/chunkstore.rs; then
+    echo "a chunk key names its stream by fingerprint again"; exit 1
 fi
 
 echo "== one sensor wire format (no JSON tree per reading on the step path) =="
