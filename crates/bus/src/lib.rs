@@ -19,10 +19,12 @@
 mod partition;
 mod stats;
 
+/// The payload type: a message's bytes, shared by reference count from
+/// the producer's buffer to every consumer that holds the message.
+pub use bytes::Bytes;
 pub use partition::{Message, Partition};
 pub use stats::{TopicStats, TopicStatsSnapshot};
 
-use bytes::Bytes;
 use omni_model::lockwitness::{classes, OrderedMutex, OrderedRwLock};
 use omni_model::{fnv1a64, SimClock, TenantId, TokenBucket};
 use std::collections::HashMap;

@@ -9,7 +9,7 @@
 
 use omni_baseline::tokenize;
 use omni_loki::{Direction, IngestError, Limits, LokiCluster, QueryError};
-use omni_model::{LabelSet, LogRecord, SimClock, Timestamp};
+use omni_model::{LabelSet, LogEntry, LogRecord, SimClock, Timestamp};
 use omni_tsdb::{Tsdb, TsdbConfig};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -125,20 +125,33 @@ impl Omni {
     /// Metered record ingest: a batch of one through
     /// [`ingest_batch`](Self::ingest_batch).
     pub fn ingest_record(&self, record: LogRecord) -> Result<(), IngestError> {
+        let frame = (record.labels, record.entry.ts, record.entry.line.as_str());
         // The door returns one result per record; a record nothing
         // answered for was served by no shard.
-        self.ingest_batch(vec![record]).pop().unwrap_or(Err(IngestError::AllShardsDown))
+        self.ingest_batch([frame]).pop().unwrap_or(Err(IngestError::AllShardsDown))
     }
 
     /// The one metered log door (the bridge clients' path): messages and
-    /// line bytes *offered* are counted, then one batched Loki push.
-    /// Returns per-record outcomes in input order, so callers keep their
-    /// per-record retry/dead-letter handling.
-    pub fn ingest_batch(&self, records: Vec<LogRecord>) -> Vec<Result<(), IngestError>> {
-        self.messages_in.fetch_add(records.len() as u64, Ordering::Relaxed);
-        let bytes: u64 = records.iter().map(|r| r.entry.line.len() as u64).sum();
+    /// line bytes *offered* are counted, then one batched Loki push of
+    /// `(labels, ts, line)` frames. A line is borrowed until a shard
+    /// serves it, and only then copied into the entry Loki keeps, so a
+    /// record no shard takes is never copied. Returns per-record outcomes
+    /// in input order, so callers keep their per-record retry/dead-letter
+    /// handling.
+    pub fn ingest_batch<'a>(
+        &self,
+        frames: impl IntoIterator<Item = (LabelSet, Timestamp, &'a str)>,
+    ) -> Vec<Result<(), IngestError>> {
+        let (mut messages, mut bytes) = (0u64, 0u64);
+        let frames = frames.into_iter().map(|(labels, ts, line)| {
+            messages += 1;
+            bytes += line.len() as u64;
+            (labels, std::iter::once_with(move || LogEntry::new(ts, line)))
+        });
+        let results = self.loki.push_frames(None, frames);
+        self.messages_in.fetch_add(messages, Ordering::Relaxed);
         self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        self.loki.push_record_batch(records)
+        results
     }
 
     /// Kibana-style term discovery over `(start, end]`, oldest first:
@@ -250,7 +263,9 @@ mod tests {
         let o = omni();
         let records: Vec<LogRecord> =
             (0..10).map(|i| LogRecord::new(labels!("app" => "b"), i, "0123456789")).collect();
-        let results = o.ingest_batch(records);
+        let results = o.ingest_batch(
+            records.iter().map(|r| (r.labels.clone(), r.entry.ts, r.entry.line.as_str())),
+        );
         assert!(results.iter().all(|r| r.is_ok()));
         let (msgs, bytes) = o.ingest_totals();
         assert_eq!(msgs, 10);
@@ -282,7 +297,9 @@ mod tests {
             .collect();
         let record_results: Vec<_> =
             records.iter().cloned().map(|r| by_record.ingest_record(r)).collect();
-        let batch_results = by_batch.ingest_batch(records.clone());
+        let batch_results = by_batch.ingest_batch(
+            records.iter().map(|r| (r.labels.clone(), r.entry.ts, r.entry.line.as_str())),
+        );
         assert_eq!(log_results.iter().filter(|r| r.is_err()).count(), 2);
         assert_eq!(log_results, record_results);
         assert_eq!(log_results, batch_results);

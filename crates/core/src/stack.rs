@@ -260,7 +260,7 @@ enum PendingPublish {
         created_at: Timestamp,
     },
     Log {
-        topic: String,
+        topic: &'static str,
         key: String,
         line: String,
     },
@@ -558,14 +558,14 @@ impl MonitoringStack {
         // 2. Logs → bus.
         for (host, line) in self.syslog_gen.batch(syslog_lines) {
             self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::SYSLOG.to_string(),
+                topic: omni_redfish::topics::SYSLOG,
                 key: host,
                 line,
             });
         }
         for (pod, line) in self.container_gen.batch(container_lines) {
             self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::CONTAINER_LOGS.to_string(),
+                topic: omni_redfish::topics::CONTAINER_LOGS,
                 key: pod,
                 line,
             });
@@ -573,7 +573,7 @@ impl MonitoringStack {
         // 3. Fabric monitor poll → event lines (Figure 7).
         for change in self.fabric_monitor.poll() {
             self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::FABRIC_HEALTH.to_string(),
+                topic: omni_redfish::topics::FABRIC_HEALTH,
                 key: change.xname.to_string(),
                 line: change.to_event_line(),
             });
@@ -581,7 +581,7 @@ impl MonitoringStack {
         // 3b. GPFS monitor poll (the §V future-work path).
         for change in self.gpfs_monitor.poll() {
             self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::GPFS_HEALTH.to_string(),
+                topic: omni_redfish::topics::GPFS_HEALTH,
                 key: change.server.clone(),
                 line: change.to_event_line(),
             });
@@ -875,8 +875,9 @@ impl MonitoringStack {
                 }
                 published
             }
+            // The bus copies the line; the `String` stays for the backlog.
             PendingPublish::Log { topic, key, line } => {
-                self.collector.publish_log(topic, key, line.clone()).map(|_| ())
+                self.collector.publish_log(topic, key, line.as_str()).map(|_| ())
             }
         };
         if result.is_err() {

@@ -4,8 +4,9 @@
 //! `ingest_sample` per reading) behind its own subscription — are fed the
 //! same messages on two identical rigs and must end every op with
 //! identical TSDBs (every series and sample bit, `series_count`,
-//! `samples_ingested`), identical dead-letter topics (key and payload) and
-//! identical `stats()` and `resilience()`.
+//! `samples_ingested`), identical dead-letter topics (key and payload: the
+//! bytes the bus delivered, invalid UTF-8 included) and identical
+//! `stats()` and `resilience()`.
 //!
 //! Op sequences cover sensors that vanish and return (eviction), one
 //! series under two spellings of its xname and an escaped one, malformed
@@ -17,7 +18,7 @@
 //! Mutations this catches: a `Retired` ref not re-resolved (samples lost
 //! after retention), a cache key that leaves out the kind or the sensor,
 //! labels built from the context text rather than the canonical xname, a
-//! dead letter with the wrong key.
+//! dead letter with the wrong key or a re-encoded payload.
 
 use omni_bus::{Broker, Message, TopicConfig};
 use omni_core::{BridgeResilience, MetricBridge, DEAD_LETTER_TOPIC};
@@ -89,7 +90,8 @@ impl Handler for ReferenceSink {
             }
             None => {
                 self.dead_lettered += 1;
-                let _ = self.broker.produce(DEAD_LETTER_TOPIC, Some("malformed-sensor"), payload);
+                let dead = msg.payload.clone();
+                let _ = self.broker.produce(DEAD_LETTER_TOPIC, Some("malformed-sensor"), dead);
             }
         }
     }

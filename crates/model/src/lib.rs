@@ -13,6 +13,8 @@
 //!   selector's equality matchers through.
 //! * [`SeriesTable`] — the slab both stores keep their streams and series
 //!   in, found by label-set content and indexed by slot.
+//! * [`RoundCache`] — the text-keyed cache evicted by rounds that vmagent
+//!   and both bridges keep their resolved series and streams in.
 //! * [`LogEntry`] / [`LogRecord`] — a timestamped log line, optionally
 //!   paired with its stream labels.
 //! * [`Sample`] — a timestamped float, the Prometheus metric sample.
@@ -27,6 +29,7 @@ pub mod index;
 pub mod labels;
 pub mod lockwitness;
 pub mod retry;
+pub mod round_cache;
 pub mod rules;
 pub mod series;
 pub mod severity;
@@ -38,6 +41,7 @@ pub use clock::SimClock;
 pub use index::LabelIndex;
 pub use labels::{LabelSet, LabelSetBuilder};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy, RetryState};
+pub use round_cache::RoundCache;
 pub use rules::{AlertRule, AlertState, Evaluate, RuleEngine, RuleGroup, RuleNotification};
 pub use series::{SeriesId, SeriesTable};
 pub use severity::Severity;

@@ -7,7 +7,7 @@
 
 use crate::event::RedfishEvent;
 use crate::sensor::SensorReading;
-use omni_bus::{Broker, BusError, TopicConfig};
+use omni_bus::{Broker, BusError, Bytes, TopicConfig};
 use std::fmt::Write as _;
 
 /// Room for a reading's wire payload and key beside its sensor id: the
@@ -114,13 +114,15 @@ impl HmsCollector {
     }
 
     /// Publish a raw log line (syslog / container logs / fabric health).
+    /// The bus builds its payload from `line`, so a caller that keeps its
+    /// line passes it borrowed rather than cloning it.
     pub fn publish_log(
         &self,
         topic: &str,
         key: &str,
-        line: impl Into<String>,
+        line: impl Into<Bytes>,
     ) -> Result<(usize, u64), BusError> {
-        self.broker.produce(topic, Some(key), line.into())
+        self.broker.produce(topic, Some(key), line)
     }
 }
 

@@ -5,10 +5,11 @@
 //! produce realistic, deterministic line mixes for the throughput and
 //! compression experiments (C1, C2) and for soak-testing the Loki path.
 
-use omni_model::{format_iso8601, SimClock};
+use omni_model::{format_iso8601, SimClock, Timestamp};
 use omni_xname::XName;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write as _;
 
 /// Message templates with weights; `{}` slots are filled per line.
 const SYSLOG_TEMPLATES: &[(&str, u32)] = &[
@@ -51,20 +52,35 @@ fn pick_weighted(rng: &mut StdRng, templates: &'static [(&'static str, u32)]) ->
     templates[0].0
 }
 
-fn fill_slots(template: &str, rng: &mut StdRng) -> String {
-    let mut out = String::with_capacity(template.len() + 16);
+/// Append `template` to `out`, each bare `{}` slot filled with a random
+/// number and each `{{` / `}}` unescaped to a literal brace (pre-rendered
+/// JSON templates). A number holds no brace, so unescaping the text
+/// between slots one piece at a time unescapes the whole line.
+fn fill_slots(template: &str, rng: &mut StdRng, out: &mut String) {
     let mut rest = template;
-    // `{{`/`}}` are literal braces (pre-rendered JSON templates); bare `{}`
-    // is a numeric slot.
-    while let Some(pos) = rest.find("{}") {
+    loop {
         // Don't treat the `{}` inside an escaped `{{}}` specially: the
         // templates above never produce that sequence.
-        out.push_str(&rest[..pos]);
-        out.push_str(&rng.gen_range(1u32..99_999).to_string());
+        let slot = rest.find("{}");
+        let literal = &rest[..slot.unwrap_or(rest.len())];
+        if literal.contains(['{', '}']) {
+            // The second brace of a doubled pair is dropped.
+            let mut unpaired = None;
+            for c in literal.chars() {
+                if unpaired == Some(c) {
+                    unpaired = None;
+                    continue;
+                }
+                out.push(c);
+                unpaired = matches!(c, '{' | '}').then_some(c);
+            }
+        } else {
+            out.push_str(literal);
+        }
+        let Some(pos) = slot else { return };
+        let _ = write!(out, "{}", rng.gen_range(1u32..99_999));
         rest = &rest[pos + 2..];
     }
-    out.push_str(rest);
-    out.replace("{{", "{").replace("}}", "}")
 }
 
 /// Deterministic syslog line generator for a set of hosts.
@@ -72,6 +88,11 @@ pub struct SyslogGenerator {
     hosts: Vec<String>,
     clock: SimClock,
     rng: StdRng,
+    /// The last timestamp formatted, and its text: a step's lines share
+    /// one clock reading.
+    stamp: (Timestamp, String),
+    /// A line's body, reused.
+    body: String,
 }
 
 impl SyslogGenerator {
@@ -80,20 +101,30 @@ impl SyslogGenerator {
         assert!(!nodes.is_empty(), "need at least one host");
         Self {
             hosts: nodes.iter().map(|x| x.to_string()).collect(),
+            stamp: (clock.now(), format_iso8601(clock.now())),
             clock,
             rng: StdRng::seed_from_u64(seed),
+            body: String::new(),
         }
     }
 
     /// Produce one `(host, line)` pair in RFC 5424-ish shape:
     /// `<13> 2022-03-03T01:47:57Z x1000c0s0b0n0 slurmd[1234]: ...`.
     pub fn next_line(&mut self) -> (String, String) {
-        let host = self.hosts[self.rng.gen_range(0..self.hosts.len())].clone();
+        let host = &self.hosts[self.rng.gen_range(0..self.hosts.len())];
         let template = pick_weighted(&mut self.rng, SYSLOG_TEMPLATES);
-        let body = fill_slots(template, &mut self.rng);
-        let ts = format_iso8601(self.clock.now());
+        let body = &mut self.body;
+        body.clear();
+        fill_slots(template, &mut self.rng, body);
+        let now = self.clock.now();
+        if self.stamp.0 != now {
+            self.stamp = (now, format_iso8601(now));
+        }
+        let ts = &self.stamp.1;
         let pri = if body.contains("BUG") { 2 } else { 13 };
-        (host.clone(), format!("<{pri}> {ts} {host} {body}"))
+        let mut line = String::with_capacity(8 + ts.len() + host.len() + body.len());
+        let _ = write!(line, "<{pri}> {ts} {host} {body}");
+        (host.clone(), line)
     }
 
     /// Produce a batch of lines.
@@ -137,7 +168,9 @@ impl ContainerLogGenerator {
     pub fn next_line(&mut self) -> (String, String) {
         let pod = self.pods[self.rng.gen_range(0..self.pods.len())].clone();
         let template = pick_weighted(&mut self.rng, CONTAINER_TEMPLATES);
-        (pod, fill_slots(template, &mut self.rng))
+        let mut line = String::with_capacity(template.len() + 16);
+        fill_slots(template, &mut self.rng, &mut line);
+        (pod, line)
     }
 
     /// Produce a batch of lines.
@@ -165,6 +198,53 @@ mod tests {
             assert!(line.contains(&host), "{line}");
             assert!(line.contains("2022-03-03T"), "{line}");
             assert!(!line.contains("{}"), "unfilled slot in {line}");
+        }
+    }
+
+    /// The generator as it formatted lines before it wrote them in place:
+    /// every slot's number through `to_string`, the braces unescaped by
+    /// two `replace` passes over the whole line.
+    fn reference_fill(template: &str, rng: &mut StdRng) -> String {
+        let mut out = String::new();
+        let mut rest = template;
+        while let Some(pos) = rest.find("{}") {
+            out.push_str(&rest[..pos]);
+            out.push_str(&rng.gen_range(1u32..99_999).to_string());
+            rest = &rest[pos + 2..];
+        }
+        out.push_str(rest);
+        out.replace("{{", "{").replace("}}", "}")
+    }
+
+    #[test]
+    fn lines_are_the_reference_formatting_byte_for_byte() {
+        let clock = SimClock::starting_at(1_646_272_077_000_000_000);
+        let hosts: Vec<String> = nodes().iter().map(|x| x.to_string()).collect();
+        let (mut syslog, mut container) = (
+            SyslogGenerator::new(&nodes(), clock.clone(), 11),
+            ContainerLogGenerator::k3s_services(11),
+        );
+        let (mut rng, mut crng) = (StdRng::seed_from_u64(11), StdRng::seed_from_u64(11));
+        for i in 0..2_000 {
+            if i % 300 == 0 {
+                clock.advance(1_500_000_000);
+            }
+            let host = hosts[rng.gen_range(0..hosts.len())].clone();
+            let body = reference_fill(pick_weighted(&mut rng, SYSLOG_TEMPLATES), &mut rng);
+            let ts = format_iso8601(clock.now());
+            let pri = if body.contains("BUG") { 2 } else { 13 };
+            let want = (host.clone(), format!("<{pri}> {ts} {host} {body}"));
+            assert_eq!(syslog.next_line(), want);
+            let pod = container.pods[crng.gen_range(0..container.pods.len())].clone();
+            let line = reference_fill(pick_weighted(&mut crng, CONTAINER_TEMPLATES), &mut crng);
+            assert_eq!(container.next_line(), (pod, line));
+        }
+        // Doubled, tripled and lone braces, next to slots and each other.
+        for template in ["{{{}}}", "{{{{x}}}", "}{a{{", "{}{}", "x}}}}}{}{{{"] {
+            let (mut a, mut b) = (StdRng::seed_from_u64(5), StdRng::seed_from_u64(5));
+            let mut got = String::new();
+            fill_slots(template, &mut a, &mut got);
+            assert_eq!(got, reference_fill(template, &mut b), "{template}");
         }
     }
 

@@ -10,8 +10,9 @@
 //!
 //! A stable target repeats its series from scrape to scrape, so each page
 //! target keeps Prometheus's scrape cache (`scrape/scrape.go`,
-//! `scrapeCache`): a line's series text (`name{labels}`) → the
-//! [`SeriesRef`] it was appended to and its label set. A repeat scrape
+//! `scrapeCache`) in an [`omni_model::RoundCache`], one scrape a round: a
+//! line's series text (`name{labels}`) → the [`SeriesRef`] it was
+//! appended to and its label set. A repeat scrape
 //! splits each line, parses its value and appends by reference: no label
 //! set, fingerprint or series lookup. Only a series text the cache misses
 //! is parsed in full and gets `job` and `instance`.
@@ -24,15 +25,15 @@
 //!   generation, so a cached ref to it is refused ([`Retired`]) and the
 //!   line is resolved again through its cached label set.
 //! - *Eviction.* After a good scrape, entries that scrape did not see are
-//!   dropped: the cache holds one page's series, not its history.
+//!   dropped: the cache holds one page's series, not its history. A failed
+//!   scrape abandons its round and evicts nothing.
 //!
 //! [`Retired`]: crate::storage::Retired
 
 use crate::exposition::{parse_series, split_sample};
 use crate::storage::{SeriesRef, Tsdb};
-use omni_model::{LabelSet, MetricRecord, Sample, Timestamp};
+use omni_model::{LabelSet, MetricRecord, RoundCache, Sample, Timestamp};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,28 +61,25 @@ enum Door {
     Records(ScrapeFn),
     /// The cache is only ever locked by `scrape_once`, one target at a
     /// time; the lock lets a scrape take `&self`.
-    Page(PageFn, Mutex<ScrapeCache>),
+    Page(PageFn, Mutex<PageState>),
 }
 
 /// One page target's scrape state; see the module doc.
 #[derive(Default)]
-struct ScrapeCache {
+struct PageState {
     /// The last page rendered; its buffer is reused.
     page: String,
     /// Pass one's output, in page order: the line's series text within
     /// `page`, its value, and its cached ref if the cache had one.
     lines: Vec<(Range<usize>, f64, Option<SeriesRef>)>,
-    series: HashMap<Box<str>, Cached>,
+    series: RoundCache<Cached>,
     up: Option<SeriesRef>,
-    /// Scrapes so far, the clock `Cached::seen` is read against.
-    scrapes: u64,
 }
 
 struct Cached {
     /// `None` until the line is first appended.
     series: Option<SeriesRef>,
     labels: LabelSet,
-    seen: u64,
 }
 
 /// The scrape agent.
@@ -163,32 +161,26 @@ impl VmAgent {
     }
 
     /// The page door, through the target's scrape cache (module doc).
-    fn scrape_page(
-        &self,
-        t: &Target,
-        render: &PageFn,
-        c: &mut ScrapeCache,
-        now: Timestamp,
-    ) -> bool {
-        let ScrapeCache { page, lines, series, up, scrapes } = c;
-        *scrapes += 1;
+    fn scrape_page(&self, t: &Target, render: &PageFn, c: &mut PageState, now: Timestamp) -> bool {
+        let PageState { page, lines, series, up } = c;
         page.clear();
         lines.clear();
         let rendered = render(now, page).is_ok();
-        if !rendered || !Self::resolve_lines(t, page, lines, series, *scrapes) {
+        if !rendered || !Self::resolve_lines(t, page, lines, series) {
+            series.abandon_round();
             append_or_resolve(&self.db, up, &t.up, Sample::new(now, 0.0));
             return false;
         }
         for (text, value, known) in lines.iter() {
             let sample = Sample::new(now, *value);
             if !known.is_some_and(|r| self.db.append_ref(r, sample).is_ok()) {
-                let entry =
-                    series.get_mut(&page[text.clone()]).expect("pass one cached every line");
+                series.key().push_str(&page[text.clone()]);
+                let entry = series.hit().expect("pass one cached every line");
                 append_or_resolve(&self.db, &mut entry.series, &entry.labels, sample);
             }
         }
         self.samples.fetch_add(lines.len() as u64, Ordering::Relaxed);
-        series.retain(|_, entry| entry.seen == *scrapes);
+        series.end_round();
         append_or_resolve(&self.db, up, &t.up, Sample::new(now, 1.0));
         true
     }
@@ -200,8 +192,7 @@ impl VmAgent {
         t: &Target,
         page: &str,
         lines: &mut Vec<(Range<usize>, f64, Option<SeriesRef>)>,
-        series: &mut HashMap<Box<str>, Cached>,
-        scrape: u64,
+        series: &mut RoundCache<Cached>,
     ) -> bool {
         for raw in page.lines() {
             let (text, value) = match split_sample(raw) {
@@ -209,16 +200,14 @@ impl VmAgent {
                 Ok(None) => continue,
                 Err(_) => return false,
             };
-            let known = match series.get_mut(text) {
-                Some(entry) => {
-                    entry.seen = scrape;
-                    entry.series
-                }
+            series.key().push_str(text);
+            let known = match series.hit() {
+                Some(entry) => entry.series,
                 None => {
                     let Ok(mut labels) = parse_series(text) else { return false };
                     labels.insert("job", t.job.as_str());
                     labels.insert("instance", t.instance.as_str());
-                    series.insert(text.into(), Cached { series: None, labels, seen: scrape });
+                    series.insert(Cached { series: None, labels });
                     None
                 }
             };
@@ -353,7 +342,8 @@ mod tests {
         *page.lock() = "a 6\n".into();
         agent.scrape_once(3 * NANOS_PER_SEC);
         let Door::Page(_, cache) = &agent.targets[0].door else { unreachable!() };
-        let cached: Vec<String> = cache.lock().series.keys().map(|k| k.to_string()).collect();
+        let cached: Vec<String> =
+            cache.lock().series.keys().into_iter().map(str::to_string).collect();
         assert_eq!(cached, ["a"], "entries the last good scrape did not see are gone");
     }
 }

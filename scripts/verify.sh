@@ -49,6 +49,12 @@ PROPTEST_CASES=1000 cargo test -q -p omni-json --test prop_scan
 PROPTEST_CASES=1000 cargo test -q -p omni-redfish --test prop_wire
 PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_metric_bridge
 
+# The log path: the log bridge's label cache and borrowed push are held to
+# the per-message bridge on a second rig, and the round-evicting cache
+# under vmagent and both bridges to a plain map with seen-marks.
+PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_log_bridge
+PROPTEST_CASES=1000 cargo test -q -p omni-model --test prop_round_cache
+
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
 # backlog, virtual-time waits, a panicking split releasing its slot);
@@ -183,6 +189,22 @@ if grep -rn "SensorReading::from_json" crates/core/src; then
 fi
 if grep -n "reading.to_json" crates/redfish/src/collector.rs; then
     echo "the collector builds a JSON tree per reading again"; exit 1
+fi
+
+echo "== one copy of a log line (one round cache, no per-line copy or label set) =="
+# omni_model::RoundCache is the one round-evicting cache (vmagent's scrape
+# cache and both bridges' caches); the log bridge queues the bus's bytes
+# and pushes them borrowed, and the step publishes a line with a static
+# topic: neither a hand-written cache copy nor a per-line copy may come
+# back.
+if grep -rn "struct SeriesCache\|struct ScrapeCache" crates; then
+    echo "a second round-evicting cache is back"; exit 1
+fi
+if grep -n "from_utf8_lossy(&msg.payload).into_owned()\|record.clone()" crates/core/src/bridge.rs; then
+    echo "the log bridge copies a line or a record per message again"; exit 1
+fi
+if grep -nE "topics::[A-Z_]*\.to_string\(\)" crates/core/src/stack.rs; then
+    echo "the step allocates a topic per published line again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="
