@@ -9,6 +9,7 @@
 
 use crate::{AlertStatus, Notification};
 use parking_lot::Mutex;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// One message as posted to the Slack webhook.
@@ -22,6 +23,7 @@ pub struct SlackMessage {
 
 /// Render a notification the way the paper's Slack alerts look: a bold
 /// status/alert line followed by bullet points per detail (Figs 6, 9).
+/// Every line is written straight into the message's one `String`.
 pub fn format_slack_message(channel: &str, notification: &Notification) -> SlackMessage {
     let mut text = String::new();
     for (i, alert) in notification.alerts.iter().enumerate() {
@@ -32,16 +34,17 @@ pub fn format_slack_message(channel: &str, notification: &Notification) -> Slack
             AlertStatus::Firing => (":rotating_light:", "FIRING"),
             AlertStatus::Resolved => (":white_check_mark:", "RESOLVED"),
         };
-        text.push_str(&format!("{emoji} *[{status}] {}*\n", alert.name()));
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(text, "{emoji} *[{status}] {}*", alert.name());
         // Labels as bullet points, alertname first already in the header.
         for (k, v) in alert.labels.iter() {
             if k == "alertname" {
                 continue;
             }
-            text.push_str(&format!("• *{k}:* {v}\n"));
+            let _ = writeln!(text, "• *{k}:* {v}");
         }
         for (k, v) in &alert.annotations {
-            text.push_str(&format!("• _{k}_: {v}\n"));
+            let _ = writeln!(text, "• _{k}_: {v}");
         }
     }
     SlackMessage { channel: channel.to_string(), text }
@@ -61,11 +64,13 @@ impl SlackSink {
         Self { channel: channel.to_string(), messages: Arc::new(Mutex::new(Vec::new())) }
     }
 
-    /// Deliver a notification (formats and stores the message).
-    pub fn deliver(&self, notification: &Notification) -> SlackMessage {
-        let msg = format_slack_message(&self.channel, notification);
-        self.messages.lock().push(msg.clone());
-        msg
+    /// Deliver a notification: format the message and store it, its
+    /// text shrunk to its length (a retained message keeps no growth
+    /// slack).
+    pub fn deliver(&self, notification: &Notification) {
+        let mut msg = format_slack_message(&self.channel, notification);
+        msg.text.shrink_to_fit();
+        self.messages.lock().push(msg);
     }
 
     /// All messages posted so far.
@@ -138,6 +143,57 @@ mod tests {
         sink.deliver(&leak_notification());
         assert_eq!(sink.len(), 2);
         assert_eq!(sink.messages()[0].channel, "#perlmutter-alerts");
+    }
+
+    /// The per-line `format!` rendering the writer replaced.
+    fn reference_text(notification: &Notification) -> String {
+        let mut text = String::new();
+        for (i, alert) in notification.alerts.iter().enumerate() {
+            if i > 0 {
+                text.push('\n');
+            }
+            let (emoji, status) = match alert.status {
+                AlertStatus::Firing => (":rotating_light:", "FIRING"),
+                AlertStatus::Resolved => (":white_check_mark:", "RESOLVED"),
+            };
+            text.push_str(&format!("{emoji} *[{status}] {}*\n", alert.name()));
+            for (k, v) in alert.labels.iter() {
+                if k == "alertname" {
+                    continue;
+                }
+                text.push_str(&format!("• *{k}:* {v}\n"));
+            }
+            for (k, v) in &alert.annotations {
+                text.push_str(&format!("• _{k}_: {v}\n"));
+            }
+        }
+        text
+    }
+
+    #[test]
+    fn written_message_equals_the_per_line_reference() {
+        let mut n = leak_notification();
+        let mut second = n.alerts[0].clone();
+        second.status = AlertStatus::Resolved;
+        second.labels.insert("Context", "x1000c7b0");
+        second.annotations.push(("trace_id".into(), "00ff".into()));
+        n.alerts.push(second);
+        let mut bare = n.alerts[0].clone();
+        bare.labels = omni_model::labels!();
+        bare.annotations.clear();
+        n.alerts.push(bare);
+        assert_eq!(format_slack_message("#alerts", &n).text, reference_text(&n));
+        n.alerts.clear();
+        assert_eq!(format_slack_message("#alerts", &n).text, "");
+    }
+
+    #[test]
+    fn a_stored_message_keeps_no_growth_slack() {
+        let sink = SlackSink::new("#alerts");
+        sink.deliver(&leak_notification());
+        let stored = &sink.messages.lock()[0];
+        assert_eq!(stored.text, reference_text(&leak_notification()));
+        assert_eq!(stored.text.capacity(), stored.text.len());
     }
 
     #[test]

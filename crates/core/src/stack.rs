@@ -633,7 +633,7 @@ impl MonitoringStack {
             fam::NOTIFICATIONS
                 .counter(&self.registry, labels!("receiver" => n.receiver.clone()))
                 .inc();
-            for id in notification_trace_ids(n) {
+            for (id, _) in notification_traces(n) {
                 self.traces.end_span(
                     id,
                     "alertmanager",
@@ -797,8 +797,12 @@ impl MonitoringStack {
 
     /// Attempt every due notification send, with the chaos engine's flaky
     /// receivers deciding which attempts fail. Successful sends close the
-    /// per-receiver delivery spans; an opened ServiceNow incident closes
-    /// the trace and feeds the event→incident latency histogram.
+    /// per-receiver delivery spans. Each ServiceNow delivery gives every
+    /// trace it carries a `servicenow_incident` span (once per trace)
+    /// naming the incident bound to the trace's alert, and feeds the
+    /// event→incident latency histogram and SLO once per trace per
+    /// delivery — on every delivery, not once per opened incident
+    /// (ROADMAP item 6).
     fn pump_delivery(&mut self, now: i64) -> usize {
         let chaos = Arc::clone(&self.chaos);
         let slack = self.slack.clone();
@@ -812,20 +816,16 @@ impl MonitoringStack {
                     return false;
                 }
             }
-            let ids = notification_trace_ids(n);
+            let traced = notification_traces(n);
             match n.receiver.as_str() {
                 "slack" => {
                     slack.deliver(n);
                 }
                 "servicenow" => {
-                    servicenow.receive_notification(n, now);
-                    let incident = servicenow
-                        .incidents()
-                        .last()
-                        .map(|i| i.number.clone())
-                        .unwrap_or_else(|| "no incident".to_string());
-                    for &id in &ids {
-                        traces.span_once(id, "servicenow_incident", now, now, &incident);
+                    let bound = servicenow.receive_notification(n, now);
+                    for &(id, alert) in &traced {
+                        let incident = bound[alert].as_deref().unwrap_or("no incident");
+                        traces.span_once(id, "servicenow_incident", now, now, incident);
                         if let Some(ns) = traces.latency_ns(id) {
                             // The event's trace rides along as the
                             // exemplar for the latency bucket it lands in.
@@ -836,7 +836,7 @@ impl MonitoringStack {
                 }
                 _ => {}
             }
-            for &id in &ids {
+            for &(id, _) in &traced {
                 traces.end_span(id, &format!("deliver_{}", n.receiver), now, "delivered");
             }
             slo.record("alert-delivery", now, true);
@@ -1006,18 +1006,21 @@ fn scrape_target(vmagent: &mut VmAgent, instance: &str, exporter: impl Exporter 
 }
 
 /// Trace ids carried by a notification's alerts (the `trace_id`
-/// annotation attached at rule-correlation time), deduplicated.
-fn notification_trace_ids(n: &Notification) -> Vec<u64> {
-    let mut ids: Vec<u64> = n
+/// annotation attached at rule-correlation time), deduplicated and
+/// ascending, each with the index of the first alert that carries it: one
+/// pass over the alerts, then one sort.
+fn notification_traces(n: &Notification) -> Vec<(u64, usize)> {
+    let mut traced: Vec<(u64, usize)> = n
         .alerts
         .iter()
-        .flat_map(|a| a.annotations.iter())
-        .filter(|(k, _)| k == "trace_id")
-        .filter_map(|(_, v)| parse_trace_id(v))
+        .enumerate()
+        .flat_map(|(i, a)| a.annotations.iter().map(move |annotation| (i, annotation)))
+        .filter(|(_, (k, _))| k == "trace_id")
+        .filter_map(|(i, (_, v))| Some((parse_trace_id(v)?, i)))
         .collect();
-    ids.sort_unstable();
-    ids.dedup();
-    ids
+    traced.sort_unstable();
+    traced.dedup_by_key(|&mut (id, _)| id);
+    traced
 }
 
 /// Render one slow-query log line: compact JSON carrying the query, its
@@ -1402,6 +1405,44 @@ mod tests {
         assert!(text.contains("Leak") || text.contains("leak"), "{text}");
         // Critical severity routed to ServiceNow too -> incident open.
         assert!(!stack.servicenow.incidents().is_empty());
+    }
+
+    #[test]
+    fn each_trace_names_the_incident_of_its_own_alert() {
+        // Three leaks in one step fire together, group into one
+        // ServiceNow notification and open three incidents; each leak's
+        // trace names the incident its own alert opened.
+        let mut stack = MonitoringStack::new(StackConfig::default());
+        stack.step(minute(), 0, 0);
+        let chassis = stack.machine.topology().chassis()[..3].to_vec();
+        let contexts: Vec<String> = chassis
+            .iter()
+            .map(|&c| stack.inject_leak(c, 'A', LeakZone::Front).context.to_string())
+            .collect();
+        for _ in 0..6 {
+            stack.step(minute(), 0, 0);
+        }
+        assert_eq!(stack.servicenow.incident_count(), 3);
+        let alerts = stack.servicenow.alerts();
+        let mut named = Vec::new();
+        for node in &contexts {
+            let incident = alerts
+                .iter()
+                .find(|a| &a.node == node)
+                .and_then(|a| a.incident.clone())
+                .unwrap_or_else(|| panic!("{node} opened no incident: {alerts:?}"));
+            let trace = stack.traces().lookup(node).expect("the leak started a trace");
+            let spans = stack.traces().spans(trace);
+            let span = spans
+                .iter()
+                .find(|s| s.stage == "servicenow_incident")
+                .unwrap_or_else(|| panic!("{node}'s trace has no servicenow_incident span"));
+            assert_eq!(span.note, incident, "{node}'s trace");
+            named.push(incident);
+        }
+        named.sort();
+        named.dedup();
+        assert_eq!(named.len(), 3, "three traces, three incidents: {named:?}");
     }
 
     #[test]

@@ -77,15 +77,29 @@ impl FromStr for Severity {
 
     /// Case-insensitive parse accepting both Redfish (`Warning`) and
     /// bracketed log (`critical`) spellings.
+    /// A known spelling is matched in place; only an unknown one is
+    /// copied (lowercased, into the error).
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "info" | "informational" => Ok(Severity::Info),
-            "ok" | "clear" | "resolved" => Ok(Severity::Ok),
-            "warning" | "warn" | "minor" => Ok(Severity::Warning),
-            "major" | "error" => Ok(Severity::Major),
-            "critical" | "crit" | "fatal" => Ok(Severity::Critical),
-            other => Err(SeverityParseError(other.to_string())),
-        }
+        const SPELLINGS: [(&str, Severity); 13] = [
+            ("info", Severity::Info),
+            ("informational", Severity::Info),
+            ("ok", Severity::Ok),
+            ("clear", Severity::Ok),
+            ("resolved", Severity::Ok),
+            ("warning", Severity::Warning),
+            ("warn", Severity::Warning),
+            ("minor", Severity::Warning),
+            ("major", Severity::Major),
+            ("error", Severity::Major),
+            ("critical", Severity::Critical),
+            ("crit", Severity::Critical),
+            ("fatal", Severity::Critical),
+        ];
+        SPELLINGS
+            .iter()
+            .find(|(name, _)| name.eq_ignore_ascii_case(s))
+            .map(|&(_, severity)| severity)
+            .ok_or_else(|| SeverityParseError(s.to_ascii_lowercase()))
     }
 }
 
@@ -105,7 +119,8 @@ mod tests {
         assert_eq!("Warning".parse::<Severity>().unwrap(), Severity::Warning);
         assert_eq!("critical".parse::<Severity>().unwrap(), Severity::Critical);
         assert_eq!("OK".parse::<Severity>().unwrap(), Severity::Ok);
-        assert!("fluffy".parse::<Severity>().is_err());
+        assert_eq!("CRIT".parse::<Severity>().unwrap(), Severity::Critical);
+        assert_eq!("Fluffy".parse::<Severity>(), Err(SeverityParseError("fluffy".into())));
     }
 
     #[test]

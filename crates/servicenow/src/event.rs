@@ -25,8 +25,66 @@ pub struct SnEvent {
 
 impl SnEvent {
     /// Convert an Alertmanager alert into an SN Event (the paper's
-    /// "alerts are transformed into SN Events").
+    /// "alerts are transformed into SN Events"): the crate's borrowed
+    /// `AlertEvent` view of the alert, made owned.
     pub fn from_alertmanager(alert: &Alert) -> SnEvent {
+        let event = AlertEvent::of(alert);
+        let mut message_key = String::new();
+        event.write_key(&mut message_key);
+        let EventFields { severity, node, resource, description } = event.fields;
+        SnEvent {
+            source: "alertmanager".into(),
+            node: node.to_string(),
+            metric_type: event.name.to_string(),
+            resource: resource.to_string(),
+            severity,
+            message_key,
+            description: description.to_string(),
+        }
+    }
+
+    /// The fields an event feeds into its SN Alert, borrowed.
+    pub(crate) fn as_fields(&self) -> EventFields<'_> {
+        EventFields {
+            severity: self.severity,
+            node: &self.node,
+            resource: &self.resource,
+            description: &self.description,
+        }
+    }
+}
+
+/// The fields an event feeds into its SN Alert: what an SN Alert or an
+/// incident copies when it is created, and only then.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EventFields<'a> {
+    /// ServiceNow severity code (0 or 5 = clear).
+    pub severity: u8,
+    /// The affected node / CI name.
+    pub node: &'a str,
+    /// Affected resource within the node.
+    pub resource: &'a str,
+    /// Human-readable description.
+    pub description: &'a str,
+}
+
+/// An Alertmanager alert read as an SN Event without copying it: the one
+/// mapping from an alert's labels and annotations to an event's fields.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AlertEvent<'a> {
+    /// The alert's `alertname` (the event's metric type).
+    pub name: &'a str,
+    /// Everything else the event carries.
+    pub fields: EventFields<'a>,
+}
+
+impl<'a> AlertEvent<'a> {
+    /// Read `alert`: a resolved alert is a clear (severity 0); a firing
+    /// one maps its `severity` label (moderate, 3, when missing or
+    /// unknown); the node is the first of `Context`, `xname`, `instance`;
+    /// the resource is `category` (default `infrastructure`); the
+    /// description is the `summary` annotation, else the alert name.
+    pub fn of(alert: &'a Alert) -> Self {
         let severity = match alert.status {
             AlertStatus::Resolved => 0,
             AlertStatus::Firing => alert
@@ -41,23 +99,30 @@ impl SnEvent {
             .get("Context")
             .or_else(|| alert.labels.get("xname"))
             .or_else(|| alert.labels.get("instance"))
-            .unwrap_or("")
-            .to_string();
+            .unwrap_or("");
         let description = alert
             .annotations
             .iter()
             .find(|(k, _)| k == "summary")
-            .map(|(_, v)| v.clone())
-            .unwrap_or_else(|| alert.name().to_string());
-        SnEvent {
-            source: "alertmanager".into(),
-            message_key: format!("{}:{}", alert.name(), node),
-            node,
-            metric_type: alert.name().to_string(),
-            resource: alert.labels.get("category").unwrap_or("infrastructure").to_string(),
-            severity,
-            description,
+            .map_or_else(|| alert.name(), |(_, v)| v.as_str());
+        AlertEvent {
+            name: alert.name(),
+            fields: EventFields {
+                severity,
+                node,
+                resource: alert.labels.get("category").unwrap_or("infrastructure"),
+                description,
+            },
         }
+    }
+
+    /// Write the deduplication key, `alertname:node`, into `out`
+    /// (cleared first).
+    pub fn write_key(&self, out: &mut String) {
+        out.clear();
+        out.push_str(self.name);
+        out.push(':');
+        out.push_str(self.fields.node);
     }
 }
 

@@ -20,6 +20,7 @@ pub use cmdb::{Ci, Cmdb};
 pub use event::{SnAlert, SnAlertState, SnEvent};
 pub use incident::{Incident, IncidentRule, IncidentState};
 
+use event::{AlertEvent, EventFields};
 use omni_alertmanager::Notification;
 use omni_model::Timestamp;
 use parking_lot::Mutex;
@@ -40,6 +41,100 @@ struct Inner {
     events_received: u64,
     next_alert: u64,
     next_incident: u64,
+    /// Reused message-key buffer for events read from an alert.
+    key_buf: String,
+}
+
+impl Inner {
+    /// Ingest one event under `key`: dedup into an SN Alert (created,
+    /// with its CI bound, on the key's first event), fold the severity,
+    /// close or reopen it, and apply the incident rules. Strings are
+    /// copied only into a new SN Alert or a new incident.
+    fn apply(&mut self, key: &str, event: EventFields<'_>, now: Timestamp) -> &SnAlert {
+        let Inner {
+            cmdb,
+            alerts,
+            incidents,
+            rules,
+            events_received,
+            next_alert,
+            next_incident,
+            ..
+        } = self;
+        *events_received += 1;
+        let is_clear = event.severity == 0 || event.severity == 5;
+        if !alerts.contains_key(key) {
+            let number = format!("Alert{:07}", *next_alert);
+            *next_alert += 1;
+            let ci = cmdb.find_by_name(event.node).map(|ci| ci.sys_id.clone());
+            alerts.insert(
+                key.to_string(),
+                SnAlert {
+                    number,
+                    message_key: key.to_string(),
+                    severity: event.severity,
+                    state: SnAlertState::Open,
+                    description: event.description.to_string(),
+                    node: event.node.to_string(),
+                    resource: event.resource.to_string(),
+                    ci,
+                    event_count: 0,
+                    first_event_at: now,
+                    last_event_at: now,
+                    incident: None,
+                },
+            );
+        }
+        let alert = alerts.get_mut(key).expect("inserted above");
+        alert.event_count += 1;
+        alert.last_event_at = now;
+        if is_clear {
+            alert.state = SnAlertState::Closed;
+            // Clearing the alert auto-resolves its incident (the paper's
+            // "automated response actions"); MTTR accrues from this.
+            let open = alert.incident.as_deref().and_then(|n| incident_mut(incidents, n));
+            if let Some(inc) = open.filter(|inc| inc.state != IncidentState::Resolved) {
+                inc.state = IncidentState::Resolved;
+                inc.resolved_at = Some(now);
+            }
+        } else {
+            // Worst severity seen, from firing events only: a clear
+            // carries no severity of its own.
+            alert.severity = alert.severity.min(event.severity);
+            if alert.state == SnAlertState::Closed {
+                alert.state = SnAlertState::Reopen;
+                alert.incident = None; // a re-occurrence opens a fresh ticket
+            }
+        }
+        // Incident rules.
+        if alert.state != SnAlertState::Closed && alert.incident.is_none() {
+            if let Some(rule) = rules.iter().find(|r| r.matches(alert)) {
+                let number = format!("INC{:07}", *next_incident);
+                *next_incident += 1;
+                incidents.push(Incident {
+                    number: number.clone(),
+                    short_description: alert.description.clone(),
+                    state: IncidentState::New,
+                    priority: rule.priority_for(alert.severity),
+                    assignment_group: rule.assignment_group.clone(),
+                    ci: alert.ci.clone(),
+                    alert_number: alert.number.clone(),
+                    opened_at: now,
+                    resolved_at: None,
+                });
+                alert.incident = Some(number);
+            }
+        }
+        alert
+    }
+}
+
+/// The incident numbered `number`. Numbers are `INC{n:07}` from 1, pushed
+/// in order, so `INCn` lives in slot `n - 1`; the slot's own number must
+/// equal `number` (so `INC1` or `INC0000000` finds nothing).
+fn incident_mut<'a>(incidents: &'a mut [Incident], number: &str) -> Option<&'a mut Incident> {
+    let n: usize = number.strip_prefix("INC")?.parse().ok()?;
+    incidents.get_mut(n.checked_sub(1)?).filter(|inc| inc.number == number)
 }
 
 impl Default for ServiceNow {
@@ -60,6 +155,7 @@ impl ServiceNow {
                 events_received: 0,
                 next_alert: 1,
                 next_incident: 1,
+                key_buf: String::new(),
             })),
         }
     }
@@ -78,103 +174,47 @@ impl ServiceNow {
     /// incident rules. Returns the alert number.
     pub fn process_event(&self, event: SnEvent, now: Timestamp) -> String {
         let mut inner = self.inner.lock();
-        inner.events_received += 1;
-        let key = event.message_key.clone();
-        let is_clear = event.severity == 0 || event.severity == 5;
-        if !inner.alerts.contains_key(&key) {
-            let number = format!("Alert{:07}", inner.next_alert);
-            inner.next_alert += 1;
-            let ci_bound = inner.cmdb.find_by_name(&event.node).map(|ci| ci.sys_id.clone());
-            inner.alerts.insert(
-                key.clone(),
-                SnAlert {
-                    number,
-                    message_key: key.clone(),
-                    severity: event.severity,
-                    state: SnAlertState::Open,
-                    description: event.description.clone(),
-                    node: event.node.clone(),
-                    resource: event.resource.clone(),
-                    ci: ci_bound,
-                    event_count: 0,
-                    first_event_at: now,
-                    last_event_at: now,
-                    incident: None,
-                },
-            );
-        }
-        let alert = inner.alerts.get_mut(&key).unwrap();
-        alert.event_count += 1;
-        alert.last_event_at = now;
-        alert.severity = alert.severity.min(event.severity.max(1));
-        let mut incident_to_close = None;
-        if is_clear {
-            alert.state = SnAlertState::Closed;
-            // Clearing the alert auto-resolves its incident (the paper's
-            // "automated response actions"); MTTR accrues from this.
-            incident_to_close = alert.incident.clone();
-        } else if alert.state == SnAlertState::Closed {
-            alert.state = SnAlertState::Reopen;
-            alert.incident = None; // a re-occurrence opens a fresh ticket
-        }
-        let number = alert.number.clone();
-        let alert_snapshot = alert.clone();
-        if let Some(inc_number) = incident_to_close {
-            for inc in inner.incidents.iter_mut() {
-                if inc.number == inc_number && inc.state != IncidentState::Resolved {
-                    inc.state = IncidentState::Resolved;
-                    inc.resolved_at = Some(now);
-                }
-            }
-        }
-        // Incident rules.
-        if alert_snapshot.state != SnAlertState::Closed && alert_snapshot.incident.is_none() {
-            let matched = inner.rules.iter().find(|r| r.matches(&alert_snapshot)).cloned();
-            if let Some(rule) = matched {
-                let inc_number = format!("INC{:07}", inner.next_incident);
-                inner.next_incident += 1;
-                let incident = Incident {
-                    number: inc_number.clone(),
-                    short_description: alert_snapshot.description.clone(),
-                    state: IncidentState::New,
-                    priority: rule.priority_for(alert_snapshot.severity),
-                    assignment_group: rule.assignment_group.clone(),
-                    ci: alert_snapshot.ci.clone(),
-                    alert_number: number.clone(),
-                    opened_at: now,
-                    resolved_at: None,
-                };
-                inner.incidents.push(incident);
-                inner.alerts.get_mut(&key).unwrap().incident = Some(inc_number);
-            }
-        }
-        number
+        inner.apply(&event.message_key, event.as_fields(), now).number.clone()
     }
 
     /// Convert and ingest an Alertmanager notification: one SN Event per
     /// contained alert (the paper's "alerts are transformed into SN
-    /// Events").
-    pub fn receive_notification(&self, notification: &Notification, now: Timestamp) -> Vec<String> {
-        notification
+    /// Events"), each read borrowed. Returns, per alert and in order, the
+    /// incident bound to its SN Alert after its event.
+    pub fn receive_notification(
+        &self,
+        notification: &Notification,
+        now: Timestamp,
+    ) -> Vec<Option<String>> {
+        let mut inner = self.inner.lock();
+        let mut key = std::mem::take(&mut inner.key_buf);
+        let bound = notification
             // `Notification::alerts` is a Vec the grouper already sorted;
             // the `alerts` hash map belongs to `SnInner`.
             .alerts // lint:allow(nondet-iter)
             .iter()
-            .map(|a| self.process_event(SnEvent::from_alertmanager(a), now))
-            .collect()
+            .map(|a| {
+                let event = AlertEvent::of(a);
+                event.write_key(&mut key);
+                inner.apply(&key, event.fields, now).incident.clone()
+            })
+            .collect();
+        inner.key_buf = key;
+        bound
     }
 
     /// Resolve an incident (operator action or automated remediation).
+    /// `false` when no incident has that number or it is already resolved.
     pub fn resolve_incident(&self, number: &str, now: Timestamp) -> bool {
         let mut inner = self.inner.lock();
-        for inc in inner.incidents.iter_mut() {
-            if inc.number == number && inc.state != IncidentState::Resolved {
+        match incident_mut(&mut inner.incidents, number) {
+            Some(inc) if inc.state != IncidentState::Resolved => {
                 inc.state = IncidentState::Resolved;
                 inc.resolved_at = Some(now);
-                return true;
+                true
             }
+            _ => false,
         }
-        false
     }
 
     /// All incidents (snapshot).
@@ -340,6 +380,37 @@ mod tests {
     }
 
     #[test]
+    fn a_clear_does_not_lower_the_worst_severity() {
+        // A warning opens nothing under a critical-and-major rule; a
+        // clear and a re-fire of the same warning still open nothing.
+        let sn = sn_with_rule();
+        let mut warning = critical_event("warn:x1", "x1");
+        warning.severity = 3;
+        sn.process_event(warning.clone(), 0);
+        let mut clear = warning.clone();
+        clear.severity = 0;
+        sn.process_event(clear, 10);
+        sn.process_event(warning, 20);
+        let alerts = sn.alerts();
+        assert_eq!((alerts[0].severity, alerts[0].state), (3, SnAlertState::Reopen));
+        assert_eq!(sn.incident_count(), 0);
+    }
+
+    #[test]
+    fn an_incident_is_found_only_by_its_exact_number() {
+        let sn = sn_with_rule();
+        sn.process_event(critical_event("a", "x1"), 0);
+        sn.process_event(critical_event("b", "x2"), 0);
+        for wrong in ["INC1", "INC0000000", "INC0000003", "INC+000001", "inc0000001", "", "INC"] {
+            assert!(!sn.resolve_incident(wrong, 1), "{wrong:?}");
+        }
+        assert!(sn.resolve_incident("INC0000002", 1));
+        assert!(!sn.resolve_incident("INC0000002", 2), "already resolved");
+        let states: Vec<_> = sn.incidents().iter().map(|i| i.state).collect();
+        assert_eq!(states, [IncidentState::New, IncidentState::Resolved]);
+    }
+
+    #[test]
     fn notification_conversion() {
         use omni_alertmanager::{Alert, AlertStatus, Notification};
         let sn = sn_with_rule();
@@ -357,8 +428,8 @@ mod tests {
                 starts_at: 0,
             }],
         };
-        let numbers = sn.receive_notification(&notification, NANOS_PER_SEC);
-        assert_eq!(numbers.len(), 1);
+        let bound = sn.receive_notification(&notification, NANOS_PER_SEC);
+        assert_eq!(bound, vec![Some("INC0000001".to_string())]);
         assert_eq!(sn.incidents().len(), 1);
         assert_eq!(sn.incidents()[0].short_description, "leak at x1203c1b0");
     }

@@ -55,6 +55,10 @@ PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_metric_bridge
 PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_log_bridge
 PROPTEST_CASES=1000 cargo test -q -p omni-model --test prop_round_cache
 
+# The alert path: ServiceNow's number-indexed incidents and borrowed
+# events are held to the linear-scan instance they replaced.
+PROPTEST_CASES=1000 cargo test -q -p omni-servicenow --test prop_servicenow
+
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
 # backlog, virtual-time waits, a panicking split releasing its slot);
@@ -205,6 +209,22 @@ if grep -n "from_utf8_lossy(&msg.payload).into_owned()\|record.clone()" crates/c
 fi
 if grep -nE "topics::[A-Z_]*\.to_string\(\)" crates/core/src/stack.rs; then
     echo "the step allocates a topic per published line again"; exit 1
+fi
+
+echo "== the alert path pays for the notification, not the history =="
+# A ServiceNow delivery reads the incident its own alert is bound to, an
+# incident is found by its number, an event is read borrowed, and a Slack
+# message is stored without a copy: neither a history copy on the step
+# path, a history scan, a per-event alert snapshot nor a message clone
+# may come back.
+if sed '/^#\[cfg(test)\]/,$d' crates/core/src/stack.rs | grep -n "\.incidents()"; then
+    echo "the step copies every ServiceNow incident again"; exit 1
+fi
+if grep -n "incidents.iter_mut()\|alert_snapshot" crates/servicenow/src/lib.rs; then
+    echo "ServiceNow scans its incident history or snapshots an alert per event again"; exit 1
+fi
+if grep -n "push(msg.clone())" crates/alertmanager/src/slack.rs; then
+    echo "the Slack sink copies every message again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="
