@@ -19,51 +19,9 @@ pub use route::{Route, RouteIssue, RouteIssueKind};
 pub use slack::{format_slack_message, SlackMessage, SlackSink};
 
 use omni_logql::Matcher;
-use omni_model::{AlertState, LabelSet, RuleNotification, Timestamp};
-use std::collections::HashMap;
-
-/// Alert status.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertStatus {
-    /// Active.
-    Firing,
-    /// Cleared.
-    Resolved,
-}
-
-/// An alert as received from the Ruler / vmalert.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Alert {
-    /// Identity labels (`alertname` + series + rule labels).
-    pub labels: LabelSet,
-    /// Rendered annotations.
-    pub annotations: Vec<(String, String)>,
-    /// Current status.
-    pub status: AlertStatus,
-    /// When it became active.
-    pub starts_at: Timestamp,
-}
-
-impl Alert {
-    /// The `alertname` label (empty if missing).
-    pub fn name(&self) -> &str {
-        self.labels.get("alertname").unwrap_or("")
-    }
-}
-
-impl From<&RuleNotification> for Alert {
-    fn from(n: &RuleNotification) -> Self {
-        Alert {
-            labels: n.labels.clone(),
-            annotations: n.annotations.clone(),
-            status: match n.state {
-                AlertState::Firing => AlertStatus::Firing,
-                AlertState::Resolved => AlertStatus::Resolved,
-            },
-            starts_at: n.active_at,
-        }
-    }
-}
+pub use omni_model::{Alert, AlertStatus};
+use omni_model::{LabelSet, Timestamp};
+use std::collections::BTreeMap;
 
 /// One inhibition rule: a firing source mutes matching targets when the
 /// `equal` labels agree.
@@ -103,18 +61,32 @@ pub struct Notification {
 
 #[derive(Debug)]
 struct Group {
-    receiver: String,
-    group_labels: LabelSet,
     group_wait_ns: i64,
     group_interval_ns: i64,
     repeat_interval_ns: i64,
-    /// Alert labels → alert: two alerts whose fingerprints collide stay
-    /// two alerts.
-    alerts: HashMap<LabelSet, Alert>,
+    /// Alert labels → alert, in flush order: two alerts whose
+    /// fingerprints collide stay two alerts.
+    alerts: BTreeMap<LabelSet, Alert>,
     /// Alerts changed since last flush.
     dirty: bool,
     created_at: Timestamp,
     last_flush: Option<Timestamp>,
+}
+
+impl Group {
+    /// Whether the group flushes at `now`. The age arithmetic saturates:
+    /// groups created at sentinel timestamps must not overflow
+    /// `now - created_at`.
+    fn due(&self, now: Timestamp) -> bool {
+        match self.last_flush {
+            None => self.dirty && now.saturating_sub(self.created_at) >= self.group_wait_ns,
+            Some(last) => {
+                (self.dirty && now.saturating_sub(last) >= self.group_interval_ns)
+                    || (self.alerts.values().any(|a| a.status == AlertStatus::Firing)
+                        && now.saturating_sub(last) >= self.repeat_interval_ns)
+            }
+        }
+    }
 }
 
 /// The Alertmanager core.
@@ -122,7 +94,8 @@ pub struct Alertmanager {
     route: Route,
     inhibit_rules: Vec<InhibitRule>,
     silences: Vec<Silence>,
-    groups: HashMap<(String, LabelSet), Group>,
+    /// `(receiver, group labels)` → group, in flush order.
+    groups: BTreeMap<(String, LabelSet), Group>,
     received: u64,
     notified: u64,
     suppressed: u64,
@@ -135,7 +108,7 @@ impl Alertmanager {
             route,
             inhibit_rules: Vec::new(),
             silences: Vec::new(),
-            groups: HashMap::new(),
+            groups: BTreeMap::new(),
             received: 0,
             notified: 0,
             suppressed: 0,
@@ -154,29 +127,34 @@ impl Alertmanager {
 
     /// Receive one alert (firing or resolved) at `now`. Routing decides
     /// the receiver; the group updates and is flushed by [`Self::tick`].
+    /// An alert equal to the one its group holds is not copied again.
     pub fn receive(&mut self, alert: Alert, now: Timestamp) {
         self.received += 1;
-        for matched in self.route.resolve(&alert.labels) {
-            let group_labels = alert.labels.project(&matched.group_by);
-            let key = (matched.receiver.clone(), group_labels.clone());
+        for route in self.route.resolve(&alert.labels) {
+            let key = (route.receiver.clone(), alert.labels.project(&route.group_by));
             let group = self.groups.entry(key).or_insert_with(|| Group {
-                receiver: matched.receiver.clone(),
-                group_labels,
-                group_wait_ns: matched.group_wait_ns,
-                group_interval_ns: matched.group_interval_ns,
-                repeat_interval_ns: matched.repeat_interval_ns,
-                alerts: HashMap::new(),
+                group_wait_ns: route.group_wait_ns,
+                group_interval_ns: route.group_interval_ns,
+                repeat_interval_ns: route.repeat_interval_ns,
+                alerts: BTreeMap::new(),
                 dirty: false,
                 created_at: now,
                 last_flush: None,
             });
-            let changed = match group.alerts.insert(alert.labels.clone(), alert.clone()) {
-                Some(prev) => prev.status != alert.status,
-                None => alert.status == AlertStatus::Firing,
+            let changed = match group.alerts.get_mut(&alert.labels) {
+                Some(held) => {
+                    let changed = held.status != alert.status;
+                    if *held != alert {
+                        *held = alert.clone();
+                    }
+                    changed
+                }
+                None => {
+                    group.alerts.insert(alert.labels.clone(), alert.clone());
+                    alert.status == AlertStatus::Firing
+                }
             };
-            if changed {
-                group.dirty = true;
-            }
+            group.dirty |= changed;
         }
     }
 
@@ -209,39 +187,23 @@ impl Alertmanager {
     }
 
     /// Flush groups that are due at `now`; returns the notifications to
-    /// dispatch.
+    /// dispatch, in group order.
     pub fn tick(&mut self, now: Timestamp) -> Vec<Notification> {
-        let mut keys: Vec<(String, LabelSet)> = self.groups.keys().cloned().collect();
-        // Flush order escapes into notification order: keep it stable.
-        keys.sort();
+        // Every due group's unmuted alerts first: a mute reads only firing
+        // sources and a flush drops only resolved alerts, so no flush
+        // changes another group's mute decision.
+        let unmuted: Vec<Option<Vec<Alert>>> = self
+            .groups
+            .values()
+            .map(|g| {
+                let unmuted = g.alerts.values().filter(|a| !self.is_muted(a, now));
+                g.due(now).then(|| unmuted.cloned().collect())
+            })
+            .collect();
         let mut out = Vec::new();
-        for key in keys {
-            let g = &self.groups[&key];
-            // Saturate the age arithmetic: groups created at sentinel
-            // timestamps must not overflow `now - created_at`.
-            let due = match g.last_flush {
-                None => g.dirty && now.saturating_sub(g.created_at) >= g.group_wait_ns,
-                Some(last) => {
-                    (g.dirty && now.saturating_sub(last) >= g.group_interval_ns)
-                        || (!g.alerts.is_empty()
-                            && g.alerts.values().any(|a| a.status == AlertStatus::Firing)
-                            && now.saturating_sub(last) >= g.repeat_interval_ns)
-                }
-            };
-            if !due {
-                continue;
-            }
-            // Collect unmuted alerts.
-            let alerts: Vec<Alert> = {
-                let g = &self.groups[&key];
-                let mut alerts: Vec<Alert> =
-                    g.alerts.values().filter(|a| !self.is_muted(a, now)).cloned().collect();
-                alerts.sort_by(|a, b| a.labels.cmp(&b.labels));
-                alerts
-            };
-            let muted_count = self.groups[&key].alerts.len() - alerts.len();
-            self.suppressed += muted_count as u64;
-            let g = self.groups.get_mut(&key).unwrap();
+        for (((receiver, group_labels), g), alerts) in self.groups.iter_mut().zip(unmuted) {
+            let Some(alerts) = alerts else { continue };
+            self.suppressed += (g.alerts.len() - alerts.len()) as u64;
             g.dirty = false;
             g.last_flush = Some(now);
             // Resolved alerts leave the group after being notified once.
@@ -251,14 +213,11 @@ impl Alertmanager {
             }
             self.notified += 1;
             out.push(Notification {
-                receiver: g.receiver.clone(),
-                group_labels: g.group_labels.clone(),
+                receiver: receiver.clone(),
+                group_labels: group_labels.clone(),
                 alerts,
             });
         }
-        out.sort_by(|a, b| {
-            a.receiver.cmp(&b.receiver).then_with(|| a.group_labels.cmp(&b.group_labels))
-        });
         out
     }
 

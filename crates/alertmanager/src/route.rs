@@ -26,21 +26,6 @@ pub struct Route {
     pub continue_matching: bool,
 }
 
-/// The routing decision for one alert.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteMatch {
-    /// Receiver to notify.
-    pub receiver: String,
-    /// Group-by labels in effect.
-    pub group_by: Vec<String>,
-    /// Effective timings.
-    pub group_wait_ns: i64,
-    /// See [`Route::group_interval_ns`].
-    pub group_interval_ns: i64,
-    /// See [`Route::repeat_interval_ns`].
-    pub repeat_interval_ns: i64,
-}
-
 /// One static defect found by [`Route::validate`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RouteIssue {
@@ -171,33 +156,31 @@ impl Route {
     /// Resolve an alert against the tree. Returns every matched terminal
     /// node (more than one when `continue` routes are involved); an empty
     /// vec never happens if the root is a catch-all.
-    pub fn resolve(&self, labels: &LabelSet) -> Vec<RouteMatch> {
+    pub fn resolve(&self, labels: &LabelSet) -> Vec<&Route> {
         let mut out = Vec::new();
+        self.resolve_into(labels, &mut out);
+        out
+    }
+
+    /// Push the terminal nodes `labels` reaches under this node onto
+    /// `out`; whether this node matched at all.
+    fn resolve_into<'a>(&'a self, labels: &LabelSet, out: &mut Vec<&'a Route>) -> bool {
         if !self.matches(labels) {
-            return out;
+            return false;
         }
         let mut child_matched = false;
         for child in &self.routes {
-            let ms = child.resolve(labels);
-            if !ms.is_empty() {
+            if child.resolve_into(labels, out) {
                 child_matched = true;
-                let stop = !child.continue_matching;
-                out.extend(ms);
-                if stop {
+                if !child.continue_matching {
                     break;
                 }
             }
         }
         if !child_matched {
-            out.push(RouteMatch {
-                receiver: self.receiver.clone(),
-                group_by: self.group_by.clone(),
-                group_wait_ns: self.group_wait_ns,
-                group_interval_ns: self.group_interval_ns,
-                repeat_interval_ns: self.repeat_interval_ns,
-            });
+            out.push(self);
         }
-        out
+        true
     }
 }
 

@@ -16,9 +16,7 @@ use omni_exporters::{
     SelfExporter,
 };
 use omni_loki::{Limits, LokiCluster, QueryRecord, QueryReport};
-use omni_model::{
-    labels, AlertRule, RuleEngine, RuleGroup, RuleNotification, SimClock, Timestamp, NANOS_PER_SEC,
-};
+use omni_model::{labels, AlertRule, RuleEngine, RuleGroup, SimClock, Timestamp, NANOS_PER_SEC};
 use omni_obs::{
     families as fam, format_trace_id, parse_trace_id, tabulate, FamilyKind, Registry, Slo,
     SloBoard, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES, SLOW_WINDOW,
@@ -621,8 +619,8 @@ impl MonitoringStack {
         self.introspect_queries(now);
         // 7. Rule evaluation → Alertmanager, correlating alerts back to
         // their traces via the Context label the pipeline carries.
-        for n in self.ruler.evaluate(now).iter().chain(&self.vmalert.evaluate(now)) {
-            let mut alert = Alert::from(n);
+        let fired = self.ruler.evaluate(now).into_iter().chain(self.vmalert.evaluate(now));
+        for mut alert in fired {
             self.correlate_alert(&mut alert, now);
             self.alertmanager.receive(alert, now);
         }
@@ -1294,11 +1292,11 @@ fn register_self_collectors(
     }
 }
 
-/// The one notification → alert conversion, under the two names the
-/// read-only `omnibench/src/staged.rs` spells (omnibench compat — remove
-/// with ROADMAP item 1).
-pub fn ruler_to_alert(n: &RuleNotification) -> Alert {
-    n.into()
+/// A copy of a rule engine's alert, under the two names the read-only
+/// `omnibench/src/staged.rs` spells (omnibench compat — remove with
+/// ROADMAP item 1).
+pub fn ruler_to_alert(alert: &Alert) -> Alert {
+    alert.clone()
 }
 pub use ruler_to_alert as vmalert_to_alert;
 

@@ -43,7 +43,7 @@ mod tests {
     use super::*;
     use crate::Limits;
     use omni_model::{
-        labels, AlertRule, AlertState, RuleEngine, RuleGroup, SimClock, NANOS_PER_SEC,
+        labels, AlertRule, AlertStatus, RuleEngine, RuleGroup, SimClock, NANOS_PER_SEC,
     };
 
     const MINUTE: i64 = 60 * NANOS_PER_SEC;
@@ -79,18 +79,17 @@ mod tests {
         let notifs = ruler.evaluate(t0 + MINUTE + 2 * NANOS_PER_SEC);
         assert_eq!(notifs.len(), 1);
         let n = &notifs[0];
-        assert_eq!(n.state, AlertState::Firing);
+        assert_eq!(n.status, AlertStatus::Firing);
         assert_eq!(n.labels.get("alertname"), Some("PerlmutterSwitchOffline"));
         assert_eq!(n.labels.get("xname"), Some("x1002c1r7b0"));
         assert_eq!(n.labels.get("state"), Some("UNKNOWN"));
-        assert_eq!(n.value, 1.0);
         let summary = n.annotations.iter().find(|(k, _)| k == "summary").unwrap();
         assert_eq!(summary.1, "Switch x1002c1r7b0 is UNKNOWN");
         // After the 5m window slides past the event, the series vanishes
         // and a resolved notification goes out.
         let resolved = ruler.evaluate(t0 + 10 * MINUTE);
         assert_eq!(resolved.len(), 1);
-        assert_eq!(resolved[0].state, AlertState::Resolved);
+        assert_eq!(resolved[0].status, AlertStatus::Resolved);
         assert_eq!(ruler.active_count(), 0);
     }
 
@@ -115,7 +114,7 @@ mod tests {
         assert!(ruler.evaluate(t0 + 1).is_empty());
         let fired = ruler.evaluate(t0 + MINUTE + 1);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].state, AlertState::Firing);
+        assert_eq!(fired[0].status, AlertStatus::Firing);
         // The switch stays offline; the repeats push the scan over budget.
         for i in 1..=5 {
             push_switch_line(&cluster, t0 + MINUTE + i * NANOS_PER_SEC);

@@ -21,8 +21,9 @@
 //! * [`Severity`] — the Redfish/alert severity scale.
 //! * [`SimClock`] — a virtual, thread-safe clock driving deterministic
 //!   simulations.
-//! * [`AlertRule`] / [`RuleEngine`] — alerting rules and the one pending →
-//!   firing → resolved state machine both the Loki Ruler and vmalert run.
+//! * [`AlertRule`] / [`RuleEngine`] / [`Alert`] — alerting rules, the one
+//!   pending → firing → resolved state machine both the Loki Ruler and
+//!   vmalert run, and the one alert it hands to Alertmanager.
 
 pub mod clock;
 pub mod index;
@@ -42,7 +43,7 @@ pub use index::LabelIndex;
 pub use labels::{LabelSet, LabelSetBuilder};
 pub use retry::{CircuitBreaker, CircuitState, RetryPolicy, RetryState};
 pub use round_cache::RoundCache;
-pub use rules::{AlertRule, AlertState, Evaluate, RuleEngine, RuleGroup, RuleNotification};
+pub use rules::{Alert, AlertRule, AlertStatus, Evaluate, RuleEngine, RuleGroup};
 pub use series::{SeriesId, SeriesTable};
 pub use severity::Severity;
 pub use tenant::{TenantId, TokenBucket, ANONYMOUS_TENANT};

@@ -9,14 +9,35 @@
 use crate::{LabelSet, Timestamp};
 use std::collections::HashMap;
 
-/// What a notification reports about its alert series. Pending series
-/// are tracked but not notified, matching Prometheus.
+/// What an alert reports about its series. Pending series are tracked
+/// but not emitted, matching Prometheus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AlertState {
+pub enum AlertStatus {
     /// Condition held for the rule's `for:`; the alert is active.
     Firing,
     /// Condition stopped being true; terminal notification.
     Resolved,
+}
+
+/// One alert, the same value from the rule that fires it to every
+/// receiver (Alertmanager, Slack, ServiceNow).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Alert {
+    /// Identity labels (`alertname` + series + rule labels).
+    pub labels: LabelSet,
+    /// Rendered annotations.
+    pub annotations: Vec<(String, String)>,
+    /// Current status.
+    pub status: AlertStatus,
+    /// When its series became active.
+    pub starts_at: Timestamp,
+}
+
+impl Alert {
+    /// The `alertname` label (empty if missing).
+    pub fn name(&self) -> &str {
+        self.labels.get("alertname").unwrap_or("")
+    }
 }
 
 /// One alerting rule, in the Prometheus shape (Figure 8).
@@ -47,21 +68,6 @@ pub struct RuleGroup {
     pub rules: Vec<AlertRule>,
 }
 
-/// A notification a rule engine hands to Alertmanager.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RuleNotification {
-    /// `alertname` + rule labels + series labels.
-    pub labels: LabelSet,
-    /// Rendered annotations.
-    pub annotations: Vec<(String, String)>,
-    /// Firing or resolved.
-    pub state: AlertState,
-    /// When the series first became active.
-    pub active_at: Timestamp,
-    /// The expression's value at its last successful evaluation.
-    pub value: f64,
-}
-
 /// The query language a [`RuleEngine`] evaluates its rules in.
 pub trait Evaluate {
     /// A parsed rule expression.
@@ -79,8 +85,9 @@ pub trait Evaluate {
 /// One series a rule holds pending or firing.
 struct Active {
     active_at: Timestamp,
-    firing: bool,
-    value: f64,
+    /// The series' alert, built when it first fires: its labels cannot
+    /// change while it is held, so neither can its rendered annotations.
+    alert: Option<Alert>,
     /// Sequence number of the last evaluation that returned the series.
     seen: u64,
 }
@@ -124,9 +131,10 @@ impl<E: Evaluate> RuleEngine<E> {
     }
 
     /// Evaluate every group whose interval elapsed at `now`. Per rule,
-    /// returns one `Firing` per held series in evaluator order, then one
-    /// `Resolved` per firing series that left the result, in label order.
-    pub fn evaluate(&mut self, now: Timestamp) -> Vec<RuleNotification> {
+    /// returns one `Firing` alert per held series in evaluator order, then
+    /// one `Resolved` per firing series that left the result, in series
+    /// label order.
+    pub fn evaluate(&mut self, now: Timestamp) -> Vec<Alert> {
         self.seq += 1;
         let seq = self.seq;
         let mut out = Vec::new();
@@ -142,21 +150,29 @@ impl<E: Evaluate> RuleEngine<E> {
                 // its `for:` clock. The rule keeps its state and sits
                 // this cycle out (Prometheus' behaviour).
                 let Ok(vector) = self.evaluator.instant(query, now) else { continue };
-                for (series, value) in vector {
-                    let fresh = Active { active_at: now, firing: false, value, seen: seq };
+                out.reserve(vector.len());
+                for (series, _) in vector {
+                    let fresh = Active { active_at: now, alert: None, seen: seq };
                     let entry = active.entry(series.clone()).or_insert(fresh);
-                    (entry.value, entry.seen) = (value, seq);
-                    entry.firing |= now.saturating_sub(entry.active_at) >= rule.for_ns;
-                    if entry.firing {
-                        out.push(entry.notify(rule, &series, AlertState::Firing));
+                    entry.seen = seq;
+                    if entry.alert.is_none() && now.saturating_sub(entry.active_at) >= rule.for_ns {
+                        entry.alert = Some(build(rule, &series, entry.active_at));
                     }
+                    out.extend(entry.alert.clone());
                 }
+                let mut gone = Vec::new();
+                active.retain(|series, a| {
+                    if a.seen != seq {
+                        gone.extend(a.alert.take().map(|alert| (series.clone(), alert)));
+                    }
+                    a.seen == seq
+                });
                 // Sorted: resolutions are output, hash order is not.
-                let mut gone: Vec<_> =
-                    active.iter().filter(|(_, a)| a.seen != seq && a.firing).collect();
-                gone.sort_by_key(|(series, _)| *series);
-                out.extend(gone.iter().map(|(s, a)| a.notify(rule, s, AlertState::Resolved)));
-                active.retain(|_, a| a.seen == seq);
+                gone.sort_by(|(a, _), (b, _)| a.cmp(b));
+                out.extend(
+                    gone.into_iter()
+                        .map(|(_, alert)| Alert { status: AlertStatus::Resolved, ..alert }),
+                );
             }
         }
         out
@@ -168,15 +184,14 @@ impl<E: Evaluate> RuleEngine<E> {
     }
 }
 
-impl Active {
-    fn notify(&self, rule: &AlertRule, series: &LabelSet, state: AlertState) -> RuleNotification {
-        let mut labels = series.merged_with(&rule.labels);
-        labels.insert("alertname", rule.name.as_str());
-        let render = |(k, tpl): &(String, String)| (k.clone(), render_template(tpl, &labels));
-        let annotations = rule.annotations.iter().map(render).collect();
-        let &Active { active_at, value, .. } = self;
-        RuleNotification { labels, annotations, state, active_at, value }
-    }
+/// The alert `rule` fires for `series`: the rule's labels over the
+/// series', `alertname`, and the annotations rendered against them.
+fn build(rule: &AlertRule, series: &LabelSet, starts_at: Timestamp) -> Alert {
+    let mut labels = series.merged_with(&rule.labels);
+    labels.insert("alertname", rule.name.as_str());
+    let render = |(k, tpl): &(String, String)| (k.clone(), render_template(tpl, &labels));
+    let annotations = rule.annotations.iter().map(render).collect();
+    Alert { labels, annotations, status: AlertStatus::Firing, starts_at }
 }
 
 /// Render a `{{.label}}` template against a label set; unknown labels
@@ -268,9 +283,8 @@ mod tests {
         let notifs = engine.evaluate(t0 + MINUTE);
         assert_eq!(notifs.len(), 1);
         let n = &notifs[0];
-        assert_eq!(n.state, AlertState::Firing);
-        assert_eq!(n.active_at, t0);
-        assert_eq!(n.value, 96.5);
+        assert_eq!(n.status, AlertStatus::Firing);
+        assert_eq!(n.starts_at, t0);
         let want = labels!("alertname" => "NodeTooHot", "node" => "x9", "severity" => "critical");
         assert_eq!(n.labels, want);
         assert_eq!(n.annotations, vec![("summary".to_string(), "node x9 over 90C".to_string())]);
@@ -278,8 +292,7 @@ mod tests {
         stub.hot(&[]);
         let notifs = engine.evaluate(t0 + 2 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, AlertState::Resolved);
-        assert_eq!(notifs[0].value, 96.5);
+        assert_eq!(notifs[0].status, AlertStatus::Resolved);
         assert_eq!(engine.active_count(), 0);
         assert!(engine.evaluate(t0 + 3 * MINUTE).is_empty());
     }
@@ -289,8 +302,9 @@ mod tests {
         let (stub, mut engine) = engine(0);
         stub.hot(&[("x1", 91.0), ("x2", 93.5)]);
         let notifs = engine.evaluate(MINUTE);
-        assert_eq!(notifs.iter().map(|n| n.value).collect::<Vec<_>>(), vec![91.0, 93.5]);
-        assert!(notifs.iter().all(|n| n.state == AlertState::Firing));
+        let nodes: Vec<&str> = notifs.iter().map(|n| n.labels.get("node").unwrap()).collect();
+        assert_eq!(nodes, ["x1", "x2"]);
+        assert!(notifs.iter().all(|n| n.status == AlertStatus::Firing));
 
         // A series that clears while still pending leaves silently.
         let (stub, mut engine) = self::engine(MINUTE);
@@ -330,7 +344,7 @@ mod tests {
 
     #[test]
     fn evaluate_at_sentinel_now_does_not_overflow() {
-        // Regression: `now - entry.active_at` used to overflow when a rule
+        // Regression: `now - entry.starts_at` used to overflow when a rule
         // first activated at a negative timestamp and was re-evaluated at a
         // large one (the sentinel-start class PR5 fixed in the frontend).
         let (stub, mut engine) = engine(MINUTE);
@@ -338,7 +352,7 @@ mod tests {
         assert!(engine.evaluate(i64::MIN / 2).is_empty()); // pending
         let notifs = engine.evaluate(i64::MAX / 2);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, AlertState::Firing);
+        assert_eq!(notifs[0].status, AlertStatus::Firing);
     }
 
     #[test]
@@ -354,7 +368,7 @@ mod tests {
         assert_eq!(fired, names, "firing notifications keep evaluator order");
         stub.hot(&[]);
         let resolved = engine.evaluate(2 * MINUTE);
-        assert!(resolved.iter().all(|n| n.state == AlertState::Resolved));
+        assert!(resolved.iter().all(|n| n.status == AlertStatus::Resolved));
         let resolved: Vec<&str> = resolved.iter().map(|n| n.labels.get("node").unwrap()).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -374,7 +388,7 @@ mod tests {
         stub.hot(&[("x9", 97.0)]);
         let notifs = engine.evaluate(t0 + 2 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!((notifs[0].state, notifs[0].active_at), (AlertState::Firing, t0));
+        assert_eq!((notifs[0].status, notifs[0].starts_at), (AlertStatus::Firing, t0));
         // Firing, then rejected: no resolution, nothing at all this cycle.
         stub.fail();
         assert!(engine.evaluate(t0 + 3 * MINUTE).is_empty());
@@ -383,11 +397,11 @@ mod tests {
         stub.hot(&[("x9", 98.0)]);
         let notifs = engine.evaluate(t0 + 4 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!((notifs[0].state, notifs[0].active_at), (AlertState::Firing, t0));
+        assert_eq!((notifs[0].status, notifs[0].starts_at), (AlertStatus::Firing, t0));
         stub.hot(&[]);
         let notifs = engine.evaluate(t0 + 5 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, AlertState::Resolved);
+        assert_eq!(notifs[0].status, AlertStatus::Resolved);
     }
 
     #[test]

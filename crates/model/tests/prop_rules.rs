@@ -7,8 +7,8 @@
 //! rule whose query failed — in an order that does not depend on hash order.
 
 use omni_model::{
-    labels, AlertRule, AlertState, Evaluate, LabelSet, RuleEngine, RuleGroup, RuleNotification,
-    Timestamp, NANOS_PER_SEC,
+    labels, Alert, AlertRule, AlertStatus, Evaluate, LabelSet, RuleEngine, RuleGroup, Timestamp,
+    NANOS_PER_SEC,
 };
 use proptest::prelude::*;
 use std::cell::RefCell;
@@ -78,24 +78,24 @@ fn engine(layout: &Layout) -> (Table, RuleEngine<Table>) {
     (table, engine)
 }
 
-/// `(rule, series, state, active_at, value)`.
-type Seen = (usize, usize, AlertState, Timestamp, f64);
+/// `(rule, series, status, starts_at)`.
+type Seen = (usize, usize, AlertStatus, Timestamp);
 
-fn seen(n: &RuleNotification) -> Seen {
+fn seen(n: &Alert) -> Seen {
     let index = |label: &str| -> usize { n.labels.get(label).unwrap()[1..].parse().unwrap() };
     let (rule, series) = (index("alertname"), index("series"));
     assert_eq!(n.labels.get("severity"), Some("critical"));
     assert_eq!(n.annotations, vec![("summary".to_string(), format!("s{series} is critical"))]);
-    (rule, series, n.state, n.active_at, n.value)
+    (rule, series, n.status, n.starts_at)
 }
 
 /// The reference: per `(rule, series)`, when it was first seen since its
-/// last successful absence, whether the last look found it held long
-/// enough, and the last value.
+/// last successful absence, and whether the last look found it held long
+/// enough.
 #[derive(Default)]
 struct Reference {
     last_eval: BTreeMap<usize, Timestamp>,
-    held: BTreeMap<(usize, usize), (Timestamp, bool, f64)>,
+    held: BTreeMap<(usize, usize), (Timestamp, bool)>,
 }
 
 impl Reference {
@@ -110,18 +110,18 @@ impl Reference {
             }
             self.last_eval.insert(g, now);
             for (r, for_ns) in rules.zip(holds) {
-                let Ok((mask, value)) = answers[r] else { continue };
+                let Ok((mask, _)) = answers[r] else { continue };
                 for s in (0..SERIES).rev().filter(|s| mask & (1 << s) != 0) {
                     let since = self.held.get(&(r, s)).map_or(now, |h| h.0);
                     let firing = now.saturating_sub(since) >= *for_ns;
-                    self.held.insert((r, s), (since, firing, value));
+                    self.held.insert((r, s), (since, firing));
                     if firing {
-                        out.push((r, s, AlertState::Firing, since, value));
+                        out.push((r, s, AlertStatus::Firing, since));
                     }
                 }
                 for s in (0..SERIES).filter(|s| mask & (1 << s) == 0) {
-                    if let Some((since, true, value)) = self.held.remove(&(r, s)) {
-                        out.push((r, s, AlertState::Resolved, since, value));
+                    if let Some((since, true)) = self.held.remove(&(r, s)) {
+                        out.push((r, s, AlertStatus::Resolved, since));
                     }
                 }
             }
@@ -136,7 +136,7 @@ type Op = (u8, usize, Vec<(u8, u8)>);
 
 /// Runs `ops` on a fresh engine, checking every evaluation against the
 /// reference; returns everything the engine said.
-fn run(layout: &Layout, ops: &[Op]) -> Vec<Vec<RuleNotification>> {
+fn run(layout: &Layout, ops: &[Op]) -> Vec<Vec<Alert>> {
     let (table, mut engine) = engine(layout);
     let mut reference = Reference::default();
     let mut now = 0;
@@ -193,5 +193,5 @@ fn rules_survive_sentinel_timestamps_in_the_hold_and_the_interval() {
         let got: Vec<Seen> = engine.evaluate(now).iter().map(seen).collect();
         assert_eq!(got, reference.evaluate(&layout, &answers, now));
     }
-    assert_eq!(reference.held[&(0, 0)], (i64::MIN / 2, true, 1.0));
+    assert_eq!(reference.held[&(0, 0)], (i64::MIN / 2, true));
 }

@@ -144,7 +144,8 @@ pub struct SnAlert {
     pub number: String,
     /// Deduplication key.
     pub message_key: String,
-    /// Worst severity seen (1 = critical).
+    /// Worst firing severity seen (1 = critical); 5 (OK) while only
+    /// clears have been seen.
     pub severity: u8,
     /// Lifecycle state.
     pub state: SnAlertState,

@@ -72,7 +72,9 @@ impl Inner {
                 SnAlert {
                     number,
                     message_key: key.to_string(),
-                    severity: event.severity,
+                    // A clear records no firing severity: 5 (OK) is above
+                    // every firing code, so the next firing event sets it.
+                    severity: if is_clear { 5 } else { event.severity },
                     state: SnAlertState::Open,
                     description: event.description.to_string(),
                     node: event.node.to_string(),
@@ -393,6 +395,23 @@ mod tests {
         sn.process_event(warning, 20);
         let alerts = sn.alerts();
         assert_eq!((alerts[0].severity, alerts[0].state), (3, SnAlertState::Reopen));
+        assert_eq!(sn.incident_count(), 0);
+    }
+
+    #[test]
+    fn an_alert_a_clear_created_takes_the_next_firing_severity() {
+        // Regression: the SN Alert kept the clear's severity 0 as its worst,
+        // so a warning firing under it opened a priority-1 incident under
+        // a critical-and-major rule.
+        let sn = sn_with_rule();
+        let mut clear = critical_event("warn:x1", "x1");
+        clear.severity = 0;
+        sn.process_event(clear, 0);
+        let mut warning = critical_event("warn:x1", "x1");
+        warning.severity = 4;
+        sn.process_event(warning, 10);
+        let alerts = sn.alerts();
+        assert_eq!((alerts[0].severity, alerts[0].state), (4, SnAlertState::Reopen));
         assert_eq!(sn.incident_count(), 0);
     }
 

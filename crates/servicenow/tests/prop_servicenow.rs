@@ -1,8 +1,9 @@
 //! `ServiceNow` against a reference: the linear-scan instance it replaced
 //! (an event folded through an owned `SnEvent`, a whole-alert snapshot per
-//! event, every incident scanned to resolve one), with one fix applied —
+//! event, every incident scanned to resolve one), with two fixes applied:
 //! an SN Alert's worst severity is folded from firing events only, so a
-//! clear no longer lowers it to critical.
+//! clear no longer lowers it to critical, and an SN Alert a clear creates
+//! starts at 5 (OK), so the next firing event sets its severity.
 //!
 //! Both are fed the same ops, with the CMDB loaded and a random subset of
 //! incident rules in a random order:
@@ -19,11 +20,11 @@
 //! `incidents()`, `mttr_ns()` and `events_received()`.
 //!
 //! Mutations this catches: a slot lookup without the number check (`INC1`
-//! resolves `INC0000001`); a severity fold that includes clears; a clear
-//! that re-stamps an incident already resolved; a notification that
-//! returns the newest incident in the instance instead of the alert's own;
-//! a message key written without its `:`; a case-sensitive severity
-//! parse.
+//! resolves `INC0000001`); a severity fold that includes clears; an SN
+//! Alert a clear creates at the clear's severity; a clear that re-stamps
+//! an incident already resolved; a notification that returns the newest
+//! incident in the instance instead of the alert's own; a message key
+//! written without its `:`; a case-sensitive severity parse.
 //!
 //! Cases: `PROPTEST_CASES` (default 64), each on its own seeded generator.
 
@@ -35,7 +36,8 @@ use omni_servicenow::{
 use omni_xname::{MachineTopology, TopologySpec};
 use std::collections::HashMap;
 
-/// The instance `ServiceNow` replaced, fixed only in its severity fold.
+/// The instance `ServiceNow` replaced, fixed only in its severity fold and
+/// in the severity a clear creates an SN Alert with.
 struct Reference {
     cmdb: Cmdb,
     alerts: HashMap<String, SnAlert>,
@@ -72,7 +74,7 @@ impl Reference {
                 SnAlert {
                     number,
                     message_key: key.clone(),
-                    severity: event.severity,
+                    severity: if is_clear { 5 } else { event.severity },
                     state: SnAlertState::Open,
                     description: event.description.clone(),
                     node: event.node.clone(),

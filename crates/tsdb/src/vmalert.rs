@@ -34,7 +34,7 @@ pub use omni_model::AlertRule as MetricRule;
 mod tests {
     use super::*;
     use crate::storage::TsdbConfig;
-    use omni_model::{labels, AlertRule, AlertState, LabelSet, RuleEngine, NANOS_PER_SEC};
+    use omni_model::{labels, AlertRule, AlertStatus, LabelSet, RuleEngine, NANOS_PER_SEC};
 
     const MINUTE: i64 = 60 * NANOS_PER_SEC;
 
@@ -59,15 +59,14 @@ mod tests {
         db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + MINUTE, 96.0);
         let notifs = va.evaluate(t0 + MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, AlertState::Firing);
-        assert_eq!(notifs[0].value, 96.0);
+        assert_eq!(notifs[0].status, AlertStatus::Firing);
         assert_eq!(notifs[0].labels.get("alertname"), Some("NodeTooHot"));
         assert_eq!(notifs[0].annotations[0].1, "node x9 over 90C");
         // Cooled down: series leaves the vector -> resolved.
         db.ingest_sample("node_temp", labels!("node" => "x9"), t0 + 2 * MINUTE, 60.0);
         let notifs = va.evaluate(t0 + 2 * MINUTE);
         assert_eq!(notifs.len(), 1);
-        assert_eq!(notifs[0].state, AlertState::Resolved);
+        assert_eq!(notifs[0].status, AlertStatus::Resolved);
         assert_eq!(va.active_count(), 0);
     }
 

@@ -56,8 +56,11 @@ PROPTEST_CASES=1000 cargo test -q -p omni-core --test prop_log_bridge
 PROPTEST_CASES=1000 cargo test -q -p omni-model --test prop_round_cache
 
 # The alert path: ServiceNow's number-indexed incidents and borrowed
-# events are held to the linear-scan instance they replaced.
+# events are held to the linear-scan instance they replaced, and
+# Alertmanager's ordered groups and borrowed routes to the hash-map
+# instance with sorted keys and copied route matches.
 PROPTEST_CASES=1000 cargo test -q -p omni-servicenow --test prop_servicenow
+PROPTEST_CASES=1000 cargo test -q -p omni-alertmanager --test prop_alertmanager
 
 echo "== fair-scheduler tests, 50 consecutive passes =="
 # The scheduler's Condvar gate is exercised by threaded tests (a deep
@@ -211,7 +214,7 @@ if grep -nE "topics::[A-Z_]*\.to_string\(\)" crates/core/src/stack.rs; then
     echo "the step allocates a topic per published line again"; exit 1
 fi
 
-echo "== the alert path pays for the notification, not the history =="
+echo "== the alert path pays for the notification, not the history, and has one alert =="
 # A ServiceNow delivery reads the incident its own alert is bound to, an
 # incident is found by its number, an event is read borrowed, and a Slack
 # message is stored without a copy: neither a history copy on the step
@@ -225,6 +228,17 @@ if grep -n "incidents.iter_mut()\|alert_snapshot" crates/servicenow/src/lib.rs; 
 fi
 if grep -n "push(msg.clone())" crates/alertmanager/src/slack.rs; then
     echo "the Slack sink copies every message again"; exit 1
+fi
+# One alert type from rule to receiver, a route match is the route, and
+# groups live in one ordered map: neither the rule engine's own
+# notification type, its conversion, a copied route match nor a
+# per-tick key clone may come back. (prop_alertmanager's reference keeps
+# its copy of the old RouteMatch, so the sources are searched, not tests.)
+if grep -rnE "struct RuleNotification|\bAlertState\b|impl From<&RuleNotification>|struct RouteMatch" crates/*/src; then
+    echo "a second alert type, its conversion or a route-match copy is back"; exit 1
+fi
+if grep -n "keys().cloned()" crates/alertmanager/src/lib.rs; then
+    echo "Alertmanager clones and sorts its group keys per tick again"; exit 1
 fi
 
 echo "== cargo doc --no-deps (warnings denied) =="

@@ -75,7 +75,7 @@ fn regex_bomb_in_query_fails_safe() {
 
 #[test]
 fn scrape_failure_surfaces_as_up_zero_alert() {
-    use shasta_mon::model::{AlertRule, AlertState, LabelSet, RuleEngine};
+    use shasta_mon::model::{AlertRule, AlertStatus, LabelSet, RuleEngine};
     use shasta_mon::tsdb::{Tsdb, TsdbConfig, VmAgent};
     let db = Tsdb::new(TsdbConfig::default());
     let mut agent = VmAgent::new(db.clone());
@@ -93,7 +93,7 @@ fn scrape_failure_surfaces_as_up_zero_alert() {
     agent.scrape_once(MINUTE);
     let notifs = vmalert.evaluate(MINUTE);
     assert_eq!(notifs.len(), 1);
-    assert_eq!(notifs[0].state, AlertState::Firing);
+    assert_eq!(notifs[0].status, AlertStatus::Firing);
     assert_eq!(notifs[0].labels.get("instance"), Some("dead-host"));
 }
 
