@@ -92,27 +92,6 @@ impl FullTextStore {
             .unwrap_or_default()
     }
 
-    /// Documents containing *all* the given terms (AND query) — postings
-    /// intersection, smallest list first.
-    pub fn search_all(&self, terms: &[&str]) -> Vec<&Document> {
-        if terms.is_empty() {
-            return Vec::new();
-        }
-        let mut lists: Vec<&Vec<u32>> = Vec::with_capacity(terms.len());
-        for t in terms {
-            match self.postings.get(&t.to_ascii_lowercase()) {
-                Some(l) => lists.push(l),
-                None => return Vec::new(),
-            }
-        }
-        lists.sort_by_key(|l| l.len());
-        let mut result: Vec<u32> = lists[0].clone();
-        for l in &lists[1..] {
-            result.retain(|id| l.binary_search(id).is_ok());
-        }
-        result.iter().map(|&i| &self.docs[i as usize]).collect()
-    }
-
     /// Documents in `(start, end]` containing a term, like a filtered
     /// Kibana query.
     pub fn search_term_in_range(
@@ -182,18 +161,6 @@ mod tests {
         assert!(s.search_term("quench").is_empty());
         // Case-insensitive.
         assert_eq!(s.search_term("LEAK").len(), 1);
-    }
-
-    #[test]
-    fn and_search_intersects() {
-        let mut s = FullTextStore::new();
-        s.ingest(LabelSet::new(), 1, "switch x1002 offline now");
-        s.ingest(LabelSet::new(), 2, "switch x1003 online now");
-        s.ingest(LabelSet::new(), 3, "node x1002 healthy");
-        assert_eq!(s.search_all(&["switch", "x1002"]).len(), 1);
-        assert_eq!(s.search_all(&["now"]).len(), 2);
-        assert!(s.search_all(&["switch", "quench"]).is_empty());
-        assert!(s.search_all(&[]).is_empty());
     }
 
     #[test]

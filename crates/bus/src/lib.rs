@@ -26,7 +26,7 @@ pub use partition::{Message, Partition};
 pub use stats::{TopicStats, TopicStatsSnapshot};
 
 use omni_model::lockwitness::{classes, OrderedMutex, OrderedRwLock};
-use omni_model::{fnv1a64, SimClock, TenantId, TokenBucket};
+use omni_model::{fnv1a64, SimClock};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,10 +63,6 @@ pub enum BusError {
     /// The broker is inside an injected brownout window; the operation was
     /// rejected and should be retried after backoff.
     Unavailable,
-    /// The producing tenant exhausted its admission quota; the record was
-    /// shed at the bus handoff (`429`-style, reason `tenant_rejected`) and
-    /// nothing was enqueued. Other tenants are unaffected.
-    TenantRejected(TenantId),
 }
 
 impl fmt::Display for BusError {
@@ -76,9 +72,6 @@ impl fmt::Display for BusError {
             BusError::TopicExists(t) => write!(f, "topic {t:?} already exists"),
             BusError::UnknownPartition(p) => write!(f, "unknown partition {p}"),
             BusError::Unavailable => write!(f, "broker unavailable (brownout)"),
-            BusError::TenantRejected(t) => {
-                write!(f, "tenant {t} over produce quota (tenant_rejected)")
-            }
         }
     }
 }
@@ -112,34 +105,12 @@ struct Brownout {
     until: i64,
 }
 
-/// Per-tenant produce admission: the quota bucket plus the
-/// offered/accepted/rejected ledger (`offered == accepted + rejected`).
-struct TenantQuota {
-    bucket: TokenBucket,
-    offered: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-}
-
-/// Snapshot of one tenant's produce admission ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantProduceStats {
-    /// Produce attempts by the tenant.
-    pub offered: u64,
-    /// Attempts admitted past the quota.
-    pub accepted: u64,
-    /// Attempts shed with [`BusError::TenantRejected`].
-    pub rejected: u64,
-}
-
 struct BrokerInner {
     topics: OrderedRwLock<HashMap<String, Arc<Topic>>>,
     offsets: OrderedMutex<GroupOffsets>,
     clock: SimClock,
     brownouts: OrderedMutex<Vec<Brownout>>,
     brownout_seq: AtomicU64,
-    /// Per-tenant produce quotas; tenants without one are unmetered.
-    quotas: OrderedRwLock<HashMap<TenantId, Arc<TenantQuota>>>,
 }
 
 impl Broker {
@@ -152,7 +123,6 @@ impl Broker {
                 clock,
                 brownouts: OrderedMutex::new(&classes::BUS_BROWNOUTS, Vec::new()),
                 brownout_seq: AtomicU64::new(0),
-                quotas: OrderedRwLock::new(&classes::BUS_QUOTAS, HashMap::new()),
             }),
         }
     }
@@ -221,79 +191,6 @@ impl Broker {
             .get(name)
             .cloned()
             .ok_or_else(|| BusError::UnknownTopic(name.to_string()))
-    }
-
-    /// Install (or hot-reload) a produce quota for `tenant`: at most
-    /// `rate_per_sec` records per virtual second with bursts up to `burst`.
-    /// A zero/zero quota sheds everything the tenant offers.
-    pub fn set_tenant_quota(&self, tenant: &TenantId, rate_per_sec: u64, burst: u64) {
-        let now = self.inner.clock.now();
-        let mut quotas = self.inner.quotas.write();
-        match quotas.get(tenant) {
-            // Hot reload keeps the ledger, replaces only the bucket.
-            Some(existing) => {
-                let fresh = TenantQuota {
-                    bucket: TokenBucket::new(rate_per_sec, burst, now),
-                    offered: AtomicU64::new(existing.offered.load(Ordering::Relaxed)),
-                    accepted: AtomicU64::new(existing.accepted.load(Ordering::Relaxed)),
-                    rejected: AtomicU64::new(existing.rejected.load(Ordering::Relaxed)),
-                };
-                quotas.insert(tenant.clone(), Arc::new(fresh));
-            }
-            None => {
-                quotas.insert(
-                    tenant.clone(),
-                    Arc::new(TenantQuota {
-                        bucket: TokenBucket::new(rate_per_sec, burst, now),
-                        offered: AtomicU64::new(0),
-                        accepted: AtomicU64::new(0),
-                        rejected: AtomicU64::new(0),
-                    }),
-                );
-            }
-        }
-    }
-
-    /// Remove a tenant's produce quota (back to unmetered).
-    pub fn clear_tenant_quota(&self, tenant: &TenantId) {
-        self.inner.quotas.write().remove(tenant);
-    }
-
-    /// One tenant's produce admission ledger, if a quota is installed.
-    pub fn tenant_produce_stats(&self, tenant: &TenantId) -> Option<TenantProduceStats> {
-        let quotas = self.inner.quotas.read();
-        quotas.get(tenant).map(|q| TenantProduceStats {
-            offered: q.offered.load(Ordering::Relaxed),
-            accepted: q.accepted.load(Ordering::Relaxed),
-            rejected: q.rejected.load(Ordering::Relaxed),
-        })
-    }
-
-    /// [`Broker::produce`] on behalf of a tenant: the record is admitted
-    /// against the tenant's quota first and shed with
-    /// [`BusError::TenantRejected`] when the quota is exhausted — a typed
-    /// rejection, never a silent drop, and never an error for any other
-    /// tenant.
-    pub fn produce_as(
-        &self,
-        tenant: &TenantId,
-        topic: &str,
-        key: Option<&str>,
-        payload: impl Into<Bytes>,
-    ) -> Result<(usize, u64), BusError> {
-        let quota = self.inner.quotas.read().get(tenant).cloned();
-        if let Some(q) = quota {
-            q.offered.fetch_add(1, Ordering::Relaxed);
-            if !q.bucket.try_acquire(self.inner.clock.now(), 1) {
-                q.rejected.fetch_add(1, Ordering::Relaxed);
-                return Err(BusError::TenantRejected(tenant.clone()));
-            }
-            // Admission spent a token; a brownout failure afterwards is an
-            // availability error, not an admission rejection, so it still
-            // counts as accepted by the quota.
-            q.accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        self.produce_with_headers(topic, key, payload, Vec::new())
     }
 
     /// Produce a record. Keyed records go to `hash(key) % partitions`
@@ -634,56 +531,6 @@ mod tests {
         b.commit("slow", "t", 0, 0);
         assert_eq!(b.stats("t").unwrap().consumer_lag, total);
         assert_eq!(b.groups("t"), vec!["bridge".to_string(), "slow".to_string()]);
-    }
-
-    #[test]
-    fn tenant_quota_sheds_only_the_noisy_tenant() {
-        let b = broker();
-        b.create_topic("t", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
-        let noisy = TenantId::new("noisy");
-        let calm = TenantId::new("calm");
-        b.set_tenant_quota(&noisy, 0, 3); // 3-record burst, no refill
-        b.set_tenant_quota(&calm, 1_000, 1_000);
-        for i in 0..10 {
-            let r = b.produce_as(&noisy, "t", None, format!("n{i}"));
-            if i < 3 {
-                assert!(r.is_ok());
-            } else {
-                assert_eq!(r, Err(BusError::TenantRejected(noisy.clone())));
-            }
-            // The calm tenant is untouched by the noisy tenant's shedding.
-            b.produce_as(&calm, "t", None, format!("c{i}")).unwrap();
-        }
-        let n = b.tenant_produce_stats(&noisy).unwrap();
-        assert_eq!((n.offered, n.accepted, n.rejected), (10, 3, 7));
-        assert_eq!(n.offered, n.accepted + n.rejected);
-        let c = b.tenant_produce_stats(&calm).unwrap();
-        assert_eq!((c.offered, c.accepted, c.rejected), (10, 10, 0));
-        // Unmetered tenants (no quota installed) are never shed.
-        b.produce_as(&TenantId::new("other"), "t", None, &b"x"[..]).unwrap();
-        assert!(b.tenant_produce_stats(&TenantId::new("other")).is_none());
-    }
-
-    #[test]
-    fn tenant_quota_hot_reload_keeps_ledger() {
-        let b = broker();
-        b.create_topic("t", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
-        let tn = TenantId::new("team-a");
-        b.set_tenant_quota(&tn, 0, 1);
-        b.produce_as(&tn, "t", None, &b"a"[..]).unwrap();
-        assert!(matches!(
-            b.produce_as(&tn, "t", None, &b"b"[..]),
-            Err(BusError::TenantRejected(_))
-        ));
-        // Mid-burst hot reload: the new bucket applies immediately, the
-        // offered/accepted/rejected ledger carries over.
-        b.set_tenant_quota(&tn, 0, 5);
-        b.produce_as(&tn, "t", None, &b"c"[..]).unwrap();
-        let s = b.tenant_produce_stats(&tn).unwrap();
-        assert_eq!((s.offered, s.accepted, s.rejected), (3, 2, 1));
-        b.clear_tenant_quota(&tn);
-        b.produce_as(&tn, "t", None, &b"d"[..]).unwrap();
-        assert!(b.tenant_produce_stats(&tn).is_none());
     }
 
     #[test]

@@ -113,6 +113,9 @@ struct InFlight {
     /// message's payload as the bus holds it, or the Figure 3 content the
     /// bridge wrote for a Redfish event.
     line: Bytes,
+    /// The trace id of the message the record came from (a Redfish
+    /// message carrying [`TRACE_HEADER`] while a tracer is attached).
+    trace: Option<u64>,
     state: RetryState,
 }
 
@@ -294,7 +297,7 @@ impl Handler for LogSink {
             }
         };
         let state = RetryState::new();
-        self.queue.push(InFlight { labels, ts: msg.ts, line: msg.payload, state });
+        self.queue.push(InFlight { labels, ts: msg.ts, line: msg.payload, trace: None, state });
     }
 
     /// One batched push per fetch round keeps the queue bounded by the
@@ -361,15 +364,9 @@ impl LogSink {
             // A record of a multi-event payload settles on its own, so its
             // dead letter is its own line, not the whole payload.
             let line = entry.line.into();
-            self.queue.push(InFlight { labels, ts: entry.ts, line, state: RetryState::new() });
+            let state = RetryState::new();
+            self.queue.push(InFlight { labels, ts: entry.ts, line, trace, state });
         }
-    }
-
-    /// The trace id a record carries (attached in `handle_redfish`).
-    fn record_trace(&self, labels: &LabelSet) -> Option<(TraceStore, u64)> {
-        let tracer = self.tracer.clone()?;
-        let id = labels.get("trace_id").and_then(parse_trace_id)?;
-        Some((tracer, id))
     }
 
     /// The one place a push outcome is settled. The whole queue goes to
@@ -390,7 +387,7 @@ impl LogSink {
             hist.observe(batch.len() as f64);
         }
         for item in &batch {
-            if let Some((tracer, id)) = self.record_trace(&item.labels) {
+            if let (Some(tracer), Some(id)) = (&self.tracer, item.trace) {
                 // Idempotent while open: a parked record keeps its
                 // original start, so the closed span shows the full
                 // retry window.
@@ -406,7 +403,7 @@ impl LogSink {
             match result {
                 Ok(()) => {
                     self.pushed += 1;
-                    if let Some((tracer, id)) = self.record_trace(&item.labels) {
+                    if let (Some(tracer), Some(id)) = (&self.tracer, item.trace) {
                         let note =
                             if item.state.attempts == 0 { "stored" } else { "stored after retry" };
                         tracer.end_span(id, "loki_ingest", now, note);

@@ -91,16 +91,6 @@ impl Json {
         }
     }
 
-    /// Remove a field from an object, returning it if present.
-    pub fn unset(&mut self, key: &str) -> Option<Json> {
-        if let Json::Object(fields) = self {
-            if let Some(pos) = fields.iter().position(|(k, _)| k == key) {
-                return Some(fields.remove(pos).1);
-            }
-        }
-        None
-    }
-
     /// RFC 6901-flavoured pointer access: `/Events/0/Severity`.
     pub fn pointer(&self, ptr: &str) -> Option<&Json> {
         if ptr.is_empty() {
@@ -396,14 +386,13 @@ mod tests {
     use crate::parse;
 
     #[test]
-    fn get_set_unset() {
+    fn get_set() {
         let mut v = Json::object();
         v.set("a", Json::from(1)).unwrap();
         v.set("a", Json::from(2)).unwrap();
         v.set("b", Json::from("x")).unwrap();
         assert_eq!(v.get("a").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(v.unset("b"), Some(Json::String("x".into())));
-        assert_eq!(v.unset("b"), None);
+        assert_eq!(v.get("b").and_then(Json::as_str), Some("x"));
     }
 
     #[test]

@@ -115,11 +115,6 @@ impl Catalog {
         self.add_metric(name, &all);
     }
 
-    /// Register an allowed Loki stream label.
-    pub fn add_stream_label(&mut self, name: &str) {
-        self.stream_labels.insert(name.to_string());
-    }
-
     /// Whether a metric family of this name can exist.
     pub fn has_metric(&self, name: &str) -> bool {
         self.metrics.contains_key(name)

@@ -10,9 +10,9 @@
 //!   the hot "disk" tier sealed chunks are offloaded into (no policy —
 //!   local disk is free and never fails; it also holds the durable series
 //!   index), and the cold tier compacted chunks are demoted to (under a
-//!   [`ColdTierPolicy`]: an S3-style per-operation latency and a
-//!   deterministic transient-failure model — the `core::chaos` coin,
-//!   applied to object reads);
+//!   [`ColdTierPolicy`]: a deterministic transient-failure model — the
+//!   `core::chaos` coin, applied to object reads; what a cold read costs
+//!   is priced by the query path, not here);
 //! * the serialization of [`SealedChunk`]s into self-describing objects.
 //!
 //! Reads go through [`crate::reader`], which walks both tiers oldest
@@ -83,34 +83,19 @@ impl PartialOrd for ChunkKey {
     }
 }
 
-/// Latency and transient-failure model of the cold (compacted) tier — an
-/// S3-style remote object store rather than local disk. Mirrors the
+/// Transient-failure model of the cold (compacted) tier — an S3-style
+/// remote object store rather than local disk. Mirrors the
 /// deterministic permille coin of `core::chaos`: whether a given object's
 /// first read fails transiently is a pure function of `(seed, key)`, so a
 /// fixed-seed run produces identical retry counts regardless of query
 /// thread interleaving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdTierPolicy {
-    /// Simulated latency charged per GET attempt.
-    pub get_latency_ns: i64,
-    /// Simulated latency charged per PUT.
-    pub put_latency_ns: i64,
     /// Permille of objects whose first GET attempt fails transiently
     /// (the retry always succeeds — availability, not durability).
     pub fail_permille: u16,
     /// Seed of the failure coin.
     pub seed: u64,
-}
-
-impl Default for ColdTierPolicy {
-    fn default() -> Self {
-        Self {
-            get_latency_ns: 8_000_000,  // 8ms: remote object-store GET
-            put_latency_ns: 15_000_000, // 15ms: remote object-store PUT
-            fail_permille: 0,
-            seed: 0,
-        }
-    }
 }
 
 impl ColdTierPolicy {
@@ -136,9 +121,8 @@ struct TierObjects {
 
 /// One in-memory object tier, with byte/object/operation accounting for
 /// the experiments. The hot tier runs without a policy; the cold tier
-/// charges its [`ColdTierPolicy`] on every operation, and every charged
-/// nanosecond and transient failure is accounted so the drill and
-/// self-telemetry can surface the tier's cost.
+/// rolls its [`ColdTierPolicy`] coin on every GET, and every transient
+/// failure is counted so the drill can surface the tier's retries.
 pub struct ObjectTier {
     objects: OrderedRwLock<TierObjects>,
     puts: AtomicU64,
@@ -146,8 +130,6 @@ pub struct ObjectTier {
     policy: OrderedRwLock<Option<ColdTierPolicy>>,
     /// First-attempt GET failures (each retried once, successfully).
     transient_failures: AtomicU64,
-    /// Total simulated nanoseconds charged across operations.
-    simulated_ns: AtomicU64,
 }
 
 impl ObjectTier {
@@ -158,11 +140,10 @@ impl ObjectTier {
             gets: AtomicU64::new(0),
             policy: OrderedRwLock::new(&classes::LOKI_COLD_POLICY, policy),
             transient_failures: AtomicU64::new(0),
-            simulated_ns: AtomicU64::new(0),
         }
     }
 
-    /// Replace the latency/failure policy (chaos scenarios flip this at
+    /// Replace the failure policy (chaos scenarios flip this at
     /// runtime, exactly like `ChaosAction`s flip bus fault windows).
     pub fn set_policy(&self, policy: ColdTierPolicy) {
         *self.policy.write() = Some(policy);
@@ -170,10 +151,6 @@ impl ObjectTier {
 
     fn policy(&self) -> Option<ColdTierPolicy> {
         *self.policy.read()
-    }
-
-    fn charge(&self, latency_ns: i64) {
-        self.simulated_ns.fetch_add(latency_ns.max(0) as u64, Ordering::Relaxed);
     }
 
     /// Number of stored chunk objects.
@@ -199,31 +176,19 @@ impl ObjectTier {
         self.transient_failures.load(Ordering::Relaxed)
     }
 
-    /// Total simulated nanoseconds charged across operations.
-    pub fn simulated_latency_ns(&self) -> u64 {
-        self.simulated_ns.load(Ordering::Relaxed)
-    }
-
     /// Store an object.
     pub fn put(&self, key: ChunkKey, data: Bytes) {
-        if let Some(policy) = self.policy() {
-            self.charge(policy.put_latency_ns);
-        }
         self.puts.fetch_add(1, Ordering::Relaxed);
         self.objects.write().chunks.insert(key, data);
     }
 
     /// Fetch an object.
     pub fn get(&self, key: &ChunkKey) -> Option<Bytes> {
-        if let Some(policy) = self.policy() {
-            self.charge(policy.get_latency_ns);
-            if policy.first_attempt_fails(key) {
-                // Transient: count it (the failed attempt is still a
-                // GET), charge the retry, which always succeeds.
-                self.transient_failures.fetch_add(1, Ordering::Relaxed);
-                self.gets.fetch_add(1, Ordering::Relaxed);
-                self.charge(policy.get_latency_ns);
-            }
+        if self.policy().is_some_and(|policy| policy.first_attempt_fails(key)) {
+            // Transient: count it (the failed attempt is still a GET);
+            // the retry always succeeds.
+            self.transient_failures.fetch_add(1, Ordering::Relaxed);
+            self.gets.fetch_add(1, Ordering::Relaxed);
         }
         self.gets.fetch_add(1, Ordering::Relaxed);
         self.objects.read().chunks.get(key).cloned()
@@ -565,7 +530,7 @@ mod tests {
     }
 
     #[test]
-    fn cold_tier_serves_compacted_chunks_and_charges_latency() {
+    fn cold_tier_serves_compacted_chunks() {
         let store = ChunkStore::new();
         store.put_compacted(&s(5), &chunk(20, 100));
         assert_eq!(store.cold().object_count(), 1);
@@ -573,18 +538,14 @@ mod tests {
         let (got, stats) = read(&store, &s(5), 0, 1_000);
         assert_eq!(got.len(), 20);
         assert_eq!((stats.chunks_touched, stats.cold_chunks_touched), (1, 1));
-        let policy = ColdTierPolicy::default();
-        assert_eq!(
-            store.cold().simulated_latency_ns(),
-            (policy.put_latency_ns + policy.get_latency_ns) as u64
-        );
-        assert_eq!(store.objects().simulated_latency_ns(), 0, "the hot tier is free");
+        assert_eq!(store.cold().op_counts(), (1, 1));
+        assert_eq!(store.objects().op_counts(), (0, 0), "the cold read took no hot GET");
     }
 
     #[test]
     fn cold_tier_transient_failures_are_deterministic_and_retried() {
         let cold = |fail_permille| {
-            let policy = ColdTierPolicy { fail_permille, seed: 7, ..Default::default() };
+            let policy = ColdTierPolicy { fail_permille, seed: 7 };
             ObjectTier::new(Some(policy))
         };
         let tier = cold(1_000);

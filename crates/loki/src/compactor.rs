@@ -21,7 +21,7 @@
 //!   invalidate the frontend's result cache over exactly that span;
 //! * **demote** — compacted objects are written to the simulated cold
 //!   tier (an [`crate::chunkstore::ObjectTier`] under a
-//!   [`crate::chunkstore::ColdTierPolicy`] latency/failure model) and
+//!   [`crate::chunkstore::ColdTierPolicy`] transient-failure model) and
 //!   the merged hot sources are deleted;
 //! * **retention** — each series' horizon (per-tenant, resolved from the
 //!   stream labels by the caller) is applied as key-span deletes across

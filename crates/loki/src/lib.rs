@@ -440,11 +440,6 @@ impl LokiCluster {
         &self.clock
     }
 
-    /// Number of ingester shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Push one line: a frame of one through
     /// [`push_frames`](Self::push_frames), unscoped.
     pub fn push(

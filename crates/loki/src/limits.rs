@@ -81,11 +81,6 @@ impl Default for Limits {
 }
 
 impl Limits {
-    /// Small chunks for tests (seal quickly).
-    pub fn tiny_chunks() -> Self {
-        Self { chunk_target_bytes: 512, ..Default::default() }
-    }
-
     /// The per-tenant limits a tenant without an override runs under,
     /// derived from the cluster limits (the `default → override`
     /// resolution order real Loki applies to its `overrides:` block).

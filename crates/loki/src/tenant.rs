@@ -88,8 +88,8 @@ pub struct TenantSnapshot {
 pub struct TenantState {
     tenant: TenantId,
     limits: OrderedRwLock<TenantLimits>,
-    ingest_bucket: OrderedRwLock<TokenBucket>,
-    query_bucket: OrderedRwLock<TokenBucket>,
+    ingest_bucket: OrderedMutex<TokenBucket>,
+    query_bucket: OrderedMutex<TokenBucket>,
     streams: OrderedMutex<HashSet<LabelSet>>,
     ingest_offered: AtomicU64,
     ingest_accepted: AtomicU64,
@@ -105,8 +105,8 @@ impl TenantState {
         Self {
             tenant,
             limits: OrderedRwLock::new(&classes::LOKI_TENANT_LIMITS, limits),
-            ingest_bucket: OrderedRwLock::new(&classes::LOKI_TENANT_INGEST_BUCKET, ingest),
-            query_bucket: OrderedRwLock::new(&classes::LOKI_TENANT_QUERY_BUCKET, query),
+            ingest_bucket: OrderedMutex::new(&classes::LOKI_TENANT_INGEST_BUCKET, ingest),
+            query_bucket: OrderedMutex::new(&classes::LOKI_TENANT_QUERY_BUCKET, query),
             streams: OrderedMutex::new(&classes::LOKI_TENANT_STREAMS, HashSet::new()),
             ingest_offered: AtomicU64::new(0),
             ingest_accepted: AtomicU64::new(0),
@@ -120,9 +120,9 @@ impl TenantState {
     /// effect immediately, starting full) while the admission ledger and
     /// stream set carry over untouched.
     fn reload(&self, limits: TenantLimits, now: Timestamp) {
-        *self.ingest_bucket.write() =
+        *self.ingest_bucket.lock() =
             TokenBucket::new(limits.ingest_rate_per_sec, limits.ingest_burst, now);
-        *self.query_bucket.write() =
+        *self.query_bucket.lock() =
             TokenBucket::new(limits.query_rate_per_sec, limits.query_burst, now);
         *self.limits.write() = limits;
     }
@@ -136,7 +136,7 @@ impl TenantState {
     /// carries the reason so the caller can surface a typed rejection.
     pub fn admit_ingest(&self, now: Timestamp, n: u64) -> Result<(), ShedReason> {
         self.ingest_offered.fetch_add(n, Ordering::Relaxed);
-        if self.ingest_bucket.read().try_acquire(now, n) {
+        if self.ingest_bucket.lock().try_acquire(now, n) {
             Ok(())
         } else {
             self.ingest_rejected.fetch_add(n, Ordering::Relaxed);
@@ -177,7 +177,7 @@ impl TenantState {
     /// Admit one query at `now`, counting the outcome.
     pub fn admit_query(&self, now: Timestamp) -> Result<(), ShedReason> {
         self.queries_offered.fetch_add(1, Ordering::Relaxed);
-        if self.query_bucket.read().try_acquire(now, 1) {
+        if self.query_bucket.lock().try_acquire(now, 1) {
             Ok(())
         } else {
             self.queries_rejected.fetch_add(1, Ordering::Relaxed);

@@ -85,8 +85,6 @@ pub mod classes {
         BUS_OFFSETS = "bus.BrokerInner.offsets",
         /// Brownout fault windows.
         BUS_BROWNOUTS = "bus.BrokerInner.brownouts",
-        /// Per-tenant produce quotas; held across quota-bucket refresh.
-        BUS_QUOTAS = "bus.BrokerInner.quotas",
         /// One partition's message log (innermost bus lock).
         BUS_PARTITION_LOG = "bus.Partition.log",
         // ── loki frontend band: caches before the scheduler ──────────
@@ -103,9 +101,9 @@ pub mod classes {
         LOKI_TENANT_STATES = "loki.TenantRegistry.states",
         /// One tenant's resolved limits.
         LOKI_TENANT_LIMITS = "loki.TenantState.limits",
-        /// One tenant's ingest admission bucket (nests the model bucket).
+        /// One tenant's ingest admission bucket.
         LOKI_TENANT_INGEST_BUCKET = "loki.TenantState.ingest_bucket",
-        /// One tenant's query admission bucket (nests the model bucket).
+        /// One tenant's query admission bucket.
         LOKI_TENANT_QUERY_BUCKET = "loki.TenantState.query_bucket",
         /// One tenant's active-stream fingerprints.
         LOKI_TENANT_STREAMS = "loki.TenantState.streams",
@@ -122,12 +120,8 @@ pub mod classes {
         /// Object map of one store tier (hot and cold are distinct
         /// instances, never nested).
         LOKI_STORE_OBJECTS = "loki.ObjectTier.objects",
-        /// One tier's latency/failure policy (set on the cold tier).
+        /// One tier's transient-failure policy (set on the cold tier).
         LOKI_COLD_POLICY = "loki.ObjectTier.policy",
-        // ── model band (innermost: leaf utilities) ───────────────────
-        /// Token-bucket state; acquired under tenant buckets and bus
-        /// quotas.
-        MODEL_BUCKET_STATE = "model.TokenBucket.state",
     }
 }
 

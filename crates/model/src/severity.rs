@@ -46,12 +46,6 @@ impl Severity {
             Severity::Info => 5,
         }
     }
-
-    /// Whether this severity should page the on-call (paper's Slack
-    /// `#alerts` channel routing).
-    pub fn is_actionable(&self) -> bool {
-        matches!(self, Severity::Warning | Severity::Major | Severity::Critical)
-    }
 }
 
 impl fmt::Display for Severity {
@@ -128,13 +122,6 @@ mod tests {
         assert_eq!(Severity::Critical.servicenow_code(), 1);
         assert_eq!(Severity::Warning.servicenow_code(), 3);
         assert_eq!(Severity::Ok.servicenow_code(), 5);
-    }
-
-    #[test]
-    fn actionability() {
-        assert!(Severity::Critical.is_actionable());
-        assert!(!Severity::Info.is_actionable());
-        assert!(!Severity::Ok.is_actionable());
     }
 
     #[test]

@@ -8,7 +8,6 @@
 //! admission rate against the virtual clock — fully deterministic, so a
 //! chaos seed replays to byte-identical shed decisions.
 
-use crate::lockwitness::{classes, OrderedMutex};
 use crate::time::{Timestamp, NANOS_PER_SEC};
 use std::fmt;
 use std::sync::Arc;
@@ -59,27 +58,23 @@ impl From<String> for TenantId {
     }
 }
 
-#[derive(Debug)]
-struct BucketState {
-    /// Available capacity in nano-tokens (tokens × 1e9) so refills stay in
-    /// integer arithmetic and replay deterministically.
-    nano_tokens: u128,
-    /// Virtual time of the last refill.
-    last_refill: Timestamp,
-}
-
 /// A deterministic token bucket over the virtual clock.
 ///
 /// Refill is computed from elapsed virtual nanoseconds — no wall clock, no
 /// background thread — so admission decisions depend only on the request
 /// sequence and the clock, which is what makes the multi-tenant chaos
 /// drill reproducible. A bucket with `rate_per_sec == 0` and `burst == 0`
-/// admits nothing (the zero-limit tenant).
+/// admits nothing (the zero-limit tenant). The bucket is plain data: its
+/// owner decides how it is shared.
 #[derive(Debug, Clone)]
 pub struct TokenBucket {
     rate_per_sec: u64,
     burst: u64,
-    state: Arc<OrderedMutex<BucketState>>,
+    /// Available capacity in nano-tokens (tokens × 1e9) so refills stay in
+    /// integer arithmetic and replay deterministically.
+    nano_tokens: u128,
+    /// Virtual time of the last refill.
+    last_refill: Timestamp,
 }
 
 impl TokenBucket {
@@ -89,41 +84,19 @@ impl TokenBucket {
         Self {
             rate_per_sec,
             burst,
-            state: Arc::new(OrderedMutex::new(
-                &classes::MODEL_BUCKET_STATE,
-                BucketState {
-                    nano_tokens: burst as u128 * NANOS_PER_SEC as u128,
-                    last_refill: now,
-                },
-            )),
+            nano_tokens: burst as u128 * NANOS_PER_SEC as u128,
+            last_refill: now,
         }
-    }
-
-    /// Configured refill rate (tokens per virtual second).
-    pub fn rate_per_sec(&self) -> u64 {
-        self.rate_per_sec
-    }
-
-    /// Configured burst capacity.
-    pub fn burst(&self) -> u64 {
-        self.burst
     }
 
     /// Take `tokens` tokens at virtual time `now`; `false` means the caller
     /// must shed the request. Time moving backwards (stale `now` from a
     /// racing reader) refills nothing instead of panicking.
-    pub fn try_acquire(&self, now: Timestamp, tokens: u64) -> bool {
-        let cap = self.burst as u128 * NANOS_PER_SEC as u128;
-        let mut st = self.state.lock();
-        let elapsed = now.saturating_sub(st.last_refill).max(0) as u128;
-        st.nano_tokens = st
-            .nano_tokens
-            .saturating_add(elapsed.saturating_mul(self.rate_per_sec as u128))
-            .min(cap);
-        st.last_refill = st.last_refill.max(now);
+    pub fn try_acquire(&mut self, now: Timestamp, tokens: u64) -> bool {
+        self.refill(now);
         let need = tokens as u128 * NANOS_PER_SEC as u128;
-        if st.nano_tokens >= need && tokens <= self.burst {
-            st.nano_tokens -= need;
+        if self.nano_tokens >= need && tokens <= self.burst {
+            self.nano_tokens -= need;
             true
         } else {
             false
@@ -131,16 +104,19 @@ impl TokenBucket {
     }
 
     /// Whole tokens currently available at `now`, without taking any.
-    pub fn available(&self, now: Timestamp) -> u64 {
+    pub fn available(&mut self, now: Timestamp) -> u64 {
+        self.refill(now);
+        (self.nano_tokens / NANOS_PER_SEC as u128) as u64
+    }
+
+    fn refill(&mut self, now: Timestamp) {
         let cap = self.burst as u128 * NANOS_PER_SEC as u128;
-        let mut st = self.state.lock();
-        let elapsed = now.saturating_sub(st.last_refill).max(0) as u128;
-        st.nano_tokens = st
+        let elapsed = now.saturating_sub(self.last_refill).max(0) as u128;
+        self.nano_tokens = self
             .nano_tokens
             .saturating_add(elapsed.saturating_mul(self.rate_per_sec as u128))
             .min(cap);
-        st.last_refill = st.last_refill.max(now);
-        (st.nano_tokens / NANOS_PER_SEC as u128) as u64
+        self.last_refill = self.last_refill.max(now);
     }
 }
 
@@ -161,7 +137,7 @@ mod tests {
 
     #[test]
     fn bucket_starts_full_and_drains() {
-        let b = TokenBucket::new(10, 5, 0);
+        let mut b = TokenBucket::new(10, 5, 0);
         for _ in 0..5 {
             assert!(b.try_acquire(0, 1));
         }
@@ -170,7 +146,7 @@ mod tests {
 
     #[test]
     fn bucket_refills_with_virtual_time() {
-        let b = TokenBucket::new(10, 5, 0);
+        let mut b = TokenBucket::new(10, 5, 0);
         assert!(b.try_acquire(0, 5));
         assert!(!b.try_acquire(0, 1));
         // 100ms at 10 tokens/s = 1 token.
@@ -182,21 +158,21 @@ mod tests {
 
     #[test]
     fn zero_limit_bucket_admits_nothing() {
-        let b = TokenBucket::new(0, 0, 0);
+        let mut b = TokenBucket::new(0, 0, 0);
         assert!(!b.try_acquire(0, 1));
         assert!(!b.try_acquire(i64::MAX, 1), "no refill can ever admit");
     }
 
     #[test]
     fn oversized_request_never_admits() {
-        let b = TokenBucket::new(1, 4, 0);
+        let mut b = TokenBucket::new(1, 4, 0);
         assert!(!b.try_acquire(0, 5), "request larger than burst");
         assert!(b.try_acquire(0, 4));
     }
 
     #[test]
     fn backwards_time_is_harmless() {
-        let b = TokenBucket::new(1, 1, 1_000);
+        let mut b = TokenBucket::new(1, 1, 1_000);
         assert!(b.try_acquire(1_000, 1));
         // A stale timestamp must not panic or mint tokens.
         assert!(!b.try_acquire(0, 1));
@@ -205,9 +181,9 @@ mod tests {
 
     #[test]
     fn sentinel_timestamps_do_not_overflow() {
-        let b = TokenBucket::new(u64::MAX, u64::MAX, i64::MIN);
+        let mut b = TokenBucket::new(u64::MAX, u64::MAX, i64::MIN);
         assert!(b.try_acquire(i64::MAX, 1));
-        let z = TokenBucket::new(1, 1, i64::MAX);
+        let mut z = TokenBucket::new(1, 1, i64::MAX);
         assert!(z.try_acquire(i64::MAX, 1));
         assert!(!z.try_acquire(i64::MAX, 1));
     }

@@ -249,30 +249,6 @@ pub fn parse_duration(s: &str) -> Result<i64, TimeParseError> {
     Ok(total)
 }
 
-/// Format a nanosecond duration using the largest exact unit (inverse of
-/// [`parse_duration`] for single-unit values).
-pub fn format_duration(mut ns: i64) -> String {
-    if ns == 0 {
-        return "0s".to_string();
-    }
-    let mut out = String::new();
-    for (unit, mult) in [
-        ("d", 86_400 * NANOS_PER_SEC),
-        ("h", 3_600 * NANOS_PER_SEC),
-        ("m", 60 * NANOS_PER_SEC),
-        ("s", NANOS_PER_SEC),
-        ("ms", 1_000_000),
-        ("us", 1_000),
-        ("ns", 1),
-    ] {
-        if ns >= mult {
-            out.push_str(&format!("{}{}", ns / mult, unit));
-            ns %= mult;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,13 +331,5 @@ mod tests {
         assert_eq!(parse_duration("2y").unwrap(), 2 * 365 * 86_400 * NANOS_PER_SEC);
         assert!(parse_duration("").is_err());
         assert!(parse_duration("10parsecs").is_err());
-    }
-
-    #[test]
-    fn duration_format_roundtrip() {
-        for s in ["60m", "1s", "1d", "500ms", "0s"] {
-            let ns = parse_duration(s).unwrap();
-            assert_eq!(parse_duration(&format_duration(ns)).unwrap(), ns);
-        }
     }
 }

@@ -77,15 +77,9 @@ impl HmsCollector {
         &self.broker
     }
 
-    /// Publish a Redfish event to [`topics::RESOURCE_EVENTS`].
-    pub fn publish_event(&self, event: &RedfishEvent) -> Result<(usize, u64), BusError> {
-        let payload = event.to_telemetry_json().dump();
-        self.broker.produce(topics::RESOURCE_EVENTS, Some(&event.context.to_string()), payload)
-    }
-
-    /// Publish a Redfish event with message headers attached (e.g. the
-    /// `omni-trace-id` propagation header). The payload is identical to
-    /// [`Self::publish_event`] — headers ride beside it, invisible to
+    /// Publish a Redfish event to [`topics::RESOURCE_EVENTS`], keyed by its
+    /// context, with message headers attached (e.g. the `omni-trace-id`
+    /// propagation header). Headers ride beside the payload, invisible to
     /// consumers that don't look for them.
     pub fn publish_event_with_headers(
         &self,
@@ -149,7 +143,7 @@ mod tests {
     fn event_lands_on_resource_topic_and_decodes() {
         let c = collector();
         let ev = RedfishEvent::paper_leak_event();
-        let (p, o) = c.publish_event(&ev).unwrap();
+        let (p, o) = c.publish_event_with_headers(&ev, Vec::new()).unwrap();
         let msgs = c.broker().fetch(topics::RESOURCE_EVENTS, p, o, 1).unwrap();
         assert_eq!(msgs.len(), 1);
         assert_eq!(msgs[0].key.as_deref(), Some("x1203c1b0"));
@@ -186,7 +180,7 @@ mod tests {
         for i in 0..20 {
             let mut ev = base.clone();
             ev.timestamp += i;
-            c.publish_event(&ev).unwrap();
+            c.publish_event_with_headers(&ev, Vec::new()).unwrap();
         }
         // All share the key x1203c1b0, so they sit in one partition in order.
         let mut found = Vec::new();

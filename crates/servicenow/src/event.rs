@@ -24,28 +24,11 @@ pub struct SnEvent {
 }
 
 impl SnEvent {
-    /// Convert an Alertmanager alert into an SN Event (the paper's
-    /// "alerts are transformed into SN Events"): the crate's borrowed
-    /// `AlertEvent` view of the alert, made owned.
-    pub fn from_alertmanager(alert: &Alert) -> SnEvent {
-        let event = AlertEvent::of(alert);
-        let mut message_key = String::new();
-        event.write_key(&mut message_key);
-        let EventFields { severity, node, resource, description } = event.fields;
-        SnEvent {
-            source: "alertmanager".into(),
-            node: node.to_string(),
-            metric_type: event.name.to_string(),
-            resource: resource.to_string(),
-            severity,
-            message_key,
-            description: description.to_string(),
-        }
-    }
-
-    /// The fields an event feeds into its SN Alert, borrowed.
+    /// The fields an event feeds into its SN Alert, borrowed. A webhook
+    /// event carries no status, so its severity code decides the clear.
     pub(crate) fn as_fields(&self) -> EventFields<'_> {
         EventFields {
+            clear: self.severity == 0 || self.severity == 5,
             severity: self.severity,
             node: &self.node,
             resource: &self.resource,
@@ -58,7 +41,10 @@ impl SnEvent {
 /// incident copies when it is created, and only then.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EventFields<'a> {
-    /// ServiceNow severity code (0 or 5 = clear).
+    /// Whether the event clears its SN Alert (and resolves its incident).
+    pub clear: bool,
+    /// ServiceNow severity code (1 critical ... 5 info/OK); folded into
+    /// the SN Alert's worst severity only when the event is no clear.
     pub severity: u8,
     /// The affected node / CI name.
     pub node: &'a str,
@@ -79,9 +65,10 @@ pub(crate) struct AlertEvent<'a> {
 }
 
 impl<'a> AlertEvent<'a> {
-    /// Read `alert`: a resolved alert is a clear (severity 0); a firing
-    /// one maps its `severity` label (moderate, 3, when missing or
-    /// unknown); the node is the first of `Context`, `xname`, `instance`;
+    /// Read `alert`: a resolved alert, and only a resolved one, is a
+    /// clear (severity 0); a firing one maps its `severity` label
+    /// (moderate, 3, when missing or unknown; `info`/`ok` are 5, still
+    /// firing); the node is the first of `Context`, `xname`, `instance`;
     /// the resource is `category` (default `infrastructure`); the
     /// description is the `summary` annotation, else the alert name.
     pub fn of(alert: &'a Alert) -> Self {
@@ -108,6 +95,7 @@ impl<'a> AlertEvent<'a> {
         AlertEvent {
             name: alert.name(),
             fields: EventFields {
+                clear: alert.status == AlertStatus::Resolved,
                 severity,
                 node,
                 resource: alert.labels.get("category").unwrap_or("infrastructure"),
@@ -184,11 +172,13 @@ mod tests {
             status: AlertStatus::Firing,
             starts_at: 0,
         };
-        let ev = SnEvent::from_alertmanager(&alert);
-        assert_eq!(ev.severity, 1);
-        assert_eq!(ev.node, "x1002c1r7b0");
-        assert_eq!(ev.message_key, "PerlmutterSwitchOffline:x1002c1r7b0");
-        assert_eq!(ev.description, "Switch x1002c1r7b0 is UNKNOWN");
+        let ev = AlertEvent::of(&alert);
+        let mut key = String::new();
+        ev.write_key(&mut key);
+        assert_eq!((ev.fields.severity, ev.fields.clear), (1, false));
+        assert_eq!(ev.fields.node, "x1002c1r7b0");
+        assert_eq!(key, "PerlmutterSwitchOffline:x1002c1r7b0");
+        assert_eq!(ev.fields.description, "Switch x1002c1r7b0 is UNKNOWN");
     }
 
     #[test]
@@ -199,7 +189,8 @@ mod tests {
             status: AlertStatus::Resolved,
             starts_at: 0,
         };
-        assert_eq!(SnEvent::from_alertmanager(&alert).severity, 0);
+        let ev = AlertEvent::of(&alert);
+        assert_eq!((ev.fields.severity, ev.fields.clear), (0, true));
     }
 
     #[test]
@@ -210,6 +201,7 @@ mod tests {
             status: AlertStatus::Firing,
             starts_at: 0,
         };
-        assert_eq!(SnEvent::from_alertmanager(&alert).severity, 3);
+        let ev = AlertEvent::of(&alert);
+        assert_eq!((ev.fields.severity, ev.fields.clear), (3, false));
     }
 }

@@ -62,7 +62,6 @@ impl Inner {
             ..
         } = self;
         *events_received += 1;
-        let is_clear = event.severity == 0 || event.severity == 5;
         if !alerts.contains_key(key) {
             let number = format!("Alert{:07}", *next_alert);
             *next_alert += 1;
@@ -74,7 +73,7 @@ impl Inner {
                     message_key: key.to_string(),
                     // A clear records no firing severity: 5 (OK) is above
                     // every firing code, so the next firing event sets it.
-                    severity: if is_clear { 5 } else { event.severity },
+                    severity: if event.clear { 5 } else { event.severity },
                     state: SnAlertState::Open,
                     description: event.description.to_string(),
                     node: event.node.to_string(),
@@ -90,7 +89,7 @@ impl Inner {
         let alert = alerts.get_mut(key).expect("inserted above");
         alert.event_count += 1;
         alert.last_event_at = now;
-        if is_clear {
+        if event.clear {
             alert.state = SnAlertState::Closed;
             // Clearing the alert auto-resolves its incident (the paper's
             // "automated response actions"); MTTR accrues from this.
@@ -451,5 +450,33 @@ mod tests {
         assert_eq!(bound, vec![Some("INC0000001".to_string())]);
         assert_eq!(sn.incidents().len(), 1);
         assert_eq!(sn.incidents()[0].short_description, "leak at x1203c1b0");
+    }
+
+    #[test]
+    fn a_firing_info_alert_does_not_clear_its_sn_alert() {
+        // Regression: a firing `info` maps to code 5, which was read as a
+        // clear, so a still-firing alert closed its SN Alert and resolved
+        // the incident. Only a resolved alert clears.
+        use omni_alertmanager::{Alert, AlertStatus, Notification};
+        let sn = sn_with_rule();
+        let fire = |severity: &str, status| Notification {
+            receiver: "servicenow".into(),
+            group_labels: labels!("alertname" => "Leak"),
+            alerts: vec![Alert {
+                labels: labels!("alertname" => "Leak", "severity" => severity, "xname" => "x1"),
+                annotations: vec![],
+                status,
+                starts_at: 0,
+            }],
+        };
+        sn.receive_notification(&fire("critical", AlertStatus::Firing), 0);
+        let bound = sn.receive_notification(&fire("info", AlertStatus::Firing), 10);
+        assert_eq!(bound, vec![Some("INC0000001".to_string())]);
+        let alerts = sn.alerts();
+        assert_eq!((alerts[0].severity, alerts[0].state), (1, SnAlertState::Open));
+        assert_eq!(sn.incidents()[0].state, IncidentState::New);
+        sn.receive_notification(&fire("info", AlertStatus::Resolved), 20);
+        assert_eq!(sn.alerts()[0].state, SnAlertState::Closed);
+        assert_eq!(sn.incidents()[0].state, IncidentState::Resolved);
     }
 }

@@ -1,14 +1,17 @@
 //! `ServiceNow` against a reference: the linear-scan instance it replaced
 //! (an event folded through an owned `SnEvent`, a whole-alert snapshot per
-//! event, every incident scanned to resolve one), with two fixes applied:
-//! an SN Alert's worst severity is folded from firing events only, so a
-//! clear no longer lowers it to critical, and an SN Alert a clear creates
-//! starts at 5 (OK), so the next firing event sets its severity.
+//! event, every incident scanned to resolve one), with three fixes
+//! applied: an SN Alert's worst severity is folded from firing events
+//! only, so a clear no longer lowers it to critical; an SN Alert a clear
+//! creates starts at 5 (OK), so the next firing event sets its severity;
+//! and an Alertmanager alert clears only when it is resolved, so a firing
+//! `info` / `ok` alert (code 5) no longer closes its SN Alert.
 //!
 //! Both are fed the same ops, with the CMDB loaded and a random subset of
 //! incident rules in a random order:
 //! - notifications of one to four Alertmanager alerts, firing or resolved,
-//!   whose `severity` label is missing, known in either case or unknown,
+//!   whose `severity` label is missing, known in either case (`info`,
+//!   `ok`, `clear` and `informational` among them, code 5) or unknown,
 //!   whose node comes from `Context`, `xname`, `instance` or nothing (a
 //!   CMDB xname or an unknown name), with or without `category` and a
 //!   `summary`;
@@ -21,7 +24,8 @@
 //!
 //! Mutations this catches: a slot lookup without the number check (`INC1`
 //! resolves `INC0000001`); a severity fold that includes clears; an SN
-//! Alert a clear creates at the clear's severity; a clear that re-stamps
+//! Alert a clear creates at the clear's severity; a firing alert of code 5
+//! read as a clear; a clear that re-stamps
 //! an incident already resolved; a notification that returns the newest
 //! incident in the instance instead of the alert's own; a message key
 //! written without its `:`; a case-sensitive severity parse.
@@ -36,8 +40,9 @@ use omni_servicenow::{
 use omni_xname::{MachineTopology, TopologySpec};
 use std::collections::HashMap;
 
-/// The instance `ServiceNow` replaced, fixed only in its severity fold and
-/// in the severity a clear creates an SN Alert with.
+/// The instance `ServiceNow` replaced, fixed only in its severity fold, in
+/// the severity a clear creates an SN Alert with, and in what counts as
+/// an alert's clear.
 struct Reference {
     cmdb: Cmdb,
     alerts: HashMap<String, SnAlert>,
@@ -62,9 +67,13 @@ impl Reference {
     }
 
     fn process_event(&mut self, event: SnEvent, now: Timestamp) -> String {
+        let is_clear = event.severity == 0 || event.severity == 5;
+        self.apply(event, is_clear, now)
+    }
+
+    fn apply(&mut self, event: SnEvent, is_clear: bool, now: Timestamp) -> String {
         self.events_received += 1;
         let key = event.message_key.clone();
-        let is_clear = event.severity == 0 || event.severity == 5;
         if !self.alerts.contains_key(&key) {
             let number = format!("Alert{:07}", self.next_alert);
             self.next_alert += 1;
@@ -139,7 +148,7 @@ impl Reference {
             .map(|a| {
                 let event = reference_event(a);
                 let key = event.message_key.clone();
-                self.process_event(event, now);
+                self.apply(event, a.status == AlertStatus::Resolved, now);
                 self.alerts[&key].incident.clone()
             })
             .collect()
@@ -236,7 +245,7 @@ impl Rng {
 }
 
 const NAMES: [&str; 3] = ["PerlmutterCabinetLeak", "PerlmutterSwitchOffline", ""];
-const SEVERITIES: [Option<&str>; 9] = [
+const SEVERITIES: [Option<&str>; 11] = [
     None,
     Some("critical"),
     Some("CRITICAL"),
@@ -245,6 +254,8 @@ const SEVERITIES: [Option<&str>; 9] = [
     Some("warning"),
     Some("info"),
     Some("OK"),
+    Some("clear"),
+    Some("Informational"),
     Some("bogus"),
 ];
 const NODE_LABELS: [Option<&str>; 4] = [Some("Context"), Some("xname"), Some("instance"), None];

@@ -124,11 +124,6 @@ impl VmAgent {
         });
     }
 
-    /// Number of registered targets.
-    pub fn target_count(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Scrape every target once at virtual time `now`. Each sample gets
     /// `job`/`instance` labels; each target gets an `up` sample.
     pub fn scrape_once(&self, now: Timestamp) {

@@ -241,6 +241,18 @@ if grep -n "keys().cloned()" crates/alertmanager/src/lib.rs; then
     echo "Alertmanager clones and sorts its group keys per tick again"; exit 1
 fi
 
+echo "== nothing without a caller (one tenant admission, one cold-GET price, one alert-to-event read) =="
+# Per-tenant admission is Loki's TenantState alone (a token bucket is plain
+# data under the tenant's own lock); a cold chunk is priced once, by the
+# stack's per-cold-chunk query cost; an alert becomes an SN Event only
+# through the borrowed AlertEvent; a log-bridge record carries its trace
+# id from the message it came from. Neither the bus's tenant quotas, the
+# bucket's own lock, the cold tier's latency meter, the owned alert
+# conversion nor the per-record trace-label scan may come back.
+if grep -rnE "produce_as|set_tenant_quota|TenantProduceStats|BUS_QUOTAS|MODEL_BUCKET_STATE|simulated_latency_ns|get_latency_ns|fn from_alertmanager|fn record_trace" crates/*/src; then
+    echo "a caller-less second door, lock or price is back"; exit 1
+fi
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
