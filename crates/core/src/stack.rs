@@ -22,7 +22,7 @@ use omni_obs::{
     SloBoard, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES, SLOW_WINDOW,
     TRACE_HEADER,
 };
-use omni_redfish::{HmsCollector, RedfishEvent};
+use omni_redfish::{topics, HmsCollector, RedfishEvent, SensorReading};
 use omni_servicenow::{IncidentRule, ServiceNow};
 use omni_shasta::{
     ContainerLogGenerator, FabricManager, FabricManagerMonitor, GpfsCluster, GpfsMonitor,
@@ -50,9 +50,10 @@ pub struct StackConfig {
     pub seed: u64,
     /// Cluster label value.
     pub cluster_name: String,
-    /// Syslog lines generated per simulation step.
+    /// omnibench compat — remove with ROADMAP item 1. Read by nothing: a
+    /// step's log volumes are [`MonitoringStack::step`]'s arguments.
     pub syslog_per_step: usize,
-    /// Container-log lines generated per simulation step.
+    /// omnibench compat, read by nothing, like `syslog_per_step`.
     pub container_per_step: usize,
     /// Run the remediation playbooks automatically on firing alerts.
     pub auto_remediate: bool,
@@ -263,6 +264,170 @@ enum PendingPublish {
         line: String,
     },
 }
+
+/// The path of Figure 1 a stage works for; `Stack` is the step's own upkeep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Group {
+    Log,
+    Metric,
+    Alert,
+    Stack,
+}
+
+/// One named stage of [`MonitoringStack::step`].
+#[derive(Debug)]
+pub struct Stage {
+    /// `<layer>.<work>`: the span name the stage is timed under.
+    pub name: &'static str,
+    pub group: Group,
+    run: StageFn,
+}
+
+type StageFn = fn(&mut MonitoringStack, &mut StepCtx);
+
+/// Called around every stage of [`MonitoringStack::step_observed`].
+pub trait StepObserver {
+    fn before(&mut self, _stage: &Stage) {}
+    fn after(&mut self, _stage: &Stage) {}
+}
+
+/// No observer: what [`MonitoringStack::step`] passes.
+impl StepObserver for () {}
+
+/// What one step's stages hand each other.
+#[derive(Default)]
+struct StepCtx {
+    now: Timestamp,
+    syslog_lines: usize,
+    container_lines: usize,
+    readings: Vec<SensorReading>,
+    /// Generated `(key, line)`s per topic, published together in order.
+    lines: Vec<(&'static str, Vec<(String, String)>)>,
+    fired: Vec<Alert>,
+    notifications: Vec<Notification>,
+}
+
+const fn stage(name: &'static str, group: Group, run: StageFn) -> Stage {
+    Stage { name, group, run }
+}
+
+/// The step, in order: the one definition of what a step does.
+pub const STAGES: &[Stage] = &[
+    stage("obs.count_step", Group::Stack, |s, _| fam::STEPS.counter(&s.registry, labels!()).inc()),
+    // Scheduled chaos fires before anything else this step.
+    stage("stack.chaos", Group::Stack, |s, c| {
+        let actions = s.chaos.lock().as_mut().map(|e| e.poll(c.now)).unwrap_or_default();
+        for action in actions {
+            match action {
+                ChaosAction::CrashShard(i) => s.omni.loki().crash_shard(i),
+                ChaosAction::RecoverShard(i) => _ = s.omni.loki().recover_shard(i),
+                ChaosAction::StartBrownout { from, until } => s.broker.inject_brownout(from, until),
+                ChaosAction::DropSubscriptions => {
+                    s.log_bridge.lock().chaos_revoke_token();
+                    s.metric_bridge.lock().chaos_revoke_token();
+                }
+            }
+        }
+    }),
+    // Producer-side at-least-once: replay publishes an earlier brownout
+    // bounced, then the new data. Sensor readings are periodic samples and
+    // regenerate next step, so they are the one stream allowed a gap.
+    stage("redfish.replay_backlog", Group::Log, |s, _| {
+        let backlog = std::mem::take(&mut *s.publish_backlog.lock());
+        backlog.into_iter().for_each(|item| s.publish_or_buffer(item));
+    }),
+    stage("shasta.sample_sensors", Group::Metric, |s, c| c.readings = s.machine.sample_sensors()),
+    stage("redfish.publish_readings", Group::Metric, |s, c| {
+        for reading in std::mem::take(&mut c.readings) {
+            let _ = s.collector.publish_reading(&reading);
+        }
+    }),
+    stage("shasta.syslog_batch", Group::Log, |s, c| {
+        c.lines.push((topics::SYSLOG, s.syslog_gen.batch(c.syslog_lines)));
+    }),
+    stage("shasta.container_batch", Group::Log, |s, c| {
+        c.lines.push((topics::CONTAINER_LOGS, s.container_gen.batch(c.container_lines)));
+    }),
+    // Fabric monitor poll → event lines (Figure 7).
+    stage("shasta.fabric_poll", Group::Log, |s, c| {
+        let changes = s.fabric_monitor.poll().into_iter();
+        let lines = changes.map(|ch| (ch.xname.to_string(), ch.to_event_line())).collect();
+        c.lines.push((topics::FABRIC_HEALTH, lines));
+    }),
+    // GPFS monitor poll (the §V future-work path).
+    stage("shasta.gpfs_poll", Group::Log, |s, c| {
+        let changes = s.gpfs_monitor.poll().into_iter();
+        let lines = changes.map(|ch| (ch.server.clone(), ch.to_event_line())).collect();
+        c.lines.push((topics::GPFS_HEALTH, lines));
+    }),
+    stage("redfish.publish_logs", Group::Log, |s, c| {
+        for (topic, lines) in c.lines.drain(..) {
+            for (key, line) in lines {
+                s.publish_or_buffer(PendingPublish::Log { topic, key, line });
+            }
+        }
+    }),
+    // The bridges pull the Telemetry API forward into the stores. Their
+    // mutexes are shared with the self-scrape collectors, which lock them
+    // at every gather (`register_self_collectors`).
+    stage("bridge.log_pump", Group::Log, |s, c| _ = s.log_bridge.lock().pump(c.now)),
+    stage("bridge.metric_pump", Group::Metric, |s, _| _ = s.metric_bridge.lock().pump()),
+    stage("tsdb.vmagent_scrape", Group::Metric, |s, c| s.vmagent.scrape_once(c.now)),
+    // Store maintenance: seal aged heads, then move sealed chunks older
+    // than an hour to the disk tier ("chunks are first stored in memory,
+    // and then moved to disk").
+    stage("loki.tick", Group::Log, |s, _| s.omni.loki().tick()),
+    // Seal fill ratios, and the bytes each query-frontend cache hit since
+    // the last step avoided re-scanning.
+    stage("obs.loki_histograms", Group::Stack, |s, _| {
+        let fill = fam::CHUNK_FILL_RATIO.histogram(&s.registry, labels!());
+        s.omni.loki().take_seal_fill_ratios().into_iter().for_each(|r| fill.observe(r));
+        let saved = fam::FRONTEND_BYTES_SAVED.histogram(&s.registry, labels!());
+        let bytes = s.omni.loki().frontend().take_bytes_saved();
+        bytes.into_iter().for_each(|b| saved.observe(b as f64));
+    }),
+    stage("loki.offload", Group::Log, |s, _| _ = s.omni.loki().offload(3_600 * NANOS_PER_SEC)),
+    // The compactor wakes on its own virtual-clock cadence
+    // (`compaction_interval_ns`): merges cold sealed chunks into the
+    // compacted tier, dedups replayed duplicates, executes retention
+    // deletes.
+    stage("loki.compact", Group::Log, |s, _| _ = s.omni.loki().maybe_compact()),
+    stage("obs.introspect_queries", Group::Stack, |s, c| s.introspect_queries(c.now)),
+    // Both engines evaluate before the first alert is received.
+    stage("loki.ruler_evaluate", Group::Alert, |s, c| c.fired = s.ruler.evaluate(c.now)),
+    stage("tsdb.vmalert_evaluate", Group::Alert, |s, c| c.fired.extend(s.vmalert.evaluate(c.now))),
+    stage("obs.correlate_alert", Group::Alert, |s, c| {
+        c.fired.iter_mut().for_each(|alert| s.correlate_alert(alert, c.now));
+    }),
+    stage("alertmanager.receive", Group::Alert, |s, c| {
+        c.fired.drain(..).for_each(|alert| s.alertmanager.receive(alert, c.now));
+    }),
+    stage("alertmanager.tick", Group::Alert, |s, c| c.notifications = s.alertmanager.tick(c.now)),
+    stage("obs.trace_notifications", Group::Alert, |s, c| {
+        for n in &c.notifications {
+            s.notifications_dispatched += 1;
+            let receiver = labels!("receiver" => n.receiver.clone());
+            fam::NOTIFICATIONS.counter(&s.registry, receiver).inc();
+            for (id, _) in notification_traces(n) {
+                let note = format!("grouped, notified {}", n.receiver);
+                s.traces.end_span(id, "alertmanager", c.now, &note);
+                // Closed on delivery success; retries stretch the span.
+                s.traces.begin_span(id, &format!("deliver_{}", n.receiver), c.now, "enqueued");
+            }
+        }
+    }),
+    stage("stack.remediate", Group::Alert, |s, c| {
+        if let Some(engine) = &mut s.remediation {
+            c.notifications.iter().for_each(|n| _ = engine.handle(n, c.now));
+        }
+    }),
+    // At-least-once delivery to the receivers.
+    stage("alertmanager.enqueue", Group::Alert, |s, c| {
+        let mut queue = s.delivery.lock();
+        c.notifications.iter().for_each(|n| queue.enqueue(n.clone()));
+    }),
+    stage("alertmanager.delivery_pump", Group::Alert, |s, c| s.pump_delivery(c.now)),
+];
 
 impl MonitoringStack {
     /// Wire up the whole Figure 1 pipeline.
@@ -511,143 +676,38 @@ impl MonitoringStack {
         *self.chaos.lock() = Some(engine);
     }
 
-    /// Config-driven generation counts are stored in the generators; the
-    /// per-step volumes come from the config at construction. Advance the
-    /// simulation by `dt_ns`, running one full pipeline cycle; returns the
-    /// Alertmanager notifications dispatched during this step.
+    /// Advance the simulation by `dt_ns` and run one full pipeline cycle,
+    /// generating `syslog_lines` and `container_lines` log lines; returns
+    /// the Alertmanager notifications dispatched during this step.
     pub fn step(
         &mut self,
         dt_ns: i64,
         syslog_lines: usize,
         container_lines: usize,
     ) -> Vec<Notification> {
+        self.step_observed(dt_ns, syslog_lines, container_lines, &mut ())
+    }
+
+    /// [`step`], with `obs` called around each of [`STAGES`] in order. The
+    /// observer owns whatever it reads (a wall clock, an allocation
+    /// counter); the stack keeps no reference to it.
+    ///
+    /// [`step`]: MonitoringStack::step
+    pub fn step_observed(
+        &mut self,
+        dt_ns: i64,
+        syslog_lines: usize,
+        container_lines: usize,
+        obs: &mut impl StepObserver,
+    ) -> Vec<Notification> {
         let now = self.clock.advance(dt_ns);
-        fam::STEPS.counter(&self.registry, labels!()).inc();
-
-        // 0. Scheduled chaos fires before anything else this step.
-        let actions = self.chaos.lock().as_mut().map(|c| c.poll(now)).unwrap_or_default();
-        for action in actions {
-            match action {
-                ChaosAction::CrashShard(i) => self.omni.loki().crash_shard(i),
-                ChaosAction::RecoverShard(i) => {
-                    self.omni.loki().recover_shard(i);
-                }
-                ChaosAction::StartBrownout { from, until } => {
-                    self.broker.inject_brownout(from, until);
-                }
-                ChaosAction::DropSubscriptions => {
-                    self.log_bridge.lock().chaos_revoke_token();
-                    self.metric_bridge.lock().chaos_revoke_token();
-                }
-            }
+        let mut ctx = StepCtx { now, syslog_lines, container_lines, ..StepCtx::default() };
+        for stage in STAGES {
+            obs.before(stage);
+            (stage.run)(self, &mut ctx);
+            obs.after(stage);
         }
-
-        // 1. Producer-side at-least-once: replay publishes an earlier
-        // brownout bounced, then the new data. Sensor readings are
-        // periodic samples and regenerate next step, so they are the one
-        // stream allowed a brownout gap.
-        let backlog = std::mem::take(&mut *self.publish_backlog.lock());
-        for item in backlog {
-            self.publish_or_buffer(item);
-        }
-        for reading in self.machine.sample_sensors() {
-            let _ = self.collector.publish_reading(&reading);
-        }
-        // 2. Logs → bus.
-        for (host, line) in self.syslog_gen.batch(syslog_lines) {
-            self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::SYSLOG,
-                key: host,
-                line,
-            });
-        }
-        for (pod, line) in self.container_gen.batch(container_lines) {
-            self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::CONTAINER_LOGS,
-                key: pod,
-                line,
-            });
-        }
-        // 3. Fabric monitor poll → event lines (Figure 7).
-        for change in self.fabric_monitor.poll() {
-            self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::FABRIC_HEALTH,
-                key: change.xname.to_string(),
-                line: change.to_event_line(),
-            });
-        }
-        // 3b. GPFS monitor poll (the §V future-work path).
-        for change in self.gpfs_monitor.poll() {
-            self.publish_or_buffer(PendingPublish::Log {
-                topic: omni_redfish::topics::GPFS_HEALTH,
-                key: change.server.clone(),
-                line: change.to_event_line(),
-            });
-        }
-        // 4. Bridges pull the Telemetry API forward into the stores. The
-        // bridge mutexes exist only to make the stack Sync; `step` is
-        // their sole user.
-        self.log_bridge.lock().pump(now);
-        self.metric_bridge.lock().pump();
-
-        // 5. vmagent scrape.
-        self.vmagent.scrape_once(now);
-        // 6. Store maintenance: seal aged heads, then move sealed chunks
-        // older than an hour to the disk tier ("chunks are first stored
-        // in memory, and then moved to disk").
-        self.omni.loki().tick();
-        let fill = fam::CHUNK_FILL_RATIO.histogram(&self.registry, labels!());
-        for ratio in self.omni.loki().take_seal_fill_ratios() {
-            fill.observe(ratio);
-        }
-        // Query-frontend cache effectiveness: every cache hit since the
-        // last step contributes the bytes it avoided re-scanning.
-        let saved = fam::FRONTEND_BYTES_SAVED.histogram(&self.registry, labels!());
-        for bytes in self.omni.loki().frontend().take_bytes_saved() {
-            saved.observe(bytes as f64);
-        }
-        self.omni.loki().offload(3_600 * NANOS_PER_SEC);
-        // The compactor wakes on its own virtual-clock cadence
-        // (`compaction_interval_ns`): merges cold sealed chunks into the
-        // compacted tier, dedups replayed duplicates, executes retention
-        // deletes.
-        self.omni.loki().maybe_compact();
-        // 6b. Query introspection: price every query the frontend
-        // finished since the last step, build its span tree, feed the
-        // latency histogram (trace id as exemplar) and the query-latency
-        // SLO, and self-ingest slow queries as a Loki stream.
-        self.introspect_queries(now);
-        // 7. Rule evaluation → Alertmanager, correlating alerts back to
-        // their traces via the Context label the pipeline carries.
-        let fired = self.ruler.evaluate(now).into_iter().chain(self.vmalert.evaluate(now));
-        for mut alert in fired {
-            self.correlate_alert(&mut alert, now);
-            self.alertmanager.receive(alert, now);
-        }
-        // 8. Alertmanager flush → at-least-once delivery to receivers.
-        let notifications = self.alertmanager.tick(now);
-        for n in &notifications {
-            self.notifications_dispatched += 1;
-            fam::NOTIFICATIONS
-                .counter(&self.registry, labels!("receiver" => n.receiver.clone()))
-                .inc();
-            for (id, _) in notification_traces(n) {
-                self.traces.end_span(
-                    id,
-                    "alertmanager",
-                    now,
-                    &format!("grouped, notified {}", n.receiver),
-                );
-                // Closed on delivery success; retries stretch the span.
-                self.traces.begin_span(id, &format!("deliver_{}", n.receiver), now, "enqueued");
-            }
-            if let Some(engine) = &mut self.remediation {
-                engine.handle(n, now);
-            }
-            self.delivery.lock().enqueue(n.clone());
-        }
-        self.pump_delivery(now);
-        notifications
+        ctx.notifications
     }
 
     /// Drain the frontend's per-query reports and scheduler queue-wait
@@ -801,14 +861,14 @@ impl MonitoringStack {
     /// event→incident latency histogram and SLO once per trace per
     /// delivery — on every delivery, not once per opened incident
     /// (ROADMAP item 6).
-    fn pump_delivery(&mut self, now: i64) -> usize {
+    fn pump_delivery(&mut self, now: i64) {
         let chaos = Arc::clone(&self.chaos);
         let slack = self.slack.clone();
         let servicenow = self.servicenow.clone();
         let traces = self.traces.clone();
         let slo = self.slo.clone();
         let latency = fam::EVENT_TO_INCIDENT_SECONDS.histogram(&self.registry, labels!());
-        let delivered = self.delivery.lock().pump(now, |n| {
+        self.delivery.lock().pump(now, |n| {
             if let Some(c) = chaos.lock().as_mut() {
                 if c.should_fail_send(&n.receiver, now) {
                     return false;
@@ -848,7 +908,6 @@ impl MonitoringStack {
             self.slo.record_many("alert-delivery", now, 0, failed - self.delivery_failures_seen);
             self.delivery_failures_seen = failed;
         }
-        delivered
     }
 
     fn publish_or_buffer(&self, item: PendingPublish) {
@@ -1306,6 +1365,63 @@ mod tests {
 
     fn minute() -> i64 {
         60 * NANOS_PER_SEC
+    }
+
+    #[test]
+    fn stages_run_in_the_documented_order() {
+        use Group::{Log, Metric, Stack};
+        let alert = Group::Alert;
+        let expected = [
+            ("obs.count_step", Stack),
+            ("stack.chaos", Stack),
+            ("redfish.replay_backlog", Log),
+            ("shasta.sample_sensors", Metric),
+            ("redfish.publish_readings", Metric),
+            ("shasta.syslog_batch", Log),
+            ("shasta.container_batch", Log),
+            ("shasta.fabric_poll", Log),
+            ("shasta.gpfs_poll", Log),
+            ("redfish.publish_logs", Log),
+            ("bridge.log_pump", Log),
+            ("bridge.metric_pump", Metric),
+            ("tsdb.vmagent_scrape", Metric),
+            ("loki.tick", Log),
+            ("obs.loki_histograms", Stack),
+            ("loki.offload", Log),
+            ("loki.compact", Log),
+            ("obs.introspect_queries", Stack),
+            ("loki.ruler_evaluate", alert),
+            ("tsdb.vmalert_evaluate", alert),
+            ("obs.correlate_alert", alert),
+            ("alertmanager.receive", alert),
+            ("alertmanager.tick", alert),
+            ("obs.trace_notifications", alert),
+            ("stack.remediate", alert),
+            ("alertmanager.enqueue", alert),
+            ("alertmanager.delivery_pump", alert),
+        ];
+        let actual: Vec<_> = STAGES.iter().map(|s| (s.name, s.group)).collect();
+        assert_eq!(actual, expected);
+    }
+
+    #[test]
+    fn an_observer_sees_every_stage_once_in_order() {
+        struct Seen(Vec<(&'static str, bool)>);
+        impl StepObserver for Seen {
+            fn before(&mut self, stage: &Stage) {
+                self.0.push((stage.name, true));
+            }
+            fn after(&mut self, stage: &Stage) {
+                self.0.push((stage.name, false));
+            }
+        }
+        let mut stack = MonitoringStack::new(StackConfig::default());
+        let mut seen = Seen(Vec::new());
+        stack.step_observed(minute(), 5, 5, &mut seen);
+        let expected: Vec<_> =
+            STAGES.iter().flat_map(|s| [(s.name, true), (s.name, false)]).collect();
+        assert_eq!(seen.0, expected);
+        assert_eq!(stack.clock.now(), minute(), "the clock moved once");
     }
 
     #[test]

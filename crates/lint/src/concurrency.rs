@@ -11,7 +11,8 @@
 //!   `declare_lock_order!` table (matched at the
 //!   `Ordered*::new(&classes::NAME, ..)` constructor site).
 //! - **May-hold-while-acquiring graph.** A guard-liveness walk over each
-//!   function body records which classes can be held when another is
+//!   function body (and each closure of a `const`/`static` initializer,
+//!   such as a stage table) records which classes can be held when another is
 //!   acquired — directly, or through a call whose transitive
 //!   `may_acquire` set (a fixpoint over the call graph) contains a lock.
 //! - **`lock-cycle`** (error): a cycle in that graph, or a single edge
@@ -399,6 +400,7 @@ pub(crate) fn analyze(ws: &Workspace) -> Vec<Finding> {
         index_structs(&mut m, f);
         index_constructors(&mut m, f);
         index_functions(&mut m, fi, f);
+        index_const_closures(&mut m, fi, f);
     }
     // Ordered fields whose constructor the lexer never saw still need a
     // class so acquisitions through them stay tracked.
@@ -800,6 +802,69 @@ fn index_functions(m: &mut Model, fi: usize, f: &SourceFile) {
         let node = m.funcs.entry((f.crate_name.clone(), ty, name.clone())).or_default();
         node.bodies.push(Body { file: fi, start: open + 1, end: end.saturating_sub(1) });
         k = open + 1;
+    }
+}
+
+/// Record the closures of every non-test `const`/`static` initializer as
+/// bodies of a function named after the item: a table of `fn` pointers
+/// (`omni_core::stack::STAGES`) is code that runs like a method body.
+/// Each closure is a body of its own, so a temporary guard ends with the
+/// closure that took it.
+fn index_const_closures(m: &mut Model, fi: usize, f: &SourceFile) {
+    let toks = &f.lexed.toks;
+    let punct = |i: usize, c: char| toks.get(i).is_some_and(|t| t.1 == Tok::Punct(c));
+    // Index of the first `,` / `;` / unmatched closer at bracket depth 0
+    // from `i` on (`stop_at_comma` false: the first unmatched closer).
+    let end_of = |mut i: usize, stop_at_comma: bool| {
+        let mut depth = 0usize;
+        while i < toks.len() {
+            match &toks[i].1 {
+                Tok::Punct('(' | '[' | '{') => depth += 1,
+                Tok::Punct(')' | ']' | '}') if depth == 0 => break,
+                Tok::Punct(')' | ']' | '}') => depth -= 1,
+                Tok::Punct(',' | ';') if depth == 0 && stop_at_comma => break,
+                _ => {}
+            }
+            i += 1;
+        }
+        i
+    };
+    let mut k = 0;
+    while k < toks.len() {
+        let item = matches!(&toks[k].1, Tok::Ident(id) if id == "const" || id == "static");
+        let name = match toks.get(k + 1) {
+            Some((_, Tok::Ident(name))) if item && !f.in_test[k] && punct(k + 2, ':') => name,
+            _ => {
+                k += 1;
+                continue;
+            }
+        };
+        let Some(eq) = (k + 3..toks.len()).find(|&i| punct(i, '=') || punct(i, ';')) else {
+            break;
+        };
+        let semi = end_of(eq, true);
+        let key = (f.crate_name.clone(), String::new(), name.clone());
+        let mut c = eq + 1;
+        while c < semi {
+            let opens = punct(c, '|')
+                && (matches!(&toks[c - 1].1, Tok::Punct('(' | '[' | ',' | '=' | '{'))
+                    || matches!(&toks[c - 1].1, Tok::Ident(id) if id == "move"));
+            if !opens {
+                c += 1;
+                continue;
+            }
+            // Parameters run to the next `|`; a braced body ends at its
+            // matching brace, an expression body at the next `,`.
+            let params_end = (c + 1..semi).find(|&i| punct(i, '|')).unwrap_or(semi);
+            let (start, end) = if punct(params_end + 1, '{') {
+                (params_end + 2, end_of(params_end + 2, false))
+            } else {
+                (params_end + 1, end_of(params_end + 1, true))
+            };
+            m.funcs.entry(key.clone()).or_default().bodies.push(Body { file: fi, start, end });
+            c = end + 1;
+        }
+        k = semi + 1;
     }
 }
 

@@ -88,3 +88,16 @@ impl Pair {
         read_store(*a).len()
     }
 }
+
+/// A table of closures is code: the second one re-locks `alpha` while its
+/// own guard is live. The first one's temporary guard on `beta` ends with
+/// that closure, so no beta → alpha edge is recorded.
+pub const STAGES: &[fn(&Pair)] = &[
+    |p| _ = p.beta.lock().checked_add(1),
+    |p| {
+        let a = p.alpha.lock();
+        let again = p.alpha.lock();
+        drop(again);
+        drop(a);
+    },
+];

@@ -1,5 +1,7 @@
 //! Regex abstract syntax tree.
 
+use std::sync::Arc;
+
 /// One item inside a character class.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClassItem {
@@ -39,8 +41,8 @@ pub enum Ast {
     AnyChar,
     /// A character class; `negated` flips the match.
     Class {
-        /// The class items.
-        items: Vec<ClassItem>,
+        /// The class items, shared by every copy a repeat compiles.
+        items: Arc<[ClassItem]>,
         /// Whether the class is `[^...]`.
         negated: bool,
     },

@@ -7,6 +7,7 @@
 
 use crate::ast::{Ast, ClassItem};
 use std::fmt;
+use std::sync::Arc;
 
 /// Hard limit on compiled program size; `{1000}{1000}`-style expansion
 /// bombs hit this instead of exhausting memory.
@@ -40,7 +41,7 @@ enum Inst {
     Char(char),
     Any,
     Class {
-        items: Vec<ClassItem>,
+        items: Arc<[ClassItem]>,
         negated: bool,
     },
     /// Record current position into capture slot `n`.

@@ -2,6 +2,7 @@
 
 use crate::ast::{Ast, ClassItem};
 use std::fmt;
+use std::sync::Arc;
 
 /// Maximum group nesting — far above any real pattern, and a guard against
 /// stack exhaustion on hostile pattern text (a query's `|~`, a rule file
@@ -293,18 +294,18 @@ impl Parser {
         if items.is_empty() && !negated {
             return Err(self.err("empty character class"));
         }
-        Ok(Ast::Class { items, negated })
+        Ok(Ast::Class { items: items.into(), negated })
     }
 
     fn escape(&mut self) -> Result<Ast, RegexParseError> {
         match self.bump() {
             None => Err(self.err("trailing backslash")),
-            Some('d') => Ok(Ast::Class { items: vec![ClassItem::Digit], negated: false }),
-            Some('D') => Ok(Ast::Class { items: vec![ClassItem::Digit], negated: true }),
-            Some('w') => Ok(Ast::Class { items: vec![ClassItem::Word], negated: false }),
-            Some('W') => Ok(Ast::Class { items: vec![ClassItem::Word], negated: true }),
-            Some('s') => Ok(Ast::Class { items: vec![ClassItem::Space], negated: false }),
-            Some('S') => Ok(Ast::Class { items: vec![ClassItem::Space], negated: true }),
+            Some('d') => Ok(Ast::Class { items: Arc::new([ClassItem::Digit]), negated: false }),
+            Some('D') => Ok(Ast::Class { items: Arc::new([ClassItem::Digit]), negated: true }),
+            Some('w') => Ok(Ast::Class { items: Arc::new([ClassItem::Word]), negated: false }),
+            Some('W') => Ok(Ast::Class { items: Arc::new([ClassItem::Word]), negated: true }),
+            Some('s') => Ok(Ast::Class { items: Arc::new([ClassItem::Space]), negated: false }),
+            Some('S') => Ok(Ast::Class { items: Arc::new([ClassItem::Space]), negated: true }),
             Some('n') => Ok(Ast::Literal('\n')),
             Some('r') => Ok(Ast::Literal('\r')),
             Some('t') => Ok(Ast::Literal('\t')),

@@ -253,6 +253,37 @@ if grep -rnE "produce_as|set_tenant_quota|TenantProduceStats|BUS_QUOTAS|MODEL_BU
     echo "a caller-less second door, lock or price is back"; exit 1
 fi
 
+echo "== one step order (the STAGES table is the step) =="
+# MonitoringStack::step runs omni_core::stack::STAGES and nothing else:
+# neither a numbered stage comment may come back in stack.rs, nor may a
+# Log, Metric or Alert span that omnibench's group_of times be missing
+# from the table or sit there under another group. omnibench is only
+# read here. The per-stage allocation counts must add up to the step's.
+if grep -nE "// [0-9]+b?\. " crates/core/src/stack.rs; then
+    echo "a numbered stage comment is back in stack.rs"; exit 1
+fi
+python3 - <<'PY'
+import re
+staged = open("omnibench/src/staged.rs").read()
+group_of = staged[staged.index("pub fn group_of"):]
+group_of = group_of[:group_of.index("\n}\n")]
+timed = {}
+for names, group in re.findall(r'((?:"[a-z_.]+"\s*\|?\s*)+)=>\s*Group::(\w+)', group_of):
+    if group in ("Log", "Metric", "Alert"):
+        timed.update((name, group) for name in re.findall(r'"([a-z_.]+)"', names))
+stack = open("crates/core/src/stack.rs").read()
+table = stack[stack.index("pub const STAGES"):]
+table = table[:table.index("\n];\n")]
+stages = dict(re.findall(r'stage\(\s*"([a-z_.]+)",\s*Group::(\w+)', table))
+assert timed and stages, "found no span names or no stages"
+wrong = [f"{n} ({g})" for n, g in timed.items() if stages.get(n) != g]
+if wrong:
+    print("spans omnibench times that are not stages of that group:", ", ".join(wrong))
+    raise SystemExit(1)
+print(f"all {len(timed)} Log/Metric/Alert spans of group_of are stages of {len(stages)}")
+PY
+cargo test -q -p omni-core --test alloc_step_stages
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
