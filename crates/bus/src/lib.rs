@@ -14,7 +14,8 @@
 //! * offset-addressed **fetch** plus committed **consumer-group cursors**,
 //!   from which the broker meters each group's lag (the Telemetry API's
 //!   subscription is the consumer; the bus only keeps its offsets);
-//! * size/age **retention** enforcement and per-topic metering.
+//! * size/age **retention** enforcement behind those cursors, and
+//!   per-topic metering.
 
 mod partition;
 mod stats;
@@ -26,7 +27,7 @@ pub use partition::{Message, Partition};
 pub use stats::{TopicStats, TopicStatsSnapshot};
 
 use omni_model::lockwitness::{classes, OrderedMutex, OrderedRwLock};
-use omni_model::{fnv1a64, SimClock};
+use omni_model::{fnv1a64, SimClock, Timestamp};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,7 +39,8 @@ pub struct TopicConfig {
     /// Number of partitions.
     pub partitions: usize,
     /// Retention horizon: messages older than this (vs the broker clock)
-    /// may be dropped by [`Broker::enforce_retention`]. `None` = keep all.
+    /// may be dropped by [`Broker::enforce_retention`], unless a consumer
+    /// group has yet to read them. `None` = keep all.
     pub retention_ns: Option<i64>,
     /// Cap on the total retained bytes per partition; oldest messages are
     /// dropped first. `None` = unbounded.
@@ -83,11 +85,44 @@ struct Topic {
     config: TopicConfig,
     stats: TopicStats,
     round_robin: AtomicU64,
+    /// Committed cursors of every consumer group on the topic, sorted by
+    /// group name: a commit or a lookup is a binary search, no key built.
+    offsets: OrderedMutex<Vec<GroupCursors>>,
 }
 
-/// Committed offsets per consumer group: (group, topic, partition) → next
-/// offset to read.
-type GroupOffsets = HashMap<(String, String, usize), u64>;
+/// One consumer group's committed cursors on a topic.
+struct GroupCursors {
+    group: String,
+    /// Per partition, the next offset the group will read.
+    next: Vec<u64>,
+}
+
+impl Topic {
+    /// A group's lag on the topic: log end minus committed cursor, summed
+    /// over partitions.
+    fn lag(&self, g: &GroupCursors) -> u64 {
+        self.partitions.iter().zip(&g.next).map(|(p, &next)| p.log_end().saturating_sub(next)).sum()
+    }
+
+    /// Drop what is older than `horizon` on each partition, but nothing at
+    /// or after the lowest cursor any group has committed there. The
+    /// cursors stay locked across the sweep, so a group subscribing
+    /// meanwhile finds its start offset still held.
+    fn truncate_before(&self, horizon: Timestamp) -> usize {
+        let offsets = self.offsets.lock();
+        let mut dropped = 0;
+        for (i, p) in self.partitions.iter().enumerate() {
+            let floor = offsets.iter().map(|g| g.next[i]).min().unwrap_or(u64::MAX);
+            dropped += p.truncate_before(horizon, floor);
+        }
+        dropped
+    }
+}
+
+/// The position of `group` in a topic's sorted cursor list.
+fn find_group(offsets: &[GroupCursors], group: &str) -> Result<usize, usize> {
+    offsets.binary_search_by(|g| g.group.as_str().cmp(group))
+}
 
 /// The broker: owner of all topics. Cheap to clone ([`Arc`] inside) and
 /// safe to share across producer/consumer threads.
@@ -107,7 +142,6 @@ struct Brownout {
 
 struct BrokerInner {
     topics: OrderedRwLock<HashMap<String, Arc<Topic>>>,
-    offsets: OrderedMutex<GroupOffsets>,
     clock: SimClock,
     brownouts: OrderedMutex<Vec<Brownout>>,
     brownout_seq: AtomicU64,
@@ -119,7 +153,6 @@ impl Broker {
         Self {
             inner: Arc::new(BrokerInner {
                 topics: OrderedRwLock::new(&classes::BUS_TOPICS, HashMap::new()),
-                offsets: OrderedMutex::new(&classes::BUS_OFFSETS, HashMap::new()),
                 clock,
                 brownouts: OrderedMutex::new(&classes::BUS_BROWNOUTS, Vec::new()),
                 brownout_seq: AtomicU64::new(0),
@@ -167,6 +200,7 @@ impl Broker {
             config,
             stats: TopicStats::default(),
             round_robin: AtomicU64::new(0),
+            offsets: OrderedMutex::new(&classes::BUS_OFFSETS, Vec::new()),
         };
         topics.insert(name.to_string(), Arc::new(topic));
         Ok(())
@@ -281,19 +315,31 @@ impl Broker {
     /// Committed cursor of a consumer group on a partition: the next
     /// offset the group would read (0 if never committed).
     pub fn committed(&self, group: &str, topic: &str, partition: usize) -> u64 {
-        *self
-            .inner
-            .offsets
-            .lock()
-            .get(&(group.to_string(), topic.to_string(), partition))
-            .unwrap_or(&0)
+        let Ok(t) = self.topic(topic) else { return 0 };
+        let offsets = t.offsets.lock();
+        let g = find_group(&offsets, group).ok().map(|i| &offsets[i]);
+        g.and_then(|g| g.next.get(partition).copied()).unwrap_or(0)
     }
 
     /// Commit a consumer group's cursor on a partition: `next` is the next
     /// offset the group will read. Offset-cursor clients (the bridges)
-    /// commit here so the broker can meter their lag.
+    /// commit here so the broker can meter their lag, and retention keeps
+    /// every message from the lowest committed cursor on. A group's first
+    /// commit on a topic registers it there, at offset 0 on every other
+    /// partition; a commit to an unknown topic or partition is ignored.
     pub fn commit(&self, group: &str, topic: &str, partition: usize, next: u64) {
-        self.inner.offsets.lock().insert((group.to_string(), topic.to_string(), partition), next);
+        let Ok(t) = self.topic(topic) else { return };
+        if partition >= t.partitions.len() {
+            return;
+        }
+        let mut offsets = t.offsets.lock();
+        let i = find_group(&offsets, group).unwrap_or_else(|i| {
+            let cursors =
+                GroupCursors { group: group.to_string(), next: vec![0; t.partitions.len()] };
+            offsets.insert(i, cursors);
+            i
+        });
+        offsets[i].next[partition] = next;
     }
 
     /// Consumer lag of one group on a topic: high-water mark (log end)
@@ -301,57 +347,33 @@ impl Broker {
     /// signal for the offset-cursor bridges.
     pub fn group_lag(&self, group: &str, topic: &str) -> Result<u64, BusError> {
         let t = self.topic(topic)?;
-        let offsets = self.inner.offsets.lock();
-        let mut lag = 0u64;
-        for (i, p) in t.partitions.iter().enumerate() {
-            let committed = *offsets.get(&(group.to_string(), topic.to_string(), i)).unwrap_or(&0);
-            lag += p.log_end().saturating_sub(committed);
-        }
-        Ok(lag)
-    }
-
-    /// Every consumer group that has committed a cursor on a topic, sorted.
-    pub fn groups(&self, topic: &str) -> Vec<String> {
-        let offsets = self.inner.offsets.lock();
-        let mut groups: Vec<String> =
-            offsets.keys().filter(|(_, t, _)| t == topic).map(|(g, _, _)| g.clone()).collect();
-        groups.sort();
-        groups.dedup();
-        groups
+        let offsets = t.offsets.lock();
+        Ok(match find_group(&offsets, group) {
+            Ok(i) => t.lag(&offsets[i]),
+            Err(_) => t.partitions.iter().map(Partition::log_end).sum(),
+        })
     }
 
     /// Drop messages older than each topic's retention horizon, relative
-    /// to the broker clock. Returns total messages dropped.
+    /// to the broker clock, except those at or after a consumer group's
+    /// committed cursor: a lagging or stalled group loses nothing, and the
+    /// age bounds only what a group that has not yet subscribed can
+    /// replay. Returns total messages dropped.
     pub fn enforce_retention(&self) -> usize {
         let now = self.inner.clock.now();
         let topics = self.inner.topics.read();
-        // Topic-name order so the truncation sweep (and any tracing it
-        // emits) replays deterministically across runs.
-        let mut names: Vec<&String> = topics.keys().collect();
-        names.sort_unstable();
-        let mut dropped = 0;
-        for name in names {
-            let t = &topics[name];
-            if let Some(ret) = t.config.retention_ns {
-                let horizon = now.saturating_sub(ret);
-                for p in &t.partitions {
-                    dropped += p.truncate_before(horizon);
-                }
-            }
-        }
-        dropped
+        topics
+            .values()
+            .filter_map(|t| Some(t.truncate_before(now.saturating_sub(t.config.retention_ns?))))
+            .sum()
     }
 
     /// Metering snapshot for one topic, including the worst consumer-group
     /// lag (see [`TopicStatsSnapshot::consumer_lag`]).
     pub fn stats(&self, topic: &str) -> Result<stats::TopicStatsSnapshot, BusError> {
-        let mut snap = self.topic(topic)?.stats.snapshot();
-        snap.consumer_lag = self
-            .groups(topic)
-            .iter()
-            .map(|g| self.group_lag(g, topic).unwrap_or(0))
-            .max()
-            .unwrap_or(0);
+        let t = self.topic(topic)?;
+        let mut snap = t.stats.snapshot();
+        snap.consumer_lag = t.offsets.lock().iter().map(|g| t.lag(g)).max().unwrap_or(0);
         Ok(snap)
     }
 
@@ -450,6 +472,97 @@ mod tests {
         assert_eq!(msgs[0].offset, 1);
     }
 
+    fn aged_topic(b: &Broker, partitions: usize) {
+        let config = TopicConfig {
+            partitions,
+            retention_ns: Some(10 * NANOS_PER_SEC),
+            ..Default::default()
+        };
+        b.create_topic("t", config).unwrap();
+    }
+
+    #[test]
+    fn retention_keeps_what_a_lagging_group_has_not_read() {
+        let b = broker();
+        aged_topic(&b, 1);
+        for i in 0..5 {
+            b.produce("t", None, format!("{i}")).unwrap();
+        }
+        b.commit("bridge", "t", 0, 2);
+        b.clock().advance_secs(3_600);
+        assert_eq!(b.enforce_retention(), 2, "only what the group has read ages out");
+        let msgs = b.fetch("t", 0, 2, 10).unwrap();
+        assert_eq!(msgs.iter().map(|m| m.offset).collect::<Vec<_>>(), vec![2, 3, 4]);
+        // Once the group catches up, the rest ages out too.
+        b.commit("bridge", "t", 0, 5);
+        assert_eq!(b.enforce_retention(), 3);
+        assert_eq!(b.retained("t").unwrap(), 0);
+    }
+
+    #[test]
+    fn retention_floor_is_the_slowest_group_per_partition() {
+        let b = broker();
+        aged_topic(&b, 2);
+        for _ in 0..8 {
+            b.produce("t", None, &b"m"[..]).unwrap(); // round-robin: 4 per partition
+        }
+        b.commit("fast", "t", 0, 4);
+        b.commit("fast", "t", 1, 4);
+        b.commit("slow", "t", 0, 1);
+        b.clock().advance_secs(3_600);
+        assert_eq!(b.enforce_retention(), 1);
+        assert_eq!(b.fetch("t", 0, 0, 10).unwrap()[0].offset, 1, "slow holds partition 0");
+        // `slow` never committed partition 1: it counts from offset 0 there.
+        assert_eq!(b.fetch("t", 1, 0, 10).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn a_registered_group_that_never_read_keeps_every_partition() {
+        let b = broker();
+        aged_topic(&b, 3);
+        for i in 0..30 {
+            b.produce("t", Some(&format!("k{i}")), &b"m"[..]).unwrap();
+        }
+        // A subscriber commits its start cursors before reading anything.
+        for p in 0..3 {
+            b.commit("new-bridge", "t", p, 0);
+        }
+        b.clock().advance_secs(3_600);
+        assert_eq!(b.enforce_retention(), 0);
+        assert_eq!(b.retained("t").unwrap(), 30);
+        assert_eq!(b.group_lag("new-bridge", "t").unwrap(), 30);
+    }
+
+    #[test]
+    fn an_unconsumed_topic_ages_out_and_an_unbounded_one_keeps_all() {
+        let b = broker();
+        aged_topic(&b, 1);
+        b.create_topic("dead-letter", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
+        for _ in 0..4 {
+            b.produce("t", None, &b"m"[..]).unwrap();
+            b.produce("dead-letter", None, &b"m"[..]).unwrap();
+        }
+        b.clock().advance_secs(5);
+        b.produce("t", None, &b"young"[..]).unwrap();
+        b.clock().advance_secs(6);
+        // No group on `t`: the age alone decides, so the young one stays.
+        assert_eq!(b.enforce_retention(), 4);
+        assert_eq!(b.fetch("t", 0, 0, 10).unwrap()[0].offset, 4);
+        // No retention on the dead-letter topic: it still reads from 0.
+        assert_eq!(b.fetch("dead-letter", 0, 0, 10).unwrap().len(), 4);
+    }
+
+    #[test]
+    fn cursor_commits_ignore_unknown_topics_and_partitions() {
+        let b = broker();
+        b.create_topic("t", TopicConfig { partitions: 1, ..Default::default() }).unwrap();
+        b.commit("g", "nope", 0, 3);
+        b.commit("g", "t", 7, 3);
+        assert_eq!(b.committed("g", "nope", 0), 0);
+        assert_eq!(b.committed("g", "t", 7), 0);
+        assert_eq!(b.stats("t").unwrap().consumer_lag, 0, "no group registered");
+    }
+
     #[test]
     fn retention_by_bytes() {
         let b = broker();
@@ -530,7 +643,8 @@ mod tests {
         // The slowest group defines the reported lag.
         b.commit("slow", "t", 0, 0);
         assert_eq!(b.stats("t").unwrap().consumer_lag, total);
-        assert_eq!(b.groups("t"), vec!["bridge".to_string(), "slow".to_string()]);
+        assert_eq!(b.group_lag("slow", "t").unwrap(), total);
+        assert_eq!(b.committed("bridge", "t", 1), b.log_end("t", 1).unwrap());
     }
 
     #[test]

@@ -101,12 +101,13 @@ impl Partition {
         self.len() == 0
     }
 
-    /// Drop retained messages with `ts < horizon`. Returns how many were
-    /// dropped. Offsets are never reused.
-    pub fn truncate_before(&self, horizon: Timestamp) -> usize {
+    /// Drop retained messages with `ts < horizon` and `offset < floor`,
+    /// oldest first. Returns how many were dropped. Offsets are never
+    /// reused.
+    pub fn truncate_before(&self, horizon: Timestamp, floor: u64) -> usize {
         let mut log = self.log.write();
         let mut dropped = 0;
-        while log.messages.front().is_some_and(|m| m.ts < horizon) {
+        while log.messages.front().is_some_and(|m| m.ts < horizon && m.offset < floor) {
             let Some(m) = log.messages.pop_front() else { break };
             log.bytes -= m.payload.len();
             dropped += 1;
@@ -180,7 +181,7 @@ mod tests {
         for i in 0..10 {
             p.append(msg("x", i));
         }
-        p.truncate_before(5);
+        p.truncate_before(5, u64::MAX);
         let out = p.read_from(0, 100);
         assert_eq!(out[0].offset, 5);
         assert_eq!(out.len(), 5);

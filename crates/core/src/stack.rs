@@ -372,6 +372,10 @@ pub const STAGES: &[Stage] = &[
     // at every gather (`register_self_collectors`).
     stage("bridge.log_pump", Group::Log, |s, c| _ = s.log_bridge.lock().pump(c.now)),
     stage("bridge.metric_pump", Group::Metric, |s, _| _ = s.metric_bridge.lock().pump()),
+    // Both bridges have committed: drop what every group has read and the
+    // Redfish topics' retention has aged out (never what a group has yet
+    // to read).
+    stage("bus.retention", Group::Stack, |s, _| _ = s.broker.enforce_retention()),
     stage("tsdb.vmagent_scrape", Group::Metric, |s, c| s.vmagent.scrape_once(c.now)),
     // Store maintenance: seal aged heads, then move sealed chunks older
     // than an hour to the disk tier ("chunks are first stored in memory,
@@ -1384,6 +1388,7 @@ mod tests {
             ("redfish.publish_logs", Log),
             ("bridge.log_pump", Log),
             ("bridge.metric_pump", Metric),
+            ("bus.retention", Stack),
             ("tsdb.vmagent_scrape", Metric),
             ("loki.tick", Log),
             ("obs.loki_histograms", Stack),

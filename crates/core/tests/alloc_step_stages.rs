@@ -98,9 +98,10 @@ const PINNED: &[(&str, usize)] = &[
     ("shasta.fabric_poll", 6),
     ("shasta.gpfs_poll", 162),
     ("redfish.publish_logs", 373),
-    ("bridge.log_pump", 1194),
-    ("bridge.metric_pump", 1141),
-    ("tsdb.vmagent_scrape", 15306),
+    ("bridge.log_pump", 1095),
+    ("bridge.metric_pump", 949),
+    ("bus.retention", 0),
+    ("tsdb.vmagent_scrape", 9546),
     ("loki.tick", 6),
     ("obs.loki_histograms", 30),
     ("loki.offload", 6),

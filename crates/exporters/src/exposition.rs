@@ -145,7 +145,7 @@ fn write_series(out: &mut String, name: &str, labels: &LabelSet) {
     out.push('}');
 }
 
-fn write_value(out: &mut String, v: f64) {
+pub(crate) fn write_value(out: &mut String, v: f64) {
     if v.is_nan() {
         out.push_str("NaN");
     } else if v == f64::INFINITY {
@@ -158,7 +158,7 @@ fn write_value(out: &mut String, v: f64) {
 }
 
 /// `s` with backslash and line feed escaped, and `"` too in a label value.
-fn escape_into(out: &mut String, s: &str, label_value: bool) {
+pub(crate) fn escape_into(out: &mut String, s: &str, label_value: bool) {
     let special = |c: char| c == '\\' || c == '\n' || (label_value && c == '"');
     if !s.contains(special) {
         out.push_str(s);

@@ -1,10 +1,11 @@
 //! The simulated exporter fleet, rendered against the Shasta machine.
 
-use crate::exposition::{render_exposition_into, MetricFamily};
+use crate::exposition::{escape_into, render_exposition_into, write_value, MetricFamily};
 use omni_bus::Broker;
 use omni_model::{LabelSet, SimClock};
-use omni_redfish::SensorKind;
+use omni_redfish::{SensorKind, SensorReading};
 use omni_shasta::ShastaMachine;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// Every metric family the simulated exporter fleet can emit, as
@@ -69,34 +70,48 @@ impl NodeExporter {
     }
 }
 
+/// The node page's families in page order: kind, name, `# HELP` text.
+const NODE_FAMILIES: [(SensorKind, &str, &str); 6] = [
+    (SensorKind::Temperature, "node_temp_celsius", "Node temperature in Celsius."),
+    (SensorKind::Power, "node_power_watts", "Node power draw in Watts."),
+    (SensorKind::FanSpeed, "node_fan_rpm", "Node fan speed in RPM."),
+    (SensorKind::Humidity, "chassis_humidity_percent", "Chassis relative humidity."),
+    (SensorKind::Leak, "chassis_leak_detected", "Leak sensor state (1=wet)."),
+    (SensorKind::Flow, "cdu_flow_lpm", "CDU coolant flow (litres/minute)."),
+];
+
 impl Exporter for NodeExporter {
     fn job(&self) -> &str {
         "node-exporter"
     }
 
     fn render_into(&self, out: &mut String) {
-        let mut temp = MetricFamily::gauge("node_temp_celsius", "Node temperature in Celsius.");
-        let mut power = MetricFamily::gauge("node_power_watts", "Node power draw in Watts.");
-        let mut fan = MetricFamily::gauge("node_fan_rpm", "Node fan speed in RPM.");
-        let mut humidity =
-            MetricFamily::gauge("chassis_humidity_percent", "Chassis relative humidity.");
-        let mut leak = MetricFamily::gauge("chassis_leak_detected", "Leak sensor state (1=wet).");
-        let mut flow = MetricFamily::gauge("cdu_flow_lpm", "CDU coolant flow (litres/minute).");
-        for r in self.machine.sample_sensors() {
-            let labels = LabelSet::from_pairs([
-                ("xname", r.xname.to_string()),
-                ("sensor", r.sensor_id.clone()),
-            ]);
-            match r.kind {
-                SensorKind::Temperature => temp.sample(labels, r.value),
-                SensorKind::Power => power.sample(labels, r.value),
-                SensorKind::FanSpeed => fan.sample(labels, r.value),
-                SensorKind::Humidity => humidity.sample(labels, r.value),
-                SensorKind::Leak => leak.sample(labels, r.value),
-                SensorKind::Flow => flow.sample(labels, r.value),
-            };
+        write_node_page(&self.machine.sample_sensors(), out);
+    }
+}
+
+/// The node page, written in place: a family at a time in
+/// [`NODE_FAMILIES`] order and its readings in sample order, byte for
+/// byte what `render_exposition_into` makes of one gauge [`MetricFamily`]
+/// per kind with `{sensor, xname}` label sets.
+fn write_node_page(readings: &[SensorReading], out: &mut String) {
+    for (kind, name, help) in NODE_FAMILIES {
+        out.push_str("# HELP ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(help);
+        out.push_str("\n# TYPE ");
+        out.push_str(name);
+        out.push_str(" gauge\n");
+        for r in readings.iter().filter(|r| r.kind == kind) {
+            out.push_str(name);
+            out.push_str("{sensor=\"");
+            escape_into(out, &r.sensor_id, true);
+            // Writing into a `String` cannot fail; an xname needs no escaping.
+            let _ = write!(out, "\",xname=\"{}\"}} ", r.xname);
+            write_value(out, r.value);
+            out.push('\n');
         }
-        render_exposition_into(&[temp, power, fan, humidity, leak, flow], out);
     }
 }
 
@@ -279,6 +294,50 @@ mod tests {
         assert!(records.iter().any(|r| r.name() == Some("chassis_humidity_percent")));
         // Every sample carries an xname.
         assert!(records.iter().all(|r| r.labels.contains("xname")));
+    }
+
+    /// The node page as `render_exposition_into` makes it from one gauge
+    /// `MetricFamily` per kind: the reference the in-place writer is held to.
+    fn node_page_reference(readings: &[SensorReading]) -> String {
+        let mut families = NODE_FAMILIES.map(|(_, name, help)| MetricFamily::gauge(name, help));
+        for r in readings {
+            let labels = LabelSet::from_pairs([
+                ("xname", r.xname.to_string()),
+                ("sensor", r.sensor_id.clone()),
+            ]);
+            let i = NODE_FAMILIES.iter().position(|(kind, _, _)| *kind == r.kind).unwrap();
+            families[i].sample(labels, r.value);
+        }
+        let mut out = String::new();
+        render_exposition_into(&families, &mut out);
+        out
+    }
+
+    #[test]
+    fn node_page_is_byte_identical_to_the_family_rendering() {
+        for spec in [TopologySpec::tiny(), TopologySpec::perlmutter_like()] {
+            let machine = |seed| Arc::new(ShastaMachine::new(spec.clone(), SimClock::new(), seed));
+            let (scraped, twin) = (machine(5), machine(5));
+            let chassis = scraped.topology().chassis()[0];
+            scraped.inject_leak(chassis, 'A', omni_shasta::LeakZone::Front);
+            twin.inject_leak(chassis, 'A', omni_shasta::LeakZone::Front);
+            let exporter = NodeExporter::new(scraped);
+            for scrape in 0..5 {
+                let mut readings = twin.sample_sensors();
+                let mut page = String::from("# left in the buffer\n");
+                exporter.render_into(&mut page);
+                let reference = node_page_reference(&readings);
+                assert_eq!(page.strip_prefix("# left in the buffer\n"), Some(reference.as_str()));
+                // Sensor ids the machine never emits: quote, backslash and
+                // line feed are escaped in the label value.
+                readings[scrape].sensor_id = format!("t\"{scrape}\\\n");
+                readings.push(SensorReading { value: f64::NAN, ..readings[scrape].clone() });
+                let mut page = String::new();
+                write_node_page(&readings, &mut page);
+                assert!(page.contains(&format!("sensor=\"t\\\"{scrape}\\\\\\n\"")));
+                assert_eq!(page, node_page_reference(&readings));
+            }
+        }
     }
 
     #[test]

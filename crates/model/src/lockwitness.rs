@@ -80,9 +80,10 @@ pub mod classes {
         /// Topic registry; held across per-partition truncation in
         /// `enforce_retention`.
         BUS_TOPICS = "bus.BrokerInner.topics",
-        /// Consumer-group cursors; held across partition log-end reads
-        /// in `group_lag`.
-        BUS_OFFSETS = "bus.BrokerInner.offsets",
+        /// One topic's consumer-group cursors; held across partition
+        /// log-end reads in `group_lag` / `stats` and across the
+        /// per-partition truncation of `enforce_retention`.
+        BUS_OFFSETS = "bus.Topic.offsets",
         /// Brownout fault windows.
         BUS_BROWNOUTS = "bus.BrokerInner.brownouts",
         /// One partition's message log (innermost bus lock).

@@ -41,6 +41,13 @@ pub mod topics {
     /// Kubernetes container logs.
     pub const CONTAINER_LOGS: &str = "cray-container-logs";
 
+    /// How long the bus keeps a message on any topic of [`ALL`] once every
+    /// consumer group has read it: ten virtual minutes, ten times the
+    /// longest brownout a drill schedules. The bus is the buffer between
+    /// Redfish and OMNI, not a second store; a group never loses what it
+    /// has not read, whatever its age.
+    pub const REDFISH_RETENTION_NS: i64 = 10 * 60 * omni_model::NANOS_PER_SEC;
+
     /// Every topic the collector creates.
     pub const ALL: &[&str] = &[
         RESOURCE_EVENTS,
@@ -64,10 +71,12 @@ pub struct HmsCollector {
 }
 
 impl HmsCollector {
-    /// Attach a collector to a broker, creating the Shasta topic set.
+    /// Attach a collector to a broker, creating the Shasta topic set with
+    /// [`topics::REDFISH_RETENTION_NS`] as its retention.
     pub fn new(broker: Broker, partitions: usize) -> Self {
+        let retention_ns = Some(topics::REDFISH_RETENTION_NS);
         for t in topics::ALL {
-            broker.ensure_topic(t, TopicConfig { partitions, ..Default::default() });
+            broker.ensure_topic(t, TopicConfig { partitions, retention_ns, ..Default::default() });
         }
         Self { broker }
     }
@@ -136,6 +145,26 @@ mod tests {
         let names = c.broker().topics();
         for t in topics::ALL {
             assert!(names.contains(&t.to_string()), "missing topic {t}");
+        }
+    }
+
+    #[test]
+    fn every_topic_keeps_a_window_of_redfish_retention() {
+        let c = collector();
+        let b = c.broker();
+        for t in topics::ALL {
+            b.produce(t, Some("x1000c0"), "old").unwrap();
+        }
+        b.clock().advance(topics::REDFISH_RETENTION_NS);
+        for t in topics::ALL {
+            b.produce(t, Some("x1000c0"), "new").unwrap();
+        }
+        // Exactly the retention age is still inside the window.
+        assert_eq!(b.enforce_retention(), 0);
+        b.clock().advance(1);
+        assert_eq!(b.enforce_retention(), topics::ALL.len());
+        for t in topics::ALL {
+            assert_eq!(b.retained(t).unwrap(), 1, "{t}");
         }
     }
 

@@ -127,7 +127,9 @@ impl TelemetryApi {
     /// Create a subscription for `client_id` on `topics`: one cursor per
     /// `(topic, partition)`, in the order given, each starting at offset 0.
     /// `client_id` is the identity a revoked token is re-issued under and
-    /// the consumer group the cursors are committed to.
+    /// the consumer group the cursors are committed to. The start cursors
+    /// are committed here, so bus retention keeps everything the
+    /// subscription has yet to read from the moment it exists.
     pub fn subscribe(
         &self,
         token: &Token,
@@ -140,6 +142,10 @@ impl TelemetryApi {
             for partition in 0..self.inner.broker.partition_count(topic)? {
                 cursors.push(Cursor { topic: topic.to_string(), partition, next: 0, committed: 0 });
             }
+        }
+        // Only once every topic is known: a failed subscribe pins nothing.
+        for c in &cursors {
+            self.inner.broker.commit(client_id, &c.topic, c.partition, c.next);
         }
         Ok(Subscription {
             api: self.clone(),
@@ -374,6 +380,31 @@ mod tests {
         assert_eq!(a.commit(&bogus, "log-bridge", TOPIC, 0, 1).err(), Some(ApiError::Unauthorized));
         a.commit(&t, "log-bridge", TOPIC, 0, 1).unwrap();
         assert_eq!(a.inner.broker.committed("log-bridge", TOPIC, 0), 1);
+    }
+
+    #[test]
+    fn a_subscription_holds_retention_back_before_its_first_poll() {
+        let broker = Broker::new(SimClock::new());
+        let config = TopicConfig { partitions: 2, retention_ns: Some(1), ..Default::default() };
+        broker.ensure_topic(TOPIC, config);
+        let a = TelemetryApi::new(broker.clone(), 1);
+        for i in 0..6 {
+            broker.produce(TOPIC, None, format!("{i}")).unwrap();
+        }
+        let t = a.issue_token("bridge");
+        let mut sub = a.subscribe(&t, "bridge", &[TOPIC]).unwrap();
+        broker.clock().advance_secs(60);
+        assert_eq!(broker.enforce_retention(), 0, "the subscription has read nothing yet");
+        struct Count(usize);
+        impl Handler for Count {
+            fn handle(&mut self, _: &str, _: Message) {
+                self.0 += 1;
+            }
+        }
+        let mut seen = Count(0);
+        sub.poll(&mut seen);
+        assert_eq!(seen.0, 6);
+        assert_eq!(broker.enforce_retention(), 6, "read and committed: free to age out");
     }
 
     #[test]

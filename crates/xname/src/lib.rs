@@ -334,31 +334,75 @@ impl FromStr for XName {
     }
 }
 
+/// An xname's spelling in a stack buffer: a tag and a `u32`, then up to
+/// four tags with a `u8` each, 27 bytes at most.
+struct Spelling {
+    bytes: [u8; 28],
+    len: usize,
+}
+
+impl Spelling {
+    fn new() -> Self {
+        Self { bytes: [0; 28], len: 0 }
+    }
+
+    /// Append `tag` and the decimal digits of `n`.
+    fn part(&mut self, tag: u8, n: impl Into<u32>) -> &mut Self {
+        let mut n = n.into();
+        let mut digits = [0u8; 10];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        let end = self.len + 1 + (digits.len() - i);
+        self.bytes[self.len] = tag;
+        self.bytes[self.len + 1..end].copy_from_slice(&digits[i..]);
+        self.len = end;
+        self
+    }
+
+    fn as_str(&self) -> Result<&str, fmt::Error> {
+        std::str::from_utf8(&self.bytes[..self.len]).map_err(|_| fmt::Error)
+    }
+}
+
 impl fmt::Display for XName {
+    /// Written into a stack buffer and handed to the formatter in one
+    /// `write_str`: each sensor reading formats its xname several times.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = Spelling::new();
         match *self {
-            XName::Cabinet { cabinet } => write!(f, "x{cabinet}"),
-            XName::Chassis { cabinet, chassis } => write!(f, "x{cabinet}c{chassis}"),
+            XName::Cabinet { cabinet } => s.part(b'x', cabinet),
+            XName::Chassis { cabinet, chassis } => s.part(b'x', cabinet).part(b'c', chassis),
             XName::ChassisBmc { cabinet, chassis, bmc } => {
-                write!(f, "x{cabinet}c{chassis}b{bmc}")
+                s.part(b'x', cabinet).part(b'c', chassis).part(b'b', bmc)
             }
             XName::ComputeSlot { cabinet, chassis, slot } => {
-                write!(f, "x{cabinet}c{chassis}s{slot}")
+                s.part(b'x', cabinet).part(b'c', chassis).part(b's', slot)
             }
             XName::NodeBmc { cabinet, chassis, slot, bmc } => {
-                write!(f, "x{cabinet}c{chassis}s{slot}b{bmc}")
+                s.part(b'x', cabinet).part(b'c', chassis).part(b's', slot).part(b'b', bmc)
             }
-            XName::Node { cabinet, chassis, slot, bmc, node } => {
-                write!(f, "x{cabinet}c{chassis}s{slot}b{bmc}n{node}")
-            }
+            XName::Node { cabinet, chassis, slot, bmc, node } => s
+                .part(b'x', cabinet)
+                .part(b'c', chassis)
+                .part(b's', slot)
+                .part(b'b', bmc)
+                .part(b'n', node),
             XName::RouterSlot { cabinet, chassis, slot } => {
-                write!(f, "x{cabinet}c{chassis}r{slot}")
+                s.part(b'x', cabinet).part(b'c', chassis).part(b'r', slot)
             }
             XName::RouterBmc { cabinet, chassis, slot, bmc } => {
-                write!(f, "x{cabinet}c{chassis}r{slot}b{bmc}")
+                s.part(b'x', cabinet).part(b'c', chassis).part(b'r', slot).part(b'b', bmc)
             }
-            XName::Cdu { cdu } => write!(f, "d{cdu}"),
-        }
+            XName::Cdu { cdu } => s.part(b'd', cdu),
+        };
+        f.write_str(s.as_str()?)
     }
 }
 

@@ -284,6 +284,20 @@ print(f"all {len(timed)} Log/Metric/Alert spans of group_of are stages of {len(s
 PY
 cargo test -q -p omni-core --test alloc_step_stages
 
+echo "== bounded bus (retention behind committed cursors) =="
+# The bus is the buffer between Redfish and OMNI, not a second store: the
+# Redfish topics carry REDFISH_RETENTION_NS and the step's bus.retention
+# stage drops what every consumer group has read once it is older. Neither
+# may go, and a 2 000-step run must retain a flat window.
+if ! grep -q 'stage("bus.retention", Group::Stack' crates/core/src/stack.rs; then
+    echo "bus.retention is missing from STAGES"; exit 1
+fi
+if ! grep -q "let retention_ns = Some(topics::REDFISH_RETENTION_NS);" crates/redfish/src/collector.rs; then
+    echo "the Redfish topics lost their retention"; exit 1
+fi
+cargo test -q -p omni-redfish --lib every_topic_keeps_a_window_of_redfish_retention
+cargo test -q -p omni-core --test bounded_bus
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
