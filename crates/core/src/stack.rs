@@ -10,17 +10,17 @@ use crate::remediation::RemediationEngine;
 use omni_alertmanager::{
     Alert, Alertmanager, DeliveryQueue, DeliveryStats, Notification, Route, SlackSink,
 };
-use omni_bus::Broker;
+use omni_bus::{Broker, TopicStatsSnapshot};
 use omni_exporters::{
     ArubaExporter, BlackboxExporter, Exporter, GpfsExporter, KafkaExporter, NodeExporter,
     SelfExporter,
 };
-use omni_loki::{Limits, LokiCluster, QueryRecord, QueryReport};
+use omni_loki::{Limits, LokiCluster, QueryRecord, QueryReport, TenantSnapshot};
 use omni_model::{labels, AlertRule, RuleEngine, RuleGroup, SimClock, Timestamp, NANOS_PER_SEC};
 use omni_obs::{
-    families as fam, format_trace_id, parse_trace_id, tabulate, FamilyKind, Registry, Slo,
-    SloBoard, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES, SLOW_WINDOW,
-    TRACE_HEADER,
+    families as fam, format_trace_id, parse_trace_id, Family, FamilyKind, Registry, Rows, Slo,
+    SloBoard, SloSnapshot, TailSampling, TraceContext, TraceStore, FAST_WINDOW, SELF_FAMILIES,
+    SLOW_WINDOW, TRACE_HEADER,
 };
 use omni_redfish::{topics, HmsCollector, RedfishEvent, SensorReading};
 use omni_servicenow::{IncidentRule, ServiceNow};
@@ -509,7 +509,7 @@ impl MonitoringStack {
         let registry = Registry::new(clock.clone());
         let traces = TraceStore::with_sampling(config.seed, config.trace_sampling);
         // The pipeline's service-level objectives, fed from the step loop
-        // and delivery pump, exported as burn-rate gauges at gather time.
+        // and delivery pump, exported as burn-rate gauges whenever the registry is read.
         let slo = SloBoard::new();
         for spec in slo_specs() {
             slo.add(spec);
@@ -1118,8 +1118,28 @@ fn slow_query_line(record: &QueryRecord, latency_ns: i64, trace_id: u64) -> Stri
     line.dump()
 }
 
+/// A collector row whose every sample reads its value from an item.
+type Column<T> = (Family, fn(&T) -> f64);
+
+/// Write `columns` a family at a time: each row's family, then one sample
+/// per item, labelled `key="<the item's label>"` and valued by the row's
+/// reader. An empty `items` still starts every family.
+fn columns<L: AsRef<str>, T>(
+    rows: &mut Rows<'_>,
+    key: &str,
+    items: &[(L, T)],
+    columns: &[Column<T>],
+) {
+    for (row, value) in columns {
+        rows.family(row);
+        for (label, item) in items {
+            rows.sample(row, &[(key, label.as_ref())], value(item));
+        }
+    }
+}
+
 /// Register the introspection collectors: SLO burn-rate/budget gauges
-/// snapshotted from the board at gather time, and the trace store's
+/// read from the board whenever the registry is, and the trace store's
 /// tail-sampling outcome counters.
 fn register_introspection_collectors(
     registry: &Registry,
@@ -1130,40 +1150,42 @@ fn register_introspection_collectors(
     {
         let slo = slo.clone();
         let clock = clock.clone();
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let snaps = slo.snapshot(clock.now());
-            let mut out = tabulate(
-                [fam::SLO_BURN_RATE],
-                snaps.iter().flat_map(|s| {
-                    let l = |window| labels!("slo" => s.name.clone(), "window" => window);
-                    [(l(FAST_WINDOW), [s.fast_burn]), (l(SLOW_WINDOW), [s.slow_burn])]
-                }),
+            let snaps: Vec<(&str, &SloSnapshot)> =
+                snaps.iter().map(|s| (s.name.as_str(), s)).collect();
+            rows.family(&fam::SLO_BURN_RATE);
+            for &(name, s) in &snaps {
+                for (window, burn) in [(FAST_WINDOW, s.fast_burn), (SLOW_WINDOW, s.slow_burn)] {
+                    rows.sample(&fam::SLO_BURN_RATE, &[("slo", name), ("window", window)], burn);
+                }
+            }
+            columns(
+                rows,
+                "slo",
+                &snaps,
+                &[
+                    (fam::SLO_OBJECTIVE, |s| s.objective),
+                    (fam::SLO_ERROR_BUDGET_REMAINING, |s| s.budget_remaining),
+                ],
             );
-            out.extend(tabulate(
-                [fam::SLO_OBJECTIVE, fam::SLO_ERROR_BUDGET_REMAINING],
-                snaps
-                    .iter()
-                    .map(|s| (labels!("slo" => s.name.clone()), [s.objective, s.budget_remaining])),
-            ));
-            out
         });
     }
     {
         let traces = traces.clone();
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let s = traces.sample_stats();
-            vec![
-                fam::TRACE_KEPT.single((s.kept_error + s.kept_slow + s.kept_sampled) as f64),
-                fam::TRACE_DROPPED.single((s.dropped + s.evicted) as f64),
-            ]
+            let kept = s.kept_error + s.kept_slow + s.kept_sampled;
+            rows.sample(&fam::TRACE_KEPT, &[], kept as f64);
+            rows.sample(&fam::TRACE_DROPPED, &[], (s.dropped + s.evicted) as f64);
         });
     }
 }
 
-/// Register gather-time collectors that absorb every component's ad-hoc
-/// counters (bus topic stats, Loki resilience, bridge redelivery,
-/// delivery-queue stats, chaos stats, ServiceNow totals) into the one
-/// registry, without those components knowing about it.
+/// Register collectors that absorb every component's ad-hoc counters (bus
+/// topic stats, Loki resilience, bridge redelivery, delivery-queue stats,
+/// chaos stats, ServiceNow totals) into the one registry, without those
+/// components knowing about it.
 #[allow(clippy::too_many_arguments)]
 fn register_self_collectors(
     registry: &Registry,
@@ -1177,180 +1199,157 @@ fn register_self_collectors(
 ) {
     {
         let broker = broker.clone();
-        registry.register_collector(move || {
-            let mut out = tabulate(
-                [
-                    fam::BUS_MESSAGES_IN,
-                    fam::BUS_BYTES_OUT,
-                    fam::BUS_PRODUCE_RETRIES,
-                    fam::BUS_CONSUMER_LAG,
+        registry.register_collector(move |rows| {
+            let topics: Vec<(String, TopicStatsSnapshot)> = broker
+                .topics()
+                .into_iter()
+                .filter_map(|topic| {
+                    let stats = broker.stats(&topic).ok()?;
+                    Some((topic, stats))
+                })
+                .collect();
+            columns(
+                rows,
+                "topic",
+                &topics,
+                &[
+                    (fam::BUS_MESSAGES_IN, |s| s.messages_in as f64),
+                    (fam::BUS_BYTES_OUT, |s| s.bytes_out as f64),
+                    (fam::BUS_PRODUCE_RETRIES, |s| s.produce_retries as f64),
+                    (fam::BUS_CONSUMER_LAG, |s| s.consumer_lag as f64),
                 ],
-                broker.topics().into_iter().filter_map(|topic| {
-                    let s = broker.stats(&topic).ok()?;
-                    let values = [
-                        s.messages_in as f64,
-                        s.bytes_out as f64,
-                        s.produce_retries as f64,
-                        s.consumer_lag as f64,
-                    ];
-                    Some((labels!("topic" => topic), values))
-                }),
             );
-            out.push(fam::BUS_UNAVAILABLE.single(if broker.brownout_active() { 1.0 } else { 0.0 }));
-            out
+            let unavailable = if broker.brownout_active() { 1.0 } else { 0.0 };
+            rows.sample(&fam::BUS_UNAVAILABLE, &[], unavailable);
         });
     }
     {
         let omni = omni.clone();
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let r = omni.loki().resilience();
-            vec![
-                fam::LOKI_SHARDS_UP.single(r.shards_up as f64),
-                fam::LOKI_SHARDS_DOWN.single((r.shards_total - r.shards_up) as f64),
-                fam::LOKI_CRASHES.single(r.crashes as f64),
-                fam::LOKI_WAL_REPLAYED.single(r.replayed_records as f64),
-                fam::LOKI_REROUTED.single(r.rerouted_records as f64),
-                // Appended ever, not held: held falls at every checkpoint,
-                // which a counter must not.
-                fam::LOKI_WAL_RECORDS.single((r.wal_records + r.wal_checkpoint_drops) as f64),
-                fam::LOKI_WAL_CORRUPT_SEGMENTS.single(r.wal_segments_corrupt as f64),
-            ]
+            rows.sample(&fam::LOKI_SHARDS_UP, &[], r.shards_up as f64);
+            rows.sample(&fam::LOKI_SHARDS_DOWN, &[], (r.shards_total - r.shards_up) as f64);
+            rows.sample(&fam::LOKI_CRASHES, &[], r.crashes as f64);
+            rows.sample(&fam::LOKI_WAL_REPLAYED, &[], r.replayed_records as f64);
+            rows.sample(&fam::LOKI_REROUTED, &[], r.rerouted_records as f64);
+            // Appended ever, not held: held falls at every checkpoint,
+            // which a counter must not.
+            let appended = r.wal_records + r.wal_checkpoint_drops;
+            rows.sample(&fam::LOKI_WAL_RECORDS, &[], appended as f64);
+            rows.sample(&fam::LOKI_WAL_CORRUPT_SEGMENTS, &[], r.wal_segments_corrupt as f64);
         });
     }
     {
         // Compactor + tiered-storage telemetry: how the background job is
         // reshaping the store, and what the cold tier costs queries.
         let omni = omni.clone();
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let c = omni.loki().compactor().stats();
             let store = omni.loki().chunk_store();
-            vec![
-                fam::COMPACTOR_RUNS.single(c.runs as f64),
-                fam::COMPACTOR_CHUNKS_MERGED.single(c.chunks_merged as f64),
-                fam::COMPACTOR_OBJECTS_WRITTEN.single(c.objects_written as f64),
-                fam::COMPACTOR_DUPLICATES_DROPPED.single(c.duplicates_dropped as f64),
-                fam::COMPACTOR_RETENTION_DELETED.single(c.retention_deleted as f64),
-                fam::COMPACTOR_HOT_OBJECTS.single(store.objects().object_count() as f64),
-                fam::COMPACTOR_COLD_OBJECTS.single(store.cold().object_count() as f64),
-                fam::COMPACTOR_COLD_BYTES.single(store.cold().stored_bytes() as f64),
-                fam::COMPACTOR_COLD_TRANSIENT_FAILURES
-                    .single(store.cold().transient_failures() as f64),
-            ]
+            rows.sample(&fam::COMPACTOR_RUNS, &[], c.runs as f64);
+            rows.sample(&fam::COMPACTOR_CHUNKS_MERGED, &[], c.chunks_merged as f64);
+            rows.sample(&fam::COMPACTOR_OBJECTS_WRITTEN, &[], c.objects_written as f64);
+            rows.sample(&fam::COMPACTOR_DUPLICATES_DROPPED, &[], c.duplicates_dropped as f64);
+            rows.sample(&fam::COMPACTOR_RETENTION_DELETED, &[], c.retention_deleted as f64);
+            let (hot, cold) = (store.objects(), store.cold());
+            rows.sample(&fam::COMPACTOR_HOT_OBJECTS, &[], hot.object_count() as f64);
+            rows.sample(&fam::COMPACTOR_COLD_OBJECTS, &[], cold.object_count() as f64);
+            rows.sample(&fam::COMPACTOR_COLD_BYTES, &[], cold.stored_bytes() as f64);
+            let failures = cold.transient_failures();
+            rows.sample(&fam::COMPACTOR_COLD_TRANSIENT_FAILURES, &[], failures as f64);
         });
     }
     {
         let omni = omni.clone();
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let f = omni.loki().frontend().stats();
-            vec![
-                fam::FRONTEND_SPLITS.single(f.splits_total as f64),
-                fam::FRONTEND_CACHE_HITS.single(f.cache_hits as f64),
-                fam::FRONTEND_CACHE_MISSES.single(f.cache_misses as f64),
-                fam::FRONTEND_REJECTED.single(f.rejected_total as f64),
-                fam::FRONTEND_CACHED_ENTRIES.single(f.cached_entries as f64),
-                fam::FRONTEND_PUSHDOWN_QUERIES.single(f.pushdown_queries as f64),
-                fam::FRONTEND_PUSHDOWN_PARTIALS.single(f.pushdown_partials as f64),
-                fam::FRONTEND_PUSHDOWN_ENTRIES_SAVED.single(f.pushdown_entries_saved as f64),
-            ]
+            rows.sample(&fam::FRONTEND_SPLITS, &[], f.splits_total as f64);
+            rows.sample(&fam::FRONTEND_CACHE_HITS, &[], f.cache_hits as f64);
+            rows.sample(&fam::FRONTEND_CACHE_MISSES, &[], f.cache_misses as f64);
+            rows.sample(&fam::FRONTEND_REJECTED, &[], f.rejected_total as f64);
+            rows.sample(&fam::FRONTEND_CACHED_ENTRIES, &[], f.cached_entries as f64);
+            rows.sample(&fam::FRONTEND_PUSHDOWN_QUERIES, &[], f.pushdown_queries as f64);
+            rows.sample(&fam::FRONTEND_PUSHDOWN_PARTIALS, &[], f.pushdown_partials as f64);
+            let saved = f.pushdown_entries_saved;
+            rows.sample(&fam::FRONTEND_PUSHDOWN_ENTRIES_SAVED, &[], saved as f64);
         });
     }
     {
         // Per-tenant admission ledger and fairness telemetry.
         let omni = omni.clone();
-        registry.register_collector(move || {
-            let mut out = tabulate(
-                [
-                    fam::TENANT_INGEST_OFFERED,
-                    fam::TENANT_INGEST_ACCEPTED,
-                    fam::TENANT_INGEST_REJECTED,
-                    fam::TENANT_QUERIES_OFFERED,
-                    fam::TENANT_QUERIES_REJECTED,
-                    fam::TENANT_ACTIVE_STREAMS,
+        registry.register_collector(move |rows| {
+            let tenants = omni.loki().tenant_snapshots();
+            let tenants: Vec<(&str, &TenantSnapshot)> =
+                tenants.iter().map(|s| (s.tenant.as_str(), s)).collect();
+            columns(
+                rows,
+                "tenant",
+                &tenants,
+                &[
+                    (fam::TENANT_INGEST_OFFERED, |s| s.ingest_offered as f64),
+                    (fam::TENANT_INGEST_ACCEPTED, |s| s.ingest_accepted as f64),
+                    (fam::TENANT_INGEST_REJECTED, |s| s.ingest_rejected as f64),
+                    (fam::TENANT_QUERIES_OFFERED, |s| s.queries_offered as f64),
+                    (fam::TENANT_QUERIES_REJECTED, |s| s.queries_rejected as f64),
+                    (fam::TENANT_ACTIVE_STREAMS, |s| s.active_streams as f64),
                 ],
-                omni.loki().tenant_snapshots().into_iter().map(|s| {
-                    let values = [
-                        s.ingest_offered as f64,
-                        s.ingest_accepted as f64,
-                        s.ingest_rejected as f64,
-                        s.queries_offered as f64,
-                        s.queries_rejected as f64,
-                        s.active_streams as f64,
-                    ];
-                    (labels!("tenant" => s.tenant.as_str()), values)
-                }),
             );
-            out.extend(tabulate(
-                [fam::TENANT_QUERY_WAIT_ROUNDS],
-                omni.loki()
-                    .frontend()
-                    .scheduler_stats()
-                    .max_wait_rounds
-                    .into_iter()
-                    .map(|(tenant, wait)| (labels!("tenant" => tenant.as_str()), [wait as f64])),
-            ));
-            out
+            let waits = omni.loki().frontend().scheduler_stats().max_wait_rounds;
+            rows.family(&fam::TENANT_QUERY_WAIT_ROUNDS);
+            for (tenant, wait) in &waits {
+                let labels = [("tenant", tenant.as_str())];
+                rows.sample(&fam::TENANT_QUERY_WAIT_ROUNDS, &labels, *wait as f64);
+            }
         });
     }
     {
         let log = Arc::clone(log_bridge);
         let metric = Arc::clone(metric_bridge);
-        registry.register_collector(move || {
-            let pairs = [("log", log.lock().resilience()), ("metric", metric.lock().resilience())];
-            tabulate(
-                [
-                    fam::BRIDGE_FETCH_RETRIES,
-                    fam::BRIDGE_RESUBSCRIBES,
-                    fam::BRIDGE_INGEST_RETRIES,
-                    fam::BRIDGE_DEAD_LETTER,
-                    fam::BRIDGE_IN_FLIGHT,
+        registry.register_collector(move |rows| {
+            let bridges =
+                [("log", log.lock().resilience()), ("metric", metric.lock().resilience())];
+            columns(
+                rows,
+                "bridge",
+                &bridges,
+                &[
+                    (fam::BRIDGE_FETCH_RETRIES, |r| r.fetch_retries as f64),
+                    (fam::BRIDGE_RESUBSCRIBES, |r| r.resubscribes as f64),
+                    (fam::BRIDGE_INGEST_RETRIES, |r| r.ingest_retries as f64),
+                    (fam::BRIDGE_DEAD_LETTER, |r| r.dead_lettered as f64),
+                    (fam::BRIDGE_IN_FLIGHT, |r| r.in_flight as f64),
                 ],
-                pairs.map(|(name, r)| {
-                    let values = [
-                        r.fetch_retries as f64,
-                        r.resubscribes as f64,
-                        r.ingest_retries as f64,
-                        r.dead_lettered as f64,
-                        r.in_flight as f64,
-                    ];
-                    (labels!("bridge" => name), values)
-                }),
-            )
+            );
         });
     }
     {
         let delivery = Arc::clone(delivery);
-        registry.register_collector(move || {
+        registry.register_collector(move |rows| {
             let d = delivery.lock().stats();
-            vec![
-                fam::DELIVERY_ENQUEUED.single(d.enqueued as f64),
-                fam::DELIVERY_ATTEMPTS.single(d.attempts as f64),
-                fam::DELIVERY_DELIVERED.single(d.delivered as f64),
-                fam::DELIVERY_RETRIED.single(d.retried as f64),
-                fam::DELIVERY_FAILED.single(d.permanently_failed as f64),
-                fam::DELIVERY_CIRCUIT_OPENS.single(d.circuit_opens as f64),
-                fam::DELIVERY_CIRCUIT_CLOSES.single(d.circuit_closes as f64),
-                fam::DELIVERY_QUEUE_DEPTH.single(d.queue_depth as f64),
-            ]
+            rows.sample(&fam::DELIVERY_ENQUEUED, &[], d.enqueued as f64);
+            rows.sample(&fam::DELIVERY_ATTEMPTS, &[], d.attempts as f64);
+            rows.sample(&fam::DELIVERY_DELIVERED, &[], d.delivered as f64);
+            rows.sample(&fam::DELIVERY_RETRIED, &[], d.retried as f64);
+            rows.sample(&fam::DELIVERY_FAILED, &[], d.permanently_failed as f64);
+            rows.sample(&fam::DELIVERY_CIRCUIT_OPENS, &[], d.circuit_opens as f64);
+            rows.sample(&fam::DELIVERY_CIRCUIT_CLOSES, &[], d.circuit_closes as f64);
+            rows.sample(&fam::DELIVERY_QUEUE_DEPTH, &[], d.queue_depth as f64);
         });
     }
     {
         let chaos = Arc::clone(chaos);
-        registry.register_collector(move || {
-            let Some(s) = chaos.lock().as_ref().map(|c| c.stats()) else { return Vec::new() };
-            vec![
-                fam::CHAOS_ACTIONS.single(s.actions_fired as f64),
-                fam::CHAOS_FLAKY_ROLLS.single(s.flaky_rolls as f64),
-                fam::CHAOS_FLAKY_FAILURES.single(s.flaky_failures as f64),
-            ]
+        registry.register_collector(move |rows| {
+            let Some(s) = chaos.lock().as_ref().map(|c| c.stats()) else { return };
+            rows.sample(&fam::CHAOS_ACTIONS, &[], s.actions_fired as f64);
+            rows.sample(&fam::CHAOS_FLAKY_ROLLS, &[], s.flaky_rolls as f64);
+            rows.sample(&fam::CHAOS_FLAKY_FAILURES, &[], s.flaky_failures as f64);
         });
     }
     {
         let sn = servicenow.clone();
-        registry.register_collector(move || {
-            vec![
-                fam::SERVICENOW_EVENTS.single(sn.events_received() as f64),
-                fam::SERVICENOW_INCIDENTS.single(sn.incident_count() as f64),
-            ]
+        registry.register_collector(move |rows| {
+            rows.sample(&fam::SERVICENOW_EVENTS, &[], sn.events_received() as f64);
+            rows.sample(&fam::SERVICENOW_INCIDENTS, &[], sn.incident_count() as f64);
         });
     }
 }

@@ -101,7 +101,7 @@ const PINNED: &[(&str, usize)] = &[
     ("bridge.log_pump", 1095),
     ("bridge.metric_pump", 949),
     ("bus.retention", 0),
-    ("tsdb.vmagent_scrape", 9546),
+    ("tsdb.vmagent_scrape", 1778),
     ("loki.tick", 6),
     ("obs.loki_histograms", 30),
     ("loki.offload", 6),

@@ -2,6 +2,11 @@
 //! exporter renders and vmagent scrapes. The parser lives with its
 //! reader, in `omni_tsdb::exposition`.
 //!
+//! Exporters write their pages in place, a `PageFamily` at a time: its
+//! header, then its sample lines, straight into vmagent's buffer.
+//! [`MetricFamily`] and [`render_exposition_into`] are the value-building
+//! form the in-place writers are held to in tests.
+//!
 //! ```text
 //! # HELP node_temp_celsius Node temperature.
 //! # TYPE node_temp_celsius gauge
@@ -13,7 +18,54 @@ use omni_obs::Exemplar;
 use omni_tsdb::valid_metric_name;
 use std::fmt::Write;
 
-/// One metric family: name, help, type and its samples.
+/// One family of a page written in place: name, `# HELP` text and
+/// `# TYPE`. [`PageFamily::head`] writes the header, then
+/// [`PageFamily::sample`] one line per sample.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PageFamily {
+    name: &'static str,
+    help: &'static str,
+    kind: &'static str,
+}
+
+impl PageFamily {
+    /// A gauge family.
+    pub(crate) const fn gauge(name: &'static str, help: &'static str) -> Self {
+        Self { name, help, kind: "gauge" }
+    }
+
+    /// A counter family.
+    pub(crate) const fn counter(name: &'static str, help: &'static str) -> Self {
+        Self { name, help, kind: "counter" }
+    }
+
+    /// The family's name.
+    pub(crate) fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The `# HELP` and `# TYPE` lines.
+    pub(crate) fn head(&self, out: &mut String) {
+        write_head(out, self.name, "", self.help, self.kind);
+    }
+
+    /// An empty [`MetricFamily`] of this name, help and type: the form
+    /// the in-place writers are held to in tests.
+    #[cfg(test)]
+    pub(crate) fn reference(&self) -> MetricFamily {
+        MetricFamily { kind: self.kind, ..MetricFamily::gauge(self.name, self.help) }
+    }
+
+    /// One sample line; `labels` in key order.
+    pub(crate) fn sample(&self, out: &mut String, labels: &[(&str, &str)], value: f64) {
+        write_series(out, self.name, labels.iter().copied());
+        out.push(' ');
+        write_value(out, value);
+        out.push('\n');
+    }
+}
+
+/// One metric family as a value: name, help, type and its samples.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricFamily {
     /// Metric name.
@@ -84,29 +136,12 @@ pub fn render_exposition(families: &[MetricFamily]) -> String {
 pub fn render_exposition_into(families: &[MetricFamily], out: &mut String) {
     for f in families {
         if !valid_metric_name(&f.name) {
-            // Writing into a `String` cannot fail.
-            let _ = writeln!(
-                out,
-                "# omni-exporter error: dropped family with invalid metric name {:?}",
-                f.name
-            );
+            write_dropped(out, &f.name);
             continue;
         }
-        out.push_str("# HELP ");
-        out.push_str(&f.name);
-        out.push(' ');
-        // `# HELP` escaping per the text-format spec: only backslash and
-        // line feed (quotes stay literal, unlike label values). Without
-        // it, a help string holding a newline splits the comment across
-        // lines and corrupts the page for any conforming parser.
-        escape_into(out, &f.help, false);
-        out.push_str("\n# TYPE ");
-        out.push_str(&f.name);
-        out.push(' ');
-        out.push_str(f.kind);
-        out.push('\n');
+        write_head(out, &f.name, "", &f.help, f.kind);
         for (labels, value) in &f.samples {
-            write_series(out, &f.name, labels);
+            write_series(out, &f.name, labels.iter());
             out.push(' ');
             write_value(out, *value);
             out.push('\n');
@@ -114,35 +149,76 @@ pub fn render_exposition_into(families: &[MetricFamily], out: &mut String) {
             // page with exemplars stays valid classic text format.
             for (els, ex) in &f.exemplars {
                 if els == labels {
-                    out.push_str("# EXEMPLAR ");
-                    write_series(out, &f.name, labels);
-                    // `omni_obs::format_trace_id`'s spelling.
-                    let _ = write!(out, " trace_id={:016x} ", ex.trace_id);
-                    write_value(out, ex.value);
-                    out.push('\n');
+                    write_exemplar(out, |out| write_series(out, &f.name, labels.iter()), ex);
                 }
             }
         }
     }
 }
 
-/// `name{k="v",..}`, or the bare name for an empty label set.
-fn write_series(out: &mut String, name: &str, labels: &LabelSet) {
+/// The comment a family with an invalid metric name degrades to.
+pub(crate) fn write_dropped(out: &mut String, name: &str) {
+    // Writing into a `String` cannot fail.
+    let _ =
+        writeln!(out, "# omni-exporter error: dropped family with invalid metric name {name:?}");
+}
+
+/// The `# HELP` and `# TYPE` lines of the family `name` + `suffix`.
+pub(crate) fn write_head(out: &mut String, name: &str, suffix: &str, help: &str, kind: &str) {
+    out.push_str("# HELP ");
     out.push_str(name);
-    if labels.is_empty() {
-        return;
+    out.push_str(suffix);
+    out.push(' ');
+    // `# HELP` escaping per the text-format spec: only backslash and
+    // line feed (quotes stay literal, unlike label values). Without
+    // it, a help string holding a newline splits the comment across
+    // lines and corrupts the page for any conforming parser.
+    escape_into(out, help, false);
+    out.push_str("\n# TYPE ");
+    out.push_str(name);
+    out.push_str(suffix);
+    out.push(' ');
+    out.push_str(kind);
+    out.push('\n');
+}
+
+/// `name{k="v",..}`, or the bare name for no pairs.
+fn write_series<'a>(
+    out: &mut String,
+    name: &str,
+    pairs: impl IntoIterator<Item = (&'a str, &'a str)>,
+) {
+    out.push_str(name);
+    let mut first = true;
+    for (k, v) in pairs {
+        write_pair(out, first, k, v);
+        first = false;
     }
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        escape_into(out, v, true);
-        out.push('"');
+    if !first {
+        out.push('}');
     }
-    out.push('}');
+}
+
+/// One `k="v"` pair inside a series' braces, opening them before the
+/// first pair; the caller closes them.
+pub(crate) fn write_pair(out: &mut String, first: bool, key: &str, value: &str) {
+    out.push(if first { '{' } else { ',' });
+    out.push_str(key);
+    out.push_str("=\"");
+    escape_into(out, value, true);
+    out.push('"');
+}
+
+/// An exemplar line: `# EXEMPLAR <series> trace_id=<16 hex> <value>`,
+/// with the series text written by `series`.
+pub(crate) fn write_exemplar(out: &mut String, series: impl FnOnce(&mut String), ex: &Exemplar) {
+    out.push_str("# EXEMPLAR ");
+    series(out);
+    // `omni_obs::format_trace_id`'s spelling; writing into a `String`
+    // cannot fail.
+    let _ = write!(out, " trace_id={:016x} ", ex.trace_id);
+    write_value(out, ex.value);
+    out.push('\n');
 }
 
 pub(crate) fn write_value(out: &mut String, v: f64) {

@@ -439,8 +439,9 @@ pub(crate) fn layer2_raw(
 /// If a metric registration site starts at token `k`, return its
 /// string-literal name and the line it sits on. Recognized shapes:
 /// `.counter("name"`, `.gauge("name"`, `.histogram("name"`,
-/// `.ingest_sample("name"`, `MetricFamily::gauge("name"` and
-/// `MetricFamily::counter("name"`.
+/// `.ingest_sample("name"`, and `gauge("name"` / `counter("name"` after
+/// `MetricFamily::` or `PageFamily::` (the family an exporter writes in
+/// place).
 fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)> {
     let grab = |at: usize| match toks.get(at) {
         Some((line, Tok::Str(s))) => Some((s.clone(), *line)),
@@ -453,7 +454,7 @@ fn registration_name(toks: &[(usize, Tok)], k: usize) -> Option<(String, usize)>
             }
             None
         }
-        Tok::Ident(id) if id == "MetricFamily" => {
+        Tok::Ident(id) if id == "MetricFamily" || id == "PageFamily" => {
             if matches_toks(toks, k + 1, &[":", ":"]) {
                 if let Some((_, Tok::Ident(m))) = toks.get(k + 3) {
                     if (m == "gauge" || m == "counter") && matches_toks(toks, k + 4, &["("]) {
@@ -596,5 +597,13 @@ mod tests {
         // so there is nothing for the rule to check.
         let row = "fn f(r: &Registry) { fam::STEPS.counter(r, labels!()).inc(); }\n";
         assert!(lint_source("crates/core/src/x.rs", "core", row).is_empty());
+        // A page family written in place names its family in a `const`.
+        for (shape, findings) in
+            [("PageFamily::gauge(\"bad-name\"", 1), ("PageFamily::counter(\"ok\"", 0)]
+        {
+            let src = format!("const F: PageFamily = {shape}, \"h\");\n");
+            let f = lint_source("crates/exporters/src/x.rs", "exporters", &src);
+            assert_eq!(f.len(), findings, "{shape}: {f:?}");
+        }
     }
 }

@@ -26,6 +26,8 @@ fn registers(r: &Registry) {
     r.counter("bad.metric.name", "dots are not allowed", labels!());
 }
 
+const WRITTEN_IN_PLACE: PageFamily = PageFamily::gauge("bad-page-family", "dashes neither");
+
 #[cfg(test)]
 mod tests {
     #[test]

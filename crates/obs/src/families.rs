@@ -3,17 +3,17 @@
 //! with their bucket layout) and label keys.
 //!
 //! Producer and consumer both read this table. `omni-core` registers
-//! instruments and fills collector snapshots through a row
-//! ([`Family::counter`], [`Family::histogram`], [`Family::single`],
-//! [`tabulate`]) instead of re-typing a name; `omni-lint` expands the
-//! rows ([`Family::gathered`]) into its catalog of emittable metrics.
+//! instruments and writes collector rows through a row
+//! ([`Family::counter`], [`Family::histogram`], [`Rows::sample`])
+//! instead of re-typing a name; `omni-lint` expands the rows
+//! ([`Family::gathered`]) into its catalog of emittable metrics.
 //! The conformance test (`tests/telemetry_conformance.rs`) drives a
 //! stack and checks the gathered page against the table in both
 //! directions, so a row nobody emits and an emission nobody declared
 //! both fail.
 
 use crate::registry::{
-    Counter, FamilySnapshot, Histogram, InstrumentKind, Registry, DEFAULT_LATENCY_BUCKETS,
+    Counter, Histogram, InstrumentKind, Labels, Registry, Sink, DEFAULT_LATENCY_BUCKETS,
     HISTOGRAM_EXPANSION,
 };
 use omni_model::LabelSet;
@@ -57,26 +57,18 @@ impl Family {
         registry.histogram(self.name, self.help, labels, bounds)
     }
 
-    /// An empty gather-time snapshot of this counter or gauge, for a
-    /// collector to fill. Panics on a histogram row: histograms are
-    /// registered instruments, never collector output.
-    fn snapshot(&self) -> FamilySnapshot {
-        let kind = match self.kind {
+    /// The kind a collector writes this counter or gauge row as. Panics
+    /// on a histogram row: histograms are registered instruments, never
+    /// collector output.
+    fn collected_kind(&self) -> InstrumentKind {
+        match self.kind {
             FamilyKind::Counter => InstrumentKind::Counter,
             FamilyKind::Gauge => InstrumentKind::Gauge,
             FamilyKind::Histogram(_) => panic!("{} is a histogram, not collected", self.name),
-        };
-        FamilySnapshot::new(self.name, self.help, kind)
+        }
     }
 
-    /// A snapshot holding one unlabelled sample.
-    pub fn single(&self, value: f64) -> FamilySnapshot {
-        let mut snap = self.snapshot();
-        snap.push(LabelSet::new(), value);
-        snap
-    }
-
-    /// The families this row produces at gather time, as `(name, kind,
+    /// The families this row produces when the registry is read, as `(name, kind,
     /// label keys)`: itself for a counter or gauge, the
     /// `_bucket`/`_sum`/`_count`/`_p50`/`_p99` expansion for a histogram
     /// (`_bucket` additionally carries `le`).
@@ -99,21 +91,40 @@ impl Family {
     }
 }
 
-/// Collector shorthand for families that share a label set: one snapshot
-/// per row, and for every `(labels, values)` item sample `values[i]` in
-/// `rows[i]`. A row with no items still yields its (empty) snapshot, so
-/// the family's `# HELP`/`# TYPE` header is on the page from the start.
-pub fn tabulate<const N: usize>(
-    rows: [Family; N],
-    items: impl IntoIterator<Item = (LabelSet, [f64; N])>,
-) -> Vec<FamilySnapshot> {
-    let mut snaps: Vec<FamilySnapshot> = rows.iter().map(Family::snapshot).collect();
-    for (labels, values) in items {
-        for (snap, value) in snaps.iter_mut().zip(values) {
-            snap.push(labels.clone(), value);
-        }
+/// What a collector writes into: samples of table rows, passed on to the
+/// registry's current [`Sink`] as they come.
+pub struct Rows<'s> {
+    sink: &'s mut dyn Sink,
+    /// The row whose family the sink has open, `""` before the first.
+    open: &'static str,
+}
+
+impl<'s> Rows<'s> {
+    pub(crate) fn new(sink: &'s mut dyn Sink) -> Self {
+        Self { sink, open: "" }
     }
-    snaps
+
+    /// Start `row`'s family, so its `# HELP`/`# TYPE` header is on the
+    /// page even if no sample of it follows.
+    pub fn family(&mut self, row: &Family) {
+        self.sink.family(row.name, "", row.help, row.collected_kind());
+        self.open = row.name;
+    }
+
+    /// One sample of `row`: `labels` are the row's declared keys, in
+    /// declared (key) order, with their values. Starts the row's family
+    /// first unless it is the one open.
+    pub fn sample(&mut self, row: &Family, labels: &[(&str, &str)], value: f64) {
+        debug_assert!(
+            labels.iter().map(|&(k, _)| k).eq(row.labels.iter().copied()),
+            "{}: labels differ from the declared keys",
+            row.name
+        );
+        if self.open != row.name {
+            self.family(row);
+        }
+        self.sink.sample(Labels::pairs(labels), value, None);
+    }
 }
 
 /// Declares one `pub const` per row plus [`SELF_FAMILIES`] listing them
@@ -354,17 +365,36 @@ mod tests {
     }
 
     #[test]
-    fn tabulate_keeps_empty_rows_and_aligns_values() {
-        let empty = tabulate([BUS_MESSAGES_IN, BUS_CONSUMER_LAG], []);
-        assert_eq!(empty.len(), 2);
-        assert!(empty.iter().all(|s| s.samples.is_empty()));
-        let l = omni_model::labels!("topic" => "t");
-        let full = tabulate([BUS_MESSAGES_IN, BUS_CONSUMER_LAG], [(l.clone(), [3.0, 7.0])]);
-        assert_eq!(full[0].name, "omni_bus_messages_in_total");
-        assert_eq!(full[0].kind, InstrumentKind::Counter);
-        assert_eq!(full[0].samples[0].value, 3.0);
-        assert_eq!(full[1].kind, InstrumentKind::Gauge);
-        assert_eq!(full[1].samples[0].value, 7.0);
-        assert_eq!(full[1].samples[0].labels, l);
+    fn declared_label_keys_are_in_key_order() {
+        // `Rows::sample` writes a row's pairs in declared order, and a
+        // page writes labels sorted.
+        for row in SELF_FAMILIES {
+            assert!(row.labels.windows(2).all(|w| w[0] < w[1]), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn rows_start_a_family_once_and_keep_empty_ones() {
+        let registry = Registry::new(omni_model::SimClock::new());
+        registry.register_collector(|rows| {
+            rows.family(&BUS_CONSUMER_LAG);
+            for topic in ["b", "a"] {
+                rows.sample(&BUS_MESSAGES_IN, &[("topic", topic)], 3.0);
+            }
+            rows.sample(&BUS_UNAVAILABLE, &[], 1.0);
+        });
+        let gathered = registry.gather();
+        let names: Vec<&str> = gathered.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["omni_bus_consumer_lag", "omni_bus_messages_in_total", "omni_bus_unavailable"]
+        );
+        assert!(gathered[0].samples.is_empty());
+        assert_eq!(gathered[0].kind, InstrumentKind::Gauge);
+        assert_eq!(gathered[1].kind, InstrumentKind::Counter);
+        let topics: Vec<&str> =
+            gathered[1].samples.iter().map(|s| s.labels.get("topic").unwrap()).collect();
+        assert_eq!(topics, ["a", "b"]);
+        assert_eq!(gathered[2].samples[0].value, 1.0);
     }
 }

@@ -7,13 +7,14 @@
 //! * [`Registry`] — a metrics registry on the shared
 //!   [`omni_model::SimClock`]: counters, gauges and fixed-bucket
 //!   histograms keyed by name + [`omni_model::LabelSet`], plus
-//!   gather-time *collectors* that absorb the
-//!   pre-existing ad-hoc stats structs (`bus::TopicStats`, bridge
-//!   resilience counters, delivery stats, …) behind one API. A
-//!   [`Registry::gather`] snapshot is rendered in the Prometheus text
-//!   exposition format by `omni-exporters` and self-scraped by the
+//!   *collectors* that absorb the pre-existing ad-hoc stats structs
+//!   (`bus::TopicStats`, bridge resilience counters, delivery stats, …)
+//!   behind one API. One traversal ([`Registry::visit`]) reads it all
+//!   into a [`Sink`]: `omni-exporters` writes it straight into a page in
+//!   the Prometheus text exposition format, self-scraped by the
 //!   simulated vmagent into the TSDB every tick, so pipeline health is
-//!   queryable through the pane like any other metric. Which families
+//!   queryable through the pane like any other metric;
+//!   [`Registry::gather`] builds snapshots of it for tests. Which families
 //!   the stack emits is declared once, in [`SELF_FAMILIES`]
 //!   ([`families`]): the stack registers through its rows and
 //!   `omni-lint` derives its catalog from them.
@@ -35,10 +36,10 @@ pub mod registry;
 pub mod slo;
 pub mod trace;
 
-pub use families::{tabulate, Family, FamilyKind, SELF_FAMILIES};
+pub use families::{Family, FamilyKind, Rows, SELF_FAMILIES};
 pub use registry::{
-    Counter, Exemplar, FamilySnapshot, Gauge, Histogram, InstrumentKind, MetricSample, Registry,
-    DEFAULT_LATENCY_BUCKETS,
+    Counter, Exemplar, FamilySnapshot, Gauge, Histogram, InstrumentKind, Labels, MetricSample,
+    Registry, Sink, DEFAULT_LATENCY_BUCKETS,
 };
 pub use slo::{Slo, SloBoard, SloSnapshot, SloTracker, FAST_WINDOW, SLOW_WINDOW};
 pub use trace::{

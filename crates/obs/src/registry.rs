@@ -17,10 +17,16 @@
 //! Subsystems that already keep their own counters (the bus topic stats,
 //! bridge resilience counters, delivery stats) are absorbed via
 //! *collectors*: closures registered with [`Registry::register_collector`]
-//! that materialise [`FamilySnapshot`]s at gather time. [`Registry::gather`]
-//! merges direct instruments and collector output into one sorted,
-//! deterministic snapshot.
+//! that write [`crate::Family`] rows into a [`Rows`] at read time.
+//!
+//! One traversal, [`Registry::visit`], reads everything into a [`Sink`]:
+//! the instruments under the families lock, then the collectors after it
+//! drops. Two sinks exist. [`Registry::gather`] builds the sorted,
+//! merged [`FamilySnapshot`]s that tests and the benchmark read; the
+//! self exporter (`omni_exporters::SelfExporter`) writes the scrape page
+//! as text, with no snapshot, label set or string per sample.
 
+use crate::families::Rows;
 use omni_model::{LabelSet, SimClock, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,10 +47,11 @@ pub enum InstrumentKind {
     Gauge,
 }
 
-/// The families a histogram expands to at gather time (see
-/// [`Registry::gather`]), as `(name suffix, kind)`. [`crate::Family::gathered`]
-/// declares a histogram row's output from this list; a unit test there
-/// pins it to what `expand_histogram` emits.
+/// The families a histogram expands to when read (see
+/// [`Registry::visit`]), as `(name suffix, kind)`, in the order a series
+/// writes them. [`crate::Family::gathered`] declares a histogram row's
+/// output from this list; a unit test there pins it to what
+/// `visit_histogram` emits.
 pub(crate) const HISTOGRAM_EXPANSION: [(&str, InstrumentKind); 5] = [
     ("_bucket", InstrumentKind::Counter),
     ("_sum", InstrumentKind::Counter),
@@ -96,8 +103,7 @@ pub struct FamilySnapshot {
 }
 
 impl FamilySnapshot {
-    /// Convenience constructor for collectors.
-    pub fn new(name: &str, help: &str, kind: InstrumentKind) -> Self {
+    fn new(name: &str, help: &str, kind: InstrumentKind) -> Self {
         Self {
             name: name.into(),
             help: help.into(),
@@ -107,8 +113,7 @@ impl FamilySnapshot {
         }
     }
 
-    /// Append a sample.
-    pub fn push(&mut self, labels: LabelSet, value: f64) {
+    fn push(&mut self, labels: LabelSet, value: f64) {
         self.samples.push(MetricSample { labels, value });
     }
 }
@@ -153,6 +158,10 @@ impl Gauge {
 struct HistCore {
     /// Upper bounds of the finite buckets, strictly increasing.
     bounds: Vec<f64>,
+    /// Each bucket's `le` label value, `+Inf` last, spelled once, at the
+    /// first read: the stack makes its histograms at setup and reads them
+    /// every step.
+    les: Vec<String>,
     /// Per-bucket (non-cumulative) counts; the last slot is `+Inf`.
     counts: Vec<u64>,
     /// Per-bucket most recent exemplar (same indexing as `counts`).
@@ -247,7 +256,7 @@ struct Family {
     series: BTreeMap<LabelSet, Series>,
 }
 
-type CollectorFn = Box<dyn Fn() -> Vec<FamilySnapshot> + Send + Sync>;
+type CollectorFn = Box<dyn Fn(&mut Rows<'_>) + Send + Sync>;
 
 struct RegistryInner {
     clock: SimClock,
@@ -331,6 +340,7 @@ impl Registry {
         let cell = fam.series.entry(labels).or_insert_with(|| {
             Series::Histogram(Arc::new(Mutex::new(HistCore {
                 bounds: bounds.to_vec(),
+                les: Vec::new(),
                 counts: vec![0; bounds.len() + 1],
                 exemplars: vec![None; bounds.len() + 1],
                 sum: 0.0,
@@ -343,12 +353,56 @@ impl Registry {
         }
     }
 
-    /// Register a gather-time collector: a closure that snapshots some
-    /// external stats source (e.g. `bus::TopicStats`) into families. This
-    /// is how pre-existing ad-hoc counters are absorbed without rewriting
-    /// their owners.
-    pub fn register_collector(&self, f: impl Fn() -> Vec<FamilySnapshot> + Send + Sync + 'static) {
+    /// Register a collector: a closure that reads some external stats
+    /// source (e.g. `bus::TopicStats`) and writes its families' rows
+    /// into [`Rows`] whenever the registry is read. This is how
+    /// pre-existing ad-hoc counters are absorbed without rewriting their
+    /// owners.
+    pub fn register_collector(&self, f: impl Fn(&mut Rows<'_>) + Send + Sync + 'static) {
         self.inner.collectors.lock().unwrap().push(Box::new(f));
+    }
+
+    /// Read every instrument and collector into `sink`, once: the
+    /// instruments in name order under the families lock (each counter
+    /// or gauge family started once, its series in label order; a
+    /// histogram series writes its five families under its own guard),
+    /// then the collectors, in registration order, after that lock drops.
+    /// A name may be started more than once; a sink that wants one family
+    /// per name merges them.
+    pub fn visit(&self, sink: &mut impl Sink) {
+        {
+            let families = self.inner.families.lock().unwrap();
+            for (name, fam) in families.iter() {
+                // The kind of the family started last, while no histogram
+                // has interrupted it.
+                let mut open = None;
+                for (labels, series) in fam.series.iter() {
+                    let (kind, value) = match series {
+                        Series::Counter(c) => {
+                            (InstrumentKind::Counter, c.load(Ordering::Relaxed) as f64)
+                        }
+                        Series::Gauge(g) => {
+                            (InstrumentKind::Gauge, f64::from_bits(g.load(Ordering::Relaxed)))
+                        }
+                        Series::Histogram(h) => {
+                            visit_histogram(sink, name, &fam.help, labels, h);
+                            open = None;
+                            continue;
+                        }
+                    };
+                    if open != Some(kind) {
+                        sink.family(name, "", &fam.help, kind);
+                        open = Some(kind);
+                    }
+                    sink.sample(Labels::set(labels), value, None);
+                }
+            }
+        }
+
+        let collectors = self.inner.collectors.lock().unwrap();
+        for c in collectors.iter() {
+            c(&mut Rows::new(sink));
+        }
     }
 
     /// Snapshot every instrument and collector into a deterministic,
@@ -356,50 +410,9 @@ impl Registry {
     /// Histograms expand to `_bucket` (cumulative, `le` labelled),
     /// `_sum`, `_count`, `_p50` and `_p99` families.
     pub fn gather(&self) -> Vec<FamilySnapshot> {
-        let mut out: BTreeMap<String, FamilySnapshot> = BTreeMap::new();
-        let mut add = |snap: FamilySnapshot| match out.entry(snap.name.clone()) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(snap);
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                e.get_mut().samples.extend(snap.samples);
-            }
-        };
-
-        {
-            let families = self.inner.families.lock().unwrap();
-            for (name, fam) in families.iter() {
-                for (labels, series) in fam.series.iter() {
-                    match series {
-                        Series::Counter(c) => {
-                            let mut s =
-                                FamilySnapshot::new(name, &fam.help, InstrumentKind::Counter);
-                            s.push(labels.clone(), c.load(Ordering::Relaxed) as f64);
-                            add(s);
-                        }
-                        Series::Gauge(g) => {
-                            let mut s = FamilySnapshot::new(name, &fam.help, InstrumentKind::Gauge);
-                            s.push(labels.clone(), f64::from_bits(g.load(Ordering::Relaxed)));
-                            add(s);
-                        }
-                        Series::Histogram(h) => {
-                            for snap in expand_histogram(name, &fam.help, labels, h) {
-                                add(snap);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let collectors = self.inner.collectors.lock().unwrap();
-        for c in collectors.iter() {
-            for snap in c() {
-                add(snap);
-            }
-        }
-
-        let mut families: Vec<FamilySnapshot> = out.into_values().collect();
+        let mut gathered = Gather::default();
+        self.visit(&mut gathered);
+        let mut families: Vec<FamilySnapshot> = gathered.out.into_values().collect();
         for f in &mut families {
             f.samples.sort_by(|a, b| a.labels.cmp(&b.labels));
         }
@@ -407,41 +420,144 @@ impl Registry {
     }
 }
 
-/// Snapshot one histogram cell into its five gathered families, all
-/// under a single guard: on the `Sync` registry a concurrent `observe`
-/// must not make `_p50`/`_p99` describe a different population than
-/// `_count`/`_bucket` on the same page.
-fn expand_histogram(
+/// What one traversal of a registry ([`Registry::visit`]) writes into.
+pub trait Sink {
+    /// A family starts, or continues if this name was started before: the
+    /// samples until the next call are its. The family's name is `name`
+    /// followed by `suffix` (a histogram expansion's, else empty).
+    fn family(&mut self, name: &str, suffix: &str, help: &str, kind: InstrumentKind);
+
+    /// One sample of the family started last, with the exemplar of the
+    /// histogram bucket it reads, if that bucket has one.
+    fn sample(&mut self, labels: Labels<'_>, value: f64, exemplar: Option<Exemplar>);
+}
+
+/// A sample's labels as a traversal hands them to a [`Sink`], borrowed:
+/// an instrument's label set or a collector's pairs, plus at most one more
+/// pair (a bucket's `le`), all read in key order.
+#[derive(Clone, Copy)]
+pub struct Labels<'a> {
+    pairs: Pairs<'a>,
+    /// Placed in key order; it replaces a pair with the same key.
+    extra: Option<(&'a str, &'a str)>,
+}
+
+#[derive(Clone, Copy)]
+enum Pairs<'a> {
+    Set(&'a LabelSet),
+    /// Sorted by key.
+    Slice(&'a [(&'a str, &'a str)]),
+}
+
+impl<'a> Labels<'a> {
+    /// A series' label set.
+    pub(crate) fn set(labels: &'a LabelSet) -> Self {
+        Self { pairs: Pairs::Set(labels), extra: None }
+    }
+
+    /// Pairs already in key order.
+    pub(crate) fn pairs(pairs: &'a [(&'a str, &'a str)]) -> Self {
+        Self { pairs: Pairs::Slice(pairs), extra: None }
+    }
+
+    /// These labels with `(key, value)` added in key order.
+    pub(crate) fn with(self, key: &'a str, value: &'a str) -> Self {
+        Self { extra: Some((key, value)), ..self }
+    }
+
+    /// Call `f` on every pair, in key order.
+    pub fn for_each(&self, f: impl FnMut(&'a str, &'a str)) {
+        match self.pairs {
+            Pairs::Set(set) => merge(set.iter(), self.extra, f),
+            Pairs::Slice(slice) => merge(slice.iter().copied(), self.extra, f),
+        }
+    }
+
+    /// The pairs as an owned label set.
+    pub(crate) fn to_set(self) -> LabelSet {
+        let mut pairs = Vec::new();
+        self.for_each(|k, v| pairs.push((k, v)));
+        LabelSet::from_pairs(pairs)
+    }
+}
+
+/// `pairs` (sorted by key) with `extra` placed in key order, replacing a
+/// pair with its key.
+fn merge<'a>(
+    pairs: impl Iterator<Item = (&'a str, &'a str)>,
+    mut extra: Option<(&'a str, &'a str)>,
+    mut f: impl FnMut(&'a str, &'a str),
+) {
+    for (k, v) in pairs {
+        if let Some((ek, ev)) = extra.filter(|&(ek, _)| ek <= k) {
+            f(ek, ev);
+            extra = None;
+            if ek == k {
+                continue;
+            }
+        }
+        f(k, v);
+    }
+    if let Some((ek, ev)) = extra {
+        f(ek, ev);
+    }
+}
+
+/// The sink behind [`Registry::gather`]: one snapshot per name, in name
+/// order, the first start of a name giving its help and kind.
+#[derive(Default)]
+struct Gather {
+    out: BTreeMap<String, FamilySnapshot>,
+    open: String,
+}
+
+impl Sink for Gather {
+    fn family(&mut self, name: &str, suffix: &str, help: &str, kind: InstrumentKind) {
+        self.open.clear();
+        self.open.push_str(name);
+        self.open.push_str(suffix);
+        if !self.out.contains_key(&self.open) {
+            self.out.insert(self.open.clone(), FamilySnapshot::new(&self.open, help, kind));
+        }
+    }
+
+    fn sample(&mut self, labels: Labels<'_>, value: f64, exemplar: Option<Exemplar>) {
+        let fam = self.out.get_mut(&self.open).expect("a sample follows its family");
+        let labels = labels.to_set();
+        if let Some(ex) = exemplar {
+            fam.exemplars.push((labels.clone(), ex));
+        }
+        fam.push(labels, value);
+    }
+}
+
+/// Read one histogram series into its five families, all under a single
+/// guard: on the `Sync` registry a concurrent `observe` must not make
+/// `_p50`/`_p99` describe a different population than `_count`/`_bucket`
+/// on the same page. Buckets go by ascending bound, `+Inf` last.
+fn visit_histogram(
+    sink: &mut impl Sink,
     name: &str,
     help: &str,
     labels: &LabelSet,
     cell: &Arc<Mutex<HistCore>>,
-) -> Vec<FamilySnapshot> {
-    let h = cell.lock().unwrap();
-    let mut bucket = FamilySnapshot::new(&format!("{name}_bucket"), help, InstrumentKind::Counter);
+) {
+    let mut h = cell.lock().unwrap();
+    if h.les.is_empty() {
+        h.les = h.bounds.iter().map(|&b| format_bound(b)).chain(["+Inf".into()]).collect();
+    }
+    let [(bucket, bucket_kind), rest @ ..] = HISTOGRAM_EXPANSION;
+    sink.family(name, bucket, help, bucket_kind);
     let mut cumulative = 0u64;
-    for (i, &c) in h.counts.iter().enumerate() {
-        cumulative += c;
-        let le = if i < h.bounds.len() { format_bound(h.bounds[i]) } else { "+Inf".to_string() };
-        let mut ls = labels.clone();
-        ls.insert("le", le);
-        if let Some(ex) = h.exemplars[i] {
-            bucket.exemplars.push((ls.clone(), ex));
-        }
-        bucket.push(ls, cumulative as f64);
+    for ((&count, le), &exemplar) in h.counts.iter().zip(&h.les).zip(&h.exemplars) {
+        cumulative += count;
+        sink.sample(Labels::set(labels).with("le", le), cumulative as f64, exemplar);
     }
-    let mut snaps = vec![bucket];
-    for (suffix, kind, value) in [
-        ("_sum", InstrumentKind::Counter, h.sum),
-        ("_count", InstrumentKind::Counter, h.count as f64),
-        ("_p50", InstrumentKind::Gauge, h.quantile(0.50)),
-        ("_p99", InstrumentKind::Gauge, h.quantile(0.99)),
-    ] {
-        let mut s = FamilySnapshot::new(&format!("{name}{suffix}"), help, kind);
-        s.push(labels.clone(), value);
-        snaps.push(s);
+    let values = [h.sum, h.count as f64, h.quantile(0.50), h.quantile(0.99)];
+    for ((suffix, kind), value) in rest.into_iter().zip(values) {
+        sink.family(name, suffix, help, kind);
+        sink.sample(Labels::set(labels), value, None);
     }
-    snaps
 }
 
 /// Render a bucket bound the way Prometheus does: integral bounds without
@@ -630,17 +746,51 @@ mod tests {
         let r = reg();
         let c = r.counter("omni_direct_total", "Direct.", LabelSet::new());
         c.inc();
-        r.register_collector(|| {
-            let mut f =
-                FamilySnapshot::new("omni_absorbed_total", "Absorbed.", InstrumentKind::Counter);
-            f.push(labels!("topic" => "t1"), 7.0);
-            vec![f]
+        r.register_collector(|rows| {
+            rows.sample(&crate::families::BUS_MESSAGES_IN, &[("topic", "t1")], 7.0);
         });
         let g = r.gather();
         assert_eq!(g.len(), 2);
-        assert_eq!(g[0].name, "omni_absorbed_total");
+        assert_eq!(g[0].name, "omni_bus_messages_in_total");
         assert_eq!(g[0].samples[0].value, 7.0);
         assert_eq!(g[1].name, "omni_direct_total");
+    }
+
+    #[test]
+    fn labels_place_the_extra_pair_in_key_order() {
+        let read = |l: Labels<'_>| {
+            let mut out = Vec::new();
+            l.for_each(|k, v| out.push(format!("{k}={v}")));
+            out.join(",")
+        };
+        let set = labels!("a" => "1", "m" => "2", "z" => "3");
+        assert_eq!(read(Labels::set(&set).with("le", "0.5")), "a=1,le=0.5,m=2,z=3");
+        assert_eq!(read(Labels::set(&set).with("0", "x")), "0=x,a=1,m=2,z=3");
+        assert_eq!(read(Labels::set(&set).with("zz", "x")), "a=1,m=2,z=3,zz=x");
+        // A pair with the extra's key is replaced, as `LabelSet::insert` does.
+        assert_eq!(
+            read(Labels::pairs(&[("le", "old"), ("x", "1")]).with("le", "+Inf")),
+            "le=+Inf,x=1"
+        );
+        assert_eq!(read(Labels::pairs(&[]).with("le", "1.0")), "le=1.0");
+        let mut with_le = set.clone();
+        with_le.insert("le", "0.5");
+        assert_eq!(Labels::set(&set).with("le", "0.5").to_set(), with_le);
+    }
+
+    #[test]
+    fn exemplars_of_every_series_are_gathered() {
+        // Two series of one histogram merge into one `_bucket` family;
+        // the second series' exemplars ride along with the first's.
+        let r = reg();
+        for (tenant, trace) in [("a", 0xa), ("b", 0xb)] {
+            r.histogram("omni_h", "H.", labels!("tenant" => tenant), &[1.0])
+                .observe_with_exemplar(0.5, trace);
+        }
+        let g = r.gather();
+        let bucket = g.iter().find(|f| f.name == "omni_h_bucket").unwrap();
+        let traces: Vec<u64> = bucket.exemplars.iter().map(|(_, ex)| ex.trace_id).collect();
+        assert_eq!(traces, [0xa, 0xb]);
     }
 
     #[test]

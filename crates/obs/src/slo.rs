@@ -165,7 +165,7 @@ impl SloTracker {
 }
 
 /// A shared board of SLO trackers — the handle `core::stack` feeds from
-/// the pipeline and snapshots into `omni_slo_*` gauges at gather time.
+/// the pipeline and is read into `omni_slo_*` gauges whenever the registry is.
 /// Cheap to clone; all clones share state.
 #[derive(Clone, Default)]
 pub struct SloBoard {

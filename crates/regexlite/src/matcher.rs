@@ -119,6 +119,10 @@ impl Compiler {
             }
             Ast::Group { index, node } => {
                 if let Some(idx) = index {
+                    // Slot numbers must fit a backtracking entry's key.
+                    if idx * 2 + 1 > SLOT as usize {
+                        return Err(MatchError::ProgramTooLarge);
+                    }
                     self.push(Inst::Save(idx * 2))?;
                     self.compile(node)?;
                     self.push(Inst::Save(idx * 2 + 1))?;
@@ -204,40 +208,69 @@ pub(crate) fn compile(ast: &Ast, n_groups: usize, anchored: bool) -> Result<Prog
     Ok(Program { insts: c.insts, n_caps: n_groups * 2, n_marks: c.n_marks })
 }
 
-/// Backtracking thread state saved on the stack.
-#[derive(Clone)]
-struct Frame {
-    pc: usize,
-    pos: usize,
-    caps: Vec<usize>,
-    marks: Vec<usize>,
+/// One backtracking stack entry in 8 bytes: a thread to resume (its
+/// program counter and position), or the old value of a capture or
+/// progress slot. The slots are one shared array each; a write to either
+/// while a thread waits below pushes the slot's old value, so
+/// backtracking to that thread undoes every write made since it was
+/// pushed. Positions are stored relative to the start position — one
+/// search never moves further than its step budget — with [`UNSET32`]
+/// for an unset slot; the top two bits of `key` say which kind it is.
+#[derive(Clone, Copy)]
+struct Entry {
+    key: u32,
+    val: u32,
 }
 
+/// `key` tags: a thread's key is its program counter (`MAX_PROGRAM` keeps
+/// it below `CAP`), a restore entry's is a tag and the slot number.
+const CAP: u32 = 1 << 30;
+const MARK: u32 = 2 << 30;
+const SLOT: u32 = CAP - 1;
+
 const UNSET: usize = usize::MAX;
+const UNSET32: u32 = u32::MAX;
+
+const _: () = assert!(MAX_PROGRAM < CAP as usize);
+// A search advances at most one char per step.
+const _: () = assert!(STEP_BUDGET < UNSET32 as usize);
 
 /// Capture byte spans of one match: index 0 is the whole match.
 pub(crate) type CaptureSpans = Vec<Option<(usize, usize)>>;
 
+/// Match state reused across the start positions of one search.
+struct Vm<'p> {
+    prog: &'p Program,
+    /// Capture slots, absolute char positions.
+    caps: Vec<usize>,
+    /// Progress slots, absolute char positions.
+    marks: Vec<usize>,
+    stack: Vec<Entry>,
+}
+
 /// Run the program over `text`, trying each start position (unanchored
 /// leftmost-first search). Returns capture byte spans on success.
 pub(crate) fn run(prog: &Program, text: &str) -> Result<Option<CaptureSpans>, MatchError> {
-    // Decode once: positions are indices into `chars`, `offsets[i]` is the
-    // byte offset of char i, with a sentinel at the end.
+    // Decode once: positions are indices into `chars`.
     let chars: Vec<char> = text.chars().collect();
-    let mut offsets: Vec<usize> = Vec::with_capacity(chars.len() + 1);
-    {
-        let mut o = 0;
-        for c in &chars {
-            offsets.push(o);
-            o += c.len_utf8();
-        }
-        offsets.push(o);
-    }
-
+    let mut vm = Vm {
+        prog,
+        caps: vec![UNSET; prog.n_caps],
+        marks: vec![UNSET; prog.n_marks],
+        stack: Vec::new(),
+    };
     let mut budget = STEP_BUDGET;
     for start in 0..=chars.len() {
-        if let Some(caps) = run_from(prog, &chars, start, &mut budget)? {
-            let spans = caps
+        if vm.run_from(&chars, start, &mut budget)? {
+            // Byte offset of every char position, with the end's last.
+            let offsets: Vec<usize> = std::iter::once(0)
+                .chain(chars.iter().scan(0, |o, c| {
+                    *o += c.len_utf8();
+                    Some(*o)
+                }))
+                .collect();
+            let spans = vm
+                .caps
                 .chunks(2)
                 .map(|c| {
                     if c[0] == UNSET || c[1] == UNSET {
@@ -253,93 +286,116 @@ pub(crate) fn run(prog: &Program, text: &str) -> Result<Option<CaptureSpans>, Ma
     Ok(None)
 }
 
-fn run_from(
-    prog: &Program,
-    chars: &[char],
-    start: usize,
-    budget: &mut usize,
-) -> Result<Option<Vec<usize>>, MatchError> {
-    let mut stack: Vec<Frame> = vec![Frame {
-        pc: 0,
-        pos: start,
-        caps: vec![UNSET; prog.n_caps],
-        marks: vec![UNSET; prog.n_marks],
-    }];
+impl Vm<'_> {
+    /// One start position: true with `caps` holding the match, false if
+    /// no thread matches.
+    fn run_from(
+        &mut self,
+        chars: &[char],
+        start: usize,
+        budget: &mut usize,
+    ) -> Result<bool, MatchError> {
+        let Vm { prog, caps, marks, stack } = self;
+        caps.fill(UNSET);
+        marks.fill(UNSET);
+        stack.clear();
+        let rel = |abs: usize| if abs == UNSET { UNSET32 } else { (abs - start) as u32 };
+        let abs = |rel: u32| if rel == UNSET32 { UNSET } else { start + rel as usize };
+        let (mut pc, mut pos) = (0, start);
 
-    'threads: while let Some(mut f) = stack.pop() {
-        loop {
-            if *budget == 0 {
-                return Err(MatchError::BudgetExhausted);
+        'threads: loop {
+            loop {
+                if *budget == 0 {
+                    return Err(MatchError::BudgetExhausted);
+                }
+                *budget -= 1;
+                match &prog.insts[pc] {
+                    Inst::Char(c) => {
+                        if chars.get(pos) == Some(c) {
+                            pos += 1;
+                            pc += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    Inst::Any => match chars.get(pos) {
+                        Some(&c) if c != '\n' => {
+                            pos += 1;
+                            pc += 1;
+                        }
+                        _ => break,
+                    },
+                    Inst::Class { items, negated } => {
+                        let Some(&c) = chars.get(pos) else { break };
+                        let hit = items.iter().any(|i| i.matches(c));
+                        if hit != *negated {
+                            pos += 1;
+                            pc += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    Inst::Save(slot) => {
+                        // Only a waiting thread needs the old value back.
+                        if !stack.is_empty() {
+                            stack.push(Entry { key: CAP | *slot as u32, val: rel(caps[*slot]) });
+                        }
+                        caps[*slot] = pos;
+                        pc += 1;
+                    }
+                    Inst::Jmp(t) => pc = *t,
+                    Inst::Split(a, b) => {
+                        stack.push(Entry { key: *b as u32, val: rel(pos) });
+                        pc = *a;
+                    }
+                    Inst::AnchorStart => {
+                        if pos == 0 {
+                            pc += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    Inst::AnchorEnd => {
+                        if pos == chars.len() {
+                            pc += 1;
+                        } else {
+                            break;
+                        }
+                    }
+                    Inst::Mark(m) => {
+                        if !stack.is_empty() {
+                            stack.push(Entry { key: MARK | *m as u32, val: rel(marks[*m]) });
+                        }
+                        marks[*m] = pos;
+                        pc += 1;
+                    }
+                    Inst::Progress(m) => {
+                        if marks[*m] == pos {
+                            // Loop body matched nothing; kill the thread to
+                            // stop an infinite empty loop.
+                            break;
+                        }
+                        pc += 1;
+                    }
+                    Inst::Match => return Ok(true),
+                }
             }
-            *budget -= 1;
-            match &prog.insts[f.pc] {
-                Inst::Char(c) => {
-                    if chars.get(f.pos) == Some(c) {
-                        f.pos += 1;
-                        f.pc += 1;
-                    } else {
+            // The thread died: undo writes down to the next waiting
+            // thread, which costs no step, and resume it.
+            loop {
+                let Some(Entry { key, val }) = stack.pop() else { return Ok(false) };
+                let slot = (key & SLOT) as usize;
+                match key & !SLOT {
+                    CAP => caps[slot] = abs(val),
+                    MARK => marks[slot] = abs(val),
+                    _ => {
+                        (pc, pos) = (key as usize, abs(val));
                         continue 'threads;
                     }
                 }
-                Inst::Any => match chars.get(f.pos) {
-                    Some(&c) if c != '\n' => {
-                        f.pos += 1;
-                        f.pc += 1;
-                    }
-                    _ => continue 'threads,
-                },
-                Inst::Class { items, negated } => {
-                    let Some(&c) = chars.get(f.pos) else { continue 'threads };
-                    let hit = items.iter().any(|i| i.matches(c));
-                    if hit != *negated {
-                        f.pos += 1;
-                        f.pc += 1;
-                    } else {
-                        continue 'threads;
-                    }
-                }
-                Inst::Save(slot) => {
-                    f.caps[*slot] = f.pos;
-                    f.pc += 1;
-                }
-                Inst::Jmp(t) => f.pc = *t,
-                Inst::Split(a, b) => {
-                    let mut alt = f.clone();
-                    alt.pc = *b;
-                    stack.push(alt);
-                    f.pc = *a;
-                }
-                Inst::AnchorStart => {
-                    if f.pos == 0 {
-                        f.pc += 1;
-                    } else {
-                        continue 'threads;
-                    }
-                }
-                Inst::AnchorEnd => {
-                    if f.pos == chars.len() {
-                        f.pc += 1;
-                    } else {
-                        continue 'threads;
-                    }
-                }
-                Inst::Mark(m) => {
-                    f.marks[*m] = f.pos;
-                    f.pc += 1;
-                }
-                Inst::Progress(m) => {
-                    if f.marks[*m] == f.pos {
-                        // Loop body matched nothing; kill the thread to
-                        // stop an infinite empty loop.
-                        continue 'threads;
-                    }
-                    f.pc += 1;
-                }
-                Inst::Match => return Ok(Some(f.caps)),
             }
         }
     }
-    Ok(None)
 }
 
 /// Capture groups of one successful match.

@@ -298,6 +298,20 @@ fi
 cargo test -q -p omni-redfish --lib every_topic_keeps_a_window_of_redfish_retention
 cargo test -q -p omni-core --test bounded_bus
 
+echo "== pages in place (no gather snapshot or family value on the scrape) =="
+# Every exporter writes its page straight into vmagent's buffer: the self
+# page from one registry traversal, the others a family at a time. The
+# snapshot and family-value renderers stay as test references only, the
+# self page is held to them over random registries and a stack's 100
+# steps, and a warm self render allocates nothing per series.
+for f in crates/exporters/src/self_scrape.rs crates/exporters/src/simulated.rs; do
+    if sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE '\.gather\(\)|MetricFamily::|render_exposition_into'; then
+        echo "$f renders a page through a snapshot or family values again"; exit 1
+    fi
+done
+PROPTEST_CASES=1000 cargo test -q -p omni-core --test self_page
+cargo test -q -p omni-exporters --test alloc_self_page
+
 echo "== cargo doc --no-deps (warnings denied) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
